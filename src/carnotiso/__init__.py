@@ -5,20 +5,17 @@ geodesic sphere parameterizations, Haar/spherical measure estimation, and
 the ball-plus-bump constructions showing closed balls are not isodiametric.
 """
 
-from .groups import (GroupError, GroupPoint, GroupSpec, LayeredVector,
-                     dilate, h1_point_from_htype, h1_point_to_htype, h_type,
-                     heis_inv, heis_mul, heisenberg, htype_mul, identity,
-                     point, validate_htype)
+from .groups import (GroupError, GroupPoint, GroupSpec, dilate,
+                     h1_point_from_htype, h1_point_to_htype, h_type,
+                     heisenberg, identity, inv, mul, point, validate_htype)
 from .metrics import (CCInversionConfig, CCMetric, ConvergenceError,
-                      DinfMetric, GaugeMetric, MetricError, make_metric,
-                      validate_dinf_coefficients)
+                      DinfMetric, GaugeMetric, MetricError, alpha, make_metric,
+                      unit_ball_volume, validate_dinf_coefficients)
 from .geodesics import (CutPointReport, GeodesicParams, cc_geodesic_sample,
                         cc_sphere_point, cut_point, verify_assumption_C)
-from .measures import (BoundingBox, EstimateWithError, QuadratureConfig,
-                       QuadratureError, SampledSet, alpha, ball_set,
-                       cc_unit_ball_volume, dinf_unit_ball_volume,
-                       gauge_unit_ball_volume, mc_measure, set_diameter,
-                       spherical_measure)
+from .measures import (BoundingBox, EstimateWithError, QuadratureError,
+                       SampledSet, ball_set, cc_unit_ball_volume, mc_measure,
+                       set_diameter, spherical_measure)
 from .isodiametric import (ApexReachReport, BumpParams, CertificateError,
                            RatioResult, SigmaBounds, apex_reach, bump_ratio,
                            cdc_upper_bound, cdinf_upper_bound,

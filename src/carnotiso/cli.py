@@ -15,8 +15,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import geodesics, groups, isodiametric, measures, metrics
 
 EXIT_OK = 0
@@ -61,16 +59,6 @@ def parse_point(spec: groups.GroupSpec, text: str) -> groups.GroupPoint:
     return p
 
 
-def build_metric(spec, args):
-    if args.metric == "dinf":
-        return metrics.DinfMetric(spec, getattr(args, "c1", 1.0), getattr(args, "c2", 1.0))
-    if args.metric == "gauge":
-        return metrics.GaugeMetric(spec)
-    if args.metric == "cc":
-        return metrics.CCMetric(spec)
-    raise InputError(f"unknown metric {args.metric!r}")
-
-
 def emit(args, text: str):
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -89,7 +77,7 @@ def dump_json(doc) -> str:
 
 def cmd_distance(args) -> int:
     spec = parse_group(args.group)
-    metric = build_metric(spec, args)
+    metric = metrics.make_metric(spec, vars(args))
     p = parse_point(spec, args.p)
     q = parse_point(spec, args.q)
     d = metric.dist(p, q)
@@ -101,15 +89,13 @@ def cmd_distance(args) -> int:
 
 def cmd_ball_volume(args) -> int:
     spec = parse_group(args.group)
-    metric = build_metric(spec, args)
-    if args.metric == "dinf" and spec.kind == "heisenberg" and metric.c1 == metric.c2 == 1.0:
-        est = measures.EstimateWithError(
-            measures.dinf_unit_ball_volume(spec.n), 0.0, "closed_form")
-    elif args.metric == "cc":
+    metric = metrics.make_metric(spec, vars(args))
+    if args.metric == "cc":
         est = measures.cc_unit_ball_volume(spec.n, abs_tol=args.tol)
     else:
         val, err = metrics.unit_ball_volume(metric, abs_tol=args.tol)
-        est = measures.EstimateWithError(val, err, "quadrature")
+        method = "closed_form" if args.metric == "dinf" else "quadrature"
+        est = measures.EstimateWithError(val, err, method)
     doc = {"volume": est.to_dict(), "group": json.loads(spec.to_json()),
            "metric": metric.describe()}
     emit(args, dump_json(doc))
@@ -120,8 +106,7 @@ def cmd_cdc_table(args) -> int:
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         vol = measures.cc_unit_ball_volume(n, abs_tol=args.tol)
-        bound = (4.0 * measures.alpha(2 * n) / np.pi) / vol.value
-        rows.append((n, vol.value, bound))
+        rows.append((n, vol.value, isodiametric.cdc_upper_bound(n, abs_tol=args.tol)))
     if args.format == "json":
         doc = {"rows": [{"n": n, "cc_ball_volume": v, "cdc_upper_bound": b}
                         for n, v, b in rows],
@@ -142,10 +127,7 @@ def cmd_verify(args) -> int:
         doc = {"counterexample": "cc", "report": report.to_dict(),
                "budget": args.budget, "seed": args.seed}
     else:
-        if args.counterexample == "gauge":
-            metric = metrics.GaugeMetric(spec)
-        else:
-            metric = metrics.DinfMetric(spec)
+        metric = metrics.make_metric(spec, {"metric": args.counterexample})
         rep = isodiametric.apex_reach(metric, budget=args.budget, seed=args.seed)
         doc = {"counterexample": args.counterexample, "report": rep.to_dict(),
                "budget": args.budget, "seed": args.seed}
@@ -155,21 +137,13 @@ def cmd_verify(args) -> int:
 
 def cmd_bump_search(args) -> int:
     spec = parse_group(args.group)
-    metric = build_metric(spec, args)
+    metric = metrics.make_metric(spec, vars(args))
     result = isodiametric.maximize_bump(metric, budget=args.budget, seed=args.seed)
     doc = {"result": result.to_dict(), "budget": args.budget, "seed": args.seed}
     emit(args, dump_json(doc))
     if args.sweep_csv:
-        grid = result.set_descriptor["search"]["grid"]
-        reach = result.set_descriptor["search"]["reach"]
-        apex, _ = isodiametric._apex_and_bound(metric)
         lines = ["rho,ratio,stderr"]
-        probe = max(1, args.budget // max(10, len(grid)))
-        for rho in grid:
-            r = isodiametric.bump_ratio(
-                isodiametric.BumpParams(apex=apex, rho=rho), metric, probe,
-                args.seed, reach=reach)
-            lines.append(f"{rho:.12g},{r.ratio.value:.12g},{r.ratio.error:.12g}")
+        lines += [f"{rho:.12g},{ratio:.12g},{err:.12g}" for rho, ratio, err in result.probes]
         with open(args.sweep_csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     return EXIT_OK
@@ -177,7 +151,7 @@ def cmd_bump_search(args) -> int:
 
 def cmd_sigma(args) -> int:
     spec = parse_group(args.group)
-    metric = build_metric(spec, args)
+    metric = metrics.make_metric(spec, vars(args))
     if args.c_lower is not None and args.c_upper is not None:
         bounds = isodiametric.sigma_bounds(args.c_lower, args.c_upper)
     else:

@@ -134,11 +134,6 @@ class GroupPoint:
                 and np.allclose(self.layer2, other.layer2, atol=tol))
 
 
-# LayeredVector and GroupPoint coincide in step 2: exponential coordinates
-# identify the algebra and the group layer by layer.
-LayeredVector = GroupPoint
-
-
 def point(layer1, layer2) -> GroupPoint:
     return GroupPoint(np.asarray(layer1, dtype=float), np.asarray(layer2, dtype=float))
 
@@ -202,25 +197,8 @@ def mul(spec: GroupSpec, p: GroupPoint, q: GroupPoint) -> GroupPoint:
 
 def inv(spec: GroupSpec, p: GroupPoint) -> GroupPoint:
     _check_dims(spec, p)
-    return GroupPoint(-p.layer1, -p.layer2)
-
-
-def heis_mul(spec: GroupSpec, p: GroupPoint, q: GroupPoint) -> GroupPoint:
-    if spec.kind != "heisenberg":
-        raise GroupError("heis_mul needs a Heisenberg spec")
-    return mul(spec, p, q)
-
-
-def heis_inv(spec: GroupSpec, p: GroupPoint) -> GroupPoint:
-    if spec.kind != "heisenberg":
-        raise GroupError("heis_inv needs a Heisenberg spec")
-    return inv(spec, p)
-
-
-def htype_mul(spec: GroupSpec, p: GroupPoint, q: GroupPoint) -> GroupPoint:
-    if spec.kind != "htype":
-        raise GroupError("htype_mul needs an H-type spec")
-    return mul(spec, p, q)
+    l1, l2 = inv_arrays(spec, p.layer1, p.layer2)
+    return GroupPoint(l1, l2)
 
 
 def dilate(spec: GroupSpec, p: GroupPoint, lam: float) -> GroupPoint:

@@ -10,15 +10,15 @@ are not isodiametric and pushes the density constant below 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import geodesics, groups, measures, sampling
-from .groups import GroupError, GroupPoint, GroupSpec
+from .groups import GroupError, GroupPoint
 from .measures import EstimateWithError, SampledSet
-from .metrics import CCMetric, DinfMetric, GaugeMetric, MetricError, unit_ball_volume
+from .metrics import CCMetric, DinfMetric, GaugeMetric, MetricError, alpha, unit_ball_volume
 
 CC_REACH_SAFETY = 1e-3
 
@@ -29,10 +29,8 @@ class RatioResult:
     diameter_used: float
     diameter_kind: str  # exact | lower_bound
     set_descriptor: dict
-
-    @property
-    def upper_bound_biased(self) -> bool:
-        return self.diameter_kind == "lower_bound"
+    # maximize_bump's search table, (rho, ratio, stderr) per probe; not in to_dict
+    probes: list[tuple[float, float, float]] = field(default_factory=list)
 
     def to_dict(self):
         return {"ratio": self.ratio.to_dict(),
@@ -44,8 +42,7 @@ class RatioResult:
 class BumpParams:
     apex: GroupPoint          # boundary point of the base ball
     rho: float                # bump radius
-    center: GroupPoint | None = None  # base ball center (None = identity)
-    radius: float = 1.0
+    radius: float = 1.0       # of the base ball, centered at the identity
 
 
 @dataclass
@@ -124,7 +121,7 @@ def _apex_and_bound(metric):
         return GroupPoint(np.zeros(spec.dim1), l2), math.sqrt(2.0)
     if isinstance(metric, GaugeMetric):
         l2 = np.zeros(spec.dim2)
-        l2[0] = 0.25 if spec.kind == "htype" else 1.0  # |Z| = 1/4, i.e. t = 1
+        l2[0] = 1.0 / metric.layer2_scale  # on the unit sphere: |Z| = 1/scale
         return GroupPoint(np.zeros(spec.dim1), l2), math.sqrt(2.0)
     if isinstance(metric, CCMetric):
         # inverse of the unit cut point: the ball of the cut-locus theorem,
@@ -183,9 +180,6 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     ratio = 1 + Haar(bump \\ B) / Haar(B).
     """
     spec = metric.spec
-    if params.center is not None and (
-            np.any(params.center.layer1 != 0) or np.any(params.center.layer2 != 0)):
-        raise GroupError("bump_ratio works in the frame of a ball centered at the identity")
     if reach is None:
         rep = apex_reach(metric, budget=min(budget, 10**5), seed=seed + 1)
         reach = rep.reach
@@ -227,7 +221,7 @@ def maximize_bump(metric, budget: int = 10**6, seed: int = 0,
     The extra measure grows with rho, so the search is a monotone
     refinement towards the certified maximum; all probes share the seed
     (common random numbers) and the winner is re-estimated with the full
-    budget.
+    budget. The probe table (rho, ratio, stderr) is kept as result.probes.
     """
     apex, bound = _apex_and_bound(metric)
     if bound is None:
@@ -239,17 +233,18 @@ def maximize_bump(metric, budget: int = 10**6, seed: int = 0,
     if rho_grid is None:
         rho_grid = list(np.linspace(rho_max / probes, rho_max, probes))
     probe_budget = max(1, budget // max(10, len(rho_grid)))
-    best_rho, best_val = None, -np.inf
+    rows = []
     for rho in rho_grid:
         res = bump_ratio(BumpParams(apex=apex, rho=float(rho)), metric,
                          probe_budget, seed, reach=reach)
-        if res.ratio.value > best_val:
-            best_rho, best_val = float(rho), res.ratio.value
+        rows.append((float(rho), res.ratio.value, res.ratio.error))
+    best_rho = max(rows, key=lambda row: row[1])[0]
     final = bump_ratio(BumpParams(apex=apex, rho=best_rho), metric, budget,
                        seed, reach=reach)
-    final.set_descriptor["search"] = {"grid": [float(r) for r in rho_grid],
+    final.set_descriptor["search"] = {"grid": [row[0] for row in rows],
                                       "certified_rho_max": rho_max,
                                       "reach": reach}
+    final.probes = rows
     return final
 
 
@@ -266,7 +261,7 @@ def cdinf_upper_bound(n: int) -> float:
 def cdc_upper_bound(n: int, abs_tol: float = 1e-12) -> float:
     """Upper bound (4 alpha_{2n} / pi) / Haar(CC unit ball) for C in (H^n, d_c)."""
     vol = measures.cc_unit_ball_volume(n, abs_tol=abs_tol)
-    return (4.0 * measures.alpha(2 * n) / math.pi) / vol.value
+    return (4.0 * alpha(2 * n) / math.pi) / vol.value
 
 
 def sigma_bounds(C_lower: float, C_upper: float) -> SigmaBounds:

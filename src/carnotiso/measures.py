@@ -1,8 +1,10 @@
-"""Ball volumes, Monte Carlo Haar measure, and spherical-measure normalization.
+"""Monte Carlo Haar measure, spherical-measure normalization, and the checked
+CC ball volume.
 
 Haar measure is coordinate Lebesgue measure in both the Heisenberg and the
 H-type exponential model. The spherical measure of a set is normalized so
-that every metric ball B satisfies S(B) = (diam B)^Q.
+that every metric ball B satisfies S(B) = (diam B)^Q. The unit-ball volume
+rules themselves live in :func:`carnotiso.metrics.unit_ball_volume`.
 """
 
 from __future__ import annotations
@@ -12,27 +14,18 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
+from . import groups
 from . import metrics as metrics_mod
 from . import sampling
-from .groups import GroupError, GroupPoint, GroupSpec
+from .groups import GroupPoint, GroupSpec
+from .metrics import alpha, cc_ball_integrand  # noqa: F401  (re-exported)
 
 
 class QuadratureError(RuntimeError):
     def __init__(self, message, achieved=None):
         super().__init__(message)
         self.achieved = achieved
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
 
 
 @dataclass
@@ -104,8 +97,6 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
     box = BoundingBox(radius * lo1, radius * hi1,
                       radius * radius * lo2, radius * radius * hi2)
     if center is not None:
-        from . import groups
-        corners1 = np.stack([box.lo1, box.hi1])
         # translation by a center with nonzero layer-1 shears the t-range;
         # widen the layer-2 box by the worst twist over the layer-1 box
         if spec.kind == "heisenberg":
@@ -131,72 +122,23 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
 
 
 # ---------------------------------------------------------------------------
-# closed-form and quadrature volumes
+# checked CC volume
 # ---------------------------------------------------------------------------
 
-def alpha(m: int) -> float:
-    """Lebesgue measure of the Euclidean unit ball in R^m."""
-    if m < 0:
-        raise ValueError("dimension must be nonnegative")
-    return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
+def cc_unit_ball_volume(n: int, abs_tol: float = 1e-12) -> EstimateWithError:
+    """CC unit-ball volume of H^n; QuadratureError if quad misses abs_tol.
 
-
-def dinf_unit_ball_volume(n: int) -> float:
-    """Volume of {|z| <= 1, |t| <= 1} in H^n: 2 alpha_{2n}."""
-    if n < 1:
-        raise GroupError("n must be >= 1")
-    return 2.0 * alpha(2 * n)
-
-
-def cc_ball_integrand(phi, n: int):
-    """Radial integrand of the CC unit-ball volume in H^n.
-
-    (2 phi - sin 2 phi)/(2 phi^2) * (sin phi / phi)^(2n-1)
-    * (sin phi - phi cos phi)/phi^2, extended by 0 at phi = 0.
+    abs_tol bounds the error of the profile integral (the volume divided by
+    cc_volume_prefactor(n)), relative to the integral once that exceeds 1.
     """
-    phi = np.asarray(phi, dtype=float)
-    small = np.abs(phi) < 1e-6
-    p = np.where(small, 1.0, phi)
-    s, c = np.sin(p), np.cos(p)
-    f = ((2.0 * p - np.sin(2.0 * p)) / (2.0 * p * p)
-         * (s / p) ** (2 * n - 1)
-         * (s - p * c) / (p * p))
-    # leading behaviour: (2/3) phi * 1 * phi/3 = (2/9) phi^2
-    series = (2.0 / 9.0) * phi * phi
-    out = np.where(small, series, f)
-    return out if out.ndim else float(out)
-
-
-def cc_unit_ball_volume(n: int, abs_tol: float = 1e-12,
-                        config: QuadratureConfig | None = None) -> EstimateWithError:
-    """CC unit-ball volume 4 n alpha_{2n} * integral of cc_ball_integrand."""
-    if config is not None:
-        abs_tol = config.abs_tol
-    limit = config.max_subdivisions if config is not None else 200
-    if n < 1:
-        raise GroupError("n must be >= 1")
-    val, err = integrate.quad(lambda p: cc_ball_integrand(p, n), 0.0, math.pi,
-                              epsabs=abs_tol, epsrel=0.0, limit=limit)
-    scale = 4.0 * n * alpha(2 * n)
-    if err > abs_tol * max(1.0, val):
-        raise QuadratureError("CC ball quadrature did not reach the requested "
-                              f"tolerance (achieved {err:g})", achieved=err)
-    return EstimateWithError(scale * val, scale * err, "quadrature",
-                             samples_or_nodes=limit)
-
-
-def gauge_unit_ball_volume(spec: GroupSpec, abs_tol: float = 1e-12,
-                           config: QuadratureConfig | None = None) -> EstimateWithError:
-    """Volume of {|X|^4 + 16 |Z|^2 <= 1} via a 1-D integral over the Z-radius."""
-    if config is not None:
-        abs_tol = config.abs_tol
-    if spec.kind != "htype":
-        raise GroupError("gauge ball volume needs an H-type spec")
-    metric = metrics_mod.GaugeMetric(spec)
+    metric = metrics_mod.CCMetric(groups.heisenberg(n))
     val, err = metrics_mod.unit_ball_volume(metric, abs_tol=abs_tol)
-    if err > abs_tol * max(1.0, val):
-        raise QuadratureError("gauge ball quadrature did not converge", achieved=err)
-    return EstimateWithError(val, err, "quadrature")
+    pref = metrics_mod.cc_volume_prefactor(n)
+    if err > abs_tol * max(pref, val):
+        achieved = err / pref
+        raise QuadratureError("CC ball quadrature did not reach the requested "
+                              f"tolerance (achieved {achieved:g})", achieved=achieved)
+    return EstimateWithError(val, err, "quadrature", samples_or_nodes=metrics_mod.QUAD_LIMIT)
 
 
 # ---------------------------------------------------------------------------

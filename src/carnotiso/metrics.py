@@ -3,18 +3,20 @@
 All metrics expose both a scalar interface on GroupPoints and vectorized
 kernels on coordinate arrays (shape (..., dim1) / (..., dim2)); the heavy
 Monte Carlo machinery in :mod:`carnotiso.measures` only uses the array
-forms.
+forms. Each metric's unit-ball volume rule lives here too, in
+:func:`unit_ball_volume`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from . import groups
-from .groups import GroupError, GroupPoint, GroupSpec
+from . import groups, sampling
+from .groups import GroupPoint, GroupSpec
 
 
 class MetricError(ValueError):
@@ -185,28 +187,28 @@ class DinfMetric(_HomogeneousMetric):
 
 
 class GaugeMetric(_HomogeneousMetric):
-    """Gauge distance from the norm (|X|^4 + 16 |Z|^2)^(1/4).
+    """Gauge distance from the norm (|X|^4 + (s |Z|)^2)^(1/4), s = layer2_scale.
 
-    Native home is an H-type spec in exponential coordinates; on a
-    Heisenberg spec the same norm is carried over through the H^1 model
-    change t = -4 Z, giving (|z|^4 + t^2)^(1/4).
+    Native home is an H-type spec in exponential coordinates, where s = 4;
+    on a Heisenberg spec the same norm is carried over through the H^1
+    model change t = -4 Z, giving s = 1 and (|z|^4 + t^2)^(1/4).
     """
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
+        # a power of two, so scaling by it or by its inverse is exact
+        self.layer2_scale = 4.0 if spec.kind == "htype" else 1.0
 
     def norm_arrays(self, l1, l2):
         l1 = np.asarray(l1, dtype=float)
         l2 = np.asarray(l2, dtype=float)
         n1sq = np.sum(l1 * l1, axis=-1)
         n2sq = np.sum(l2 * l2, axis=-1)
-        if self.spec.kind == "htype":
-            return (n1sq * n1sq + 16.0 * n2sq) ** 0.25
-        return (n1sq * n1sq + n2sq) ** 0.25
+        return (n1sq * n1sq + self.layer2_scale ** 2 * n2sq) ** 0.25
 
     def unit_ball_bbox(self):
         d1, d2 = self.spec.dim1, self.spec.dim2
-        r2 = 0.25 if self.spec.kind == "htype" else 1.0
+        r2 = 1.0 / self.layer2_scale
         return (np.full(d1, -1.0), np.full(d1, 1.0),
                 np.full(d2, -r2), np.full(d2, r2))
 
@@ -293,24 +295,23 @@ def validate_dinf_coefficients(spec: GroupSpec, c1: float, c2: float,
     if sample_budget < 1:
         raise MetricError("sample budget must be >= 1")
     metric = DinfMetric(spec, c1, c2)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    worst = 0.0
-    witness = None
-    done = 0
-    while done < sample_budget:
-        m = min(1 << 16, sample_budget - done)
-        a1 = rng.uniform(-1, 1, size=(m, spec.dim1))
-        a2 = rng.uniform(-1, 1, size=(m, spec.dim2))
-        b1 = rng.uniform(-1, 1, size=(m, spec.dim1))
-        b2 = rng.uniform(-1, 1, size=(m, spec.dim2))
+
+    def chunk(rng, count):
+        a1 = rng.uniform(-1, 1, size=(count, spec.dim1))
+        a2 = rng.uniform(-1, 1, size=(count, spec.dim2))
+        b1 = rng.uniform(-1, 1, size=(count, spec.dim1))
+        b2 = rng.uniform(-1, 1, size=(count, spec.dim2))
         p1, p2 = groups.mul_arrays(spec, a1, a2, b1, b2)
         viol = (metric.norm_arrays(p1, p2)
                 - metric.norm_arrays(a1, a2) - metric.norm_arrays(b1, b2))
         i = int(np.argmax(viol))
-        if viol[i] > worst:
-            worst = float(viol[i])
-            witness = (a1[i].copy(), a2[i].copy(), b1[i].copy(), b2[i].copy())
-        done += m
+        return float(viol[i]), (a1[i].copy(), a2[i].copy(), b1[i].copy(), b2[i].copy())
+
+    worst = 0.0
+    witness = None
+    for viol, pair in sampling.map_chunks(seed, sample_budget, chunk):
+        if viol > worst:
+            worst, witness = viol, pair
     return CoefficientReport(passed=worst <= tol, worst_violation=worst,
                              witness=witness, samples=sample_budget, seed=seed)
 
@@ -319,35 +320,70 @@ def validate_dinf_coefficients(spec: GroupSpec, c1: float, c2: float,
 # unit-ball volumes (Haar = Lebesgue in both coordinate models)
 # ---------------------------------------------------------------------------
 
-def _alpha(m: int) -> float:
-    from .measures import alpha
-    return alpha(m)
+QUAD_LIMIT = 200  # subintervals scipy's quad may use for a volume integral
+
+
+def alpha(m: int) -> float:
+    """Lebesgue measure of the Euclidean unit ball in R^m."""
+    if m < 0:
+        raise ValueError("dimension must be nonnegative")
+    return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
+
+
+def cc_ball_integrand(phi, n: int):
+    """Radial integrand of the CC unit-ball volume in H^n.
+
+    (2 phi - sin 2 phi)/(2 phi^2) * (sin phi / phi)^(2n-1)
+    * (sin phi - phi cos phi)/phi^2, extended by 0 at phi = 0.
+    """
+    phi = np.asarray(phi, dtype=float)
+    small = np.abs(phi) < 1e-6
+    p = np.where(small, 1.0, phi)
+    s, c = np.sin(p), np.cos(p)
+    f = ((2.0 * p - np.sin(2.0 * p)) / (2.0 * p * p)
+         * (s / p) ** (2 * n - 1)
+         * (s - p * c) / (p * p))
+    # leading behaviour: (2/3) phi * 1 * phi/3 = (2/9) phi^2
+    series = (2.0 / 9.0) * phi * phi
+    out = np.where(small, series, f)
+    return out if out.ndim else float(out)
+
+
+def cc_volume_prefactor(n: int) -> float:
+    """4 n alpha_{2n}: the CC unit-ball volume over the integral of cc_ball_integrand."""
+    return 4.0 * n * alpha(2 * n)
 
 
 def unit_ball_volume(metric: _HomogeneousMetric, abs_tol: float = 1e-12) -> tuple[float, float]:
-    """(volume, error bound) of the metric's closed unit ball."""
+    """(volume, error bound) of the metric's closed unit ball.
+
+    d_inf is a closed form (error 0). The gauge and CC volumes are 1-D
+    quadratures; abs_tol is the absolute tolerance of that integral, before
+    its prefactor. The error bound is quad's own estimate, unchecked:
+    :func:`carnotiso.measures.cc_unit_ball_volume` is the checked CC front.
+    """
     spec = metric.spec
     if isinstance(metric, DinfMetric):
-        n2 = spec.dim1
-        vol = 2.0 * _alpha(n2) / (metric.c1 ** n2 * metric.c2 ** 2)
+        m, k = spec.dim1, spec.dim2
         if spec.kind == "htype":  # layer-2 ball is a k-ball, not a segment
-            vol = _alpha(n2) * _alpha(spec.dim2) / (
-                metric.c1 ** n2 * metric.c2 ** (2 * spec.dim2))
-        return vol, 0.0
+            return alpha(m) * alpha(k) / (metric.c1 ** m * metric.c2 ** (2 * k)), 0.0
+        return 2.0 * alpha(m) / (metric.c1 ** m * metric.c2 ** 2), 0.0
     if isinstance(metric, GaugeMetric):
         m, k = spec.dim1, spec.dim2
-        scale = 4.0 if spec.kind == "htype" else 1.0  # |Z| <= 1/4 vs |t| <= 1
+        scale = metric.layer2_scale  # |Z| <= 1/scale on the unit ball
         # slicing over the layer-2 radius r gives
         #   alpha_m alpha_k * int_0^{1/scale} k r^(k-1) (1 - (scale r)^2)^(m/4) dr;
         # substituting u = (scale r)^2 turns the endpoint behaviour into the
         # algebraic weight u^(k/2-1) (1-u)^(m/4), which quad handles exactly
         val, err = integrate.quad(lambda u: 1.0, 0.0, 1.0, weight="alg",
                                   wvar=(k / 2.0 - 1.0, m / 4.0),
-                                  epsabs=abs_tol, limit=200)
-        pref = _alpha(m) * _alpha(k) * k / (2.0 * scale ** k)
+                                  epsabs=abs_tol, limit=QUAD_LIMIT)
+        pref = alpha(m) * alpha(k) * k / (2.0 * scale ** k)
         return pref * val, pref * err
     if isinstance(metric, CCMetric):
-        from .measures import cc_unit_ball_volume
-        est = cc_unit_ball_volume(spec.n, abs_tol=abs_tol)
-        return est.value, est.error
+        n = spec.n
+        val, err = integrate.quad(lambda p: cc_ball_integrand(p, n), 0.0, math.pi,
+                                  epsabs=abs_tol, epsrel=0.0, limit=QUAD_LIMIT)
+        pref = cc_volume_prefactor(n)
+        return pref * val, pref * err
     raise MetricError(f"no volume rule for {type(metric).__name__}")

@@ -35,7 +35,8 @@ def map_chunks(seed: int, budget: int, fn, chunk_size: int = CHUNK_SIZE):
     """Run fn(rng, count) over budget samples split into chunks.
 
     Returns the list of per-chunk results in chunk order. Worker-thread
-    count comes from CARNOT_ISO_THREADS and cannot affect the results.
+    count comes from CARNOT_ISO_THREADS, capped at the chunk count and the
+    CPU count, and cannot affect the results.
     """
     if budget < 1:
         raise ValueError("sample budget must be >= 1")
@@ -51,8 +52,8 @@ def map_chunks(seed: int, budget: int, fn, chunk_size: int = CHUNK_SIZE):
         return fn(substream(seed, idx), count)
 
     jobs = list(enumerate(sizes))
-    workers = thread_count()
-    if workers == 1 or len(jobs) == 1:
+    workers = min(thread_count(), len(jobs), os.cpu_count() or 1)
+    if workers == 1:
         return [run(j) for j in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, jobs))

@@ -144,9 +144,9 @@ def test_criterion_7_balls_not_isodiametric(best_bumps):
 
 
 def test_criterion_8_volume_cross_checks():
-    exact_dinf = ci.dinf_unit_ball_volume(1)
+    exact_dinf, _ = ci.unit_ball_volume(DINF)
     refs = {"dinf": (DINF, exact_dinf),
-            "gauge": (GAUGE, ci.gauge_unit_ball_volume(HT).value),
+            "gauge": (GAUGE, ci.unit_ball_volume(GAUGE)[0]),
             "cc": (CC, ci.cc_unit_ball_volume(1).value)}
     ok = exact_dinf == 2.0 * math.pi
     details = [f"dinf closed form {exact_dinf:.12g}"]

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import carnotiso as ci
+from carnotiso import isodiametric
 from carnotiso.cli import main, parse_group, parse_point
 
 
@@ -72,6 +73,17 @@ class TestBallVolume:
         doc = json.loads(out)
         assert code == 0
         assert doc["volume"]["value"] == pytest.approx(2 * math.pi, rel=1e-14)
+        assert doc["volume"]["method"] == "closed_form"
+
+    @pytest.mark.parametrize("argv,value", [(["--c1", "2"], math.pi / 2),
+                                            (["--group", "h1-htype"], 2 * math.pi)],
+                             ids=["c1_2", "h1_htype"])
+    def test_dinf_closed_form_any_coefficients(self, capsys, argv, value):
+        code, out = run_main(capsys, "ball-volume", *argv)
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["volume"]["value"] == pytest.approx(value, rel=1e-14)
+        assert doc["volume"]["error"] == 0.0
         assert doc["volume"]["method"] == "closed_form"
 
     def test_cc(self, capsys):
@@ -175,11 +187,24 @@ class TestDeterminism:
         base = subprocess.run(cmd, capture_output=True, env=env1, check=True).stdout
         assert out == base
 
-    def test_sweep_csv(self, tmp_path, capsys):
+    def test_sweep_csv(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        bump_ratio = isodiametric.bump_ratio
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].rho)
+            return bump_ratio(*args, **kwargs)
+
+        monkeypatch.setattr(isodiametric, "bump_ratio", counted)
         dest = tmp_path / "sweep.csv"
-        code, _ = run_main(capsys, "bump-search", "--budget", "40000",
-                           "--sweep-csv", str(dest))
+        code, out = run_main(capsys, "bump-search", "--budget", "40000",
+                             "--sweep-csv", str(dest))
         assert code == 0
         lines = dest.read_text().strip().splitlines()
         assert lines[0] == "rho,ratio,stderr"
         assert len(lines) > 1
+        # the sweep table is the search's own probes: one bump_ratio per
+        # grid point plus the final estimate, none re-run for the CSV
+        grid = json.loads(out)["result"]["set"]["search"]["grid"]
+        assert len(lines) == len(grid) + 1
+        assert len(calls) == len(grid) + 1

@@ -50,33 +50,33 @@ class TestSpec:
 class TestHeisenbergLaw:
     def test_identity(self):
         p = ci.point([1.5, -0.5], [2.0])
-        assert ci.heis_mul(H1, ci.identity(H1), p).close_to(p)
+        assert ci.mul(H1, ci.identity(H1), p).close_to(p)
 
     def test_inverse_cancels(self):
         p = ci.point([1.5, -0.5], [2.0])
-        assert ci.heis_mul(H1, p, ci.heis_inv(H1, p)).close_to(ci.identity(H1))
+        assert ci.mul(H1, p, ci.inv(H1, p)).close_to(ci.identity(H1))
 
     def test_hand_product(self):
         # x1 = 1 meets x'2 = 1: twist 2(x2 x'1 - x1 x'2) = -2
         p = ci.point([1, 0], [0])
         q = ci.point([0, 1], [0])
-        assert ci.heis_mul(H1, p, q).close_to(ci.point([1, 1], [-2]))
+        assert ci.mul(H1, p, q).close_to(ci.point([1, 1], [-2]))
 
     def test_inverse_examples(self):
-        assert ci.heis_inv(H1, ci.identity(H1)).close_to(ci.identity(H1))
-        assert ci.heis_inv(H1, ci.point([1, 1], [-2])).close_to(ci.point([-1, -1], [2]))
-        assert ci.heis_inv(H1, ci.point([0, 0], [5])).close_to(ci.point([0, 0], [-5]))
+        assert ci.inv(H1, ci.identity(H1)).close_to(ci.identity(H1))
+        assert ci.inv(H1, ci.point([1, 1], [-2])).close_to(ci.point([-1, -1], [2]))
+        assert ci.inv(H1, ci.point([0, 0], [5])).close_to(ci.point([0, 0], [-5]))
 
     def test_associativity_random(self):
         pts = rand_points(H1, 3 * 1000, 1)
         for p, q, r in zip(pts[0::3], pts[1::3], pts[2::3]):
-            a = ci.heis_mul(H1, ci.heis_mul(H1, p, q), r)
-            b = ci.heis_mul(H1, p, ci.heis_mul(H1, q, r))
+            a = ci.mul(H1, ci.mul(H1, p, q), r)
+            b = ci.mul(H1, p, ci.mul(H1, q, r))
             assert a.close_to(b, tol=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(GroupError):
-            ci.heis_mul(H1, ci.point([1, 0, 0, 0], [0]), ci.identity(H1))
+            ci.mul(H1, ci.point([1, 0, 0, 0], [0]), ci.identity(H1))
 
     @given(st.lists(coord, min_size=2, max_size=2), st.lists(coord, min_size=2, max_size=2),
            coord, coord)
@@ -84,35 +84,31 @@ class TestHeisenbergLaw:
     def test_inverse_law(self, z1, z2, t1, t2):
         p = ci.point(z1, [t1])
         q = ci.point(z2, [t2])
-        pq = ci.heis_mul(H1, p, q)
-        back = ci.heis_mul(H1, ci.heis_inv(H1, q), ci.heis_inv(H1, p))
-        assert ci.heis_mul(H1, pq, back).close_to(ci.identity(H1), tol=1e-9)
+        pq = ci.mul(H1, p, q)
+        back = ci.mul(H1, ci.inv(H1, q), ci.inv(H1, p))
+        assert ci.mul(H1, pq, back).close_to(ci.identity(H1), tol=1e-9)
 
 
 class TestHType:
     def test_identity(self):
         p = ci.point([0.3, 0.7], [0.1])
-        assert ci.htype_mul(HT, ci.identity(HT), p).close_to(p)
+        assert ci.mul(HT, ci.identity(HT), p).close_to(p)
 
     def test_no_self_twist(self):
         p = ci.point([0.3, 0.7], [0.0])
-        assert ci.htype_mul(HT, p, p).close_to(ci.point([0.6, 1.4], [0.0]))
+        assert ci.mul(HT, p, p).close_to(ci.point([0.6, 1.4], [0.0]))
 
     def test_symplectic_bracket(self):
         e1 = ci.point([1, 0], [0])
         e2 = ci.point([0, 1], [0])
-        assert ci.htype_mul(HT, e1, e2).close_to(ci.point([1, 1], [0.5]))
+        assert ci.mul(HT, e1, e2).close_to(ci.point([1, 1], [0.5]))
 
     def test_associativity_random(self):
         pts = rand_points(HT, 3 * 1000, 2)
         for p, q, r in zip(pts[0::3], pts[1::3], pts[2::3]):
-            a = ci.htype_mul(HT, ci.htype_mul(HT, p, q), r)
-            b = ci.htype_mul(HT, p, ci.htype_mul(HT, q, r))
+            a = ci.mul(HT, ci.mul(HT, p, q), r)
+            b = ci.mul(HT, p, ci.mul(HT, q, r))
             assert a.close_to(b, tol=1e-10)
-
-    def test_wrong_spec(self):
-        with pytest.raises(GroupError):
-            ci.htype_mul(H1, ci.identity(H1), ci.identity(H1))
 
 
 class TestDilations:
@@ -131,12 +127,11 @@ class TestDilations:
     def test_automorphism(self):
         rng = np.random.default_rng(3)
         for spec in (H1, HT):
-            mul = ci.heis_mul if spec.kind == "heisenberg" else ci.htype_mul
             for _ in range(50):
                 p, q = rand_points(spec, 2, int(rng.integers(1 << 30)))
                 lam = float(rng.uniform(0.1, 10))
-                a = ci.dilate(spec, mul(spec, p, q), lam)
-                b = mul(spec, ci.dilate(spec, p, lam), ci.dilate(spec, q, lam))
+                a = ci.dilate(spec, ci.mul(spec, p, q), lam)
+                b = ci.mul(spec, ci.dilate(spec, p, lam), ci.dilate(spec, q, lam))
                 assert a.close_to(b, tol=1e-10 * max(1.0, lam * lam))
 
     def test_nonpositive_factor(self):
@@ -176,8 +171,8 @@ class TestModelChange:
         for _ in range(200):
             p = ci.point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 1))
             q = ci.point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 1))
-            lhs = h1_point_from_htype(ci.htype_mul(HT, p, q))
-            rhs = ci.heis_mul(H1, h1_point_from_htype(p), h1_point_from_htype(q))
+            lhs = h1_point_from_htype(ci.mul(HT, p, q))
+            rhs = ci.mul(H1, h1_point_from_htype(p), h1_point_from_htype(q))
             assert lhs.close_to(rhs, tol=1e-12)
 
     def test_roundtrip(self):

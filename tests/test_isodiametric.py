@@ -117,13 +117,6 @@ class TestBump:
             ci.bump_ratio(BumpParams(apex=apex, rho=-0.1), DINF, 1000, seed=0,
                           reach=SQRT2)
 
-    def test_off_center_base_rejected(self):
-        apex = ci.point([0, 0], [1.0])
-        with pytest.raises(GroupError):
-            ci.bump_ratio(BumpParams(apex=apex, rho=0.1,
-                                     center=ci.point([1, 0], [0])),
-                          DINF, 1000, seed=0, reach=SQRT2)
-
     def test_dinf_bump_beats_ball(self):
         apex = ci.point([0, 0], [1.0])
         rho = 2 - SQRT2
@@ -155,6 +148,9 @@ class TestBump:
         search = res.set_descriptor["search"]
         assert search["certified_rho_max"] == pytest.approx(2 - SQRT2)
         assert max(search["grid"]) <= search["certified_rho_max"] + 1e-12
+        assert [row[0] for row in res.probes] == search["grid"]
+        assert res.set_descriptor["rho"] == max(res.probes, key=lambda row: row[1])[0]
+        assert "probes" not in res.to_dict()
 
 
 class TestAnalyticBounds:

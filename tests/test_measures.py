@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import carnotiso as ci
+from carnotiso import sampling
 from carnotiso.groups import standard_symplectic
-from carnotiso.measures import (BoundingBox, QuadratureConfig, cc_ball_integrand)
+from carnotiso.measures import BoundingBox, cc_ball_integrand
 
 H1 = ci.heisenberg(1)
 H2 = ci.heisenberg(2)
@@ -30,18 +31,14 @@ class TestAlpha:
 
 class TestClosedFormVolumes:
     def test_dinf(self):
-        assert ci.dinf_unit_ball_volume(1) == pytest.approx(2 * math.pi, rel=1e-14)
-        assert ci.dinf_unit_ball_volume(2) == pytest.approx(math.pi ** 2, rel=1e-14)
+        assert ci.unit_ball_volume(DINF) == (pytest.approx(2 * math.pi, rel=1e-14), 0.0)
+        assert ci.unit_ball_volume(ci.DinfMetric(H2)) == (
+            pytest.approx(math.pi ** 2, rel=1e-14), 0.0)
 
     def test_gauge(self):
-        est = ci.gauge_unit_ball_volume(HT)
-        assert est.value == pytest.approx(math.pi ** 2 / 8, rel=1e-11)
-        assert est.method == "quadrature"
-
-    def test_gauge_needs_htype(self):
-        from carnotiso.groups import GroupError
-        with pytest.raises(GroupError):
-            ci.gauge_unit_ball_volume(H1)
+        value, error = ci.unit_ball_volume(GAUGE)
+        assert value == pytest.approx(math.pi ** 2 / 8, rel=1e-11)
+        assert error < 1e-11
 
 
 class TestCCVolume:
@@ -64,8 +61,7 @@ class TestCCVolume:
     def test_tight_tolerance_raises(self):
         from carnotiso.measures import QuadratureError
         with pytest.raises(QuadratureError):
-            ci.cc_unit_ball_volume(1, config=QuadratureConfig(abs_tol=1e-16,
-                                                              max_subdivisions=2))
+            ci.cc_unit_ball_volume(1, abs_tol=1e-16)
 
 
 class TestBoundingBox:
@@ -120,11 +116,44 @@ class TestMCMeasure:
 
     def test_thread_count_does_not_change_result(self, monkeypatch):
         sampled = ci.ball_set(CC)
-        monkeypatch.setenv("CARNOT_ISO_THREADS", "1")
-        a = ci.mc_measure(sampled, 3 * (1 << 19), seed=3)
-        monkeypatch.setenv("CARNOT_ISO_THREADS", "4")
-        b = ci.mc_measure(sampled, 3 * (1 << 19), seed=3)
-        assert a.value == b.value and a.error == b.error
+
+        def run(threads):
+            monkeypatch.setenv("CARNOT_ISO_THREADS", threads)
+            est = ci.mc_measure(sampled, 3 * (1 << 19), seed=3)
+            rep = ci.validate_dinf_coefficients(H1, 1.0, 10.0,
+                                                sample_budget=3 * (1 << 19), seed=3)
+            return (est.value, est.error, rep.worst_violation,
+                    [w.tolist() for w in rep.witness])
+
+        assert run("1") == run("4")
+
+
+class TestMapChunks:
+    @pytest.mark.parametrize("cpus,expected", [(8, 3), (2, 2), (None, None)])
+    def test_workers_capped(self, monkeypatch, cpus, expected):
+        made = []
+
+        class Recorder:
+            """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("CARNOT_ISO_THREADS", "100000")
+        out = sampling.map_chunks(7, 30, lambda rng, count: count, chunk_size=10)
+        assert out == [10, 10, 10]
+        assert made == ([] if expected is None else [expected])
 
 
 class TestBallSet:
