@@ -172,14 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "bounds on Heisenberg and H-type groups.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, metric=True, mc=False):
+    def common(p, metric=True, mc=False, tol=False):
         p.add_argument("--group", default="h1",
                        help="hN, h1-htype, or @spec.json (default h1)")
         if metric:
             p.add_argument("--metric", default="dinf", choices=["dinf", "gauge", "cc"])
             p.add_argument("--c1", type=float, default=1.0)
             p.add_argument("--c2", type=float, default=1.0)
-        p.add_argument("--tol", type=float, default=1e-12)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-12,
+                           help="absolute tolerance of the volume quadrature")
         p.add_argument("--output", default=None)
         if mc:
             p.add_argument("--seed", type=int, default=0)
@@ -192,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("ball-volume", help="Haar volume of the unit ball")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_ball_volume)
 
     p = sub.add_parser("cdc-table", help="CC isodiametric upper bounds per n")

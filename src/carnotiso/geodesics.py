@@ -135,6 +135,27 @@ class CutPointReport:
         }
 
 
+def _cut_ball_samples(spec: GroupSpec, x: GroupPoint, rng, count: int):
+    """count points of the closed CC ball B(x, 1): half on its sphere, half inside."""
+    n, d1 = spec.n, spec.dim1
+    m_sphere = count // 2
+    m_inner = count - m_sphere
+    chi = rng.standard_normal((m_sphere, d1))
+    chi /= np.linalg.norm(chi, axis=1, keepdims=True)
+    phi = rng.uniform(-math.pi, math.pi, size=m_sphere)
+    z_s, t_s = sphere_point_arrays(n, chi, phi, np.ones(m_sphere))
+    chi2 = rng.standard_normal((m_inner, d1))
+    chi2 /= np.linalg.norm(chi2, axis=1, keepdims=True)
+    chi2 *= rng.uniform(0.0, 1.0, size=(m_inner, 1)) ** (1.0 / d1)
+    phi2 = rng.uniform(-math.pi, math.pi, size=m_inner)
+    u = rng.uniform(0.0, 1.0, size=m_inner) ** (1.0 / spec.Q)
+    z_i, t_i = sphere_point_arrays(n, chi2, phi2, u)
+    z = np.vstack([z_s, z_i])
+    t = np.vstack([t_s, t_i])
+    # translate the ball to its center x
+    return groups.mul_arrays(spec, x.layer1, x.layer2, z, t)
+
+
 def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
                         seed: int = 0, exclusion_radius: float = 1e-3) -> CutPointReport:
     """Numerical evidence that geodesics stop minimizing at the cut point.
@@ -150,31 +171,17 @@ def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
     metric = CCMetric(spec)
     x = cut_point(spec, 1.0)
     cont = cut_point(spec, 2.0)  # [0, 4/pi]
-    n = spec.n
-    d1 = spec.dim1
 
     def chunk(rng, count):
-        # half the chunk on the boundary sphere of B(x,1), half inside
-        m_sphere = count // 2
-        m_inner = count - m_sphere
-        chi = rng.standard_normal((m_sphere, d1))
-        chi /= np.linalg.norm(chi, axis=1, keepdims=True)
-        phi = rng.uniform(-math.pi, math.pi, size=m_sphere)
-        z_s, t_s = sphere_point_arrays(n, chi, phi, np.ones(m_sphere))
-        chi2 = rng.standard_normal((m_inner, d1))
-        chi2 /= np.linalg.norm(chi2, axis=1, keepdims=True)
-        chi2 *= rng.uniform(0.0, 1.0, size=(m_inner, 1)) ** (1.0 / d1)
-        phi2 = rng.uniform(-math.pi, math.pi, size=m_inner)
-        u = rng.uniform(0.0, 1.0, size=m_inner) ** (1.0 / spec.Q)
-        z_i, t_i = sphere_point_arrays(n, chi2, phi2, u)
-        z = np.vstack([z_s, z_i])
-        t = np.vstack([t_s, t_i])
-        # translate the ball to its center x
-        y1, y2 = groups.mul_arrays(spec, x.layer1, x.layer2, z, t)
+        y1, y2 = _cut_ball_samples(spec, x, rng, count)
         d0 = metric.norm_arrays(y1, y2)
-        near_cont = metric.dist_arrays(cont.layer1, cont.layer2, y1, y2) < exclusion_radius
-        kept = d0[~near_cont]
-        return (float(kept.max()) if kept.size else 0.0, int(np.count_nonzero(near_cont)))
+        # d(0, cont) = 2, so d(cont, y) < exclusion_radius forces
+        # d0 > 2 - exclusion_radius: only those samples need the second norm
+        near = np.flatnonzero(d0 >= 2.0 - exclusion_radius - 1e-9)
+        near = near[metric.dist_arrays(cont.layer1, cont.layer2, y1[near], y2[near])
+                    < exclusion_radius]
+        d0[near] = 0.0  # distances are >= 0, so this drops them from the max
+        return float(d0.max()), int(near.size)
 
     results = sampling.map_chunks(seed, sample_budget, chunk)
     best = max(r[0] for r in results)

@@ -199,7 +199,11 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     bump = measures.ball_set(metric, center=params.apex, radius=params.rho)
 
     def extra_membership(l1, l2):
-        return bump.membership(l1, l2) & (metric.norm_arrays(l1, l2) > params.radius)
+        # the base-ball norm only matters on bump hits
+        hit = bump.membership(l1, l2)
+        idx = np.flatnonzero(hit)
+        hit[idx] = metric.norm_arrays(l1[idx], l2[idx]) > params.radius
+        return hit
 
     extra = SampledSet(extra_membership, bump.bounding_box, spec)
     est = measures.mc_measure(extra, budget, seed)

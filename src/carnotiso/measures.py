@@ -1,5 +1,5 @@
-"""Monte Carlo Haar measure, spherical-measure normalization, and the checked
-CC ball volume.
+"""Monte Carlo Haar measure, spherical-measure normalization, and the CC ball
+volume as an estimate.
 
 Haar measure is coordinate Lebesgue measure in both the Heisenberg and the
 H-type exponential model. The spherical measure of a set is normalized so
@@ -19,13 +19,7 @@ from . import groups
 from . import metrics as metrics_mod
 from . import sampling
 from .groups import GroupPoint, GroupSpec
-from .metrics import alpha, cc_ball_integrand  # noqa: F401  (re-exported)
-
-
-class QuadratureError(RuntimeError):
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
+from .metrics import QuadratureError, alpha, cc_ball_integrand  # noqa: F401  (re-exported)
 
 
 @dataclass
@@ -122,7 +116,7 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
 
 
 # ---------------------------------------------------------------------------
-# checked CC volume
+# CC volume
 # ---------------------------------------------------------------------------
 
 def cc_unit_ball_volume(n: int, abs_tol: float = 1e-12) -> EstimateWithError:
@@ -133,11 +127,6 @@ def cc_unit_ball_volume(n: int, abs_tol: float = 1e-12) -> EstimateWithError:
     """
     metric = metrics_mod.CCMetric(groups.heisenberg(n))
     val, err = metrics_mod.unit_ball_volume(metric, abs_tol=abs_tol)
-    pref = metrics_mod.cc_volume_prefactor(n)
-    if err > abs_tol * max(pref, val):
-        achieved = err / pref
-        raise QuadratureError("CC ball quadrature did not reach the requested "
-                              f"tolerance (achieved {achieved:g})", achieved=achieved)
     return EstimateWithError(val, err, "quadrature", samples_or_nodes=metrics_mod.QUAD_LIMIT)
 
 

@@ -24,11 +24,26 @@ class MetricError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Numerical iteration failed to reach the requested tolerance."""
+    """Numerical iteration failed to reach the requested tolerance.
 
-    def __init__(self, message, residual=None):
+    ``indices`` are the positions (in the flattened input) of the elements
+    that did not converge and ``residuals`` their final residuals;
+    ``residual`` is the worst of them.
+    """
+
+    def __init__(self, message, residual=None, indices=None, residuals=None):
         super().__init__(message)
         self.residual = residual
+        self.indices = indices
+        self.residuals = residuals
+
+
+class QuadratureError(RuntimeError):
+    """A volume quadrature missed its requested tolerance."""
+
+    def __init__(self, message, achieved=None):
+        super().__init__(message)
+        self.achieved = achieved
 
 
 @dataclass(frozen=True)
@@ -56,9 +71,13 @@ def mu(phi):
     """Monotone profile (2 phi - sin 2 phi) / (2 sin^2 phi) on [0, pi)."""
     phi = np.asarray(phi, dtype=float)
     small = np.abs(phi) < _MU_SERIES_CUT
-    phi_safe = np.where(small, 1.0, phi)
+    any_small = small.any()
+    phi_safe = np.where(small, 1.0, phi) if any_small else phi
+    two_phi = 2.0 * phi_safe
     s = np.sin(phi_safe)
-    main = (2.0 * phi_safe - np.sin(2.0 * phi_safe)) / (2.0 * s * s)
+    main = (two_phi - np.sin(two_phi)) / (2.0 * s * s)
+    if not any_small:
+        return main
     # 2 phi - sin 2 phi cancels to O(phi^3) near 0; switch to the series
     # mu = (2/3) phi (1 + (2/15) phi^2 + ...)
     series = (2.0 / 3.0) * phi * (1.0 + (2.0 / 15.0) * phi * phi)
@@ -69,59 +88,122 @@ def mu_prime(phi):
     """d mu / d phi = 2 - (2 phi - sin 2 phi) cos phi / sin^3 phi."""
     phi = np.asarray(phi, dtype=float)
     small = np.abs(phi) < _MU_SERIES_CUT
-    phi_safe = np.where(small, 1.0, phi)
+    any_small = small.any()
+    phi_safe = np.where(small, 1.0, phi) if any_small else phi
+    two_phi = 2.0 * phi_safe
     s = np.sin(phi_safe)
-    main = 2.0 - (2.0 * phi_safe - np.sin(2.0 * phi_safe)) * np.cos(phi_safe) / s**3
+    main = 2.0 - (two_phi - np.sin(two_phi)) * np.cos(phi_safe) / s**3
+    if not any_small:
+        return main
     series = (2.0 / 3.0) * (1.0 + (2.0 / 5.0) * phi * phi)
     return np.where(small, series, main)
+
+
+# upper end of the search bracket, just below the cut angle pi
+_PHI_MAX = np.pi * (1.0 - 1e-14)
+
+# starting guess phi = pi (1 - P(r)^(-1/2)) with the rational function
+# P(r) = (1 + a1 r + a2 r^2 + a3 r^3 + a4 r^4) / (1 + b1 r + b2 r^2 + b3 r^3):
+# a1 - b1 = 3/pi gives the small-ratio series phi ~ 1.5 r (mu ~ (2/3) phi),
+# a4 / b3 = pi the large-ratio asymptote phi ~ pi - sqrt(pi / r)
+# (mu ~ pi / (pi - phi)^2), and the rest is a minimax fit in between: the
+# guess is off by at most 2.1e-4 in phi, and by that fraction of pi - phi
+# near pi, so two Halley steps reach the tolerance for most ratios
+_GUESS_A2, _GUESS_A3 = 2.133468735, 1.562750204
+_GUESS_B1, _GUESS_B2, _GUESS_B3 = 0.8839231827, 0.6224864654, 0.1355458110
+_GUESS_A1 = _GUESS_B1 + 3.0 / np.pi
+_GUESS_A4 = np.pi * _GUESS_B3
+
+
+def _turning_guess(ratio):
+    """Closed-form approximation of the root of mu(phi) = ratio."""
+    r = np.minimum(ratio, 1e30)  # beyond that the guess is pi anyway; no overflow
+    p = ((1.0 + r * (_GUESS_A1 + r * (_GUESS_A2 + r * (_GUESS_A3 + r * _GUESS_A4))))
+         / (1.0 + r * (_GUESS_B1 + r * (_GUESS_B2 + r * _GUESS_B3))))
+    return np.minimum(np.pi * (1.0 - 1.0 / np.sqrt(p)), _PHI_MAX)
+
+
+def _turning_step(phi, lo, hi, ratio, halley):
+    """One safeguarded Newton (or Halley) step on mu(phi) = ratio.
+
+    Shrinks the bracket [lo, hi] around the root, in place, and falls back
+    to its midpoint whenever the step leaves it. Returns the new phi.
+    """
+    m = mu(phi)
+    f = m - ratio
+    np.copyto(lo, phi, where=f < 0)
+    np.copyto(hi, phi, where=f > 0)
+    m1 = mu_prime(phi)
+    step = f / m1
+    if halley:
+        # mu' = 2 - 2 mu cot(phi) gives cot(phi) = (2 - mu') / (2 mu) and
+        # mu'' / 2 = mu + cot(phi) (1 - 1.5 mu') with no further evaluation;
+        # Halley divides the Newton step by 1 - step mu'' / (2 mu')
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cot = (2.0 - m1) / (2.0 * m)
+            damp = 1.0 - step * (m + cot * (1.0 - 1.5 * m1)) / m1
+        step = np.where(damp > 0.5, step / damp, step)
+    new = phi - step
+    inside = new >= lo
+    inside &= new <= hi  # False for inf and NaN too
+    if not inside.all():
+        bad = ~inside
+        new[bad] = 0.5 * (lo[bad] + hi[bad])
+    return new
 
 
 def solve_turning(ratio, config: CCInversionConfig = CCInversionConfig()):
     """Solve mu(phi) = ratio for phi in [0, pi), elementwise.
 
-    Bisection bracket plus safeguarded Newton polish; ratios beyond
-    mu(pi - eps) are clamped to the phi -> pi limit (points nearly on the
-    center, where the caller's sqrt(pi |t|) formula takes over smoothly).
+    Starts from a closed-form guess (off by at most ~2e-4) and runs
+    safeguarded Halley steps; an element has converged once its own step is
+    at most config.root_tolerance * max(1, phi), and the working arrays drop
+    the converged elements whenever they are a quarter of them or more
+    (until then those ride along at the root). Three Newton passes over the
+    whole array then polish the result. The roots stay below pi (1 - 1e-14):
+    larger ratios, for points nearly on the center, get that end of the
+    bracket, where the caller's sqrt(pi |t|) formula takes over smoothly.
+    Raises ConvergenceError naming the elements that have not converged
+    after config.max_iterations steps.
     """
     ratio = np.asarray(ratio, dtype=float)
-    lo = np.zeros_like(ratio)
-    hi = np.full_like(ratio, np.pi * (1.0 - 1e-14))
-    phi = np.full_like(ratio, np.pi / 2.0)
-    # bisection to get a tight bracket
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        too_low = mu(mid) < ratio
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-        phi = 0.5 * (lo + hi)
-    # Newton, falling back to bisection whenever the step leaves the bracket
-    def newton_step(phi, lo, hi):
-        f = mu(phi) - ratio
-        lo = np.where(f < 0, phi, lo)
-        hi = np.where(f > 0, phi, hi)
-        cand = phi - f / mu_prime(phi)
-        bad = (cand < lo) | (cand > hi) | ~np.isfinite(cand)
-        new = np.where(bad, 0.5 * (lo + hi), cand)
-        return new, np.abs(new - phi), lo, hi
-
-    converged = False
+    target = ratio.reshape(-1)
+    n = target.size
+    out_phi, out_lo, out_hi = np.empty(n), np.empty(n), np.empty(n)
+    # working state of the elements still iterating; idx holds their slots
+    idx = np.arange(n)
+    phi = _turning_guess(target)
+    lo = np.zeros(n)
+    hi = np.full(n, _PHI_MAX)
+    goal = target
+    moving = np.ones(n, dtype=bool)
     for _ in range(config.max_iterations):
-        phi, delta, lo, hi = newton_step(phi, lo, hi)
-        if np.all(delta <= config.root_tolerance * np.maximum(1.0, phi)):
-            converged = True
-            break
-    if converged:
-        # the map phi -> distance is ill-conditioned near phi = pi, so a
-        # tolerance on phi alone is not enough there; quadratic convergence
-        # makes these extra passes land on the machine-precision root
-        for _ in range(3):
-            phi, _, lo, hi = newton_step(phi, lo, hi)
-    else:
-        worst = float(np.max(np.abs(mu(phi) - ratio)))
+        new = _turning_step(phi, lo, hi, goal, halley=True)
+        moving = ~(np.abs(new - phi) <= config.root_tolerance * np.maximum(1.0, new))
+        phi = new
+        if 4 * np.count_nonzero(moving) <= 3 * idx.size:
+            done = ~moving
+            slots = idx[done]
+            out_phi[slots], out_lo[slots], out_hi[slots] = phi[done], lo[done], hi[done]
+            idx, phi, lo, hi, goal = idx[moving], phi[moving], lo[moving], hi[moving], goal[moving]
+            moving = moving[moving]
+            if idx.size == 0:
+                break
+    if idx.size:
+        # report only the elements whose last step was still too large
+        bad = idx[moving]
+        residuals = np.abs(mu(phi[moving]) - goal[moving])
         raise ConvergenceError(
-            f"turning-angle solve did not converge within "
-            f"{config.max_iterations} iterations", residual=worst)
-    return phi
+            f"turning-angle solve: {bad.size} of {n} elements did not converge "
+            f"within {config.max_iterations} iterations",
+            residual=float(np.max(residuals)), indices=bad, residuals=residuals)
+    # the map phi -> distance is ill-conditioned near phi = pi, so a
+    # tolerance on phi alone is not enough there; quadratic convergence
+    # makes these extra passes land on the machine-precision root
+    phi = out_phi
+    for _ in range(3):
+        phi = _turning_step(phi, out_lo, out_hi, target, halley=False)
+    return phi.reshape(ratio.shape)
 
 
 def _phi_over_sin(phi):
@@ -246,7 +328,11 @@ class CCMetric(_HomogeneousMetric):
             # formula is accurate to full precision
             huge = ratio > 1e22
             ratio_safe = np.where(huge, 1.0, ratio)
-            phi = solve_turning(ratio_safe, self.config)
+            try:
+                phi = solve_turning(ratio_safe, self.config)
+            except ConvergenceError as exc:
+                exc.indices = np.flatnonzero(off)[exc.indices]  # name the caller's points
+                raise
             d = zn[off] * _phi_over_sin(phi)
             out[off] = np.where(huge, out[off], d)
         return out[0] if scalar else out.reshape(np.shape(l2)[:-1])
@@ -354,13 +440,26 @@ def cc_volume_prefactor(n: int) -> float:
     return 4.0 * n * alpha(2 * n)
 
 
+def _checked_quad(what: str, pref: float, abs_tol: float, quad_result) -> tuple[float, float]:
+    """(pref * integral, pref * error) from quad's (integral, error) pair.
+
+    QuadratureError when the error exceeds abs_tol, relative to the integral
+    once that exceeds 1; the check is on the integral, before its prefactor.
+    """
+    val, err = quad_result
+    if err > abs_tol * max(1.0, val):
+        raise QuadratureError(f"{what} ball quadrature did not reach the requested "
+                              f"tolerance (achieved {err:g})", achieved=err)
+    return pref * val, pref * err
+
+
 def unit_ball_volume(metric: _HomogeneousMetric, abs_tol: float = 1e-12) -> tuple[float, float]:
     """(volume, error bound) of the metric's closed unit ball.
 
     d_inf is a closed form (error 0). The gauge and CC volumes are 1-D
     quadratures; abs_tol is the absolute tolerance of that integral, before
-    its prefactor. The error bound is quad's own estimate, unchecked:
-    :func:`carnotiso.measures.cc_unit_ball_volume` is the checked CC front.
+    its prefactor, and QuadratureError is raised when quad's own error
+    estimate misses it.
     """
     spec = metric.spec
     if isinstance(metric, DinfMetric):
@@ -375,15 +474,13 @@ def unit_ball_volume(metric: _HomogeneousMetric, abs_tol: float = 1e-12) -> tupl
         #   alpha_m alpha_k * int_0^{1/scale} k r^(k-1) (1 - (scale r)^2)^(m/4) dr;
         # substituting u = (scale r)^2 turns the endpoint behaviour into the
         # algebraic weight u^(k/2-1) (1-u)^(m/4), which quad handles exactly
-        val, err = integrate.quad(lambda u: 1.0, 0.0, 1.0, weight="alg",
-                                  wvar=(k / 2.0 - 1.0, m / 4.0),
-                                  epsabs=abs_tol, limit=QUAD_LIMIT)
         pref = alpha(m) * alpha(k) * k / (2.0 * scale ** k)
-        return pref * val, pref * err
+        return _checked_quad("gauge", pref, abs_tol, integrate.quad(
+            lambda u: 1.0, 0.0, 1.0, weight="alg", wvar=(k / 2.0 - 1.0, m / 4.0),
+            epsabs=abs_tol, limit=QUAD_LIMIT))
     if isinstance(metric, CCMetric):
         n = spec.n
-        val, err = integrate.quad(lambda p: cc_ball_integrand(p, n), 0.0, math.pi,
-                                  epsabs=abs_tol, epsrel=0.0, limit=QUAD_LIMIT)
-        pref = cc_volume_prefactor(n)
-        return pref * val, pref * err
+        return _checked_quad("CC", cc_volume_prefactor(n), abs_tol, integrate.quad(
+            lambda p: cc_ball_integrand(p, n), 0.0, math.pi,
+            epsabs=abs_tol, epsrel=0.0, limit=QUAD_LIMIT))
     raise MetricError(f"no volume rule for {type(metric).__name__}")

@@ -104,6 +104,11 @@ class TestBallVolume:
             warnings.simplefilter("ignore")
             assert main(["ball-volume", "--metric", "cc", "--tol", "1e-16"]) == 3
 
+    def test_impossible_gauge_tolerance_exits_3(self, capsys):
+        # the gauge quadrature reaches about 3e-14, not 1e-17
+        assert main(["ball-volume", "--metric", "gauge", "--group", "h1-htype",
+                     "--tol", "1e-17"]) == 3
+
     def test_output_file(self, tmp_path, capsys):
         dest = tmp_path / "vol.json"
         code, _ = run_main(capsys, "ball-volume", "--output", str(dest))
@@ -151,6 +156,11 @@ class TestVerify:
                              "--budget", "20000")
         doc = json.loads(out)
         assert doc["report"]["sampled_sup"] <= math.sqrt(2) + 1e-9
+
+    def test_tol_rejected(self, capsys):
+        # --tol belongs to ball-volume (and cdc-table) only; verify never read it
+        assert main(["verify", "dinf", "--tol", "5", "--budget", "1000"]) == 2
+        assert main(["bump-search", "--tol", "5", "--budget", "1000"]) == 2
 
 
 class TestSigma:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import carnotiso as ci
+from carnotiso import isodiametric
 from carnotiso.groups import GroupError, standard_symplectic
 from carnotiso.isodiametric import BumpParams, CertificateError, max_certified_rho
 from carnotiso.measures import BoundingBox
@@ -141,6 +142,31 @@ class TestBump:
             pts2.append(draw[keep, 2:])
         d = ci.set_diameter((np.vstack(pts1), np.vstack(pts2)), DINF)
         assert d <= 2.0 + 1e-9
+
+    @pytest.mark.parametrize("metric", [DINF, GAUGE, CC], ids=["dinf", "gauge", "cc"])
+    def test_extra_mask_matches_full_evaluation(self, metric, monkeypatch):
+        # bump_ratio evaluates the base-ball norm only on bump hits; the mask
+        # must equal the one that evaluates both norms everywhere
+        from carnotiso import measures
+        seen = []
+
+        def capture(sampled, budget, seed):
+            seen.append(sampled)
+            return ci.EstimateWithError(0.0, 0.0, "monte_carlo", budget, seed)
+
+        monkeypatch.setattr(measures, "mc_measure", capture)
+        apex, _ = isodiametric._apex_and_bound(metric)
+        rho = 2 - SQRT2
+        ci.bump_ratio(BumpParams(apex=apex, rho=rho), metric, 1000, seed=0, reach=SQRT2)
+        extra = seen[0]
+        bump = ci.ball_set(metric, center=apex, radius=rho)
+        box = extra.bounding_box
+        draw = np.random.default_rng(8).uniform(box.lo, box.hi, size=(20000, len(box.lo)))
+        l1, l2 = draw[:, :len(box.lo1)], draw[:, len(box.lo1):]
+        full = bump.membership(l1, l2) & (metric.norm_arrays(l1, l2) > 1.0)
+        mask = extra.membership(l1, l2)
+        assert np.count_nonzero(full) > 0
+        assert np.array_equal(mask, full)
 
     def test_maximize_bump(self):
         res = ci.maximize_bump(DINF, budget=200000, seed=0)

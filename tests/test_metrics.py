@@ -137,10 +137,63 @@ class TestTurningProfile:
         back = solve_turning(mu(phi))
         assert np.max(np.abs(back - phi)) < 1e-9
 
+    def test_solver_roundtrip_log_uniform_ratios(self):
+        rng = np.random.default_rng(11)
+        ratio = np.concatenate([[0.0], 10.0 ** rng.uniform(-300, 22, 20000)])
+        phi = solve_turning(ratio)
+        assert phi[0] == 0.0
+        assert np.all((phi >= 0) & (phi < math.pi))
+        # backward error in phi; mu itself is only good to ~1e-12 in phi just
+        # above its series cut at 1e-4, where 2 phi - sin 2 phi cancels
+        back = np.abs(mu(phi) - ratio) / mu_prime(phi)
+        assert np.max(back / np.maximum(1.0, phi)) < 1e-11
+
+    def test_solver_shapes(self):
+        ratio = np.array([[0.0, 0.3, 1.0, 4.0], [1e-9, 7.5, 1e3, 1e12], [2.0, 0.1, 5e-5, 30.0]])
+        phi = solve_turning(ratio)
+        assert phi.shape == (3, 4)
+        assert np.array_equal(phi, solve_turning(ratio.ravel()).reshape(3, 4))
+        one = solve_turning(np.float64(1.0))
+        assert np.ndim(one) == 0
+        assert one == solve_turning(np.array([1.0]))[0]
+        assert mu(one) == pytest.approx(1.0, rel=1e-14)
+
+    def test_solver_mu_calls(self, monkeypatch):
+        # the closed-form start leaves a few steps per solve; the old fixed
+        # 30-step bisection alone called mu 30 times
+        import carnotiso.metrics as metrics_mod
+        calls = []
+        real_mu = metrics_mod.mu
+
+        def counting_mu(phi):
+            calls.append(1)
+            return real_mu(phi)
+
+        monkeypatch.setattr(metrics_mod, "mu", counting_mu)
+        rng = np.random.default_rng(4096)
+        lo1, hi1, lo2, hi2 = CC.unit_ball_bbox()
+        z = rng.uniform(lo1, hi1, (4096, 2))
+        t = rng.uniform(lo2, hi2, 4096)
+        ratio = np.abs(t) / np.sum(z * z, axis=1)
+        phi = solve_turning(ratio)
+        assert len(calls) <= 12
+        assert np.max(np.abs(real_mu(phi) - ratio) / np.maximum(1.0, ratio)) < 1e-9
+
     def test_solver_nonconvergence(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as info:
             solve_turning(np.array([1.0]), CCInversionConfig(root_tolerance=1e-300,
                                                              max_iterations=1))
+        assert list(info.value.indices) == [0]
+        # ratio 0 starts on its root and converges in one step; the others
+        # cannot meet a tolerance of 1e-300 in one step
+        ratio = np.array([0.0, 1.0, 0.0, 3.0, 0.0])
+        with pytest.raises(ConvergenceError) as info:
+            solve_turning(ratio, CCInversionConfig(root_tolerance=1e-300, max_iterations=1))
+        err = info.value
+        assert list(err.indices) == [1, 3]
+        assert err.residuals.shape == (2,) and np.all(err.residuals > 0)
+        assert err.residual == np.max(err.residuals)
+        assert "2 of 5 elements" in str(err)
 
 
 class TestCC:
@@ -168,6 +221,16 @@ class TestCC:
         from carnotiso.geodesics import sphere_point_arrays
         z, t = sphere_point_arrays(1, chi, phi, r)
         assert np.max(np.abs(CC.norm_arrays(z, t) - r)) < 1e-8
+
+    def test_nonconvergence_names_points(self):
+        # center points skip the solve, so the solver's indices are mapped
+        # back to positions among the points
+        cc = ci.CCMetric(H1, CCInversionConfig(root_tolerance=1e-300, max_iterations=1))
+        z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
+        t = np.array([[0.3], [0.2], [0.1], [0.0]])
+        with pytest.raises(ConvergenceError) as info:
+            cc.norm_arrays(z, t)
+        assert list(info.value.indices) == [1]
 
     def test_negative_t_symmetry(self):
         rng = np.random.default_rng(5)
