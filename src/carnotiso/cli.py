@@ -141,11 +141,6 @@ def cmd_bump_search(args) -> int:
     result = isodiametric.maximize_bump(metric, budget=args.budget, seed=args.seed)
     doc = {"result": result.to_dict(), "budget": args.budget, "seed": args.seed}
     emit(args, dump_json(doc))
-    if args.sweep_csv:
-        lines = ["rho,ratio,stderr"]
-        lines += [f"{rho:.12g},{ratio:.12g},{err:.12g}" for rho, ratio, err in result.probes]
-        with open(args.sweep_csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -212,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bump-search", help="best ball-plus-bump ratio")
     common(p, mc=True)
-    p.add_argument("--sweep-csv", default=None,
-                   help="also write a (rho, ratio) sweep table")
     p.set_defaults(func=cmd_bump_search)
 
     p = sub.add_parser("sigma", help="density-constant interval")

@@ -10,8 +10,7 @@ are not isodiametric and pushes the density constant below 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .groups import GroupError, GroupPoint
 from .measures import EstimateWithError, SampledSet
 from .metrics import CCMetric, DinfMetric, GaugeMetric, MetricError, alpha, unit_ball_volume
 
-CC_REACH_SAFETY = 1e-3
+APEX_REACH = math.sqrt(2.0)  # sup of d(apex, .) over the unit ball; see _apex_and_bound
 
 
 @dataclass
@@ -29,8 +28,6 @@ class RatioResult:
     diameter_used: float
     diameter_kind: str  # exact | lower_bound
     set_descriptor: dict
-    # maximize_bump's search table, (rho, ratio, stderr) per probe; not in to_dict
-    probes: list[tuple[float, float, float]] = field(default_factory=list)
 
     def to_dict(self):
         return {"ratio": self.ratio.to_dict(),
@@ -40,24 +37,21 @@ class RatioResult:
 
 @dataclass
 class BumpParams:
-    apex: GroupPoint          # boundary point of the base ball
+    apex: GroupPoint          # boundary point of the unit ball centered at the identity
     rho: float                # bump radius
-    radius: float = 1.0       # of the base ball, centered at the identity
 
 
 @dataclass
 class ApexReachReport:
-    analytic_bound: Optional[float]
+    analytic_bound: float     # proven; sampled_sup is evidence only
     sampled_sup: float
     samples: int
     seed: int
 
     @property
     def reach(self) -> float:
-        """Certified reach: analytic when available, sampled + safety else."""
-        if self.analytic_bound is not None:
-            return self.analytic_bound
-        return self.sampled_sup + CC_REACH_SAFETY
+        """Certified reach: the proven analytic bound."""
+        return self.analytic_bound
 
     def to_dict(self):
         return {"analytic_bound": self.analytic_bound,
@@ -112,22 +106,38 @@ def isodiametric_ratio(sampled: SampledSet, metric, budget: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def _apex_and_bound(metric):
-    """Low-reach boundary point of the unit ball and its analytic reach bound."""
+    """Low-reach boundary point a of the unit ball B and its reach sqrt(2).
+
+    The reach sup{d(a, y) : y in B} is exactly sqrt(2) for all three
+    metrics. Each apex is central, so d(a, y) = N(a^-1 y) and a^-1 y only
+    shifts the layer-2 part of y = [z, t] by -a; y = a^-1 attains sqrt(2).
+
+    * d_inf, a = [0, 1/c2^2]: c1 |z| <= 1 and c2^2 |t - 1/c2^2| <= c2^2 |t| + 1 <= 2.
+    * gauge with layer-2 scale s, a = [0, Z0], s |Z0| = 1: with u = s |Z| <= 1,
+      d(a, y)^4 = |X|^4 + s^2 |Z - Z0|^2 <= |X|^4 + (u + 1)^2 <= 2 + 2u <= 4.
+    * CC on H^n, a = [0, -1/pi], the inverse of the unit cut point: for
+      z != 0 write N^2 = |z|^2 phi^2 / sin^2 phi with mu(phi) = |t| / |z|^2.
+      Since d(phi^2 / sin^2 phi)/d phi = 2 phi (sin phi - phi cos phi) / sin^3 phi
+      = phi mu'(phi), d(N^2)/d|t| = phi < pi; on the center N^2 = pi |t|.
+      So N^2 is pi-Lipschitz in t, and d(a, y)^2 = N(z, t + 1/pi)^2
+      <= N(z, t)^2 + 1 <= 2. The Lipschitz constant pi is the cut angle:
+      geodesics stop minimizing at phi = pi.
+    """
     spec = metric.spec
     if isinstance(metric, DinfMetric):
         # exp of a layer-2 vector with c2 |t|^(1/2) = 1
         l2 = np.zeros(spec.dim2)
         l2[0] = 1.0 / metric.c2**2
-        return GroupPoint(np.zeros(spec.dim1), l2), math.sqrt(2.0)
+        return GroupPoint(np.zeros(spec.dim1), l2), APEX_REACH
     if isinstance(metric, GaugeMetric):
         l2 = np.zeros(spec.dim2)
         l2[0] = 1.0 / metric.layer2_scale  # on the unit sphere: |Z| = 1/scale
-        return GroupPoint(np.zeros(spec.dim1), l2), math.sqrt(2.0)
+        return GroupPoint(np.zeros(spec.dim1), l2), APEX_REACH
     if isinstance(metric, CCMetric):
         # inverse of the unit cut point: the ball of the cut-locus theorem,
         # translated so its center is the identity
         x = geodesics.cut_point(spec, 1.0)
-        return groups.inv(spec, x), None
+        return groups.inv(spec, x), APEX_REACH
     raise MetricError(f"no apex construction for {type(metric).__name__}")
 
 
@@ -151,7 +161,7 @@ def _sample_ball_sup(metric, apex: GroupPoint, budget: int, seed: int) -> float:
 
 
 def apex_reach(metric, budget: int = 10**6, seed: int = 0) -> ApexReachReport:
-    """Reach of the counterexample apex over the closed unit ball."""
+    """Proven reach of the counterexample apex, with its sampled evidence."""
     apex, bound = _apex_and_bound(metric)
     sup = _sample_ball_sup(metric, apex, budget, seed)
     return ApexReachReport(analytic_bound=bound, sampled_sup=sup,
@@ -166,32 +176,29 @@ class CertificateError(ValueError):
     """Requested bump radius exceeds the certified diameter budget."""
 
 
-def max_certified_rho(metric, reach: float, radius: float = 1.0) -> float:
-    """Largest rho with diam(B union bump) = diam B by the triangle inequality."""
-    return 2.0 * radius - reach * radius
+def max_certified_rho(metric, reach: float) -> float:
+    """Largest rho with diam(B union bump) = diam B = 2 by the triangle inequality."""
+    return 2.0 - reach
 
 
 def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
-               reach: float | None = None) -> RatioResult:
+               reach: float = APEX_REACH) -> RatioResult:
     """Ratio of (unit ball) union (ball of radius rho at the apex).
 
-    Every bump point sits within rho + reach <= diam B of every ball point,
-    so the diameter stays 2 * radius and only the extra measure counts:
-    ratio = 1 + Haar(bump \\ B) / Haar(B).
+    reach bounds d(apex, .) over the unit ball; the default is the proven
+    value for the apex of _apex_and_bound. Every bump point sits within
+    rho + reach <= 2 = diam B of every ball point, so the diameter stays 2
+    and only the extra measure counts: ratio = 1 + Haar(bump \\ B) / Haar(B).
     """
     spec = metric.spec
-    if reach is None:
-        rep = apex_reach(metric, budget=min(budget, 10**5), seed=seed + 1)
-        reach = rep.reach
-    rho_max = max_certified_rho(metric, reach, params.radius)
+    rho_max = max_certified_rho(metric, reach)
     if params.rho > rho_max + 1e-15:
         raise CertificateError(
             f"rho {params.rho} exceeds certified maximum {rho_max}")
     if params.rho < 0:
         raise CertificateError("rho must be nonnegative")
-    diam = 2.0 * params.radius
+    diam = 2.0
     ball_vol, ball_err = unit_ball_volume(metric)
-    ball_vol *= params.radius ** spec.Q
     if params.rho == 0.0:
         est = EstimateWithError(1.0, 0.0, "closed_form", 0, seed)
         return RatioResult(est, diam, "exact", {"kind": "bump", "rho": 0.0})
@@ -202,7 +209,7 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
         # the base-ball norm only matters on bump hits
         hit = bump.membership(l1, l2)
         idx = np.flatnonzero(hit)
-        hit[idx] = metric.norm_arrays(l1[idx], l2[idx]) > params.radius
+        hit[idx] = metric.norm_arrays(l1[idx], l2[idx]) > 1.0
         return hit
 
     extra = SampledSet(extra_membership, bump.bounding_box, spec)
@@ -210,46 +217,25 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     ratio = 1.0 + est.value / ball_vol
     err = est.error / ball_vol + (est.value / ball_vol) * (ball_err / ball_vol)
     out = EstimateWithError(ratio, err, "monte_carlo", budget, seed)
-    desc = {"kind": "bump", "rho": params.rho, "radius": params.radius,
+    desc = {"kind": "bump", "rho": params.rho,
             "apex": {"layer1": params.apex.layer1.tolist(),
                      "layer2": params.apex.layer2.tolist()},
             "metric": metric.describe()}
     return RatioResult(out, diam, "exact", desc)
 
 
-def maximize_bump(metric, budget: int = 10**6, seed: int = 0,
-                  rho_grid: list[float] | None = None,
-                  probes: int = 8) -> RatioResult:
-    """Best bump ratio over the certified rho range.
+def maximize_bump(metric, budget: int = 10**6, seed: int = 0) -> RatioResult:
+    """Best certified bump ratio: one estimate at the certified maximum rho.
 
-    The extra measure grows with rho, so the search is a monotone
-    refinement towards the certified maximum; all probes share the seed
-    (common random numbers) and the winner is re-estimated with the full
-    budget. The probe table (rho, ratio, stderr) is kept as result.probes.
+    For rho < rho', B(apex, rho) lies inside B(apex, rho'), so Haar(bump \\ B)
+    never decreases with rho and the best certified ratio is at rho_max.
     """
-    apex, bound = _apex_and_bound(metric)
-    if bound is None:
-        rep = apex_reach(metric, budget=min(budget, 10**6), seed=seed + 1)
-        reach = rep.reach
-    else:
-        reach = bound
+    apex, reach = _apex_and_bound(metric)
     rho_max = max_certified_rho(metric, reach)
-    if rho_grid is None:
-        rho_grid = list(np.linspace(rho_max / probes, rho_max, probes))
-    probe_budget = max(1, budget // max(10, len(rho_grid)))
-    rows = []
-    for rho in rho_grid:
-        res = bump_ratio(BumpParams(apex=apex, rho=float(rho)), metric,
-                         probe_budget, seed, reach=reach)
-        rows.append((float(rho), res.ratio.value, res.ratio.error))
-    best_rho = max(rows, key=lambda row: row[1])[0]
-    final = bump_ratio(BumpParams(apex=apex, rho=best_rho), metric, budget,
-                       seed, reach=reach)
-    final.set_descriptor["search"] = {"grid": [row[0] for row in rows],
-                                      "certified_rho_max": rho_max,
-                                      "reach": reach}
-    final.probes = rows
-    return final
+    result = bump_ratio(BumpParams(apex=apex, rho=rho_max), metric, budget, seed,
+                        reach=reach)
+    result.set_descriptor["search"] = {"certified_rho_max": rho_max, "reach": reach}
+    return result
 
 
 # ---------------------------------------------------------------------------

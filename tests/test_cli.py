@@ -7,7 +7,6 @@ import sys
 import pytest
 
 import carnotiso as ci
-from carnotiso import isodiametric
 from carnotiso.cli import main, parse_group, parse_point
 
 
@@ -196,25 +195,3 @@ class TestDeterminism:
         env1 = dict(os.environ, CARNOT_ISO_THREADS="1")
         base = subprocess.run(cmd, capture_output=True, env=env1, check=True).stdout
         assert out == base
-
-    def test_sweep_csv(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        bump_ratio = isodiametric.bump_ratio
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].rho)
-            return bump_ratio(*args, **kwargs)
-
-        monkeypatch.setattr(isodiametric, "bump_ratio", counted)
-        dest = tmp_path / "sweep.csv"
-        code, out = run_main(capsys, "bump-search", "--budget", "40000",
-                             "--sweep-csv", str(dest))
-        assert code == 0
-        lines = dest.read_text().strip().splitlines()
-        assert lines[0] == "rho,ratio,stderr"
-        assert len(lines) > 1
-        # the sweep table is the search's own probes: one bump_ratio per
-        # grid point plus the final estimate, none re-run for the CSV
-        grid = json.loads(out)["result"]["set"]["search"]["grid"]
-        assert len(lines) == len(grid) + 1
-        assert len(calls) == len(grid) + 1

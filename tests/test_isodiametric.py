@@ -5,6 +5,7 @@ import pytest
 
 import carnotiso as ci
 from carnotiso import isodiametric
+from carnotiso.geodesics import sphere_point_arrays
 from carnotiso.groups import GroupError, standard_symplectic
 from carnotiso.isodiametric import BumpParams, CertificateError, max_certified_rho
 from carnotiso.measures import BoundingBox
@@ -86,9 +87,28 @@ class TestApexReach:
 
     def test_cc(self):
         rep = ci.apex_reach(CC, budget=200000, seed=0)
-        assert rep.analytic_bound is None
-        assert 1.3 < rep.sampled_sup < SQRT2
-        assert rep.reach == pytest.approx(rep.sampled_sup + 1e-3)
+        assert rep.analytic_bound == rep.reach == SQRT2
+        assert 1.3 < rep.sampled_sup <= SQRT2
+
+    def test_cc_norm_square_is_pi_lipschitz_in_t(self):
+        # the step of the CC reach proof: d(N^2)/d|t| = phi < pi, and
+        # N^2 = pi |t| on the center
+        rng = np.random.default_rng(11)
+        m = 100000
+        z = rng.uniform(-1, 1, (m, 2))
+        z[: m // 10] = 0.0
+        t, s = rng.uniform(-1, 1, (2, m, 1))
+        gap = CC.norm_arrays(z, t + s) ** 2 - CC.norm_arrays(z, t) ** 2
+        assert np.max(gap - math.pi * np.abs(s[:, 0])) <= 1e-12
+
+    def test_cc_sphere_sweep_peaks_at_sqrt2(self):
+        # d(apex, .) over a dense sweep of the CC unit sphere
+        apex, reach = isodiametric._apex_and_bound(CC)
+        phi = np.linspace(-math.pi, math.pi, 200001)
+        z, t = sphere_point_arrays(1, np.array([1.0, 0.0]), phi, 1.0)
+        d = CC.dist_arrays(apex.layer1, apex.layer2, z, t)
+        assert reach == SQRT2
+        assert SQRT2 - 1e-12 <= np.max(d) <= SQRT2
 
     def test_report_dict(self):
         rep = ci.apex_reach(DINF, budget=10000, seed=1)
@@ -100,7 +120,6 @@ class TestApexReach:
 class TestBump:
     def test_certified_rho(self):
         assert max_certified_rho(DINF, SQRT2) == pytest.approx(2 - SQRT2)
-        assert max_certified_rho(DINF, SQRT2, radius=2.0) == pytest.approx(2 * (2 - SQRT2))
 
     def test_zero_rho_is_exact_one(self):
         apex = ci.point([0, 0], [1.0])
@@ -168,15 +187,27 @@ class TestBump:
         assert np.count_nonzero(full) > 0
         assert np.array_equal(mask, full)
 
-    def test_maximize_bump(self):
-        res = ci.maximize_bump(DINF, budget=200000, seed=0)
+    @pytest.mark.parametrize("metric", [DINF, GAUGE, CC], ids=["dinf", "gauge", "cc"])
+    def test_maximize_bump(self, metric, monkeypatch):
+        # the ratio never decreases with rho, so the search is one estimate
+        # at the certified maximum
+        calls = []
+        bump_ratio = isodiametric.bump_ratio
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].rho)
+            return bump_ratio(*args, **kwargs)
+
+        monkeypatch.setattr(isodiametric, "bump_ratio", counted)
+        res = ci.maximize_bump(metric, budget=100000, seed=0)
+        assert calls == [2 - SQRT2]
         assert res.ratio.value > 1.0 + 3.0 * res.ratio.error
-        search = res.set_descriptor["search"]
-        assert search["certified_rho_max"] == pytest.approx(2 - SQRT2)
-        assert max(search["grid"]) <= search["certified_rho_max"] + 1e-12
-        assert [row[0] for row in res.probes] == search["grid"]
-        assert res.set_descriptor["rho"] == max(res.probes, key=lambda row: row[1])[0]
-        assert "probes" not in res.to_dict()
+        search = res.set_descriptor.pop("search")
+        assert search == {"certified_rho_max": 2 - SQRT2, "reach": SQRT2}
+        assert res.set_descriptor["rho"] == 2 - SQRT2
+        apex, _ = isodiametric._apex_and_bound(metric)
+        direct = bump_ratio(BumpParams(apex=apex, rho=2 - SQRT2), metric, 100000, seed=0)
+        assert res.to_dict() == direct.to_dict()
 
 
 class TestAnalyticBounds:
