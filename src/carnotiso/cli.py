@@ -90,12 +90,9 @@ def cmd_distance(args) -> int:
 def cmd_ball_volume(args) -> int:
     spec = parse_group(args.group)
     metric = metrics.make_metric(spec, vars(args))
-    if args.metric == "cc":
-        est = measures.cc_unit_ball_volume(spec.n, abs_tol=args.tol)
-    else:
-        val, err = metrics.unit_ball_volume(metric, abs_tol=args.tol)
-        method = "closed_form" if args.metric == "dinf" else "quadrature"
-        est = measures.EstimateWithError(val, err, method)
+    val, err = metrics.unit_ball_volume(metric, abs_tol=args.tol)
+    method = "closed_form" if args.metric == "dinf" else "quadrature"
+    est = measures.EstimateWithError(val, err, method)
     doc = {"volume": est.to_dict(), "group": json.loads(spec.to_json()),
            "metric": metric.describe()}
     emit(args, dump_json(doc))

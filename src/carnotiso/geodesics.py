@@ -116,7 +116,6 @@ class CutPointReport:
     margin: float                 # 2 - sampled_max_roundtrip
     continuation_point: GroupPoint
     continuation_distance: float  # d(0, continuation_point), exactly 2
-    excluded: int
     samples: int
     seed: int
 
@@ -129,7 +128,6 @@ class CutPointReport:
             "continuation_point": {"z": self.continuation_point.layer1.tolist(),
                                    "t": self.continuation_point.t},
             "continuation_distance": self.continuation_distance,
-            "excluded_samples": self.excluded,
             "samples": self.samples,
             "seed": self.seed,
         }
@@ -157,14 +155,16 @@ def _cut_ball_samples(spec: GroupSpec, x: GroupPoint, rng, count: int):
 
 
 def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
-                        seed: int = 0, exclusion_radius: float = 1e-3) -> CutPointReport:
+                        seed: int = 0) -> CutPointReport:
     """Numerical evidence that geodesics stop minimizing at the cut point.
 
     With x the unit cut point, samples y on and in the closed CC ball
-    B(x, 1) and reports margin = 2 - max d(0, y). Samples within
-    exclusion_radius of the geodesic continuation point [0, 4/pi] are
-    dropped from the max (that point sits at distance exactly 2, but it
-    lies outside B(x, 1), so the exclusion is a guard, not a loophole).
+    B(x, 1) and reports margin = 2 - max d(0, y). By left invariance
+    d(0, x w) = d(x^-1, w), so the max is also the sampled reach of the
+    bump apex x^-1 over the unit ball, proven to be sqrt(2) in
+    isodiametric._apex_and_bound; apex_reach reports this same number.
+    The geodesic continuation point [0, 4/pi] sits at distance exactly 2,
+    but outside B(x, 1).
     """
     if spec.kind != "heisenberg":
         raise GroupError("assumption (C) check needs a Heisenberg spec")
@@ -174,19 +174,10 @@ def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
 
     def chunk(rng, count):
         y1, y2 = _cut_ball_samples(spec, x, rng, count)
-        d0 = metric.norm_arrays(y1, y2)
-        # d(0, cont) = 2, so d(cont, y) < exclusion_radius forces
-        # d0 > 2 - exclusion_radius: only those samples need the second norm
-        near = np.flatnonzero(d0 >= 2.0 - exclusion_radius - 1e-9)
-        near = near[metric.dist_arrays(cont.layer1, cont.layer2, y1[near], y2[near])
-                    < exclusion_radius]
-        d0[near] = 0.0  # distances are >= 0, so this drops them from the max
-        return float(d0.max()), int(near.size)
+        return float(metric.norm_arrays(y1, y2).max())
 
-    results = sampling.map_chunks(seed, sample_budget, chunk)
-    best = max(r[0] for r in results)
-    excluded = sum(r[1] for r in results)
+    best = max(sampling.map_chunks(seed, sample_budget, chunk))
     return CutPointReport(cut_point=x, sampled_max_roundtrip=best,
                           margin=2.0 - best, continuation_point=cont,
                           continuation_distance=metric.norm(cont),
-                          excluded=excluded, samples=sample_budget, seed=seed)
+                          samples=sample_budget, seed=seed)

@@ -25,37 +25,30 @@ APEX_REACH = math.sqrt(2.0)  # sup of d(apex, .) over the unit ball; see _apex_a
 @dataclass
 class RatioResult:
     ratio: EstimateWithError
-    diameter_used: float
-    diameter_kind: str  # exact | lower_bound
+    diameter_used: float  # exact
     set_descriptor: dict
 
     def to_dict(self):
         return {"ratio": self.ratio.to_dict(),
-                "diameter": {"value": self.diameter_used, "kind": self.diameter_kind},
+                "diameter": {"value": self.diameter_used, "kind": "exact"},
                 "set": self.set_descriptor}
 
 
 @dataclass
 class BumpParams:
-    apex: GroupPoint          # boundary point of the unit ball centered at the identity
+    apex: GroupPoint          # the apex of _apex_and_bound(metric)
     rho: float                # bump radius
 
 
 @dataclass
 class ApexReachReport:
-    analytic_bound: float     # proven; sampled_sup is evidence only
+    reach: float              # proven; sampled_sup is evidence only
     sampled_sup: float
     samples: int
     seed: int
 
-    @property
-    def reach(self) -> float:
-        """Certified reach: the proven analytic bound."""
-        return self.analytic_bound
-
     def to_dict(self):
-        return {"analytic_bound": self.analytic_bound,
-                "sampled_sup": self.sampled_sup,
+        return {"sampled_sup": self.sampled_sup,
                 "certified_reach": self.reach,
                 "samples": self.samples, "seed": self.seed}
 
@@ -89,16 +82,16 @@ class SigmaBounds:
 def isodiametric_ratio(sampled: SampledSet, metric, budget: int, seed: int,
                        descriptor: dict | None = None) -> RatioResult:
     """S(A) / (diam A)^Q from Monte Carlo measure and the diameter hint."""
-    if sampled.diameter_hint is None:
-        raise ValueError("set needs a diameter hint (exact value or sampled lower bound)")
-    diam, kind = sampled.diameter_hint
+    diam = sampled.diameter_hint
+    if diam is None:
+        raise ValueError("set needs an exact diameter hint")
     if not (diam > 0 and math.isfinite(diam)):
         raise ValueError(f"degenerate diameter {diam}")
     sq = measures.spherical_measure(sampled, metric, budget, seed)
     scale = diam ** sampled.spec.Q
     est = EstimateWithError(sq.value / scale, sq.error / scale,
                             sq.method, budget, seed)
-    return RatioResult(est, diam, kind, descriptor or {})
+    return RatioResult(est, diam, descriptor or {})
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +135,7 @@ def _apex_and_bound(metric):
 
 
 def _sample_ball_sup(metric, apex: GroupPoint, budget: int, seed: int) -> float:
-    """Sampled sup of d(apex, y) over the closed unit ball (rejection in box)."""
+    """Sampled sup of d(apex, y) over the closed unit ball by box rejection (d_inf, gauge)."""
     lo1, hi1, lo2, hi2 = metric.unit_ball_bbox()
     lo = np.concatenate([lo1, lo2])
     hi = np.concatenate([hi1, hi2])
@@ -161,11 +154,18 @@ def _sample_ball_sup(metric, apex: GroupPoint, budget: int, seed: int) -> float:
 
 
 def apex_reach(metric, budget: int = 10**6, seed: int = 0) -> ApexReachReport:
-    """Proven reach of the counterexample apex, with its sampled evidence."""
-    apex, bound = _apex_and_bound(metric)
-    sup = _sample_ball_sup(metric, apex, budget, seed)
-    return ApexReachReport(analytic_bound=bound, sampled_sup=sup,
-                           samples=budget, seed=seed)
+    """Proven reach of the counterexample apex, with its sampled evidence.
+
+    For CC the apex is x^-1 for the unit cut point x, so by left invariance
+    d(apex, w) = N(x w) and the sampled sup is verify_assumption_C's
+    sampled_max_roundtrip: the same draws, the same number.
+    """
+    apex, reach = _apex_and_bound(metric)
+    if isinstance(metric, CCMetric):
+        sup = geodesics.verify_assumption_C(metric.spec, budget, seed).sampled_max_roundtrip
+    else:
+        sup = _sample_ball_sup(metric, apex, budget, seed)
+    return ApexReachReport(reach=reach, sampled_sup=sup, samples=budget, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def apex_reach(metric, budget: int = 10**6, seed: int = 0) -> ApexReachReport:
 # ---------------------------------------------------------------------------
 
 class CertificateError(ValueError):
-    """Requested bump radius exceeds the certified diameter budget."""
+    """The bump's diameter 2 is not certified: wrong apex, reach or radius."""
 
 
 def max_certified_rho(metric, reach: float) -> float:
@@ -185,12 +185,20 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
                reach: float = APEX_REACH) -> RatioResult:
     """Ratio of (unit ball) union (ball of radius rho at the apex).
 
-    reach bounds d(apex, .) over the unit ball; the default is the proven
-    value for the apex of _apex_and_bound. Every bump point sits within
+    params.apex must be the apex of _apex_and_bound(metric), whose reach
+    (the sup of d(apex, .) over the unit ball) is proven to be sqrt(2); a
+    reach below that is false for it. Every bump point sits within
     rho + reach <= 2 = diam B of every ball point, so the diameter stays 2
     and only the extra measure counts: ratio = 1 + Haar(bump \\ B) / Haar(B).
     """
     spec = metric.spec
+    apex, _ = _apex_and_bound(metric)
+    if not (np.array_equal(params.apex.layer1, apex.layer1)
+            and np.array_equal(params.apex.layer2, apex.layer2)):
+        raise CertificateError(
+            f"apex {params.apex} is not the certified apex {apex} of this metric")
+    if reach < APEX_REACH:
+        raise CertificateError(f"reach {reach} is below the proven apex reach {APEX_REACH}")
     rho_max = max_certified_rho(metric, reach)
     if params.rho > rho_max + 1e-15:
         raise CertificateError(
@@ -201,7 +209,7 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     ball_vol, ball_err = unit_ball_volume(metric)
     if params.rho == 0.0:
         est = EstimateWithError(1.0, 0.0, "closed_form", 0, seed)
-        return RatioResult(est, diam, "exact", {"kind": "bump", "rho": 0.0})
+        return RatioResult(est, diam, {"kind": "bump", "rho": 0.0})
 
     bump = measures.ball_set(metric, center=params.apex, radius=params.rho)
 
@@ -221,7 +229,7 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
             "apex": {"layer1": params.apex.layer1.tolist(),
                      "layer2": params.apex.layer2.tolist()},
             "metric": metric.describe()}
-    return RatioResult(out, diam, "exact", desc)
+    return RatioResult(out, diam, desc)
 
 
 def maximize_bump(metric, budget: int = 10**6, seed: int = 0) -> RatioResult:

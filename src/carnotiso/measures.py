@@ -63,12 +63,6 @@ class BoundingBox:
     def hi(self) -> np.ndarray:
         return np.concatenate([self.hi1, self.hi2])
 
-    def union(self, other: "BoundingBox") -> "BoundingBox":
-        return BoundingBox(np.minimum(self.lo1, other.lo1),
-                           np.maximum(self.hi1, other.hi1),
-                           np.minimum(self.lo2, other.lo2),
-                           np.maximum(self.hi2, other.hi2))
-
 
 @dataclass
 class SampledSet:
@@ -81,7 +75,7 @@ class SampledSet:
     membership: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bounding_box: BoundingBox
     spec: GroupSpec
-    diameter_hint: Optional[tuple[float, str]] = None  # (value, "exact"|"lower_bound")
+    diameter_hint: Optional[float] = None  # exact diameter
 
 
 def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> SampledSet:
@@ -112,7 +106,7 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
             return metric.norm_arrays(l1, l2) <= radius
         return metric.dist_arrays(c1, c2, l1, l2) <= radius
 
-    return SampledSet(member, box, spec, diameter_hint=(2.0 * radius, "exact"))
+    return SampledSet(member, box, spec, diameter_hint=2.0 * radius)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +121,7 @@ def cc_unit_ball_volume(n: int, abs_tol: float = 1e-12) -> EstimateWithError:
     """
     metric = metrics_mod.CCMetric(groups.heisenberg(n))
     val, err = metrics_mod.unit_ball_volume(metric, abs_tol=abs_tol)
-    return EstimateWithError(val, err, "quadrature", samples_or_nodes=metrics_mod.QUAD_LIMIT)
+    return EstimateWithError(val, err, "quadrature")
 
 
 # ---------------------------------------------------------------------------

@@ -122,16 +122,18 @@ def test_criterion_5_apex_reach():
         sups[name] = rep.sampled_sup
     gauge_rep = ci.apex_reach(GAUGE, budget=10**6, seed=5)
     sups["gauge"] = gauge_rep.sampled_sup
+    sups["cc"] = ci.apex_reach(CC, budget=10**6, seed=5).sampled_sup
     ok = (all(v <= SQRT2 + 1e-9 for v in sups.values())
           and sups["dinf n=1"] >= SQRT2 - 1e-3
-          and sups["dinf n=2"] >= SQRT2 - 1e-3)
+          and sups["dinf n=2"] >= SQRT2 - 1e-3
+          and sups["cc"] >= SQRT2 - 1e-3)
     flat = ", ".join(f"{k} sup {v:.6f}" for k, v in sups.items())
     report(5, ok, flat + f" vs sqrt2 {SQRT2:.6f}")
 
 
 def test_criterion_6_assumption_C():
     rep = ci.verify_assumption_C(H1, sample_budget=10**6, seed=6)
-    ok = rep.margin > 0 and rep.excluded is not None
+    ok = rep.margin > 0 and rep.sampled_max_roundtrip <= SQRT2 + 1e-12
     report(6, ok, f"margin {rep.margin:.4f} over {rep.samples} samples")
 
 

@@ -90,6 +90,10 @@ class TestBallVolume:
         doc = json.loads(out)
         assert doc["volume"]["value"] == pytest.approx(3.303503048836701, abs=1e-10)
         assert doc["volume"]["method"] == "quadrature"
+        # the same rule as cdc-table; quadrature draws no samples
+        est = ci.cc_unit_ball_volume(1)
+        assert (doc["volume"]["value"], doc["volume"]["error"]) == (est.value, est.error)
+        assert doc["volume"]["samples"] == 0
 
     def test_gauge_htype(self, capsys):
         code, out = run_main(capsys, "ball-volume", "--group", "h1-htype",

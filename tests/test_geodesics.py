@@ -156,28 +156,6 @@ class TestAssumptionC:
         b = ci.verify_assumption_C(H1, sample_budget=50000, seed=7)
         assert a.sampled_max_roundtrip == b.sampled_max_roundtrip
 
-    def test_exclusion_matches_brute_force(self):
-        # the second norm d(cont, y) is computed only where d(0, y) is close
-        # enough to 2 for y to be near cont; computing it everywhere must
-        # exclude the same samples
-        from carnotiso import geodesics, sampling
-        budget, seed, radius = 30000, 3, 0.8
-        rep = ci.verify_assumption_C(H1, sample_budget=budget, seed=seed,
-                                     exclusion_radius=radius)
-        x, cont = ci.cut_point(H1, 1.0), ci.cut_point(H1, 2.0)
-
-        def brute(rng, count):
-            y1, y2 = geodesics._cut_ball_samples(H1, x, rng, count)
-            d0 = CC.norm_arrays(y1, y2)
-            near = CC.dist_arrays(cont.layer1, cont.layer2, y1, y2) < radius
-            kept = d0[~near]
-            return (float(kept.max()) if kept.size else 0.0, int(np.count_nonzero(near)))
-
-        results = sampling.map_chunks(seed, budget, brute)
-        assert rep.excluded > 0
-        assert rep.excluded == sum(r[1] for r in results)
-        assert rep.sampled_max_roundtrip == max(r[0] for r in results)
-
     def test_json_roundtrip(self):
         import json
         rep = ci.verify_assumption_C(H1, sample_budget=10000, seed=1)

@@ -30,7 +30,7 @@ def half_ball(metric):
     def member(l1, l2):
         return base.membership(l1, l2) & np.all(l2 >= 0, axis=-1)
 
-    return ci.SampledSet(member, cut, metric.spec, diameter_hint=(2.0, "exact"))
+    return ci.SampledSet(member, cut, metric.spec, diameter_hint=2.0)
 
 
 class TestRatio:
@@ -38,7 +38,8 @@ class TestRatio:
     def test_ball_scores_one(self, metric):
         res = ci.isodiametric_ratio(ci.ball_set(metric), metric, 300000, seed=0)
         assert abs(res.ratio.value - 1.0) < 3.5 * res.ratio.error
-        assert res.diameter_used == 2.0 and res.diameter_kind == "exact"
+        assert res.diameter_used == 2.0
+        assert res.to_dict()["diameter"] == {"value": 2.0, "kind": "exact"}
 
     def test_dilated_ball_scores_one(self):
         res = ci.isodiametric_ratio(ci.ball_set(DINF, radius=1.5), DINF, 300000, seed=1)
@@ -75,20 +76,23 @@ class TestRatio:
 class TestApexReach:
     def test_dinf(self):
         rep = ci.apex_reach(DINF, budget=200000, seed=0)
-        assert rep.analytic_bound == pytest.approx(SQRT2)
-        assert rep.reach == pytest.approx(SQRT2)
+        assert rep.reach == SQRT2
         assert rep.sampled_sup <= SQRT2 + 1e-9
         assert rep.sampled_sup >= SQRT2 - 1e-2
 
     def test_gauge(self):
         rep = ci.apex_reach(GAUGE, budget=200000, seed=0)
-        assert rep.analytic_bound == pytest.approx(SQRT2)
+        assert rep.reach == SQRT2
         assert rep.sampled_sup <= SQRT2 + 1e-9
 
     def test_cc(self):
+        # the CC reach evidence is the verify cc computation: the apex is the
+        # inverse of the cut point, so d(apex, w) = N(cut_point * w)
         rep = ci.apex_reach(CC, budget=200000, seed=0)
-        assert rep.analytic_bound == rep.reach == SQRT2
-        assert 1.3 < rep.sampled_sup <= SQRT2
+        cut = ci.verify_assumption_C(H1, sample_budget=200000, seed=0)
+        assert rep.reach == SQRT2
+        assert rep.sampled_sup == cut.sampled_max_roundtrip
+        assert SQRT2 - 1e-2 <= rep.sampled_sup <= SQRT2
 
     def test_cc_norm_square_is_pi_lipschitz_in_t(self):
         # the step of the CC reach proof: d(N^2)/d|t| = phi < pi, and
@@ -114,6 +118,7 @@ class TestApexReach:
         rep = ci.apex_reach(DINF, budget=10000, seed=1)
         doc = rep.to_dict()
         assert doc["certified_reach"] == rep.reach
+        assert "analytic_bound" not in doc
         assert doc["samples"] == 10000
 
 
@@ -136,6 +141,23 @@ class TestBump:
         with pytest.raises(CertificateError):
             ci.bump_ratio(BumpParams(apex=apex, rho=-0.1), DINF, 1000, seed=0,
                           reach=SQRT2)
+
+    def test_wrong_apex_rejected(self):
+        # [0, 4] is not the d_inf apex: it lies at distance sqrt(5) > 2 from
+        # the ball point [0, -1], so diameter 2 would be false
+        apex = ci.point([0, 0], [4.0])
+        with pytest.raises(CertificateError, match="apex"):
+            ci.bump_ratio(BumpParams(apex=apex, rho=2 - SQRT2), DINF, 20000, seed=0)
+        # exact comparison: a relative error of 1e-9 is not the apex either
+        near = ci.point([0, 0], [1.0 + 1e-9])
+        with pytest.raises(CertificateError, match="apex"):
+            ci.bump_ratio(BumpParams(apex=near, rho=2 - SQRT2), DINF, 1000, seed=0)
+
+    @pytest.mark.parametrize("metric", [DINF, GAUGE, CC], ids=["dinf", "gauge", "cc"])
+    def test_reach_below_proven_rejected(self, metric):
+        apex, _ = isodiametric._apex_and_bound(metric)
+        with pytest.raises(CertificateError, match="reach"):
+            ci.bump_ratio(BumpParams(apex=apex, rho=0.5), metric, 1000, seed=0, reach=1.0)
 
     def test_dinf_bump_beats_ball(self):
         apex = ci.point([0, 0], [1.0])
