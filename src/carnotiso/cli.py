@@ -91,7 +91,7 @@ def cmd_ball_volume(args) -> int:
     spec = parse_group(args.group)
     metric = metrics.make_metric(spec, vars(args))
     val, err = metrics.unit_ball_volume(metric, abs_tol=args.tol)
-    method = "closed_form" if args.metric == "dinf" else "quadrature"
+    method = "quadrature" if args.metric == "cc" else "closed_form"
     est = measures.EstimateWithError(val, err, method)
     doc = {"volume": est.to_dict(), "group": json.loads(spec.to_json()),
            "metric": metric.describe()}
@@ -100,6 +100,9 @@ def cmd_ball_volume(args) -> int:
 
 
 def cmd_cdc_table(args) -> int:
+    if args.n_max < args.n_min - 1:
+        raise InputError(f"--n-max {args.n_max} is below --n-min {args.n_min} "
+                         "(n-max = n-min - 1 gives an empty table)")
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         vol = measures.cc_unit_ball_volume(n, abs_tol=args.tol)
@@ -173,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--c2", type=float, default=1.0)
         if tol:
             p.add_argument("--tol", type=float, default=1e-12,
-                           help="absolute tolerance of the volume quadrature")
+                           help="absolute tolerance of the CC volume quadrature")
         p.add_argument("--output", default=None)
         if mc:
             p.add_argument("--seed", type=int, default=0)
@@ -228,6 +231,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (metrics.ConvergenceError, measures.QuadratureError) as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
+        return EXIT_NUMERICAL
+    except OverflowError as exc:  # e.g. Gamma(m/2 + 1) in a ball volume of a large group
+        sys.stderr.write(f"numerical error: overflow ({exc})\n")
         return EXIT_NUMERICAL
 
 

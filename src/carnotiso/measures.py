@@ -4,7 +4,8 @@ volume as an estimate.
 Haar measure is coordinate Lebesgue measure in both the Heisenberg and the
 H-type exponential model. The spherical measure of a set is normalized so
 that every metric ball B satisfies S(B) = (diam B)^Q. The unit-ball volume
-rules themselves live in :func:`carnotiso.metrics.unit_ball_volume`.
+rules themselves live in :func:`carnotiso.metrics.unit_ball_volume`: closed
+forms for d_inf and gauge, a fixed Gauss-Legendre rule for CC.
 """
 
 from __future__ import annotations
@@ -114,10 +115,10 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
 # ---------------------------------------------------------------------------
 
 def cc_unit_ball_volume(n: int, abs_tol: float = 1e-12) -> EstimateWithError:
-    """CC unit-ball volume of H^n; QuadratureError if quad misses abs_tol.
+    """CC unit-ball volume of H^n; QuadratureError if the rule misses abs_tol.
 
     abs_tol bounds the error of the profile integral (the volume divided by
-    cc_volume_prefactor(n)), relative to the integral once that exceeds 1.
+    4 n alpha_{2n}), relative to the integral once that exceeds 1.
     """
     metric = metrics_mod.CCMetric(groups.heisenberg(n))
     val, err = metrics_mod.unit_ball_volume(metric, abs_tol=abs_tol)

@@ -4,16 +4,17 @@ All metrics expose both a scalar interface on GroupPoints and vectorized
 kernels on coordinate arrays (shape (..., dim1) / (..., dim2)); the heavy
 Monte Carlo machinery in :mod:`carnotiso.measures` only uses the array
 forms. Each metric's unit-ball volume rule lives here too, in
-:func:`unit_ball_volume`.
+:func:`unit_ball_volume`: closed forms for d_inf and gauge, and for CC a
+fixed Gauss-Legendre rule on the turning angle (:func:`gauss_legendre`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import groups, sampling
 from .groups import GroupPoint, GroupSpec
@@ -40,10 +41,6 @@ class ConvergenceError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """A volume quadrature missed its requested tolerance."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
 
 
 @dataclass(frozen=True)
@@ -406,9 +403,6 @@ def validate_dinf_coefficients(spec: GroupSpec, c1: float, c2: float,
 # unit-ball volumes (Haar = Lebesgue in both coordinate models)
 # ---------------------------------------------------------------------------
 
-QUAD_LIMIT = 200  # subintervals scipy's quad may use for a volume integral
-
-
 def alpha(m: int) -> float:
     """Lebesgue measure of the Euclidean unit ball in R^m."""
     if m < 0:
@@ -435,52 +429,58 @@ def cc_ball_integrand(phi, n: int):
     return out if out.ndim else float(out)
 
 
-def cc_volume_prefactor(n: int) -> float:
-    """4 n alpha_{2n}: the CC unit-ball volume over the integral of cc_ball_integrand."""
-    return 4.0 * n * alpha(2 * n)
+@functools.cache
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, pi].
 
-
-def _checked_quad(what: str, pref: float, abs_tol: float, quad_result) -> tuple[float, float]:
-    """(pref * integral, pref * error) from quad's (integral, error) pair.
-
-    QuadratureError when the error exceeds abs_tol, relative to the integral
-    once that exceeds 1; the check is on the integral, before its prefactor.
+    Newton steps on P_n(x) = 0, with P_n from the three-term recurrence; from
+    this guess the sixth step moves a node by rounding only.
     """
-    val, err = quad_result
-    if err > abs_tol * max(1.0, val):
-        raise QuadratureError(f"{what} ball quadrature did not reach the requested "
-                              f"tolerance (achieved {err:g})", achieved=err)
-    return pref * val, pref * err
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(6):
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        slope = n * (p_prev - x * p) / (1.0 - x * x)  # P_n'(x)
+        x = x - p / slope
+    # [-1, 1] -> [0, pi]; the weight on [-1, 1] is 2 / ((1 - x^2) P_n'(x)^2)
+    nodes, weights = 0.5 * np.pi * (1.0 + x), np.pi / ((1.0 - x * x) * slope ** 2)
+    nodes.flags.writeable = weights.flags.writeable = False  # the cache shares them
+    return nodes, weights
 
 
 def unit_ball_volume(metric: _HomogeneousMetric, abs_tol: float = 1e-12) -> tuple[float, float]:
     """(volume, error bound) of the metric's closed unit ball.
 
-    d_inf is a closed form (error 0). The gauge and CC volumes are 1-D
-    quadratures; abs_tol is the absolute tolerance of that integral, before
-    its prefactor, and QuadratureError is raised when quad's own error
-    estimate misses it.
+    d_inf and gauge are closed forms (error 0). CC is the 128-node
+    Gauss-Legendre value of its profile integral, with error
+    max(|G128 - G64|, 50 eps int |f|); QuadratureError when that error, before
+    the prefactor, exceeds abs_tol (relative once the integral exceeds 1).
+    abs_tol must be positive and finite.
     """
+    if not 0.0 < abs_tol < math.inf:
+        raise ValueError(f"volume tolerance must be positive and finite, not {abs_tol}")
     spec = metric.spec
+    m, k = spec.dim1, spec.dim2
     if isinstance(metric, DinfMetric):
-        m, k = spec.dim1, spec.dim2
         if spec.kind == "htype":  # layer-2 ball is a k-ball, not a segment
             return alpha(m) * alpha(k) / (metric.c1 ** m * metric.c2 ** (2 * k)), 0.0
         return 2.0 * alpha(m) / (metric.c1 ** m * metric.c2 ** 2), 0.0
     if isinstance(metric, GaugeMetric):
-        m, k = spec.dim1, spec.dim2
         scale = metric.layer2_scale  # |Z| <= 1/scale on the unit ball
-        # slicing over the layer-2 radius r gives
-        #   alpha_m alpha_k * int_0^{1/scale} k r^(k-1) (1 - (scale r)^2)^(m/4) dr;
-        # substituting u = (scale r)^2 turns the endpoint behaviour into the
-        # algebraic weight u^(k/2-1) (1-u)^(m/4), which quad handles exactly
-        pref = alpha(m) * alpha(k) * k / (2.0 * scale ** k)
-        return _checked_quad("gauge", pref, abs_tol, integrate.quad(
-            lambda u: 1.0, 0.0, 1.0, weight="alg", wvar=(k / 2.0 - 1.0, m / 4.0),
-            epsabs=abs_tol, limit=QUAD_LIMIT))
+        # slicing over the layer-2 radius r, then u = (scale r)^2, gives
+        # alpha_m alpha_k k/(2 scale^k) B(k/2, m/4 + 1) with the Beta function B,
+        # and alpha_k (k/2) Gamma(k/2) = pi^(k/2) leaves one Gamma ratio
+        return (alpha(m) * math.pi ** (k / 2.0) * math.gamma(m / 4.0 + 1.0)
+                / (scale ** k * math.gamma(k / 2.0 + m / 4.0 + 1.0))), 0.0
     if isinstance(metric, CCMetric):
-        n = spec.n
-        return _checked_quad("CC", cc_volume_prefactor(n), abs_tol, integrate.quad(
-            lambda p: cc_ball_integrand(p, n), 0.0, math.pi,
-            epsabs=abs_tol, epsrel=0.0, limit=QUAD_LIMIT))
+        coarse, fine = (w * cc_ball_integrand(phi, spec.n)
+                        for phi, w in map(gauss_legendre, (64, 128)))
+        val = float(fine.sum())
+        # the floor is QUADPACK's round-off estimate
+        err = max(abs(val - coarse.sum()), 50.0 * np.finfo(float).eps * np.abs(fine).sum())
+        if err > abs_tol * max(1.0, val):
+            raise QuadratureError(f"CC ball quadrature missed the tolerance (achieved {err:g})")
+        pref = 4.0 * spec.n * alpha(2 * spec.n)  # volume = pref * int_0^pi f
+        return pref * val, float(pref * err)
     raise MetricError(f"no volume rule for {type(metric).__name__}")

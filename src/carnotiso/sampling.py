@@ -14,6 +14,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 CHUNK_SIZE = 1 << 19
+# 2^17 chunks: hours of even the cheapest sampling. The chunk list is built
+# before the first draw, about 100 bytes a chunk, so a budget of 10^13 would
+# take 1.8 GiB before doing any work.
+MAX_BUDGET = 1 << 36
 THREADS_ENV = "CARNOT_ISO_THREADS"
 
 
@@ -36,10 +40,13 @@ def map_chunks(seed: int, budget: int, fn, chunk_size: int = CHUNK_SIZE):
 
     Returns the list of per-chunk results in chunk order. Worker-thread
     count comes from CARNOT_ISO_THREADS, capped at the chunk count and the
-    CPU count, and cannot affect the results.
+    CPU count, and cannot affect the results. A budget above MAX_BUDGET is
+    refused before any chunk runs.
     """
     if budget < 1:
         raise ValueError("sample budget must be >= 1")
+    if budget > MAX_BUDGET:
+        raise ValueError(f"sample budget {budget} exceeds the ceiling {MAX_BUDGET} (2^36)")
     sizes = []
     left = budget
     while left > 0:

@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import carnotiso as ci
+from carnotiso import sampling
 from carnotiso.cli import main, parse_group, parse_point
 
 
@@ -14,6 +16,18 @@ def run_main(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_import_loads_no_scipy():
+    # the package needs numpy only; a fresh interpreter shows what importing the CLI loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, carnotiso.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "[]\n"
 
 
 class TestParsers:
@@ -102,15 +116,27 @@ class TestBallVolume:
             math.pi ** 2 / 8, rel=1e-11)
 
     def test_impossible_tolerance_exits_3(self, capsys):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["ball-volume", "--metric", "cc", "--tol", "1e-16"]) == 3
+        assert main(["ball-volume", "--metric", "cc", "--tol", "1e-16"]) == 3
 
-    def test_impossible_gauge_tolerance_exits_3(self, capsys):
-        # the gauge quadrature reaches about 3e-14, not 1e-17
-        assert main(["ball-volume", "--metric", "gauge", "--group", "h1-htype",
-                     "--tol", "1e-17"]) == 3
+    def test_gauge_closed_form_meets_any_tolerance(self, capsys):
+        # the gauge volume is a closed form, so no tolerance can be missed
+        code, out = run_main(capsys, "ball-volume", "--metric", "gauge",
+                             "--group", "h1-htype", "--tol", "1e-17")
+        assert code == 0
+        vol = json.loads(out)["volume"]
+        assert (vol["method"], vol["error"]) == ("closed_form", 0.0)
+
+    @pytest.mark.parametrize("metric", ["dinf", "gauge", "cc"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_exits_2(self, capsys, metric, tol):
+        assert main(["ball-volume", "--metric", metric, "--tol", tol]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["dinf", "gauge", "cc"])
+    def test_overflow_exits_3(self, capsys, metric):
+        assert main(["ball-volume", "--metric", metric, "--group", "h200"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: overflow") and err.count("\n") == 1
 
     def test_output_file(self, tmp_path, capsys):
         dest = tmp_path / "vol.json"
@@ -129,6 +155,19 @@ class TestCdcTable:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[2]) == pytest.approx(1.2108358735762523, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_bad_tolerance_exits_2(self, capsys, tol):
+        assert main(["cdc-table", "--tol", tol]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_inverted_range_exits_2(self, capsys):
+        assert main(["cdc-table", "--n-min", "3", "--n-max", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_overflow_exits_3(self, capsys):
+        assert main(["cdc-table", "--n-min", "171", "--n-max", "171"]) == 3
+        assert capsys.readouterr().err.startswith("numerical error: overflow")
 
     def test_empty_range_ok(self, capsys):
         code, out = run_main(capsys, "cdc-table", "--n-min", "3", "--n-max", "2")
@@ -160,10 +199,25 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["report"]["sampled_sup"] <= math.sqrt(2) + 1e-9
 
+    def test_budget_above_ceiling_exits_2(self, capsys, monkeypatch):
+        def no_draws(seed, chunk):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(sampling, "substream", no_draws)
+        budget = sampling.MAX_BUDGET + 1
+        assert main(["verify", "dinf", "--budget", str(budget)]) == 2
+        assert "ceiling" in capsys.readouterr().err
+
     def test_tol_rejected(self, capsys):
         # --tol belongs to ball-volume (and cdc-table) only; verify never read it
         assert main(["verify", "dinf", "--tol", "5", "--budget", "1000"]) == 2
         assert main(["bump-search", "--tol", "5", "--budget", "1000"]) == 2
+
+
+class TestBumpSearch:
+    def test_overflow_exits_3(self, capsys):
+        assert main(["bump-search", "--group", "h200", "--budget", "10"]) == 3
+        assert capsys.readouterr().err.startswith("numerical error: overflow")
 
 
 class TestSigma:

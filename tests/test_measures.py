@@ -37,8 +37,8 @@ class TestClosedFormVolumes:
 
     def test_gauge(self):
         value, error = ci.unit_ball_volume(GAUGE)
-        assert value == pytest.approx(math.pi ** 2 / 8, rel=1e-11)
-        assert error < 1e-11
+        assert value == pytest.approx(math.pi ** 2 / 8, rel=1e-15)
+        assert error == 0.0
 
 
 class TestCCVolume:
@@ -57,7 +57,6 @@ class TestCCVolume:
         est2 = ci.cc_unit_ball_volume(2)
         assert est2.value == pytest.approx(4.823649863843578, abs=1e-10)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_tight_tolerance_raises(self):
         from carnotiso.measures import QuadratureError
         with pytest.raises(QuadratureError):
@@ -153,6 +152,27 @@ class TestMapChunks:
         out = sampling.map_chunks(7, 30, lambda rng, count: count, chunk_size=10)
         assert out == [10, 10, 10]
         assert made == ([] if expected is None else [expected])
+
+    def test_budget_ceiling(self, monkeypatch):
+        monkeypatch.setenv("CARNOT_ISO_THREADS", "1")
+        calls = []
+
+        class FirstChunk(Exception):
+            pass
+
+        def fn(rng, count):
+            calls.append(count)
+            raise FirstChunk
+
+        # one past the ceiling: without the check this would only reach fn,
+        # where larger budgets would first build a chunk list of many GiB
+        with pytest.raises(ValueError, match="ceiling"):
+            sampling.map_chunks(0, sampling.MAX_BUDGET + 1, fn)
+        assert calls == []
+        # the ceiling itself is allowed: the first chunk runs
+        with pytest.raises(FirstChunk):
+            sampling.map_chunks(0, sampling.MAX_BUDGET, fn)
+        assert calls == [sampling.CHUNK_SIZE]
 
 
 class TestBallSet:
