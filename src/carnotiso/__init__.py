@@ -8,9 +8,8 @@ the ball-plus-bump constructions showing closed balls are not isodiametric.
 from .groups import (GroupError, GroupPoint, GroupSpec, dilate,
                      h1_point_from_htype, h1_point_to_htype, h_type,
                      heisenberg, identity, inv, mul, point, validate_htype)
-from .metrics import (CCInversionConfig, CCMetric, ConvergenceError,
-                      DinfMetric, GaugeMetric, MetricError, alpha, make_metric,
-                      unit_ball_volume, validate_dinf_coefficients)
+from .metrics import (CCMetric, ConvergenceError, DinfMetric, GaugeMetric,
+                      MetricError, alpha, make_metric, unit_ball_volume)
 from .geodesics import (CutPointReport, GeodesicParams, cc_geodesic_sample,
                         cc_sphere_point, cut_point, verify_assumption_C)
 from .measures import (BoundingBox, EstimateWithError, QuadratureError,

@@ -90,7 +90,7 @@ def cmd_distance(args) -> int:
 def cmd_ball_volume(args) -> int:
     spec = parse_group(args.group)
     metric = metrics.make_metric(spec, vars(args))
-    val, err = metrics.unit_ball_volume(metric, abs_tol=args.tol)
+    val, err = metrics.unit_ball_volume(metric)
     method = "quadrature" if args.metric == "cc" else "closed_form"
     est = measures.EstimateWithError(val, err, method)
     doc = {"volume": est.to_dict(), "group": json.loads(spec.to_json()),
@@ -105,12 +105,12 @@ def cmd_cdc_table(args) -> int:
                          "(n-max = n-min - 1 gives an empty table)")
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        vol = measures.cc_unit_ball_volume(n, abs_tol=args.tol)
-        rows.append((n, vol.value, isodiametric.cdc_upper_bound(n, abs_tol=args.tol)))
+        vol = measures.cc_unit_ball_volume(n)
+        rows.append((n, vol.value, isodiametric.cdc_upper_bound(n)))
     if args.format == "json":
         doc = {"rows": [{"n": n, "cc_ball_volume": v, "cdc_upper_bound": b}
                         for n, v, b in rows],
-               "method": "quadrature", "abs_tol": args.tol}
+               "method": "quadrature"}
         emit(args, dump_json(doc))
     else:
         lines = ["n,cc_ball_volume,cdc_upper_bound"]
@@ -147,7 +147,9 @@ def cmd_bump_search(args) -> int:
 def cmd_sigma(args) -> int:
     spec = parse_group(args.group)
     metric = metrics.make_metric(spec, vars(args))
-    if args.c_lower is not None and args.c_upper is not None:
+    if (args.c_lower is None) != (args.c_upper is None):
+        raise InputError("give both --c-lower and --c-upper, or neither")
+    if args.c_lower is not None:
         bounds = isodiametric.sigma_bounds(args.c_lower, args.c_upper)
     else:
         bounds = isodiametric.sigma_bounds_for(metric, budget=args.budget,
@@ -167,16 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "bounds on Heisenberg and H-type groups.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, metric=True, mc=False, tol=False):
+    def common(p, metric=True, mc=False):
         p.add_argument("--group", default="h1",
                        help="hN, h1-htype, or @spec.json (default h1)")
         if metric:
             p.add_argument("--metric", default="dinf", choices=["dinf", "gauge", "cc"])
-            p.add_argument("--c1", type=float, default=1.0)
-            p.add_argument("--c2", type=float, default=1.0)
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-12,
-                           help="absolute tolerance of the CC volume quadrature")
+            # None marks "not given": only d_inf takes them, and then 1.0
+            p.add_argument("--c1", type=float, default=None, help="d_inf only (default 1)")
+            p.add_argument("--c2", type=float, default=None, help="d_inf only (default 1)")
         p.add_argument("--output", default=None)
         if mc:
             p.add_argument("--seed", type=int, default=0)
@@ -189,13 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("ball-volume", help="Haar volume of the unit ball")
-    common(p, tol=True)
+    common(p)
     p.set_defaults(func=cmd_ball_volume)
 
     p = sub.add_parser("cdc-table", help="CC isodiametric upper bounds per n")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=9)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_cdc_table)
@@ -226,7 +225,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (InputError, groups.GroupError, metrics.MetricError, ValueError) as exc:
+    # OSError: the --group @file or --output path cannot be read or written
+    except (InputError, groups.GroupError, metrics.MetricError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (metrics.ConvergenceError, measures.QuadratureError) as exc:

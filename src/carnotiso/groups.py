@@ -81,15 +81,18 @@ class GroupSpec:
     @staticmethod
     def from_json(text: str) -> "GroupSpec":
         doc = json.loads(text)
-        if doc.get("kind") == "heisenberg":
-            return heisenberg(int(doc["n"]))
-        if doc.get("kind") == "htype":
-            m, k = int(doc["m"]), int(doc["k"])
-            J = np.array([np.asarray(row, dtype=float).reshape(m, m)
-                          for row in doc["J"]])
-            if J.shape != (k, m, m):
-                raise GroupError("J matrices inconsistent with m, k")
-            return h_type(J)
+        try:
+            if doc.get("kind") == "heisenberg":
+                return heisenberg(int(doc["n"]))
+            if doc.get("kind") == "htype":
+                m, k = int(doc["m"]), int(doc["k"])
+                J = np.array([np.asarray(row, dtype=float).reshape(m, m)
+                              for row in doc["J"]])
+                if J.shape != (k, m, m):
+                    raise GroupError("J matrices inconsistent with m, k")
+                return h_type(J)
+        except KeyError as exc:
+            raise GroupError(f"group spec lacks the field {exc}") from exc
         raise GroupError(f"unknown group kind in JSON: {doc.get('kind')!r}")
 
 
@@ -221,8 +224,8 @@ class ValidationReport:
         return f"{'pass' if self.passed else 'FAIL'} ({worst})"
 
 
-def validate_htype(J, tol: float = J_STRUCTURE_TOL) -> ValidationReport:
-    """Check skewness, J_i^2 = -Id and pairwise anticommutation of the J_i."""
+def validate_htype(J) -> ValidationReport:
+    """Check skewness, J_i^2 = -Id and anticommutation of the J_i, to J_STRUCTURE_TOL."""
     J = np.asarray(J, dtype=float)
     if J.ndim == 2:
         J = J[None, :, :]
@@ -237,15 +240,12 @@ def validate_htype(J, tol: float = J_STRUCTURE_TOL) -> ValidationReport:
         for j in range(i + 1, k):
             anti = max(anti, float(np.abs(J[i] @ J[j] + J[j] @ J[i]).max()))
     violations = {"skew": skew, "square": square, "anticommute": anti}
-    return ValidationReport(passed=max(violations.values()) <= tol, violations=violations)
+    return ValidationReport(max(violations.values()) <= J_STRUCTURE_TOL, violations)
 
 
 def standard_symplectic() -> np.ndarray:
     """J on R^2 with <J e1, e2> = 1; makes (m=2, k=1) a model of H^1."""
     return np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-H1_HTYPE_SPEC_J = standard_symplectic()
 
 
 # ---------------------------------------------------------------------------

@@ -59,11 +59,12 @@ class SigmaBounds:
     C_upper: float
 
     def __post_init__(self):
-        if self.C_lower < 1.0:
-            raise ValueError("C lower bound below 1 is impossible (balls score 1)")
-        if self.C_lower > self.C_upper:
+        # negated comparisons, so that NaN fails them
+        if not 1.0 <= self.C_lower < math.inf:
+            raise ValueError(f"C_lower {self.C_lower} is not finite and >= 1 (balls score 1)")
+        if not self.C_lower <= self.C_upper:
             raise ValueError(
-                f"inconsistent bounds: C_lower {self.C_lower} > C_upper {self.C_upper}")
+                f"inconsistent bounds: C_upper {self.C_upper} is not >= C_lower {self.C_lower}")
 
     @property
     def sigma_interval(self) -> tuple[float, float]:
@@ -120,7 +121,7 @@ def _apex_and_bound(metric):
     if isinstance(metric, DinfMetric):
         # exp of a layer-2 vector with c2 |t|^(1/2) = 1
         l2 = np.zeros(spec.dim2)
-        l2[0] = 1.0 / metric.c2**2
+        l2[0] = (1.0 / metric.c2) ** 2  # OverflowError, not 1/0, for a tiny c2
         return GroupPoint(np.zeros(spec.dim1), l2), APEX_REACH
     if isinstance(metric, GaugeMetric):
         l2 = np.zeros(spec.dim2)
@@ -256,9 +257,9 @@ def cdinf_upper_bound(n: int) -> float:
         raise GroupError("n must be >= 1")
     return 2.0
 
-def cdc_upper_bound(n: int, abs_tol: float = 1e-12) -> float:
+def cdc_upper_bound(n: int) -> float:
     """Upper bound (4 alpha_{2n} / pi) / Haar(CC unit ball) for C in (H^n, d_c)."""
-    vol = measures.cc_unit_ball_volume(n, abs_tol=abs_tol)
+    vol = measures.cc_unit_ball_volume(n)
     return (4.0 * alpha(2 * n) / math.pi) / vol.value
 
 

@@ -114,14 +114,10 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
 # CC volume
 # ---------------------------------------------------------------------------
 
-def cc_unit_ball_volume(n: int, abs_tol: float = 1e-12) -> EstimateWithError:
-    """CC unit-ball volume of H^n; QuadratureError if the rule misses abs_tol.
-
-    abs_tol bounds the error of the profile integral (the volume divided by
-    4 n alpha_{2n}), relative to the integral once that exceeds 1.
-    """
+def cc_unit_ball_volume(n: int) -> EstimateWithError:
+    """CC unit-ball volume of H^n by the fixed rule of unit_ball_volume."""
     metric = metrics_mod.CCMetric(groups.heisenberg(n))
-    val, err = metrics_mod.unit_ball_volume(metric, abs_tol=abs_tol)
+    val, err = metrics_mod.unit_ball_volume(metric)
     return EstimateWithError(val, err, "quadrature")
 
 

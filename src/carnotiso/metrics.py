@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import groups, sampling
+from . import groups
 from .groups import GroupPoint, GroupSpec
 
 
@@ -41,16 +40,6 @@ class ConvergenceError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """A volume quadrature missed its requested tolerance."""
-
-
-@dataclass(frozen=True)
-class CCInversionConfig:
-    root_tolerance: float = 1e-12  # on the turning angle phi
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if self.root_tolerance <= 0:
-            raise MetricError("root_tolerance must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +87,9 @@ def mu_prime(phi):
 
 # upper end of the search bracket, just below the cut angle pi
 _PHI_MAX = np.pi * (1.0 - 1e-14)
+# solve_turning's step tolerance, relative to max(1, phi), and iteration cap
+TURNING_ROOT_TOL = 1e-12
+TURNING_MAX_ITERATIONS = 200
 
 # starting guess phi = pi (1 - P(r)^(-1/2)) with the rational function
 # P(r) = (1 + a1 r + a2 r^2 + a3 r^3 + a4 r^4) / (1 + b1 r + b2 r^2 + b3 r^3):
@@ -149,19 +141,19 @@ def _turning_step(phi, lo, hi, ratio, halley):
     return new
 
 
-def solve_turning(ratio, config: CCInversionConfig = CCInversionConfig()):
+def solve_turning(ratio):
     """Solve mu(phi) = ratio for phi in [0, pi), elementwise.
 
     Starts from a closed-form guess (off by at most ~2e-4) and runs
     safeguarded Halley steps; an element has converged once its own step is
-    at most config.root_tolerance * max(1, phi), and the working arrays drop
+    at most TURNING_ROOT_TOL * max(1, phi), and the working arrays drop
     the converged elements whenever they are a quarter of them or more
     (until then those ride along at the root). Three Newton passes over the
     whole array then polish the result. The roots stay below pi (1 - 1e-14):
     larger ratios, for points nearly on the center, get that end of the
     bracket, where the caller's sqrt(pi |t|) formula takes over smoothly.
     Raises ConvergenceError naming the elements that have not converged
-    after config.max_iterations steps.
+    after TURNING_MAX_ITERATIONS steps.
     """
     ratio = np.asarray(ratio, dtype=float)
     target = ratio.reshape(-1)
@@ -174,9 +166,9 @@ def solve_turning(ratio, config: CCInversionConfig = CCInversionConfig()):
     hi = np.full(n, _PHI_MAX)
     goal = target
     moving = np.ones(n, dtype=bool)
-    for _ in range(config.max_iterations):
+    for _ in range(TURNING_MAX_ITERATIONS):
         new = _turning_step(phi, lo, hi, goal, halley=True)
-        moving = ~(np.abs(new - phi) <= config.root_tolerance * np.maximum(1.0, new))
+        moving = ~(np.abs(new - phi) <= TURNING_ROOT_TOL * np.maximum(1.0, new))
         phi = new
         if 4 * np.count_nonzero(moving) <= 3 * idx.size:
             done = ~moving
@@ -192,7 +184,7 @@ def solve_turning(ratio, config: CCInversionConfig = CCInversionConfig()):
         residuals = np.abs(mu(phi[moving]) - goal[moving])
         raise ConvergenceError(
             f"turning-angle solve: {bad.size} of {n} elements did not converge "
-            f"within {config.max_iterations} iterations",
+            f"within {TURNING_MAX_ITERATIONS} iterations",
             residual=float(np.max(residuals)), indices=bad, residuals=residuals)
     # the map phi -> distance is ill-conditioned near phi = pi, so a
     # tolerance on phi alone is not enough there; quadratic convergence
@@ -239,14 +231,26 @@ class _HomogeneousMetric:
 
 
 class DinfMetric(_HomogeneousMetric):
-    """Layered max-norm distance: max(c1 |z|, c2 |t|^(1/2))."""
+    """Layered max-norm distance: max(c1 |z|, c2 |t|^(1/2)).
+
+    A distance exactly for finite c1, c2 > 0 with w c2^2 <= 2 c1^2, where w = 2
+    for the Heisenberg twist (c2 <= c1) and 1/2 for the H-type bracket
+    (c2 <= 2 c1). Proof: with a = N(p), b = N(q), the layer-2 part of p.q is at
+    most (a^2 + b^2) / c2^2 + w a b / c1^2 <= (a + b)^2 / c2^2. Sharp: |z| = 1/c1,
+    t = 1/c2^2, z' = J z, t' = t give N(p) = N(q) = 1 < N(p.q) / 2 once it fails.
+    A user @spec.json J is checked only to J_STRUCTURE_TOL, and so is the bound.
+    """
 
     def __init__(self, spec: GroupSpec, c1: float = 1.0, c2: float = 1.0):
-        if c1 <= 0 or c2 <= 0:
-            raise MetricError("d_inf coefficients must be positive")
+        c1, c2 = float(c1), float(c2)
+        c2_max = 2.0 * c1 if spec.kind == "htype" else c1  # w c2^2 <= 2 c1^2
+        # negated, so that NaN fails too
+        if not (0.0 < c1 < math.inf and 0.0 < c2 <= c2_max and c2 < math.inf):
+            raise MetricError(f"d_inf is a distance only for finite c1, c2 > 0 with c2 <= c1 "
+                              f"(2 c1 on H-type groups), not c1 = {c1}, c2 = {c2}")
         self.spec = spec
-        self.c1 = float(c1)
-        self.c2 = float(c2)
+        self.c1 = c1
+        self.c2 = c2
 
     def norm_arrays(self, l1, l2):
         l1 = np.asarray(l1, dtype=float)
@@ -256,7 +260,7 @@ class DinfMetric(_HomogeneousMetric):
         return np.maximum(self.c1 * n1, self.c2 * np.sqrt(n2))
 
     def unit_ball_bbox(self):
-        r1, r2 = 1.0 / self.c1, 1.0 / self.c2**2
+        r1, r2 = 1.0 / self.c1, (1.0 / self.c2) ** 2
         d1, d2 = self.spec.dim1, self.spec.dim2
         return (np.full(d1, -r1), np.full(d1, r1),
                 np.full(d2, -r2), np.full(d2, r2))
@@ -303,11 +307,10 @@ class CCMetric(_HomogeneousMetric):
     solves mu(phi) = |t| / |z|^2 and the distance is |z| phi / sin phi.
     """
 
-    def __init__(self, spec: GroupSpec, config: CCInversionConfig | None = None):
+    def __init__(self, spec: GroupSpec):
         if spec.kind != "heisenberg":
             raise MetricError("CC distance is implemented for Heisenberg specs only")
         self.spec = spec
-        self.config = config or CCInversionConfig()
 
     def norm_arrays(self, l1, l2):
         l1 = np.asarray(l1, dtype=float)
@@ -326,7 +329,7 @@ class CCMetric(_HomogeneousMetric):
             huge = ratio > 1e22
             ratio_safe = np.where(huge, 1.0, ratio)
             try:
-                phi = solve_turning(ratio_safe, self.config)
+                phi = solve_turning(ratio_safe)
             except ConvergenceError as exc:
                 exc.indices = np.flatnonzero(off)[exc.indices]  # name the caller's points
                 raise
@@ -347,56 +350,21 @@ class CCMetric(_HomogeneousMetric):
 
 
 def make_metric(spec: GroupSpec, doc: dict) -> _HomogeneousMetric:
-    """Build a metric from its CLI/JSON description."""
+    """Build a metric from its CLI/JSON description.
+
+    c1 and c2 (absent or None: 1.0) belong to d_inf; other metrics refuse them.
+    """
     kind = doc.get("metric")
+    c1, c2 = doc.get("c1"), doc.get("c2")
     if kind == "dinf":
-        return DinfMetric(spec, doc.get("c1", 1.0), doc.get("c2", 1.0))
+        return DinfMetric(spec, 1.0 if c1 is None else c1, 1.0 if c2 is None else c2)
+    if c1 is not None or c2 is not None:
+        raise MetricError(f"c1 and c2 are d_inf coefficients; metric {kind!r} takes none")
     if kind == "gauge":
         return GaugeMetric(spec)
     if kind == "cc":
         return CCMetric(spec)
     raise MetricError(f"unknown metric {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# d_inf coefficient validator (a sampler, not a proof)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CoefficientReport:
-    passed: bool
-    worst_violation: float
-    witness: tuple | None
-    samples: int
-    seed: int
-
-
-def validate_dinf_coefficients(spec: GroupSpec, c1: float, c2: float,
-                               sample_budget: int = 10**5, seed: int = 0,
-                               tol: float = 1e-12) -> CoefficientReport:
-    """Sample pairs and check subadditivity |p.q| <= |p| + |q| of the norm."""
-    if sample_budget < 1:
-        raise MetricError("sample budget must be >= 1")
-    metric = DinfMetric(spec, c1, c2)
-
-    def chunk(rng, count):
-        a1 = rng.uniform(-1, 1, size=(count, spec.dim1))
-        a2 = rng.uniform(-1, 1, size=(count, spec.dim2))
-        b1 = rng.uniform(-1, 1, size=(count, spec.dim1))
-        b2 = rng.uniform(-1, 1, size=(count, spec.dim2))
-        p1, p2 = groups.mul_arrays(spec, a1, a2, b1, b2)
-        viol = (metric.norm_arrays(p1, p2)
-                - metric.norm_arrays(a1, a2) - metric.norm_arrays(b1, b2))
-        i = int(np.argmax(viol))
-        return float(viol[i]), (a1[i].copy(), a2[i].copy(), b1[i].copy(), b2[i].copy())
-
-    worst = 0.0
-    witness = None
-    for viol, pair in sampling.map_chunks(seed, sample_budget, chunk):
-        if viol > worst:
-            worst, witness = viol, pair
-    return CoefficientReport(passed=worst <= tol, worst_violation=worst,
-                             witness=witness, samples=sample_budget, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +417,28 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def unit_ball_volume(metric: _HomogeneousMetric, abs_tol: float = 1e-12) -> tuple[float, float]:
+def unit_ball_volume(metric: _HomogeneousMetric) -> tuple[float, float]:
     """(volume, error bound) of the metric's closed unit ball.
 
     d_inf and gauge are closed forms (error 0). CC is the 128-node
     Gauss-Legendre value of its profile integral, with error
-    max(|G128 - G64|, 50 eps int |f|); QuadratureError when that error, before
-    the prefactor, exceeds abs_tol (relative once the integral exceeds 1).
-    abs_tol must be positive and finite.
+    max(|G128 - G64|, 50 eps int |f|). For n = 1..170 that error stays below
+    2e-14 relative, so the self-check, QuadratureError if it exceeds 1e-12
+    (relative once the integral exceeds 1), guards the rule, not an input.
+    OverflowError when the volume exceeds the float range, as for tiny d_inf
+    coefficients.
     """
-    if not 0.0 < abs_tol < math.inf:
-        raise ValueError(f"volume tolerance must be positive and finite, not {abs_tol}")
     spec = metric.spec
     m, k = spec.dim1, spec.dim2
     if isinstance(metric, DinfMetric):
-        if spec.kind == "htype":  # layer-2 ball is a k-ball, not a segment
-            return alpha(m) * alpha(k) / (metric.c1 ** m * metric.c2 ** (2 * k)), 0.0
-        return 2.0 * alpha(m) / (metric.c1 ** m * metric.c2 ** 2), 0.0
+        # powers of the radii: a power of a tiny c underflows to a 0 divisor
+        r1, r2 = 1.0 / metric.c1, 1.0 / metric.c2
+        # the layer-2 ball is a k-ball on H-type groups, a segment on H^n
+        layer2 = alpha(k) * r2 ** (2 * k) if spec.kind == "htype" else 2.0 * r2 ** 2
+        vol = alpha(m) * r1 ** m * layer2
+        if vol == math.inf:
+            raise OverflowError("d_inf unit-ball volume exceeds the float range")
+        return vol, 0.0
     if isinstance(metric, GaugeMetric):
         scale = metric.layer2_scale  # |Z| <= 1/scale on the unit ball
         # slicing over the layer-2 radius r, then u = (scale r)^2, gives
@@ -479,7 +452,7 @@ def unit_ball_volume(metric: _HomogeneousMetric, abs_tol: float = 1e-12) -> tupl
         val = float(fine.sum())
         # the floor is QUADPACK's round-off estimate
         err = max(abs(val - coarse.sum()), 50.0 * np.finfo(float).eps * np.abs(fine).sum())
-        if err > abs_tol * max(1.0, val):
+        if err > 1e-12 * max(1.0, val):
             raise QuadratureError(f"CC ball quadrature missed the tolerance (achieved {err:g})")
         pref = 4.0 * spec.n * alpha(2 * spec.n)  # volume = pref * int_0^pi f
         return pref * val, float(pref * err)

@@ -35,8 +35,8 @@ def thread_count() -> int:
         return 1
 
 
-def map_chunks(seed: int, budget: int, fn, chunk_size: int = CHUNK_SIZE):
-    """Run fn(rng, count) over budget samples split into chunks.
+def map_chunks(seed: int, budget: int, fn):
+    """Run fn(rng, count) over budget samples split into CHUNK_SIZE chunks.
 
     Returns the list of per-chunk results in chunk order. Worker-thread
     count comes from CARNOT_ISO_THREADS, capped at the chunk count and the
@@ -50,7 +50,7 @@ def map_chunks(seed: int, budget: int, fn, chunk_size: int = CHUNK_SIZE):
     sizes = []
     left = budget
     while left > 0:
-        take = min(chunk_size, left)
+        take = min(CHUNK_SIZE, left)
         sizes.append(take)
         left -= take
 

@@ -48,7 +48,7 @@ def best_bumps():
 
 def test_criterion_1_cdc_bound_table():
     start = time.perf_counter()
-    vals = [ci.cdc_upper_bound(n, abs_tol=1e-10) for n in range(1, 10)]
+    vals = [ci.cdc_upper_bound(n) for n in range(1, 10)]
     elapsed = time.perf_counter() - start
     ok = (1.0 < vals[0] <= 1.22
           and all(b > a for a, b in zip(vals[:8], vals[1:8]))

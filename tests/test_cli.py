@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import carnotiso as ci
 from carnotiso import sampling
-from carnotiso.cli import main, parse_group, parse_point
+from carnotiso.cli import build_parser, main, parse_group, parse_point
 
 
 def run_main(capsys, *argv):
@@ -46,6 +47,18 @@ class TestParsers:
         with pytest.raises(InputError):
             parse_group("k5")
 
+    def test_missing_group_file_exits_2(self, capsys, tmp_path):
+        assert main(["ball-volume", "--group", "@" + str(tmp_path / "missing.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2]") and err.count("\n") == 1
+
+    def test_group_file_without_n_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "spec.json"
+        f.write_text('{"kind": "heisenberg"}')
+        assert main(["ball-volume", "--group", "@" + str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: group spec lacks the field 'n'") and err.count("\n") == 1
+
     def test_points(self):
         p = parse_point(ci.heisenberg(1), "[1,2;3]")
         assert list(p.layer1) == [1, 2] and p.t == 3
@@ -78,6 +91,11 @@ class TestDistance:
 
     def test_wrong_dims_exits_2(self, capsys):
         assert main(["distance", "--group", "h2", "[0,0;0]", "[0,0;1]"]) == 2
+
+    def test_dinf_not_a_distance_exits_2(self, capsys):
+        # on the unit ball of c2 = 2, [0,-1;-1/4] and [1,0;1/4] are sqrt(10) apart
+        assert main(["distance", "--c2", "2", "[0,-1;-0.25]", "[1,0;0.25]"]) == 2
+        assert "c2 <= c1" in capsys.readouterr().err
 
 
 class TestBallVolume:
@@ -115,22 +133,42 @@ class TestBallVolume:
         assert json.loads(out)["volume"]["value"] == pytest.approx(
             math.pi ** 2 / 8, rel=1e-11)
 
-    def test_impossible_tolerance_exits_3(self, capsys):
-        assert main(["ball-volume", "--metric", "cc", "--tol", "1e-16"]) == 3
-
-    def test_gauge_closed_form_meets_any_tolerance(self, capsys):
-        # the gauge volume is a closed form, so no tolerance can be missed
-        code, out = run_main(capsys, "ball-volume", "--metric", "gauge",
-                             "--group", "h1-htype", "--tol", "1e-17")
-        assert code == 0
-        vol = json.loads(out)["volume"]
-        assert (vol["method"], vol["error"]) == ("closed_form", 0.0)
+    def test_impossible_tolerance_exits_3(self, capsys, monkeypatch):
+        # a rule too coarse for the fixed 1e-12 self-check
+        rule = ci.metrics.gauss_legendre
+        monkeypatch.setattr(ci.metrics, "gauss_legendre", lambda n: rule(n // 16))
+        assert main(["ball-volume", "--metric", "cc"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: CC ball quadrature") and err.count("\n") == 1
 
     @pytest.mark.parametrize("metric", ["dinf", "gauge", "cc"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_tolerance_exits_2(self, capsys, metric, tol):
+        # there is no tolerance to set: the flag itself is refused
         assert main(["ball-volume", "--metric", metric, "--tol", tol]) == 2
-        assert "tolerance" in capsys.readouterr().err
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coef", ["1e-200", "1e-100"])
+    @pytest.mark.parametrize("command", [["ball-volume"], ["bump-search", "--budget", "10"]])
+    def test_tiny_coefficients_exit_3(self, capsys, command, coef):
+        # the volume (1/c1)^2 (1/c2)^2 2 pi overflows: 1e-200 in a power of the
+        # radius, 1e-100 in the product
+        assert main(command + ["--c1", coef, "--c2", coef]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: overflow") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("metric", ["gauge", "cc"])
+    @pytest.mark.parametrize("flag", ["--c1", "--c2"])
+    @pytest.mark.parametrize("command", [["ball-volume"], ["bump-search", "--budget", "10"],
+                                         ["distance", "[0,0;0]", "[1,0;0]"]])
+    def test_coefficients_need_dinf(self, capsys, command, metric, flag):
+        assert main(command + ["--metric", metric, flag, "1"]) == 2
+        assert "d_inf coefficients" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["dinf", "cc"])
+    def test_zero_coefficient_exits_2(self, capsys, metric):
+        assert main(["ball-volume", "--metric", metric, "--c1", "0"]) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("metric", ["dinf", "gauge", "cc"])
     def test_overflow_exits_3(self, capsys, metric):
@@ -143,6 +181,11 @@ class TestBallVolume:
         code, _ = run_main(capsys, "ball-volume", "--output", str(dest))
         assert code == 0
         assert json.loads(dest.read_text())["volume"]["method"] == "closed_form"
+
+    def test_output_in_missing_directory_exits_2(self, tmp_path, capsys):
+        assert main(["ball-volume", "--output", str(tmp_path / "missing" / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2]") and err.count("\n") == 1
 
 
 class TestCdcTable:
@@ -209,15 +252,32 @@ class TestVerify:
         assert "ceiling" in capsys.readouterr().err
 
     def test_tol_rejected(self, capsys):
-        # --tol belongs to ball-volume (and cdc-table) only; verify never read it
+        # no subcommand has a tolerance: the CC volume rule is fixed
         assert main(["verify", "dinf", "--tol", "5", "--budget", "1000"]) == 2
         assert main(["bump-search", "--tol", "5", "--budget", "1000"]) == 2
+        assert main(["ball-volume", "--metric", "cc", "--tol", "1e-12"]) == 2
+        assert main(["cdc-table", "--tol", "1e-10"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestBumpSearch:
     def test_overflow_exits_3(self, capsys):
         assert main(["bump-search", "--group", "h200", "--budget", "10"]) == 3
         assert capsys.readouterr().err.startswith("numerical error: overflow")
+
+    @pytest.mark.parametrize("argv", [["--c2", "2"], ["--c1", "0.5"],
+                                      ["--group", "h1-htype", "--c2", "2.0000000001"]])
+    def test_dinf_not_a_distance_exits_2(self, capsys, argv):
+        # no diameter-2 certificate where d_inf fails the triangle inequality
+        assert main(["bump-search", "--budget", "1000"] + argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [["--c1", "2", "--c2", "2"],
+                                      ["--group", "h1-htype", "--c2", "2"]])
+    def test_dinf_boundary_coefficients_run(self, capsys, argv):
+        code, out = run_main(capsys, "bump-search", "--budget", "1000", *argv)
+        assert code == 0
+        assert json.loads(out)["result"]["diameter"] == {"kind": "exact", "value": 2.0}
 
 
 class TestSigma:
@@ -229,6 +289,17 @@ class TestSigma:
 
     def test_inconsistent_manual_exits_2(self, capsys):
         assert main(["sigma", "--c-lower", "3", "--c-upper", "2"]) == 2
+
+    @pytest.mark.parametrize("lower,upper", [("nan", "2"), ("inf", "inf"), ("1", "nan"),
+                                             ("nan", "nan")])
+    def test_bad_manual_bounds_exit_2(self, capsys, lower, upper):
+        assert main(["sigma", "--c-lower", lower, "--c-upper", upper]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", ["--c-lower", "--c-upper"])
+    def test_one_manual_bound_exits_2(self, capsys, flag):
+        assert main(["sigma", flag, "1.5", "--budget", "1000"]) == 2
+        assert "both --c-lower and --c-upper" in capsys.readouterr().err
 
     def test_gauge_needs_manual_bounds(self, capsys):
         assert main(["sigma", "--group", "h1-htype", "--metric", "gauge",
@@ -253,3 +324,23 @@ class TestDeterminism:
         env1 = dict(os.environ, CARNOT_ISO_THREADS="1")
         base = subprocess.run(cmd, capture_output=True, env=env1, check=True).stdout
         assert out == base
+
+
+def test_option_sets_pinned():
+    # every subcommand's options, so that a new knob is a visible decision
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    common = {"-h", "--help", "--group", "--output"}
+    metric = {"--metric", "--c1", "--c2"}
+    mc = {"--seed", "--budget"}
+    expected = {
+        "distance": common | metric | {"p", "q"},
+        "ball-volume": common | metric,
+        "cdc-table": {"-h", "--help", "--n-min", "--n-max", "--format", "--output"},
+        "verify": common | mc | {"counterexample"},
+        "bump-search": common | metric | mc,
+        "sigma": common | metric | mc | {"--c-lower", "--c-upper"},
+    }
+    got = {name: {s for a in p._actions for s in (a.option_strings or [a.dest])}
+           for name, p in sub.choices.items()}
+    assert got == expected

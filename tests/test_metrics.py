@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carnotiso as ci
-from carnotiso.metrics import (CCInversionConfig, ConvergenceError, MetricError,
-                               mu, mu_prime, solve_turning, unit_ball_volume)
+import carnotiso.metrics as metrics_mod
+from carnotiso.metrics import (ConvergenceError, MetricError, mu, mu_prime, solve_turning,
+                               unit_ball_volume)
 
 H1 = ci.heisenberg(1)
 H2 = ci.heisenberg(2)
@@ -59,27 +60,64 @@ class TestDinf:
             ci.DinfMetric(H1, c1=0.0)
 
 
+def dinf_witness(spec, c1, c2):
+    """(N(p), N(q), N(p.q)) for the sharpness pair of DinfMetric's docstring.
+
+    |z| = 1/c1, t = 1/c2^2 and z' = J z, oriented so that the twist or bracket
+    adds to t + t'. The norm is evaluated by hand, since DinfMetric refuses
+    the coefficients where the pair matters.
+    """
+    a = 1.0 / c1
+    zq = [0.0, -a] if spec.kind == "heisenberg" else [0.0, a]
+    p1, p2 = np.array([a, 0.0]), np.array([1.0 / c2**2])
+    q1, q2 = np.array(zq), np.array([1.0 / c2**2])
+
+    def norm(l1, l2):
+        return max(c1 * np.linalg.norm(l1), c2 * math.sqrt(np.linalg.norm(l2)))
+
+    return norm(p1, p2), norm(q1, q2), norm(*ci.groups.mul_arrays(spec, p1, p2, q1, q2))
+
+
 class TestDinfCoefficientValidator:
+    """DinfMetric accepts exactly the coefficients for which d_inf is a distance:
+    finite, positive, and c2 <= c1 on H^n, c2 <= 2 c1 on H-type groups."""
+
     def test_unit_coefficients_pass(self):
-        rep = ci.validate_dinf_coefficients(H1, 1.0, 1.0, sample_budget=10**5, seed=0)
-        assert rep.passed
-        assert rep.worst_violation <= 1e-12
+        m = ci.DinfMetric(H1, 1.0, 1.0)
+        assert (m.c1, m.c2) == (1.0, 1.0)
+        assert dinf_witness(H1, 1.0, 1.0) == (1.0, 1.0, 2.0)
 
     def test_c2_ten_fails(self):
-        rep = ci.validate_dinf_coefficients(H1, 1.0, 10.0, sample_budget=10**4, seed=0)
-        assert not rep.passed
-        assert rep.witness is not None
-        # re-check the witness directly
-        m = ci.DinfMetric(H1, 1.0, 10.0)
-        a1, a2, b1, b2 = rep.witness
-        from carnotiso import groups
-        p1, p2 = groups.mul_arrays(H1, a1, a2, b1, b2)
-        viol = m.norm_arrays(p1, p2) - m.norm_arrays(a1, a2) - m.norm_arrays(b1, b2)
-        assert viol == pytest.approx(rep.worst_violation)
+        with pytest.raises(MetricError, match="c2 <= c1"):
+            ci.DinfMetric(H1, 1.0, 10.0)
+        np_, nq, npq = dinf_witness(H1, 1.0, 10.0)
+        assert npq > np_ + nq
 
     def test_zero_pair(self):
         m = ci.DinfMetric(H1)
         assert m.norm(ci.identity(H1)) == 0.0
+
+    @pytest.mark.parametrize("spec,ratio,over,witness", [
+        (H1, 1.0, 1.0001, 2.0001), (HT, 2.0, 2.01, 2.005)], ids=["h1", "h1-htype"])
+    def test_boundary_is_sharp(self, spec, ratio, over, witness):
+        for c1 in (0.25, 1.0, 3.0):
+            ci.DinfMetric(spec, c1, ratio * c1)
+            assert dinf_witness(spec, c1, ratio * c1)[2] == pytest.approx(2.0, rel=1e-15)
+            with pytest.raises(MetricError):
+                ci.DinfMetric(spec, c1, np.nextafter(ratio * c1, np.inf))
+        # just over the boundary the witness pair is farther apart than 2
+        with pytest.raises(MetricError):
+            ci.DinfMetric(spec, 1.0, over)
+        assert dinf_witness(spec, 1.0, over) == (1.0, 1.0, pytest.approx(witness, rel=1e-5))
+        assert dinf_witness(spec, 1.0, over)[2] > 2.0
+
+    @pytest.mark.parametrize("spec", [H1, HT], ids=["h1", "h1-htype"])
+    @pytest.mark.parametrize("c1,c2", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1e308, math.inf),
+        (0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
+    def test_non_finite_or_non_positive_rejected(self, spec, c1, c2):
+        with pytest.raises(MetricError, match="finite c1, c2 > 0"):
+            ci.DinfMetric(spec, c1, c2)
 
 
 class TestGauge:
@@ -161,7 +199,6 @@ class TestTurningProfile:
     def test_solver_mu_calls(self, monkeypatch):
         # the closed-form start leaves a few steps per solve; the old fixed
         # 30-step bisection alone called mu 30 times
-        import carnotiso.metrics as metrics_mod
         calls = []
         real_mu = metrics_mod.mu
 
@@ -179,16 +216,17 @@ class TestTurningProfile:
         assert len(calls) <= 12
         assert np.max(np.abs(real_mu(phi) - ratio) / np.maximum(1.0, ratio)) < 1e-9
 
-    def test_solver_nonconvergence(self):
+    def test_solver_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "TURNING_ROOT_TOL", 1e-300)
+        monkeypatch.setattr(metrics_mod, "TURNING_MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError) as info:
-            solve_turning(np.array([1.0]), CCInversionConfig(root_tolerance=1e-300,
-                                                             max_iterations=1))
+            solve_turning(np.array([1.0]))
         assert list(info.value.indices) == [0]
         # ratio 0 starts on its root and converges in one step; the others
         # cannot meet a tolerance of 1e-300 in one step
         ratio = np.array([0.0, 1.0, 0.0, 3.0, 0.0])
         with pytest.raises(ConvergenceError) as info:
-            solve_turning(ratio, CCInversionConfig(root_tolerance=1e-300, max_iterations=1))
+            solve_turning(ratio)
         err = info.value
         assert list(err.indices) == [1, 3]
         assert err.residuals.shape == (2,) and np.all(err.residuals > 0)
@@ -222,14 +260,15 @@ class TestCC:
         z, t = sphere_point_arrays(1, chi, phi, r)
         assert np.max(np.abs(CC.norm_arrays(z, t) - r)) < 1e-8
 
-    def test_nonconvergence_names_points(self):
+    def test_nonconvergence_names_points(self, monkeypatch):
         # center points skip the solve, so the solver's indices are mapped
         # back to positions among the points
-        cc = ci.CCMetric(H1, CCInversionConfig(root_tolerance=1e-300, max_iterations=1))
+        monkeypatch.setattr(metrics_mod, "TURNING_ROOT_TOL", 1e-300)
+        monkeypatch.setattr(metrics_mod, "TURNING_MAX_ITERATIONS", 1)
         z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
         t = np.array([[0.3], [0.2], [0.1], [0.0]])
         with pytest.raises(ConvergenceError) as info:
-            cc.norm_arrays(z, t)
+            CC.norm_arrays(z, t)
         assert list(info.value.indices) == [1]
 
     def test_negative_t_symmetry(self):
@@ -315,13 +354,39 @@ def test_dinf_triangle_hypothesis(z1, t1, z2, t2, z3, t3):
     assert DINF.dist(p, r) <= DINF.dist(p, q) + DINF.dist(q, r) + 1e-9
 
 
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1.0),
+       st.sampled_from(["h1", "h1-htype"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_dinf_triangle_any_accepted_coefficients(c1, frac, group, seed):
+    spec = H1 if group == "h1" else HT
+    c2 = frac * (c1 if group == "h1" else 2.0 * c1)
+    metric = ci.DinfMetric(spec, c1, c2)
+    # clouds at the scale of the unit ball, |z| ~ 1/c1 and |t| ~ 1/c2^2
+    (a1, a2), (b1, b2), (e1, e2) = (random_cloud(spec, 2000, seed + i, scale=1.5)
+                                    for i in range(3))
+    a1, b1, e1 = a1 / c1, b1 / c1, e1 / c1
+    a2, b2, e2 = a2 / c2**2, b2 / c2**2, e2 / c2**2
+    ae = metric.dist_arrays(a1, a2, e1, e2)
+    ab = metric.dist_arrays(a1, a2, b1, b2)
+    be = metric.dist_arrays(b1, b2, e1, e2)
+    assert np.all(ae <= (ab + be) * (1.0 + 1e-12))
+
+
 def test_make_metric_from_json():
     from carnotiso.metrics import make_metric
     assert isinstance(make_metric(H1, {"metric": "dinf", "c1": 2.0}), ci.DinfMetric)
     assert isinstance(make_metric(HT, {"metric": "gauge"}), ci.GaugeMetric)
     assert isinstance(make_metric(H1, {"metric": "cc"}), ci.CCMetric)
+    assert isinstance(make_metric(H1, {"metric": "cc", "c1": None, "c2": None}), ci.CCMetric)
+    dinf = make_metric(H1, {"metric": "dinf", "c1": None, "c2": None})
+    assert dinf.describe() == {"metric": "dinf", "c1": 1.0, "c2": 1.0}
     with pytest.raises(MetricError):
         make_metric(H1, {"metric": "euclid"})
+    for kind in ("gauge", "cc"):
+        with pytest.raises(MetricError, match="d_inf coefficients"):
+            make_metric(H1, {"metric": kind, "c1": 1.0})
+        with pytest.raises(MetricError, match="d_inf coefficients"):
+            make_metric(H1, {"metric": kind, "c2": 0.0})
 
 
 def test_unit_ball_volumes():
