@@ -124,13 +124,11 @@ def cmd_verify(args) -> int:
     if args.counterexample == "cc":
         report = geodesics.verify_assumption_C(spec, sample_budget=args.budget,
                                                seed=args.seed)
-        doc = {"counterexample": "cc", "report": report.to_dict(),
-               "budget": args.budget, "seed": args.seed}
     else:
         metric = metrics.make_metric(spec, {"metric": args.counterexample})
-        rep = isodiametric.apex_reach(metric, budget=args.budget, seed=args.seed)
-        doc = {"counterexample": args.counterexample, "report": rep.to_dict(),
-               "budget": args.budget, "seed": args.seed}
+        report = isodiametric.apex_reach(metric, budget=args.budget, seed=args.seed)
+    doc = {"counterexample": args.counterexample, "report": report.to_dict(),
+           "budget": args.budget, "seed": args.seed}
     emit(args, dump_json(doc))
     return EXIT_OK
 

@@ -134,8 +134,12 @@ class CutPointReport:
 
 
 def _cut_ball_samples(spec: GroupSpec, x: GroupPoint, rng, count: int):
-    """count points of the closed CC ball B(x, 1): half on its sphere, half inside."""
+    """count points of the closed CC ball B(x, 1): half on its sphere, half inside.
+
+    x is central, like the cut point, so translating by it is t -> t + x2.
+    """
     n, d1 = spec.n, spec.dim1
+    sampling.check_chunk(count, d1 + spec.dim2)
     m_sphere = count // 2
     m_inner = count - m_sphere
     chi = rng.standard_normal((m_sphere, d1))
@@ -150,8 +154,7 @@ def _cut_ball_samples(spec: GroupSpec, x: GroupPoint, rng, count: int):
     z_i, t_i = sphere_point_arrays(n, chi2, phi2, u)
     z = np.vstack([z_s, z_i])
     t = np.vstack([t_s, t_i])
-    # translate the ball to its center x
-    return groups.mul_arrays(spec, x.layer1, x.layer2, z, t)
+    return z, t + x.layer2
 
 
 def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,

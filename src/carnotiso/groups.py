@@ -81,18 +81,30 @@ class GroupSpec:
     @staticmethod
     def from_json(text: str) -> "GroupSpec":
         doc = json.loads(text)
-        try:
-            if doc.get("kind") == "heisenberg":
-                return heisenberg(int(doc["n"]))
-            if doc.get("kind") == "htype":
-                m, k = int(doc["m"]), int(doc["k"])
-                J = np.array([np.asarray(row, dtype=float).reshape(m, m)
-                              for row in doc["J"]])
-                if J.shape != (k, m, m):
-                    raise GroupError("J matrices inconsistent with m, k")
-                return h_type(J)
-        except KeyError as exc:
-            raise GroupError(f"group spec lacks the field {exc}") from exc
+        if not isinstance(doc, dict):
+            raise GroupError(f"group spec must be a JSON object, not {type(doc).__name__}")
+
+        def entry(name, kind=int):
+            if name not in doc:
+                raise GroupError(f"group spec lacks the field {name!r}")
+            v = doc[name]
+            if kind is int and isinstance(v, float) and v.is_integer():
+                v = int(v)
+            if type(v) is not kind:  # refuses bool for int
+                raise GroupError(f"group spec field {name!r} must be {kind.__name__}, not {v!r}")
+            return v
+
+        if doc.get("kind") == "heisenberg":
+            return heisenberg(entry("n"))
+        if doc.get("kind") == "htype":
+            m, k, rows = entry("m"), entry("k"), entry("J", list)
+            try:
+                J = np.array([np.asarray(row, dtype=float).reshape(m, m) for row in rows])
+            except TypeError as exc:  # a row entry that is not a number
+                raise GroupError(f"J rows must be lists of m * m = {m * m} numbers") from exc
+            if J.shape != (k, m, m):
+                raise GroupError("J matrices inconsistent with m, k")
+            return h_type(J)
         raise GroupError(f"unknown group kind in JSON: {doc.get('kind')!r}")
 
 
@@ -125,10 +137,6 @@ class GroupPoint:
             raise GroupError("point coordinates must be finite")
 
     @property
-    def z(self) -> np.ndarray:
-        return self.layer1
-
-    @property
     def t(self) -> float:
         return float(self.layer2[0])
 
@@ -156,13 +164,6 @@ def _check_dims(spec: GroupSpec, p: GroupPoint):
 # vectorized kernels: layer arrays have shape (..., dim1) and (..., dim2)
 # ---------------------------------------------------------------------------
 
-def heis_twist(n: int, z: np.ndarray, zp: np.ndarray) -> np.ndarray:
-    """2 * sum_j (x_{n+j} x'_j - x_j x'_{n+j}), broadcast over leading axes."""
-    x, y = z[..., :n], z[..., n:]
-    xp, yp = zp[..., :n], zp[..., n:]
-    return 2.0 * (np.sum(y * xp, axis=-1) - np.sum(x * yp, axis=-1))
-
-
 def mul_arrays(spec: GroupSpec, a1, a2, b1, b2):
     """Group product on coordinate arrays; returns (layer1, layer2)."""
     a1 = np.asarray(a1, dtype=float)
@@ -170,7 +171,10 @@ def mul_arrays(spec: GroupSpec, a1, a2, b1, b2):
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     if spec.kind == "heisenberg":
-        tw = heis_twist(spec.n, a1, b1)
+        # t'' = t + t' + 2 sum_j (y_j x'_j - x_j y'_j) for z = [x, y], z' = [x', y']
+        n = spec.n
+        tw = 2.0 * (np.sum(a1[..., n:] * b1[..., :n], axis=-1)
+                    - np.sum(a1[..., :n] * b1[..., n:], axis=-1))
         return a1 + b1, a2 + b2 + tw[..., None]
     # htype: Z'' = Z + Z' + 1/2 <J_i X, X'>
     bx = 0.5 * np.einsum("imj,...j,...m->...i", spec.J, a1, b1)

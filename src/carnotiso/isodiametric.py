@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geodesics, groups, measures, sampling
+from . import geodesics, measures, sampling
 from .groups import GroupError, GroupPoint
 from .measures import EstimateWithError, SampledSet
 from .metrics import CCMetric, DinfMetric, GaugeMetric, MetricError, alpha, unit_ball_volume
@@ -128,28 +128,28 @@ def _apex_and_bound(metric):
         l2[0] = 1.0 / metric.layer2_scale  # on the unit sphere: |Z| = 1/scale
         return GroupPoint(np.zeros(spec.dim1), l2), APEX_REACH
     if isinstance(metric, CCMetric):
-        # inverse of the unit cut point: the ball of the cut-locus theorem,
-        # translated so its center is the identity
-        x = geodesics.cut_point(spec, 1.0)
-        return groups.inv(spec, x), APEX_REACH
+        # inverse of the unit cut point [0, 1/pi]: the ball of the cut-locus
+        # theorem, translated so its center is the identity
+        return GroupPoint(np.zeros(spec.dim1), np.array([-1.0 / math.pi])), APEX_REACH
     raise MetricError(f"no apex construction for {type(metric).__name__}")
 
 
 def _sample_ball_sup(metric, apex: GroupPoint, budget: int, seed: int) -> float:
-    """Sampled sup of d(apex, y) over the closed unit ball by box rejection (d_inf, gauge)."""
-    lo1, hi1, lo2, hi2 = metric.unit_ball_bbox()
-    lo = np.concatenate([lo1, lo2])
-    hi = np.concatenate([hi1, hi2])
-    d1 = len(lo1)
+    """Sampled sup of d(apex, y) over the closed unit ball by box rejection (d_inf, gauge).
+
+    The apex is central, so d(apex, y) = N(y1, y2 - apex2): a layer-2 shift.
+    """
+    ball = measures.ball_set(metric)
+    box = ball.bounding_box
+    d1 = len(box.lo1)
 
     def chunk(rng, count):
-        pts = sampling.uniform_box(rng, count, lo, hi)
+        pts = sampling.uniform_box(rng, count, box.lo, box.hi)
         l1, l2 = pts[:, :d1], pts[:, d1:]
-        inside = metric.norm_arrays(l1, l2) <= 1.0
+        inside = ball.membership(l1, l2)
         if not np.any(inside):
             return 0.0
-        d = metric.dist_arrays(apex.layer1, apex.layer2, l1[inside], l2[inside])
-        return float(np.max(d))
+        return float(np.max(metric.norm_arrays(l1[inside], l2[inside] - apex.layer2)))
 
     return max(sampling.map_chunks(seed, budget, chunk))
 

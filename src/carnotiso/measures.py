@@ -80,34 +80,23 @@ class SampledSet:
 
 
 def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> SampledSet:
-    """The closed metric ball as a SampledSet."""
-    spec = metric.spec
-    lo1, hi1, lo2, hi2 = metric.unit_ball_bbox()
-    box = BoundingBox(radius * lo1, radius * hi1,
-                      radius * radius * lo2, radius * radius * hi2)
-    if center is not None:
-        # translation by a center with nonzero layer-1 shears the t-range;
-        # widen the layer-2 box by the worst twist over the layer-1 box
-        if spec.kind == "heisenberg":
-            worst = 2.0 * np.linalg.norm(center.layer1) * np.linalg.norm(
-                np.maximum(np.abs(box.lo1), np.abs(box.hi1)))
-        else:
-            jnorm = max(np.linalg.norm(Ji, 2) for Ji in spec.J)
-            worst = 0.5 * jnorm * np.linalg.norm(center.layer1) * np.linalg.norm(
-                np.maximum(np.abs(box.lo1), np.abs(box.hi1)))
-        box = BoundingBox(box.lo1 + center.layer1, box.hi1 + center.layer1,
-                          box.lo2 + center.layer2 - worst,
-                          box.hi2 + center.layer2 + worst)
+    """The closed metric ball B(center, radius) as a SampledSet; center must be central.
 
-    c1 = None if center is None else center.layer1
-    c2 = None if center is None else center.layer2
+    A central center c = [0, c2] translates by a layer-2 shift only, so
+    d(c, y) = N(y1, y2 - c2) and the box is the dilated unit box shifted by c2.
+    """
+    c = groups.identity(metric.spec) if center is None else center
+    groups._check_dims(metric.spec, c)  # GroupError, not a broadcast layer-2 shift
+    if np.any(c.layer1 != 0):
+        raise ValueError(f"ball center {c} is not central: its layer 1 is not zero")
+    lo1, hi1, lo2, hi2 = metric.unit_ball_bbox()
+    r2 = radius * radius
+    box = BoundingBox(radius * lo1, radius * hi1, r2 * lo2 + c.layer2, r2 * hi2 + c.layer2)
 
     def member(l1, l2):
-        if c1 is None:
-            return metric.norm_arrays(l1, l2) <= radius
-        return metric.dist_arrays(c1, c2, l1, l2) <= radius
+        return metric.norm_arrays(l1, l2 - c.layer2) <= radius
 
-    return SampledSet(member, box, spec, diameter_hint=2.0 * radius)
+    return SampledSet(member, box, metric.spec, diameter_hint=2.0 * radius)
 
 
 # ---------------------------------------------------------------------------

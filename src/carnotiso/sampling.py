@@ -19,6 +19,7 @@ CHUNK_SIZE = 1 << 19
 # take 1.8 GiB before doing any work.
 MAX_BUDGET = 1 << 36
 THREADS_ENV = "CARNOT_ISO_THREADS"
+MAX_CHUNK_FLOATS = 1 << 25  # 256 MiB of float64 in one draw: CHUNK_SIZE points of width 64
 
 
 def substream(seed: int, chunk: int) -> np.random.Generator:
@@ -47,12 +48,7 @@ def map_chunks(seed: int, budget: int, fn):
         raise ValueError("sample budget must be >= 1")
     if budget > MAX_BUDGET:
         raise ValueError(f"sample budget {budget} exceeds the ceiling {MAX_BUDGET} (2^36)")
-    sizes = []
-    left = budget
-    while left > 0:
-        take = min(CHUNK_SIZE, left)
-        sizes.append(take)
-        left -= take
+    sizes = [min(CHUNK_SIZE, budget - start) for start in range(0, budget, CHUNK_SIZE)]
 
     def run(args):
         idx, count = args
@@ -66,6 +62,14 @@ def map_chunks(seed: int, budget: int, fn):
         return list(pool.map(run, jobs))
 
 
+def check_chunk(count: int, width: int):
+    """ValueError, before any array is made, if count x width floats exceed MAX_CHUNK_FLOATS."""
+    if count * width > MAX_CHUNK_FLOATS:
+        raise ValueError(f"a sampling chunk of {count} points x {width} coordinates exceeds "
+                         f"the limit of {MAX_CHUNK_FLOATS} floats; lower the budget")
+
+
 def uniform_box(rng: np.random.Generator, count: int, lo: np.ndarray, hi: np.ndarray):
     """count uniform draws in the box [lo, hi], shape (count, len(lo))."""
+    check_chunk(count, len(lo))
     return rng.uniform(lo, hi, size=(count, len(lo)))

@@ -59,6 +59,34 @@ class TestParsers:
         err = capsys.readouterr().err
         assert err.startswith("error: group spec lacks the field 'n'") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "group spec must be a JSON object, not list"),
+        ('{"kind": "heisenberg", "n": null}', "group spec field 'n' must be int, not None"),
+        ('{"kind": "heisenberg", "n": 1.7}', "group spec field 'n' must be int, not 1.7"),
+        ('{"kind": "heisenberg", "n": true}', "group spec field 'n' must be int, not True"),
+        ('{"kind": "heisenberg", "n": "2"}', "group spec field 'n' must be int, not '2'"),
+        ('{"kind": "htype", "m": 2.5, "k": 1, "J": [[0, -1, 1, 0]]}', "group spec field 'm'"),
+        ('{"kind": "htype", "m": 2, "k": false, "J": [[0, -1, 1, 0]]}', "group spec field 'k'"),
+        ('{"kind": "htype", "m": 2, "k": 1, "J": "0,-1,1,0"}',
+         "group spec field 'J' must be list"),
+        ('{"kind": "htype", "m": 2, "k": 1, "J": [[{}, -1, 1, 0]]}', "J rows must be lists"),
+    ], ids=["list", "n-null", "n-fraction", "n-bool", "n-string", "m-fraction", "k-bool",
+            "J-string", "J-object"])
+    def test_malformed_group_file_exits_2(self, capsys, tmp_path, text, message):
+        f = tmp_path / "spec.json"
+        f.write_text(text)
+        assert main(["ball-volume", "--group", "@" + str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+
+    def test_group_file_whole_float_and_htype(self, tmp_path):
+        f = tmp_path / "spec.json"
+        f.write_text('{"kind": "heisenberg", "n": 2.0}')
+        assert parse_group("@" + str(f)).Q == 6
+        f.write_text(parse_group("h1-htype").to_json())
+        spec = parse_group("@" + str(f))
+        assert spec.kind == "htype" and spec.Q == 4
+
     def test_points(self):
         p = parse_point(ci.heisenberg(1), "[1,2;3]")
         assert list(p.layer1) == [1, 2] and p.t == 3
@@ -251,6 +279,13 @@ class TestVerify:
         assert main(["verify", "dinf", "--budget", str(budget)]) == 2
         assert "ceiling" in capsys.readouterr().err
 
+    def test_large_group_small_budget_runs(self, capsys):
+        # the limit is on the chunk actually drawn: 1000 points x 81 coordinates
+        for counterexample in ("dinf", "cc"):
+            code, out = run_main(capsys, "verify", counterexample, "--group", "h40",
+                                 "--budget", "1000")
+            assert code == 0 and json.loads(out)["budget"] == 1000
+
     def test_tol_rejected(self, capsys):
         # no subcommand has a tolerance: the CC volume rule is fixed
         assert main(["verify", "dinf", "--tol", "5", "--budget", "1000"]) == 2
@@ -258,6 +293,41 @@ class TestVerify:
         assert main(["ball-volume", "--metric", "cc", "--tol", "1e-12"]) == 2
         assert main(["cdc-table", "--tol", "1e-10"]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestChunkLimit:
+    """One chunk's draw is refused above sampling.MAX_CHUNK_FLOATS, before it is made."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "dinf"], ["verify", "gauge"], ["verify", "cc"], ["bump-search"],
+        ["bump-search", "--metric", "gauge"], ["bump-search", "--metric", "cc"], ["sigma"],
+    ], ids=["verify-dinf", "verify-gauge", "verify-cc", "bump-dinf", "bump-gauge", "bump-cc",
+            "sigma"])
+    def test_over_limit_exits_2_before_drawing(self, capsys, monkeypatch, argv):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} used before the chunk check")
+
+        # 1000 points of H^2 are 5000 floats, one over the patched limit
+        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 4999)
+        monkeypatch.setattr(sampling, "substream", lambda seed, chunk: NoDraws())
+        assert main([*argv, "--group", "h2", "--budget", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sampling chunk of 1000 points x 5 coordinates exceeds")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("counterexample", ["dinf", "cc"])
+    def test_at_limit_runs(self, capsys, monkeypatch, counterexample):
+        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 5000)
+        code, _ = run_main(capsys, "verify", counterexample, "--group", "h2", "--budget", "1000")
+        assert code == 0
+
+    def test_default_chunk_width(self):
+        # a full chunk of CHUNK_SIZE points may have 64 coordinates (H^31 and
+        # below); verify dinf on H^400 would draw 801, about 3.4 GB
+        sampling.check_chunk(sampling.CHUNK_SIZE, 64)
+        with pytest.raises(ValueError, match="lower the budget"):
+            sampling.check_chunk(sampling.CHUNK_SIZE, 801)
 
 
 class TestBumpSearch:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import carnotiso as ci
-from carnotiso.geodesics import GeodesicParams, sphere_point_arrays
-from carnotiso.groups import GroupError
+from carnotiso.geodesics import GeodesicParams, _cut_ball_samples, sphere_point_arrays
+from carnotiso.groups import GroupError, mul_arrays
+from carnotiso.sampling import substream
 
 H1 = ci.heisenberg(1)
 H2 = ci.heisenberg(2)
@@ -155,6 +156,18 @@ class TestAssumptionC:
         a = ci.verify_assumption_C(H1, sample_budget=50000, seed=7)
         b = ci.verify_assumption_C(H1, sample_budget=50000, seed=7)
         assert a.sampled_max_roundtrip == b.sampled_max_roundtrip
+
+    @pytest.mark.parametrize("spec", [H1, H2], ids=["h1", "h2"])
+    def test_cut_ball_shift_is_the_group_law_bit_for_bit(self, spec):
+        # the cut point is central, so B(x, 1) is B(0, 1) shifted in t
+        x = ci.cut_point(spec, 1.0)
+        z0, t0 = _cut_ball_samples(spec, ci.identity(spec), substream(3, 0), 20001)
+        z, t = _cut_ball_samples(spec, x, substream(3, 0), 20001)
+        ref_z, ref_t = mul_arrays(spec, x.layer1, x.layer2, z0, t0)
+        # equal up to the sign of zeros, which no norm sees
+        assert np.array_equal(z, ref_z) and np.array_equal(t, ref_t)
+        metric = ci.CCMetric(spec)
+        assert np.array_equal(metric.norm_arrays(z, t), metric.norm_arrays(ref_z, ref_t))
 
     def test_json_roundtrip(self):
         import json

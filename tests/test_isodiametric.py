@@ -46,7 +46,7 @@ class TestRatio:
         assert abs(res.ratio.value - 1.0) < 3.5 * res.ratio.error
 
     def test_translated_ball_scores_one(self):
-        center = ci.point([0.4, -0.2], [0.3])
+        center = ci.point([0, 0], [0.3])
         res = ci.isodiametric_ratio(ci.ball_set(DINF, center=center), DINF,
                                     300000, seed=2)
         assert abs(res.ratio.value - 1.0) < 3.5 * res.ratio.error
@@ -120,6 +120,35 @@ class TestApexReach:
         assert doc["certified_reach"] == rep.reach
         assert "analytic_bound" not in doc
         assert doc["samples"] == 10000
+
+
+class TestApex:
+    @pytest.mark.parametrize("metric", [DINF, GAUGE, CC, ci.DinfMetric(ci.heisenberg(2)),
+                                        ci.GaugeMetric(ci.heisenberg(2)),
+                                        ci.CCMetric(ci.heisenberg(2))],
+                             ids=["dinf", "gauge", "cc", "dinf-h2", "gauge-h2", "cc-h2"])
+    def test_layer1_has_no_sign_bit(self, metric):
+        # every apex is central, with a plain +0.0 layer 1 in the reports
+        apex, _ = isodiametric._apex_and_bound(metric)
+        assert not np.any(np.signbit(apex.layer1))
+        assert np.all(apex.layer1 == 0)
+
+    def test_cc_apex_is_inverse_cut_point(self):
+        apex, _ = isodiametric._apex_and_bound(CC)
+        assert apex.layer2.tolist() == [-ci.cut_point(H1, 1.0).t] == [-1 / math.pi]
+
+    def test_evidence_path_needs_no_group_law(self, monkeypatch):
+        # translations by the central apex are layer-2 shifts; the general
+        # group law stays with dist_arrays
+        def refuse(*args):
+            raise AssertionError("groups.mul_arrays called")
+
+        monkeypatch.setattr(ci.groups, "mul_arrays", refuse)
+        for metric in (DINF, GAUGE, CC):
+            assert ci.maximize_bump(metric, budget=4000, seed=1).ratio.value >= 1.0
+            assert ci.apex_reach(metric, budget=4000, seed=1).sampled_sup <= SQRT2 + 1e-9
+        with pytest.raises(AssertionError, match="mul_arrays"):
+            DINF.dist(ci.point([0, 0], [0]), ci.point([1, 0], [0]))
 
 
 class TestBump:

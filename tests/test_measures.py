@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -184,15 +185,70 @@ class TestMapChunks:
         assert calls == [sampling.CHUNK_SIZE]
 
 
+def quaternionic():
+    """H-type group with m = 4, k = 3 from the quaternion units i, j, k."""
+    li = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], float)
+    lj = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], float)
+    lk = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], float)
+    return ci.h_type(np.stack([li, lj, lk]))
+
+
+K3 = quaternionic()
+SHIFT_METRICS = {
+    "dinf-h1": DINF, "dinf-h2": ci.DinfMetric(H2), "dinf-h1-htype": ci.DinfMetric(HT),
+    "dinf-k3": ci.DinfMetric(K3),
+    "gauge-h1": ci.GaugeMetric(H1), "gauge-h2": ci.GaugeMetric(H2), "gauge-h1-htype": GAUGE,
+    "gauge-k3": ci.GaugeMetric(K3),
+    "cc-h1": CC, "cc-h2": ci.CCMetric(H2),
+}
+
+
 class TestBallSet:
     def test_translated_ball_measure_matches(self):
-        center = ci.point([0.5, -0.3], [0.7])
+        center = ci.point([0, 0], [0.7])
         moved = ci.ball_set(DINF, center=center, radius=0.8)
         base = ci.ball_set(DINF, radius=0.8)
         a = ci.mc_measure(moved, 300000, seed=2)
         b = ci.mc_measure(base, 300000, seed=2)
         # Haar measure is left invariant
         assert abs(a.value - b.value) < 3.5 * math.hypot(a.error, b.error)
+
+    def test_non_central_center_refused(self):
+        for layer1 in ([0.5, -0.3], [0.0, 1e-300]):
+            with pytest.raises(ValueError, match="not central"):
+                ci.ball_set(DINF, center=ci.point(layer1, [0.7]), radius=0.8)
+        # so is one of the wrong dimensions, which would broadcast the shift
+        for layer1, layer2 in (([0.0, 0.0], [0.7, 0.1]), ([0.0, 0.0, 0.0], [0.7])):
+            with pytest.raises(ci.GroupError, match="do not match"):
+                ci.ball_set(DINF, center=ci.point(layer1, layer2))
+        # a negative zero is zero
+        neg = ci.ball_set(DINF, center=ci.point([-0.0, -0.0], [0.7]), radius=0.8)
+        pos = ci.ball_set(DINF, center=ci.point([0.0, 0.0], [0.7]), radius=0.8)
+        assert np.array_equal(neg.bounding_box.lo, pos.bounding_box.lo)
+        assert np.array_equal(neg.bounding_box.hi, pos.bounding_box.hi)
+
+    @pytest.mark.parametrize("rho", [0.3, 2 - math.sqrt(2), 1.0], ids=["0.3", "2-sqrt2", "1"])
+    @pytest.mark.parametrize("name", sorted(SHIFT_METRICS))
+    def test_central_shift_is_the_group_law_bit_for_bit(self, name, rho):
+        # d(c, y) = N(y1, y2 - c2) for central c; dist_arrays, which runs the
+        # group law, is the reference
+        metric = SHIFT_METRICS[name]
+        spec = metric.spec
+        rng = np.random.default_rng(zlib.crc32(f"{name} {rho}".encode()))
+        c1, c2 = np.zeros(spec.dim1), rng.uniform(-2, 2, spec.dim2)
+        ball = ci.ball_set(metric, center=ci.point(c1, c2), radius=rho)
+        box = ball.bounding_box
+        mid, half = 0.5 * (box.lo + box.hi), 0.75 * (box.hi - box.lo)
+        pts = rng.uniform(mid - half, mid + half, (100000, len(box.lo)))
+        l1, l2 = pts[:, :spec.dim1], pts[:, spec.dim1:]
+        ref = metric.dist_arrays(c1, c2, l1, l2)
+        assert np.array_equal(metric.norm_arrays(l1, l2 - c2), ref)
+        mask = ball.membership(l1, l2)
+        assert np.array_equal(mask, ref <= rho)
+        assert 0 < np.count_nonzero(mask) < len(mask)
+        # the box holds the ball: no member of the wider draw lies outside it
+        inside_box = np.all((pts >= box.lo) & (pts <= box.hi), axis=1)
+        assert not np.any(mask & ~inside_box)
 
     def test_dilated_ball_scaling(self):
         lam = 1.7
