@@ -18,7 +18,7 @@ import numpy as np
 
 from . import groups, sampling
 from .groups import GroupError, GroupPoint, GroupSpec
-from .metrics import CCMetric
+from .metrics import CCMetric, _phi_over_sin, mu
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,8 @@ def _sin_over(phi):
 
 
 def _height_profile(phi):
-    """(2 phi - sin 2 phi) / (2 phi^2), extended by (2/3) phi at 0."""
-    phi = np.asarray(phi, dtype=float)
-    small = np.abs(phi) < 1e-4
-    p = np.where(small, 1.0, phi)
-    main = (2.0 * p - np.sin(2.0 * p)) / (2.0 * p * p)
-    series = (2.0 / 3.0) * phi * (1.0 - 0.2 * phi * phi)
-    return np.where(small, series, main)
+    """(2 phi - sin 2 phi) / (2 phi^2) = mu(phi) (sin phi / phi)^2, 0 at phi = 0."""
+    return mu(phi) / _phi_over_sin(phi) ** 2
 
 
 def sphere_point_arrays(n: int, chi: np.ndarray, phi, r):

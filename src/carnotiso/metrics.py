@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,46 +51,47 @@ class QuadratureError(RuntimeError):
 # identity to [z, t].
 # ---------------------------------------------------------------------------
 
-_MU_SERIES_CUT = 1e-4
+# 2 phi - sin 2 phi cancels near 0, so below the cut mu is the series
+# phi sum_k c_k phi^(2k), whose next term is 1.4e-17 relative at the cut
+_MU_SERIES_CUT = 0.25
+_MU_SERIES_Q = tuple(Fraction(*c) for c in (
+    (2, 3), (4, 45), (4, 315), (8, 4725), (4, 18711), (5528, 212837625),
+    (8, 2606175), (57872, 162820783125)))
+_MU_SERIES = tuple(map(float, _MU_SERIES_Q))
+_MU_PRIME_SERIES = tuple(float((2 * k + 1) * c) for k, c in enumerate(_MU_SERIES_Q))
+
+
+def _profile(phi, main, coefs, odd):
+    """main(phi), but phi^odd sum_k coefs[k] phi^(2k) below the series cut."""
+    phi = np.asarray(phi, dtype=float)
+    small = np.abs(phi) < _MU_SERIES_CUT
+    if not small.any():
+        return main(phi)
+    out = np.asarray(main(np.where(small, 1.0, phi)))
+    p = phi[small]
+    u, acc = p * p, 0.0
+    for c in reversed(coefs):
+        acc = acc * u + c
+    out[small] = p * acc if odd else acc
+    return out
 
 
 def mu(phi):
     """Monotone profile (2 phi - sin 2 phi) / (2 sin^2 phi) on [0, pi)."""
-    phi = np.asarray(phi, dtype=float)
-    small = np.abs(phi) < _MU_SERIES_CUT
-    any_small = small.any()
-    phi_safe = np.where(small, 1.0, phi) if any_small else phi
-    two_phi = 2.0 * phi_safe
-    s = np.sin(phi_safe)
-    main = (two_phi - np.sin(two_phi)) / (2.0 * s * s)
-    if not any_small:
-        return main
-    # 2 phi - sin 2 phi cancels to O(phi^3) near 0; switch to the series
-    # mu = (2/3) phi (1 + (2/15) phi^2 + ...)
-    series = (2.0 / 3.0) * phi * (1.0 + (2.0 / 15.0) * phi * phi)
-    return np.where(small, series, main)
+    return _profile(phi, lambda p: (2.0 * p - np.sin(2.0 * p)) / (2.0 * np.sin(p) ** 2),
+                    _MU_SERIES, odd=True)
 
 
 def mu_prime(phi):
     """d mu / d phi = 2 - (2 phi - sin 2 phi) cos phi / sin^3 phi."""
-    phi = np.asarray(phi, dtype=float)
-    small = np.abs(phi) < _MU_SERIES_CUT
-    any_small = small.any()
-    phi_safe = np.where(small, 1.0, phi) if any_small else phi
-    two_phi = 2.0 * phi_safe
-    s = np.sin(phi_safe)
-    main = 2.0 - (two_phi - np.sin(two_phi)) * np.cos(phi_safe) / s**3
-    if not any_small:
-        return main
-    series = (2.0 / 3.0) * (1.0 + (2.0 / 5.0) * phi * phi)
-    return np.where(small, series, main)
+    return _profile(phi, lambda p: 2.0 - (2.0 * p - np.sin(2.0 * p)) * np.cos(p) / np.sin(p) ** 3,
+                    _MU_PRIME_SERIES, odd=False)
 
 
 # upper end of the search bracket, just below the cut angle pi
 _PHI_MAX = np.pi * (1.0 - 1e-14)
-# solve_turning's step tolerance, relative to max(1, phi), and iteration cap
+# solve_turning's bound on its last step, relative to max(1, phi)
 TURNING_ROOT_TOL = 1e-12
-TURNING_MAX_ITERATIONS = 200
 
 # starting guess phi = pi (1 - P(r)^(-1/2)) with the rational function
 # P(r) = (1 + a1 r + a2 r^2 + a3 r^3 + a4 r^4) / (1 + b1 r + b2 r^2 + b3 r^3):
@@ -97,7 +99,7 @@ TURNING_MAX_ITERATIONS = 200
 # a4 / b3 = pi the large-ratio asymptote phi ~ pi - sqrt(pi / r)
 # (mu ~ pi / (pi - phi)^2), and the rest is a minimax fit in between: the
 # guess is off by at most 2.1e-4 in phi, and by that fraction of pi - phi
-# near pi, so two Halley steps reach the tolerance for most ratios
+# near pi, so two Halley steps come within a few ulp of the root
 _GUESS_A2, _GUESS_A3 = 2.133468735, 1.562750204
 _GUESS_B1, _GUESS_B2, _GUESS_B3 = 0.8839231827, 0.6224864654, 0.1355458110
 _GUESS_A1 = _GUESS_B1 + 3.0 / np.pi
@@ -128,15 +130,13 @@ def _turning_step(phi, lo, hi, ratio, halley):
         # mu' = 2 - 2 mu cot(phi) gives cot(phi) = (2 - mu') / (2 mu) and
         # mu'' / 2 = mu + cot(phi) (1 - 1.5 mu') with no further evaluation;
         # Halley divides the Newton step by 1 - step mu'' / (2 mu')
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cot = (2.0 - m1) / (2.0 * m)
             damp = 1.0 - step * (m + cot * (1.0 - 1.5 * m1)) / m1
         step = np.where(damp > 0.5, step / damp, step)
     new = phi - step
-    inside = new >= lo
-    inside &= new <= hi  # False for inf and NaN too
-    if not inside.all():
-        bad = ~inside
+    bad = ~((new >= lo) & (new <= hi))  # True for inf and NaN too
+    if bad.any():
         new[bad] = 0.5 * (lo[bad] + hi[bad])
     return new
 
@@ -144,54 +144,29 @@ def _turning_step(phi, lo, hi, ratio, halley):
 def solve_turning(ratio):
     """Solve mu(phi) = ratio for phi in [0, pi), elementwise.
 
-    Starts from a closed-form guess (off by at most ~2e-4) and runs
-    safeguarded Halley steps; an element has converged once its own step is
-    at most TURNING_ROOT_TOL * max(1, phi), and the working arrays drop
-    the converged elements whenever they are a quarter of them or more
-    (until then those ride along at the root). Three Newton passes over the
-    whole array then polish the result. The roots stay below pi (1 - 1e-14):
-    larger ratios, for points nearly on the center, get that end of the
-    bracket, where the caller's sqrt(pi |t|) formula takes over smoothly.
-    Raises ConvergenceError naming the elements that have not converged
-    after TURNING_MAX_ITERATIONS steps.
+    Every element takes one fixed schedule from the closed-form guess: two
+    safeguarded Halley steps, then three Newton steps, whose quadratic
+    convergence lands on the machine-precision root even near pi, where
+    phi -> distance is ill-conditioned. Roots stay below pi (1 - 1e-14);
+    the caller's center formula takes over at larger ratios. ValueError
+    unless every ratio is finite and >= 0; ConvergenceError naming the
+    elements whose last step exceeds TURNING_ROOT_TOL * max(1, phi).
     """
     ratio = np.asarray(ratio, dtype=float)
     target = ratio.reshape(-1)
-    n = target.size
-    out_phi, out_lo, out_hi = np.empty(n), np.empty(n), np.empty(n)
-    # working state of the elements still iterating; idx holds their slots
-    idx = np.arange(n)
+    if not np.all((target >= 0.0) & (target < np.inf)):  # False for NaN too
+        raise ValueError("turning-angle ratios must be finite and >= 0")
     phi = _turning_guess(target)
-    lo = np.zeros(n)
-    hi = np.full(n, _PHI_MAX)
-    goal = target
-    moving = np.ones(n, dtype=bool)
-    for _ in range(TURNING_MAX_ITERATIONS):
-        new = _turning_step(phi, lo, hi, goal, halley=True)
-        moving = ~(np.abs(new - phi) <= TURNING_ROOT_TOL * np.maximum(1.0, new))
-        phi = new
-        if 4 * np.count_nonzero(moving) <= 3 * idx.size:
-            done = ~moving
-            slots = idx[done]
-            out_phi[slots], out_lo[slots], out_hi[slots] = phi[done], lo[done], hi[done]
-            idx, phi, lo, hi, goal = idx[moving], phi[moving], lo[moving], hi[moving], goal[moving]
-            moving = moving[moving]
-            if idx.size == 0:
-                break
-    if idx.size:
-        # report only the elements whose last step was still too large
-        bad = idx[moving]
-        residuals = np.abs(mu(phi[moving]) - goal[moving])
+    lo, hi = np.zeros(target.size), np.full(target.size, _PHI_MAX)
+    for halley in (True, True, False, False, False):
+        last = phi
+        phi = _turning_step(phi, lo, hi, target, halley)
+    bad = np.flatnonzero(~(np.abs(phi - last) <= TURNING_ROOT_TOL * np.maximum(1.0, phi)))
+    if bad.size:
+        residuals = np.abs(mu(phi[bad]) - target[bad])
         raise ConvergenceError(
-            f"turning-angle solve: {bad.size} of {n} elements did not converge "
-            f"within {TURNING_MAX_ITERATIONS} iterations",
+            f"turning-angle solve: {bad.size} of {target.size} elements did not converge",
             residual=float(np.max(residuals)), indices=bad, residuals=residuals)
-    # the map phi -> distance is ill-conditioned near phi = pi, so a
-    # tolerance on phi alone is not enough there; quadratic convergence
-    # makes these extra passes land on the machine-precision root
-    phi = out_phi
-    for _ in range(3):
-        phi = _turning_step(phi, out_lo, out_hi, target, halley=False)
     return phi.reshape(ratio.shape)
 
 
@@ -207,8 +182,22 @@ def _phi_over_sin(phi):
 # metric classes
 # ---------------------------------------------------------------------------
 
+def _scale_exponent(p: GroupPoint) -> int:
+    """e with max(|layer1|, |layer2|^(1/2)) in [2^(e-1), 2^e); 0 at the identity."""
+    return math.frexp(max(np.max(np.abs(p.layer1)), math.sqrt(np.max(np.abs(p.layer2)))))[1]
+
+
+def _dilate(p: GroupPoint, e: int):
+    """delta_{2^e} p, exact while the coordinates stay normal floats."""
+    return np.ldexp(p.layer1, e), np.ldexp(p.layer2, 2 * e)
+
+
 class _HomogeneousMetric:
-    """Shared plumbing: distances from the norm of inv(p) . q."""
+    """Shared plumbing: distances from the norm of inv(p) . q.
+
+    The scalar interface dilates its points to O(1) by a power of two, which
+    is exact, so that N(delta_s p) = s N(p) holds for tiny and huge coordinates.
+    """
 
     spec: GroupSpec
 
@@ -216,7 +205,8 @@ class _HomogeneousMetric:
         raise NotImplementedError
 
     def norm(self, p: GroupPoint) -> float:
-        return float(self.norm_arrays(p.layer1, p.layer2))
+        e = _scale_exponent(p)
+        return math.ldexp(float(self.norm_arrays(*_dilate(p, -e))), e)
 
     def dist_arrays(self, a1, a2, b1, b2):
         i1, i2 = groups.inv_arrays(self.spec, a1, a2)
@@ -224,7 +214,11 @@ class _HomogeneousMetric:
         return self.norm_arrays(d1, d2)
 
     def dist(self, p: GroupPoint, q: GroupPoint) -> float:
-        return float(self.dist_arrays(p.layer1, p.layer2, q.layer1, q.layer2))
+        """OverflowError when the distance exceeds the float range."""
+        e = max(_scale_exponent(p), _scale_exponent(q))
+        i1, i2 = groups.inv_arrays(self.spec, *_dilate(p, -e))
+        d1, d2 = groups.mul_arrays(self.spec, i1, i2, *_dilate(q, -e))
+        return math.ldexp(self.norm(GroupPoint(d1, d2)), e)
 
     def unit_ball_bbox(self):  # pragma: no cover - interface
         raise NotImplementedError

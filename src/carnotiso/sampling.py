@@ -23,8 +23,14 @@ MAX_CHUNK_FLOATS = 1 << 25  # 256 MiB of float64 in one draw: CHUNK_SIZE points 
 
 
 def substream(seed: int, chunk: int) -> np.random.Generator:
-    """Independent generator for one chunk of one logical stream."""
-    key = (int(seed) & (2**64 - 1)) << 64 | (int(chunk) & (2**64 - 1))
+    """Independent generator for one chunk of one logical stream.
+
+    ValueError for a seed outside [0, 2^64): the Philox key holds 64 bits of
+    it, and a wider seed would silently share another seed's stream.
+    """
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
+    key = int(seed) << 64 | (int(chunk) & (2**64 - 1))
     return np.random.Generator(np.random.Philox(key=key))
 
 

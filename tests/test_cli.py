@@ -125,6 +125,22 @@ class TestDistance:
         assert main(["distance", "--c2", "2", "[0,-1;-0.25]", "[1,0;0.25]"]) == 2
         assert "c2 <= c1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metric,p,q,expected", [
+        ("cc", "[0,0;1]", "[1e-170,0;1]", 1e-170),
+        ("gauge", "[1e-100,0;1e-200]", "[0,0;0]", 1.1892071150027211e-100),
+        ("dinf", "[1e200,0;0]", "[-1e200,0;0]", 2e200),
+    ])
+    def test_tiny_and_huge_coordinates(self, capsys, metric, p, q, expected):
+        # squaring these coordinates unscaled under- or overflows
+        code, out = run_main(capsys, "distance", "--metric", metric, p, q)
+        assert code == 0
+        assert json.loads(out)["distance"]["value"] == expected
+        assert capsys.readouterr().err == ""
+
+    def test_distance_beyond_float_range_exits_3(self, capsys):
+        assert main(["distance", "[1.7e308,0;0]", "[-1.7e308,0;0]"]) == 3
+        assert "overflow" in capsys.readouterr().err
+
 
 class TestBallVolume:
     def test_dinf_closed_form(self, capsys):
@@ -285,6 +301,18 @@ class TestVerify:
             code, out = run_main(capsys, "verify", counterexample, "--group", "h40",
                                  "--budget", "1000")
             assert code == 0 and json.loads(out)["budget"] == 1000
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2(self, capsys, seed):
+        # the Philox key holds 64 bits of the seed: -1 would draw the stream
+        # of 2^64 - 1, and 2^64 + 3 that of 3
+        assert main(["verify", "dinf", "--budget", "2000", "--seed", seed]) == 2
+        assert "outside [0, 2^64)" in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, capsys):
+        code, out = run_main(capsys, "verify", "dinf", "--budget", "2000",
+                             "--seed", str(2**64 - 1))
+        assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
 
     def test_tol_rejected(self, capsys):
         # no subcommand has a tolerance: the CC volume rule is fixed

@@ -136,6 +136,14 @@ class TestMCMeasure:
 
 
 class TestMapChunks:
+    def test_substream_seed_range(self):
+        for seed in (-1, 2**64, 2**64 + 3):
+            with pytest.raises(ValueError, match="outside"):
+                sampling.substream(seed, 0)
+        top = sampling.substream(2**64 - 1, 0).random(4)
+        assert not np.array_equal(top, sampling.substream(0, 0).random(4))
+        assert np.array_equal(top, sampling.substream(2**64 - 1, 0).random(4))
+
     @pytest.mark.parametrize("cpus,expected", [(8, 3), (2, 2), (None, None)])
     def test_workers_capped(self, monkeypatch, cpus, expected):
         made = []

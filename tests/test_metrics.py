@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import carnotiso as ci
 import carnotiso.metrics as metrics_mod
+from carnotiso.geodesics import _height_profile
 from carnotiso.metrics import (ConvergenceError, MetricError, mu, mu_prime, solve_turning,
                                unit_ball_volume)
 
@@ -20,6 +23,30 @@ GAUGE_H1 = ci.GaugeMetric(H1)
 CC = ci.CCMetric(H1)
 
 coord = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
+
+
+def _mp_digits(phi):
+    """40 digits after the cancellation of 2 phi - sin 2 phi, which eats 2 log10(1/phi)."""
+    return 40 + max(0, int(-2 * math.log10(phi)))
+
+
+def mp_profiles(phi):
+    """40-digit mu, mu' and (2 phi - sin 2 phi) / (2 phi^2) at phi > 0."""
+    with mp.workdps(_mp_digits(phi)):
+        p = mp.mpf(phi)
+        s, num = mp.sin(p), 2 * p - mp.sin(2 * p)
+        m = num / (2 * s * s)
+        return m, 2 - 2 * m * mp.cos(p) / s, num / (2 * p * p)
+
+
+def mp_turning_root(ratio, phi0):
+    """40-digit root of mu(phi) = ratio: Newton from the float root phi0 > 0."""
+    with mp.workdps(_mp_digits(phi0)):
+        p, r = mp.mpf(phi0), mp.mpf(ratio)
+        for _ in range(6):
+            m, m1, _ = mp_profiles(p)
+            p -= (m - r) / m1
+        return p
 
 
 def random_cloud(spec, count, seed, scale=2.0):
@@ -156,19 +183,41 @@ class TestTurningProfile:
         assert np.all(np.diff(vals) > 0)
 
     def test_series_matches_main_branch(self):
-        # continuity across the series cutover at 1e-4; the naive quotient
-        # loses ~9 digits to cancellation down here, so compare loosely near
-        # the cutover and tightly where cancellation is mild
-        assert mu(1e-2) == pytest.approx(
-            (2e-2 - math.sin(2e-2)) / (2 * math.sin(1e-2) ** 2), rel=1e-11)
-        for p in (5e-5, 9.9e-5, 1.01e-4, 2e-4):
-            direct = (2 * p - math.sin(2 * p)) / (2 * math.sin(p) ** 2)
-            assert mu(p) == pytest.approx(direct, rel=1e-6)
-        # derivative vs central differences, away from the noisy quotient
+        # 40-digit references on both sides of the series cut at 0.25 and
+        # across the old cut at 1e-4, where the quotient alone loses 8 digits
+        rng = np.random.default_rng(7)
+        cut = metrics_mod._MU_SERIES_CUT
+        phi = np.concatenate([
+            [1e-300, 5e-5, 9.9e-5, 1.01e-4, 2e-4, 1e-2, np.nextafter(cut, 0), cut, 0.5, 2.0,
+             math.pi - 1e-6],
+            10.0 ** rng.uniform(-300, math.log10(math.pi - 1e-6), 400),
+            math.pi - 10.0 ** rng.uniform(-6, 0, 100)])
+        got = np.stack([mu(phi), mu_prime(phi), _height_profile(phi)], axis=1)
+        for p, row in zip(phi, got):
+            for value, ref in zip(row, mp_profiles(p)):
+                assert abs(mp.mpf(float(value)) / ref - 1) <= 1e-14, (p, value)
+        # derivative vs central differences
         for p in (5e-5, 9.9e-5, 1e-2, 0.5, 2.0):
             h = 1e-6 * max(p, 1e-3)
             fd = (mu(p + h) - mu(p - h)) / (2 * h)
             assert mu_prime(p) == pytest.approx(fd, rel=1e-4)
+
+    def test_series_coefficients(self):
+        # mu / phi = ((2 phi - sin 2 phi) / phi^3) / (2 sin^2 phi / phi^2), both
+        # power series in u = phi^2; divide them exactly
+        terms = len(metrics_mod._MU_SERIES)
+        num = [Fraction((-1) ** k * 2 ** (2 * k + 3), math.factorial(2 * k + 3))
+               for k in range(terms)]
+        den = [Fraction((-1) ** k * 2 ** (2 * k + 2), math.factorial(2 * k + 2))
+               for k in range(terms)]
+        coefs = []
+        for k in range(terms):
+            coefs.append((num[k] - sum(coefs[j] * den[k - j] for j in range(k))) / den[0])
+        assert coefs[:3] == [Fraction(2, 3), Fraction(4, 45), Fraction(4, 315)]
+        assert metrics_mod._MU_SERIES_Q == tuple(coefs)
+        assert metrics_mod._MU_SERIES == tuple(float(c) for c in coefs)
+        assert metrics_mod._MU_PRIME_SERIES == tuple(
+            float((2 * k + 1) * c) for k, c in enumerate(coefs))
 
     def test_solver_roundtrip(self):
         phi = np.linspace(1e-6, math.pi - 1e-9, 5000)
@@ -181,10 +230,14 @@ class TestTurningProfile:
         phi = solve_turning(ratio)
         assert phi[0] == 0.0
         assert np.all((phi >= 0) & (phi < math.pi))
-        # backward error in phi; mu itself is only good to ~1e-12 in phi just
-        # above its series cut at 1e-4, where 2 phi - sin 2 phi cancels
+        # backward error in phi
         back = np.abs(mu(phi) - ratio) / mu_prime(phi)
         assert np.max(back / np.maximum(1.0, phi)) < 1e-11
+        # forward error against 40-digit roots, also in [6e-5, 2e-4], where
+        # the roots sit just above the old 1e-4 series cut
+        some = np.concatenate([ratio[1:401], rng.uniform(6e-5, 2e-4, 200)])
+        for r, p in zip(some, solve_turning(some)):
+            assert abs(mp.mpf(float(p)) - mp_turning_root(r, p)) <= 1e-15 * max(1.0, p), r
 
     def test_solver_shapes(self):
         ratio = np.array([[0.0, 0.3, 1.0, 4.0], [1e-9, 7.5, 1e3, 1e12], [2.0, 0.1, 5e-5, 30.0]])
@@ -197,34 +250,40 @@ class TestTurningProfile:
         assert mu(one) == pytest.approx(1.0, rel=1e-14)
 
     def test_solver_mu_calls(self, monkeypatch):
-        # the closed-form start leaves a few steps per solve; the old fixed
-        # 30-step bisection alone called mu 30 times
-        calls = []
+        # the fixed schedule: 2 Halley and 3 Newton steps, each one mu and one
+        # mu' over the whole array; the old 30-step bisection alone called mu
+        # 30 times
+        calls = {"mu": 0, "mu_prime": 0}
         real_mu = metrics_mod.mu
 
-        def counting_mu(phi):
-            calls.append(1)
-            return real_mu(phi)
+        def counting(name):
+            real = getattr(metrics_mod, name)
 
-        monkeypatch.setattr(metrics_mod, "mu", counting_mu)
+            def f(phi):
+                calls[name] += 1
+                return real(phi)
+            return f
+
+        for name in calls:
+            monkeypatch.setattr(metrics_mod, name, counting(name))
         rng = np.random.default_rng(4096)
         lo1, hi1, lo2, hi2 = CC.unit_ball_bbox()
         z = rng.uniform(lo1, hi1, (4096, 2))
         t = rng.uniform(lo2, hi2, 4096)
         ratio = np.abs(t) / np.sum(z * z, axis=1)
         phi = solve_turning(ratio)
-        assert len(calls) <= 12
+        assert calls == {"mu": 5, "mu_prime": 5}
         assert np.max(np.abs(real_mu(phi) - ratio) / np.maximum(1.0, ratio)) < 1e-9
 
     def test_solver_nonconvergence(self, monkeypatch):
+        # the last Newton step at ratios 0.2 and 0.3 still moves phi by an
+        # ulp or so, above a tolerance of 1e-300; ratio 0 starts on its root
+        # and never moves
         monkeypatch.setattr(metrics_mod, "TURNING_ROOT_TOL", 1e-300)
-        monkeypatch.setattr(metrics_mod, "TURNING_MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError) as info:
-            solve_turning(np.array([1.0]))
+            solve_turning(np.array([0.2]))
         assert list(info.value.indices) == [0]
-        # ratio 0 starts on its root and converges in one step; the others
-        # cannot meet a tolerance of 1e-300 in one step
-        ratio = np.array([0.0, 1.0, 0.0, 3.0, 0.0])
+        ratio = np.array([0.0, 0.2, 0.0, 0.3, 0.0])
         with pytest.raises(ConvergenceError) as info:
             solve_turning(ratio)
         err = info.value
@@ -232,6 +291,23 @@ class TestTurningProfile:
         assert err.residuals.shape == (2,) and np.all(err.residuals > 0)
         assert err.residual == np.max(err.residuals)
         assert "2 of 5 elements" in str(err)
+
+    def test_solver_converges_on_extreme_ratios(self):
+        # subnormal, tiny and huge ratios; the suite turns any warning into
+        # an error, so this also checks that none is raised
+        rng = np.random.default_rng(12)
+        ratio = np.concatenate([[0.0, 5e-324, 1e-300, 1e308],
+                                10.0 ** rng.uniform(-300, 308, 20000)])
+        phi = solve_turning(ratio)
+        assert np.all((phi >= 0) & (phi < math.pi))
+        assert phi[1] > 0 and phi[3] == metrics_mod._PHI_MAX
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -5e-324, math.inf])
+    def test_solver_refuses_ratios_outside_domain(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            solve_turning(np.array([1.0, bad, 2.0]))
+        with pytest.raises(ValueError):
+            solve_turning(bad)
 
 
 class TestCC:
@@ -263,13 +339,27 @@ class TestCC:
     def test_nonconvergence_names_points(self, monkeypatch):
         # center points skip the solve, so the solver's indices are mapped
         # back to positions among the points
+        # and only the point at ratio 0.2 takes a nonzero last step, which
+        # fails a tolerance of 1e-300
         monkeypatch.setattr(metrics_mod, "TURNING_ROOT_TOL", 1e-300)
-        monkeypatch.setattr(metrics_mod, "TURNING_MAX_ITERATIONS", 1)
         z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
         t = np.array([[0.3], [0.2], [0.1], [0.0]])
         with pytest.raises(ConvergenceError) as info:
             CC.norm_arrays(z, t)
         assert list(info.value.indices) == [1]
+
+    def test_point_alone_equals_point_in_batch(self):
+        # every element takes the same steps, so a norm does not depend on
+        # the other points of its batch: series and main branch, the center,
+        # and ratios past the center switch
+        rng = np.random.default_rng(8)
+        z = np.concatenate([rng.uniform(-1, 1, (300, 2)), [[0.0, 0.0], [1e-12, 0.0], [1.0, 0.0]]])
+        t = np.concatenate([10.0 ** rng.uniform(-8, 2, (300, 1)), [[0.3], [1.0], [0.0]]])
+        batch = CC.norm_arrays(z, t)
+        for i in range(len(z)):
+            alone = CC.norm_arrays(z[i:i + 1], t[i:i + 1])[0]
+            assert alone.tobytes() == batch[i].tobytes(), i
+            assert CC.norm(ci.point(z[i], t[i])) == batch[i], i
 
     def test_negative_t_symmetry(self):
         rng = np.random.default_rng(5)
@@ -279,6 +369,41 @@ class TestCC:
             a = CC.norm(ci.point(z, [t]))
             b = CC.norm(ci.point(z, [-t]))
             assert a == pytest.approx(b, rel=1e-14)
+
+
+class TestScalarScaling:
+    @pytest.mark.parametrize("metric,p,q,expected", [
+        (CC, ([0, 0], [1]), ([1e-170, 0], [1]), 1e-170),
+        (GAUGE_H1, ([1e-100, 0], [1e-200]), ([0, 0], [0]), 2 ** 0.25 * 1e-100),
+        (DINF, ([1e200, 0], [0]), ([-1e200, 0], [0]), 2e200),
+    ], ids=["cc-tiny-difference", "gauge-tiny", "dinf-huge"])
+    def test_no_under_or_overflow(self, metric, p, q, expected):
+        d = metric.dist(ci.point(*p), ci.point(*q))
+        assert d == pytest.approx(expected, rel=1e-15)
+        assert metric.norm(ci.point(*p)) > 0
+
+    def test_distance_beyond_float_range_overflows(self):
+        with pytest.raises(OverflowError):
+            DINF.dist(ci.point([1.7e308, 0], [0]), ci.point([-1.7e308, 0], [0]))
+
+    @pytest.mark.parametrize("metric,spec,rel", [(DINF, H1, 0.0), (GAUGE_HT, HT, 1e-15),
+                                                 (CC, H1, 0.0)], ids=["dinf", "gauge", "cc"])
+    def test_dilation_by_powers_of_two(self, metric, spec, rel):
+        # d(delta_s p, delta_s q) = s d(p, q); for s = 2^k with every dilated
+        # coordinate a normal float the scalar path computes the same bits
+        a1, a2 = random_cloud(spec, 200, 20, scale=1.0)
+        b1, b2 = random_cloud(spec, 200, 21, scale=1.0)
+        ks = np.random.default_rng(22).integers(-500, 501, 200).tolist()
+        for k, *coords in zip(ks, a1, a2, b1, b2):
+            p, q = ci.point(*coords[:2]), ci.point(*coords[2:])
+            d = metric.dist(p, q)
+            dp = ci.point(np.ldexp(p.layer1, k), np.ldexp(p.layer2, 2 * k))
+            dq = ci.point(np.ldexp(q.layer1, k), np.ldexp(q.layer2, 2 * k))
+            scaled = metric.dist(dp, dq)
+            if rel:
+                assert scaled == pytest.approx(math.ldexp(d, k), rel=rel), k
+            else:
+                assert scaled == math.ldexp(d, k), k
 
 
 @pytest.mark.parametrize("metric,spec", [(DINF, H1), (GAUGE_HT, HT), (CC, H1)],
