@@ -17,8 +17,7 @@ from .measures import (BoundingBox, EstimateWithError, QuadratureError,
                        set_diameter, spherical_measure)
 from .isodiametric import (ApexReachReport, BumpParams, CertificateError,
                            RatioResult, SigmaBounds, apex_reach, bump_ratio,
-                           cdc_upper_bound, cdinf_upper_bound,
-                           isodiametric_ratio, maximize_bump, sigma_bounds,
-                           sigma_bounds_for)
+                           isodiametric_ratio, maximize_bump,
+                           projection_upper_bound, sigma_bounds_for)
 
 __version__ = "0.1.0"

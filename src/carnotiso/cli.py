@@ -105,8 +105,9 @@ def cmd_cdc_table(args) -> int:
                          "(n-max = n-min - 1 gives an empty table)")
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        vol = measures.cc_unit_ball_volume(n)
-        rows.append((n, vol.value, isodiametric.cdc_upper_bound(n)))
+        metric = metrics.CCMetric(groups.heisenberg(n))
+        rows.append((n, metrics.unit_ball_volume(metric)[0],
+                     isodiametric.projection_upper_bound(metric)))
     if args.format == "json":
         doc = {"rows": [{"n": n, "cc_ball_volume": v, "cdc_upper_bound": b}
                         for n, v, b in rows],
@@ -148,7 +149,7 @@ def cmd_sigma(args) -> int:
     if (args.c_lower is None) != (args.c_upper is None):
         raise InputError("give both --c-lower and --c-upper, or neither")
     if args.c_lower is not None:
-        bounds = isodiametric.sigma_bounds(args.c_lower, args.c_upper)
+        bounds = isodiametric.SigmaBounds(C_lower=args.c_lower, C_upper=args.c_upper)
     else:
         bounds = isodiametric.sigma_bounds_for(metric, budget=args.budget,
                                                seed=args.seed)

@@ -29,12 +29,13 @@ class GeodesicParams:
 
     def __post_init__(self):
         object.__setattr__(self, "chi", np.asarray(self.chi, dtype=float))
-        if abs(np.linalg.norm(self.chi) - 1.0) > 1e-12:
-            raise GroupError("chi must be a unit vector")
-        if abs(self.phi) > math.pi:
-            raise GroupError("|phi| must be <= pi")
-        if self.r <= 0:
-            raise GroupError("length r must be positive")
+        # negated comparisons, so that NaN fails them
+        if not abs(np.linalg.norm(self.chi) - 1.0) <= 1e-12:
+            raise GroupError("chi must be a finite unit vector")
+        if not abs(self.phi) <= math.pi:
+            raise GroupError("phi must be finite with |phi| <= pi")
+        if not 0.0 < self.r < math.inf:
+            raise GroupError("length r must be finite and positive")
 
 
 def _sin_over(phi):

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geodesics, measures, sampling
-from .groups import GroupError, GroupPoint
+from .groups import GroupPoint
 from .measures import EstimateWithError, SampledSet
-from .metrics import CCMetric, DinfMetric, GaugeMetric, MetricError, alpha, unit_ball_volume
+from .metrics import (CCMetric, DinfMetric, GaugeMetric, MetricError, alpha, layer2_ball,
+                      unit_ball_volume)
 
 APEX_REACH = math.sqrt(2.0)  # sup of d(apex, .) over the unit ball; see _apex_and_bound
 
@@ -248,37 +249,31 @@ def maximize_bump(metric, budget: int = 10**6, seed: int = 0) -> RatioResult:
 
 
 # ---------------------------------------------------------------------------
-# analytic upper bounds and density intervals
+# the projection upper bound and density intervals
 # ---------------------------------------------------------------------------
 
-def cdinf_upper_bound(n: int) -> float:
-    """Projection/Fubini bound for the d_inf isodiametric constant: 2."""
-    if n < 1:
-        raise GroupError("n must be >= 1")
-    return 2.0
+def projection_upper_bound(metric) -> float:
+    """Upper bound on the isodiametric constant C, from the metric's norm N.
 
-def cdc_upper_bound(n: int) -> float:
-    """Upper bound (4 alpha_{2n} / pi) / Haar(CC unit ball) for C in (H^n, d_c)."""
-    vol = measures.cc_unit_ball_volume(n)
-    return (4.0 * alpha(2 * n) / math.pi) / vol.value
-
-
-def sigma_bounds(C_lower: float, C_upper: float) -> SigmaBounds:
-    """Density-constant interval [1/C_upper, 1/C_lower] from C bounds."""
-    return SigmaBounds(C_lower=C_lower, C_upper=C_upper)
+    Every norm here has N(x, Z) >= N(x, 0) = c |x| and N(0, Z) = f |Z|^(1/2);
+    c and f are the norms of the first unit vectors of each layer. Take A of
+    diameter 2, so its ratio is Haar(A) / Haar(B). Layer 1 of p^-1 q is
+    x_q - x_p, so the projection of A to layer 1 has diameter <= 2/c. Two
+    points of one layer-2 fibre differ by (0, Z' - Z), so each fibre has
+    diameter <= 4/f^2. The Euclidean isodiametric inequality on both factors
+    and Fubini give Haar(A) <= alpha_m c^-m 2^k |{|Z| <= 1/f^2}|. For d_inf
+    Haar(B) is the same float product without the 2^k: the bound is exactly 2^k.
+    """
+    spec = metric.spec
+    m, k = spec.dim1, spec.dim2
+    c = metric.norm(GroupPoint(np.eye(1, m)[0], np.zeros(k)))
+    f = metric.norm(GroupPoint(np.zeros(m), np.eye(1, k)[0]))
+    vol, _ = unit_ball_volume(metric)
+    return alpha(m) * (1.0 / c) ** m * (2.0 ** k * layer2_ball(spec, 1.0 / f)) / vol
 
 
 def sigma_bounds_for(metric, budget: int = 10**6, seed: int = 0) -> SigmaBounds:
-    """Compute both endpoints for a supported metric on H^n."""
-    spec = metric.spec
-    if isinstance(metric, CCMetric):
-        upper = cdc_upper_bound(spec.n)
-    elif isinstance(metric, DinfMetric):
-        upper = cdinf_upper_bound(spec.n if spec.kind == "heisenberg" else 1)
-    else:
-        # no analytic C upper bound wired up for this metric; callers can
-        # still combine a bump lower bound with their own via sigma_bounds
-        raise MetricError("no analytic density upper bound for this metric")
+    """Density interval from the best certified bump and projection_upper_bound."""
     best = maximize_bump(metric, budget=budget, seed=seed)
     lower = max(1.0, best.ratio.value - 3.0 * best.ratio.error)
-    return SigmaBounds(C_lower=lower, C_upper=upper)
+    return SigmaBounds(C_lower=lower, C_upper=projection_upper_bound(metric))

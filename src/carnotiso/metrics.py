@@ -372,6 +372,12 @@ def alpha(m: int) -> float:
     return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
 
 
+def layer2_ball(spec: GroupSpec, s: float) -> float:
+    """Measure of {|Z| <= s^2}: a k-ball, or on H^n a segment (2.0, as alpha(1) < 2)."""
+    k = spec.dim2
+    return alpha(k) * s ** (2 * k) if spec.kind == "htype" else 2.0 * s ** 2
+
+
 def cc_ball_integrand(phi, n: int):
     """Radial integrand of the CC unit-ball volume in H^n.
 
@@ -426,10 +432,7 @@ def unit_ball_volume(metric: _HomogeneousMetric) -> tuple[float, float]:
     m, k = spec.dim1, spec.dim2
     if isinstance(metric, DinfMetric):
         # powers of the radii: a power of a tiny c underflows to a 0 divisor
-        r1, r2 = 1.0 / metric.c1, 1.0 / metric.c2
-        # the layer-2 ball is a k-ball on H-type groups, a segment on H^n
-        layer2 = alpha(k) * r2 ** (2 * k) if spec.kind == "htype" else 2.0 * r2 ** 2
-        vol = alpha(m) * r1 ** m * layer2
+        vol = alpha(m) * (1.0 / metric.c1) ** m * layer2_ball(spec, 1.0 / metric.c2)
         if vol == math.inf:
             raise OverflowError("d_inf unit-ball volume exceeds the float range")
         return vol, 0.0

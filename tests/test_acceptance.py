@@ -48,7 +48,7 @@ def best_bumps():
 
 def test_criterion_1_cdc_bound_table():
     start = time.perf_counter()
-    vals = [ci.cdc_upper_bound(n) for n in range(1, 10)]
+    vals = [ci.projection_upper_bound(ci.CCMetric(ci.heisenberg(n))) for n in range(1, 10)]
     elapsed = time.perf_counter() - start
     ok = (1.0 < vals[0] <= 1.22
           and all(b > a for a, b in zip(vals[:8], vals[1:8]))
@@ -163,14 +163,14 @@ def test_criterion_8_volume_cross_checks():
 def test_criterion_9_besicovitch_intervals(best_bumps):
     c_lb_dinf = max(1.0, best_bumps["dinf"].ratio.value
                     - 3.0 * best_bumps["dinf"].ratio.error)
-    dinf_bounds = ci.sigma_bounds(c_lb_dinf, ci.cdinf_upper_bound(1))
+    dinf_bounds = ci.SigmaBounds(C_lower=c_lb_dinf, C_upper=ci.projection_upper_bound(DINF))
     lo_dinf, hi_dinf = dinf_bounds.sigma_interval
     c_lb_cc = max(1.0, best_bumps["cc"].ratio.value
                   - 3.0 * best_bumps["cc"].ratio.error)
-    cc_bounds = ci.sigma_bounds(c_lb_cc, ci.cdc_upper_bound(1))
+    cc_bounds = ci.SigmaBounds(C_lower=c_lb_cc, C_upper=ci.projection_upper_bound(CC))
     lo_cc, _ = cc_bounds.sigma_interval
     ok = (lo_dinf == 0.5 and hi_dinf < 1.0
-          and lo_cc >= 1.0 / ci.cdc_upper_bound(1) - 1e-15
+          and lo_cc >= 1.0 / ci.projection_upper_bound(CC) - 1e-15
           and lo_cc > 0.5)
     report(9, ok, f"dinf sigma in [{lo_dinf}, {hi_dinf:.5f}], "
                   f"cc lower endpoint {lo_cc:.5f}")

@@ -11,6 +11,7 @@ import pytest
 import carnotiso as ci
 from carnotiso import sampling
 from carnotiso.cli import build_parser, main, parse_group, parse_point
+from conftest import quaternionic
 
 
 def run_main(capsys, *argv):
@@ -399,9 +400,20 @@ class TestSigma:
         assert main(["sigma", flag, "1.5", "--budget", "1000"]) == 2
         assert "both --c-lower and --c-upper" in capsys.readouterr().err
 
-    def test_gauge_needs_manual_bounds(self, capsys):
-        assert main(["sigma", "--group", "h1-htype", "--metric", "gauge",
-                     "--budget", "1000"]) == 2
+    @pytest.mark.parametrize("group", ["h1", "h1-htype"])
+    def test_computed_gauge(self, capsys, group):
+        code, out = run_main(capsys, "sigma", "--group", group, "--metric", "gauge",
+                             "--budget", "20000")
+        assert code == 0
+        assert json.loads(out)["sigma"]["C_upper"] == pytest.approx(8.0 / math.pi, rel=1e-15)
+
+    def test_quaternionic_dinf(self, capsys, tmp_path):
+        # the projection bound 2^k = 8; the bound 2 of H^n is false here
+        spec = tmp_path / "quat.json"
+        spec.write_text(quaternionic().to_json())
+        code, out = run_main(capsys, "sigma", "--group", f"@{spec}", "--budget", "20000")
+        assert code == 0
+        assert json.loads(out)["sigma"]["C_upper"] == 8.0
 
     def test_computed_dinf(self, capsys):
         code, out = run_main(capsys, "sigma", "--budget", "50000")

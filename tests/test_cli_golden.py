@@ -39,6 +39,8 @@ CASES = {
     "bump_search_cc_h1": ["bump-search", "--metric", "cc", "--budget", "20000",
                           "--seed", "5"],
     "sigma_dinf": ["sigma", "--metric", "dinf", "--budget", "40000", "--seed", "7"],
+    "sigma_gauge_htype": ["sigma", "--metric", "gauge", "--group", "h1-htype",
+                          "--budget", "40000", "--seed", "7"],
 }
 
 

@@ -57,6 +57,15 @@ class TestSpherePoint:
         with pytest.raises(GroupError):
             GeodesicParams(unit([1, 0]), 0.5, 0.0)  # r <= 0
 
+    @pytest.mark.parametrize("chi,phi,r", [
+        ([math.nan, 0.0], 0.5, 1.0), ([math.inf, 0.0], 0.5, 1.0), ([1.0, math.nan], 0.5, 1.0),
+        ([1.0, 0.0], math.nan, 1.0), ([1.0, 0.0], math.inf, 1.0), ([1.0, 0.0], -math.inf, 1.0),
+        ([1.0, 0.0], 0.5, math.nan), ([1.0, 0.0], 0.5, math.inf),
+        ([math.nan, 0.0], math.nan, math.nan)])
+    def test_non_finite_params_rejected(self, chi, phi, r):
+        with pytest.raises(GroupError):
+            GeodesicParams(np.array(chi), phi, r)
+
     def test_higher_n(self):
         cc2 = ci.CCMetric(H2)
         rng = np.random.default_rng(1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carnotiso as ci
 from carnotiso import isodiametric
@@ -9,7 +11,7 @@ from carnotiso.geodesics import sphere_point_arrays
 from carnotiso.groups import GroupError, standard_symplectic
 from carnotiso.isodiametric import BumpParams, CertificateError, max_certified_rho
 from carnotiso.measures import BoundingBox
-from carnotiso.metrics import MetricError
+from conftest import quaternionic
 
 H1 = ci.heisenberg(1)
 HT = ci.h_type(standard_symplectic())
@@ -261,24 +263,29 @@ class TestBump:
         assert res.to_dict() == direct.to_dict()
 
 
+def cdc(n):
+    """The projection bound of the CC distance on H^n."""
+    return ci.projection_upper_bound(ci.CCMetric(ci.heisenberg(n)))
+
+
 class TestAnalyticBounds:
     def test_cdinf(self):
-        assert ci.cdinf_upper_bound(1) == 2.0
+        assert ci.projection_upper_bound(DINF) == 2.0
         with pytest.raises(GroupError):
-            ci.cdinf_upper_bound(0)
+            ci.projection_upper_bound(ci.DinfMetric(ci.heisenberg(0)))
 
     def test_cdc_frozen_values(self):
-        assert ci.cdc_upper_bound(1) == pytest.approx(1.2108358735762523, abs=1e-10)
-        assert ci.cdc_upper_bound(8) == pytest.approx(1.9732925687335445, abs=1e-9)
-        assert ci.cdc_upper_bound(9) == pytest.approx(2.0678860271939445, abs=1e-9)
+        assert cdc(1) == pytest.approx(1.2108358735762523, abs=1e-10)
+        assert cdc(8) == pytest.approx(1.9732925687335445, abs=1e-9)
+        assert cdc(9) == pytest.approx(2.0678860271939445, abs=1e-9)
 
     def test_cdc_paper_window(self):
-        assert 1.0 < ci.cdc_upper_bound(1) <= 1.22
-        assert ci.cdc_upper_bound(8) <= 1.98
-        assert ci.cdc_upper_bound(9) > 2.0
+        assert 1.0 < cdc(1) <= 1.22
+        assert cdc(8) <= 1.98
+        assert cdc(9) > 2.0
 
     def test_cdc_monotone(self):
-        vals = [ci.cdc_upper_bound(n) for n in range(1, 10)]
+        vals = [cdc(n) for n in range(1, 10)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_cdc_identity_with_volume(self):
@@ -286,22 +293,82 @@ class TestAnalyticBounds:
         for n in (1, 3):
             vol = ci.cc_unit_ball_volume(n).value
             expect = 4 * ci.alpha(2 * n) / math.pi / vol
-            assert ci.cdc_upper_bound(n) == pytest.approx(expect, rel=1e-12)
+            assert cdc(n) == pytest.approx(expect, rel=1e-12)
+
+
+K3 = quaternionic()
+BOUND_SPECS = {"h1": H1, "h2": ci.heisenberg(2), "h1-htype": HT, "quaternionic": K3}
+
+
+class TestProjectionBound:
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1.0), st.sampled_from(sorted(BOUND_SPECS)))
+    @settings(max_examples=200, deadline=None)
+    def test_dinf_is_two_to_the_k(self, c1, frac, group):
+        spec = BOUND_SPECS[group]
+        c2 = frac * (2.0 * c1 if spec.kind == "htype" else c1)
+        bound = ci.projection_upper_bound(ci.DinfMetric(spec, c1, c2))
+        assert bound == 2.0 ** spec.dim2
+
+    @pytest.mark.parametrize("group,expect", [
+        ("h1", 8.0 / math.pi), ("h1-htype", 8.0 / math.pi), ("h2", 3.0), ("quaternionic", 20.0)])
+    def test_gauge(self, group, expect):
+        bound = ci.projection_upper_bound(ci.GaugeMetric(BOUND_SPECS[group]))
+        assert bound == pytest.approx(expect, rel=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_cc(self, n):
+        vol, _ = ci.unit_ball_volume(ci.CCMetric(ci.heisenberg(n)))
+        assert cdc(n) == pytest.approx(4.0 * ci.alpha(2 * n) / math.pi / vol, rel=1e-15)
+
+
+# sets {|x| <= 1, |Z| <= height(|x|^2)} of diameter 2, with their ratio
+# Haar(A) / Haar(B) in closed form
+KNOWN_SETS = {
+    # |Z' - Z - b/2| <= 4 - (r - r')^2 / 4; ratio 2 int_0^1 (2 - u/4)^3 u du
+    "dinf-quaternionic": (ci.DinfMetric(K3), lambda u: 2.0 - u / 4.0, 989.0 / 160.0),
+    # |t' - t - 2 omega| <= 4 - (r - r')^2; ratio 3 pi / (2 pi)
+    "dinf-h1": (DINF, lambda u: 2.0 - u, 1.5),
+    # |z|^2 + t^2 / 4 <= 1; ratio (8 pi / 3) / (pi^2 / 2)
+    "gauge-h1": (ci.GaugeMetric(H1), lambda u: 2.0 * np.sqrt(1.0 - u), 16.0 / (3.0 * math.pi)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_SETS))
+def test_bound_above_known_set(name):
+    metric, height, ratio = KNOWN_SETS[name]
+    m, k = metric.spec.dim1, metric.spec.dim2
+    assert ci.projection_upper_bound(metric) >= ratio
+
+    def member(l1, l2):
+        u = np.sum(l1 * l1, axis=-1)
+        return (u <= 1.0) & (np.linalg.norm(l2, axis=-1) <= height(np.minimum(u, 1.0)))
+
+    box = BoundingBox(-np.ones(m), np.ones(m), np.full(k, -2.0), np.full(k, 2.0))
+    est = ci.mc_measure(ci.SampledSet(member, box, metric.spec), 10**6, seed=11)
+    vol, _ = ci.unit_ball_volume(metric)
+    assert abs(est.value - ratio * vol) < 3.0 * est.error
+    # the diameter: points at the ends of fibres over the closed unit ball
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3000, m))
+    x *= (rng.uniform(size=3000) ** (1.0 / m) / np.linalg.norm(x, axis=1))[:, None]
+    z = rng.standard_normal((3000, k))
+    z *= (height(np.minimum(np.sum(x * x, axis=1), 1.0)) / np.linalg.norm(z, axis=1))[:, None]
+    assert 1.99 < ci.set_diameter((x, z), metric) <= 2.0 + 1e-12
 
 
 class TestSigma:
     def test_interval(self):
-        sb = ci.sigma_bounds(1.0, 2.0)
+        sb = ci.SigmaBounds(C_lower=1.0, C_upper=2.0)
         assert sb.sigma_interval == (0.5, 1.0)
 
     def test_point_interval(self):
-        assert ci.sigma_bounds(1.0, 1.0).sigma_interval == (1.0, 1.0)
+        assert ci.SigmaBounds(C_lower=1.0, C_upper=1.0).sigma_interval == (1.0, 1.0)
 
     def test_inconsistent(self):
         with pytest.raises(ValueError):
-            ci.sigma_bounds(2.5, 2.0)
+            ci.SigmaBounds(C_lower=2.5, C_upper=2.0)
         with pytest.raises(ValueError):
-            ci.sigma_bounds(0.5, 2.0)
+            ci.SigmaBounds(C_lower=0.5, C_upper=2.0)
 
     def test_dinf_interval(self):
         sb = ci.sigma_bounds_for(DINF, budget=200000, seed=0)
@@ -316,10 +383,12 @@ class TestSigma:
         assert lo > 0.5
         assert hi <= 1.0
 
-    def test_gauge_unsupported(self):
-        with pytest.raises(MetricError):
-            ci.sigma_bounds_for(GAUGE, budget=1000, seed=0)
+    def test_gauge_interval(self):
+        sb = ci.sigma_bounds_for(GAUGE, budget=200000, seed=0)
+        lo, hi = sb.sigma_interval
+        assert lo == pytest.approx(math.pi / 8.0, rel=1e-15)
+        assert hi < 1.0
 
     def test_dict(self):
-        doc = ci.sigma_bounds(1.1, 1.5).to_dict()
+        doc = ci.SigmaBounds(C_lower=1.1, C_upper=1.5).to_dict()
         assert doc["sigma_interval"] == [1 / 1.5, 1 / 1.1]

@@ -8,6 +8,7 @@ import carnotiso as ci
 from carnotiso import sampling
 from carnotiso.groups import standard_symplectic
 from carnotiso.measures import BoundingBox, cc_ball_integrand
+from conftest import quaternionic
 
 H1 = ci.heisenberg(1)
 H2 = ci.heisenberg(2)
@@ -191,14 +192,6 @@ class TestMapChunks:
         with pytest.raises(FirstChunk):
             sampling.map_chunks(0, sampling.MAX_BUDGET, fn)
         assert calls == [sampling.CHUNK_SIZE]
-
-
-def quaternionic():
-    """H-type group with m = 4, k = 3 from the quaternion units i, j, k."""
-    li = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], float)
-    lj = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], float)
-    lk = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], float)
-    return ci.h_type(np.stack([li, lj, lk]))
 
 
 K3 = quaternionic()

@@ -15,6 +15,7 @@ import pytest
 import carnotiso as ci
 from carnotiso.groups import standard_symplectic
 from carnotiso.metrics import gauss_legendre
+from conftest import quaternionic
 
 DPS = 40
 
@@ -39,13 +40,6 @@ def gauge_reference(m, k, scale):
 
         return (alpha(m) * alpha(k) * k / (2 * mp.mpf(scale) ** k)
                 * mp.beta(mp.mpf(k) / 2, mp.mpf(m) / 4 + 1))
-
-
-def quaternionic():
-    li = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], float)
-    lj = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], float)
-    lk = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], float)
-    return ci.h_type(np.stack([li, lj, lk]))
 
 
 def rel_error(value, ref):
