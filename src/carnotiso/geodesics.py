@@ -18,7 +18,7 @@ import numpy as np
 
 from . import groups, sampling
 from .groups import GroupError, GroupPoint, GroupSpec
-from .metrics import CCMetric, _phi_over_sin, mu
+from .metrics import CCMetric, mu
 
 
 @dataclass(frozen=True)
@@ -43,18 +43,22 @@ def _sin_over(phi):
     return np.sinc(np.asarray(phi, dtype=float) / np.pi)
 
 
-def _height_profile(phi):
-    """(2 phi - sin 2 phi) / (2 phi^2) = mu(phi) (sin phi / phi)^2, 0 at phi = 0."""
-    return mu(phi) / _phi_over_sin(phi) ** 2
+def _height_profile(phi, sin_over=None):
+    """(2 phi - sin 2 phi) / (2 phi^2) = mu(phi) (sin phi / phi)^2, 0 at phi = 0.
+
+    sin_over, when given, is the caller's _sin_over(phi).
+    """
+    return mu(phi) * (_sin_over(phi) if sin_over is None else sin_over) ** 2
 
 
 def sphere_point_arrays(n: int, chi: np.ndarray, phi, r):
     """Vectorized sphere map; chi (..., 2n), phi and r broadcastable."""
     phi = np.asarray(phi, dtype=float)
     r = np.asarray(r, dtype=float)
-    z = (r * _sin_over(phi))[..., None] * chi
+    sin_over = _sin_over(phi)
+    z = (r * sin_over)[..., None] * chi
     csq = np.sum(chi * chi, axis=-1)
-    t = r * r * _height_profile(phi) * csq
+    t = r * r * _height_profile(phi, sin_over) * csq
     return z, t[..., None]
 
 

@@ -49,6 +49,36 @@ def mp_turning_root(ratio, phi0):
         return p
 
 
+def mp_unit_cc_norm(ratio):
+    """60-digit CC norm of [z, t] with |z| = 1, t = ratio > 0: phi / sin phi at mu(phi) = ratio.
+
+    Newton from pi - sqrt(pi / ratio) or 1.3, both above the root, where mu is
+    increasing and convex, so the steps fall monotonically onto it.
+    """
+    with mp.workdps(60):
+        r = mp.mpf(ratio)
+        p = mp.pi - mp.sqrt(mp.pi / r) if r > 1 else mp.mpf(1.3)
+        for _ in range(200):
+            s = mp.sin(p)
+            m = (2 * p - mp.sin(2 * p)) / (2 * s * s)
+            step = (m - r) / (2 - 2 * m * mp.cos(p) / s)
+            p -= step
+            if abs(step) < mp.mpf(10) ** -55:
+                return p / mp.sin(p)
+        raise AssertionError(f"no 60-digit root at ratio {ratio}")
+
+
+def profile_grid():
+    """Angles in (0, pi) on both sides of mu's series cut, log-uniform and near pi."""
+    rng = np.random.default_rng(7)
+    cut = metrics_mod._MU_SERIES_CUT
+    return np.concatenate([
+        [1e-300, 5e-5, 9.9e-5, 1.01e-4, 2e-4, 1e-2, np.nextafter(cut, 0), cut, 0.5, 2.0,
+         math.pi - 1e-6],
+        10.0 ** rng.uniform(-300, math.log10(math.pi - 1e-6), 400),
+        math.pi - 10.0 ** rng.uniform(-6, 0, 100)])
+
+
 def random_cloud(spec, count, seed, scale=2.0):
     rng = np.random.default_rng(seed)
     return (rng.uniform(-scale, scale, (count, spec.dim1)),
@@ -185,13 +215,7 @@ class TestTurningProfile:
     def test_series_matches_main_branch(self):
         # 40-digit references on both sides of the series cut at 0.25 and
         # across the old cut at 1e-4, where the quotient alone loses 8 digits
-        rng = np.random.default_rng(7)
-        cut = metrics_mod._MU_SERIES_CUT
-        phi = np.concatenate([
-            [1e-300, 5e-5, 9.9e-5, 1.01e-4, 2e-4, 1e-2, np.nextafter(cut, 0), cut, 0.5, 2.0,
-             math.pi - 1e-6],
-            10.0 ** rng.uniform(-300, math.log10(math.pi - 1e-6), 400),
-            math.pi - 10.0 ** rng.uniform(-6, 0, 100)])
+        phi = profile_grid()
         got = np.stack([mu(phi), mu_prime(phi), _height_profile(phi)], axis=1)
         for p, row in zip(phi, got):
             for value, ref in zip(row, mp_profiles(p)):
@@ -249,11 +273,17 @@ class TestTurningProfile:
         assert one == solve_turning(np.array([1.0]))[0]
         assert mu(one) == pytest.approx(1.0, rel=1e-14)
 
+    def test_mu_pair_is_bitwise_mu_and_mu_prime(self):
+        phi = np.concatenate([[0.0], profile_grid()])
+        m, m1 = metrics_mod._mu_pair(phi)
+        assert m.tobytes() == mu(phi).tobytes()
+        assert m1.tobytes() == mu_prime(phi).tobytes()
+
     def test_solver_mu_calls(self, monkeypatch):
-        # the fixed schedule: 2 Halley and 3 Newton steps, each one mu and one
-        # mu' over the whole array; the old 30-step bisection alone called mu
-        # 30 times
-        calls = {"mu": 0, "mu_prime": 0}
+        # the fixed schedule: 2 Halley steps and 1 Newton step, each one fused
+        # mu, mu' pass over the whole array and no separate mu or mu' call;
+        # the old 30-step bisection alone called mu 30 times
+        calls = {"_mu_pair": 0, "mu": 0, "mu_prime": 0}
         real_mu = metrics_mod.mu
 
         def counting(name):
@@ -272,7 +302,7 @@ class TestTurningProfile:
         t = rng.uniform(lo2, hi2, 4096)
         ratio = np.abs(t) / np.sum(z * z, axis=1)
         phi = solve_turning(ratio)
-        assert calls == {"mu": 5, "mu_prime": 5}
+        assert calls == {"_mu_pair": 3, "mu": 0, "mu_prime": 0}
         assert np.max(np.abs(real_mu(phi) - ratio) / np.maximum(1.0, ratio)) < 1e-9
 
     def test_solver_nonconvergence(self, monkeypatch):
@@ -360,6 +390,19 @@ class TestCC:
             alone = CC.norm_arrays(z[i:i + 1], t[i:i + 1])[0]
             assert alone.tobytes() == batch[i].tobytes(), i
             assert CC.norm(ci.point(z[i], t[i])) == batch[i], i
+
+    def test_norm_accurate_up_to_the_center(self):
+        # near the center phi nears pi, where |z| phi / sin phi magnifies phi's
+        # rounding up to 1e-5; the center formula takes over above 1e28, within
+        # 1 / sqrt(pi 1e28)
+        rng = np.random.default_rng(13)
+        ratio = np.concatenate([10.0 ** rng.uniform(-3, 30, 1000), [1.0, np.nextafter(1.0, 2.0),
+                                1e22, np.nextafter(1e28, 0), 1e28, np.nextafter(1e28, 1e29)]])
+        z = np.zeros((ratio.size, 2))
+        z[:, 0] = 1.0
+        got = CC.norm_arrays(z, ratio[:, None])
+        for r, value in zip(ratio, got):
+            assert abs(mp.mpf(float(value)) / mp_unit_cc_norm(r) - 1) <= 1e-14, r
 
     def test_negative_t_symmetry(self):
         rng = np.random.default_rng(5)
