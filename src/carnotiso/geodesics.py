@@ -18,7 +18,7 @@ import numpy as np
 
 from . import groups, sampling
 from .groups import GroupError, GroupPoint, GroupSpec
-from .metrics import CCMetric, mu
+from .metrics import CCMetric, _sum_squares, mu
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def sphere_point_arrays(n: int, chi: np.ndarray, phi, r):
     r = np.asarray(r, dtype=float)
     sin_over = _sin_over(phi)
     z = (r * sin_over)[..., None] * chi
-    csq = np.sum(chi * chi, axis=-1)
+    csq = _sum_squares(chi)
     t = r * r * _height_profile(phi, sin_over) * csq
     return z, t[..., None]
 
@@ -143,11 +143,11 @@ def _cut_ball_samples(spec: GroupSpec, x: GroupPoint, rng, count: int):
     m_sphere = count // 2
     m_inner = count - m_sphere
     chi = rng.standard_normal((m_sphere, d1))
-    chi /= np.linalg.norm(chi, axis=1, keepdims=True)
+    chi /= np.sqrt(_sum_squares(chi))[:, None]
     phi = rng.uniform(-math.pi, math.pi, size=m_sphere)
     z_s, t_s = sphere_point_arrays(n, chi, phi, np.ones(m_sphere))
     chi2 = rng.standard_normal((m_inner, d1))
-    chi2 /= np.linalg.norm(chi2, axis=1, keepdims=True)
+    chi2 /= np.sqrt(_sum_squares(chi2))[:, None]
     chi2 *= rng.uniform(0.0, 1.0, size=(m_inner, 1)) ** (1.0 / d1)
     phi2 = rng.uniform(-math.pi, math.pi, size=m_inner)
     u = rng.uniform(0.0, 1.0, size=m_inner) ** (1.0 / spec.Q)

@@ -197,6 +197,26 @@ def _phi_over_sin(phi):
 # metric classes
 # ---------------------------------------------------------------------------
 
+def _sum_squares(x):
+    """|x|^2 over the last axis of x, bitwise np.sum(x * x, axis=-1).
+
+    Below width 8 numpy's reduction adds the columns in sequence, and so does
+    this loop, s = x0 x0; s += x1 x1; ..., a whole column at a time, where
+    numpy pays per row on a last axis this narrow. From width 8 on numpy adds
+    pairwise, so wider x goes to numpy itself. The squares are unscaled: the
+    result is correct to rounding only while every nonzero coordinate has a
+    normal square, about 1.5e-154 <= |x_i| <= 1.3e154. The scalar norm and
+    dist dilate their points into that range first.
+    """
+    if x.shape[-1] >= 8:
+        return np.sum(x * x, axis=-1)
+    s = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        c = x[..., j]
+        s += c * c
+    return s
+
+
 def _scale_exponent(p: GroupPoint) -> int:
     """e with max(|layer1|, |layer2|^(1/2)) in [2^(e-1), 2^e); 0 at the identity."""
     return math.frexp(max(np.max(np.abs(p.layer1)), math.sqrt(np.max(np.abs(p.layer2)))))[1]
@@ -264,8 +284,8 @@ class DinfMetric(_HomogeneousMetric):
     def norm_arrays(self, l1, l2):
         l1 = np.asarray(l1, dtype=float)
         l2 = np.asarray(l2, dtype=float)
-        n1 = np.linalg.norm(l1, axis=-1)
-        n2 = np.linalg.norm(l2, axis=-1)
+        n1 = np.sqrt(_sum_squares(l1))
+        n2 = np.sqrt(_sum_squares(l2))
         return np.maximum(self.c1 * n1, self.c2 * np.sqrt(n2))
 
     def unit_ball_bbox(self):
@@ -294,8 +314,8 @@ class GaugeMetric(_HomogeneousMetric):
     def norm_arrays(self, l1, l2):
         l1 = np.asarray(l1, dtype=float)
         l2 = np.asarray(l2, dtype=float)
-        n1sq = np.sum(l1 * l1, axis=-1)
-        n2sq = np.sum(l2 * l2, axis=-1)
+        n1sq = _sum_squares(l1)
+        n2sq = _sum_squares(l2)
         return (n1sq * n1sq + self.layer2_scale ** 2 * n2sq) ** 0.25
 
     def unit_ball_bbox(self):
@@ -326,7 +346,7 @@ class CCMetric(_HomogeneousMetric):
     def norm_arrays(self, l1, l2):
         l1 = np.asarray(l1, dtype=float)
         l2 = np.asarray(l2, dtype=float)
-        zn = np.linalg.norm(l1, axis=-1).reshape(-1)
+        zn = np.sqrt(_sum_squares(l1)).reshape(-1)
         t = np.abs(l2[..., 0]).reshape(-1)
         out = np.sqrt(np.pi * t)  # center formula, also the z -> 0 limit
         idx = np.flatnonzero(zn > 0)

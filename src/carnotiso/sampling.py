@@ -76,6 +76,24 @@ def check_chunk(count: int, width: int):
 
 
 def uniform_box(rng: np.random.Generator, count: int, lo: np.ndarray, hi: np.ndarray):
-    """count uniform draws in the box [lo, hi], shape (count, len(lo))."""
-    check_chunk(count, len(lo))
-    return rng.uniform(lo, hi, size=(count, len(lo)))
+    """count uniform draws in the box [lo, hi], shape (count, len(lo)).
+
+    The draw convention: lo + (hi - lo) U, with U the generator's next
+    count x len(lo) doubles in [0, 1) in C order. That is bit for bit
+    rng.uniform(lo, hi, size=(count, len(lo))), and leaves rng in the same
+    state, but faster: rng.uniform broadcasts array bounds a point at a time.
+    OverflowError, as for rng.uniform, when hi - lo exceeds the float range.
+    """
+    width = len(lo)
+    check_chunk(count, width)
+    span = np.subtract(hi, lo)
+    if not np.all(np.isfinite(span)):
+        raise OverflowError(f"box side hi - lo = {span} exceeds the float range")
+    pts = rng.random((count, width))
+    # numpy's inner loop runs along the last axis, so map rows of 64 points
+    # at a time: a loop 64 * width long instead of width long
+    head = count - count % 64
+    for rows, reps in ((pts[:head].reshape(-1, 64 * width), 64), (pts[head:], 1)):
+        rows *= np.tile(span, reps)
+        rows += np.tile(lo, reps)
+    return pts

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,21 @@ class TestBump:
         with pytest.raises(CertificateError):
             ci.bump_ratio(BumpParams(apex=apex, rho=-0.1), DINF, 1000, seed=0,
                           reach=SQRT2)
+
+    @pytest.mark.parametrize("metric", [DINF, GAUGE, CC], ids=["dinf", "gauge", "cc"])
+    def test_rho_max_has_no_slack(self, metric):
+        # the float 2 - sqrt(2) lies below the true 2 - sqrt 2 and its next
+        # float above it, so that next float must not get the exact diameter 2
+        apex, reach = isodiametric._apex_and_bound(metric)
+        rho_max = max_certified_rho(metric, reach)
+        above = float(np.nextafter(rho_max, 1.0))
+        with mp.workdps(40):
+            assert mp.mpf(rho_max) < 2 - mp.sqrt(2) < mp.mpf(above)
+        with pytest.raises(CertificateError, match="exceeds"):
+            ci.bump_ratio(BumpParams(apex=apex, rho=above), metric, 1000, seed=0)
+        # rho_max itself is what maximize_bump passes
+        res = ci.bump_ratio(BumpParams(apex=apex, rho=rho_max), metric, 1000, seed=0)
+        assert res.diameter_used == 2.0 and res.set_descriptor["rho"] == rho_max
 
     def test_wrong_apex_rejected(self):
         # [0, 4] is not the d_inf apex: it lies at distance sqrt(5) > 2 from

@@ -194,6 +194,39 @@ class TestMapChunks:
         assert calls == [sampling.CHUNK_SIZE]
 
 
+class TestUniformBox:
+    """The draw convention: lo + (hi - lo) U on Philox doubles in C order, i.e. rng.uniform."""
+
+    @staticmethod
+    def boxes():
+        apex = ci.point([0, 0], [1.0])  # the d_inf apex on H^1
+        return {"dinf-h1": ci.ball_set(DINF).bounding_box,
+                "dinf-h2": ci.ball_set(ci.DinfMetric(H2)).bounding_box,
+                "gauge-h1-htype": ci.ball_set(GAUGE).bounding_box,
+                "cc-h1": ci.ball_set(CC).bounding_box,
+                "bump-dinf-h1": ci.ball_set(DINF, center=apex,
+                                            radius=2 - math.sqrt(2)).bounding_box}
+
+    @pytest.mark.parametrize("seed,chunk", [(0, 0), (7, 3), (2**64 - 1, 11)])
+    def test_draw_is_rng_uniform_bit_for_bit(self, seed, chunk):
+        for name, box in self.boxes().items():
+            ours, ref = sampling.substream(seed, chunk), sampling.substream(seed, chunk)
+            count = 2**17 + 3
+            pts = sampling.uniform_box(ours, count, box.lo, box.hi)
+            want = ref.uniform(box.lo, box.hi, size=(count, len(box.lo)))
+            assert np.array_equal(pts, want), name
+            # and both generators are left in the same state
+            assert np.array_equal(ours.random(4), ref.random(4)), name
+
+    def test_side_beyond_float_range_refused(self):
+        lo, hi = np.array([-1.0, -1e308]), np.array([1.0, 1e308])
+        with np.errstate(over="ignore"):
+            for draw in (lambda: sampling.uniform_box(sampling.substream(0, 0), 4, lo, hi),
+                         lambda: sampling.substream(0, 0).uniform(lo, hi, size=(4, 2))):
+                with pytest.raises(OverflowError):
+                    draw()
+
+
 K3 = quaternionic()
 SHIFT_METRICS = {
     "dinf-h1": DINF, "dinf-h2": ci.DinfMetric(H2), "dinf-h1-htype": ci.DinfMetric(HT),

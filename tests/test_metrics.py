@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import carnotiso as ci
 import carnotiso.metrics as metrics_mod
 from carnotiso.geodesics import _height_profile
+from conftest import quaternionic
 from carnotiso.metrics import (ConvergenceError, MetricError, mu, mu_prime, solve_turning,
                                unit_ball_volume)
 
@@ -447,6 +448,52 @@ class TestScalarScaling:
                 assert scaled == pytest.approx(math.ldexp(d, k), rel=rel), k
             else:
                 assert scaled == math.ldexp(d, k), k
+
+
+class TestSumSquares:
+    """metrics._sum_squares, the layer |x|^2 of every norm_arrays, pinned to numpy bit for bit.
+
+    A numpy whose reduction adds in another order fails here, rather than
+    silently moving every Monte Carlo output.
+    """
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_bitwise_numpy(self, width):
+        rng = np.random.default_rng(width)
+        pts = rng.standard_normal((4099, width + 3)) * 10.0 ** rng.uniform(-3, 3, (4099, 1))
+        # contiguous, column views as the samplers slice them, a row stride, one point
+        views = [np.ascontiguousarray(pts[:, :width]), pts[:, :width], pts[:, 3:],
+                 pts[::3, 1:width + 1], pts[5, :width]]
+        for x in views:
+            s = metrics_mod._sum_squares(x)
+            assert np.array_equal(s, np.sum(x * x, axis=-1))
+            assert np.array_equal(np.sqrt(s), np.linalg.norm(x, axis=-1))
+
+    @pytest.mark.parametrize("name", ["dinf-h1", "dinf-h2", "dinf-h1-htype", "dinf-k3",
+                                      "gauge-h1", "gauge-h2", "gauge-h1-htype", "gauge-k3",
+                                      "gauge-h4", "cc-h1", "cc-h2"])
+    def test_norm_arrays_bitwise_numpy(self, name, monkeypatch):
+        kind, group = name.split("-", 1)
+        spec = {"h1": H1, "h2": H2, "h4": ci.heisenberg(4), "h1-htype": HT,
+                "k3": quaternionic()}[group]
+        metric = ci.make_metric(spec, {"metric": kind})
+        rng = np.random.default_rng(len(name))
+        n = 2**16
+        scale = 10.0 ** rng.uniform(-3, 3, (n, 1))  # points dilated by 1e-3 to 1e3
+        l1 = rng.uniform(-1, 1, (n, spec.dim1 + 1))[:, 1:] * scale
+        l2 = rng.uniform(-1, 1, (n, spec.dim2)) * scale ** 2
+        got = metric.norm_arrays(l1, l2)
+        if kind == "dinf":
+            ref = np.maximum(metric.c1 * np.linalg.norm(l1, axis=-1),
+                             metric.c2 * np.sqrt(np.linalg.norm(l2, axis=-1)))
+        elif kind == "gauge":
+            n1sq, n2sq = np.sum(l1 * l1, axis=-1), np.sum(l2 * l2, axis=-1)
+            ref = (n1sq * n1sq + metric.layer2_scale ** 2 * n2sq) ** 0.25
+        else:
+            # the rest of the CC norm is not in question: run it on numpy's |z|^2
+            monkeypatch.setattr(metrics_mod, "_sum_squares", lambda x: np.sum(x * x, axis=-1))
+            ref = metric.norm_arrays(l1, l2)
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("metric,spec", [(DINF, H1), (GAUGE_HT, HT), (CC, H1)],
