@@ -84,6 +84,9 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
 
     A central center c = [0, c2] translates by a layer-2 shift only, so
     d(c, y) = N(y1, y2 - c2) and the box is the dilated unit box shifted by c2.
+    The array norms square box coordinates unscaled, so FloatingPointError
+    unless, in each layer, the sum of squares at the box's far corner is
+    finite and every half-width squares to a normal float.
     """
     c = groups.identity(metric.spec) if center is None else center
     groups._check_dims(metric.spec, c)  # GroupError, not a broadcast layer-2 shift
@@ -92,6 +95,14 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
     lo1, hi1, lo2, hi2 = metric.unit_ball_bbox()
     r2 = radius * radius
     box = BoundingBox(radius * lo1, radius * hi1, r2 * lo2 + c.layer2, r2 * hi2 + c.layer2)
+    for layer, lo, hi in ((1, box.lo1, box.hi1), (2, box.lo2, box.hi2)):
+        with np.errstate(over="ignore", under="ignore"):
+            far = metrics_mod._sum_squares(np.maximum(np.abs(lo), np.abs(hi)))
+            half = np.min(0.5 * (hi - lo)) ** 2
+        if not (far < math.inf and half >= np.finfo(float).tiny):
+            raise FloatingPointError(
+                f"sampling box layer {layer}: smallest half-width squared {half:.3g}, far-corner "
+                f"sum of squares {far:.3g}; the array norms need both to be normal floats")
 
     def member(l1, l2):
         return metric.norm_arrays(l1, l2 - c.layer2) <= radius

@@ -150,6 +150,11 @@ def _turning_step(phi, lo, hi, ratio, halley):
             damp = 1.0 - step * (m + cot * (1.0 - 1.5 * m1)) / m1
         step = np.where(damp > 0.5, step / damp, step)
     new = phi - step
+    # the midpoint fallback is load-bearing: on 4e6 ratios (log-uniform on
+    # [1e-3, 10^28.5] and uniform on [0, 2]) it fired in every step for all
+    # 63,264 ratios >= 3.18e27, whose roots lie beyond _PHI_MAX, and in the
+    # last Newton step for 2,513 more, from ratio 0.395 up; without it those
+    # roots, and the norms read off them, move
     bad = ~((new >= lo) & (new <= hi))  # True for inf and NaN too
     if bad.any():
         new[bad] = 0.5 * (lo[bad] + hi[bad])
@@ -183,14 +188,6 @@ def solve_turning(ratio):
             f"turning-angle solve: {bad.size} of {target.size} elements did not converge",
             residual=float(np.max(residuals)), indices=bad, residuals=residuals)
     return phi.reshape(ratio.shape)
-
-
-def _phi_over_sin(phi):
-    """phi / sin phi, with the value 1 at phi = 0."""
-    phi = np.asarray(phi, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = phi / np.sin(phi)
-    return np.where(phi == 0.0, 1.0, out)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +330,11 @@ class CCMetric(_HomogeneousMetric):
 
     After left translation write the difference as [z, t]. On the center
     (z = 0) the distance is sqrt(pi |t|); otherwise the turning angle phi
-    solves mu(phi) = |t| / |z|^2 and the distance is |z| phi / sin phi,
-    computed as phi (2 |t| / (2 phi - sin 2 phi))^(1/2) above ratio 1 and as
-    sqrt(pi |t|) above 1e28: within 1e-14 relative of the exact norm.
+    solves mu(phi) = |t| / |z|^2 and the distance is |z| phi / sin phi.
+    norm_arrays is one pass over all points: it solves every ratio up to 1e28
+    (the rest, center and NaN included, at 0), takes one sine per point and
+    picks |z| phi / sin phi up to ratio 1, phi (2 |t| / (2 phi - sin 2 phi))^(1/2)
+    above, or sqrt(pi |t|): within 1e-14 relative of the exact norm.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -346,28 +345,22 @@ class CCMetric(_HomogeneousMetric):
     def norm_arrays(self, l1, l2):
         l1 = np.asarray(l1, dtype=float)
         l2 = np.asarray(l2, dtype=float)
-        zn = np.sqrt(_sum_squares(l1)).reshape(-1)
-        t = np.abs(l2[..., 0]).reshape(-1)
-        out = np.sqrt(np.pi * t)  # center formula, also the z -> 0 limit
-        idx = np.flatnonzero(zn > 0)
-        ratio = t[idx] / zn[idx] ** 2
+        zn = np.sqrt(_sum_squares(l1))
+        t = np.abs(l2[..., 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = t / zn ** 2
         # beyond this ratio the center formula's relative error, about
         # 1 / sqrt(pi ratio), is below 5.7e-15
-        keep = ratio <= 1e28
-        idx, ratio = idx[keep], ratio[keep]
-        try:
-            phi = solve_turning(ratio)
-        except ConvergenceError as exc:
-            exc.indices = idx[exc.indices]  # name the caller's points
-            raise
+        solved = ratio <= 1e28
+        phi = solve_turning(np.where(solved, ratio, 0.0))
         # |z| phi / sin phi; but as phi nears pi, sin phi magnifies phi's
         # rounding, so there the same value phi (2 |t| / (2 phi - sin 2 phi))^(1/2)
         near = ratio <= 1.0
-        i, p = idx[near], phi[near]
-        out[i] = zn[i] * _phi_over_sin(p)
-        i, p = idx[~near], phi[~near]
-        out[i] = p * np.sqrt(2.0 * t[i] / (2.0 * p - np.sin(2.0 * p)))
-        return out[0] if l1.ndim == 1 else out.reshape(l2.shape[:-1])
+        s = np.sin(np.where(near, phi, 2.0 * phi))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(near, zn * np.where(phi == 0.0, 1.0, phi / s),
+                           phi * np.sqrt(2.0 * t / (2.0 * phi - s)))
+        return np.where(solved, out, np.sqrt(np.pi * t))[()]
 
     def unit_ball_bbox(self):
         # |z| <= 1 (phi -> 0); the height profile (2 phi - sin 2 phi)/(2 phi^2)
@@ -463,25 +456,22 @@ def unit_ball_volume(metric: _HomogeneousMetric) -> tuple[float, float]:
     max(|G128 - G64|, 50 eps int |f|). For n = 1..170 that error stays below
     2e-14 relative, so the self-check, QuadratureError if it exceeds 1e-12
     (relative once the integral exceeds 1), guards the rule, not an input.
-    OverflowError when the volume exceeds the float range, as for tiny d_inf
-    coefficients.
+    FloatingPointError unless the volume is a normal float, as for tiny or
+    huge d_inf coefficients: every ratio divides by it.
     """
     spec = metric.spec
     m, k = spec.dim1, spec.dim2
     if isinstance(metric, DinfMetric):
         # powers of the radii: a power of a tiny c underflows to a 0 divisor
-        vol = alpha(m) * (1.0 / metric.c1) ** m * layer2_ball(spec, 1.0 / metric.c2)
-        if vol == math.inf:
-            raise OverflowError("d_inf unit-ball volume exceeds the float range")
-        return vol, 0.0
-    if isinstance(metric, GaugeMetric):
+        vol, err = alpha(m) * (1.0 / metric.c1) ** m * layer2_ball(spec, 1.0 / metric.c2), 0.0
+    elif isinstance(metric, GaugeMetric):
         scale = metric.layer2_scale  # |Z| <= 1/scale on the unit ball
         # slicing over the layer-2 radius r, then u = (scale r)^2, gives
         # alpha_m alpha_k k/(2 scale^k) B(k/2, m/4 + 1) with the Beta function B,
         # and alpha_k (k/2) Gamma(k/2) = pi^(k/2) leaves one Gamma ratio
-        return (alpha(m) * math.pi ** (k / 2.0) * math.gamma(m / 4.0 + 1.0)
-                / (scale ** k * math.gamma(k / 2.0 + m / 4.0 + 1.0))), 0.0
-    if isinstance(metric, CCMetric):
+        vol, err = (alpha(m) * math.pi ** (k / 2.0) * math.gamma(m / 4.0 + 1.0)
+                    / (scale ** k * math.gamma(k / 2.0 + m / 4.0 + 1.0))), 0.0
+    elif isinstance(metric, CCMetric):
         coarse, fine = (w * cc_ball_integrand(phi, spec.n)
                         for phi, w in map(gauss_legendre, (64, 128)))
         val = float(fine.sum())
@@ -490,5 +480,10 @@ def unit_ball_volume(metric: _HomogeneousMetric) -> tuple[float, float]:
         if err > 1e-12 * max(1.0, val):
             raise QuadratureError(f"CC ball quadrature missed the tolerance (achieved {err:g})")
         pref = 4.0 * spec.n * alpha(2 * spec.n)  # volume = pref * int_0^pi f
-        return pref * val, float(pref * err)
-    raise MetricError(f"no volume rule for {type(metric).__name__}")
+        vol, err = pref * val, float(pref * err)
+    else:
+        raise MetricError(f"no volume rule for {type(metric).__name__}")
+    if not np.finfo(float).tiny <= vol < math.inf:  # negated, so that NaN fails too
+        side = "overflow" if vol > 1.0 else "underflow"
+        raise FloatingPointError(f"{side}: the unit-ball volume {vol!r} is not a normal float")
+    return vol, err

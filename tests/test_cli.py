@@ -202,6 +202,21 @@ class TestBallVolume:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: overflow") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["ball-volume", "--c1", "1e100", "--c2", "1e100"],
+        ["ball-volume", "--c1", "1e160", "--c2", "1"],
+        ["sigma", "--c1", "1e100", "--c2", "1e100", "--budget", "2000"],
+        ["bump-search", "--c1", "1e100", "--c2", "1e100", "--budget", "2000"],
+    ], ids=["ball-volume-zero", "ball-volume-subnormal", "sigma", "bump-search"])
+    def test_huge_coefficients_exit_3(self, capsys, argv):
+        # the volume underflows to 0, or to the subnormal 6.2835e-320 (the
+        # true value is 6.2832e-320); every ratio divides by it
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical error: underflow: the unit-ball volume")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("metric", ["gauge", "cc"])
     @pytest.mark.parametrize("flag", ["--c1", "--c2"])
     @pytest.mark.parametrize("command", [["ball-volume"], ["bump-search", "--budget", "10"],
@@ -357,6 +372,38 @@ class TestChunkLimit:
         sampling.check_chunk(sampling.CHUNK_SIZE, 64)
         with pytest.raises(ValueError, match="lower the budget"):
             sampling.check_chunk(sampling.CHUNK_SIZE, 801)
+
+
+class TestBoxRange:
+    """The array norms square box coordinates unscaled; a box whose squares
+    leave the normal float range is refused before any draw."""
+
+    @pytest.mark.parametrize("command", ["bump-search", "sigma"])
+    @pytest.mark.parametrize("coefs", [["--c2", "1e-77"], ["--c2", "1e-80"],
+                                       ["--c1", "1e160", "--c2", "1e-10"]],
+                             ids=["c2-1e-77", "c2-1e-80", "c1-1e160"])
+    def test_out_of_range_box_exits_3_before_drawing(self, capsys, monkeypatch, command, coefs):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} used before the box check")
+
+        monkeypatch.setattr(sampling, "substream", lambda seed, chunk: NoDraws())
+        assert main([command, *coefs, "--budget", "20000", "--seed", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical error: sampling box layer") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("coefs", [[], ["--c1", "1e150"], ["--c2", "1e-70"],
+                                       ["--c1", "1e140", "--c2", "1e-60"]],
+                             ids=["unit", "c1-1e150", "c2-1e-70", "c1-1e140-c2-1e-60"])
+    def test_in_range_boxes_give_the_unit_ratio(self, capsys, coefs):
+        # both balls are norm balls shifted in layer 2 only, and (z, t) ->
+        # (c1 z, c2^2 t) maps them onto those of unit coefficients, so the
+        # ratio does not move; the suite turns any warning into an error
+        code, out = run_main(capsys, "bump-search", *coefs, "--budget", "20000", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["result"]["ratio"]["value"] == 1.0589720904690079
+        assert capsys.readouterr().err == ""
 
 
 class TestBumpSearch:

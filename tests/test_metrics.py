@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import carnotiso as ci
 import carnotiso.metrics as metrics_mod
-from carnotiso.geodesics import _height_profile
+from carnotiso.geodesics import _cut_ball_samples, _height_profile, cut_point
 from conftest import quaternionic
 from carnotiso.metrics import (ConvergenceError, MetricError, mu, mu_prime, solve_turning,
                                unit_ball_volume)
@@ -368,10 +368,10 @@ class TestCC:
         assert np.max(np.abs(CC.norm_arrays(z, t) - r)) < 1e-8
 
     def test_nonconvergence_names_points(self, monkeypatch):
-        # center points skip the solve, so the solver's indices are mapped
-        # back to positions among the points
-        # and only the point at ratio 0.2 takes a nonzero last step, which
-        # fails a tolerance of 1e-300
+        # the solve sees every point, center rows at ratio 0, so its indices
+        # are positions among the points; ratio 0 starts on its root, and
+        # only the point at ratio 0.2 takes a nonzero last step, which fails
+        # a tolerance of 1e-300
         monkeypatch.setattr(metrics_mod, "TURNING_ROOT_TOL", 1e-300)
         z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
         t = np.array([[0.3], [0.2], [0.1], [0.0]])
@@ -381,16 +381,64 @@ class TestCC:
 
     def test_point_alone_equals_point_in_batch(self):
         # every element takes the same steps, so a norm does not depend on
-        # the other points of its batch: series and main branch, the center,
-        # and ratios past the center switch
+        # the other points of its batch: series and main branch, the center
+        # with and without t, ratio exactly 1 (the sine switch) and both
+        # sides of the center switch at 1e28
         rng = np.random.default_rng(8)
-        z = np.concatenate([rng.uniform(-1, 1, (300, 2)), [[0.0, 0.0], [1e-12, 0.0], [1.0, 0.0]]])
-        t = np.concatenate([10.0 ** rng.uniform(-8, 2, (300, 1)), [[0.3], [1.0], [0.0]]])
+        z = np.concatenate([rng.uniform(-1, 1, (300, 2)),
+                            [[0.0, 0.0], [1e-12, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0],
+                             [0.5, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]])
+        t = np.concatenate([10.0 ** rng.uniform(-8, 2, (300, 1)),
+                            [[0.3], [1.0], [0.0], [0.0], [1.0], [0.25], [np.nextafter(1e28, 0)],
+                             [1e28], [np.nextafter(1e28, 1e29)], [1e30]]])
         batch = CC.norm_arrays(z, t)
         for i in range(len(z)):
             alone = CC.norm_arrays(z[i:i + 1], t[i:i + 1])[0]
             assert alone.tobytes() == batch[i].tobytes(), i
             assert CC.norm(ci.point(z[i], t[i])) == batch[i], i
+            # a single point is a numpy scalar
+            one = CC.norm_arrays(z[i], t[i])
+            assert isinstance(one, np.float64) and one.tobytes() == batch[i].tobytes(), i
+        # a 2-d batch keeps its shape, element by element
+        grid = CC.norm_arrays(z.reshape(10, 31, 2), t.reshape(10, 31, 1))
+        assert grid.shape == (10, 31)
+        assert grid.reshape(-1).tobytes() == batch.tobytes()
+
+    def test_bitwise_the_compaction_kernel(self):
+        # the earlier kernel, written out: index compaction of the off-center
+        # points with ratio <= 1e28, one subset per formula, phi / sin phi
+        # with 1 at phi = 0; the one-pass kernel must give the same bits
+        def compaction_norm(l1, l2):
+            zn = np.sqrt(metrics_mod._sum_squares(l1)).reshape(-1)
+            t = np.abs(l2[..., 0]).reshape(-1)
+            out = np.sqrt(np.pi * t)
+            idx = np.flatnonzero(zn > 0)
+            ratio = t[idx] / zn[idx] ** 2
+            keep = ratio <= 1e28
+            idx, ratio = idx[keep], ratio[keep]
+            phi = solve_turning(ratio)
+            near = ratio <= 1.0
+            i, p = idx[near], phi[near]
+            out[i] = zn[i] * np.where(p == 0.0, 1.0, p / np.sin(p))
+            i, p = idx[~near], phi[~near]
+            out[i] = p * np.sqrt(2.0 * t[i] / (2.0 * p - np.sin(2.0 * p)))
+            return out
+
+        rng = np.random.default_rng(14)
+        lo1, hi1, lo2, hi2 = CC.unit_ball_bbox()
+        box = rng.uniform(lo1, hi1, (2**16, 2)), rng.uniform(lo2, hi2, (2**16, 1))
+        cut = _cut_ball_samples(H1, cut_point(H1, 1.0), rng, 2**15)
+        # the center with and without t, t = 0, tiny |z| (its square
+        # underflows to 0 in the last row), ratio 1 and around 1e28
+        edge = (np.array([[0.0, 0.0], [0.0, 0.0], [0.6, 0.8], [1e-12, 0.0], [1e-160, 0.0],
+                          [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0],
+                          [1e-170, 0.0]]),
+                np.array([[0.0], [0.3], [0.0], [0.5], [0.0], [1.0], [np.nextafter(1e28, 0)],
+                          [1e28], [np.nextafter(1e28, 1e29)], [1e35], [1.0]]))
+        for l1, l2 in (box, cut, edge):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = compaction_norm(l1, l2)
+            assert CC.norm_arrays(l1, l2).tobytes() == want.tobytes()
 
     def test_norm_accurate_up_to_the_center(self):
         # near the center phi nears pi, where |z| phi / sin phi magnifies phi's
