@@ -144,12 +144,15 @@ def _sample_ball_sup(metric, apex: GroupPoint, budget: int, seed: int) -> float:
     box = ball.bounding_box
     d1 = len(box.lo1)
 
-    def chunk(rng, count):
-        pts = sampling.uniform_box(rng, count, box.lo, box.hi)
+    def block_sup(pts):
         l1, l2 = pts[:, :d1], pts[:, d1:]
         inside = ball.membership(l1, l2)
         # a masked max over all points is cheaper than gathering the hits
-        return float(np.max(metric.norm_arrays(l1, l2 - apex.layer2), where=inside, initial=0.0))
+        return np.max(metric.norm_arrays(l1, l2 - apex.layer2), where=inside, initial=0.0)
+
+    def chunk(rng, count):
+        return float(np.max([block_sup(pts)
+                             for pts in sampling.box_blocks(rng, count, box.lo, box.hi)]))
 
     return max(sampling.map_chunks(seed, budget, chunk))
 

@@ -131,8 +131,8 @@ def mc_measure(sampled: SampledSet, budget: int, seed: int) -> EstimateWithError
     d1 = len(box.lo1)
 
     def chunk(rng, count):
-        pts = sampling.uniform_box(rng, count, box.lo, box.hi)
-        return int(np.count_nonzero(sampled.membership(pts[:, :d1], pts[:, d1:])))
+        return sum(int(np.count_nonzero(sampled.membership(pts[:, :d1], pts[:, d1:])))
+                   for pts in sampling.box_blocks(rng, count, box.lo, box.hi))
 
     hits = sum(sampling.map_chunks(seed, budget, chunk))
     p = hits / budget

@@ -360,6 +360,24 @@ class TestChunkLimit:
         assert err.startswith("error: a sampling chunk of 1000 points x 5 coordinates exceeds")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "dinf"], ["verify", "gauge"], ["bump-search"],
+        ["bump-search", "--metric", "gauge"], ["bump-search", "--metric", "cc"], ["sigma"],
+    ], ids=["verify-dinf", "verify-gauge", "bump-dinf", "bump-gauge", "bump-cc", "sigma"])
+    def test_limit_bounds_the_chunk_not_the_block(self, capsys, monkeypatch, argv):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} used before the chunk check")
+
+        # a block of 64 points of H^2 is 320 floats, far under the limit; the
+        # chunk of 1000 points is one over it
+        monkeypatch.setattr(sampling, "BLOCK", 64)
+        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 4999)
+        monkeypatch.setattr(sampling, "substream", lambda seed, chunk: NoDraws())
+        assert main([*argv, "--group", "h2", "--budget", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sampling chunk of 1000 points x 5 coordinates exceeds")
+
     @pytest.mark.parametrize("counterexample", ["dinf", "cc"])
     def test_at_limit_runs(self, capsys, monkeypatch, counterexample):
         monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 5000)

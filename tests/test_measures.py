@@ -227,6 +227,103 @@ class TestUniformBox:
                     draw()
 
 
+def _stacked_blocks_are_one_draw(blocks, seed, count, box):
+    """True iff blocks(rng, count, lo, hi) stacked is uniform_box's one draw, rng state too."""
+    ours, ref = sampling.substream(seed, 0), sampling.substream(seed, 0)
+    got = [pts.copy() for pts in blocks(ours, count, box.lo, box.hi)]
+    want = sampling.uniform_box(ref, count, box.lo, box.hi)
+    return (all(len(b) == sampling.BLOCK for b in got[:-1])
+            and np.array_equal(np.vstack(got), want)
+            and np.array_equal(ours.random(4), ref.random(4)))
+
+
+def _reordered_blocks(rng, count, lo, hi):
+    yield from reversed([pts.copy() for pts in sampling.box_blocks(rng, count, lo, hi)])
+
+
+def _redrawn_blocks(rng, count, lo, hi):
+    for pts in sampling.box_blocks(rng, count, lo, hi):
+        yield sampling.uniform_box(rng, len(pts), lo, hi)
+
+
+# The chunk functions of the one-shot draw: each chunk's points in one array.
+# The blocked ones must give the same bits.
+
+def _one_shot_hits(sampled, budget, seed):
+    box = sampled.bounding_box
+    d1 = len(box.lo1)
+
+    def chunk(rng, count):
+        pts = sampling.uniform_box(rng, count, box.lo, box.hi)
+        return int(np.count_nonzero(sampled.membership(pts[:, :d1], pts[:, d1:])))
+
+    return sum(sampling.map_chunks(seed, budget, chunk))
+
+
+def _one_shot_ball_sup(metric, budget, seed):
+    apex, _ = ci.isodiametric._apex_and_bound(metric)
+    ball = ci.ball_set(metric)
+    box = ball.bounding_box
+    d1 = len(box.lo1)
+
+    def chunk(rng, count):
+        pts = sampling.uniform_box(rng, count, box.lo, box.hi)
+        l1, l2 = pts[:, :d1], pts[:, d1:]
+        inside = ball.membership(l1, l2)
+        return float(np.max(metric.norm_arrays(l1, l2 - apex.layer2), where=inside, initial=0.0))
+
+    return max(sampling.map_chunks(seed, budget, chunk))
+
+
+def _one_shot_cut_ball_sup(spec, budget, seed):
+    metric, x = ci.CCMetric(spec), ci.geodesics.cut_point(spec, 1.0)
+
+    def chunk(rng, count):
+        y1, y2 = ci.geodesics._cut_ball_samples(spec, x, rng, count)
+        return float(metric.norm_arrays(y1, y2).max())
+
+    return max(sampling.map_chunks(seed, budget, chunk))
+
+
+class TestBoxBlocks:
+    """A chunk is drawn and tested BLOCK points at a time; the bits are the one-shot draw's."""
+
+    BOXES = {name: box for name, box in TestUniformBox.boxes().items()
+             if name in ("dinf-h1", "dinf-h2", "gauge-h1-htype", "cc-h1")}
+
+    @pytest.mark.parametrize("count", [1, 63, 64, sampling.BLOCK - 1, sampling.BLOCK,
+                                       sampling.BLOCK + 65, 3 * sampling.BLOCK + 7])
+    def test_blocks_are_one_draw_bit_for_bit(self, count):
+        for name, box in self.BOXES.items():
+            assert _stacked_blocks_are_one_draw(sampling.box_blocks, 5, count, box), name
+
+    def test_reordered_or_redrawn_blocks_differ(self):
+        box = self.BOXES["dinf-h1"]
+        for wrong in (_reordered_blocks, _redrawn_blocks):
+            assert not _stacked_blocks_are_one_draw(wrong, 5, 2 * sampling.BLOCK + 7, box)
+
+    # the odd block does not divide its chunk, which is shortened so that a run
+    # makes about a hundred blocks, not ten thousand
+    @pytest.mark.parametrize("block,chunk", [(sampling.BLOCK, sampling.CHUNK_SIZE),
+                                             (193, 50 * 193 + 17)])
+    def test_chunk_functions_equal_the_one_shot_draw(self, monkeypatch, block, chunk):
+        monkeypatch.setenv("CARNOT_ISO_THREADS", "1")
+        monkeypatch.setattr(sampling, "BLOCK", block)
+        monkeypatch.setattr(sampling, "CHUNK_SIZE", chunk)
+        budget = 2 * chunk + 1001
+        bump = ci.ball_set(DINF, center=ci.point([0, 0], [1.0]), radius=2 - math.sqrt(2))
+        for sampled in (bump, ci.ball_set(GAUGE)):
+            est = ci.mc_measure(sampled, budget, seed=3)
+            hits = _one_shot_hits(sampled, budget, 3)
+            assert 0 < hits < budget
+            assert est.value == sampled.bounding_box.volume * (hits / budget)
+        for metric in (DINF, GAUGE):
+            got = ci.apex_reach(metric, budget, seed=4).sampled_sup
+            assert got == _one_shot_ball_sup(metric, budget, 4)
+        got = ci.verify_assumption_C(H1, budget, seed=6).sampled_max_roundtrip
+        assert got == _one_shot_cut_ball_sup(H1, budget, 6)
+
+
 K3 = quaternionic()
 SHIFT_METRICS = {
     "dinf-h1": DINF, "dinf-h2": ci.DinfMetric(H2), "dinf-h1-htype": ci.DinfMetric(HT),
