@@ -9,12 +9,13 @@ from .groups import (GroupError, GroupPoint, GroupSpec, dilate,
                      h1_point_from_htype, h1_point_to_htype, h_type,
                      heisenberg, identity, inv, mul, point, validate_htype)
 from .metrics import (CCMetric, ConvergenceError, DinfMetric, GaugeMetric,
-                      MetricError, alpha, make_metric, unit_ball_volume)
+                      MetricError, QuadratureError, alpha, make_metric,
+                      unit_ball_volume)
 from .geodesics import (CutPointReport, GeodesicParams, cc_geodesic_sample,
                         cc_sphere_point, cut_point, verify_assumption_C)
-from .measures import (BoundingBox, EstimateWithError, QuadratureError,
-                       SampledSet, ball_set, cc_unit_ball_volume, mc_measure,
-                       set_diameter, spherical_measure)
+from .measures import (BoundingBox, EstimateWithError, SampledSet, ball_set,
+                       cc_unit_ball_volume, mc_measure, set_diameter,
+                       spherical_measure)
 from .isodiametric import (ApexReachReport, BumpParams, CertificateError,
                            RatioResult, SigmaBounds, apex_reach, bump_ratio,
                            isodiametric_ratio, maximize_bump,

@@ -229,7 +229,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     # FloatingPointError: a volume or sampling box outside the normal float range
-    except (metrics.ConvergenceError, measures.QuadratureError, FloatingPointError) as exc:
+    except (metrics.ConvergenceError, metrics.QuadratureError, FloatingPointError) as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return EXIT_NUMERICAL
     except OverflowError as exc:  # e.g. Gamma(m/2 + 1) in a ball volume of a large group

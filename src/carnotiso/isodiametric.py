@@ -218,10 +218,8 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     bump = measures.ball_set(metric, center=params.apex, radius=params.rho)
 
     def extra_membership(l1, l2):
-        # the base-ball norm only matters on bump hits
         hit = bump.membership(l1, l2)
-        idx = np.flatnonzero(hit)
-        hit[idx] = metric.norm_arrays(l1[idx], l2[idx]) > 1.0
+        hit &= ~metric.within(l1, l2, 1.0)
         return hit
 
     extra = SampledSet(extra_membership, bump.bounding_box, spec)

@@ -20,7 +20,6 @@ from . import groups
 from . import metrics as metrics_mod
 from . import sampling
 from .groups import GroupPoint, GroupSpec
-from .metrics import QuadratureError, alpha, cc_ball_integrand  # noqa: F401  (re-exported)
 
 
 @dataclass
@@ -84,6 +83,9 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
 
     A central center c = [0, c2] translates by a layer-2 shift only, so
     d(c, y) = N(y1, y2 - c2) and the box is the dilated unit box shifted by c2.
+    Membership is metric.within(y1, y2 - c2, radius): bit for bit
+    norm_arrays(...) <= radius, and for CC decided by the half-height table
+    on all but the points next to the sphere (CCMetric.within).
     The array norms square box coordinates unscaled, so FloatingPointError
     unless, in each layer, the sum of squares at the box's far corner is
     finite and every half-width squares to a normal float.
@@ -105,7 +107,7 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
                 f"sum of squares {far:.3g}; the array norms need both to be normal floats")
 
     def member(l1, l2):
-        return metric.norm_arrays(l1, l2 - c.layer2) <= radius
+        return metric.within(l1, l2 - c.layer2, radius)
 
     return SampledSet(member, box, metric.spec, diameter_hint=2.0 * radius)
 

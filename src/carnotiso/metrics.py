@@ -191,6 +191,71 @@ def solve_turning(ratio):
 
 
 # ---------------------------------------------------------------------------
+# the CC unit ball's half-height profile, tabulated for CCMetric.within
+#
+# The unit sphere is [s chi, T] with s = sin phi / phi and the half height
+# T = mu(phi) s^2 = (2 phi - sin 2 phi) / (2 phi^2), phi in [0, pi]. In
+# u = sqrt(1 - s), which grows with phi, dT/du = 4 u cos(phi) / phi: T rises
+# from 0 at u = 0 to 2/pi at u = sqrt(1 - 2/pi) (phi = pi/2), then falls to
+# 1/pi at u = 1. And 1 - s <= phi^2 / 6 gives u <= phi / sqrt(6), so
+# |dT/du| <= 4 / sqrt(6) < 1.7.
+# ---------------------------------------------------------------------------
+
+PROFILE_CELLS = 1 << 12  # cells of u; a power of two, so u * PROFILE_CELLS is exact
+# the margin on the scaled height in CCMetric.within, where it is proven
+PROFILE_EPS = 1e-9
+# 1 - sin phi / phi cancels near 0, so below the cut it is the series
+# phi^2 sum_k (-1)^k phi^(2k) / (2k + 3)!, whose next term is 1e-23 relative there
+_SINC_SERIES_CUT = 0.5
+_SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
+
+
+def _one_minus_sinc(phi):
+    """1 - sin phi / phi on [0, pi], to a few ulp."""
+    p2, acc = phi * phi, 0.0
+    for c in reversed(_SINC_SERIES):
+        acc = acc * p2 + c
+    return np.where(phi < _SINC_SERIES_CUT, p2 * acc, 1.0 - np.sin(phi) / phi)
+
+
+def _half_height(u):
+    """The CC unit sphere's half height T at u = sqrt(1 - |z|), for u in (0, 1].
+
+    Newton's method on sqrt(1 - sin phi / phi) = u from phi = sqrt(6) u
+    (1 + (pi / sqrt(6) - 1) u^2), exact at both ends and within 4% between:
+    the fifth step moves phi by rounding only. Then T = mu(phi) (sin phi / phi)^2,
+    within 1e-15 of the true T at the float u (tested against mpmath).
+    """
+    phi = math.sqrt(6.0) * u * (1.0 + (math.pi / math.sqrt(6.0) - 1.0) * u * u)
+    for _ in range(5):
+        v = np.sqrt(_one_minus_sinc(phi))
+        phi = phi - (v - u) * 2.0 * phi * phi * v / (np.sin(phi) - phi * np.cos(phi))
+    return mu(phi) * (np.sin(phi) / phi) ** 2
+
+
+@functools.cache
+def _profile_bounds():
+    """(low, high): bounds of the half height per cell of u, widened by PROFILE_EPS.
+
+    Cell k is [k, k + 1] / PROFILE_CELLS. T is unimodal in u, so on a cell
+    it lies between its values at the two ends, or up to 2/pi on the cells
+    next to the peak. low is the smaller end less PROFILE_EPS, high the
+    larger plus PROFILE_EPS. Cell 0 is (-inf, inf): the exact kernel decides
+    u < 1 / PROFILE_CELLS. One more entry repeats the last cell, for u = 1
+    (|z| = 0). Built once, in about 2 ms.
+    """
+    ends = _half_height(np.arange(1, PROFILE_CELLS + 1) / PROFILE_CELLS)
+    low = np.minimum(ends[:-1], ends[1:]) - PROFILE_EPS
+    high = np.maximum(ends[:-1], ends[1:]) + PROFILE_EPS
+    peak = int(math.sqrt(1.0 - 2.0 / math.pi) * PROFILE_CELLS)
+    high[peak - 2:peak + 1] = 2.0 / math.pi + PROFILE_EPS  # cells peak - 1 .. peak + 1
+    low = np.concatenate([[-math.inf], low, low[-1:]])
+    high = np.concatenate([[math.inf], high, high[-1:]])
+    low.flags.writeable = high.flags.writeable = False  # the cache shares them
+    return low, high
+
+
+# ---------------------------------------------------------------------------
 # metric classes
 # ---------------------------------------------------------------------------
 
@@ -235,6 +300,10 @@ class _HomogeneousMetric:
 
     def norm_arrays(self, l1, l2):  # pragma: no cover - interface
         raise NotImplementedError
+
+    def within(self, l1, l2, r):
+        """norm_arrays(l1, l2) <= r, the closed ball's membership mask."""
+        return self.norm_arrays(l1, l2) <= r
 
     def norm(self, p: GroupPoint) -> float:
         e = _scale_exponent(p)
@@ -335,6 +404,11 @@ class CCMetric(_HomogeneousMetric):
     (the rest, center and NaN included, at 0), takes one sine per point and
     picks |z| phi / sin phi up to ratio 1, phi (2 |t| / (2 phi - sin 2 phi))^(1/2)
     above, or sqrt(pi |t|): within 1e-14 relative of the exact norm.
+    within(l1, l2, r) gives the same mask as norm_arrays(l1, l2) <= r from the
+    unit ball's tabulated half height, and runs norm_arrays only on the few
+    points the table cannot decide; the Monte Carlo paths use it. distance,
+    the scalar norm and the volume rule run norm_arrays, or their own
+    quadrature, on every point.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -361,6 +435,51 @@ class CCMetric(_HomogeneousMetric):
             out = np.where(near, zn * np.where(phi == 0.0, 1.0, phi / s),
                            phi * np.sqrt(2.0 * t / (2.0 * phi - s)))
         return np.where(solved, out, np.sqrt(np.pi * t))[()]
+
+    def within(self, l1, l2, r):
+        """norm_arrays(l1, l2) <= r, bit for bit, decided by the half-height table.
+
+        The rule: N(z, t) <= r exactly when |z| <= r and |t| <= r^2 T(|z| / r),
+        T the unit sphere's half height (_half_height). From the kernel's own
+        |z| and |t| take a = |z| / r, b = |t| / r^2 (to 3 ulp), u = sqrt(1 - a)
+        and its cell k = floor(u PROFILE_CELLS) of _profile_bounds. Let N* be
+        the exact norm there; norm_arrays is within 1e-14 of it, so where N*
+        is below r (1 - kappa) or above r (1 + kappa), kappa = 2e-14, the
+        kernel decides as N* does. The table decides three cases:
+
+        * a > 1 + PROFILE_EPS: N* >= |z| > r (1 + kappa), outside.
+        * k >= 1 and b <= low[k]: inside. By homogeneity N* <= r (1 - kappa)
+          when s' = a* / (1 - kappa) <= 1 and b* / (1 - kappa)^2 <= T(s'), a*
+          and b* the exact ratios. s' is within 3e-14 of a, and u >= 1 /
+          PROFILE_CELLS, so sqrt(1 - s') is within 3e-14 / u + 2 ulp < 1.3e-10
+          of u; T is 1.7-Lipschitz in u, so T(s') >= low[k] + PROFILE_EPS
+          - 1e-15 (node error) - 2.2e-10 > b + 1.3e-13 >= b* / (1 - kappa)^2.
+        * k >= 1 and b >= high[k]: outside, by the same steps with 1 + kappa.
+
+        PROFILE_EPS = 1e-9 is thus four times the sum it must exceed. Every
+        other point goes to norm_arrays: those within about one cell of the
+        sphere's height, u < 1 / PROFILE_CELLS (|z| within 6e-8 r of r), and
+        NaN; that is about 50 of the 2^17 points of the CC bump box. So does
+        every point for r outside [1e-100, 1e100], where r^2 may leave the
+        normal range, and a single 1-d point.
+        """
+        l1 = np.asarray(l1, dtype=float)
+        l2 = np.asarray(l2, dtype=float)
+        if l1.ndim < 2 or not 1e-100 <= r <= 1e100:  # negated, so that NaN fails too
+            return super().within(l1, l2, r)
+        low, high = _profile_bounds()
+        a = np.sqrt(_sum_squares(l1)) * (1.0 / r)
+        b = np.abs(l2[..., 0]) * (1.0 / (r * r))
+        u = np.fmax(1.0 - a, 0.0)  # fmax: NaN -> 0, and cell 0
+        np.sqrt(u, out=u)
+        u *= PROFILE_CELLS
+        k = u.astype(np.intp)
+        lo, hi = low[k], high[k]
+        inside = b <= lo
+        unsure = (b > lo) & (b < hi) & ~(a > 1.0 + PROFILE_EPS)  # NaN |z| too
+        if unsure.any():
+            inside[unsure] = self.norm_arrays(l1[unsure], l2[unsure]) <= r
+        return inside
 
     def unit_ball_bbox(self):
         # |z| <= 1 (phi -> 0); the height profile (2 phi - sin 2 phi)/(2 phi^2)

@@ -7,7 +7,8 @@ import pytest
 import carnotiso as ci
 from carnotiso import sampling
 from carnotiso.groups import standard_symplectic
-from carnotiso.measures import BoundingBox, cc_ball_integrand
+from carnotiso.measures import BoundingBox
+from carnotiso.metrics import cc_ball_integrand
 from conftest import quaternionic
 
 H1 = ci.heisenberg(1)
@@ -62,7 +63,7 @@ class TestCCVolume:
     def test_tight_tolerance_raises(self, monkeypatch):
         # the fixed 1e-12 self-check catches a rule too coarse for it
         from carnotiso import metrics
-        from carnotiso.measures import QuadratureError
+        from carnotiso.metrics import QuadratureError
         rule = metrics.gauss_legendre
         monkeypatch.setattr(metrics, "gauss_legendre", lambda n: rule(n // 16))
         with pytest.raises(QuadratureError):
