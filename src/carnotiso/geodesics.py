@@ -18,7 +18,7 @@ import numpy as np
 
 from . import groups, sampling
 from .groups import GroupError, GroupPoint, GroupSpec
-from .metrics import CCMetric, _sum_squares, mu
+from .metrics import CCMetric, _height_profile, _sin_over, _sum_squares
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,6 @@ class GeodesicParams:
             raise GroupError("phi must be finite with |phi| <= pi")
         if not 0.0 < self.r < math.inf:
             raise GroupError("length r must be finite and positive")
-
-
-def _sin_over(phi):
-    """sin(phi)/phi with value 1 at 0."""
-    return np.sinc(np.asarray(phi, dtype=float) / np.pi)
-
-
-def _height_profile(phi, sin_over=None):
-    """(2 phi - sin 2 phi) / (2 phi^2) = mu(phi) (sin phi / phi)^2, 0 at phi = 0.
-
-    sin_over, when given, is the caller's _sin_over(phi).
-    """
-    return mu(phi) * (_sin_over(phi) if sin_over is None else sin_over) ** 2
 
 
 def sphere_point_arrays(n: int, chi: np.ndarray, phi, r):
@@ -133,28 +120,30 @@ class CutPointReport:
         }
 
 
-def _cut_ball_samples(spec: GroupSpec, x: GroupPoint, rng, count: int):
-    """count points of the closed CC ball B(x, 1): half on its sphere, half inside.
+def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
+    """Yield count points (z, t) of the closed CC ball B(x, 1), BLOCK points at a time.
 
+    Row i is on the sphere when i < count // 2, inside the ball otherwise. It
+    takes (phi, radius, height) from box_blocks on [-pi, pi] x [0, 1]^2 and
+    its direction chi from the normals of rng's jumped copy, both in row
+    order, so no point depends on BLOCK. Inner rows scale chi to |chi| =
+    radius^(1/dim1) and the sphere map to height^(1/Q); sphere rows use 1.
     x is central, like the cut point, so translating by it is t -> t + x2.
     """
-    n, d1 = spec.n, spec.dim1
-    sampling.check_chunk(count, d1 + spec.dim2)
-    m_sphere = count // 2
-    m_inner = count - m_sphere
-    chi = rng.standard_normal((m_sphere, d1))
-    chi /= np.sqrt(_sum_squares(chi))[:, None]
-    phi = rng.uniform(-math.pi, math.pi, size=m_sphere)
-    z_s, t_s = sphere_point_arrays(n, chi, phi, np.ones(m_sphere))
-    chi2 = rng.standard_normal((m_inner, d1))
-    chi2 /= np.sqrt(_sum_squares(chi2))[:, None]
-    chi2 *= rng.uniform(0.0, 1.0, size=(m_inner, 1)) ** (1.0 / d1)
-    phi2 = rng.uniform(-math.pi, math.pi, size=m_inner)
-    u = rng.uniform(0.0, 1.0, size=m_inner) ** (1.0 / spec.Q)
-    z_i, t_i = sphere_point_arrays(n, chi2, phi2, u)
-    z = np.vstack([z_s, z_i])
-    t = np.vstack([t_s, t_i])
-    return z, t + x.layer2
+    sampling.check_chunk(count, spec.dim1 + spec.dim2)
+    normals = np.random.Generator(rng.bit_generator.jumped())
+    chi_buf = np.empty((min(sampling.BLOCK, count), spec.dim1))
+    lo, hi = np.array([-math.pi, 0.0, 0.0]), np.array([math.pi, 1.0, 1.0])
+    sphere_left = count // 2
+    for pts in sampling.box_blocks(rng, count, lo, hi):
+        pts[:sphere_left, 1:] = 1.0
+        pts[sphere_left:, 1] **= 1.0 / spec.dim1
+        pts[sphere_left:, 2] **= 1.0 / spec.Q
+        sphere_left = max(sphere_left - len(pts), 0)
+        chi = normals.standard_normal(out=chi_buf[:len(pts)])
+        chi *= (pts[:, 1] / np.sqrt(_sum_squares(chi)))[:, None]
+        z, t = sphere_point_arrays(spec.n, chi, pts[:, 0], pts[:, 2])
+        yield z, t + x.layer2
 
 
 def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
@@ -162,12 +151,14 @@ def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
     """Numerical evidence that geodesics stop minimizing at the cut point.
 
     With x the unit cut point, samples y on and in the closed CC ball
-    B(x, 1) and reports margin = 2 - max d(0, y). By left invariance
-    d(0, x w) = d(x^-1, w), so the max is also the sampled reach of the
-    bump apex x^-1 over the unit ball, proven to be sqrt(2) in
-    isodiametric._apex_and_bound; apex_reach reports this same number.
-    The geodesic continuation point [0, 4/pi] sits at distance exactly 2,
-    but outside B(x, 1).
+    B(x, 1) (_cut_ball_blocks) and reports margin = 2 - max d(0, y), exact and
+    the same at any BLOCK: the max starts as that of every 64th sample of a
+    chunk's first block, and the kernel runs only where within() rejects it.
+    By left invariance d(0, x w) = d(x^-1, w), so the max is also the sampled
+    reach of the bump apex x^-1 over the unit ball, proven to be sqrt(2) in
+    isodiametric._apex_and_bound; apex_reach reports this same number. The
+    geodesic continuation point [0, 4/pi] sits at distance exactly 2, but
+    outside B(x, 1).
     """
     if spec.kind != "heisenberg":
         raise GroupError("assumption (C) check needs a Heisenberg spec")
@@ -176,18 +167,13 @@ def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
     cont = cut_point(spec, 2.0)  # [0, 4/pi]
 
     def chunk(rng, count):
-        # the draw is whole-chunk, as the sampling convention orders it; the
-        # norm runs a cache-sized block at a time
-        y1, y2 = _cut_ball_samples(spec, x, rng, count)
-        # best starts as the largest exact norm of every 64th sample of the
-        # first block. A sample within(best) has norm <= best, so the kernel
-        # runs only on the rest, and the maximum is the same float.
-        best = metric.norm_arrays(y1[:sampling.BLOCK:64], y2[:sampling.BLOCK:64]).max()
-        for i in range(0, count, sampling.BLOCK):
-            b1, b2 = y1[i:i + sampling.BLOCK], y2[i:i + sampling.BLOCK]
-            above = ~metric.within(b1, b2, best)
+        best = None
+        for y1, y2 in _cut_ball_blocks(spec, x, rng, count):
+            if best is None:
+                best = metric.norm_arrays(y1[::64], y2[::64]).max()
+            above = ~metric.within(y1, y2, best)
             if above.any():
-                best = np.maximum(best, metric.norm_arrays(b1[above], b2[above]).max())
+                best = np.maximum(best, metric.norm_arrays(y1[above], y2[above]).max())
         return float(best)
 
     best = max(sampling.map_chunks(seed, sample_budget, chunk))

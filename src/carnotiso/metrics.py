@@ -218,19 +218,29 @@ def _one_minus_sinc(phi):
     return np.where(phi < _SINC_SERIES_CUT, p2 * acc, 1.0 - np.sin(phi) / phi)
 
 
+def _sin_over(phi):
+    """sin(phi)/phi with value 1 at 0."""
+    return np.sinc(np.asarray(phi, dtype=float) / np.pi)
+
+
+def _height_profile(phi, sin_over=None):
+    """T(phi) = (2 phi - sin 2 phi) / (2 phi^2) = mu(phi) sin_over^2, sin_over = _sin_over(phi)."""
+    return mu(phi) * (_sin_over(phi) if sin_over is None else sin_over) ** 2
+
+
 def _half_height(u):
     """The CC unit sphere's half height T at u = sqrt(1 - |z|), for u in (0, 1].
 
     Newton's method on sqrt(1 - sin phi / phi) = u from phi = sqrt(6) u
     (1 + (pi / sqrt(6) - 1) u^2), exact at both ends and within 4% between:
-    the fifth step moves phi by rounding only. Then T = mu(phi) (sin phi / phi)^2,
+    the fifth step moves phi by rounding only. Then T = _height_profile(phi),
     within 1e-15 of the true T at the float u (tested against mpmath).
     """
     phi = math.sqrt(6.0) * u * (1.0 + (math.pi / math.sqrt(6.0) - 1.0) * u * u)
     for _ in range(5):
         v = np.sqrt(_one_minus_sinc(phi))
         phi = phi - (v - u) * 2.0 * phi * phi * v / (np.sin(phi) - phi * np.cos(phi))
-    return mu(phi) * (np.sin(phi) / phi) ** 2
+    return _height_profile(phi)
 
 
 @functools.cache
@@ -403,7 +413,8 @@ class CCMetric(_HomogeneousMetric):
     norm_arrays is one pass over all points: it solves every ratio up to 1e28
     (the rest, center and NaN included, at 0), takes one sine per point and
     picks |z| phi / sin phi up to ratio 1, phi (2 |t| / (2 phi - sin 2 phi))^(1/2)
-    above, or sqrt(pi |t|): within 1e-14 relative of the exact norm.
+    above, or sqrt(pi |t|): within 1e-14 relative of the exact norm. A NaN
+    |z| or t gives NaN, which no ball holds.
     within(l1, l2, r) gives the same mask as norm_arrays(l1, l2) <= r from the
     unit ball's tabulated half height, and runs norm_arrays only on the few
     points the table cannot decide; the Monte Carlo paths use it. distance,
@@ -434,7 +445,7 @@ class CCMetric(_HomogeneousMetric):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(near, zn * np.where(phi == 0.0, 1.0, phi / s),
                            phi * np.sqrt(2.0 * t / (2.0 * phi - s)))
-        return np.where(solved, out, np.sqrt(np.pi * t))[()]
+        return np.where(solved, out, np.where(np.isnan(zn), zn, np.sqrt(np.pi * t)))[()]
 
     def within(self, l1, l2, r):
         """norm_arrays(l1, l2) <= r, bit for bit, decided by the half-height table.
@@ -474,9 +485,12 @@ class CCMetric(_HomogeneousMetric):
         np.sqrt(u, out=u)
         u *= PROFILE_CELLS
         k = u.astype(np.intp)
-        lo, hi = low[k], high[k]
-        inside = b <= lo
-        unsure = (b > lo) & (b < hi) & ~(a > 1.0 + PROFILE_EPS)  # NaN |z| too
+        # the bounds reuse u's buffer: fewer block temporaries, fewer heap trims
+        bound = np.take(low, k, out=u, mode="clip")  # clip never binds; out is unbuffered
+        inside = b <= bound
+        unsure = b > bound
+        unsure &= b < np.take(high, k, out=bound, mode="clip")
+        unsure &= ~(a > 1.0 + PROFILE_EPS)  # NaN |z| too
         if unsure.any():
             inside[unsure] = self.norm_arrays(l1[unsure], l2[unsure]) <= r
         return inside

@@ -11,7 +11,8 @@ of memory: a chunk's points are drawn and tested BLOCK at a time, as
 consecutive draws from the chunk's one generator, so that each block's
 temporaries stay in cache. Philox doubles are one sequential stream, so
 the blocks hold exactly the rows of one whole-chunk draw, and no result
-depends on BLOCK.
+depends on BLOCK. Normals, where a sampler needs them, come from the chunk
+generator's jumped copy, in row order, and so do not depend on BLOCK either.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ BLOCK = 1 << 14
 # take 1.8 GiB before doing any work.
 MAX_BUDGET = 1 << 36
 THREADS_ENV = "CARNOT_ISO_THREADS"
-# 256 MiB of float64 in one chunk: CHUNK_SIZE points of width 64. Box draws
-# are made a block at a time, but the limit bounds the whole chunk, which the
-# CC cut-ball sampler still draws at once.
+# 256 MiB of float64 in one chunk: CHUNK_SIZE points of width 64. Draws are
+# made a block at a time, but the limit bounds the whole chunk.
 MAX_CHUNK_FLOATS = 1 << 25
 
 

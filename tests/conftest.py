@@ -3,6 +3,7 @@
 import numpy as np
 
 import carnotiso as ci
+from carnotiso import geodesics, sampling
 
 
 def quaternionic():
@@ -11,3 +12,14 @@ def quaternionic():
     lj = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], float)
     lk = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], float)
     return ci.h_type(np.stack([li, lj, lk]))
+
+
+def cut_ball_points(spec, x, rng, count):
+    """(z, t) of geodesics._cut_ball_blocks' count points drawn as one block: the one-shot draw."""
+    block = sampling.BLOCK
+    sampling.BLOCK = count
+    try:
+        (z, t), = geodesics._cut_ball_blocks(spec, x, rng, count)
+    finally:
+        sampling.BLOCK = block
+    return z, t

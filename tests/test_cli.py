@@ -361,9 +361,10 @@ class TestChunkLimit:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "dinf"], ["verify", "gauge"], ["bump-search"],
+        ["verify", "dinf"], ["verify", "gauge"], ["verify", "cc"], ["bump-search"],
         ["bump-search", "--metric", "gauge"], ["bump-search", "--metric", "cc"], ["sigma"],
-    ], ids=["verify-dinf", "verify-gauge", "bump-dinf", "bump-gauge", "bump-cc", "sigma"])
+    ], ids=["verify-dinf", "verify-gauge", "verify-cc", "bump-dinf", "bump-gauge", "bump-cc",
+            "sigma"])
     def test_limit_bounds_the_chunk_not_the_block(self, capsys, monkeypatch, argv):
         class NoDraws:
             def __getattr__(self, name):
@@ -488,6 +489,20 @@ class TestSigma:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("argv", [
+        [command, *args] for command in ("verify", "bump-search", "sigma")
+        for args in (["dinf"], ["gauge", "--group", "h1-htype"], ["cc"])
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_block_size_changes_no_output(self, capsys, monkeypatch, argv):
+        # 193 divides neither the budget nor a chunk, so blocks straddle every seam
+        if argv[0] != "verify":
+            argv = [argv[0], "--metric", *argv[1:]]
+        argv += ["--budget", "20000", "--seed", "5"]
+        base = run_main(capsys, *argv)
+        assert base[0] == 0
+        monkeypatch.setattr(sampling, "BLOCK", 193)
+        assert run_main(capsys, *argv) == base
+
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_bump_search_bytes(self, threads, tmp_path):
         env = dict(os.environ, CARNOT_ISO_THREADS=threads)

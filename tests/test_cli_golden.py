@@ -5,7 +5,8 @@ and compares stdout with ``tests/golden/<case>.out``. A refactor that keeps
 the numbers keeps these bytes.
 
 After a deliberate change of output, rewrite the files with
-``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_cli_golden.py``, which names the files
+whose bytes changed, and review the diff.
 """
 
 import contextlib
@@ -65,6 +66,12 @@ def test_golden_files_match_cases():
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    changed = []
     for case in sorted(CASES):
-        (GOLDEN / f"{case}.out").write_text(run_case(case))
-        sys.stderr.write(f"wrote {case}\n")
+        path = GOLDEN / f"{case}.out"
+        text = run_case(case)
+        if not path.exists() or path.read_text() != text:
+            path.write_text(text)
+            changed.append(path.name)
+    sys.stderr.write(f"{len(changed)} of {len(CASES)} golden files changed"
+                     + "".join(f"\n  {name}" for name in changed) + "\n")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import carnotiso as ci
-from carnotiso.geodesics import GeodesicParams, _cut_ball_samples, sphere_point_arrays
+from carnotiso.geodesics import GeodesicParams, sphere_point_arrays
 from carnotiso.groups import GroupError, mul_arrays
 from carnotiso.sampling import substream
+from conftest import cut_ball_points
 
 H1 = ci.heisenberg(1)
 H2 = ci.heisenberg(2)
@@ -170,8 +171,8 @@ class TestAssumptionC:
     def test_cut_ball_shift_is_the_group_law_bit_for_bit(self, spec):
         # the cut point is central, so B(x, 1) is B(0, 1) shifted in t
         x = ci.cut_point(spec, 1.0)
-        z0, t0 = _cut_ball_samples(spec, ci.identity(spec), substream(3, 0), 20001)
-        z, t = _cut_ball_samples(spec, x, substream(3, 0), 20001)
+        z0, t0 = cut_ball_points(spec, ci.identity(spec), substream(3, 0), 20001)
+        z, t = cut_ball_points(spec, x, substream(3, 0), 20001)
         ref_z, ref_t = mul_arrays(spec, x.layer1, x.layer2, z0, t0)
         # equal up to the sign of zeros, which no norm sees
         assert np.array_equal(z, ref_z) and np.array_equal(t, ref_t)

@@ -9,7 +9,7 @@ from carnotiso import sampling
 from carnotiso.groups import standard_symplectic
 from carnotiso.measures import BoundingBox
 from carnotiso.metrics import cc_ball_integrand
-from conftest import quaternionic
+from conftest import cut_ball_points, quaternionic
 
 H1 = ci.heisenberg(1)
 H2 = ci.heisenberg(2)
@@ -280,8 +280,7 @@ def _one_shot_cut_ball_sup(spec, budget, seed):
     metric, x = ci.CCMetric(spec), ci.geodesics.cut_point(spec, 1.0)
 
     def chunk(rng, count):
-        y1, y2 = ci.geodesics._cut_ball_samples(spec, x, rng, count)
-        return float(metric.norm_arrays(y1, y2).max())
+        return float(metric.norm_arrays(*cut_ball_points(spec, x, rng, count)).max())
 
     return max(sampling.map_chunks(seed, budget, chunk))
 
@@ -297,6 +296,24 @@ class TestBoxBlocks:
     def test_blocks_are_one_draw_bit_for_bit(self, count):
         for name, box in self.BOXES.items():
             assert _stacked_blocks_are_one_draw(sampling.box_blocks, 5, count, box), name
+
+    @pytest.mark.parametrize("count", [1, 63, 64, sampling.BLOCK - 1, sampling.BLOCK,
+                                       sampling.BLOCK + 65, 3 * sampling.BLOCK + 7])
+    def test_cut_ball_blocks_are_one_draw_bit_for_bit(self, count):
+        # for every count but 1, some block holds both sphere and inner rows
+        for spec in (H1, H2):
+            x = ci.geodesics.cut_point(spec, 1.0)
+            ours, ref = sampling.substream(5, 0), sampling.substream(5, 0)
+            got = list(ci.geodesics._cut_ball_blocks(spec, x, ours, count))
+            z, t = cut_ball_points(spec, x, ref, count)
+            assert all(len(b) == sampling.BLOCK for b, _ in got[:-1])
+            assert np.array_equal(np.vstack([b for b, _ in got]), z)
+            assert np.array_equal(np.vstack([b for _, b in got]), t)
+            assert np.array_equal(ours.random(4), ref.random(4))
+            # the first half on the sphere B(x, 1), the rest inside it
+            norms = ci.CCMetric(spec).norm_arrays(z, t - x.layer2)
+            assert np.all(np.abs(norms[:count // 2] - 1.0) <= 1e-14)
+            assert np.all(norms[count // 2:] <= 1.0 + 1e-14)
 
     def test_reordered_or_redrawn_blocks_differ(self):
         box = self.BOXES["dinf-h1"]

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import carnotiso as ci
 import carnotiso.metrics as metrics_mod
-from carnotiso.geodesics import _cut_ball_samples, _height_profile, cut_point
-from conftest import quaternionic
-from carnotiso.metrics import (ConvergenceError, MetricError, mu, mu_prime, solve_turning,
-                               unit_ball_volume)
+from carnotiso.geodesics import cut_point
+from conftest import cut_ball_points, quaternionic
+from carnotiso.metrics import (ConvergenceError, MetricError, _height_profile, mu, mu_prime,
+                               solve_turning, unit_ball_volume)
 
 H1 = ci.heisenberg(1)
 H2 = ci.heisenberg(2)
@@ -427,7 +427,7 @@ class TestCC:
         rng = np.random.default_rng(14)
         lo1, hi1, lo2, hi2 = CC.unit_ball_bbox()
         box = rng.uniform(lo1, hi1, (2**16, 2)), rng.uniform(lo2, hi2, (2**16, 1))
-        cut = _cut_ball_samples(H1, cut_point(H1, 1.0), rng, 2**15)
+        cut = cut_ball_points(H1, cut_point(H1, 1.0), rng, 2**15)
         # the center with and without t, t = 0, tiny |z| (its square
         # underflows to 0 in the last row), ratio 1 and around 1e28
         edge = (np.array([[0.0, 0.0], [0.0, 0.0], [0.6, 0.8], [1e-12, 0.0], [1e-160, 0.0],

@@ -107,13 +107,11 @@ class TestAgreement:
         metric, x = ci.CCMetric(spec), geodesics.cut_point(spec, 1.0)
 
         def chunk(rng, count):
-            y1, y2 = geodesics._cut_ball_samples(spec, x, rng, count)
-            norms = np.concatenate([metric.norm_arrays(y1[i:i + BLOCK], y2[i:i + BLOCK])
-                                    for i in range(0, count, BLOCK)])
-            best = norms.max()
-            for i in range(0, count, BLOCK):
-                got = metric.within(y1[i:i + BLOCK], y2[i:i + BLOCK], best)
-                assert np.array_equal(got, norms[i:i + BLOCK] <= best)
+            blocks = [(y1, y2, metric.norm_arrays(y1, y2))
+                      for y1, y2 in geodesics._cut_ball_blocks(spec, x, rng, count)]
+            best = max(norms.max() for _, _, norms in blocks)
+            for y1, y2, norms in blocks:
+                assert np.array_equal(metric.within(y1, y2, best), norms <= best)
             return float(best)
 
         want = max(sampling.map_chunks(23, AGREEMENT_POINTS, chunk))
@@ -153,17 +151,23 @@ class TestBoundary:
 
     def test_edges(self):
         metric = ci.CCMetric(SPECS["h1"])
-        # the kernel gives NaN |z| with t = 0 the center formula's 0, so NaN
-        # must reach it
+        # a NaN |z| or t has norm NaN, which no ball holds: rows 3 to 6 and the
+        # last three. A NaN |z| makes the ratio NaN, as the identity's 0 / 0 does
         z = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [np.nan, 0.0], [np.nan, 0.0],
                       [np.nan, 0.0], [0.0, 0.0], [np.inf, 0.0], [0.6, 0.8], [1e-170, 0.0],
-                      [1.0 + 1e-9, 0.0], [0.0, 0.0], [np.nextafter(1.0, 0.0), 0.0]])
+                      [1.0 + 1e-9, 0.0], [0.0, 0.0], [np.nextafter(1.0, 0.0), 0.0],
+                      [np.nan, 0.0], [0.3, np.nan], [np.nan, np.nan]])
         t = np.array([[0.0], [1.0 / math.pi], [0.0], [0.0], [0.5], [np.inf], [np.nan], [0.0],
-                      [np.inf], [0.3], [0.0], [-1.0 / math.pi], [1e-9]])
+                      [np.inf], [0.3], [0.0], [-1.0 / math.pi], [1e-9],
+                      [-0.5], [0.0], [np.nan]])
+        nan = np.isnan(z).any(axis=1) | np.isnan(t[:, 0])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            assert np.array_equal(np.isnan(metric.norm_arrays(z, t)), nan)
         for radius in (1.0, 1e-101, 1e101, math.inf, 0.0, 1.0 - 1e-16):
             with np.errstate(invalid="ignore", over="ignore"):
                 want = kernel_within(metric, z, t, radius)
-                assert np.array_equal(metric.within(z, t, radius), want), radius
+                got = metric.within(z, t, radius)
+            assert np.array_equal(got, want) and not got[nan].any(), radius
         # one point, and points in a (4, 3) grid
         assert metric.within(z[2], t[2], 1.0) == (metric.norm_arrays(z[2], t[2]) <= 1.0)
         grid = metric.within(z[:12].reshape(4, 3, 2), t[:12].reshape(4, 3, 1), 1.0)
