@@ -18,7 +18,7 @@ import numpy as np
 
 from . import groups, sampling
 from .groups import GroupError, GroupPoint, GroupSpec
-from .metrics import CCMetric, _height_profile, _sin_over, _sum_squares
+from .metrics import CCMetric, _sphere_profile, _sum_squares
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,10 @@ class GeodesicParams:
 
 
 def sphere_point_arrays(n: int, chi: np.ndarray, phi, r):
-    """Vectorized sphere map; chi (..., 2n), phi and r broadcastable."""
-    phi = np.asarray(phi, dtype=float)
-    r = np.asarray(r, dtype=float)
-    sin_over = _sin_over(phi)
-    z = (r * sin_over)[..., None] * chi
-    csq = _sum_squares(chi)
-    t = r * r * _height_profile(phi, sin_over) * csq
+    """Vectorized sphere map; chi (..., 2n), phi and r broadcastable floats or arrays."""
+    sinc, height = _sphere_profile(phi)
+    z = (r * sinc)[..., None] * chi
+    t = r * r * height * _sum_squares(chi)
     return z, t[..., None]
 
 

@@ -162,8 +162,10 @@ def apex_reach(metric, budget: int = 10**6, seed: int = 0) -> ApexReachReport:
 
     For CC the apex is x^-1 for the unit cut point x, so by left invariance
     d(apex, w) = N(x w) and the sampled sup is verify_assumption_C's
-    sampled_max_roundtrip: the same draws, the same number.
+    sampled_max_roundtrip: the same draws, the same number. An oversized
+    chunk is refused before any array of the group's width is made.
     """
+    sampling.check_chunk(min(budget, sampling.CHUNK_SIZE), metric.spec.dim1 + metric.spec.dim2)
     apex, reach = _apex_and_bound(metric)
     if isinstance(metric, CCMetric):
         sup = geodesics.verify_assumption_C(metric.spec, budget, seed).sampled_max_roundtrip

@@ -1,11 +1,12 @@
 """The three homogeneous distances: d_inf, gauge, Carnot-Caratheodory.
 
-All metrics expose both a scalar interface on GroupPoints and vectorized
-kernels on coordinate arrays (shape (..., dim1) / (..., dim2)); the heavy
-Monte Carlo machinery in :mod:`carnotiso.measures` only uses the array
-forms. Each metric's unit-ball volume rule lives here too, in
-:func:`unit_ball_volume`: closed forms for d_inf and gauge, and for CC a
-fixed Gauss-Legendre rule on the turning angle (:func:`gauss_legendre`).
+Every metric has a scalar interface on GroupPoints and vectorized kernels on
+coordinate arrays (shape (..., dim1) / (..., dim2)), which the Monte Carlo of
+:mod:`carnotiso.measures` uses. Each CC profile has one kernel: mu and mu' in
+_mu_pair, the unit sphere's radius sin phi / phi and half height T in
+_sphere_profile, for the sphere map, the within table and the CC volume. The
+unit-ball volumes are in :func:`unit_ball_volume`: closed forms for d_inf and
+gauge, and for CC a fixed Gauss-Legendre rule on the turning angle.
 """
 
 from __future__ import annotations
@@ -61,47 +62,32 @@ _MU_SERIES = tuple(map(float, _MU_SERIES_Q))
 _MU_PRIME_SERIES = tuple(float((2 * k + 1) * c) for k, c in enumerate(_MU_SERIES_Q))
 
 
-def _profile(phi, main, coefs, odd):
-    """main(phi), but phi^odd sum_k coefs[k] phi^(2k) below the series cut."""
-    phi = np.asarray(phi, dtype=float)
-    small = np.abs(phi) < _MU_SERIES_CUT
-    if not small.any():
-        return main(phi)
-    out = np.asarray(main(np.where(small, 1.0, phi)))
-    p = phi[small]
-    u, acc = p * p, 0.0
-    for c in reversed(coefs):
-        acc = acc * u + c
-    out[small] = p * acc if odd else acc
-    return out
-
-
-def mu(phi):
-    """Monotone profile (2 phi - sin 2 phi) / (2 sin^2 phi) on [0, pi)."""
-    return _profile(phi, lambda p: (2.0 * p - np.sin(2.0 * p)) / (2.0 * np.sin(p) ** 2),
-                    _MU_SERIES, odd=True)
-
-
-def mu_prime(phi):
-    """d mu / d phi = 2 - (2 phi - sin 2 phi) cos phi / sin^3 phi."""
-    return _profile(phi, lambda p: 2.0 - (2.0 * p - np.sin(2.0 * p)) * np.cos(p) / np.sin(p) ** 3,
-                    _MU_PRIME_SERIES, odd=False)
-
-
 def _mu_pair(phi):
-    """(mu(phi), mu_prime(phi)) on a 1-d array in one pass, bitwise equal to the two calls."""
-    small = np.abs(phi) < _MU_SERIES_CUT
+    """(mu(phi), mu_prime(phi)) elementwise on any shape, from one sin phi, sin 2 phi, cos phi."""
+    phi = np.asarray(phi, dtype=float)
+    flat = phi.reshape(-1)
+    small = np.abs(flat) < _MU_SERIES_CUT
     any_small = small.any()
-    p = np.where(small, 1.0, phi) if any_small else phi
+    p = np.where(small, 1.0, flat) if any_small else flat
     s, a = np.sin(p), 2.0 * p - np.sin(2.0 * p)
     m, m1 = a / (2.0 * s ** 2), 2.0 - a * np.cos(p) / s ** 3
     if any_small:
-        p = phi[small]
+        p = flat[small]
         u, acc, acc1 = p * p, 0.0, 0.0
         for c, c1 in zip(reversed(_MU_SERIES), reversed(_MU_PRIME_SERIES)):
             acc, acc1 = acc * u + c, acc1 * u + c1
         m[small], m1[small] = p * acc, acc1
-    return m, m1
+    return m.reshape(phi.shape)[()], m1.reshape(phi.shape)[()]
+
+
+def mu(phi):
+    """Monotone profile (2 phi - sin 2 phi) / (2 sin^2 phi) on [0, pi)."""
+    return _mu_pair(phi)[0]
+
+
+def mu_prime(phi):
+    """d mu / d phi = 2 - (2 phi - sin 2 phi) cos phi / sin^3 phi."""
+    return _mu_pair(phi)[1]
 
 
 # upper end of the search bracket, just below the cut angle pi
@@ -191,41 +177,57 @@ def solve_turning(ratio):
 
 
 # ---------------------------------------------------------------------------
-# the CC unit ball's half-height profile, tabulated for CCMetric.within
+# the CC unit sphere's profile, and its half height tabulated for CCMetric.within
 #
 # The unit sphere is [s chi, T] with s = sin phi / phi and the half height
-# T = mu(phi) s^2 = (2 phi - sin 2 phi) / (2 phi^2), phi in [0, pi]. In
-# u = sqrt(1 - s), which grows with phi, dT/du = 4 u cos(phi) / phi: T rises
-# from 0 at u = 0 to 2/pi at u = sqrt(1 - 2/pi) (phi = pi/2), then falls to
-# 1/pi at u = 1. And 1 - s <= phi^2 / 6 gives u <= phi / sqrt(6), so
-# |dT/du| <= 4 / sqrt(6) < 1.7.
+# T = mu(phi) s^2 = (2 phi - sin 2 phi) / (2 phi^2) = (1 - sinc 2 phi) / phi,
+# phi in [0, pi]. In u = sqrt(1 - s), which grows with phi, dT/du =
+# 4 u cos(phi) / phi: T rises from 0 at u = 0 to 2/pi at u = sqrt(1 - 2/pi)
+# (phi = pi/2), then falls to 1/pi at u = 1. And 1 - s <= phi^2 / 6 gives
+# u <= phi / sqrt(6), so |dT/du| <= 4 / sqrt(6) < 1.7.
 # ---------------------------------------------------------------------------
 
 PROFILE_CELLS = 1 << 12  # cells of u; a power of two, so u * PROFILE_CELLS is exact
 # the margin on the scaled height in CCMetric.within, where it is proven
 PROFILE_EPS = 1e-9
-# 1 - sin phi / phi cancels near 0, so below the cut it is the series
-# phi^2 sum_k (-1)^k phi^(2k) / (2k + 3)!, whose next term is 1e-23 relative there
+# 1 - sin x / x cancels near 0, so below the cut it is the series
+# x^2 sum_k (-1)^k x^(2k) / (2k + 3)!, whose next term is 1e-23 relative there
 _SINC_SERIES_CUT = 0.5
 _SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
 
 
+def _sinc_series(x2):
+    """S(x^2) = sum_k (-1)^k x^(2k) / (2k + 3)!, so that 1 - sin x / x = x^2 S(x^2)."""
+    acc = 0.0
+    for c in reversed(_SINC_SERIES):
+        acc = acc * x2 + c
+    return acc
+
+
 def _one_minus_sinc(phi):
     """1 - sin phi / phi on [0, pi], to a few ulp."""
-    p2, acc = phi * phi, 0.0
-    for c in reversed(_SINC_SERIES):
-        acc = acc * p2 + c
-    return np.where(phi < _SINC_SERIES_CUT, p2 * acc, 1.0 - np.sin(phi) / phi)
+    p2 = phi * phi
+    return np.where(phi < _SINC_SERIES_CUT, p2 * _sinc_series(p2), 1.0 - _sphere_profile(phi)[0])
 
 
-def _sin_over(phi):
-    """sin(phi)/phi with value 1 at 0."""
-    return np.sinc(np.asarray(phi, dtype=float) / np.pi)
+def _sphere_profile(phi):
+    """(sin phi / phi, T(phi)): the unit sphere's radius and half height at turning phi.
 
-
-def _height_profile(phi, sin_over=None):
-    """T(phi) = (2 phi - sin 2 phi) / (2 phi^2) = mu(phi) sin_over^2, sin_over = _sin_over(phi)."""
-    return mu(phi) * (_sin_over(phi) if sin_over is None else sin_over) ** 2
+    One sine and one cosine a point, any shape: sinc = s / phi (1 at 0) and
+    T = (1 - s c / phi) / phi, as s c / phi = sinc 2 phi; below |phi| =
+    _SINC_SERIES_CUT / 2, where that cancels, T = 4 phi S(4 phi^2). sinc is even, T odd.
+    """
+    phi = np.asarray(phi, dtype=float)
+    flat = phi.reshape(-1)
+    s = np.sin(flat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinc, height = s / flat, (1.0 - s * np.cos(flat) / flat) / flat
+    small = np.abs(flat) < 0.5 * _SINC_SERIES_CUT
+    if small.any():
+        p = flat[small]
+        height[small] = 4.0 * p * _sinc_series(4.0 * p * p)
+        sinc[small] = np.where(p == 0.0, 1.0, sinc[small])
+    return sinc.reshape(phi.shape)[()], height.reshape(phi.shape)[()]
 
 
 def _half_height(u):
@@ -233,14 +235,14 @@ def _half_height(u):
 
     Newton's method on sqrt(1 - sin phi / phi) = u from phi = sqrt(6) u
     (1 + (pi / sqrt(6) - 1) u^2), exact at both ends and within 4% between:
-    the fifth step moves phi by rounding only. Then T = _height_profile(phi),
+    the fifth step moves phi by rounding only. Then T = _sphere_profile(phi)[1],
     within 1e-15 of the true T at the float u (tested against mpmath).
     """
     phi = math.sqrt(6.0) * u * (1.0 + (math.pi / math.sqrt(6.0) - 1.0) * u * u)
     for _ in range(5):
         v = np.sqrt(_one_minus_sinc(phi))
         phi = phi - (v - u) * 2.0 * phi * phi * v / (np.sin(phi) - phi * np.cos(phi))
-    return _height_profile(phi)
+    return _sphere_profile(phi)[1]
 
 
 @functools.cache
@@ -496,9 +498,8 @@ class CCMetric(_HomogeneousMetric):
         return inside
 
     def unit_ball_bbox(self):
-        # |z| <= 1 (phi -> 0); the height profile (2 phi - sin 2 phi)/(2 phi^2)
-        # peaks at phi = pi/2 with value 2/pi, so |t| <= 2/pi (the center
-        # point of the ball only reaches |t| = 1/pi)
+        # |z| <= 1 (phi -> 0); the half height T peaks at phi = pi/2 with value
+        # 2/pi, so |t| <= 2/pi (the center point of the ball only reaches 1/pi)
         d1 = self.spec.dim1
         return (np.full(d1, -1.0), np.full(d1, 1.0),
                 np.array([-2.0 / np.pi]), np.array([2.0 / np.pi]))
@@ -543,21 +544,19 @@ def layer2_ball(spec: GroupSpec, s: float) -> float:
 
 
 def cc_ball_integrand(phi, n: int):
-    """Radial integrand of the CC unit-ball volume in H^n.
+    """Radial integrand T sinc^(2n-1) (sinc - cos phi) / phi of the CC unit-ball volume in H^n.
 
-    (2 phi - sin 2 phi)/(2 phi^2) * (sin phi / phi)^(2n-1)
-    * (sin phi - phi cos phi)/phi^2, extended by 0 at phi = 0.
+    (sinc, T) = _sphere_profile(phi). Below phi = 1e-4, under every volume node, the
+    last factor (about phi / 3) has lost half its digits, so there it is h sinc(h)^2
+    - T(h) / 2 at h = phi / 2: 1 - cos phi = 2 h^2 sinc(h)^2, 1 - sinc phi = h T(h).
     """
     phi = np.asarray(phi, dtype=float)
-    small = np.abs(phi) < 1e-6
-    p = np.where(small, 1.0, phi)
-    s, c = np.sin(p), np.cos(p)
-    f = ((2.0 * p - np.sin(2.0 * p)) / (2.0 * p * p)
-         * (s / p) ** (2 * n - 1)
-         * (s - p * c) / (p * p))
-    # leading behaviour: (2/3) phi * 1 * phi/3 = (2/9) phi^2
-    series = (2.0 / 9.0) * phi * phi
-    out = np.where(small, series, f)
+    sinc, height = _sphere_profile(phi)
+    half_sinc, half_height = _sphere_profile(0.5 * phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(np.abs(phi) < 1e-4, 0.5 * phi * half_sinc ** 2 - 0.5 * half_height,
+                         (sinc - np.cos(phi)) / phi)
+    out = height * sinc ** (2 * n - 1) * slope
     return out if out.ndim else float(out)
 
 

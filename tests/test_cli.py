@@ -360,6 +360,21 @@ class TestChunkLimit:
         assert err.startswith("error: a sampling chunk of 1000 points x 5 coordinates exceeds")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("counterexample", ["dinf", "gauge"])
+    def test_over_limit_exits_2_before_any_box(self, capsys, monkeypatch, counterexample):
+        # the apex reach refuses the chunk before it builds the ball's box,
+        # whose arrays have the group's width: 248 MiB at h2000000
+        def no_box(self):
+            raise AssertionError("unit_ball_bbox called before the chunk check")
+
+        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 4999)
+        for cls in (ci.DinfMetric, ci.GaugeMetric):
+            monkeypatch.setattr(cls, "unit_ball_bbox", no_box)
+        assert main(["verify", counterexample, "--group", "h2", "--budget", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sampling chunk of 1000 points x 5 coordinates exceeds")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["verify", "dinf"], ["verify", "gauge"], ["verify", "cc"], ["bump-search"],
         ["bump-search", "--metric", "gauge"], ["bump-search", "--metric", "cc"], ["sigma"],

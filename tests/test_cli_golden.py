@@ -6,11 +6,14 @@ the numbers keeps these bytes.
 
 After a deliberate change of output, rewrite the files with
 ``PYTHONPATH=src python tests/test_cli_golden.py``, which names the files
-whose bytes changed, and review the diff.
+whose bytes changed and lists each number that moved, old -> new, with its
+distance in ulp; then review the diff.
 """
 
 import contextlib
 import io
+import re
+import struct
 import sys
 from pathlib import Path
 
@@ -64,14 +67,37 @@ def test_golden_files_match_cases():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(f"{c}.out" for c in CASES)
 
 
+# a decimal number not glued to a name, so the 2 of "h2" is not one
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def ulp_distance(a, b):
+    """Number of doubles from a to b, counting across 0."""
+    def ordered(x):
+        i = struct.unpack("<q", struct.pack("<d", x))[0]
+        return i if i >= 0 else -(i & (2**63 - 1))
+    return abs(ordered(a) - ordered(b))
+
+
+def moved_numbers(old, new):
+    """Lines 'old -> new (k ulp)' for each number that moved, paired in order of appearance."""
+    before, after = NUMBER.findall(old), NUMBER.findall(new)
+    if len(before) != len(after):
+        return [f"{len(before)} numbers before, {len(after)} after: compare by hand"]
+    return [f"{a} -> {b} ({ulp_distance(float(a), float(b))} ulp)"
+            for a, b in zip(before, after) if a != b]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    changed = []
+    changed, report = 0, []
     for case in sorted(CASES):
         path = GOLDEN / f"{case}.out"
         text = run_case(case)
         if not path.exists() or path.read_text() != text:
+            old = path.read_text() if path.exists() else ""
             path.write_text(text)
-            changed.append(path.name)
-    sys.stderr.write(f"{len(changed)} of {len(CASES)} golden files changed"
-                     + "".join(f"\n  {name}" for name in changed) + "\n")
+            changed += 1
+            report += [path.name] + [f"  {line}" for line in moved_numbers(old, text)]
+    sys.stderr.write(f"{changed} of {len(CASES)} golden files changed"
+                     + "".join(f"\n  {line}" for line in report) + "\n")

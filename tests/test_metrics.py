@@ -11,7 +11,7 @@ import carnotiso as ci
 import carnotiso.metrics as metrics_mod
 from carnotiso.geodesics import cut_point
 from conftest import cut_ball_points, quaternionic
-from carnotiso.metrics import (ConvergenceError, MetricError, _height_profile, mu, mu_prime,
+from carnotiso.metrics import (ConvergenceError, MetricError, _sphere_profile, mu, mu_prime,
                                solve_turning, unit_ball_volume)
 
 H1 = ci.heisenberg(1)
@@ -214,13 +214,21 @@ class TestTurningProfile:
         assert np.all(np.diff(vals) > 0)
 
     def test_series_matches_main_branch(self):
-        # 40-digit references on both sides of the series cut at 0.25 and
-        # across the old cut at 1e-4, where the quotient alone loses 8 digits
+        # 40-digit references for mu, mu', T and sin phi / phi on both sides
+        # of the series cuts at 0.25 (mu's and T's) and across the old cut at
+        # 1e-4, where the quotient alone loses 8 digits
         phi = profile_grid()
-        got = np.stack([mu(phi), mu_prime(phi), _height_profile(phi)], axis=1)
+        sinc, height = _sphere_profile(phi)
+        got = np.stack([mu(phi), mu_prime(phi), height, sinc], axis=1)
         for p, row in zip(phi, got):
-            for value, ref in zip(row, mp_profiles(p)):
+            refs = (*mp_profiles(p), mp.sin(mp.mpf(p)) / mp.mpf(p))
+            for value, ref in zip(row, refs):
                 assert abs(mp.mpf(float(value)) / ref - 1) <= 1e-14, (p, value)
+        # sinc is even and T odd, bit for bit: a profile of |phi| would send
+        # the sphere map's phi < 0 half to the wrong side of the ball
+        neg_sinc, neg_height = _sphere_profile(-phi)
+        assert neg_sinc.tobytes() == sinc.tobytes()
+        assert neg_height.tobytes() == (-height).tobytes()
         # derivative vs central differences
         for p in (5e-5, 9.9e-5, 1e-2, 0.5, 2.0):
             h = 1e-6 * max(p, 1e-3)
@@ -279,6 +287,20 @@ class TestTurningProfile:
         m, m1 = metrics_mod._mu_pair(phi)
         assert m.tobytes() == mu(phi).tobytes()
         assert m1.tobytes() == mu_prime(phi).tobytes()
+
+    @pytest.mark.parametrize("f", [mu, mu_prime], ids=["mu", "mu_prime"])
+    def test_profiles_on_every_shape(self, f):
+        # a scalar, a 0-d array and a (3, 4) array, on and off the series
+        # branch and at 0, give the bits of the flat 1-d call
+        phi = np.concatenate([[0.0], profile_grid()[:11]])
+        flat = f(phi)
+        assert f(phi.reshape(3, 4)).shape == (3, 4)
+        assert f(phi.reshape(3, 4)).tobytes() == flat.tobytes()
+        for p, want in zip(phi, flat):
+            for arg in (float(p), np.float64(p), np.array(p)):
+                got = f(arg)
+                assert np.ndim(got) == 0
+                assert np.float64(got).tobytes() == want.tobytes(), (arg, got, want)
 
     def test_solver_mu_calls(self, monkeypatch):
         # the fixed schedule: 2 Halley steps and 1 Newton step, each one fused
