@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import groups, sampling
+from . import groups, measures, sampling
 from .groups import GroupError, GroupPoint, GroupSpec
 from .metrics import CCMetric, _sphere_profile, _sum_squares
 
@@ -118,7 +119,7 @@ class CutPointReport:
 
 
 def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
-    """Yield count points (z, t) of the closed CC ball B(x, 1), BLOCK points at a time.
+    """Yield (z, t, inside) blocks of count points of the closed CC ball B(x, 1), inside all true.
 
     Row i is on the sphere when i < count // 2, inside the ball otherwise. It
     takes (phi, radius, height) from box_blocks on [-pi, pi] x [0, 1]^2 and
@@ -130,6 +131,7 @@ def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
     sampling.check_chunk(count, spec.dim1 + spec.dim2)
     normals = np.random.Generator(rng.bit_generator.jumped())
     chi_buf = np.empty((min(sampling.BLOCK, count), spec.dim1))
+    inside = np.ones(len(chi_buf), dtype=bool)
     lo, hi = np.array([-math.pi, 0.0, 0.0]), np.array([math.pi, 1.0, 1.0])
     sphere_left = count // 2
     for pts in sampling.box_blocks(rng, count, lo, hi):
@@ -140,40 +142,27 @@ def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
         chi = normals.standard_normal(out=chi_buf[:len(pts)])
         chi *= (pts[:, 1] / np.sqrt(_sum_squares(chi)))[:, None]
         z, t = sphere_point_arrays(spec.n, chi, pts[:, 0], pts[:, 2])
-        yield z, t + x.layer2
+        yield z, t + x.layer2, inside[:len(pts)]
 
 
 def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
                         seed: int = 0) -> CutPointReport:
     """Numerical evidence that geodesics stop minimizing at the cut point.
 
-    With x the unit cut point, samples y on and in the closed CC ball
-    B(x, 1) (_cut_ball_blocks) and reports margin = 2 - max d(0, y), exact and
-    the same at any BLOCK: the max starts as that of every 64th sample of a
-    chunk's first block, and the kernel runs only where within() rejects it.
-    By left invariance d(0, x w) = d(x^-1, w), so the max is also the sampled
-    reach of the bump apex x^-1 over the unit ball, proven to be sqrt(2) in
-    isodiametric._apex_and_bound; apex_reach reports this same number. The
-    geodesic continuation point [0, 4/pi] sits at distance exactly 2, but
-    outside B(x, 1).
+    With x the unit cut point, samples y on and in the closed CC ball B(x, 1)
+    (_cut_ball_blocks) and reports margin = 2 - max d(0, y), the exact sampled
+    max of measures.sampled_max. By left invariance d(0, x w) = d(x^-1, w), so
+    the max is also the sampled reach of the bump apex x^-1 over the unit
+    ball, proven to be sqrt(2) in isodiametric._apex_and_bound; apex_reach
+    reports this same number. The geodesic continuation point [0, 4/pi] sits
+    at distance exactly 2, but outside B(x, 1).
     """
     if spec.kind != "heisenberg":
         raise GroupError("assumption (C) check needs a Heisenberg spec")
     metric = CCMetric(spec)
     x = cut_point(spec, 1.0)
     cont = cut_point(spec, 2.0)  # [0, 4/pi]
-
-    def chunk(rng, count):
-        best = None
-        for y1, y2 in _cut_ball_blocks(spec, x, rng, count):
-            if best is None:
-                best = metric.norm_arrays(y1[::64], y2[::64]).max()
-            above = ~metric.within(y1, y2, best)
-            if above.any():
-                best = np.maximum(best, metric.norm_arrays(y1[above], y2[above]).max())
-        return float(best)
-
-    best = max(sampling.map_chunks(seed, sample_budget, chunk))
+    best = measures.sampled_max(metric, partial(_cut_ball_blocks, spec, x), sample_budget, seed)
     return CutPointReport(cut_point=x, sampled_max_roundtrip=best,
                           margin=2.0 - best, continuation_point=cont,
                           continuation_distance=metric.norm(cont),

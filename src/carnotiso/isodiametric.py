@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geodesics, measures, sampling
+from . import geodesics, groups, measures, sampling
 from .groups import GroupPoint
 from .measures import EstimateWithError, SampledSet
 from .metrics import (CCMetric, DinfMetric, GaugeMetric, MetricError, alpha, layer2_ball,
@@ -135,42 +135,23 @@ def _apex_and_bound(metric):
     raise MetricError(f"no apex construction for {type(metric).__name__}")
 
 
-def _sample_ball_sup(metric, apex: GroupPoint, budget: int, seed: int) -> float:
-    """Sampled sup of d(apex, y) over the closed unit ball by box rejection (d_inf, gauge).
-
-    The apex is central, so d(apex, y) = N(y1, y2 - apex2): a layer-2 shift.
-    """
-    ball = measures.ball_set(metric)
-    box = ball.bounding_box
-    d1 = len(box.lo1)
-
-    def block_sup(pts):
-        l1, l2 = pts[:, :d1], pts[:, d1:]
-        inside = ball.membership(l1, l2)
-        # a masked max over all points is cheaper than gathering the hits
-        return np.max(metric.norm_arrays(l1, l2 - apex.layer2), where=inside, initial=0.0)
-
-    def chunk(rng, count):
-        return float(np.max([block_sup(pts)
-                             for pts in sampling.box_blocks(rng, count, box.lo, box.hi)]))
-
-    return max(sampling.map_chunks(seed, budget, chunk))
-
-
 def apex_reach(metric, budget: int = 10**6, seed: int = 0) -> ApexReachReport:
     """Proven reach of the counterexample apex, with its sampled evidence.
 
-    For CC the apex is x^-1 for the unit cut point x, so by left invariance
-    d(apex, w) = N(x w) and the sampled sup is verify_assumption_C's
-    sampled_max_roundtrip: the same draws, the same number. An oversized
-    chunk is refused before any array of the group's width is made.
+    By left invariance d(apex, y) = N(apex^-1 y): the sampled sup is the
+    measures.sampled_max of N over B(apex^-1, 1). For d_inf and gauge it draws
+    from ball_set(metric, center=apex^-1), whose box is checked before any draw;
+    for CC apex^-1 is the unit cut point, and it is verify_assumption_C's
+    sampled_max_roundtrip. An oversized chunk is refused before any array of
+    the group's width is made.
     """
     sampling.check_chunk(min(budget, sampling.CHUNK_SIZE), metric.spec.dim1 + metric.spec.dim2)
     apex, reach = _apex_and_bound(metric)
     if isinstance(metric, CCMetric):
         sup = geodesics.verify_assumption_C(metric.spec, budget, seed).sampled_max_roundtrip
     else:
-        sup = _sample_ball_sup(metric, apex, budget, seed)
+        ball = measures.ball_set(metric, center=groups.inv(metric.spec, apex))
+        sup = measures.sampled_max(metric, ball.blocks, budget, seed)
     return ApexReachReport(reach=reach, sampled_sup=sup, samples=budget, seed=seed)
 
 

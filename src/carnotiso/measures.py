@@ -1,5 +1,5 @@
-"""Monte Carlo Haar measure, spherical-measure normalization, and the CC ball
-volume as an estimate.
+"""Monte Carlo Haar measure and sampled norm maxima, spherical-measure
+normalization, and the CC ball volume as an estimate.
 
 Haar measure is coordinate Lebesgue measure in both the Heisenberg and the
 H-type exponential model. The spherical measure of a set is normalized so
@@ -77,6 +77,14 @@ class SampledSet:
     spec: GroupSpec
     diameter_hint: Optional[float] = None  # exact diameter
 
+    def blocks(self, rng: np.random.Generator, count: int):
+        """Yield (l1, l2, inside) for count box-rejection draws, sampling.box_blocks' blocks."""
+        box = self.bounding_box
+        d1 = len(box.lo1)
+        for pts in sampling.box_blocks(rng, count, box.lo, box.hi):
+            l1, l2 = pts[:, :d1], pts[:, d1:]
+            yield l1, l2, self.membership(l1, l2)
+
 
 def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> SampledSet:
     """The closed metric ball B(center, radius) as a SampledSet; center must be central.
@@ -129,21 +137,42 @@ def cc_unit_ball_volume(n: int) -> EstimateWithError:
 
 def mc_measure(sampled: SampledSet, budget: int, seed: int) -> EstimateWithError:
     """Hit-or-miss estimate of the Haar (Lebesgue) measure of a SampledSet."""
-    box = sampled.bounding_box
-    d1 = len(box.lo1)
-
     def chunk(rng, count):
-        return sum(int(np.count_nonzero(sampled.membership(pts[:, :d1], pts[:, d1:])))
-                   for pts in sampling.box_blocks(rng, count, box.lo, box.hi))
+        return sum(int(np.count_nonzero(inside)) for _, _, inside in sampled.blocks(rng, count))
 
     hits = sum(sampling.map_chunks(seed, budget, chunk))
     p = hits / budget
-    vol = box.volume
+    vol = sampled.bounding_box.volume
     if hits == 0:
         # one-sided "rule of three" bound
         return EstimateWithError(0.0, vol * 3.0 / budget, "monte_carlo", budget, seed)
     se = vol * math.sqrt(p * (1.0 - p) / budget)
     return EstimateWithError(vol * p, se, "monte_carlo", budget, seed)
+
+
+def sampled_max(metric, blocks, budget: int, seed: int) -> float:
+    """Exact max of metric's norm over the inside points of budget draws, 0.0 if none.
+
+    blocks(rng, count) yields (l1, l2, inside) for one chunk's count points.
+    Each chunk keeps its own running max M: it starts as the max norm of the
+    inside points among every 64th point of the chunk's first block, and the
+    kernel then runs only on the inside points that metric.within(., M)
+    rejects, exactly those of norm above M. So no output depends on BLOCK or
+    the thread count.
+    """
+    def chunk(rng, count):
+        best = None
+        for l1, l2, inside in blocks(rng, count):
+            if best is None:
+                best = np.max(metric.norm_arrays(l1[::64], l2[::64]), where=inside[::64],
+                              initial=0.0)
+            above = ~metric.within(l1, l2, best)
+            above &= inside
+            if above.any():
+                best = np.maximum(best, metric.norm_arrays(l1[above], l2[above]).max())
+        return float(best)
+
+    return max(sampling.map_chunks(seed, budget, chunk))
 
 
 def spherical_measure(sampled: SampledSet, metric, budget: int, seed: int) -> EstimateWithError:

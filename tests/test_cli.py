@@ -518,6 +518,17 @@ class TestDeterminism:
         monkeypatch.setattr(sampling, "BLOCK", 193)
         assert run_main(capsys, *argv) == base
 
+    @pytest.mark.parametrize("argv", [["dinf"], ["gauge", "--group", "h1-htype"], ["cc"]],
+                             ids=lambda argv: argv[0])
+    def test_verify_bytes_across_threads(self, capsys, monkeypatch, argv):
+        # two chunks, each with its own running maximum, on one thread and on two
+        argv = ["verify", *argv, "--budget", str(2 * sampling.CHUNK_SIZE), "--seed", "9"]
+        monkeypatch.setenv(sampling.THREADS_ENV, "1")
+        base = run_main(capsys, *argv)
+        assert base[0] == 0
+        monkeypatch.setenv(sampling.THREADS_ENV, "2")
+        assert run_main(capsys, *argv) == base
+
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_bump_search_bytes(self, threads, tmp_path):
         env = dict(os.environ, CARNOT_ISO_THREADS=threads)

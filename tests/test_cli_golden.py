@@ -34,6 +34,8 @@ CASES = {
     "cdc_table_csv": ["cdc-table"],
     "cdc_table_json": ["cdc-table", "--format", "json"],
     "verify_dinf": ["verify", "dinf", "--budget", "20000", "--seed", "3"],
+    "verify_dinf_h2": ["verify", "dinf", "--group", "h2", "--budget", "20000", "--seed", "3"],
+    "verify_gauge_h1": ["verify", "gauge", "--budget", "20000", "--seed", "3"],
     "verify_gauge_htype": ["verify", "gauge", "--group", "h1-htype",
                            "--budget", "20000", "--seed", "3"],
     "verify_cc": ["verify", "cc", "--budget", "20000", "--seed", "3"],

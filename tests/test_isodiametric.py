@@ -117,6 +117,16 @@ class TestApexReach:
         assert reach == SQRT2
         assert SQRT2 - 1e-12 <= np.max(d) <= SQRT2
 
+    def test_box_beyond_the_float_range_is_refused_before_any_draw(self, monkeypatch):
+        # the identity ball's box is finite, but B(apex^-1, 1) reaches t = -2e154,
+        # whose square overflows
+        def no_draw(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(ci.sampling, "map_chunks", no_draw)
+        with pytest.raises(FloatingPointError, match="layer 2"):
+            ci.apex_reach(ci.DinfMetric(H1, 1.0, 1e-77), budget=1000)
+
     def test_report_dict(self):
         rep = ci.apex_reach(DINF, budget=10000, seed=1)
         doc = rep.to_dict()

@@ -306,9 +306,10 @@ class TestBoxBlocks:
             ours, ref = sampling.substream(5, 0), sampling.substream(5, 0)
             got = list(ci.geodesics._cut_ball_blocks(spec, x, ours, count))
             z, t = cut_ball_points(spec, x, ref, count)
-            assert all(len(b) == sampling.BLOCK for b, _ in got[:-1])
-            assert np.array_equal(np.vstack([b for b, _ in got]), z)
-            assert np.array_equal(np.vstack([b for _, b in got]), t)
+            assert all(len(b) == sampling.BLOCK for b, _, _ in got[:-1])
+            assert np.array_equal(np.vstack([b for b, _, _ in got]), z)
+            assert np.array_equal(np.vstack([b for _, b, _ in got]), t)
+            assert all(len(m) == len(b) and m.all() for b, _, m in got)
             assert np.array_equal(ours.random(4), ref.random(4))
             # the first half on the sphere B(x, 1), the rest inside it
             norms = ci.CCMetric(spec).norm_arrays(z, t - x.layer2)
@@ -335,11 +336,17 @@ class TestBoxBlocks:
             hits = _one_shot_hits(sampled, budget, 3)
             assert 0 < hits < budget
             assert est.value == sampled.bounding_box.volume * (hits / budget)
-        for metric in (DINF, GAUGE):
+        for metric in (DINF, GAUGE, ci.DinfMetric(H2), ci.GaugeMetric(H1),
+                       ci.GaugeMetric(quaternionic())):
             got = ci.apex_reach(metric, budget, seed=4).sampled_sup
             assert got == _one_shot_ball_sup(metric, budget, 4)
         got = ci.verify_assumption_C(H1, budget, seed=6).sampled_max_roundtrip
         assert got == _one_shot_cut_ball_sup(H1, budget, 6)
+
+    def test_no_point_in_the_ball_gives_zero(self):
+        # seed 0's one draw misses the ball: the max over no point is 0.0, not an error
+        assert _one_shot_ball_sup(DINF, 1, 0) == 0.0
+        assert ci.apex_reach(DINF, budget=1, seed=0).sampled_sup == 0.0
 
 
 K3 = quaternionic()

@@ -108,7 +108,7 @@ class TestAgreement:
 
         def chunk(rng, count):
             blocks = [(y1, y2, metric.norm_arrays(y1, y2))
-                      for y1, y2 in geodesics._cut_ball_blocks(spec, x, rng, count)]
+                      for y1, y2, _ in geodesics._cut_ball_blocks(spec, x, rng, count)]
             best = max(norms.max() for _, _, norms in blocks)
             for y1, y2, norms in blocks:
                 assert np.array_equal(metric.within(y1, y2, best), norms <= best)
