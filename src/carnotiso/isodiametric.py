@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geodesics, groups, measures, sampling
+from . import geodesics, groups, measures, metrics, sampling
 from .groups import GroupPoint
 from .measures import EstimateWithError, SampledSet
 from .metrics import (CCMetric, DinfMetric, GaugeMetric, MetricError, alpha, layer2_ball,
@@ -172,11 +172,11 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
                reach: float = APEX_REACH) -> RatioResult:
     """Ratio of (unit ball) union (ball of radius rho at the apex).
 
-    params.apex must be the apex of _apex_and_bound(metric), whose reach
-    (the sup of d(apex, .) over the unit ball) is proven to be sqrt(2); a
-    reach below that is false for it. Every bump point sits within
-    rho + reach <= 2 = diam B of every ball point, so the diameter stays 2
-    and only the extra measure counts: ratio = 1 + Haar(bump \\ B) / Haar(B).
+    params.apex must be the apex of _apex_and_bound(metric), whose reach (the sup of
+    d(apex, .) over the unit ball) is proven to be sqrt(2); a reach below that is false
+    for it. Every bump point sits within rho + reach <= 2 = diam B of every ball point,
+    so the diameter stays 2 and only the extra measure counts: ratio = 1 + Haar(bump \\ B)
+    / Haar(B). The bump's test and the unit ball's share each block's one |z|^2.
     """
     spec = metric.spec
     apex, _ = _apex_and_bound(metric)
@@ -201,8 +201,9 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     bump = measures.ball_set(metric, center=params.apex, radius=params.rho)
 
     def extra_membership(l1, l2):
-        hit = bump.membership(l1, l2)
-        hit &= ~metric.within(l1, l2, 1.0)
+        l1sq = metrics._sum_squares(l1)  # the bump's center shifts layer 2 only
+        hit = bump.membership(l1, l2, l1sq)
+        hit &= ~metric.within(l1, l2, 1.0, l1sq)
         return hit
 
     extra = SampledSet(extra_membership, bump.bounding_box, spec)

@@ -91,9 +91,9 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
 
     A central center c = [0, c2] translates by a layer-2 shift only, so
     d(c, y) = N(y1, y2 - c2) and the box is the dilated unit box shifted by c2.
-    Membership is metric.within(y1, y2 - c2, radius): bit for bit
-    norm_arrays(...) <= radius, and for CC decided by the half-height table
-    on all but the points next to the sphere (CCMetric.within).
+    Membership member(y1, y2, l1sq=None) is metric.within(y1, y2 - c2, radius, l1sq):
+    bit for bit norm_arrays(...) <= radius, with no root (d_inf, gauge) or by the CC
+    half-height table on all but the points next to the sphere; l1sq is |y1|^2.
     The array norms square box coordinates unscaled, so FloatingPointError
     unless, in each layer, the sum of squares at the box's far corner is
     finite and every half-width squares to a normal float.
@@ -114,8 +114,8 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
                 f"sampling box layer {layer}: smallest half-width squared {half:.3g}, far-corner "
                 f"sum of squares {far:.3g}; the array norms need both to be normal floats")
 
-    def member(l1, l2):
-        return metric.within(l1, l2 - c.layer2, radius)
+    def member(l1, l2, l1sq=None):
+        return metric.within(l1, l2 - c.layer2, radius, l1sq)
 
     return SampledSet(member, box, metric.spec, diameter_hint=2.0 * radius)
 

@@ -190,6 +190,8 @@ def solve_turning(ratio):
 PROFILE_CELLS = 1 << 12  # cells of u; a power of two, so u * PROFILE_CELLS is exact
 # the margin on the scaled height in CCMetric.within, where it is proven
 PROFILE_EPS = 1e-9
+# the relative guard band of the d_inf and gauge within, over 100 times their rounding
+WITHIN_GUARD = 1e-12
 # 1 - sin x / x cancels near 0, so below the cut it is the series
 # x^2 sum_k (-1)^k x^(2k) / (2k + 3)!, whose next term is 1e-23 relative there
 _SINC_SERIES_CUT = 0.5
@@ -313,9 +315,19 @@ class _HomogeneousMetric:
     def norm_arrays(self, l1, l2):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def within(self, l1, l2, r):
-        """norm_arrays(l1, l2) <= r, the closed ball's membership mask."""
+    def within(self, l1, l2, r, l1sq=None):
+        """norm_arrays(l1, l2) <= r, the closed ball's mask; l1sq, if given, is _sum_squares(l1).
+
+        Each metric decides most points from its kernel's own squared layer
+        norms and runs norm_arrays on the rest, so within inherits the kernels'
+        coordinate range (_sum_squares) and stays bit for bit equal to them.
+        """
         return self.norm_arrays(l1, l2) <= r
+
+    def _settle(self, l1, l2, r, inside, unsure):  # norm_arrays decides the unsure points
+        if unsure.any():
+            inside[unsure] = self.norm_arrays(l1[unsure], l2[unsure]) <= r
+        return inside
 
     def norm(self, p: GroupPoint) -> float:
         e = _scale_exponent(p)
@@ -360,11 +372,27 @@ class DinfMetric(_HomogeneousMetric):
         self.c2 = c2
 
     def norm_arrays(self, l1, l2):
-        l1 = np.asarray(l1, dtype=float)
-        l2 = np.asarray(l2, dtype=float)
-        n1 = np.sqrt(_sum_squares(l1))
-        n2 = np.sqrt(_sum_squares(l2))
-        return np.maximum(self.c1 * n1, self.c2 * np.sqrt(n2))
+        l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
+        return np.maximum(self.c1 * np.sqrt(_sum_squares(l1)),
+                          self.c2 * np.sqrt(np.sqrt(_sum_squares(l2))))
+
+    def within(self, l1, l2, r, l1sq=None):
+        """norm_arrays(l1, l2) <= r, bit for bit, with no root outside a guard band.
+
+        Inside when a = |z|^2 <= (r/c1)^2 (1 - g) and b = |t|^2 <= (r/c2)^4 (1 - g),
+        g = WITHIN_GUARD; outside when a or b exceeds its threshold times 1 + g, or
+        is NaN. The kernel rounds 3 times, the thresholds 5; norm_arrays decides
+        the band, and every point when r or a threshold leaves [1e-300, 1e300].
+        """
+        l1, l2, r = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float), float(r)
+        ra, rb = r / self.c1, r / self.c2
+        ta, tb = ra * ra, (rb * rb) * (rb * rb)
+        if l1.ndim < 2 or not all(1e-300 <= x <= 1e300 for x in (r, ta, tb)):  # NaN too
+            return super().within(l1, l2, r)
+        a, b = _sum_squares(l1) if l1sq is None else l1sq, _sum_squares(l2)
+        inside = (a <= ta * (1.0 - WITHIN_GUARD)) & (b <= tb * (1.0 - WITHIN_GUARD))
+        unsure = (a <= ta * (1.0 + WITHIN_GUARD)) & (b <= tb * (1.0 + WITHIN_GUARD))
+        return self._settle(l1, l2, r, inside, unsure ^ inside)
 
     def unit_ball_bbox(self):
         r1, r2 = 1.0 / self.c1, (1.0 / self.c2) ** 2
@@ -390,11 +418,26 @@ class GaugeMetric(_HomogeneousMetric):
         self.layer2_scale = 4.0 if spec.kind == "htype" else 1.0
 
     def norm_arrays(self, l1, l2):
-        l1 = np.asarray(l1, dtype=float)
-        l2 = np.asarray(l2, dtype=float)
-        n1sq = _sum_squares(l1)
-        n2sq = _sum_squares(l2)
-        return (n1sq * n1sq + self.layer2_scale ** 2 * n2sq) ** 0.25
+        l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
+        return self._quartic(_sum_squares(l1), _sum_squares(l2)) ** 0.25
+
+    def _quartic(self, n1sq, n2sq):  # N^4 from the squared layer norms
+        return n1sq * n1sq + self.layer2_scale ** 2 * n2sq
+
+    def within(self, l1, l2, r, l1sq=None):
+        """norm_arrays(l1, l2) <= r, bit for bit, with no 0.25 power outside a guard band.
+
+        Inside when the kernel's q = N^4 <= r^4 (1 - g), g = WITHIN_GUARD; outside
+        when q > r^4 (1 + g) or NaN. numpy's q ** 0.25 is within a few ulp; norm_arrays
+        decides the band, and every point when r^4 leaves [1e-300, 1e300].
+        """
+        l1, l2, r = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float), float(r)
+        t = (r * r) * (r * r)
+        if l1.ndim < 2 or not 1e-300 <= t <= 1e300:  # negated, so that NaN fails too
+            return super().within(l1, l2, r)
+        q = self._quartic(_sum_squares(l1) if l1sq is None else l1sq, _sum_squares(l2))
+        inside, unsure = q <= t * (1.0 - WITHIN_GUARD), q <= t * (1.0 + WITHIN_GUARD)
+        return self._settle(l1, l2, r, inside, unsure ^ inside)
 
     def unit_ball_bbox(self):
         d1, d2 = self.spec.dim1, self.spec.dim2
@@ -430,8 +473,7 @@ class CCMetric(_HomogeneousMetric):
         self.spec = spec
 
     def norm_arrays(self, l1, l2):
-        l1 = np.asarray(l1, dtype=float)
-        l2 = np.asarray(l2, dtype=float)
+        l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
         zn = np.sqrt(_sum_squares(l1))
         t = np.abs(l2[..., 0])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -449,7 +491,7 @@ class CCMetric(_HomogeneousMetric):
                            phi * np.sqrt(2.0 * t / (2.0 * phi - s)))
         return np.where(solved, out, np.where(np.isnan(zn), zn, np.sqrt(np.pi * t)))[()]
 
-    def within(self, l1, l2, r):
+    def within(self, l1, l2, r, l1sq=None):
         """norm_arrays(l1, l2) <= r, bit for bit, decided by the half-height table.
 
         The rule: N(z, t) <= r exactly when |z| <= r and |t| <= r^2 T(|z| / r),
@@ -476,12 +518,11 @@ class CCMetric(_HomogeneousMetric):
         every point for r outside [1e-100, 1e100], where r^2 may leave the
         normal range, and a single 1-d point.
         """
-        l1 = np.asarray(l1, dtype=float)
-        l2 = np.asarray(l2, dtype=float)
+        l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
         if l1.ndim < 2 or not 1e-100 <= r <= 1e100:  # negated, so that NaN fails too
             return super().within(l1, l2, r)
         low, high = _profile_bounds()
-        a = np.sqrt(_sum_squares(l1)) * (1.0 / r)
+        a = np.sqrt(_sum_squares(l1) if l1sq is None else l1sq) * (1.0 / r)
         b = np.abs(l2[..., 0]) * (1.0 / (r * r))
         u = np.fmax(1.0 - a, 0.0)  # fmax: NaN -> 0, and cell 0
         np.sqrt(u, out=u)
@@ -493,9 +534,7 @@ class CCMetric(_HomogeneousMetric):
         unsure = b > bound
         unsure &= b < np.take(high, k, out=bound, mode="clip")
         unsure &= ~(a > 1.0 + PROFILE_EPS)  # NaN |z| too
-        if unsure.any():
-            inside[unsure] = self.norm_arrays(l1[unsure], l2[unsure]) <= r
-        return inside
+        return self._settle(l1, l2, r, inside, unsure)
 
     def unit_ball_bbox(self):
         # |z| <= 1 (phi -> 0); the half height T peaks at phi = pi/2 with value

@@ -18,7 +18,6 @@ generator's jumped copy, in row order, and so do not depend on BLOCK either.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -80,6 +79,7 @@ def map_chunks(seed: int, budget: int, fn):
     workers = min(thread_count(), len(jobs), os.cpu_count() or 1)
     if workers == 1:
         return [run(j) for j in jobs]
+    from concurrent.futures import ThreadPoolExecutor  # here: it imports logging, 10 ms
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, jobs))
 

@@ -32,6 +32,16 @@ def test_import_loads_no_scipy():
     assert out == "[]\n"
 
 
+def test_import_loads_no_thread_pool():
+    # concurrent.futures imports logging; map_chunks loads it only to run threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, carnotiso.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True).stdout
+    assert out == "False\n"
+
+
 class TestParsers:
     def test_groups(self):
         assert parse_group("h1").Q == 4

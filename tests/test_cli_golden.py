@@ -40,6 +40,12 @@ CASES = {
                            "--budget", "20000", "--seed", "3"],
     "verify_cc": ["verify", "cc", "--budget", "20000", "--seed", "3"],
     "bump_search_dinf_h1": ["bump-search", "--budget", "40000", "--seed", "5"],
+    "bump_search_dinf_h2": ["bump-search", "--metric", "dinf", "--group", "h2",
+                            "--budget", "40000", "--seed", "5"],
+    "bump_search_dinf_c2": ["bump-search", "--metric", "dinf", "--c2", "0.7",
+                            "--budget", "40000", "--seed", "5"],
+    "bump_search_gauge_h1": ["bump-search", "--metric", "gauge", "--group", "h1",
+                             "--budget", "40000", "--seed", "5"],
     "bump_search_gauge_htype": ["bump-search", "--metric", "gauge", "--group", "h1-htype",
                                 "--budget", "40000", "--seed", "5"],
     "bump_search_cc_h1": ["bump-search", "--metric", "cc", "--budget", "20000",

@@ -165,7 +165,8 @@ class TestMapChunks:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(sampling, "ThreadPoolExecutor", Recorder)
+        # map_chunks imports the pool only when it needs threads
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(sampling.os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("CARNOT_ISO_THREADS", "100000")
         monkeypatch.setattr(sampling, "CHUNK_SIZE", 10)

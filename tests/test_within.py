@@ -1,9 +1,12 @@
-"""CC ball membership by the half-height table: the kernel's decisions, bit for bit.
+"""Ball membership without the full kernel: the kernel's decisions, bit for bit.
 
-CCMetric.within decides N <= r from the unit sphere's tabulated half height
-and sends only uncertain points to norm_arrays. These tests compare it with
+CCMetric.within decides N <= r from the unit sphere's tabulated half height;
+DinfMetric.within and GaugeMetric.within compare the kernel's own squared
+layer norms with r's thresholds outside a relative guard band. All three
+send only uncertain points to norm_arrays. These tests compare within with
 norm_arrays(l1, l2) <= r on the Monte Carlo boxes of the evidence and on
-points within a few ulp of CC spheres, and the table with mpmath.
+points within a few ulp of spheres, check that the d_inf and gauge kernels
+run on band points only, and check the CC table against mpmath.
 """
 
 import math
@@ -13,7 +16,8 @@ import numpy as np
 import pytest
 
 import carnotiso as ci
-from carnotiso import geodesics, measures, metrics, sampling
+from carnotiso import geodesics, groups, isodiametric, measures, metrics, sampling
+from conftest import quaternionic
 
 SPECS = {"h1": ci.heisenberg(1), "h2": ci.heisenberg(2)}
 RHO = 2.0 - math.sqrt(2.0)
@@ -68,16 +72,20 @@ class TestTable:
         assert np.max(high[1:]) == 2.0 / math.pi + metrics.PROFILE_EPS
 
 
-def _box_agreement(metric, box, shift, radius, seed):
-    """Blocks of a uniform box draw; within and the kernel must agree on every point."""
+def _box_agreement(metric, box, shift, radius, seed, points=AGREEMENT_POINTS):
+    """Blocks of a uniform box draw; within and the kernel must agree on every point.
+
+    within is asked with and without the precomputed |l1|^2.
+    """
     rng = np.random.default_rng(seed)
     d1 = len(box.lo1)
     inside = 0
-    for _ in range(AGREEMENT_POINTS // BLOCK):
+    for _ in range(points // BLOCK):
         pts = rng.uniform(box.lo, box.hi, (BLOCK, len(box.lo)))
         l1, l2 = pts[:, :d1], pts[:, d1:] - shift
         want = kernel_within(metric, l1, l2, radius)
         assert np.array_equal(metric.within(l1, l2, radius), want)
+        assert np.array_equal(metric.within(l1, l2, radius, metrics._sum_squares(l1)), want)
         inside += int(np.count_nonzero(want))
     return inside
 
@@ -180,3 +188,179 @@ class TestBoundary:
         pts = np.random.default_rng(4).uniform(-1.5, 1.5, (1000, 3))
         l1, l2 = pts[:, :2], pts[:, 2:]
         assert np.array_equal(metric.within(l1, l2, 1.0), metric.norm_arrays(l1, l2) <= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# d_inf and gauge: squared layer norms against r's thresholds
+# ---------------------------------------------------------------------------
+
+HTYPE = groups.h_type(groups.standard_symplectic())
+CHEAP = {
+    "dinf-h1": ci.DinfMetric(SPECS["h1"]),
+    "dinf-h1-c2": ci.DinfMetric(SPECS["h1"], c2=0.7),
+    "dinf-h2": ci.DinfMetric(SPECS["h2"]),
+    "dinf-h2-c2": ci.DinfMetric(SPECS["h2"], c2=0.7),
+    "gauge-h1": ci.GaugeMetric(SPECS["h1"]),
+    "gauge-h1-htype": ci.GaugeMetric(HTYPE),
+    "gauge-quaternionic": ci.GaugeMetric(quaternionic()),
+}
+CHEAP_POINTS = 1 << 20
+
+
+def evidence_boxes(metric):
+    """(name, box, layer-2 shift, radius) of the four membership tests of the evidence.
+
+    The unit ball (mc_measure), B(apex^-1, 1) (apex_reach's sampled_max), and
+    on the bump box the bump at 2 - sqrt(2) and the unit ball (bump_ratio).
+    """
+    apex, _ = isodiametric._apex_and_bound(metric)
+    apex_inv = groups.inv(metric.spec, apex)
+    bump = measures.ball_set(metric, center=apex, radius=RHO).bounding_box
+    return [("unit", measures.ball_set(metric).bounding_box, 0.0, 1.0),
+            ("reach", measures.ball_set(metric, center=apex_inv).bounding_box,
+             apex_inv.layer2, 1.0),
+            ("bump", bump, apex.layer2, RHO),
+            ("base", bump, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("name", list(CHEAP))
+def test_cheap_boxes_agree(name):
+    """2^20 points of each d_inf and gauge evidence box, against the full kernel."""
+    metric = CHEAP[name]
+    for seed, (box_name, box, shift, radius) in enumerate(evidence_boxes(metric), 41):
+        inside = _box_agreement(metric, box, shift, radius, seed, CHEAP_POINTS)
+        assert 0 < inside < CHEAP_POINTS, box_name
+
+
+def unit_sphere_points(metric, count, rng):
+    """Points of the metric's unit sphere: each layer alone, corners, and random mixtures.
+
+    d_inf: |z| = 1/c1 with |t| <= 1/c2^2, or |t| = 1/c2^2 with |z| <= 1/c1.
+    gauge: |X| = w^(1/4), s |Z| = (1 - w)^(1/2) for w in [0, 1], ends included.
+    Directions are random unit vectors, and the first coordinate axes.
+    """
+    d1, d2 = metric.spec.dim1, metric.spec.dim2
+
+    def directions(dim):
+        v = rng.standard_normal((count, dim))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v[: count // 4] = np.eye(1, dim)[0]
+        return v
+
+    frac = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, count - 2)])
+    if isinstance(metric, ci.DinfMetric):
+        a, b = 1.0 / metric.c1, (1.0 / metric.c2) ** 2
+        half = count // 2
+        n1 = np.where(np.arange(count) < half, a, a * frac)
+        n2 = np.where(np.arange(count) < half, b * frac, b)
+    else:
+        n1, n2 = frac ** 0.25, np.sqrt(1.0 - frac) / metric.layer2_scale
+    return n1[:, None] * directions(d1), n2[:, None] * directions(d2)
+
+
+SPECIAL_ROWS = [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, np.inf), (-np.inf, np.nan),
+                (np.inf, np.inf), (np.nan, np.nan)]
+
+
+def shells(metric, radius, seed):
+    """The unit sphere dilated by radius (1 + k 2^-52), k in -40..40, and NaN / inf rows.
+
+    Dilation scales layer 1 by lambda and layer 2 by lambda^2, so each shell
+    lies within a few ulp of the sphere of radius lambda, around both layer
+    thresholds of r = radius. More shells at radius (1 + j g / 8), |j| <= 24
+    and g = WITHIN_GUARD, straddle the edges of the guard band, which is g / 2
+    wide in lambda for |z|^2 and g / 4 for |t|^2 and N^4. A radius that is 0,
+    inf or NaN takes the unit shells.
+    """
+    z, t = unit_sphere_points(metric, 256, np.random.default_rng(seed))
+    lam = radius if 0.0 < radius < math.inf else 1.0
+    scales = lam * np.concatenate([1.0 + np.arange(-40, 41) * 2.0 ** -52,
+                                   1.0 + np.arange(-24, 25) * metrics.WITHIN_GUARD / 8])
+    with np.errstate(over="ignore", under="ignore"):
+        l1 = np.concatenate([s * z for s in scales])
+        l2 = np.concatenate([(s * s) * t for s in scales])
+    d1, d2 = metric.spec.dim1, metric.spec.dim2
+    special1 = np.array([[a] * d1 for a, _ in SPECIAL_ROWS])
+    special2 = np.array([[b] * d2 for _, b in SPECIAL_ROWS])
+    return np.concatenate([l1, special1]), np.concatenate([l2, special2])
+
+
+RADII = [1.0, RHO, math.sqrt(2.0), 0.37, 1e-101, 1e101, 1e-60, 1e60, 0.0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("name", list(CHEAP))
+def test_cheap_shells(name):
+    # every point of every shell is decided as the kernel decides it
+    metric = CHEAP[name]
+    for radius in RADII:
+        l1, l2 = shells(metric, radius, seed=51)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            want = kernel_within(metric, l1, l2, radius)
+            got = metric.within(l1, l2, radius)
+            shared = metric.within(l1, l2, radius, metrics._sum_squares(l1))
+        assert np.array_equal(got, want) and np.array_equal(shared, want), radius
+        assert not got[np.isnan(l1).any(axis=1) | np.isnan(l2).any(axis=1)].any(), radius
+        if 1e-60 <= radius <= 1e60:  # beyond, squares leave the kernels' range
+            assert 0 < np.count_nonzero(want) < want.size - len(SPECIAL_ROWS), radius
+
+
+@pytest.mark.parametrize("metric", [ci.DinfMetric(SPECS["h1"]), ci.DinfMetric(SPECS["h1"], c2=0.7),
+                                    ci.GaugeMetric(SPECS["h1"]), ci.CCMetric(SPECS["h1"])],
+                         ids=["dinf", "dinf-c2", "gauge", "cc"])
+def test_kernel_coordinate_range(metric):
+    # the kernels square unscaled coordinates: at 1e-170 the squares underflow to 0 and
+    # at 1e170 they overflow to inf; within inherits that range and stays bit for bit equal
+    z = np.array([[1e-170, 0.0], [1e-170, 1e-170], [1e170, 0.0], [0.0, 0.0], [1e-170, 0.0],
+                  [1e170, 1e170], [0.5, 0.0], [1e-170, 0.0]])
+    t = np.array([[0.0], [1e-170], [0.0], [1e170], [1e170], [1e-170], [1e-170], [-1e-170]])
+    for radius in (1.0, 1e-170, 1e170, 1e-85, 1e85, 1e-40):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            want = kernel_within(metric, z, t, radius)
+            got = metric.within(z, t, radius)
+        assert np.array_equal(got, want), radius
+
+
+class TestFastPath:
+    """The d_inf and gauge kernels run on band points only, and a bump block squares |z| once."""
+
+    @pytest.mark.parametrize("name", list(CHEAP))
+    def test_kernel_only_on_band(self, name, monkeypatch):
+        metric = CHEAP[name]
+        kernel, seen = metric.norm_arrays, []
+
+        def spy(l1, l2):
+            seen.append((np.array(l1), np.array(l2)))
+            return kernel(l1, l2)
+
+        monkeypatch.setattr(metric, "norm_arrays", spy)
+        rng = np.random.default_rng(61)
+        d1 = metric.spec.dim1
+        for _, box, shift, radius in evidence_boxes(metric):
+            pts = rng.uniform(box.lo, box.hi, (1 << 17, len(box.lo)))
+            seen.clear()
+            metric.within(pts[:, :d1], pts[:, d1:] - shift, radius)
+            for l1, l2 in seen:
+                assert np.all(np.abs(kernel(l1, l2) / radius - 1.0) <= metrics.WITHIN_GUARD)
+        # and no kernel call for the center or a far point
+        seen.clear()
+        far = np.full((2, d1), 10.0)
+        far[0] = 0.0
+        metric.within(far, np.zeros((2, metric.spec.dim2)), 1.0)
+        assert seen == []
+
+    @pytest.mark.parametrize("name", ["dinf-h1", "dinf-h2", "gauge-h1-htype", "cc-h1"])
+    def test_bump_squares_layer1_once_per_block(self, name, monkeypatch):
+        metric = CHEAP.get(name) or ci.CCMetric(SPECS["h1"])
+        apex, _ = isodiametric._apex_and_bound(metric)
+        d1, block = metric.spec.dim1, sampling.BLOCK
+        sum_squares, rows = metrics._sum_squares, []
+
+        def spy(x):
+            # layer 1 of a whole block; the kernel's band points come in smaller sets
+            if x.ndim == 2 and x.shape[-1] == d1 and x.shape[0] in (block, 100):
+                rows.append(x.shape[0])
+            return sum_squares(x)
+
+        monkeypatch.setattr(metrics, "_sum_squares", spy)
+        isodiametric.bump_ratio(isodiametric.BumpParams(apex, RHO), metric, 3 * block + 100, 3)
+        assert rows == [block, block, block, 100]
