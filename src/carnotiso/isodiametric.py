@@ -63,6 +63,8 @@ class SigmaBounds:
         # negated comparisons, so that NaN fails them
         if not 1.0 <= self.C_lower < math.inf:
             raise ValueError(f"C_lower {self.C_lower} is not finite and >= 1 (balls score 1)")
+        if not self.C_upper < math.inf:  # an infinite C_upper is no bound, and not JSON
+            raise ValueError(f"C_upper {self.C_upper} is not finite")
         if not self.C_lower <= self.C_upper:
             raise ValueError(
                 f"inconsistent bounds: C_upper {self.C_upper} is not >= C_lower {self.C_lower}")
@@ -176,7 +178,8 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     d(apex, .) over the unit ball) is proven to be sqrt(2); a reach below that is false
     for it. Every bump point sits within rho + reach <= 2 = diam B of every ball point,
     so the diameter stays 2 and only the extra measure counts: ratio = 1 + Haar(bump \\ B)
-    / Haar(B). The bump's test and the unit ball's share each block's one |z|^2.
+    / Haar(B). The bump's test and the unit ball's are radial_within on one a = |z|^2
+    a block, each with its own b = |t - center|^2.
     """
     spec = metric.spec
     apex, _ = _apex_and_bound(metric)
@@ -201,9 +204,10 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     bump = measures.ball_set(metric, center=params.apex, radius=params.rho)
 
     def extra_membership(l1, l2):
-        l1sq = metrics._sum_squares(l1)  # the bump's center shifts layer 2 only
-        hit = bump.membership(l1, l2, l1sq)
-        hit &= ~metric.within(l1, l2, 1.0, l1sq)
+        # the bump's center shifts layer 2 only, so both tests read one a = |z|^2
+        a, b = metrics.layer_squares(l1, l2 - params.apex.layer2)
+        hit = metric.radial_within(a, b, params.rho)
+        hit &= ~metric.radial_within(a, metrics._sum_squares(l2), 1.0)
         return hit
 
     extra = SampledSet(extra_membership, bump.bounding_box, spec)
@@ -240,18 +244,18 @@ def projection_upper_bound(metric) -> float:
     """Upper bound on the isodiametric constant C, from the metric's norm N.
 
     Every norm here has N(x, Z) >= N(x, 0) = c |x| and N(0, Z) = f |Z|^(1/2);
-    c and f are the norms of the first unit vectors of each layer. Take A of
-    diameter 2, so its ratio is Haar(A) / Haar(B). Layer 1 of p^-1 q is
-    x_q - x_p, so the projection of A to layer 1 has diameter <= 2/c. Two
-    points of one layer-2 fibre differ by (0, Z' - Z), so each fibre has
-    diameter <= 4/f^2. The Euclidean isodiametric inequality on both factors
-    and Fubini give Haar(A) <= alpha_m c^-m 2^k |{|Z| <= 1/f^2}|. For d_inf
-    Haar(B) is the same float product without the 2^k: the bound is exactly 2^k.
+    c = radial_norm(1, 0) and f = radial_norm(0, 1), the norms of unit vectors of
+    layer 1 and of layer 2. Take A of diameter 2, so its ratio is Haar(A) /
+    Haar(B). Layer 1 of p^-1 q is x_q - x_p, so the projection of A to layer 1
+    has diameter <= 2/c. Two points of one layer-2 fibre differ by (0, Z' - Z),
+    so each fibre has diameter <= 4/f^2. The Euclidean isodiametric inequality
+    on both factors and Fubini give Haar(A) <= alpha_m c^-m 2^k |{|Z| <= 1/f^2}|.
+    For d_inf Haar(B) is the same float product without the 2^k: the bound is
+    exactly 2^k.
     """
     spec = metric.spec
     m, k = spec.dim1, spec.dim2
-    c = metric.norm(GroupPoint(np.eye(1, m)[0], np.zeros(k)))
-    f = metric.norm(GroupPoint(np.zeros(m), np.eye(1, k)[0]))
+    c, f = float(metric.radial_norm(1.0, 0.0)), float(metric.radial_norm(0.0, 1.0))
     vol, _ = unit_ball_volume(metric)
     return alpha(m) * (1.0 / c) ** m * (2.0 ** k * layer2_ball(spec, 1.0 / f)) / vol
 

@@ -91,9 +91,9 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
 
     A central center c = [0, c2] translates by a layer-2 shift only, so
     d(c, y) = N(y1, y2 - c2) and the box is the dilated unit box shifted by c2.
-    Membership member(y1, y2, l1sq=None) is metric.within(y1, y2 - c2, radius, l1sq):
-    bit for bit norm_arrays(...) <= radius, with no root (d_inf, gauge) or by the CC
-    half-height table on all but the points next to the sphere; l1sq is |y1|^2.
+    Membership is metric.within(y1, y2 - c2, radius): bit for bit norm_arrays(...)
+    <= radius, decided from the squared layer norms with no root (d_inf, gauge) or
+    by the CC half-height table on all but the points next to the sphere.
     The array norms square box coordinates unscaled, so FloatingPointError
     unless, in each layer, the sum of squares at the box's far corner is
     finite and every half-width squares to a normal float.
@@ -114,8 +114,8 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
                 f"sampling box layer {layer}: smallest half-width squared {half:.3g}, far-corner "
                 f"sum of squares {far:.3g}; the array norms need both to be normal floats")
 
-    def member(l1, l2, l1sq=None):
-        return metric.within(l1, l2 - c.layer2, radius, l1sq)
+    def member(l1, l2):
+        return metric.within(l1, l2 - c.layer2, radius)
 
     return SampledSet(member, box, metric.spec, diameter_hint=2.0 * radius)
 
@@ -156,20 +156,22 @@ def sampled_max(metric, blocks, budget: int, seed: int) -> float:
     blocks(rng, count) yields (l1, l2, inside) for one chunk's count points.
     Each chunk keeps its own running max M: it starts as the max norm of the
     inside points among every 64th point of the chunk's first block, and the
-    kernel then runs only on the inside points that metric.within(., M)
-    rejects, exactly those of norm above M. So no output depends on BLOCK or
-    the thread count.
+    kernel then runs only on the inside points that metric.radial_within(., M)
+    rejects, exactly those of norm above M. One layer_squares a block feeds
+    the seed, the test and the kernel. So no output depends on BLOCK or the
+    thread count.
     """
     def chunk(rng, count):
         best = None
         for l1, l2, inside in blocks(rng, count):
+            a, b = metrics_mod.layer_squares(l1, l2)
             if best is None:
-                best = np.max(metric.norm_arrays(l1[::64], l2[::64]), where=inside[::64],
+                best = np.max(metric.radial_norm(a[::64], b[::64]), where=inside[::64],
                               initial=0.0)
-            above = ~metric.within(l1, l2, best)
+            above = ~metric.radial_within(a, b, best)
             above &= inside
             if above.any():
-                best = np.maximum(best, metric.norm_arrays(l1[above], l2[above]).max())
+                best = np.maximum(best, metric.radial_norm(a[above], b[above]).max())
         return float(best)
 
     return max(sampling.map_chunks(seed, budget, chunk))

@@ -2,11 +2,16 @@
 
 Every metric has a scalar interface on GroupPoints and vectorized kernels on
 coordinate arrays (shape (..., dim1) / (..., dim2)), which the Monte Carlo of
-:mod:`carnotiso.measures` uses. Each CC profile has one kernel: mu and mu' in
-_mu_pair, the unit sphere's radius sin phi / phi and half height T in
-_sphere_profile, for the sphere map, the within table and the CC volume. The
-unit-ball volumes are in :func:`unit_ball_volume`: closed forms for d_inf and
-gauge, and for CC a fixed Gauss-Legendre rule on the turning angle.
+:mod:`carnotiso.measures` uses. All three norms depend on a point only
+through a = |layer 1|^2 and b = |layer 2|^2 (layer_squares), so each metric's
+array kernel is radial_norm(a, b), and its _radial_bounds(a, b, r) decides
+most points of radial_norm(a, b) <= r without it; the one within and
+radial_within of _HomogeneousMetric run the kernel on the rest. Each CC
+profile has one kernel: mu and mu' in _mu_pair, the unit sphere's radius
+sin phi / phi and half height T in _sphere_profile, for the sphere map, the
+half-height table and the CC volume. The unit-ball volumes are in
+:func:`unit_ball_volume`: closed forms for d_inf and gauge, and for CC a
+fixed Gauss-Legendre rule on the turning angle.
 """
 
 from __future__ import annotations
@@ -177,7 +182,7 @@ def solve_turning(ratio):
 
 
 # ---------------------------------------------------------------------------
-# the CC unit sphere's profile, and its half height tabulated for CCMetric.within
+# the CC unit sphere's profile, and its half height tabulated for CCMetric._radial_bounds
 #
 # The unit sphere is [s chi, T] with s = sin phi / phi and the half height
 # T = mu(phi) s^2 = (2 phi - sin 2 phi) / (2 phi^2) = (1 - sinc 2 phi) / phi,
@@ -188,9 +193,9 @@ def solve_turning(ratio):
 # ---------------------------------------------------------------------------
 
 PROFILE_CELLS = 1 << 12  # cells of u; a power of two, so u * PROFILE_CELLS is exact
-# the margin on the scaled height in CCMetric.within, where it is proven
+# the margin on the scaled height in CCMetric._radial_bounds, where it is proven
 PROFILE_EPS = 1e-9
-# the relative guard band of the d_inf and gauge within, over 100 times their rounding
+# the relative guard band of the d_inf and gauge _radial_bounds, over 100 times their rounding
 WITHIN_GUARD = 1e-12
 # 1 - sin x / x cancels near 0, so below the cut it is the series
 # x^2 sum_k (-1)^k x^(2k) / (2k + 3)!, whose next term is 1e-23 relative there
@@ -281,8 +286,9 @@ def _sum_squares(x):
     numpy pays per row on a last axis this narrow. From width 8 on numpy adds
     pairwise, so wider x goes to numpy itself. The squares are unscaled: the
     result is correct to rounding only while every nonzero coordinate has a
-    normal square, about 1.5e-154 <= |x_i| <= 1.3e154. The scalar norm and
-    dist dilate their points into that range first.
+    normal square, about 1.5e-154 <= |x_i| <= 1.3e154. layer_squares squares
+    both layers so for every array kernel, CC's |t| = sqrt(b) included. The
+    scalar norm and dist dilate their points into that range first.
     """
     if x.shape[-1] >= 8:
         return np.sum(x * x, axis=-1)
@@ -291,6 +297,11 @@ def _sum_squares(x):
         c = x[..., j]
         s += c * c
     return s
+
+
+def layer_squares(l1, l2):
+    """(a, b) = (|l1|^2, |l2|^2) over the last axis: all a norm here reads of a point."""
+    return _sum_squares(np.asarray(l1, dtype=float)), _sum_squares(np.asarray(l2, dtype=float))
 
 
 def _scale_exponent(p: GroupPoint) -> int:
@@ -304,29 +315,41 @@ def _dilate(p: GroupPoint, e: int):
 
 
 class _HomogeneousMetric:
-    """Shared plumbing: distances from the norm of inv(p) . q.
+    """Shared plumbing: the radial contract, and distances from the norm of inv(p) . q.
 
-    The scalar interface dilates its points to O(1) by a power of two, which
-    is exact, so that N(delta_s p) = s N(p) holds for tiny and huge coordinates.
+    A metric defines radial_norm(a, b), its elementwise array kernel on
+    (a, b) = layer_squares(l1, l2), and _radial_bounds(a, b, r): the masks
+    (inside, unsure) with radial_norm(a, b) <= r exactly where inside holds
+    and unsure does not, or None where its thresholds at r are unsafe. The
+    scalar interface dilates its points to O(1) by a power of two, which is
+    exact, so that N(delta_s p) = s N(p) holds for tiny and huge coordinates.
     """
 
     spec: GroupSpec
 
-    def norm_arrays(self, l1, l2):  # pragma: no cover - interface
-        raise NotImplementedError
+    # perfbench's tracer patches norm_arrays by class, so each metric repeats
+    # this line in its own namespace until the tracer is rewritten (ROADMAP 1)
+    def norm_arrays(self, l1, l2):
+        return self.radial_norm(*layer_squares(l1, l2))
 
-    def within(self, l1, l2, r, l1sq=None):
-        """norm_arrays(l1, l2) <= r, the closed ball's mask; l1sq, if given, is _sum_squares(l1).
+    def within(self, l1, l2, r):
+        """norm_arrays(l1, l2) <= r, the closed ball's mask, bit for bit: see radial_within."""
+        return self.radial_within(*layer_squares(l1, l2), r)
 
-        Each metric decides most points from its kernel's own squared layer
-        norms and runs norm_arrays on the rest, so within inherits the kernels'
-        coordinate range (_sum_squares) and stays bit for bit equal to them.
+    def radial_within(self, a, b, r):
+        """radial_norm(a, b) <= r, bit for bit, with the kernel on the unsure points only.
+
+        _radial_bounds decides the rest from a and b alone. A 0-d input, or a
+        radius it declines, goes to radial_norm whole. Deciding from the
+        kernel's own a and b, within inherits its coordinate range (_sum_squares).
         """
-        return self.norm_arrays(l1, l2) <= r
-
-    def _settle(self, l1, l2, r, inside, unsure):  # norm_arrays decides the unsure points
-        if unsure.any():
-            inside[unsure] = self.norm_arrays(l1[unsure], l2[unsure]) <= r
+        r = float(r)
+        bounds = self._radial_bounds(a, b, r) if np.ndim(a) else None
+        if bounds is None:
+            return self.radial_norm(a, b) <= r
+        inside, unsure = bounds
+        if unsure.any():  # radial_norm is elementwise: a subset keeps its bits
+            inside[unsure] = self.radial_norm(a[unsure], b[unsure]) <= r
         return inside
 
     def norm(self, p: GroupPoint) -> float:
@@ -371,28 +394,26 @@ class DinfMetric(_HomogeneousMetric):
         self.c1 = c1
         self.c2 = c2
 
-    def norm_arrays(self, l1, l2):
-        l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
-        return np.maximum(self.c1 * np.sqrt(_sum_squares(l1)),
-                          self.c2 * np.sqrt(np.sqrt(_sum_squares(l2))))
+    norm_arrays = _HomogeneousMetric.norm_arrays
 
-    def within(self, l1, l2, r, l1sq=None):
-        """norm_arrays(l1, l2) <= r, bit for bit, with no root outside a guard band.
+    def radial_norm(self, a, b):
+        return np.maximum(self.c1 * np.sqrt(a), self.c2 * np.sqrt(np.sqrt(b)))
+
+    def _radial_bounds(self, a, b, r):
+        """Guard-band masks: no root, and the kernel only within a relative 1e-12 of r.
 
         Inside when a = |z|^2 <= (r/c1)^2 (1 - g) and b = |t|^2 <= (r/c2)^4 (1 - g),
         g = WITHIN_GUARD; outside when a or b exceeds its threshold times 1 + g, or
-        is NaN. The kernel rounds 3 times, the thresholds 5; norm_arrays decides
-        the band, and every point when r or a threshold leaves [1e-300, 1e300].
+        is NaN. The kernel rounds 3 times, the thresholds 5. None when r or a
+        threshold leaves [1e-300, 1e300].
         """
-        l1, l2, r = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float), float(r)
         ra, rb = r / self.c1, r / self.c2
         ta, tb = ra * ra, (rb * rb) * (rb * rb)
-        if l1.ndim < 2 or not all(1e-300 <= x <= 1e300 for x in (r, ta, tb)):  # NaN too
-            return super().within(l1, l2, r)
-        a, b = _sum_squares(l1) if l1sq is None else l1sq, _sum_squares(l2)
+        if not all(1e-300 <= x <= 1e300 for x in (r, ta, tb)):  # NaN too
+            return None
         inside = (a <= ta * (1.0 - WITHIN_GUARD)) & (b <= tb * (1.0 - WITHIN_GUARD))
         unsure = (a <= ta * (1.0 + WITHIN_GUARD)) & (b <= tb * (1.0 + WITHIN_GUARD))
-        return self._settle(l1, l2, r, inside, unsure ^ inside)
+        return inside, unsure ^ inside
 
     def unit_ball_bbox(self):
         r1, r2 = 1.0 / self.c1, (1.0 / self.c2) ** 2
@@ -417,27 +438,24 @@ class GaugeMetric(_HomogeneousMetric):
         # a power of two, so scaling by it or by its inverse is exact
         self.layer2_scale = 4.0 if spec.kind == "htype" else 1.0
 
-    def norm_arrays(self, l1, l2):
-        l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
-        return self._quartic(_sum_squares(l1), _sum_squares(l2)) ** 0.25
+    norm_arrays = _HomogeneousMetric.norm_arrays
 
-    def _quartic(self, n1sq, n2sq):  # N^4 from the squared layer norms
-        return n1sq * n1sq + self.layer2_scale ** 2 * n2sq
+    def radial_norm(self, a, b):
+        return (a * a + self.layer2_scale ** 2 * b) ** 0.25
 
-    def within(self, l1, l2, r, l1sq=None):
-        """norm_arrays(l1, l2) <= r, bit for bit, with no 0.25 power outside a guard band.
+    def _radial_bounds(self, a, b, r):
+        """Guard-band masks: no 0.25 power, and the kernel only within a relative 1e-12 of r.
 
-        Inside when the kernel's q = N^4 <= r^4 (1 - g), g = WITHIN_GUARD; outside
-        when q > r^4 (1 + g) or NaN. numpy's q ** 0.25 is within a few ulp; norm_arrays
-        decides the band, and every point when r^4 leaves [1e-300, 1e300].
+        Inside when the kernel's q = N^4 = a^2 + s^2 b <= r^4 (1 - g), g =
+        WITHIN_GUARD; outside when q > r^4 (1 + g) or NaN. numpy's q ** 0.25 is
+        within a few ulp. None when r^4 leaves [1e-300, 1e300].
         """
-        l1, l2, r = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float), float(r)
         t = (r * r) * (r * r)
-        if l1.ndim < 2 or not 1e-300 <= t <= 1e300:  # negated, so that NaN fails too
-            return super().within(l1, l2, r)
-        q = self._quartic(_sum_squares(l1) if l1sq is None else l1sq, _sum_squares(l2))
+        if not 1e-300 <= t <= 1e300:  # negated, so that NaN fails too
+            return None
+        q = a * a + self.layer2_scale ** 2 * b
         inside, unsure = q <= t * (1.0 - WITHIN_GUARD), q <= t * (1.0 + WITHIN_GUARD)
-        return self._settle(l1, l2, r, inside, unsure ^ inside)
+        return inside, unsure ^ inside
 
     def unit_ball_bbox(self):
         d1, d2 = self.spec.dim1, self.spec.dim2
@@ -455,16 +473,15 @@ class CCMetric(_HomogeneousMetric):
     After left translation write the difference as [z, t]. On the center
     (z = 0) the distance is sqrt(pi |t|); otherwise the turning angle phi
     solves mu(phi) = |t| / |z|^2 and the distance is |z| phi / sin phi.
-    norm_arrays is one pass over all points: it solves every ratio up to 1e28
-    (the rest, center and NaN included, at 0), takes one sine per point and
-    picks |z| phi / sin phi up to ratio 1, phi (2 |t| / (2 phi - sin 2 phi))^(1/2)
-    above, or sqrt(pi |t|): within 1e-14 relative of the exact norm. A NaN
-    |z| or t gives NaN, which no ball holds.
-    within(l1, l2, r) gives the same mask as norm_arrays(l1, l2) <= r from the
-    unit ball's tabulated half height, and runs norm_arrays only on the few
-    points the table cannot decide; the Monte Carlo paths use it. distance,
-    the scalar norm and the volume rule run norm_arrays, or their own
-    quadrature, on every point.
+    radial_norm is one pass over all points, with |z| = sqrt(a) and |t| =
+    sqrt(b): it solves every ratio up to 1e28 (the rest, center and NaN
+    included, at 0), takes one sine per point and picks |z| phi / sin phi up
+    to ratio 1, phi (2 |t| / (2 phi - sin 2 phi))^(1/2) above, or
+    sqrt(pi |t|): within 1e-14 relative of the exact norm. A NaN |z| or t
+    gives NaN, which no ball holds. _radial_bounds decides all but a few
+    points of radial_norm(a, b) <= r from the unit ball's tabulated half
+    height; the Monte Carlo paths use it. distance, the scalar norm and the
+    volume rule run the kernel, or their own quadrature, on every point.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -472,10 +489,10 @@ class CCMetric(_HomogeneousMetric):
             raise MetricError("CC distance is implemented for Heisenberg specs only")
         self.spec = spec
 
-    def norm_arrays(self, l1, l2):
-        l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
-        zn = np.sqrt(_sum_squares(l1))
-        t = np.abs(l2[..., 0])
+    norm_arrays = _HomogeneousMetric.norm_arrays
+
+    def radial_norm(self, a, b):
+        zn, t = np.sqrt(a), np.sqrt(b)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = t / zn ** 2
         # beyond this ratio the center formula's relative error, about
@@ -491,50 +508,48 @@ class CCMetric(_HomogeneousMetric):
                            phi * np.sqrt(2.0 * t / (2.0 * phi - s)))
         return np.where(solved, out, np.where(np.isnan(zn), zn, np.sqrt(np.pi * t)))[()]
 
-    def within(self, l1, l2, r, l1sq=None):
-        """norm_arrays(l1, l2) <= r, bit for bit, decided by the half-height table.
+    def _radial_bounds(self, a, b, r):
+        """Half-height-table masks: the kernel only next to the sphere.
 
         The rule: N(z, t) <= r exactly when |z| <= r and |t| <= r^2 T(|z| / r),
         T the unit sphere's half height (_half_height). From the kernel's own
-        |z| and |t| take a = |z| / r, b = |t| / r^2 (to 3 ulp), u = sqrt(1 - a)
-        and its cell k = floor(u PROFILE_CELLS) of _profile_bounds. Let N* be
-        the exact norm there; norm_arrays is within 1e-14 of it, so where N*
-        is below r (1 - kappa) or above r (1 + kappa), kappa = 2e-14, the
-        kernel decides as N* does. The table decides three cases:
+        |z| = sqrt(a) and |t| = sqrt(b) take x = |z| / r, y = |t| / r^2 (to 3
+        ulp), u = sqrt(1 - x) and its cell k = floor(u PROFILE_CELLS) of
+        _profile_bounds. Let N* be the exact norm there; radial_norm is within
+        1e-14 of it, so where N* is below r (1 - kappa) or above r (1 + kappa),
+        kappa = 2e-14, the kernel decides as N* does. The table decides three cases:
 
-        * a > 1 + PROFILE_EPS: N* >= |z| > r (1 + kappa), outside.
-        * k >= 1 and b <= low[k]: inside. By homogeneity N* <= r (1 - kappa)
-          when s' = a* / (1 - kappa) <= 1 and b* / (1 - kappa)^2 <= T(s'), a*
-          and b* the exact ratios. s' is within 3e-14 of a, and u >= 1 /
+        * x > 1 + PROFILE_EPS: N* >= |z| > r (1 + kappa), outside.
+        * k >= 1 and y <= low[k]: inside. By homogeneity N* <= r (1 - kappa)
+          when s' = x* / (1 - kappa) <= 1 and y* / (1 - kappa)^2 <= T(s'), x*
+          and y* the exact ratios. s' is within 3e-14 of x, and u >= 1 /
           PROFILE_CELLS, so sqrt(1 - s') is within 3e-14 / u + 2 ulp < 1.3e-10
           of u; T is 1.7-Lipschitz in u, so T(s') >= low[k] + PROFILE_EPS
-          - 1e-15 (node error) - 2.2e-10 > b + 1.3e-13 >= b* / (1 - kappa)^2.
-        * k >= 1 and b >= high[k]: outside, by the same steps with 1 + kappa.
+          - 1e-15 (node error) - 2.2e-10 > y + 1.3e-13 >= y* / (1 - kappa)^2.
+        * k >= 1 and y >= high[k]: outside, by the same steps with 1 + kappa.
 
         PROFILE_EPS = 1e-9 is thus four times the sum it must exceed. Every
-        other point goes to norm_arrays: those within about one cell of the
-        sphere's height, u < 1 / PROFILE_CELLS (|z| within 6e-8 r of r), and
-        NaN; that is about 50 of the 2^17 points of the CC bump box. So does
-        every point for r outside [1e-100, 1e100], where r^2 may leave the
-        normal range, and a single 1-d point.
+        other point is unsure: those within about one cell of the sphere's
+        height, u < 1 / PROFILE_CELLS (|z| within 6e-8 r of r), and NaN; that
+        is about 50 of the 2^17 points of the CC bump box. None for r outside
+        [1e-100, 1e100], where r^2 may leave the normal range.
         """
-        l1, l2 = np.asarray(l1, dtype=float), np.asarray(l2, dtype=float)
-        if l1.ndim < 2 or not 1e-100 <= r <= 1e100:  # negated, so that NaN fails too
-            return super().within(l1, l2, r)
+        if not 1e-100 <= r <= 1e100:  # negated, so that NaN fails too
+            return None
         low, high = _profile_bounds()
-        a = np.sqrt(_sum_squares(l1) if l1sq is None else l1sq) * (1.0 / r)
-        b = np.abs(l2[..., 0]) * (1.0 / (r * r))
-        u = np.fmax(1.0 - a, 0.0)  # fmax: NaN -> 0, and cell 0
+        x = np.sqrt(a) * (1.0 / r)
+        y = np.sqrt(b) * (1.0 / (r * r))
+        u = np.fmax(1.0 - x, 0.0)  # fmax: NaN -> 0, and cell 0
         np.sqrt(u, out=u)
         u *= PROFILE_CELLS
         k = u.astype(np.intp)
         # the bounds reuse u's buffer: fewer block temporaries, fewer heap trims
         bound = np.take(low, k, out=u, mode="clip")  # clip never binds; out is unbuffered
-        inside = b <= bound
-        unsure = b > bound
-        unsure &= b < np.take(high, k, out=bound, mode="clip")
-        unsure &= ~(a > 1.0 + PROFILE_EPS)  # NaN |z| too
-        return self._settle(l1, l2, r, inside, unsure)
+        inside = y <= bound
+        unsure = y > bound
+        unsure &= y < np.take(high, k, out=bound, mode="clip")
+        unsure &= ~(x > 1.0 + PROFILE_EPS)  # NaN |z| too
+        return inside, unsure
 
     def unit_ball_bbox(self):
         # |z| <= 1 (phi -> 0); the half height T peaks at phi = pi/2 with value

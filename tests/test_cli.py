@@ -481,7 +481,7 @@ class TestSigma:
         assert main(["sigma", "--c-lower", "3", "--c-upper", "2"]) == 2
 
     @pytest.mark.parametrize("lower,upper", [("nan", "2"), ("inf", "inf"), ("1", "nan"),
-                                             ("nan", "nan")])
+                                             ("nan", "nan"), ("1", "inf")])
     def test_bad_manual_bounds_exit_2(self, capsys, lower, upper):
         assert main(["sigma", "--c-lower", lower, "--c-upper", upper]) == 2
         assert capsys.readouterr().out == ""

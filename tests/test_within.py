@@ -1,10 +1,11 @@
 """Ball membership without the full kernel: the kernel's decisions, bit for bit.
 
-CCMetric.within decides N <= r from the unit sphere's tabulated half height;
-DinfMetric.within and GaugeMetric.within compare the kernel's own squared
-layer norms with r's thresholds outside a relative guard band. All three
-send only uncertain points to norm_arrays. These tests compare within with
-norm_arrays(l1, l2) <= r on the Monte Carlo boxes of the evidence and on
+within(l1, l2, r) is radial_within(a, b, r) on the squared layer norms (a, b)
+= layer_squares(l1, l2). CCMetric._radial_bounds decides N <= r from the unit
+sphere's tabulated half height; the d_inf and gauge _radial_bounds compare a
+and b with r's thresholds outside a relative guard band. All three leave only
+uncertain points to radial_norm. These tests compare within and radial_within
+with norm_arrays(l1, l2) <= r on the Monte Carlo boxes of the evidence and on
 points within a few ulp of spheres, check that the d_inf and gauge kernels
 run on band points only, and check the CC table against mpmath.
 """
@@ -75,7 +76,7 @@ class TestTable:
 def _box_agreement(metric, box, shift, radius, seed, points=AGREEMENT_POINTS):
     """Blocks of a uniform box draw; within and the kernel must agree on every point.
 
-    within is asked with and without the precomputed |l1|^2.
+    within is asked on the coordinates, and radial_within on their layer_squares.
     """
     rng = np.random.default_rng(seed)
     d1 = len(box.lo1)
@@ -85,7 +86,7 @@ def _box_agreement(metric, box, shift, radius, seed, points=AGREEMENT_POINTS):
         l1, l2 = pts[:, :d1], pts[:, d1:] - shift
         want = kernel_within(metric, l1, l2, radius)
         assert np.array_equal(metric.within(l1, l2, radius), want)
-        assert np.array_equal(metric.within(l1, l2, radius, metrics._sum_squares(l1)), want)
+        assert np.array_equal(metric.radial_within(*metrics.layer_squares(l1, l2), radius), want)
         inside += int(np.count_nonzero(want))
     return inside
 
@@ -187,7 +188,13 @@ class TestBoundary:
     def test_default_is_the_norm(self, metric):
         pts = np.random.default_rng(4).uniform(-1.5, 1.5, (1000, 3))
         l1, l2 = pts[:, :2], pts[:, 2:]
-        assert np.array_equal(metric.within(l1, l2, 1.0), metric.norm_arrays(l1, l2) <= 1.0)
+        want = metric.norm_arrays(l1, l2) <= 1.0
+        assert np.array_equal(metric.within(l1, l2, 1.0), want)
+        # one 1-d point at a time, and the first 12 points as a (4, 3) grid
+        assert 0 < np.count_nonzero(want[:12]) < 12
+        assert all(metric.within(l1[i], l2[i], 1.0) == want[i] for i in range(12))
+        grid = metric.within(l1[:12].reshape(4, 3, 2), l2[:12].reshape(4, 3, 1), 1.0)
+        assert np.array_equal(grid, want[:12].reshape(4, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +304,7 @@ def test_cheap_shells(name):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             want = kernel_within(metric, l1, l2, radius)
             got = metric.within(l1, l2, radius)
-            shared = metric.within(l1, l2, radius, metrics._sum_squares(l1))
+            shared = metric.radial_within(*metrics.layer_squares(l1, l2), radius)
         assert np.array_equal(got, want) and np.array_equal(shared, want), radius
         assert not got[np.isnan(l1).any(axis=1) | np.isnan(l2).any(axis=1)].any(), radius
         if 1e-60 <= radius <= 1e60:  # beyond, squares leave the kernels' range
@@ -311,13 +318,23 @@ def test_kernel_coordinate_range(metric):
     # the kernels square unscaled coordinates: at 1e-170 the squares underflow to 0 and
     # at 1e170 they overflow to inf; within inherits that range and stays bit for bit equal
     z = np.array([[1e-170, 0.0], [1e-170, 1e-170], [1e170, 0.0], [0.0, 0.0], [1e-170, 0.0],
-                  [1e170, 1e170], [0.5, 0.0], [1e-170, 0.0]])
-    t = np.array([[0.0], [1e-170], [0.0], [1e170], [1e170], [1e-170], [1e-170], [-1e-170]])
+                  [1e170, 1e170], [0.5, 0.0], [1e-170, 0.0], [0.0, 0.0]])
+    t = np.array([[0.0], [1e-170], [0.0], [1e170], [1e170], [1e-170], [1e-170], [-1e-170],
+                  [1e-170]])
     for radius in (1.0, 1e-170, 1e170, 1e-85, 1e85, 1e-40):
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             want = kernel_within(metric, z, t, radius)
             got = metric.within(z, t, radius)
         assert np.array_equal(got, want), radius
+    # layer 2 too, CC's |t| = sqrt(|t|^2) included: the last row's t^2 underflows, so
+    # every kernel reads it as the identity, while the scalar norm and distance
+    # dilate it first and keep their value, 1e-85 times that of [0, 0; 1]
+    with np.errstate(under="ignore"):
+        assert metric.norm_arrays(z[-1], t[-1]) == 0.0
+    tiny, origin = ci.point([0.0, 0.0], [1e-170]), ci.point([0.0, 0.0], [0.0])
+    expected = 1e-85 * metric.norm(ci.point([0.0, 0.0], [1.0]))
+    assert metric.norm(tiny) == pytest.approx(expected, rel=1e-15)
+    assert metric.dist(origin, tiny) == metric.norm(tiny)
 
 
 class TestFastPath:
@@ -326,21 +343,25 @@ class TestFastPath:
     @pytest.mark.parametrize("name", list(CHEAP))
     def test_kernel_only_on_band(self, name, monkeypatch):
         metric = CHEAP[name]
-        kernel, seen = metric.norm_arrays, []
+        kernel, seen = metric.radial_norm, []
 
-        def spy(l1, l2):
-            seen.append((np.array(l1), np.array(l2)))
-            return kernel(l1, l2)
+        def spy(a, b):
+            seen.append((np.array(a), np.array(b)))
+            return kernel(a, b)
 
-        monkeypatch.setattr(metric, "norm_arrays", spy)
+        monkeypatch.setattr(metric, "radial_norm", spy)
         rng = np.random.default_rng(61)
         d1 = metric.spec.dim1
         for _, box, shift, radius in evidence_boxes(metric):
             pts = rng.uniform(box.lo, box.hi, (1 << 17, len(box.lo)))
             seen.clear()
             metric.within(pts[:, :d1], pts[:, d1:] - shift, radius)
-            for l1, l2 in seen:
-                assert np.all(np.abs(kernel(l1, l2) / radius - 1.0) <= metrics.WITHIN_GUARD)
+            for a, b in seen:
+                assert np.all(np.abs(kernel(a, b) / radius - 1.0) <= metrics.WITHIN_GUARD)
+        # the spy sees the kernel: on radii beyond the thresholds' range, every point
+        seen.clear()
+        assert metric.within(pts[:2, :d1], pts[:2, d1:], 1e-200).shape == (2,)
+        assert [a.size for a, _ in seen] == [2]
         # and no kernel call for the center or a far point
         seen.clear()
         far = np.full((2, d1), 10.0)
