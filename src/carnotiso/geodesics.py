@@ -119,19 +119,18 @@ class CutPointReport:
 
 
 def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
-    """Yield (z, t, inside) blocks of count points of the closed CC ball B(x, 1), inside all true.
+    """Yield (a, t, inside) blocks of count points of the closed CC ball B(x, 1), inside all true.
 
+    a = |z|^2: every norm reads z through it alone, so no direction is drawn.
     Row i is on the sphere when i < count // 2, inside the ball otherwise. It
-    takes (phi, radius, height) from box_blocks on [-pi, pi] x [0, 1]^2 and
-    its direction chi from the normals of rng's jumped copy, both in row
-    order, so no point depends on BLOCK. Inner rows scale chi to |chi| =
-    radius^(1/dim1) and the sphere map to height^(1/Q); sphere rows use 1.
+    takes (phi, u, v) from box_blocks on [-pi, pi] x [0, 1]^2, in row order, so
+    no point depends on BLOCK. Inner rows take |chi| = rho = u^(1/dim1) and
+    the radius r = v^(1/Q); sphere rows take 1 for both. The sphere map then
+    gives |z| = r rho sinc(phi) and t = (r rho)^2 T(phi).
     x is central, like the cut point, so translating by it is t -> t + x2.
     """
     sampling.check_chunk(count, spec.dim1 + spec.dim2)
-    normals = np.random.Generator(rng.bit_generator.jumped())
-    chi_buf = np.empty((min(sampling.BLOCK, count), spec.dim1))
-    inside = np.ones(len(chi_buf), dtype=bool)
+    inside = np.ones(min(sampling.BLOCK, count), dtype=bool)
     lo, hi = np.array([-math.pi, 0.0, 0.0]), np.array([math.pi, 1.0, 1.0])
     sphere_left = count // 2
     for pts in sampling.box_blocks(rng, count, lo, hi):
@@ -139,10 +138,10 @@ def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
         pts[sphere_left:, 1] **= 1.0 / spec.dim1
         pts[sphere_left:, 2] **= 1.0 / spec.Q
         sphere_left = max(sphere_left - len(pts), 0)
-        chi = normals.standard_normal(out=chi_buf[:len(pts)])
-        chi *= (pts[:, 1] / np.sqrt(_sum_squares(chi)))[:, None]
-        z, t = sphere_point_arrays(spec.n, chi, pts[:, 0], pts[:, 2])
-        yield z, t + x.layer2, inside[:len(pts)]
+        sinc, height = _sphere_profile(pts[:, 0])
+        rc = pts[:, 2] * pts[:, 1]
+        zn = rc * sinc
+        yield zn * zn, (rc * rc * height)[:, None] + x.layer2, inside[:len(pts)]
 
 
 def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geodesics, groups, measures, metrics, sampling
+from . import geodesics, groups, measures, sampling
 from .groups import GroupPoint
 from .measures import EstimateWithError, SampledSet
 from .metrics import (CCMetric, DinfMetric, GaugeMetric, MetricError, alpha, layer2_ball,
@@ -178,8 +178,7 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     d(apex, .) over the unit ball) is proven to be sqrt(2); a reach below that is false
     for it. Every bump point sits within rho + reach <= 2 = diam B of every ball point,
     so the diameter stays 2 and only the extra measure counts: ratio = 1 + Haar(bump \\ B)
-    / Haar(B). The bump's test and the unit ball's are radial_within on one a = |z|^2
-    a block, each with its own b = |t - center|^2.
+    / Haar(B). bump \\ B tests the two ball_sets' memberships on one a = |z|^2 a block.
     """
     spec = metric.spec
     apex, _ = _apex_and_bound(metric)
@@ -190,11 +189,9 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     if reach < APEX_REACH:
         raise CertificateError(f"reach {reach} is below the proven apex reach {APEX_REACH}")
     rho_max = max_certified_rho(metric, reach)
-    if params.rho > rho_max:
-        raise CertificateError(
-            f"rho {params.rho} exceeds certified maximum {rho_max}")
-    if params.rho < 0:
-        raise CertificateError("rho must be nonnegative")
+    if not 0.0 <= params.rho <= rho_max:  # negated, so that NaN fails too
+        raise CertificateError(f"rho {params.rho} is negative, NaN or exceeds the "
+                               f"certified maximum {rho_max}")
     diam = 2.0
     ball_vol, ball_err = unit_ball_volume(metric)
     if params.rho == 0.0:
@@ -202,13 +199,10 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
         return RatioResult(est, diam, {"kind": "bump", "rho": 0.0})
 
     bump = measures.ball_set(metric, center=params.apex, radius=params.rho)
+    ball = measures.ball_set(metric)
 
-    def extra_membership(l1, l2):
-        # the bump's center shifts layer 2 only, so both tests read one a = |z|^2
-        a, b = metrics.layer_squares(l1, l2 - params.apex.layer2)
-        hit = metric.radial_within(a, b, params.rho)
-        hit &= ~metric.radial_within(a, metrics._sum_squares(l2), 1.0)
-        return hit
+    def extra_membership(a, l2):
+        return bump.membership(a, l2) & ~ball.membership(a, l2)
 
     extra = SampledSet(extra_membership, bump.bounding_box, spec)
     est = measures.mc_measure(extra, budget, seed)

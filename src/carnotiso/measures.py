@@ -68,8 +68,9 @@ class BoundingBox:
 class SampledSet:
     """Measurable candidate set: vectorized membership + bounding box.
 
-    membership(l1, l2) takes arrays of shape (N, dim1), (N, dim2) and
-    returns a boolean mask of shape (N,).
+    membership(a, l2) takes a = |layer 1|^2 of shape (N,) and layer 2 of shape
+    (N, dim2), and returns a boolean mask of shape (N,). Every set here reads
+    layer 1 only through a, as every norm does.
     """
 
     membership: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -78,12 +79,12 @@ class SampledSet:
     diameter_hint: Optional[float] = None  # exact diameter
 
     def blocks(self, rng: np.random.Generator, count: int):
-        """Yield (l1, l2, inside) for count box-rejection draws, sampling.box_blocks' blocks."""
+        """Yield (a, l2, inside) for count draws, box_blocks' blocks; a = |l1|^2 once a block."""
         box = self.bounding_box
         d1 = len(box.lo1)
         for pts in sampling.box_blocks(rng, count, box.lo, box.hi):
-            l1, l2 = pts[:, :d1], pts[:, d1:]
-            yield l1, l2, self.membership(l1, l2)
+            a, l2 = metrics_mod._sum_squares(pts[:, :d1]), pts[:, d1:]
+            yield a, l2, self.membership(a, l2)
 
 
 def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> SampledSet:
@@ -91,9 +92,10 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
 
     A central center c = [0, c2] translates by a layer-2 shift only, so
     d(c, y) = N(y1, y2 - c2) and the box is the dilated unit box shifted by c2.
-    Membership is metric.within(y1, y2 - c2, radius): bit for bit norm_arrays(...)
-    <= radius, decided from the squared layer norms with no root (d_inf, gauge) or
-    by the CC half-height table on all but the points next to the sphere.
+    Membership(a, y2) is metric.radial_within(a, |y2 - c2|^2, radius): bit for bit
+    norm_arrays(y1, y2 - c2) <= radius at a = |y1|^2, decided from the squared layer
+    norms with no root (d_inf, gauge) or by the CC half-height table on all but the
+    points next to the sphere. It is the one place that shifts a set's layer 2.
     The array norms square box coordinates unscaled, so FloatingPointError
     unless, in each layer, the sum of squares at the box's far corner is
     finite and every half-width squares to a normal float.
@@ -114,8 +116,8 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
                 f"sampling box layer {layer}: smallest half-width squared {half:.3g}, far-corner "
                 f"sum of squares {far:.3g}; the array norms need both to be normal floats")
 
-    def member(l1, l2):
-        return metric.within(l1, l2 - c.layer2, radius)
+    def member(a, l2):
+        return metric.radial_within(a, metrics_mod._sum_squares(l2 - c.layer2), radius)
 
     return SampledSet(member, box, metric.spec, diameter_hint=2.0 * radius)
 
@@ -153,18 +155,18 @@ def mc_measure(sampled: SampledSet, budget: int, seed: int) -> EstimateWithError
 def sampled_max(metric, blocks, budget: int, seed: int) -> float:
     """Exact max of metric's norm over the inside points of budget draws, 0.0 if none.
 
-    blocks(rng, count) yields (l1, l2, inside) for one chunk's count points.
-    Each chunk keeps its own running max M: it starts as the max norm of the
-    inside points among every 64th point of the chunk's first block, and the
-    kernel then runs only on the inside points that metric.radial_within(., M)
-    rejects, exactly those of norm above M. One layer_squares a block feeds
-    the seed, the test and the kernel. So no output depends on BLOCK or the
-    thread count.
+    blocks(rng, count) yields (a, l2, inside) for one chunk's count points, a =
+    |layer 1|^2. Each chunk keeps its own running max M: it starts as the max
+    norm of the inside points among every 64th point of the chunk's first
+    block, and the kernel then runs only on the inside points that
+    metric.radial_within(., M) rejects, exactly those of norm above M. Layer 2
+    is squared once a block, and with the block's a feeds the seed, the test
+    and the kernel. So no output depends on BLOCK or the thread count.
     """
     def chunk(rng, count):
         best = None
-        for l1, l2, inside in blocks(rng, count):
-            a, b = metrics_mod.layer_squares(l1, l2)
+        for a, l2, inside in blocks(rng, count):
+            b = metrics_mod._sum_squares(l2)
             if best is None:
                 best = np.max(metric.radial_norm(a[::64], b[::64]), where=inside[::64],
                               initial=0.0)

@@ -9,9 +9,9 @@ most points of radial_norm(a, b) <= r without it; the one within and
 radial_within of _HomogeneousMetric run the kernel on the rest. Each CC
 profile has one kernel: mu and mu' in _mu_pair, the unit sphere's radius
 sin phi / phi and half height T in _sphere_profile, for the sphere map, the
-half-height table and the CC volume. The unit-ball volumes are in
-:func:`unit_ball_volume`: closed forms for d_inf and gauge, and for CC a
-fixed Gauss-Legendre rule on the turning angle.
+cut-ball sampler, the half-height table and the CC volume. The unit-ball
+volumes are in :func:`unit_ball_volume`: closed forms for d_inf and gauge,
+and for CC a fixed Gauss-Legendre rule on the turning angle.
 """
 
 from __future__ import annotations
@@ -211,12 +211,6 @@ def _sinc_series(x2):
     return acc
 
 
-def _one_minus_sinc(phi):
-    """1 - sin phi / phi on [0, pi], to a few ulp."""
-    p2 = phi * phi
-    return np.where(phi < _SINC_SERIES_CUT, p2 * _sinc_series(p2), 1.0 - _sphere_profile(phi)[0])
-
-
 def _sphere_profile(phi):
     """(sin phi / phi, T(phi)): the unit sphere's radius and half height at turning phi.
 
@@ -242,12 +236,14 @@ def _half_height(u):
 
     Newton's method on sqrt(1 - sin phi / phi) = u from phi = sqrt(6) u
     (1 + (pi / sqrt(6) - 1) u^2), exact at both ends and within 4% between:
-    the fifth step moves phi by rounding only. Then T = _sphere_profile(phi)[1],
+    the fifth step moves phi by rounding only. It reads 1 - sinc phi = h T(h) at
+    h = phi / 2, with no cancellation. Then T = _sphere_profile(phi)[1],
     within 1e-15 of the true T at the float u (tested against mpmath).
     """
     phi = math.sqrt(6.0) * u * (1.0 + (math.pi / math.sqrt(6.0) - 1.0) * u * u)
     for _ in range(5):
-        v = np.sqrt(_one_minus_sinc(phi))
+        h = 0.5 * phi
+        v = np.sqrt(h * _sphere_profile(h)[1])
         phi = phi - (v - u) * 2.0 * phi * phi * v / (np.sin(phi) - phi * np.cos(phi))
     return _sphere_profile(phi)[1]
 

@@ -11,8 +11,7 @@ of memory: a chunk's points are drawn and tested BLOCK at a time, as
 consecutive draws from the chunk's one generator, so that each block's
 temporaries stay in cache. Philox doubles are one sequential stream, so
 the blocks hold exactly the rows of one whole-chunk draw, and no result
-depends on BLOCK. Normals, where a sampler needs them, come from the chunk
-generator's jumped copy, in row order, and so do not depend on BLOCK either.
+depends on BLOCK.
 """
 
 from __future__ import annotations

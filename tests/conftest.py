@@ -15,11 +15,11 @@ def quaternionic():
 
 
 def cut_ball_points(spec, x, rng, count):
-    """(z, t) of geodesics._cut_ball_blocks' count points drawn as one block: the one-shot draw."""
+    """(a, t) of geodesics._cut_ball_blocks' count points drawn as one block: the one-shot draw."""
     block = sampling.BLOCK
     sampling.BLOCK = count
     try:
-        (z, t, _), = geodesics._cut_ball_blocks(spec, x, rng, count)
+        (a, t, _), = geodesics._cut_ball_blocks(spec, x, rng, count)
     finally:
         sampling.BLOCK = block
-    return z, t
+    return a, t

@@ -6,6 +6,7 @@ import pytest
 import carnotiso as ci
 from carnotiso.geodesics import GeodesicParams, sphere_point_arrays
 from carnotiso.groups import GroupError, mul_arrays
+from carnotiso.metrics import _sum_squares
 from carnotiso.sampling import substream
 from conftest import cut_ball_points
 
@@ -171,13 +172,35 @@ class TestAssumptionC:
     def test_cut_ball_shift_is_the_group_law_bit_for_bit(self, spec):
         # the cut point is central, so B(x, 1) is B(0, 1) shifted in t
         x = ci.cut_point(spec, 1.0)
-        z0, t0 = cut_ball_points(spec, ci.identity(spec), substream(3, 0), 20001)
-        z, t = cut_ball_points(spec, x, substream(3, 0), 20001)
+        a0, t0 = cut_ball_points(spec, ci.identity(spec), substream(3, 0), 20001)
+        a, t = cut_ball_points(spec, x, substream(3, 0), 20001)
+        # the sampler draws no direction: any layer 1 of squared norm a0 will do
+        chi = np.random.default_rng(3).standard_normal((len(a0), spec.dim1))
+        z0 = (np.sqrt(a0) / np.linalg.norm(chi, axis=1))[:, None] * chi
         ref_z, ref_t = mul_arrays(spec, x.layer1, x.layer2, z0, t0)
         # equal up to the sign of zeros, which no norm sees
-        assert np.array_equal(z, ref_z) and np.array_equal(t, ref_t)
+        assert np.array_equal(a, a0) and np.array_equal(ref_z, z0) and np.array_equal(t, ref_t)
         metric = ci.CCMetric(spec)
-        assert np.array_equal(metric.norm_arrays(z, t), metric.norm_arrays(ref_z, ref_t))
+        assert np.array_equal(metric.radial_norm(a, _sum_squares(t)),
+                              metric.radial_norm(a0, _sum_squares(ref_t)))
+
+    @pytest.mark.parametrize("spec", [H1, H2], ids=["h1", "h2"])
+    def test_radial_sampler_is_the_sphere_map(self, spec):
+        # _cut_ball_blocks draws (phi, rho, r) and no direction; the sphere map
+        # at any unit chi scaled by rho has the same (|z|^2, t)
+        count = 20001
+        a, t = cut_ball_points(spec, ci.identity(spec), substream(4, 0), count)
+        lo, hi = np.array([-math.pi, 0.0, 0.0]), np.array([math.pi, 1.0, 1.0])
+        phi, rho, r = substream(4, 0).uniform(lo, hi, (count, 3)).T
+        rho[:count // 2] = r[:count // 2] = 1.0
+        rho[count // 2:] **= 1.0 / spec.dim1
+        r[count // 2:] **= 1.0 / spec.Q
+        chi = np.random.default_rng(4).standard_normal((count, spec.dim1))
+        chi *= (rho / np.linalg.norm(chi, axis=1))[:, None]
+        z, ref_t = sphere_point_arrays(spec.n, chi, phi, r)
+        ref_a = _sum_squares(z)
+        assert np.all(np.abs(a - ref_a) <= 1e-15 * ref_a)
+        assert np.all(np.abs(t - ref_t) <= 1e-15 * np.abs(ref_t))
 
     def test_json_roundtrip(self):
         import json

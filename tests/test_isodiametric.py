@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carnotiso as ci
-from carnotiso import isodiametric
+from carnotiso import isodiametric, metrics
 from carnotiso.geodesics import sphere_point_arrays
 from carnotiso.groups import GroupError, standard_symplectic
 from carnotiso.isodiametric import BumpParams, CertificateError, max_certified_rho
@@ -30,8 +30,8 @@ def half_ball(metric):
     box = base.bounding_box
     cut = BoundingBox(box.lo1, box.hi1, np.zeros_like(box.lo2), box.hi2)
 
-    def member(l1, l2):
-        return base.membership(l1, l2) & np.all(l2 >= 0, axis=-1)
+    def member(a, l2):
+        return base.membership(a, l2) & np.all(l2 >= 0, axis=-1)
 
     return ci.SampledSet(member, cut, metric.spec, diameter_hint=2.0)
 
@@ -127,6 +127,22 @@ class TestApexReach:
         with pytest.raises(FloatingPointError, match="layer 2"):
             ci.apex_reach(ci.DinfMetric(H1, 1.0, 1e-77), budget=1000)
 
+    @pytest.mark.parametrize("metric", [DINF, ci.GaugeMetric(H1)], ids=["dinf", "gauge"])
+    def test_one_layer_one_square_a_block(self, metric, monkeypatch):
+        # SampledSet.blocks squares layer 1 once a block, for the membership
+        # and for sampled_max alike
+        calls = []
+        sum_squares = metrics._sum_squares
+
+        def spy(x):
+            calls.append(x.shape)
+            return sum_squares(x)
+
+        monkeypatch.setattr(metrics, "_sum_squares", spy)
+        ci.apex_reach(metric, budget=4 * ci.sampling.BLOCK, seed=0)
+        block = (ci.sampling.BLOCK, metric.spec.dim1)
+        assert calls.count(block) == 4
+
     def test_report_dict(self):
         rep = ci.apex_reach(DINF, budget=10000, seed=1)
         doc = rep.to_dict()
@@ -183,6 +199,10 @@ class TestBump:
         with pytest.raises(CertificateError):
             ci.bump_ratio(BumpParams(apex=apex, rho=-0.1), DINF, 1000, seed=0,
                           reach=SQRT2)
+        # NaN fails the one negated range check, before any ball is built
+        with pytest.raises(CertificateError, match="NaN"):
+            ci.bump_ratio(BumpParams(apex=apex, rho=math.nan), DINF, 1000, seed=0,
+                          reach=SQRT2)
 
     @pytest.mark.parametrize("metric", [DINF, GAUGE, CC], ids=["dinf", "gauge", "cc"])
     def test_rho_max_has_no_slack(self, metric):
@@ -235,7 +255,7 @@ class TestBump:
         for s in (ball, bump):
             lo, hi = s.bounding_box.lo, s.bounding_box.hi
             draw = rng.uniform(lo, hi, size=(4000, len(lo)))
-            keep = s.membership(draw[:, :2], draw[:, 2:])
+            keep = s.membership(metrics._sum_squares(draw[:, :2]), draw[:, 2:])
             pts1.append(draw[keep, :2])
             pts2.append(draw[keep, 2:])
         d = ci.set_diameter((np.vstack(pts1), np.vstack(pts2)), DINF)
@@ -261,8 +281,9 @@ class TestBump:
         box = extra.bounding_box
         draw = np.random.default_rng(8).uniform(box.lo, box.hi, size=(20000, len(box.lo)))
         l1, l2 = draw[:, :len(box.lo1)], draw[:, len(box.lo1):]
-        full = bump.membership(l1, l2) & (metric.norm_arrays(l1, l2) > 1.0)
-        mask = extra.membership(l1, l2)
+        a = metrics._sum_squares(l1)
+        full = bump.membership(a, l2) & (metric.norm_arrays(l1, l2) > 1.0)
+        mask = extra.membership(a, l2)
         assert np.count_nonzero(full) > 0
         assert np.array_equal(mask, full)
 
@@ -350,12 +371,12 @@ class TestProjectionBound:
 # sets {|x| <= 1, |Z| <= height(|x|^2)} of diameter 2, with their ratio
 # Haar(A) / Haar(B) in closed form
 KNOWN_SETS = {
-    # |Z' - Z - b/2| <= 4 - (r - r')^2 / 4; ratio 2 int_0^1 (2 - u/4)^3 u du
-    "dinf-quaternionic": (ci.DinfMetric(K3), lambda u: 2.0 - u / 4.0, 989.0 / 160.0),
+    # |Z' - Z - b/2| <= 4 - (r - r')^2 / 4; ratio 2 int_0^1 (2 - a/4)^3 a da
+    "dinf-quaternionic": (ci.DinfMetric(K3), lambda a: 2.0 - a / 4.0, 989.0 / 160.0),
     # |t' - t - 2 omega| <= 4 - (r - r')^2; ratio 3 pi / (2 pi)
-    "dinf-h1": (DINF, lambda u: 2.0 - u, 1.5),
+    "dinf-h1": (DINF, lambda a: 2.0 - a, 1.5),
     # |z|^2 + t^2 / 4 <= 1; ratio (8 pi / 3) / (pi^2 / 2)
-    "gauge-h1": (ci.GaugeMetric(H1), lambda u: 2.0 * np.sqrt(1.0 - u), 16.0 / (3.0 * math.pi)),
+    "gauge-h1": (ci.GaugeMetric(H1), lambda a: 2.0 * np.sqrt(1.0 - a), 16.0 / (3.0 * math.pi)),
 }
 
 
@@ -365,9 +386,8 @@ def test_bound_above_known_set(name):
     m, k = metric.spec.dim1, metric.spec.dim2
     assert ci.projection_upper_bound(metric) >= ratio
 
-    def member(l1, l2):
-        u = np.sum(l1 * l1, axis=-1)
-        return (u <= 1.0) & (np.linalg.norm(l2, axis=-1) <= height(np.minimum(u, 1.0)))
+    def member(a, l2):
+        return (a <= 1.0) & (np.linalg.norm(l2, axis=-1) <= height(np.minimum(a, 1.0)))
 
     box = BoundingBox(-np.ones(m), np.ones(m), np.full(k, -2.0), np.full(k, 2.0))
     est = ci.mc_measure(ci.SampledSet(member, box, metric.spec), 10**6, seed=11)

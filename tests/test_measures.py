@@ -8,7 +8,7 @@ import carnotiso as ci
 from carnotiso import sampling
 from carnotiso.groups import standard_symplectic
 from carnotiso.measures import BoundingBox
-from carnotiso.metrics import cc_ball_integrand
+from carnotiso.metrics import _sum_squares, cc_ball_integrand
 from conftest import cut_ball_points, quaternionic
 
 H1 = ci.heisenberg(1)
@@ -85,21 +85,21 @@ class TestBoundingBox:
 class TestMCMeasure:
     def test_full_box(self):
         box = BoundingBox([-1, -1], [1, 1], [-2], [2])
-        always = ci.SampledSet(lambda l1, l2: np.ones(len(l1), bool), box, H1)
+        always = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box, H1)
         est = ci.mc_measure(always, 10000, seed=0)
         assert est.value == pytest.approx(box.volume)
         assert est.error == 0.0
 
     def test_empty_set(self):
         box = BoundingBox([-1, -1], [1, 1], [-2], [2])
-        never = ci.SampledSet(lambda l1, l2: np.zeros(len(l1), bool), box, H1)
+        never = ci.SampledSet(lambda a, l2: np.zeros(len(a), bool), box, H1)
         est = ci.mc_measure(never, 10000, seed=0)
         assert est.value == 0.0
         assert est.error == pytest.approx(box.volume * 3 / 10000)
 
     def test_bad_budget(self):
         box = BoundingBox([-1, -1], [1, 1], [-2], [2])
-        s = ci.SampledSet(lambda l1, l2: np.ones(len(l1), bool), box, H1)
+        s = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box, H1)
         with pytest.raises(ValueError):
             ci.mc_measure(s, 0, seed=0)
 
@@ -257,7 +257,7 @@ def _one_shot_hits(sampled, budget, seed):
 
     def chunk(rng, count):
         pts = sampling.uniform_box(rng, count, box.lo, box.hi)
-        return int(np.count_nonzero(sampled.membership(pts[:, :d1], pts[:, d1:])))
+        return int(np.count_nonzero(sampled.membership(_sum_squares(pts[:, :d1]), pts[:, d1:])))
 
     return sum(sampling.map_chunks(seed, budget, chunk))
 
@@ -271,7 +271,7 @@ def _one_shot_ball_sup(metric, budget, seed):
     def chunk(rng, count):
         pts = sampling.uniform_box(rng, count, box.lo, box.hi)
         l1, l2 = pts[:, :d1], pts[:, d1:]
-        inside = ball.membership(l1, l2)
+        inside = ball.membership(_sum_squares(l1), l2)
         return float(np.max(metric.norm_arrays(l1, l2 - apex.layer2), where=inside, initial=0.0))
 
     return max(sampling.map_chunks(seed, budget, chunk))
@@ -281,7 +281,8 @@ def _one_shot_cut_ball_sup(spec, budget, seed):
     metric, x = ci.CCMetric(spec), ci.geodesics.cut_point(spec, 1.0)
 
     def chunk(rng, count):
-        return float(metric.norm_arrays(*cut_ball_points(spec, x, rng, count)).max())
+        a, t = cut_ball_points(spec, x, rng, count)
+        return float(metric.radial_norm(a, _sum_squares(t)).max())
 
     return max(sampling.map_chunks(seed, budget, chunk))
 
@@ -306,14 +307,14 @@ class TestBoxBlocks:
             x = ci.geodesics.cut_point(spec, 1.0)
             ours, ref = sampling.substream(5, 0), sampling.substream(5, 0)
             got = list(ci.geodesics._cut_ball_blocks(spec, x, ours, count))
-            z, t = cut_ball_points(spec, x, ref, count)
+            a, t = cut_ball_points(spec, x, ref, count)
             assert all(len(b) == sampling.BLOCK for b, _, _ in got[:-1])
-            assert np.array_equal(np.vstack([b for b, _, _ in got]), z)
+            assert np.array_equal(np.concatenate([b for b, _, _ in got]), a)
             assert np.array_equal(np.vstack([b for _, b, _ in got]), t)
             assert all(len(m) == len(b) and m.all() for b, _, m in got)
             assert np.array_equal(ours.random(4), ref.random(4))
             # the first half on the sphere B(x, 1), the rest inside it
-            norms = ci.CCMetric(spec).norm_arrays(z, t - x.layer2)
+            norms = ci.CCMetric(spec).radial_norm(a, _sum_squares(t - x.layer2))
             assert np.all(np.abs(norms[:count // 2] - 1.0) <= 1e-14)
             assert np.all(norms[count // 2:] <= 1.0 + 1e-14)
 
@@ -400,7 +401,7 @@ class TestBallSet:
         l1, l2 = pts[:, :spec.dim1], pts[:, spec.dim1:]
         ref = metric.dist_arrays(c1, c2, l1, l2)
         assert np.array_equal(metric.norm_arrays(l1, l2 - c2), ref)
-        mask = ball.membership(l1, l2)
+        mask = ball.membership(_sum_squares(l1), l2)
         assert np.array_equal(mask, ref <= rho)
         assert 0 < np.count_nonzero(mask) < len(mask)
         # the box holds the ball: no member of the wider draw lies outside it

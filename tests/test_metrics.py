@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import carnotiso as ci
 import carnotiso.metrics as metrics_mod
-from carnotiso.geodesics import cut_point
-from conftest import cut_ball_points, quaternionic
+from carnotiso.geodesics import cut_point, sphere_point_arrays
+from conftest import quaternionic
 from carnotiso.metrics import (ConvergenceError, MetricError, _sphere_profile, mu, mu_prime,
                                solve_turning, unit_ball_volume)
 
@@ -385,7 +385,6 @@ class TestCC:
         chi /= np.linalg.norm(chi, axis=1, keepdims=True)
         phi = rng.uniform(-(math.pi - 1e-6), math.pi - 1e-6, n)
         r = 10 ** rng.uniform(-2, 2, n)
-        from carnotiso.geodesics import sphere_point_arrays
         z, t = sphere_point_arrays(1, chi, phi, r)
         assert np.max(np.abs(CC.norm_arrays(z, t) - r)) < 1e-8
 
@@ -449,7 +448,14 @@ class TestCC:
         rng = np.random.default_rng(14)
         lo1, hi1, lo2, hi2 = CC.unit_ball_bbox()
         box = rng.uniform(lo1, hi1, (2**16, 2)), rng.uniform(lo2, hi2, (2**16, 1))
-        cut = cut_ball_points(H1, cut_point(H1, 1.0), rng, 2**15)
+        # a cloud of the cut ball B(x, 1): sphere points, then points inside it
+        inner = np.arange(2**15) >= 2**14
+        rho = np.where(inner, rng.uniform(size=2**15) ** 0.5, 1.0)
+        radius = np.where(inner, rng.uniform(size=2**15) ** 0.25, 1.0)
+        chi = rng.standard_normal((2**15, 2))
+        chi *= (rho / np.linalg.norm(chi, axis=1))[:, None]
+        z, t = sphere_point_arrays(1, chi, rng.uniform(-np.pi, np.pi, 2**15), radius)
+        cut = z, t + cut_point(H1, 1.0).layer2
         # the center with and without t, t = 0, tiny |z| (its square
         # underflows to 0 in the last row), ratio 1 and around 1e28
         edge = (np.array([[0.0, 0.0], [0.0, 0.0], [0.6, 0.8], [1e-12, 0.0], [1e-160, 0.0],

@@ -31,11 +31,14 @@ def kernel_within(metric, l1, l2, r):
 
 
 def node_phi(u):
-    """phi with sqrt(1 - sin phi / phi) = u, by bisection (u > 0)."""
+    """phi with sqrt(1 - sin phi / phi) = u, by bisection (u > 0).
+
+    1 - sin phi / phi is h T(h) at h = phi / 2, with no cancellation.
+    """
     lo, hi = np.zeros_like(u), np.full_like(u, np.pi)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        below = metrics._one_minus_sinc(mid) < u * u
+        below = 0.5 * mid * metrics._sphere_profile(0.5 * mid)[1] < u * u
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
@@ -116,11 +119,13 @@ class TestAgreement:
         metric, x = ci.CCMetric(spec), geodesics.cut_point(spec, 1.0)
 
         def chunk(rng, count):
-            blocks = [(y1, y2, metric.norm_arrays(y1, y2))
-                      for y1, y2, _ in geodesics._cut_ball_blocks(spec, x, rng, count)]
+            blocks = []
+            for a, y2, _ in geodesics._cut_ball_blocks(spec, x, rng, count):
+                b = metrics._sum_squares(y2)
+                blocks.append((a, b, metric.radial_norm(a, b)))
             best = max(norms.max() for _, _, norms in blocks)
-            for y1, y2, norms in blocks:
-                assert np.array_equal(metric.within(y1, y2, best), norms <= best)
+            for a, b, norms in blocks:
+                assert np.array_equal(metric.radial_within(a, b, best), norms <= best)
             return float(best)
 
         want = max(sampling.map_chunks(23, AGREEMENT_POINTS, chunk))
