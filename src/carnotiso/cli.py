@@ -6,7 +6,8 @@ repeated runs with the same seed are byte-identical regardless of the
 CARNOT_ISO_THREADS worker count.
 
 Point syntax: "[x1,...,x2n;t]" for Heisenberg points, "(x1,...|z1,...)"
-for H-type exponential coordinates.
+for H-type exponential coordinates. Each group model refuses the other's
+syntax: their layer 2 differ (t = -4 Z on H^1), so one text names two points.
 """
 
 from __future__ import annotations
@@ -37,21 +38,20 @@ def parse_group(text: str) -> groups.GroupSpec:
     raise InputError(f"cannot parse group {text!r} (use hN, h1-htype, or @spec.json)")
 
 
+# (model, syntax, layer separator) of each group kind's points
+POINT_SYNTAX = {"heisenberg": ("Heisenberg", "[x1,...,x2n;t]", ";"),
+                "htype": ("H-type", "(x1,...|z1,...)", "|")}
+
+
 def parse_point(spec: groups.GroupSpec, text: str) -> groups.GroupPoint:
     text = text.strip()
+    model, syntax, sep = POINT_SYNTAX[spec.kind]
+    if not (text.startswith(syntax[0]) and text.endswith(syntax[-1])):
+        raise InputError(f"cannot parse point {text!r}: {model} points are written {syntax}")
     try:
-        if text.startswith("[") and text.endswith("]"):
-            body = text[1:-1]
-            zpart, tpart = body.split(";")
-            z = [float(v) for v in zpart.split(",")] if zpart.strip() else []
-            p = groups.point(z, [float(tpart)])
-        elif text.startswith("(") and text.endswith(")"):
-            body = text[1:-1]
-            xpart, zpart = body.split("|")
-            p = groups.point([float(v) for v in xpart.split(",")],
-                             [float(v) for v in zpart.split(",")])
-        else:
-            raise ValueError("unrecognized point delimiters")
+        l1, l2 = ([float(v) for v in part.split(",")] if part.strip() else []
+                  for part in text[1:-1].split(sep))
+        p = groups.point(l1, l2)
     except ValueError as exc:
         raise InputError(f"cannot parse point {text!r}: {exc}") from exc
     if p.layer1.shape[-1] != spec.dim1 or p.layer2.shape[-1] != spec.dim2:
@@ -91,8 +91,7 @@ def cmd_ball_volume(args) -> int:
     spec = parse_group(args.group)
     metric = metrics.make_metric(spec, vars(args))
     val, err = metrics.unit_ball_volume(metric)
-    method = "quadrature" if args.metric == "cc" else "closed_form"
-    est = measures.EstimateWithError(val, err, method)
+    est = measures.EstimateWithError(val, err, metric.volume_method)
     doc = {"volume": est.to_dict(), "group": json.loads(spec.to_json()),
            "metric": metric.describe()}
     emit(args, dump_json(doc))
@@ -111,7 +110,7 @@ def cmd_cdc_table(args) -> int:
     if args.format == "json":
         doc = {"rows": [{"n": n, "cc_ball_volume": v, "cdc_upper_bound": b}
                         for n, v, b in rows],
-               "method": "quadrature"}
+               "method": metrics.CCMetric.volume_method}
         emit(args, dump_json(doc))
     else:
         lines = ["n,cc_ball_volume,cdc_upper_bound"]

@@ -17,8 +17,7 @@ import numpy as np
 from . import geodesics, groups, measures, sampling
 from .groups import GroupPoint
 from .measures import EstimateWithError, SampledSet
-from .metrics import (CCMetric, DinfMetric, GaugeMetric, MetricError, alpha, layer2_ball,
-                      unit_ball_volume)
+from .metrics import CCMetric, alpha, layer2_ball, unit_ball_volume
 
 APEX_REACH = math.sqrt(2.0)  # sup of d(apex, .) over the unit ball; see _apex_and_bound
 
@@ -109,6 +108,8 @@ def _apex_and_bound(metric):
     metrics. Each apex is central, so d(a, y) = N(a^-1 y) and a^-1 y only
     shifts the layer-2 part of y = [z, t] by -a; y = a^-1 attains sqrt(2).
 
+    d_inf and gauge take a = [0, r2 e1], r2 of _box_radii: the top of B on layer 2's first axis.
+
     * d_inf, a = [0, 1/c2^2]: c1 |z| <= 1 and c2^2 |t - 1/c2^2| <= c2^2 |t| + 1 <= 2.
     * gauge with layer-2 scale s, a = [0, Z0], s |Z0| = 1: with u = s |Z| <= 1,
       d(a, y)^4 = |X|^4 + s^2 |Z - Z0|^2 <= |X|^4 + (u + 1)^2 <= 2 + 2u <= 4.
@@ -121,20 +122,13 @@ def _apex_and_bound(metric):
       geodesics stop minimizing at phi = pi.
     """
     spec = metric.spec
-    if isinstance(metric, DinfMetric):
-        # exp of a layer-2 vector with c2 |t|^(1/2) = 1
-        l2 = np.zeros(spec.dim2)
-        l2[0] = (1.0 / metric.c2) ** 2  # OverflowError, not 1/0, for a tiny c2
-        return GroupPoint(np.zeros(spec.dim1), l2), APEX_REACH
-    if isinstance(metric, GaugeMetric):
-        l2 = np.zeros(spec.dim2)
-        l2[0] = 1.0 / metric.layer2_scale  # on the unit sphere: |Z| = 1/scale
-        return GroupPoint(np.zeros(spec.dim1), l2), APEX_REACH
     if isinstance(metric, CCMetric):
         # inverse of the unit cut point [0, 1/pi]: the ball of the cut-locus
         # theorem, translated so its center is the identity
         return GroupPoint(np.zeros(spec.dim1), np.array([-1.0 / math.pi])), APEX_REACH
-    raise MetricError(f"no apex construction for {type(metric).__name__}")
+    l2 = np.zeros(spec.dim2)
+    l2[0] = metric._box_radii()[1]  # OverflowError, not 1/0, for a tiny d_inf c2
+    return GroupPoint(np.zeros(spec.dim1), l2), APEX_REACH
 
 
 def apex_reach(metric, budget: int = 10**6, seed: int = 0) -> ApexReachReport:

@@ -3,9 +3,9 @@ normalization, and the CC ball volume as an estimate.
 
 Haar measure is coordinate Lebesgue measure in both the Heisenberg and the
 H-type exponential model. The spherical measure of a set is normalized so
-that every metric ball B satisfies S(B) = (diam B)^Q. The unit-ball volume
-rules themselves live in :func:`carnotiso.metrics.unit_ball_volume`: closed
-forms for d_inf and gauge, a fixed Gauss-Legendre rule for CC.
+that every metric ball B satisfies S(B) = (diam B)^Q. Each metric class
+holds its unit-ball volume rule, read by :func:`carnotiso.metrics.unit_ball_volume`:
+closed forms for d_inf and gauge, a fixed Gauss-Legendre rule for CC.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def cc_unit_ball_volume(n: int) -> EstimateWithError:
     """CC unit-ball volume of H^n by the fixed rule of unit_ball_volume."""
     metric = metrics_mod.CCMetric(groups.heisenberg(n))
     val, err = metrics_mod.unit_ball_volume(metric)
-    return EstimateWithError(val, err, "quadrature")
+    return EstimateWithError(val, err, metric.volume_method)
 
 
 # ---------------------------------------------------------------------------

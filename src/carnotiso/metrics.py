@@ -5,13 +5,13 @@ coordinate arrays (shape (..., dim1) / (..., dim2)), which the Monte Carlo of
 :mod:`carnotiso.measures` uses. All three norms depend on a point only
 through a = |layer 1|^2 and b = |layer 2|^2 (layer_squares), so each metric's
 array kernel is radial_norm(a, b), and its _radial_bounds(a, b, r) decides
-most points of radial_norm(a, b) <= r without it; the one within and
-radial_within of _HomogeneousMetric run the kernel on the rest. Each CC
-profile has one kernel: mu and mu' in _mu_pair, the unit sphere's radius
-sin phi / phi and half height T in _sphere_profile, for the sphere map, the
-cut-ball sampler, the half-height table and the CC volume. The unit-ball
-volumes are in :func:`unit_ball_volume`: closed forms for d_inf and gauge,
-and for CC a fixed Gauss-Legendre rule on the turning angle.
+most points of radial_norm(a, b) <= r without it; the one radial_within of
+_HomogeneousMetric runs the kernel on the rest. Each CC profile has one
+kernel: mu and mu' in _mu_pair, the unit sphere's radius sin phi / phi and
+half height T in _sphere_profile, for the sphere map, the cut-ball sampler,
+the half-height table and the CC volume. Each metric class states its name,
+box radii and unit-ball volume rule once (:func:`unit_ball_volume`): closed
+forms for d_inf and gauge, and for CC a fixed Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -316,28 +316,28 @@ class _HomogeneousMetric:
     A metric defines radial_norm(a, b), its elementwise array kernel on
     (a, b) = layer_squares(l1, l2), and _radial_bounds(a, b, r): the masks
     (inside, unsure) with radial_norm(a, b) <= r exactly where inside holds
-    and unsure does not, or None where its thresholds at r are unsafe. The
+    and unsure does not, or None where its thresholds at r are unsafe; its
+    name, _box_radii() (unit_ball_bbox) and _volume(), by volume_method. The
     scalar interface dilates its points to O(1) by a power of two, which is
     exact, so that N(delta_s p) = s N(p) holds for tiny and huge coordinates.
     """
 
     spec: GroupSpec
+    name: str
+    volume_method = "closed_form"
 
     # perfbench's tracer patches norm_arrays by class, so each metric repeats
     # this line in its own namespace until the tracer is rewritten (ROADMAP 1)
     def norm_arrays(self, l1, l2):
         return self.radial_norm(*layer_squares(l1, l2))
 
-    def within(self, l1, l2, r):
-        """norm_arrays(l1, l2) <= r, the closed ball's mask, bit for bit: see radial_within."""
-        return self.radial_within(*layer_squares(l1, l2), r)
-
     def radial_within(self, a, b, r):
         """radial_norm(a, b) <= r, bit for bit, with the kernel on the unsure points only.
 
         _radial_bounds decides the rest from a and b alone. A 0-d input, or a
-        radius it declines, goes to radial_norm whole. Deciding from the
-        kernel's own a and b, within inherits its coordinate range (_sum_squares).
+        radius it declines, goes to radial_norm whole. On a and b =
+        layer_squares(l1, l2) it is the closed ball's mask norm_arrays(l1, l2) <= r,
+        bit for bit, and inherits the kernel's coordinate range (_sum_squares).
         """
         r = float(r)
         bounds = self._radial_bounds(a, b, r) if np.ndim(a) else None
@@ -364,8 +364,15 @@ class _HomogeneousMetric:
         d1, d2 = groups.mul_arrays(self.spec, i1, i2, *_dilate(q, -e))
         return math.ldexp(self.norm(GroupPoint(d1, d2)), e)
 
-    def unit_ball_bbox(self):  # pragma: no cover - interface
-        raise NotImplementedError
+    def unit_ball_bbox(self):
+        """(lo1, hi1, lo2, hi2): each layer-1 coordinate in [-r1, r1], layer 2 in [-r2, r2]."""
+        r1, r2 = self._box_radii()
+        d1, d2 = self.spec.dim1, self.spec.dim2
+        return (np.full(d1, -r1), np.full(d1, r1),
+                np.full(d2, -r2), np.full(d2, r2))
+
+    def describe(self):
+        return {"metric": self.name}
 
 
 class DinfMetric(_HomogeneousMetric):
@@ -390,6 +397,7 @@ class DinfMetric(_HomogeneousMetric):
         self.c1 = c1
         self.c2 = c2
 
+    name = "dinf"
     norm_arrays = _HomogeneousMetric.norm_arrays
 
     def radial_norm(self, a, b):
@@ -411,14 +419,16 @@ class DinfMetric(_HomogeneousMetric):
         unsure = (a <= ta * (1.0 + WITHIN_GUARD)) & (b <= tb * (1.0 + WITHIN_GUARD))
         return inside, unsure ^ inside
 
-    def unit_ball_bbox(self):
-        r1, r2 = 1.0 / self.c1, (1.0 / self.c2) ** 2
-        d1, d2 = self.spec.dim1, self.spec.dim2
-        return (np.full(d1, -r1), np.full(d1, r1),
-                np.full(d2, -r2), np.full(d2, r2))
+    def _box_radii(self):
+        return 1.0 / self.c1, (1.0 / self.c2) ** 2  # OverflowError, not 1/0, for a tiny c2
+
+    def _volume(self):
+        m = self.spec.dim1
+        # powers of the radii: a power of a tiny c underflows to a 0 divisor
+        return alpha(m) * (1.0 / self.c1) ** m * layer2_ball(self.spec, 1.0 / self.c2), 0.0
 
     def describe(self):
-        return {"metric": "dinf", "c1": self.c1, "c2": self.c2}
+        return {"metric": self.name, "c1": self.c1, "c2": self.c2}
 
 
 class GaugeMetric(_HomogeneousMetric):
@@ -434,6 +444,7 @@ class GaugeMetric(_HomogeneousMetric):
         # a power of two, so scaling by it or by its inverse is exact
         self.layer2_scale = 4.0 if spec.kind == "htype" else 1.0
 
+    name = "gauge"
     norm_arrays = _HomogeneousMetric.norm_arrays
 
     def radial_norm(self, a, b):
@@ -453,14 +464,16 @@ class GaugeMetric(_HomogeneousMetric):
         inside, unsure = q <= t * (1.0 - WITHIN_GUARD), q <= t * (1.0 + WITHIN_GUARD)
         return inside, unsure ^ inside
 
-    def unit_ball_bbox(self):
-        d1, d2 = self.spec.dim1, self.spec.dim2
-        r2 = 1.0 / self.layer2_scale
-        return (np.full(d1, -1.0), np.full(d1, 1.0),
-                np.full(d2, -r2), np.full(d2, r2))
+    def _box_radii(self):
+        return 1.0, 1.0 / self.layer2_scale  # |Z| <= 1/scale on the unit ball
 
-    def describe(self):
-        return {"metric": "gauge"}
+    def _volume(self):
+        m, k = self.spec.dim1, self.spec.dim2
+        # slicing over the layer-2 radius r, then u = (scale r)^2, gives
+        # alpha_m alpha_k k/(2 scale^k) B(k/2, m/4 + 1) with the Beta function B,
+        # and alpha_k (k/2) Gamma(k/2) = pi^(k/2) leaves one Gamma ratio
+        return (alpha(m) * math.pi ** (k / 2.0) * math.gamma(m / 4.0 + 1.0)
+                / (self.layer2_scale ** k * math.gamma(k / 2.0 + m / 4.0 + 1.0))), 0.0
 
 
 class CCMetric(_HomogeneousMetric):
@@ -485,6 +498,8 @@ class CCMetric(_HomogeneousMetric):
             raise MetricError("CC distance is implemented for Heisenberg specs only")
         self.spec = spec
 
+    name = "cc"
+    volume_method = "quadrature"
     norm_arrays = _HomogeneousMetric.norm_arrays
 
     def radial_norm(self, a, b):
@@ -547,15 +562,22 @@ class CCMetric(_HomogeneousMetric):
         unsure &= ~(x > 1.0 + PROFILE_EPS)  # NaN |z| too
         return inside, unsure
 
-    def unit_ball_bbox(self):
+    def _box_radii(self):
         # |z| <= 1 (phi -> 0); the half height T peaks at phi = pi/2 with value
         # 2/pi, so |t| <= 2/pi (the center point of the ball only reaches 1/pi)
-        d1 = self.spec.dim1
-        return (np.full(d1, -1.0), np.full(d1, 1.0),
-                np.array([-2.0 / np.pi]), np.array([2.0 / np.pi]))
+        return 1.0, 2.0 / np.pi
 
-    def describe(self):
-        return {"metric": "cc"}
+    def _volume(self):
+        n = self.spec.n
+        coarse, fine = (w * cc_ball_integrand(phi, n)
+                        for phi, w in map(gauss_legendre, (64, 128)))
+        val = float(fine.sum())
+        # the floor is QUADPACK's round-off estimate
+        err = max(abs(val - coarse.sum()), 50.0 * np.finfo(float).eps * np.abs(fine).sum())
+        if err > 1e-12 * max(1.0, val):
+            raise QuadratureError(f"CC ball quadrature missed the tolerance (achieved {err:g})")
+        pref = 4.0 * n * alpha(2 * n)  # volume = pref * int_0^pi f
+        return pref * val, float(pref * err)
 
 
 def make_metric(spec: GroupSpec, doc: dict) -> _HomogeneousMetric:
@@ -565,14 +587,13 @@ def make_metric(spec: GroupSpec, doc: dict) -> _HomogeneousMetric:
     """
     kind = doc.get("metric")
     c1, c2 = doc.get("c1"), doc.get("c2")
-    if kind == "dinf":
+    if kind == DinfMetric.name:
         return DinfMetric(spec, 1.0 if c1 is None else c1, 1.0 if c2 is None else c2)
     if c1 is not None or c2 is not None:
         raise MetricError(f"c1 and c2 are d_inf coefficients; metric {kind!r} takes none")
-    if kind == "gauge":
-        return GaugeMetric(spec)
-    if kind == "cc":
-        return CCMetric(spec)
+    for cls in (GaugeMetric, CCMetric):
+        if kind == cls.name:
+            return cls(spec)
     raise MetricError(f"unknown metric {kind!r}")
 
 
@@ -633,38 +654,15 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def unit_ball_volume(metric: _HomogeneousMetric) -> tuple[float, float]:
     """(volume, error bound) of the metric's closed unit ball.
 
-    d_inf and gauge are closed forms (error 0). CC is the 128-node
-    Gauss-Legendre value of its profile integral, with error
-    max(|G128 - G64|, 50 eps int |f|). For n = 1..170 that error stays below
-    2e-14 relative, so the self-check, QuadratureError if it exceeds 1e-12
-    (relative once the integral exceeds 1), guards the rule, not an input.
-    FloatingPointError unless the volume is a normal float, as for tiny or
-    huge d_inf coefficients: every ratio divides by it.
+    Each class's _volume() holds its rule. d_inf and gauge are closed forms
+    (error 0). CC is the 128-node Gauss-Legendre value of its profile
+    integral, with error max(|G128 - G64|, 50 eps int |f|). For n = 1..170
+    that error stays below 2e-14 relative, so the self-check, QuadratureError
+    if it exceeds 1e-12 (relative once the integral exceeds 1), guards the
+    rule, not an input. FloatingPointError unless the volume is a normal
+    float, as for tiny or huge d_inf coefficients: every ratio divides by it.
     """
-    spec = metric.spec
-    m, k = spec.dim1, spec.dim2
-    if isinstance(metric, DinfMetric):
-        # powers of the radii: a power of a tiny c underflows to a 0 divisor
-        vol, err = alpha(m) * (1.0 / metric.c1) ** m * layer2_ball(spec, 1.0 / metric.c2), 0.0
-    elif isinstance(metric, GaugeMetric):
-        scale = metric.layer2_scale  # |Z| <= 1/scale on the unit ball
-        # slicing over the layer-2 radius r, then u = (scale r)^2, gives
-        # alpha_m alpha_k k/(2 scale^k) B(k/2, m/4 + 1) with the Beta function B,
-        # and alpha_k (k/2) Gamma(k/2) = pi^(k/2) leaves one Gamma ratio
-        vol, err = (alpha(m) * math.pi ** (k / 2.0) * math.gamma(m / 4.0 + 1.0)
-                    / (scale ** k * math.gamma(k / 2.0 + m / 4.0 + 1.0))), 0.0
-    elif isinstance(metric, CCMetric):
-        coarse, fine = (w * cc_ball_integrand(phi, spec.n)
-                        for phi, w in map(gauss_legendre, (64, 128)))
-        val = float(fine.sum())
-        # the floor is QUADPACK's round-off estimate
-        err = max(abs(val - coarse.sum()), 50.0 * np.finfo(float).eps * np.abs(fine).sum())
-        if err > 1e-12 * max(1.0, val):
-            raise QuadratureError(f"CC ball quadrature missed the tolerance (achieved {err:g})")
-        pref = 4.0 * spec.n * alpha(2 * spec.n)  # volume = pref * int_0^pi f
-        vol, err = pref * val, float(pref * err)
-    else:
-        raise MetricError(f"no volume rule for {type(metric).__name__}")
+    vol, err = metric._volume()
     if not np.finfo(float).tiny <= vol < math.inf:  # negated, so that NaN fails too
         side = "overflow" if vol > 1.0 else "underflow"
         raise FloatingPointError(f"{side}: the unit-ball volume {vol!r} is not a normal float")

@@ -104,6 +104,23 @@ class TestParsers:
         q = parse_point(parse_group("h1-htype"), "(0.5,-1|0.25)")
         assert list(q.layer2) == [0.25]
 
+    @pytest.mark.parametrize("group, ours, theirs, distance, syntax", [
+        ("h1", "[0,0;0.25]", "(0,0|0.25)", 0.5, "[x1,...,x2n;t]"),
+        ("h1-htype", "(0,0|0.25)", "[0,0;0.25]", 1.0, "(x1,...|z1,...)")],
+        ids=["heisenberg", "htype"])
+    def test_each_model_refuses_the_others_syntax(self, capsys, group, ours, theirs, distance,
+                                                  syntax):
+        # layer 2 of the two models differ by t = -4 Z, so one text would name two points
+        origin = "[0,0;0]" if ours.startswith("[") else "(0,0|0)"
+        code, out = run_main(capsys, "distance", "--metric", "gauge", "--group", group,
+                             ours, origin)
+        assert code == 0 and json.loads(out)["distance"]["value"] == distance
+        assert main(["distance", "--metric", "gauge", "--group", group, theirs, origin]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: cannot parse point {theirs!r}")
+        assert f"points are written {syntax}" in captured.err
+
     def test_bad_points(self):
         from carnotiso.cli import InputError
         spec = ci.heisenberg(1)

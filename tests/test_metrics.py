@@ -687,3 +687,92 @@ def test_unit_ball_volumes():
     assert v == pytest.approx(math.pi ** 2 / 8, abs=1e-10)
     v, e = unit_ball_volume(GAUGE_H1)
     assert v == pytest.approx(math.pi ** 2 / 2, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# each metric class states its rules: box, apex, description, volume
+# ---------------------------------------------------------------------------
+
+def _full_box(spec, r1, r2):
+    return (np.full(spec.dim1, -r1), np.full(spec.dim1, r1),
+            np.full(spec.dim2, -r2), np.full(spec.dim2, r2))
+
+
+def _dinf_rules(spec, c1=1.0, c2=1.0):
+    m = spec.dim1
+    apex2 = np.zeros(spec.dim2)
+    apex2[0] = (1.0 / c2) ** 2
+    return (ci.DinfMetric(spec, c1, c2), _full_box(spec, 1.0 / c1, (1.0 / c2) ** 2), apex2,
+            {"metric": "dinf", "c1": c1, "c2": c2}, "closed_form",
+            (metrics_mod.alpha(m) * (1.0 / c1) ** m * metrics_mod.layer2_ball(spec, 1.0 / c2),
+             0.0))
+
+
+def _gauge_rules(spec):
+    m, k = spec.dim1, spec.dim2
+    scale = 4.0 if spec.kind == "htype" else 1.0
+    apex2 = np.zeros(k)
+    apex2[0] = 1.0 / scale
+    vol = (metrics_mod.alpha(m) * math.pi ** (k / 2.0) * math.gamma(m / 4.0 + 1.0)
+           / (scale ** k * math.gamma(k / 2.0 + m / 4.0 + 1.0)))
+    return (ci.GaugeMetric(spec), _full_box(spec, 1.0, 1.0 / scale), apex2,
+            {"metric": "gauge"}, "closed_form", (vol, 0.0))
+
+
+def _cc_rules(spec, volume):
+    box = (np.full(spec.dim1, -1.0), np.full(spec.dim1, 1.0),
+           np.array([-2.0 / np.pi]), np.array([2.0 / np.pi]))
+    return (ci.CCMetric(spec), box, np.array([-1.0 / math.pi]), {"metric": "cc"},
+            "quadrature", volume)
+
+
+# (metric, unit_ball_bbox, apex layer 2, describe, volume_method, unit_ball_volume),
+# each written out as the expression, or for CC the value, each rule had before
+# the classes stated them
+METRIC_RULES = {
+    "dinf-h1": lambda: _dinf_rules(H1),
+    "dinf-h2": lambda: _dinf_rules(H2),
+    "dinf-h1-c2": lambda: _dinf_rules(H1, c2=0.7),
+    "dinf-h1-htype": lambda: _dinf_rules(HT),
+    "gauge-h1": lambda: _gauge_rules(H1),
+    "gauge-h1-htype": lambda: _gauge_rules(HT),
+    "gauge-quaternionic": lambda: _gauge_rules(quaternionic()),
+    "cc-h1": lambda: _cc_rules(H1, (3.303503048836701, 3.6676251467379085e-14)),
+    "cc-h2": lambda: _cc_rules(H2, (4.8236498638435785, 5.355327141569143e-14)),
+}
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+@pytest.mark.parametrize("name", list(METRIC_RULES))
+def test_metric_rules_bit_for_bit(name):
+    metric, box, apex2, description, method, volume = METRIC_RULES[name]()
+    assert [_bits(x) for x in metric.unit_ball_bbox()] == [_bits(x) for x in box]
+    apex, reach = ci.isodiametric._apex_and_bound(metric)
+    assert _bits(apex.layer1) == _bits(np.zeros(metric.spec.dim1))
+    assert _bits(apex.layer2) == _bits(apex2) and reach == math.sqrt(2.0)
+    assert metric.describe() == description
+    assert metric.volume_method == method
+    got = unit_ball_volume(metric)
+    assert [_bits(v) for v in got] == [_bits(v) for v in volume]
+
+
+METRIC_CLASSES = metrics_mod._HomogeneousMetric.__subclasses__()
+
+
+def test_rules_cover_every_metric_class():
+    # a new metric class joins METRIC_RULES, with its own expressions
+    covered = {type(METRIC_RULES[name]()[0]) for name in METRIC_RULES}
+    assert covered == set(METRIC_CLASSES)
+
+
+@pytest.mark.parametrize("cls", METRIC_CLASSES, ids=lambda cls: cls.__name__)
+def test_metric_class_states_its_pieces(cls):
+    # the perfbench tracer patches norm_arrays in each class's own namespace
+    own = vars(cls)
+    assert {"name", "norm_arrays", "radial_norm", "_radial_bounds", "_box_radii",
+            "_volume"} <= set(own)
+    assert own["norm_arrays"] is metrics_mod._HomogeneousMetric.norm_arrays

@@ -1,13 +1,14 @@
 """Ball membership without the full kernel: the kernel's decisions, bit for bit.
 
-within(l1, l2, r) is radial_within(a, b, r) on the squared layer norms (a, b)
+radial_within(a, b, r) decides the closed ball on the squared layer norms (a, b)
 = layer_squares(l1, l2). CCMetric._radial_bounds decides N <= r from the unit
 sphere's tabulated half height; the d_inf and gauge _radial_bounds compare a
 and b with r's thresholds outside a relative guard band. All three leave only
-uncertain points to radial_norm. These tests compare within and radial_within
-with norm_arrays(l1, l2) <= r on the Monte Carlo boxes of the evidence and on
-points within a few ulp of spheres, check that the d_inf and gauge kernels
-run on band points only, and check the CC table against mpmath.
+uncertain points to radial_norm. These tests compare radial_within on
+layer_squares(l1, l2) with norm_arrays(l1, l2) <= r on the Monte Carlo boxes
+of the evidence and on points within a few ulp of spheres, check that the
+d_inf and gauge kernels run on band points only, and check the CC table
+against mpmath.
 """
 
 import math
@@ -77,9 +78,9 @@ class TestTable:
 
 
 def _box_agreement(metric, box, shift, radius, seed, points=AGREEMENT_POINTS):
-    """Blocks of a uniform box draw; within and the kernel must agree on every point.
+    """Blocks of a uniform box draw; radial_within and the kernel must agree on every point.
 
-    within is asked on the coordinates, and radial_within on their layer_squares.
+    radial_within is asked on the blocks' layer_squares.
     """
     rng = np.random.default_rng(seed)
     d1 = len(box.lo1)
@@ -88,7 +89,6 @@ def _box_agreement(metric, box, shift, radius, seed, points=AGREEMENT_POINTS):
         pts = rng.uniform(box.lo, box.hi, (BLOCK, len(box.lo)))
         l1, l2 = pts[:, :d1], pts[:, d1:] - shift
         want = kernel_within(metric, l1, l2, radius)
-        assert np.array_equal(metric.within(l1, l2, radius), want)
         assert np.array_equal(metric.radial_within(*metrics.layer_squares(l1, l2), radius), want)
         inside += int(np.count_nonzero(want))
     return inside
@@ -113,7 +113,7 @@ class TestAgreement:
         assert _box_agreement(metric, box, 0.0, 1.0, seed=22) > 0
 
     def test_cut_ball_maximum(self, name):
-        # verify_assumption_C's maximum is the full kernel's, and within at
+        # verify_assumption_C's maximum is the full kernel's, and radial_within at
         # each chunk maximum is the kernel's decision on every sample
         spec = SPECS[name]
         metric, x = ci.CCMetric(spec), geodesics.cut_point(spec, 1.0)
@@ -161,7 +161,7 @@ class TestBoundary:
         z, t = sphere_shells(spec.n, radius, 4096, seed=31)
         want = kernel_within(metric, z, t, radius)
         assert 0 < np.count_nonzero(want) < want.size
-        assert np.array_equal(metric.within(z, t, radius), want)
+        assert np.array_equal(metric.radial_within(*metrics.layer_squares(z, t), radius), want)
 
     def test_edges(self):
         metric = ci.CCMetric(SPECS["h1"])
@@ -180,11 +180,13 @@ class TestBoundary:
         for radius in (1.0, 1e-101, 1e101, math.inf, 0.0, 1.0 - 1e-16):
             with np.errstate(invalid="ignore", over="ignore"):
                 want = kernel_within(metric, z, t, radius)
-                got = metric.within(z, t, radius)
+                got = metric.radial_within(*metrics.layer_squares(z, t), radius)
             assert np.array_equal(got, want) and not got[nan].any(), radius
         # one point, and points in a (4, 3) grid
-        assert metric.within(z[2], t[2], 1.0) == (metric.norm_arrays(z[2], t[2]) <= 1.0)
-        grid = metric.within(z[:12].reshape(4, 3, 2), t[:12].reshape(4, 3, 1), 1.0)
+        assert (metric.radial_within(*metrics.layer_squares(z[2], t[2]), 1.0)
+                == (metric.norm_arrays(z[2], t[2]) <= 1.0))
+        grid = metric.radial_within(
+            *metrics.layer_squares(z[:12].reshape(4, 3, 2), t[:12].reshape(4, 3, 1)), 1.0)
         with np.errstate(invalid="ignore"):
             assert np.array_equal(grid, kernel_within(metric, z[:12], t[:12], 1.0).reshape(4, 3))
 
@@ -194,11 +196,13 @@ class TestBoundary:
         pts = np.random.default_rng(4).uniform(-1.5, 1.5, (1000, 3))
         l1, l2 = pts[:, :2], pts[:, 2:]
         want = metric.norm_arrays(l1, l2) <= 1.0
-        assert np.array_equal(metric.within(l1, l2, 1.0), want)
+        assert np.array_equal(metric.radial_within(*metrics.layer_squares(l1, l2), 1.0), want)
         # one 1-d point at a time, and the first 12 points as a (4, 3) grid
         assert 0 < np.count_nonzero(want[:12]) < 12
-        assert all(metric.within(l1[i], l2[i], 1.0) == want[i] for i in range(12))
-        grid = metric.within(l1[:12].reshape(4, 3, 2), l2[:12].reshape(4, 3, 1), 1.0)
+        assert all(metric.radial_within(*metrics.layer_squares(l1[i], l2[i]), 1.0) == want[i]
+                   for i in range(12))
+        grid = metric.radial_within(
+            *metrics.layer_squares(l1[:12].reshape(4, 3, 2), l2[:12].reshape(4, 3, 1)), 1.0)
         assert np.array_equal(grid, want[:12].reshape(4, 3))
 
 
@@ -308,9 +312,8 @@ def test_cheap_shells(name):
         l1, l2 = shells(metric, radius, seed=51)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             want = kernel_within(metric, l1, l2, radius)
-            got = metric.within(l1, l2, radius)
-            shared = metric.radial_within(*metrics.layer_squares(l1, l2), radius)
-        assert np.array_equal(got, want) and np.array_equal(shared, want), radius
+            got = metric.radial_within(*metrics.layer_squares(l1, l2), radius)
+        assert np.array_equal(got, want), radius
         assert not got[np.isnan(l1).any(axis=1) | np.isnan(l2).any(axis=1)].any(), radius
         if 1e-60 <= radius <= 1e60:  # beyond, squares leave the kernels' range
             assert 0 < np.count_nonzero(want) < want.size - len(SPECIAL_ROWS), radius
@@ -321,7 +324,7 @@ def test_cheap_shells(name):
                          ids=["dinf", "dinf-c2", "gauge", "cc"])
 def test_kernel_coordinate_range(metric):
     # the kernels square unscaled coordinates: at 1e-170 the squares underflow to 0 and
-    # at 1e170 they overflow to inf; within inherits that range and stays bit for bit equal
+    # at 1e170 they overflow to inf; radial_within inherits that range and stays bit for bit equal
     z = np.array([[1e-170, 0.0], [1e-170, 1e-170], [1e170, 0.0], [0.0, 0.0], [1e-170, 0.0],
                   [1e170, 1e170], [0.5, 0.0], [1e-170, 0.0], [0.0, 0.0]])
     t = np.array([[0.0], [1e-170], [0.0], [1e170], [1e170], [1e-170], [1e-170], [-1e-170],
@@ -329,7 +332,7 @@ def test_kernel_coordinate_range(metric):
     for radius in (1.0, 1e-170, 1e170, 1e-85, 1e85, 1e-40):
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             want = kernel_within(metric, z, t, radius)
-            got = metric.within(z, t, radius)
+            got = metric.radial_within(*metrics.layer_squares(z, t), radius)
         assert np.array_equal(got, want), radius
     # layer 2 too, CC's |t| = sqrt(|t|^2) included: the last row's t^2 underflows, so
     # every kernel reads it as the identity, while the scalar norm and distance
@@ -360,18 +363,19 @@ class TestFastPath:
         for _, box, shift, radius in evidence_boxes(metric):
             pts = rng.uniform(box.lo, box.hi, (1 << 17, len(box.lo)))
             seen.clear()
-            metric.within(pts[:, :d1], pts[:, d1:] - shift, radius)
+            metric.radial_within(*metrics.layer_squares(pts[:, :d1], pts[:, d1:] - shift), radius)
             for a, b in seen:
                 assert np.all(np.abs(kernel(a, b) / radius - 1.0) <= metrics.WITHIN_GUARD)
         # the spy sees the kernel: on radii beyond the thresholds' range, every point
         seen.clear()
-        assert metric.within(pts[:2, :d1], pts[:2, d1:], 1e-200).shape == (2,)
+        few = metrics.layer_squares(pts[:2, :d1], pts[:2, d1:])
+        assert metric.radial_within(*few, 1e-200).shape == (2,)
         assert [a.size for a, _ in seen] == [2]
         # and no kernel call for the center or a far point
         seen.clear()
         far = np.full((2, d1), 10.0)
         far[0] = 0.0
-        metric.within(far, np.zeros((2, metric.spec.dim2)), 1.0)
+        metric.radial_within(*metrics.layer_squares(far, np.zeros((2, metric.spec.dim2))), 1.0)
         assert seen == []
 
     @pytest.mark.parametrize("name", ["dinf-h1", "dinf-h2", "gauge-h1-htype", "cc-h1"])
