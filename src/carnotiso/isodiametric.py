@@ -1,7 +1,7 @@
 """Isodiametric ratios, ball-plus-bump counterexamples, and density bounds.
 
-The isodiametric ratio of a set A is S(A) / (diam A)^Q; the normalization
-of the spherical measure makes every metric ball score exactly 1. Gluing a
+The isodiametric ratio of a set A is (2 / diam A)^Q Haar(A) / Haar(B1), so
+every metric ball scores exactly 1. Gluing a
 small ball (a "bump") onto a low-reach boundary point of the unit ball
 raises the measure without raising the diameter, which shows closed balls
 are not isodiametric and pushes the density constant below 1.
@@ -82,19 +82,16 @@ class SigmaBounds:
 # ratios
 # ---------------------------------------------------------------------------
 
-def isodiametric_ratio(sampled: SampledSet, metric, budget: int, seed: int,
-                       descriptor: dict | None = None) -> RatioResult:
-    """S(A) / (diam A)^Q from Monte Carlo measure and the diameter hint."""
-    diam = sampled.diameter_hint
-    if diam is None:
-        raise ValueError("set needs an exact diameter hint")
-    if not (diam > 0 and math.isfinite(diam)):
-        raise ValueError(f"degenerate diameter {diam}")
-    sq = measures.spherical_measure(sampled, metric, budget, seed)
-    scale = diam ** sampled.spec.Q
-    est = EstimateWithError(sq.value / scale, sq.error / scale,
-                            sq.method, budget, seed)
-    return RatioResult(est, diam, descriptor or {})
+def isodiametric_ratio(sampled: SampledSet, metric, diameter: float, budget: int,
+                       seed: int) -> RatioResult:
+    """(2 / diam A)^Q Haar(A) / Haar(B1) from Monte Carlo measure and the exact diameter."""
+    if not (diameter > 0 and math.isfinite(diameter)):
+        raise ValueError(f"degenerate diameter {diameter}")
+    rel = measures.per_unit_ball(measures.mc_measure(sampled, budget, seed),
+                                 *unit_ball_volume(metric))
+    scale = (2.0 / diameter) ** metric.spec.Q
+    est = EstimateWithError(scale * rel.value, scale * rel.error, rel.method, budget, seed)
+    return RatioResult(est, diameter, {})
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +171,6 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     so the diameter stays 2 and only the extra measure counts: ratio = 1 + Haar(bump \\ B)
     / Haar(B). bump \\ B tests the two ball_sets' memberships on one a = |z|^2 a block.
     """
-    spec = metric.spec
     apex, _ = _apex_and_bound(metric)
     if not (np.array_equal(params.apex.layer1, apex.layer1)
             and np.array_equal(params.apex.layer2, apex.layer2)):
@@ -188,9 +184,12 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
                                f"certified maximum {rho_max}")
     diam = 2.0
     ball_vol, ball_err = unit_ball_volume(metric)
+    desc = {"kind": "bump", "rho": params.rho,
+            "apex": {"layer1": params.apex.layer1.tolist(),
+                     "layer2": params.apex.layer2.tolist()},
+            "metric": metric.describe()}
     if params.rho == 0.0:
-        est = EstimateWithError(1.0, 0.0, "closed_form", 0, seed)
-        return RatioResult(est, diam, {"kind": "bump", "rho": 0.0})
+        return RatioResult(EstimateWithError(1.0, 0.0, "closed_form", 0, seed), diam, desc)
 
     bump = measures.ball_set(metric, center=params.apex, radius=params.rho)
     ball = measures.ball_set(metric)
@@ -198,16 +197,10 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     def extra_membership(a, l2):
         return bump.membership(a, l2) & ~ball.membership(a, l2)
 
-    extra = SampledSet(extra_membership, bump.bounding_box, spec)
-    est = measures.mc_measure(extra, budget, seed)
-    ratio = 1.0 + est.value / ball_vol
-    err = est.error / ball_vol + (est.value / ball_vol) * (ball_err / ball_vol)
-    out = EstimateWithError(ratio, err, "monte_carlo", budget, seed)
-    desc = {"kind": "bump", "rho": params.rho,
-            "apex": {"layer1": params.apex.layer1.tolist(),
-                     "layer2": params.apex.layer2.tolist()},
-            "metric": metric.describe()}
-    return RatioResult(out, diam, desc)
+    extra = SampledSet(extra_membership, bump.bounding_box)
+    rel = measures.per_unit_ball(measures.mc_measure(extra, budget, seed), ball_vol, ball_err)
+    return RatioResult(EstimateWithError(1.0 + rel.value, rel.error, "monte_carlo", budget, seed),
+                       diam, desc)
 
 
 def maximize_bump(metric, budget: int = 10**6, seed: int = 0) -> RatioResult:

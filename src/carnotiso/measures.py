@@ -1,10 +1,10 @@
-"""Monte Carlo Haar measure and sampled norm maxima, spherical-measure
-normalization, and the CC ball volume as an estimate.
+"""Monte Carlo Haar measure and sampled norm maxima, the ratio of a measure
+to the unit ball's, and the CC ball volume as an estimate.
 
 Haar measure is coordinate Lebesgue measure in both the Heisenberg and the
-H-type exponential model. The spherical measure of a set is normalized so
-that every metric ball B satisfies S(B) = (diam B)^Q. Each metric class
-holds its unit-ball volume rule, read by :func:`carnotiso.metrics.unit_ball_volume`:
+H-type exponential model. per_unit_ball is the one division of a measure by
+Haar(B1), with the volume's error folded in. Each metric class holds its
+unit-ball volume rule, read by :func:`carnotiso.metrics.unit_ball_volume`:
 closed forms for d_inf and gauge, a fixed Gauss-Legendre rule for CC.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 from . import groups
 from . import metrics as metrics_mod
 from . import sampling
-from .groups import GroupPoint, GroupSpec
+from .groups import GroupPoint
 
 
 @dataclass
@@ -75,8 +75,6 @@ class SampledSet:
 
     membership: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bounding_box: BoundingBox
-    spec: GroupSpec
-    diameter_hint: Optional[float] = None  # exact diameter
 
     def blocks(self, rng: np.random.Generator, count: int):
         """Yield (a, l2, inside) for count draws, box_blocks' blocks; a = |l1|^2 once a block."""
@@ -119,7 +117,7 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
     def member(a, l2):
         return metric.radial_within(a, metrics_mod._sum_squares(l2 - c.layer2), radius)
 
-    return SampledSet(member, box, metric.spec, diameter_hint=2.0 * radius)
+    return SampledSet(member, box)
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +177,22 @@ def sampled_max(metric, blocks, budget: int, seed: int) -> float:
     return max(sampling.map_chunks(seed, budget, chunk))
 
 
-def spherical_measure(sampled: SampledSet, metric, budget: int, seed: int) -> EstimateWithError:
-    """S(A) = Haar(A) * 2^Q / Haar(B1), normalized so S(ball) = (diam)^Q."""
-    spec = sampled.spec
-    ball_vol, ball_err = metrics_mod.unit_ball_volume(metric)
-    est = mc_measure(sampled, budget, seed)
-    factor = 2.0 ** spec.Q / ball_vol
-    # ball_err is a quadrature bound, orders below the MC error; fold it in
-    err = factor * (est.error + est.value * ball_err / ball_vol)
-    return EstimateWithError(factor * est.value, err, est.method, budget, seed)
+def per_unit_ball(est: EstimateWithError, vol: float, vol_err: float) -> EstimateWithError:
+    """est / Haar(B1) for Haar(B1) = vol +- vol_err, a bound orders below est's MC error."""
+    rel = est.value / vol
+    return EstimateWithError(rel, est.error / vol + rel * (vol_err / vol), est.method,
+                             est.samples_or_nodes, est.seed)
 
 
-def set_diameter(points: list[GroupPoint] | tuple[np.ndarray, np.ndarray], metric) -> float:
-    """Max pairwise distance of a finite cloud (a lower bound for a continuum)."""
-    if isinstance(points, tuple):
-        l1, l2 = points
-    else:
-        if len(points) == 0:
-            raise ValueError("need at least one point")
-        l1 = np.stack([p.layer1 for p in points])
-        l2 = np.stack([p.layer2 for p in points])
+def set_diameter(points: tuple[np.ndarray, np.ndarray], metric) -> float:
+    """Max pairwise distance of a finite cloud (a lower bound for a continuum).
+
+    points is (l1, l2), one point a row; no rows or unequal row counts are a ValueError.
+    """
+    l1, l2 = points
     n = l1.shape[0]
+    if n == 0 or l2.shape[0] != n:
+        raise ValueError(f"need a nonempty cloud of equal row counts, got {n} and {len(l2)}")
     best = 0.0
     # row-by-row to keep memory linear
     for i in range(n - 1):

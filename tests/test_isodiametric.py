@@ -33,29 +33,29 @@ def half_ball(metric):
     def member(a, l2):
         return base.membership(a, l2) & np.all(l2 >= 0, axis=-1)
 
-    return ci.SampledSet(member, cut, metric.spec, diameter_hint=2.0)
+    return ci.SampledSet(member, cut)
 
 
 class TestRatio:
     @pytest.mark.parametrize("metric", [DINF, GAUGE, CC], ids=["dinf", "gauge", "cc"])
     def test_ball_scores_one(self, metric):
-        res = ci.isodiametric_ratio(ci.ball_set(metric), metric, 300000, seed=0)
+        res = ci.isodiametric_ratio(ci.ball_set(metric), metric, 2.0, 300000, seed=0)
         assert abs(res.ratio.value - 1.0) < 3.5 * res.ratio.error
         assert res.diameter_used == 2.0
         assert res.to_dict()["diameter"] == {"value": 2.0, "kind": "exact"}
 
     def test_dilated_ball_scores_one(self):
-        res = ci.isodiametric_ratio(ci.ball_set(DINF, radius=1.5), DINF, 300000, seed=1)
+        res = ci.isodiametric_ratio(ci.ball_set(DINF, radius=1.5), DINF, 3.0, 300000, seed=1)
         assert abs(res.ratio.value - 1.0) < 3.5 * res.ratio.error
 
     def test_translated_ball_scores_one(self):
         center = ci.point([0, 0], [0.3])
-        res = ci.isodiametric_ratio(ci.ball_set(DINF, center=center), DINF,
+        res = ci.isodiametric_ratio(ci.ball_set(DINF, center=center), DINF, 2.0,
                                     300000, seed=2)
         assert abs(res.ratio.value - 1.0) < 3.5 * res.ratio.error
 
     def test_half_ball_scores_half(self):
-        res = ci.isodiametric_ratio(half_ball(DINF), DINF, 300000, seed=3)
+        res = ci.isodiametric_ratio(half_ball(DINF), DINF, 2.0, 300000, seed=3)
         assert abs(res.ratio.value - 0.5) < 3.5 * res.ratio.error
 
     def test_half_ball_diameter_is_two(self):
@@ -69,11 +69,10 @@ class TestRatio:
         d = ci.set_diameter((l1, l2), DINF)
         assert d == pytest.approx(2.0, abs=1e-12)
 
-    def test_missing_diameter_hint(self):
-        s = ci.ball_set(DINF)
-        s.diameter_hint = None
-        with pytest.raises(ValueError):
-            ci.isodiametric_ratio(s, DINF, 1000, seed=0)
+    @pytest.mark.parametrize("diameter", [0.0, -1.0, math.inf, math.nan])
+    def test_degenerate_diameter(self, diameter):
+        with pytest.raises(ValueError, match="degenerate diameter"):
+            ci.isodiametric_ratio(ci.ball_set(DINF), DINF, diameter, 1000, seed=0)
 
 
 class TestApexReach:
@@ -190,6 +189,11 @@ class TestBump:
                             reach=SQRT2)
         assert res.ratio.value == 1.0 and res.ratio.error == 0.0
         assert res.ratio.method == "closed_form"
+        # the same descriptor as every other bump, apex and metric included
+        pos = ci.bump_ratio(BumpParams(apex=apex, rho=0.3), DINF, 1000, seed=0, reach=SQRT2)
+        zero_set, pos_set = res.to_dict()["set"], pos.to_dict()["set"]
+        assert zero_set.pop("rho") == 0.0 and pos_set.pop("rho") == 0.3
+        assert zero_set == pos_set
 
     def test_oversized_rho_rejected(self):
         apex = ci.point([0, 0], [1.0])
@@ -390,9 +394,8 @@ def test_bound_above_known_set(name):
         return (a <= 1.0) & (np.linalg.norm(l2, axis=-1) <= height(np.minimum(a, 1.0)))
 
     box = BoundingBox(-np.ones(m), np.ones(m), np.full(k, -2.0), np.full(k, 2.0))
-    est = ci.mc_measure(ci.SampledSet(member, box, metric.spec), 10**6, seed=11)
-    vol, _ = ci.unit_ball_volume(metric)
-    assert abs(est.value - ratio * vol) < 3.0 * est.error
+    res = ci.isodiametric_ratio(ci.SampledSet(member, box), metric, 2.0, 10**6, seed=11)
+    assert abs(res.ratio.value - ratio) < 3.0 * res.ratio.error
     # the diameter: points at the ends of fibres over the closed unit ball
     rng = np.random.default_rng(12)
     x = rng.standard_normal((3000, m))

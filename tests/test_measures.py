@@ -85,21 +85,21 @@ class TestBoundingBox:
 class TestMCMeasure:
     def test_full_box(self):
         box = BoundingBox([-1, -1], [1, 1], [-2], [2])
-        always = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box, H1)
+        always = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box)
         est = ci.mc_measure(always, 10000, seed=0)
         assert est.value == pytest.approx(box.volume)
         assert est.error == 0.0
 
     def test_empty_set(self):
         box = BoundingBox([-1, -1], [1, 1], [-2], [2])
-        never = ci.SampledSet(lambda a, l2: np.zeros(len(a), bool), box, H1)
+        never = ci.SampledSet(lambda a, l2: np.zeros(len(a), bool), box)
         est = ci.mc_measure(never, 10000, seed=0)
         assert est.value == 0.0
         assert est.error == pytest.approx(box.volume * 3 / 10000)
 
     def test_bad_budget(self):
         box = BoundingBox([-1, -1], [1, 1], [-2], [2])
-        s = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box, H1)
+        s = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box)
         with pytest.raises(ValueError):
             ci.mc_measure(s, 0, seed=0)
 
@@ -414,28 +414,11 @@ class TestBallSet:
         expect = lam ** H1.Q * 2 * math.pi
         assert abs(big.value - expect) < 3.5 * big.error
 
-    def test_diameter_hint(self):
-        s = ci.ball_set(CC, radius=2.0)
-        assert s.diameter_hint == 4.0
-
-
-class TestSphericalMeasure:
-    def test_unit_ball_is_two_to_Q(self):
-        for metric in (DINF, GAUGE, CC):
-            est = ci.spherical_measure(ci.ball_set(metric), metric, 400000, seed=9)
-            assert abs(est.value - 2.0 ** metric.spec.Q) < 3.5 * est.error
-
-    def test_dilation_homogeneity(self):
-        lam = 1.3
-        est = ci.spherical_measure(ci.ball_set(DINF, radius=lam), DINF, 400000, seed=10)
-        assert abs(est.value - (2 * lam) ** H1.Q) < 3.5 * est.error
-
 
 class TestSetDiameter:
     def test_two_points(self):
-        p = ci.point([0, 0], [0])
-        q = ci.point([1, 0], [0])
-        assert ci.set_diameter([p, q], CC) == pytest.approx(1.0)
+        l1, l2 = np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 1))
+        assert ci.set_diameter((l1, l2), CC) == pytest.approx(1.0)
 
     def test_ball_cloud_approaches_two(self):
         rng = np.random.default_rng(12)
@@ -447,4 +430,15 @@ class TestSetDiameter:
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            ci.set_diameter([], DINF)
+            ci.set_diameter((np.zeros((0, 2)), np.zeros((0, 1))), DINF)
+
+    def test_row_counts_must_match(self):
+        # 2 points and 3 layer-2 rows: refused before any distance is taken
+        class NoDistance:
+            def dist_arrays(self, *args):
+                raise AssertionError("distance taken")
+
+        l1, l2 = np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0], [0.0], [5.0]])
+        for cloud in ((l1, l2), (l1, l2[:1])):
+            with pytest.raises(ValueError, match="equal row counts"):
+                ci.set_diameter(cloud, NoDistance())
