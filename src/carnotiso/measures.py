@@ -2,10 +2,14 @@
 to the unit ball's, and the CC ball volume as an estimate.
 
 Haar measure is coordinate Lebesgue measure in both the Heisenberg and the
-H-type exponential model. per_unit_ball is the one division of a measure by
-Haar(B1), with the volume's error folded in. Each metric class holds its
-unit-ball volume rule, read by :func:`carnotiso.metrics.unit_ball_volume`:
-closed forms for d_inf and gauge, a fixed Gauss-Legendre rule for CC.
+H-type exponential model. Every norm reads layer 1 through a = |layer 1|^2
+alone, so a SampledSet is drawn radially: a uniform point of its region, a
+layer-1 ball times a layer-2 box, is a = r1^2 U^(2/m) and its layer-2
+coordinates, 1 + k doubles of one substream. per_unit_ball is the one
+division of a measure by Haar(B1), with the volume's error folded in. Each
+metric class holds its unit-ball volume rule, read by
+:func:`carnotiso.metrics.unit_ball_volume`: closed forms for d_inf and
+gauge, a fixed Gauss-Legendre rule for CC.
 """
 
 from __future__ import annotations
@@ -40,28 +44,25 @@ class EstimateWithError:
 
 @dataclass
 class BoundingBox:
-    lo1: np.ndarray
-    hi1: np.ndarray
+    """The sampled region: the layer-1 ball |x| <= r1 of R^dim1 times the layer-2 box [lo2, hi2]."""
+
+    dim1: int
+    r1: float
     lo2: np.ndarray
     hi2: np.ndarray
 
     def __post_init__(self):
-        for name in ("lo1", "hi1", "lo2", "hi2"):
-            setattr(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        if np.any(self.hi1 <= self.lo1) or np.any(self.hi2 <= self.lo2):
+        self.r1 = float(self.r1)
+        self.lo2 = np.atleast_1d(np.asarray(self.lo2, dtype=float))
+        self.hi2 = np.atleast_1d(np.asarray(self.hi2, dtype=float))
+        if not self.r1 > 0 or np.any(self.hi2 <= self.lo2):  # negated, so that NaN fails too
             raise ValueError("bounding box must have positive extent")
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.hi1 - self.lo1) * np.prod(self.hi2 - self.lo2))
-
-    @property
-    def lo(self) -> np.ndarray:
-        return np.concatenate([self.lo1, self.lo2])
-
-    @property
-    def hi(self) -> np.ndarray:
-        return np.concatenate([self.hi1, self.hi2])
+        """alpha_m r1^m |layer-2 box|: the Lebesgue measure of the region."""
+        return float(metrics_mod.alpha(self.dim1) * self.r1 ** self.dim1
+                     * np.prod(self.hi2 - self.lo2))
 
 
 @dataclass
@@ -77,11 +78,24 @@ class SampledSet:
     bounding_box: BoundingBox
 
     def blocks(self, rng: np.random.Generator, count: int):
-        """Yield (a, l2, inside) for count draws, box_blocks' blocks; a = |l1|^2 once a block."""
+        """Yield (a, l2, inside) for count uniform draws of the region, a block at a time.
+
+        Each point takes (U, l2) from box_blocks on [0, 1] x [lo2, hi2], and
+        a = r1^2 U^(2/dim1): |x|^2 of a uniform x in the layer-1 ball, since
+        P(|x| <= s r1) = s^dim1. No layer-1 coordinate is drawn or squared, so
+        a point costs 1 + dim2 doubles. check_chunk runs on the group width
+        dim1 + dim2 before the first draw. a is one buffer, overwritten by the
+        next block, like box_blocks' points.
+        """
         box = self.bounding_box
-        d1 = len(box.lo1)
-        for pts in sampling.box_blocks(rng, count, box.lo, box.hi):
-            a, l2 = metrics_mod._sum_squares(pts[:, :d1]), pts[:, d1:]
+        sampling.check_chunk(count, box.dim1 + len(box.lo2))
+        lo, hi = np.concatenate([[0.0], box.lo2]), np.concatenate([[1.0], box.hi2])
+        power, r1sq = 2.0 / box.dim1, box.r1 * box.r1
+        buf = np.empty(min(sampling.BLOCK, count))
+        for pts in sampling.box_blocks(rng, count, lo, hi):
+            a = np.power(pts[:, 0], power, out=buf[:len(pts)])
+            a *= r1sq
+            l2 = pts[:, 1:]
             yield a, l2, self.membership(a, l2)
 
 
@@ -89,30 +103,35 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
     """The closed metric ball B(center, radius) as a SampledSet; center must be central.
 
     A central center c = [0, c2] translates by a layer-2 shift only, so
-    d(c, y) = N(y1, y2 - c2) and the box is the dilated unit box shifted by c2.
+    d(c, y) = N(y1, y2 - c2), and the region is the dilated unit region shifted
+    by c2: the layer-1 ball of radius R = radius r1 times the layer-2 box of
+    half-width radius^2 r2, (r1, r2) = metric._box_radii().
     Membership(a, y2) is metric.radial_within(a, |y2 - c2|^2, radius): bit for bit
     norm_arrays(y1, y2 - c2) <= radius at a = |y1|^2, decided from the squared layer
     norms with no root (d_inf, gauge) or by the CC half-height table on all but the
     points next to the sphere. It is the one place that shifts a set's layer 2.
-    The array norms square box coordinates unscaled, so FloatingPointError
-    unless, in each layer, the sum of squares at the box's far corner is
-    finite and every half-width squares to a normal float.
+    The array norms take a and square layer 2 unscaled, so FloatingPointError
+    unless R^2 is a normal float and, on layer 2, the sum of squares at the
+    box's far corner is finite and every half-width squares to a normal float.
     """
     c = groups.identity(metric.spec) if center is None else center
     groups._check_dims(metric.spec, c)  # GroupError, not a broadcast layer-2 shift
     if np.any(c.layer1 != 0):
         raise ValueError(f"ball center {c} is not central: its layer 1 is not zero")
-    lo1, hi1, lo2, hi2 = metric.unit_ball_bbox()
-    r2 = radius * radius
-    box = BoundingBox(radius * lo1, radius * hi1, r2 * lo2 + c.layer2, r2 * hi2 + c.layer2)
-    for layer, lo, hi in ((1, box.lo1, box.hi1), (2, box.lo2, box.hi2)):
-        with np.errstate(over="ignore", under="ignore"):
-            far = metrics_mod._sum_squares(np.maximum(np.abs(lo), np.abs(hi)))
-            half = np.min(0.5 * (hi - lo)) ** 2
-        if not (far < math.inf and half >= np.finfo(float).tiny):
-            raise FloatingPointError(
-                f"sampling box layer {layer}: smallest half-width squared {half:.3g}, far-corner "
-                f"sum of squares {far:.3g}; the array norms need both to be normal floats")
+    r1, r2 = metric._box_radii()
+    r1 *= radius
+    if not np.finfo(float).tiny <= r1 * r1 < math.inf:  # negated, so that NaN fails too
+        raise FloatingPointError(f"sampling box layer 1: radius squared {r1 * r1:.3g}; the "
+                                 f"array norms need a normal float")
+    half = np.full(metric.spec.dim2, radius * radius * r2)
+    box = BoundingBox(metric.spec.dim1, r1, c.layer2 - half, c.layer2 + half)
+    with np.errstate(over="ignore", under="ignore"):
+        far = metrics_mod._sum_squares(np.maximum(np.abs(box.lo2), np.abs(box.hi2)))
+        small = np.min(0.5 * (box.hi2 - box.lo2)) ** 2
+    if not (far < math.inf and small >= np.finfo(float).tiny):
+        raise FloatingPointError(
+            f"sampling box layer 2: smallest half-width squared {small:.3g}, far-corner "
+            f"sum of squares {far:.3g}; the array norms need both to be normal floats")
 
     def member(a, l2):
         return metric.radial_within(a, metrics_mod._sum_squares(l2 - c.layer2), radius)
@@ -143,10 +162,13 @@ def mc_measure(sampled: SampledSet, budget: int, seed: int) -> EstimateWithError
     hits = sum(sampling.map_chunks(seed, budget, chunk))
     p = hits / budget
     vol = sampled.bounding_box.volume
-    if hits == 0:
-        # one-sided "rule of three" bound
-        return EstimateWithError(0.0, vol * 3.0 / budget, "monte_carlo", budget, seed)
-    se = vol * math.sqrt(p * (1.0 - p) / budget)
+    if hits in (0, budget):
+        # p(1 - p) is 0 at both ends: the one-sided "rule of three" bound, as a
+        # set that misses (or fills) the region on every draw may still hold
+        # (or lack) a share of up to about 3 / budget of it
+        se = vol * 3.0 / budget
+    else:
+        se = vol * math.sqrt(p * (1.0 - p) / budget)
     return EstimateWithError(vol * p, se, "monte_carlo", budget, seed)
 
 

@@ -1,17 +1,18 @@
 """Deterministic chunked Monte Carlo driver.
 
-Every sampling routine in the package draws from counter-based Philox
-substreams keyed by (seed, chunk index). Chunk results are combined in
-chunk order, so estimates are bit-identical for a fixed (seed, budget)
-no matter how many worker threads run the chunks.
+Every sampling routine in the package draws from PCG64DXSM substreams,
+one a chunk: the generator of SeedSequence(seed, spawn_key=(chunk,)),
+numpy's documented way to make independent parallel streams. Chunk
+results are combined in chunk order, so estimates are bit-identical for a
+fixed (seed, budget) no matter how many worker threads run the chunks.
 
 A chunk (CHUNK_SIZE points) is the unit of randomness: it has its own
 substream key and is one thread job. A block (BLOCK points) is the unit
 of memory: a chunk's points are drawn and tested BLOCK at a time, as
 consecutive draws from the chunk's one generator, so that each block's
-temporaries stay in cache. Philox doubles are one sequential stream, so
-the blocks hold exactly the rows of one whole-chunk draw, and no result
-depends on BLOCK.
+temporaries stay in cache. A generator's doubles are one sequential
+stream, so the blocks hold exactly the rows of one whole-chunk draw, and
+no result depends on BLOCK.
 """
 
 from __future__ import annotations
@@ -39,13 +40,15 @@ MAX_CHUNK_FLOATS = 1 << 25
 def substream(seed: int, chunk: int) -> np.random.Generator:
     """Independent generator for one chunk of one logical stream.
 
-    ValueError for a seed outside [0, 2^64): the Philox key holds 64 bits of
-    it, and a wider seed would silently share another seed's stream.
+    PCG64DXSM seeded by SeedSequence(seed, spawn_key=(chunk,)), which is
+    SeedSequence(seed).spawn(chunk + 1)[chunk]. ValueError for a seed outside
+    [0, 2^64): seeds are the CLI's 64-bit integers, and a negative one is no
+    SeedSequence entropy.
     """
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2^64)")
-    key = int(seed) << 64 | (int(chunk) & (2**64 - 1))
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(int(seed), spawn_key=(int(chunk),))
+    return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
 def thread_count() -> int:

@@ -23,3 +23,12 @@ def cut_ball_points(spec, x, rng, count):
     finally:
         sampling.BLOCK = block
     return a, t
+
+
+def region_cube(box):
+    """(lo, hi) of the cube [-r1, r1]^dim1 x [lo2, hi2] around a sampled region.
+
+    The radial draw makes no layer-1 coordinates; tests that need them draw this cube.
+    """
+    r1 = np.full(box.dim1, box.r1)
+    return np.concatenate([-r1, box.lo2]), np.concatenate([r1, box.hi2])

@@ -347,8 +347,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exits_2(self, capsys, seed):
-        # the Philox key holds 64 bits of the seed: -1 would draw the stream
-        # of 2^64 - 1, and 2^64 + 3 that of 3
+        # seeds are the 64-bit integers [0, 2^64): SeedSequence refuses -1, and
+        # substream refuses 2^64 and above
         assert main(["verify", "dinf", "--budget", "2000", "--seed", seed]) == 2
         assert "outside [0, 2^64)" in capsys.readouterr().err
 
@@ -389,14 +389,14 @@ class TestChunkLimit:
 
     @pytest.mark.parametrize("counterexample", ["dinf", "gauge"])
     def test_over_limit_exits_2_before_any_box(self, capsys, monkeypatch, counterexample):
-        # the apex reach refuses the chunk before it builds the ball's box,
-        # whose arrays have the group's width: 248 MiB at h2000000
+        # the apex reach refuses the chunk before it reads the ball's box radii,
+        # which the apex and the ball's sampled region are built from
         def no_box(self):
-            raise AssertionError("unit_ball_bbox called before the chunk check")
+            raise AssertionError("_box_radii called before the chunk check")
 
         monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 4999)
         for cls in (ci.DinfMetric, ci.GaugeMetric):
-            monkeypatch.setattr(cls, "unit_ball_bbox", no_box)
+            monkeypatch.setattr(cls, "_box_radii", no_box)
         assert main(["verify", counterexample, "--group", "h2", "--budget", "1000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: a sampling chunk of 1000 points x 5 coordinates exceeds")
@@ -463,7 +463,7 @@ class TestBoxRange:
         # ratio does not move; the suite turns any warning into an error
         code, out = run_main(capsys, "bump-search", *coefs, "--budget", "20000", "--seed", "1")
         assert code == 0
-        assert json.loads(out)["result"]["ratio"]["value"] == 1.0589720904690079
+        assert json.loads(out)["result"]["ratio"]["value"] == 1.0588332908935867
         assert capsys.readouterr().err == ""
 
 

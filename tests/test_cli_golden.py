@@ -7,11 +7,13 @@ the numbers keeps these bytes.
 After a deliberate change of output, rewrite the files with
 ``PYTHONPATH=src python tests/test_cli_golden.py``, which names the files
 whose bytes changed and lists each number that moved, old -> new, with its
-distance in ulp; then review the diff.
+distance in ulp, and for each moved Monte Carlo ``value`` with an ``error``
+beside it, the pull (new - old) / new error; then review the diff.
 """
 
 import contextlib
 import io
+import json
 import re
 import struct
 import sys
@@ -96,6 +98,30 @@ def moved_numbers(old, new):
             for a, b in zip(before, after) if a != b]
 
 
+def pulls(old, new):
+    """Lines 'path: old -> new, pull p' for each moved value of a {value, error} object.
+
+    p = (new - old) / error, with the new output's error. Outputs that are not
+    JSON give no line.
+    """
+    try:
+        return _value_pulls(json.loads(old), json.loads(new), "")
+    except ValueError:
+        return []
+
+
+def _value_pulls(old, new, path):
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return []
+    lines = []
+    if {"value", "error"} <= old.keys() & new.keys() and old["value"] != new["value"]:
+        pull = (new["value"] - old["value"]) / new["error"]
+        lines.append(f"{path}: {old['value']!r} -> {new['value']!r}, pull {pull:+.2f}")
+    for key in sorted(old.keys() & new.keys()):
+        lines += _value_pulls(old[key], new[key], f"{path}.{key}")
+    return lines
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     changed, report = 0, []
@@ -107,5 +133,6 @@ if __name__ == "__main__":
             path.write_text(text)
             changed += 1
             report += [path.name] + [f"  {line}" for line in moved_numbers(old, text)]
+            report += [f"  {line}" for line in pulls(old, text)]
     sys.stderr.write(f"{changed} of {len(CASES)} golden files changed"
                      + "".join(f"\n  {line}" for line in report) + "\n")

@@ -12,7 +12,7 @@ from carnotiso.geodesics import sphere_point_arrays
 from carnotiso.groups import GroupError, standard_symplectic
 from carnotiso.isodiametric import BumpParams, CertificateError, max_certified_rho
 from carnotiso.measures import BoundingBox
-from conftest import quaternionic
+from conftest import quaternionic, region_cube
 
 H1 = ci.heisenberg(1)
 HT = ci.h_type(standard_symplectic())
@@ -28,7 +28,7 @@ def half_ball(metric):
     """Unit ball cut to t >= 0; keeps the horizontal diameter pair."""
     base = ci.ball_set(metric)
     box = base.bounding_box
-    cut = BoundingBox(box.lo1, box.hi1, np.zeros_like(box.lo2), box.hi2)
+    cut = BoundingBox(box.dim1, box.r1, np.zeros_like(box.lo2), box.hi2)
 
     def member(a, l2):
         return base.membership(a, l2) & np.all(l2 >= 0, axis=-1)
@@ -128,8 +128,9 @@ class TestApexReach:
 
     @pytest.mark.parametrize("metric", [DINF, ci.GaugeMetric(H1)], ids=["dinf", "gauge"])
     def test_one_layer_one_square_a_block(self, metric, monkeypatch):
-        # SampledSet.blocks squares layer 1 once a block, for the membership
-        # and for sampled_max alike
+        # SampledSet.blocks draws a = |layer 1|^2 itself: no layer-1 block is
+        # squared, for the membership or for sampled_max; layer 2 is squared
+        # once a block by each
         calls = []
         sum_squares = metrics._sum_squares
 
@@ -139,8 +140,8 @@ class TestApexReach:
 
         monkeypatch.setattr(metrics, "_sum_squares", spy)
         ci.apex_reach(metric, budget=4 * ci.sampling.BLOCK, seed=0)
-        block = (ci.sampling.BLOCK, metric.spec.dim1)
-        assert calls.count(block) == 4
+        assert calls.count((ci.sampling.BLOCK, metric.spec.dim1)) == 0
+        assert calls.count((ci.sampling.BLOCK, metric.spec.dim2)) == 8
 
     def test_report_dict(self):
         rep = ci.apex_reach(DINF, budget=10000, seed=1)
@@ -257,7 +258,7 @@ class TestBump:
         bump = ci.ball_set(DINF, center=apex, radius=rho)
         pts1, pts2 = [], []
         for s in (ball, bump):
-            lo, hi = s.bounding_box.lo, s.bounding_box.hi
+            lo, hi = region_cube(s.bounding_box)
             draw = rng.uniform(lo, hi, size=(4000, len(lo)))
             keep = s.membership(metrics._sum_squares(draw[:, :2]), draw[:, 2:])
             pts1.append(draw[keep, :2])
@@ -283,8 +284,9 @@ class TestBump:
         extra = seen[0]
         bump = ci.ball_set(metric, center=apex, radius=rho)
         box = extra.bounding_box
-        draw = np.random.default_rng(8).uniform(box.lo, box.hi, size=(20000, len(box.lo)))
-        l1, l2 = draw[:, :len(box.lo1)], draw[:, len(box.lo1):]
+        lo, hi = region_cube(box)
+        draw = np.random.default_rng(8).uniform(lo, hi, size=(20000, len(lo)))
+        l1, l2 = draw[:, :box.dim1], draw[:, box.dim1:]
         a = metrics._sum_squares(l1)
         full = bump.membership(a, l2) & (metric.norm_arrays(l1, l2) > 1.0)
         mask = extra.membership(a, l2)
@@ -393,7 +395,7 @@ def test_bound_above_known_set(name):
     def member(a, l2):
         return (a <= 1.0) & (np.linalg.norm(l2, axis=-1) <= height(np.minimum(a, 1.0)))
 
-    box = BoundingBox(-np.ones(m), np.ones(m), np.full(k, -2.0), np.full(k, 2.0))
+    box = BoundingBox(m, 1.0, np.full(k, -2.0), np.full(k, 2.0))
     res = ci.isodiametric_ratio(ci.SampledSet(member, box), metric, 2.0, 10**6, seed=11)
     assert abs(res.ratio.value - ratio) < 3.0 * res.ratio.error
     # the diameter: points at the ends of fibres over the closed unit ball

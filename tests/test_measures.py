@@ -9,7 +9,7 @@ from carnotiso import sampling
 from carnotiso.groups import standard_symplectic
 from carnotiso.measures import BoundingBox
 from carnotiso.metrics import _sum_squares, cc_ball_integrand
-from conftest import cut_ball_points, quaternionic
+from conftest import cut_ball_points, quaternionic, region_cube
 
 H1 = ci.heisenberg(1)
 H2 = ci.heisenberg(2)
@@ -72,33 +72,52 @@ class TestCCVolume:
 
 class TestBoundingBox:
     def test_volume(self):
-        a = BoundingBox([-1, -1], [1, 1], [-1], [1])
-        b = BoundingBox([-1, -1], [2, 2], [-1], [3])
-        assert a.volume == pytest.approx(8.0)
-        assert b.volume == pytest.approx(3 * 3 * 4)
+        # a layer-1 disc of radius r1 times the layer-2 box
+        a = BoundingBox(2, 1.0, [-1], [1])
+        b = BoundingBox(2, 1.5, [-1], [3])
+        c = BoundingBox(4, 2.0, [-1, 0, 0], [1, 1, 0.5])
+        assert a.volume == pytest.approx(2 * math.pi)
+        assert b.volume == pytest.approx(math.pi * 1.5 ** 2 * 4)
+        assert c.volume == pytest.approx(math.pi ** 2 / 2 * 2 ** 4 * 1.0)
 
     def test_degenerate(self):
-        with pytest.raises(ValueError):
-            BoundingBox([0, 0], [0, 1], [-1], [1])
+        for r1, lo2, hi2 in ((0.0, [-1], [1]), (-1.0, [-1], [1]), (math.nan, [-1], [1]),
+                             (1.0, [1], [1]), (1.0, [-1, 2], [1, 2])):
+            with pytest.raises(ValueError):
+                BoundingBox(2, r1, lo2, hi2)
 
 
 class TestMCMeasure:
     def test_full_box(self):
-        box = BoundingBox([-1, -1], [1, 1], [-2], [2])
+        # every draw hits, so p (1 - p) is 0; the error is the rule of three, as for
+        # an empty set, not 0, which no |est - ref| < k err check could pass
+        box = BoundingBox(2, 1.0, [-2], [2])
         always = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box)
         est = ci.mc_measure(always, 10000, seed=0)
-        assert est.value == pytest.approx(box.volume)
-        assert est.error == 0.0
+        assert est.value == box.volume
+        assert est.error == pytest.approx(box.volume * 3 / 10000)
 
     def test_empty_set(self):
-        box = BoundingBox([-1, -1], [1, 1], [-2], [2])
+        box = BoundingBox(2, 1.0, [-2], [2])
         never = ci.SampledSet(lambda a, l2: np.zeros(len(a), bool), box)
         est = ci.mc_measure(never, 10000, seed=0)
         assert est.value == 0.0
         assert est.error == pytest.approx(box.volume * 3 / 10000)
 
+    @pytest.mark.parametrize("metric", [DINF, ci.DinfMetric(H2, 1.3, 0.7)], ids=["h1", "h2"])
+    def test_a_set_that_is_its_region(self, metric):
+        # a d_inf ball is its sampled region: every draw hits, and the estimate is the
+        # closed form with the rule-of-three error
+        vol, _ = ci.unit_ball_volume(metric)
+        est = ci.mc_measure(ci.ball_set(metric), 20000, seed=1)
+        assert est.value == vol
+        assert est.error == pytest.approx(vol * 3 / 20000)
+        assert abs(est.value - vol) < 3.5 * est.error
+        ratio = ci.isodiametric_ratio(ci.ball_set(metric), metric, 2.0, 20000, seed=1).ratio
+        assert ratio.value == 1.0 and ratio.error == pytest.approx(3 / 20000)
+
     def test_bad_budget(self):
-        box = BoundingBox([-1, -1], [1, 1], [-2], [2])
+        box = BoundingBox(2, 1.0, [-2], [2])
         s = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box)
         with pytest.raises(ValueError):
             ci.mc_measure(s, 0, seed=0)
@@ -113,9 +132,10 @@ class TestMCMeasure:
         assert abs(est.value - reference) < 3.5 * est.error
 
     def test_deterministic_for_seed(self):
-        a = ci.mc_measure(ci.ball_set(DINF), 50000, seed=5)
-        b = ci.mc_measure(ci.ball_set(DINF), 50000, seed=5)
-        c = ci.mc_measure(ci.ball_set(DINF), 50000, seed=6)
+        # gauge: a d_inf ball is its sampled region, the same value at every seed
+        a = ci.mc_measure(ci.ball_set(GAUGE), 50000, seed=5)
+        b = ci.mc_measure(ci.ball_set(GAUGE), 50000, seed=5)
+        c = ci.mc_measure(ci.ball_set(GAUGE), 50000, seed=6)
         assert a.value == b.value
         assert a.value != c.value
 
@@ -145,6 +165,19 @@ class TestMapChunks:
         top = sampling.substream(2**64 - 1, 0).random(4)
         assert not np.array_equal(top, sampling.substream(0, 0).random(4))
         assert np.array_equal(top, sampling.substream(2**64 - 1, 0).random(4))
+
+    @pytest.mark.parametrize("seed,chunk", [(0, 0), (1, 0), (7, 3), (2**63, 1), (2**64 - 1, 11),
+                                            (5, 2**17 - 1)])
+    def test_substream_is_the_spawned_child(self, seed, chunk):
+        # numpy's documented parallel streams: child chunk of SeedSequence(seed), on PCG64DXSM
+        child = np.random.SeedSequence(seed).spawn(chunk + 1)[chunk]
+        want = np.random.Generator(np.random.PCG64DXSM(child)).random(4)
+        assert np.array_equal(sampling.substream(seed, chunk).random(4), want)
+
+    def test_substreams_are_distinct(self):
+        seeds = [0, 1, 2, 3, 255, 256, 2**32, 2**63, 2**64 - 1]
+        firsts = {(s, c): sampling.substream(s, c).random() for s in seeds for c in range(12)}
+        assert len(set(firsts.values())) == len(firsts)
 
     @pytest.mark.parametrize("cpus,expected", [(8, 3), (2, 2), (None, None)])
     def test_workers_capped(self, monkeypatch, cpus, expected):
@@ -197,25 +230,31 @@ class TestMapChunks:
 
 
 class TestUniformBox:
-    """The draw convention: lo + (hi - lo) U on Philox doubles in C order, i.e. rng.uniform."""
+    """The draw convention: lo + (hi - lo) U on the substream's doubles in C order, i.e.
+    rng.uniform."""
 
     @staticmethod
     def boxes():
+        """(lo, hi) of the radial draws of the evidence sets, and of cubes around them."""
         apex = ci.point([0, 0], [1.0])  # the d_inf apex on H^1
-        return {"dinf-h1": ci.ball_set(DINF).bounding_box,
-                "dinf-h2": ci.ball_set(ci.DinfMetric(H2)).bounding_box,
-                "gauge-h1-htype": ci.ball_set(GAUGE).bounding_box,
-                "cc-h1": ci.ball_set(CC).bounding_box,
-                "bump-dinf-h1": ci.ball_set(DINF, center=apex,
-                                            radius=2 - math.sqrt(2)).bounding_box}
+        regions = {"dinf-h1": ci.ball_set(DINF).bounding_box,
+                   "dinf-h2": ci.ball_set(ci.DinfMetric(H2)).bounding_box,
+                   "gauge-h1-htype": ci.ball_set(GAUGE).bounding_box,
+                   "cc-h1": ci.ball_set(CC).bounding_box,
+                   "bump-dinf-h1": ci.ball_set(DINF, center=apex,
+                                               radius=2 - math.sqrt(2)).bounding_box}
+        boxes = {name: (np.concatenate([[0.0], box.lo2]), np.concatenate([[1.0], box.hi2]))
+                 for name, box in regions.items()}
+        boxes.update({f"cube-{name}": region_cube(box) for name, box in regions.items()})
+        return boxes
 
     @pytest.mark.parametrize("seed,chunk", [(0, 0), (7, 3), (2**64 - 1, 11)])
     def test_draw_is_rng_uniform_bit_for_bit(self, seed, chunk):
-        for name, box in self.boxes().items():
+        for name, (lo, hi) in self.boxes().items():
             ours, ref = sampling.substream(seed, chunk), sampling.substream(seed, chunk)
             count = 2**17 + 3
-            pts = sampling.uniform_box(ours, count, box.lo, box.hi)
-            want = ref.uniform(box.lo, box.hi, size=(count, len(box.lo)))
+            pts = sampling.uniform_box(ours, count, lo, hi)
+            want = ref.uniform(lo, hi, size=(count, len(lo)))
             assert np.array_equal(pts, want), name
             # and both generators are left in the same state
             assert np.array_equal(ours.random(4), ref.random(4)), name
@@ -231,9 +270,10 @@ class TestUniformBox:
 
 def _stacked_blocks_are_one_draw(blocks, seed, count, box):
     """True iff blocks(rng, count, lo, hi) stacked is uniform_box's one draw, rng state too."""
+    lo, hi = box
     ours, ref = sampling.substream(seed, 0), sampling.substream(seed, 0)
-    got = [pts.copy() for pts in blocks(ours, count, box.lo, box.hi)]
-    want = sampling.uniform_box(ref, count, box.lo, box.hi)
+    got = [pts.copy() for pts in blocks(ours, count, lo, hi)]
+    want = sampling.uniform_box(ref, count, lo, hi)
     return (all(len(b) == sampling.BLOCK for b in got[:-1])
             and np.array_equal(np.vstack(got), want)
             and np.array_equal(ours.random(4), ref.random(4)))
@@ -251,28 +291,33 @@ def _redrawn_blocks(rng, count, lo, hi):
 # The chunk functions of the one-shot draw: each chunk's points in one array.
 # The blocked ones must give the same bits.
 
-def _one_shot_hits(sampled, budget, seed):
-    box = sampled.bounding_box
-    d1 = len(box.lo1)
+def _one_shot_radial(box, rng, count):
+    """(a, l2) of count uniform points of box's region, drawn as one array.
 
+    U and layer 2 uniform in [0, 1] x [lo2, hi2], and a = |x|^2 = r1^2 U^(2/dim1) for x
+    uniform in the layer-1 ball of radius r1.
+    """
+    lo, hi = np.concatenate([[0.0], box.lo2]), np.concatenate([[1.0], box.hi2])
+    pts = sampling.uniform_box(rng, count, lo, hi)
+    return box.r1 * box.r1 * np.power(pts[:, 0], 2.0 / box.dim1), pts[:, 1:]
+
+
+def _one_shot_hits(sampled, budget, seed):
     def chunk(rng, count):
-        pts = sampling.uniform_box(rng, count, box.lo, box.hi)
-        return int(np.count_nonzero(sampled.membership(_sum_squares(pts[:, :d1]), pts[:, d1:])))
+        a, l2 = _one_shot_radial(sampled.bounding_box, rng, count)
+        return int(np.count_nonzero(sampled.membership(a, l2)))
 
     return sum(sampling.map_chunks(seed, budget, chunk))
 
 
 def _one_shot_ball_sup(metric, budget, seed):
     apex, _ = ci.isodiametric._apex_and_bound(metric)
-    ball = ci.ball_set(metric)
-    box = ball.bounding_box
-    d1 = len(box.lo1)
+    ball = ci.ball_set(metric, center=ci.groups.inv(metric.spec, apex))
 
     def chunk(rng, count):
-        pts = sampling.uniform_box(rng, count, box.lo, box.hi)
-        l1, l2 = pts[:, :d1], pts[:, d1:]
-        inside = ball.membership(_sum_squares(l1), l2)
-        return float(np.max(metric.norm_arrays(l1, l2 - apex.layer2), where=inside, initial=0.0))
+        a, l2 = _one_shot_radial(ball.bounding_box, rng, count)
+        inside = ball.membership(a, l2)
+        return float(np.max(metric.radial_norm(a, _sum_squares(l2)), where=inside, initial=0.0))
 
     return max(sampling.map_chunks(seed, budget, chunk))
 
@@ -291,7 +336,7 @@ class TestBoxBlocks:
     """A chunk is drawn and tested BLOCK points at a time; the bits are the one-shot draw's."""
 
     BOXES = {name: box for name, box in TestUniformBox.boxes().items()
-             if name in ("dinf-h1", "dinf-h2", "gauge-h1-htype", "cc-h1")}
+             if name in ("dinf-h1", "cube-dinf-h2", "gauge-h1-htype", "cube-cc-h1")}
 
     @pytest.mark.parametrize("count", [1, 63, 64, sampling.BLOCK - 1, sampling.BLOCK,
                                        sampling.BLOCK + 65, 3 * sampling.BLOCK + 7])
@@ -332,8 +377,14 @@ class TestBoxBlocks:
         monkeypatch.setattr(sampling, "BLOCK", block)
         monkeypatch.setattr(sampling, "CHUNK_SIZE", chunk)
         budget = 2 * chunk + 1001
+        # a d_inf bump is its region, so the set of the evidence: bump \ ball
         bump = ci.ball_set(DINF, center=ci.point([0, 0], [1.0]), radius=2 - math.sqrt(2))
-        for sampled in (bump, ci.ball_set(GAUGE)):
+        ball = ci.ball_set(DINF)
+        extra = ci.SampledSet(lambda a, l2: bump.membership(a, l2) & ~ball.membership(a, l2),
+                              bump.bounding_box)
+        # layer-1 dimensions 2, 4 and 6: U^(2/m) is U, a square root and a power
+        for sampled in (extra, ci.ball_set(GAUGE), ci.ball_set(ci.GaugeMetric(H2)),
+                        ci.ball_set(ci.CCMetric(ci.heisenberg(3)))):
             est = ci.mc_measure(sampled, budget, seed=3)
             hits = _one_shot_hits(sampled, budget, 3)
             assert 0 < hits < budget
@@ -346,9 +397,41 @@ class TestBoxBlocks:
         assert got == _one_shot_cut_ball_sup(H1, budget, 6)
 
     def test_no_point_in_the_ball_gives_zero(self):
-        # seed 0's one draw misses the ball: the max over no point is 0.0, not an error
-        assert _one_shot_ball_sup(DINF, 1, 0) == 0.0
-        assert ci.apex_reach(DINF, budget=1, seed=0).sampled_sup == 0.0
+        # a d_inf ball is its region, but seed 2's one draw misses the gauge ball:
+        # the max over no point is 0.0, not an error
+        assert _one_shot_ball_sup(GAUGE, 1, 2) == 0.0
+        assert ci.apex_reach(GAUGE, budget=1, seed=2).sampled_sup == 0.0
+
+
+class TestRadialDraw:
+    """A region's a = |layer 1|^2 is r1^2 U^(2/m): |x|^2 of a uniform point of the m-ball.
+
+    A d_inf ball is its region, so no d_inf ratio would see a wrong law; these do.
+    """
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_share_within_s_r1_is_s_to_the_m(self, m):
+        box = BoundingBox(m, 1.7, [-1.0], [1.0])
+        region = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box)
+        s = np.array([0.3, 0.6, 0.9])
+        count, below, top = 1 << 18, np.zeros(3), 0.0
+        for a, _, _ in region.blocks(sampling.substream(9, 0), count):
+            below += np.count_nonzero(a[:, None] <= (box.r1 * s) ** 2, axis=0)
+            top = max(top, a.max())
+        p = s ** m
+        assert np.all(np.abs(below / count - p) < 3.0 * np.sqrt(p * (1.0 - p) / count))
+        assert top <= box.r1 ** 2
+
+    @pytest.mark.parametrize("metric", [ci.GaugeMetric(H2), ci.GaugeMetric(ci.heisenberg(3)),
+                                        ci.CCMetric(H2), ci.CCMetric(ci.heisenberg(3))],
+                             ids=["gauge-h2", "gauge-h3", "cc-h2", "cc-h3"])
+    def test_unit_ball_volumes_in_higher_dimension(self, metric):
+        # against the gauge closed form and the CC quadrature
+        vol, _ = ci.unit_ball_volume(metric)
+        ball = ci.ball_set(metric)
+        est = ci.mc_measure(ball, 400000, seed=13)
+        assert 0.0 < est.value < ball.bounding_box.volume
+        assert abs(est.value - vol) < 3.0 * est.error
 
 
 K3 = quaternionic()
@@ -382,8 +465,9 @@ class TestBallSet:
         # a negative zero is zero
         neg = ci.ball_set(DINF, center=ci.point([-0.0, -0.0], [0.7]), radius=0.8)
         pos = ci.ball_set(DINF, center=ci.point([0.0, 0.0], [0.7]), radius=0.8)
-        assert np.array_equal(neg.bounding_box.lo, pos.bounding_box.lo)
-        assert np.array_equal(neg.bounding_box.hi, pos.bounding_box.hi)
+        assert neg.bounding_box.r1 == pos.bounding_box.r1 == 0.8
+        assert np.array_equal(neg.bounding_box.lo2, pos.bounding_box.lo2)
+        assert np.array_equal(neg.bounding_box.hi2, pos.bounding_box.hi2)
 
     @pytest.mark.parametrize("rho", [0.3, 2 - math.sqrt(2), 1.0], ids=["0.3", "2-sqrt2", "1"])
     @pytest.mark.parametrize("name", sorted(SHIFT_METRICS))
@@ -396,17 +480,19 @@ class TestBallSet:
         c1, c2 = np.zeros(spec.dim1), rng.uniform(-2, 2, spec.dim2)
         ball = ci.ball_set(metric, center=ci.point(c1, c2), radius=rho)
         box = ball.bounding_box
-        mid, half = 0.5 * (box.lo + box.hi), 0.75 * (box.hi - box.lo)
-        pts = rng.uniform(mid - half, mid + half, (100000, len(box.lo)))
+        lo, hi = region_cube(box)
+        mid, half = 0.5 * (lo + hi), 0.75 * (hi - lo)
+        pts = rng.uniform(mid - half, mid + half, (100000, len(lo)))
         l1, l2 = pts[:, :spec.dim1], pts[:, spec.dim1:]
         ref = metric.dist_arrays(c1, c2, l1, l2)
         assert np.array_equal(metric.norm_arrays(l1, l2 - c2), ref)
         mask = ball.membership(_sum_squares(l1), l2)
         assert np.array_equal(mask, ref <= rho)
         assert 0 < np.count_nonzero(mask) < len(mask)
-        # the box holds the ball: no member of the wider draw lies outside it
-        inside_box = np.all((pts >= box.lo) & (pts <= box.hi), axis=1)
-        assert not np.any(mask & ~inside_box)
+        # the region holds the ball: no member of the wider draw lies outside it
+        inside_region = ((_sum_squares(l1) <= box.r1 ** 2)
+                         & np.all((l2 >= box.lo2) & (l2 <= box.hi2), axis=1))
+        assert not np.any(mask & ~inside_region)
 
     def test_dilated_ball_scaling(self):
         lam = 1.7

@@ -5,8 +5,8 @@ radial_within(a, b, r) decides the closed ball on the squared layer norms (a, b)
 sphere's tabulated half height; the d_inf and gauge _radial_bounds compare a
 and b with r's thresholds outside a relative guard band. All three leave only
 uncertain points to radial_norm. These tests compare radial_within on
-layer_squares(l1, l2) with norm_arrays(l1, l2) <= r on the Monte Carlo boxes
-of the evidence and on points within a few ulp of spheres, check that the
+layer_squares(l1, l2) with norm_arrays(l1, l2) <= r on cubes around the Monte
+Carlo regions of the evidence and on points within a few ulp of spheres, check that the
 d_inf and gauge kernels run on band points only, and check the CC table
 against mpmath.
 """
@@ -19,7 +19,7 @@ import pytest
 
 import carnotiso as ci
 from carnotiso import geodesics, groups, isodiametric, measures, metrics, sampling
-from conftest import quaternionic
+from conftest import quaternionic, region_cube
 
 SPECS = {"h1": ci.heisenberg(1), "h2": ci.heisenberg(2)}
 RHO = 2.0 - math.sqrt(2.0)
@@ -78,15 +78,16 @@ class TestTable:
 
 
 def _box_agreement(metric, box, shift, radius, seed, points=AGREEMENT_POINTS):
-    """Blocks of a uniform box draw; radial_within and the kernel must agree on every point.
+    """Blocks of a uniform draw of the cube around box's region; radial_within and the
+    kernel must agree on every point.
 
     radial_within is asked on the blocks' layer_squares.
     """
     rng = np.random.default_rng(seed)
-    d1 = len(box.lo1)
+    d1, (lo, hi) = box.dim1, region_cube(box)
     inside = 0
     for _ in range(points // BLOCK):
-        pts = rng.uniform(box.lo, box.hi, (BLOCK, len(box.lo)))
+        pts = rng.uniform(lo, hi, (BLOCK, len(lo)))
         l1, l2 = pts[:, :d1], pts[:, d1:] - shift
         want = kernel_within(metric, l1, l2, radius)
         assert np.array_equal(metric.radial_within(*metrics.layer_squares(l1, l2), radius), want)
@@ -346,7 +347,7 @@ def test_kernel_coordinate_range(metric):
 
 
 class TestFastPath:
-    """The d_inf and gauge kernels run on band points only, and a bump block squares |z| once."""
+    """The d_inf and gauge kernels run on band points only, and a bump block squares no |z|."""
 
     @pytest.mark.parametrize("name", list(CHEAP))
     def test_kernel_only_on_band(self, name, monkeypatch):
@@ -361,7 +362,8 @@ class TestFastPath:
         rng = np.random.default_rng(61)
         d1 = metric.spec.dim1
         for _, box, shift, radius in evidence_boxes(metric):
-            pts = rng.uniform(box.lo, box.hi, (1 << 17, len(box.lo)))
+            lo, hi = region_cube(box)
+            pts = rng.uniform(lo, hi, (1 << 17, len(lo)))
             seen.clear()
             metric.radial_within(*metrics.layer_squares(pts[:, :d1], pts[:, d1:] - shift), radius)
             for a, b in seen:
@@ -383,14 +385,17 @@ class TestFastPath:
         metric = CHEAP.get(name) or ci.CCMetric(SPECS["h1"])
         apex, _ = isodiametric._apex_and_bound(metric)
         d1, block = metric.spec.dim1, sampling.BLOCK
-        sum_squares, rows = metrics._sum_squares, []
+        d2 = metric.spec.dim2
+        sum_squares, rows = metrics._sum_squares, {d1: [], d2: []}
 
         def spy(x):
-            # layer 1 of a whole block; the kernel's band points come in smaller sets
-            if x.ndim == 2 and x.shape[-1] == d1 and x.shape[0] in (block, 100):
-                rows.append(x.shape[0])
+            # a whole block of one layer; the kernel's band points come in smaller sets
+            if x.ndim == 2 and x.shape[-1] in rows and x.shape[0] in (block, 100):
+                rows[x.shape[-1]].append(x.shape[0])
             return sum_squares(x)
 
         monkeypatch.setattr(metrics, "_sum_squares", spy)
         isodiametric.bump_ratio(isodiametric.BumpParams(apex, RHO), metric, 3 * block + 100, 3)
-        assert rows == [block, block, block, 100]
+        # a is drawn, never squared; the bump and the ball each square their shifted layer 2
+        assert rows[d1] == []
+        assert rows[d2] == [block, block, block, block, block, block, 100, 100]
