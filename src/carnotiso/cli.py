@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import geodesics, groups, isodiametric, measures, metrics
+from . import geodesics, groups, isodiametric, measures, metrics, sampling
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -30,12 +30,17 @@ class InputError(ValueError):
 def parse_group(text: str) -> groups.GroupSpec:
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            return groups.GroupSpec.from_json(fh.read())
-    if text.startswith("h") and text[1:].isdigit():
-        return groups.heisenberg(int(text[1:]))
-    if text == "h1-htype":
-        return groups.h_type(groups.standard_symplectic())
-    raise InputError(f"cannot parse group {text!r} (use hN, h1-htype, or @spec.json)")
+            spec = groups.GroupSpec.from_json(fh.read())
+    elif text.startswith("h") and text[1:].isdigit():
+        spec = groups.heisenberg(int(text[1:]))
+    elif text == "h1-htype":
+        spec = groups.h_type(groups.standard_symplectic())
+    else:
+        raise InputError(f"cannot parse group {text!r} (use hN, h1-htype, or @spec.json)")
+    if spec.dim1 + spec.dim2 > sampling.MAX_CHUNK_FLOATS:  # one point must fit in a chunk
+        raise InputError(f"group {text!r} has {spec.dim1 + spec.dim2} coordinates a point, above "
+                         f"the limit of {sampling.MAX_CHUNK_FLOATS} floats of a sampling chunk")
+    return spec
 
 
 # (model, syntax, layer separator) of each group kind's points

@@ -128,8 +128,8 @@ def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
     the radius r = v^(1/Q); sphere rows take 1 for both. The sphere map then
     gives |z| = r rho sinc(phi) and t = (r rho)^2 T(phi).
     x is central, like the cut point, so translating by it is t -> t + x2.
+    A point costs 3 doubles, the width box_blocks checks, at every n.
     """
-    sampling.check_chunk(count, spec.dim1 + spec.dim2)
     inside = np.ones(min(sampling.BLOCK, count), dtype=bool)
     lo, hi = np.array([-math.pi, 0.0, 0.0]), np.array([math.pi, 1.0, 1.0])
     sphere_left = count // 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geodesics, groups, measures, sampling
+from . import geodesics, groups, measures
 from .groups import GroupPoint
 from .measures import EstimateWithError, SampledSet
 from .metrics import CCMetric, alpha, layer2_ball, unit_ball_volume
@@ -135,10 +135,9 @@ def apex_reach(metric, budget: int = 10**6, seed: int = 0) -> ApexReachReport:
     measures.sampled_max of N over B(apex^-1, 1). For d_inf and gauge it draws
     from ball_set(metric, center=apex^-1), whose box is checked before any draw;
     for CC apex^-1 is the unit cut point, and it is verify_assumption_C's
-    sampled_max_roundtrip. An oversized chunk is refused before any array of
-    the group's width is made.
+    sampled_max_roundtrip. Either draw is radial, a few floats a point at any
+    group width, and sampling refuses an oversized chunk before it is drawn.
     """
-    sampling.check_chunk(min(budget, sampling.CHUNK_SIZE), metric.spec.dim1 + metric.spec.dim2)
     apex, reach = _apex_and_bound(metric)
     if isinstance(metric, CCMetric):
         sup = geodesics.verify_assumption_C(metric.spec, budget, seed).sampled_max_roundtrip

@@ -55,8 +55,9 @@ class BoundingBox:
         self.r1 = float(self.r1)
         self.lo2 = np.atleast_1d(np.asarray(self.lo2, dtype=float))
         self.hi2 = np.atleast_1d(np.asarray(self.hi2, dtype=float))
-        if not self.r1 > 0 or np.any(self.hi2 <= self.lo2):  # negated, so that NaN fails too
-            raise ValueError("bounding box must have positive extent")
+        extent = (-math.inf < self.lo2) & (self.lo2 < self.hi2) & (self.hi2 < math.inf)
+        if not (0 < self.r1 < math.inf and np.all(extent)):  # negated, so that NaN fails too
+            raise ValueError("bounding box must have positive finite extent")
 
     @property
     def volume(self) -> float:
@@ -83,12 +84,10 @@ class SampledSet:
         Each point takes (U, l2) from box_blocks on [0, 1] x [lo2, hi2], and
         a = r1^2 U^(2/dim1): |x|^2 of a uniform x in the layer-1 ball, since
         P(|x| <= s r1) = s^dim1. No layer-1 coordinate is drawn or squared, so
-        a point costs 1 + dim2 doubles. check_chunk runs on the group width
-        dim1 + dim2 before the first draw. a is one buffer, overwritten by the
-        next block, like box_blocks' points.
+        a point costs 1 + dim2 doubles, the width box_blocks checks. a is one
+        buffer, overwritten by the next block, like box_blocks' points.
         """
         box = self.bounding_box
-        sampling.check_chunk(count, box.dim1 + len(box.lo2))
         lo, hi = np.concatenate([[0.0], box.lo2]), np.concatenate([[1.0], box.hi2])
         power, r1sq = 2.0 / box.dim1, box.r1 * box.r1
         buf = np.empty(min(sampling.BLOCK, count))

@@ -12,7 +12,8 @@ of memory: a chunk's points are drawn and tested BLOCK at a time, as
 consecutive draws from the chunk's one generator, so that each block's
 temporaries stay in cache. A generator's doubles are one sequential
 stream, so the blocks hold exactly the rows of one whole-chunk draw, and
-no result depends on BLOCK.
+no result depends on BLOCK. Only box_blocks and uniform_box know what a
+draw costs: each refuses a chunk above MAX_CHUNK_FLOATS before drawing it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ BLOCK = 1 << 14
 # take 1.8 GiB before doing any work.
 MAX_BUDGET = 1 << 36
 THREADS_ENV = "CARNOT_ISO_THREADS"
-# 256 MiB of float64 in one chunk: CHUNK_SIZE points of width 64. Draws are
-# made a block at a time, but the limit bounds the whole chunk.
+# 256 MiB of float64 in one chunk: CHUNK_SIZE points of 64 floats drawn (a
+# radial point draws 1 + k, a CC cut-ball point 3, at any group width). Draws
+# are made a block at a time, but the limit bounds the whole chunk.
 MAX_CHUNK_FLOATS = 1 << 25
 
 
@@ -126,26 +128,21 @@ def box_blocks(rng: np.random.Generator, count: int, lo: np.ndarray, hi: np.ndar
 def _box_filler(lo: np.ndarray, hi: np.ndarray):
     """fill(rng, pts): overwrite the C-contiguous (count, len(lo)) pts with the next draw.
 
-    The box is checked and its bounds tiled once, not once a block: with two
-    threads every Python step of a block may wait for the interpreter lock.
+    Each column is mapped in place, but a [0, 1] column (lower bound 0.0 or -0.0)
+    is left as drawn: 0 + 1 U is U, bit for bit. The box is checked once, not
+    once a block: with two threads every Python step of a block may wait for the GIL.
     """
     span = np.subtract(hi, lo)
     if not np.all(np.isfinite(span)):
         raise OverflowError(f"box side hi - lo = {span} exceeds the float range")
-    width = len(lo)
-    # numpy's inner loop runs along the last axis, so map rows of 64 points
-    # at a time: a loop 64 * width long instead of width long
-    rows_span, rows_lo = np.tile(span, 64), np.tile(lo, 64)
+    cols = [(j, s, b) for j, (s, b) in enumerate(zip(span, lo)) if (s, b) != (1.0, 0.0)]
 
     def fill(rng: np.random.Generator, pts: np.ndarray):
         rng.random(out=pts)
-        head = len(pts) - len(pts) % 64
-        rows = pts[:head].reshape(-1, 64 * width)
-        rows *= rows_span
-        rows += rows_lo
-        if head < len(pts):
-            pts[head:] *= span
-            pts[head:] += lo
+        for j, s, b in cols:
+            col = pts[:, j]
+            col *= s
+            col += b
         return pts
 
     return fill

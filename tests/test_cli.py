@@ -367,69 +367,97 @@ class TestVerify:
 
 
 class TestChunkLimit:
-    """One chunk's draw is refused above sampling.MAX_CHUNK_FLOATS, before it is made."""
+    """One chunk's draw is refused above sampling.MAX_CHUNK_FLOATS, before it is made.
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "dinf"], ["verify", "gauge"], ["verify", "cc"], ["bump-search"],
-        ["bump-search", "--metric", "gauge"], ["bump-search", "--metric", "cc"], ["sigma"],
-    ], ids=["verify-dinf", "verify-gauge", "verify-cc", "bump-dinf", "bump-gauge", "bump-cc",
-            "sigma"])
-    def test_over_limit_exits_2_before_drawing(self, capsys, monkeypatch, argv):
-        class NoDraws:
-            def __getattr__(self, name):
-                raise AssertionError(f"rng.{name} used before the chunk check")
+    The width is the floats drawn a point, not the group's: 1 + k = 2 for a
+    radial set on H^2, 3 for the CC cut ball. A group one of whose points
+    alone exceeds the limit is refused where --group is read.
+    """
 
-        # 1000 points of H^2 are 5000 floats, one over the patched limit
-        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 4999)
-        monkeypatch.setattr(sampling, "substream", lambda seed, chunk: NoDraws())
+    # (argv, floats drawn a point on H^2)
+    DRAWS = [(["verify", "dinf"], 2), (["verify", "gauge"], 2), (["verify", "cc"], 3),
+             (["bump-search"], 2), (["bump-search", "--metric", "gauge"], 2),
+             (["bump-search", "--metric", "cc"], 2), (["sigma"], 2)]
+    IDS = ["verify-dinf", "verify-gauge", "verify-cc", "bump-dinf", "bump-gauge", "bump-cc",
+           "sigma"]
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"rng.{name} used before the chunk check")
+
+    @pytest.mark.parametrize("argv,width", DRAWS, ids=IDS)
+    def test_over_limit_exits_2_before_drawing(self, capsys, monkeypatch, argv, width):
+        # 1000 points of H^2 draw 1000 * width floats, one over the patched limit
+        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 1000 * width - 1)
+        monkeypatch.setattr(sampling, "substream", lambda seed, chunk: self.NoDraws())
         assert main([*argv, "--group", "h2", "--budget", "1000"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: a sampling chunk of 1000 points x 5 coordinates exceeds")
-        assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("counterexample", ["dinf", "gauge"])
-    def test_over_limit_exits_2_before_any_box(self, capsys, monkeypatch, counterexample):
-        # the apex reach refuses the chunk before it reads the ball's box radii,
-        # which the apex and the ball's sampled region are built from
-        def no_box(self):
-            raise AssertionError("_box_radii called before the chunk check")
-
-        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 4999)
-        for cls in (ci.DinfMetric, ci.GaugeMetric):
-            monkeypatch.setattr(cls, "_box_radii", no_box)
-        assert main(["verify", counterexample, "--group", "h2", "--budget", "1000"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: a sampling chunk of 1000 points x 5 coordinates exceeds")
+        assert err.startswith(f"error: a sampling chunk of 1000 points x {width} coordinates "
+                              "exceeds")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "dinf"], ["verify", "gauge"], ["verify", "cc"], ["bump-search"],
-        ["bump-search", "--metric", "gauge"], ["bump-search", "--metric", "cc"], ["sigma"],
-    ], ids=["verify-dinf", "verify-gauge", "verify-cc", "bump-dinf", "bump-gauge", "bump-cc",
+        ["distance", "[0,0,0,0;0]", "[0,0,0,0;1]"], ["ball-volume"], ["verify", "dinf"],
+        ["verify", "gauge"], ["verify", "cc"], ["bump-search"], ["sigma"],
+    ], ids=["distance", "ball-volume", "verify-dinf", "verify-gauge", "verify-cc", "bump-search",
             "sigma"])
-    def test_limit_bounds_the_chunk_not_the_block(self, capsys, monkeypatch, argv):
-        class NoDraws:
-            def __getattr__(self, name):
-                raise AssertionError(f"rng.{name} used before the chunk check")
+    def test_group_over_limit_exits_2_before_any_metric(self, capsys, monkeypatch, argv):
+        # a point of H^2 has 5 coordinates, one over the patched limit: --group is refused
+        # before a metric, a group point or a generator is made
+        def built(*args, **kwargs):
+            raise AssertionError("built before the group check")
 
-        # a block of 64 points of H^2 is 320 floats, far under the limit; the
+        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 4)
+        monkeypatch.setattr(sampling, "substream", lambda seed, chunk: self.NoDraws())
+        monkeypatch.setattr(ci.metrics, "make_metric", built)
+        monkeypatch.setattr(ci.CCMetric, "__init__", built)  # verify cc builds its own
+        monkeypatch.setattr(ci.groups.GroupPoint, "__post_init__", built)
+        assert main([*argv, "--group", "h2"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: group 'h2' has 5 coordinates a point, above the limit of 4 "
+                       "floats of a sampling chunk\n")
+
+    def test_spec_file_over_limit_exits_2(self, capsys, monkeypatch, tmp_path):
+        # the quaternionic H-type group: 4 + 3 coordinates a point
+        f = tmp_path / "spec.json"
+        f.write_text(quaternionic().to_json())
+        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 6)
+        assert main(["bump-search", "--group", "@" + str(f), "--budget", "1000"]) == 2
+        assert "has 7 coordinates a point, above the limit of 6" in capsys.readouterr().err
+        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 7)
+        assert parse_group("@" + str(f)).dim2 == 3
+
+    @pytest.mark.parametrize("argv,width", DRAWS, ids=IDS)
+    def test_limit_bounds_the_chunk_not_the_block(self, capsys, monkeypatch, argv, width):
+        # a block of 64 points of H^2 is 64 * width floats, far under the limit; the
         # chunk of 1000 points is one over it
         monkeypatch.setattr(sampling, "BLOCK", 64)
-        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 4999)
-        monkeypatch.setattr(sampling, "substream", lambda seed, chunk: NoDraws())
+        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 1000 * width - 1)
+        monkeypatch.setattr(sampling, "substream", lambda seed, chunk: self.NoDraws())
         assert main([*argv, "--group", "h2", "--budget", "1000"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: a sampling chunk of 1000 points x 5 coordinates exceeds")
+        assert err.startswith(f"error: a sampling chunk of 1000 points x {width} coordinates "
+                              "exceeds")
 
     @pytest.mark.parametrize("counterexample", ["dinf", "cc"])
     def test_at_limit_runs(self, capsys, monkeypatch, counterexample):
-        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 5000)
+        # at the limit of the width drawn, far under H^2's 1000 x 5 coordinates
+        width = {"dinf": 2, "cc": 3}[counterexample]
+        monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 1000 * width)
         code, _ = run_main(capsys, "verify", counterexample, "--group", "h2", "--budget", "1000")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [["verify", "dinf"], ["bump-search"]],
+                             ids=["verify-dinf", "bump-dinf"])
+    def test_full_chunk_of_a_large_group_runs(self, capsys, argv):
+        # a full chunk on H^40 draws 2^19 points x 2 floats; its group width of 81
+        # would be 2^19 x 81 floats, above the limit
+        code, out = run_main(capsys, *argv, "--group", "h40", "--budget", str(sampling.CHUNK_SIZE))
+        assert code == 0 and json.loads(out)["budget"] == sampling.CHUNK_SIZE
+
     def test_default_chunk_width(self):
-        # a full chunk of CHUNK_SIZE points may have 64 coordinates (H^31 and
-        # below); verify dinf on H^400 would draw 801, about 3.4 GB
+        # a full chunk of CHUNK_SIZE points may draw 64 floats a point; one of 801
+        # floats a point, about 3.4 GB, is refused
         sampling.check_chunk(sampling.CHUNK_SIZE, 64)
         with pytest.raises(ValueError, match="lower the budget"):
             sampling.check_chunk(sampling.CHUNK_SIZE, 801)

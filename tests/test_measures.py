@@ -81,8 +81,11 @@ class TestBoundingBox:
         assert c.volume == pytest.approx(math.pi ** 2 / 2 * 2 ** 4 * 1.0)
 
     def test_degenerate(self):
+        # a NaN or infinite extent too: its volume is NaN or inf, and no draw holds it
         for r1, lo2, hi2 in ((0.0, [-1], [1]), (-1.0, [-1], [1]), (math.nan, [-1], [1]),
-                             (1.0, [1], [1]), (1.0, [-1, 2], [1, 2])):
+                             (1.0, [1], [1]), (1.0, [-1, 2], [1, 2]), (1.0, [math.nan], [1]),
+                             (1.0, [-1], [math.nan]), (math.inf, [-1], [1]),
+                             (1.0, [-math.inf], [1])):
             with pytest.raises(ValueError):
                 BoundingBox(2, r1, lo2, hi2)
 
@@ -246,6 +249,10 @@ class TestUniformBox:
         boxes = {name: (np.concatenate([[0.0], box.lo2]), np.concatenate([[1.0], box.hi2]))
                  for name, box in regions.items()}
         boxes.update({f"cube-{name}": region_cube(box) for name, box in regions.items()})
+        # the CC cut ball's (phi, |chi|, r) box; a [0, 1] column whose lower bound is -0.0,
+        # next to columns that only start at 0 or only have side 1
+        boxes["cut-ball"] = (np.array([-math.pi, 0.0, 0.0]), np.array([math.pi, 1.0, 1.0]))
+        boxes["minus-zero"] = (np.array([-0.0, 0.0, 0.5]), np.array([1.0, 2.0, 1.5]))
         return boxes
 
     @pytest.mark.parametrize("seed,chunk", [(0, 0), (7, 3), (2**64 - 1, 11)])
