@@ -168,8 +168,12 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     d(apex, .) over the unit ball) is proven to be sqrt(2); a reach below that is false
     for it. Every bump point sits within rho + reach <= 2 = diam B of every ball point,
     so the diameter stays 2 and only the extra measure counts: ratio = 1 + Haar(bump \\ B)
-    / Haar(B). bump \\ B tests the two ball_sets' memberships on one a = |z|^2 a block.
+    / Haar(B). bump \\ B is measures.difference of the two ball_sets, on one a = |z|^2 a
+    block: mc_measure decides it by both balls' bounds, and settles the few points
+    near either sphere once a chunk. The volume comes first: a group too wide for it
+    fails before any point of its width is built.
     """
+    ball_vol, ball_err = unit_ball_volume(metric)
     apex, _ = _apex_and_bound(metric)
     if not (np.array_equal(params.apex.layer1, apex.layer1)
             and np.array_equal(params.apex.layer2, apex.layer2)):
@@ -182,7 +186,6 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
         raise CertificateError(f"rho {params.rho} is negative, NaN or exceeds the "
                                f"certified maximum {rho_max}")
     diam = 2.0
-    ball_vol, ball_err = unit_ball_volume(metric)
     desc = {"kind": "bump", "rho": params.rho,
             "apex": {"layer1": params.apex.layer1.tolist(),
                      "layer2": params.apex.layer2.tolist()},
@@ -190,13 +193,8 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     if params.rho == 0.0:
         return RatioResult(EstimateWithError(1.0, 0.0, "closed_form", 0, seed), diam, desc)
 
-    bump = measures.ball_set(metric, center=params.apex, radius=params.rho)
-    ball = measures.ball_set(metric)
-
-    def extra_membership(a, l2):
-        return bump.membership(a, l2) & ~ball.membership(a, l2)
-
-    extra = SampledSet(extra_membership, bump.bounding_box)
+    extra = measures.difference(measures.ball_set(metric, center=params.apex, radius=params.rho),
+                                measures.ball_set(metric))
     rel = measures.per_unit_ball(measures.mc_measure(extra, budget, seed), ball_vol, ball_err)
     return RatioResult(EstimateWithError(1.0 + rel.value, rel.error, "monte_carlo", budget, seed),
                        diam, desc)
@@ -206,8 +204,11 @@ def maximize_bump(metric, budget: int = 10**6, seed: int = 0) -> RatioResult:
     """Best certified bump ratio: one estimate at the certified maximum rho.
 
     For rho < rho', B(apex, rho) lies inside B(apex, rho'), so Haar(bump \\ B)
-    never decreases with rho and the best certified ratio is at rho_max.
+    never decreases with rho and the best certified ratio is at rho_max. The
+    volume comes first, as in bump_ratio, so that no apex is built for a group
+    too wide for it.
     """
+    unit_ball_volume(metric)
     apex, reach = _apex_and_bound(metric)
     rho_max = max_certified_rho(metric, reach)
     result = bump_ratio(BumpParams(apex=apex, rho=rho_max), metric, budget, seed,

@@ -5,7 +5,9 @@ Haar measure is coordinate Lebesgue measure in both the Heisenberg and the
 H-type exponential model. Every norm reads layer 1 through a = |layer 1|^2
 alone, so a SampledSet is drawn radially: a uniform point of its region, a
 layer-1 ball times a layer-2 box, is a = r1^2 U^(2/m) and its layer-2
-coordinates, 1 + k doubles of one substream. per_unit_ball is the one
+coordinates, 1 + k doubles of one substream. mc_measure and sampled_max
+decide each block by the metric's bounds alone and run the kernel once a
+chunk on the points those leave undecided. per_unit_ball is the one
 division of a measure by Haar(B1), with the volume's error folded in. Each
 metric class holds its unit-ball volume rule, read by
 :func:`carnotiso.metrics.unit_ball_volume`: closed forms for d_inf and
@@ -66,20 +68,34 @@ class BoundingBox:
                      * np.prod(self.hi2 - self.lo2))
 
 
+# a chunk holds at most this many copied undecided rows, plus one block's, before
+# the kernel settles them: memory stays bounded at any budget
+SETTLE_ROWS = sampling.BLOCK
+
+
 @dataclass
 class SampledSet:
-    """Measurable candidate set: vectorized membership + bounding box.
+    """Measurable candidate set: vectorized membership + bounding box, and an optional triage.
 
     membership(a, l2) takes a = |layer 1|^2 of shape (N,) and layer 2 of shape
-    (N, dim2), and returns a boolean mask of shape (N,). Every set here reads
-    layer 1 only through a, as every norm does.
+    (N, dim2), and returns the exact boolean mask of shape (N,). Every set here
+    reads layer 1 only through a, as every norm does. triage(a, l2), where
+    given, decides a block without the kernel: it returns (inside, unsure),
+    with inside where a point is surely in and unsure, or None when empty,
+    where only membership can tell. Sets without a triage, such as a plain
+    mask, are decided by membership whole.
     """
 
     membership: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bounding_box: BoundingBox
+    triage: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
 
-    def blocks(self, rng: np.random.Generator, count: int):
-        """Yield (a, l2, inside) for count uniform draws of the region, a block at a time.
+    def decide(self, a, l2):
+        """(inside, unsure) of a block: the triage's, or the exact mask and None."""
+        return self.triage(a, l2) if self.triage else (self.membership(a, l2), None)
+
+    def draws(self, rng: np.random.Generator, count: int):
+        """Yield (a, l2) for count uniform draws of the region, a block at a time.
 
         Each point takes (U, l2) from box_blocks on [0, 1] x [lo2, hi2], and
         a = r1^2 U^(2/dim1): |x|^2 of a uniform x in the layer-1 ball, since
@@ -94,7 +110,11 @@ class SampledSet:
         for pts in sampling.box_blocks(rng, count, lo, hi):
             a = np.power(pts[:, 0], power, out=buf[:len(pts)])
             a *= r1sq
-            l2 = pts[:, 1:]
+            yield a, pts[:, 1:]
+
+    def blocks(self, rng: np.random.Generator, count: int):
+        """Yield (a, l2, inside) for count uniform draws, inside the exact mask of each block."""
+        for a, l2 in self.draws(rng, count):
             yield a, l2, self.membership(a, l2)
 
 
@@ -108,7 +128,9 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
     Membership(a, y2) is metric.radial_within(a, |y2 - c2|^2, radius): bit for bit
     norm_arrays(y1, y2 - c2) <= radius at a = |y1|^2, decided from the squared layer
     norms with no root (d_inf, gauge) or by the CC half-height table on all but the
-    points next to the sphere. It is the one place that shifts a set's layer 2.
+    points next to the sphere. Its triage is metric._radial_split on the same
+    squares: those decisions, with the points next to the sphere left unsure.
+    It is the one place that shifts a set's layer 2.
     The array norms take a and square layer 2 unscaled, so FloatingPointError
     unless R^2 is a normal float and, on layer 2, the sum of squares at the
     box's far corner is finite and every half-width squares to a normal float.
@@ -135,7 +157,35 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
     def member(a, l2):
         return metric.radial_within(a, metrics_mod._sum_squares(l2 - c.layer2), radius)
 
-    return SampledSet(member, box)
+    def triage(a, l2):
+        return metric._radial_split(a, metrics_mod._sum_squares(l2 - c.layer2), radius)
+
+    return SampledSet(member, box, triage)
+
+
+def difference(kept: SampledSet, removed: SampledSet) -> SampledSet:
+    """kept \\ removed on kept's region, with a triage from the two sets' decisions.
+
+    A point is surely in when it is surely in kept and surely out of removed,
+    and surely out when it is surely out of kept or surely in removed; the rest
+    is unsure, and membership settles it on both exact masks. When neither set
+    leaves a point unsure, the triage is the exact mask, in as many passes.
+    """
+    def member(a, l2):
+        return kept.membership(a, l2) & ~removed.membership(a, l2)
+
+    def triage(a, l2):
+        (k_in, k_unsure), (r_in, r_unsure) = kept.decide(a, l2), removed.decide(a, l2)
+        inside = k_in & ~r_in
+        if k_unsure is None and r_unsure is None:
+            return inside, None
+        maybe = inside.copy() if k_unsure is None else (k_in | k_unsure) & ~r_in
+        if r_unsure is not None:
+            inside &= ~r_unsure
+        maybe ^= inside  # inside lies in maybe, the points not surely out
+        return inside, maybe if maybe.any() else None
+
+    return SampledSet(member, kept.bounding_box, triage)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +203,34 @@ def cc_unit_ball_volume(n: int) -> EstimateWithError:
 # Monte Carlo measure
 # ---------------------------------------------------------------------------
 
+def _stacked(held):
+    """A chunk's copied rows, each column concatenated: one kernel pass settles them all."""
+    return [np.concatenate(col) for col in zip(*held)]
+
+
 def mc_measure(sampled: SampledSet, budget: int, seed: int) -> EstimateWithError:
-    """Hit-or-miss estimate of the Haar (Lebesgue) measure of a SampledSet."""
+    """Hit-or-miss estimate of the Haar (Lebesgue) measure of a SampledSet.
+
+    Each block counts its sure hits (SampledSet.decide) and copies its unsure
+    rows out of the reused block buffers; membership settles the copies in one
+    pass a chunk, or as soon as SETTLE_ROWS are held. The hit count is the
+    exact mask's integer, so the estimate keeps its bits at every BLOCK and
+    thread count.
+    """
+    def settle(held):
+        return int(np.count_nonzero(sampled.membership(*_stacked(held)))) if held else 0
+
     def chunk(rng, count):
-        return sum(int(np.count_nonzero(inside)) for _, _, inside in sampled.blocks(rng, count))
+        hits, held, rows = 0, [], 0
+        for a, l2 in sampled.draws(rng, count):
+            inside, unsure = sampled.decide(a, l2)
+            hits += int(np.count_nonzero(inside))
+            if unsure is not None:
+                held.append((a[unsure], l2[unsure]))
+                rows += len(held[-1][0])
+                if rows >= SETTLE_ROWS:
+                    hits, held, rows = hits + settle(held), [], 0
+        return hits + settle(held)
 
     hits = sum(sampling.map_chunks(seed, budget, chunk))
     p = hits / budget
@@ -175,25 +249,32 @@ def sampled_max(metric, blocks, budget: int, seed: int) -> float:
     """Exact max of metric's norm over the inside points of budget draws, 0.0 if none.
 
     blocks(rng, count) yields (a, l2, inside) for one chunk's count points, a =
-    |layer 1|^2. Each chunk keeps its own running max M: it starts as the max
-    norm of the inside points among every 64th point of the chunk's first
-    block, and the kernel then runs only on the inside points that
-    metric.radial_within(., M) rejects, exactly those of norm above M. Layer 2
-    is squared once a block, and with the block's a feeds the seed, the test
+    |layer 1|^2. Each chunk keeps a maximum M: it starts as the max norm of
+    the inside points among every 64th point of the chunk's first block. The
+    inside points that metric._radial_bounds(., M) cannot place at or below M
+    are copied out of the block, and their exact max joins M when the kernel
+    settles them: once a chunk, or as soon as SETTLE_ROWS are held. Layer 2 is
+    squared once a block, and with the block's a feeds the seed, the bounds
     and the kernel. So no output depends on BLOCK or the thread count.
     """
+    def settle(best, held):
+        return max(best, float(metric.radial_norm(*_stacked(held)).max())) if held else best
+
     def chunk(rng, count):
-        best = None
+        best, held, rows = None, [], 0
         for a, l2, inside in blocks(rng, count):
             b = metrics_mod._sum_squares(l2)
             if best is None:
-                best = np.max(metric.radial_norm(a[::64], b[::64]), where=inside[::64],
-                              initial=0.0)
-            above = ~metric.radial_within(a, b, best)
-            above &= inside
+                best = float(np.max(metric.radial_norm(a[::64], b[::64]), where=inside[::64],
+                                    initial=0.0))
+            bounds = metric._radial_bounds(a, b, best)
+            above = inside if bounds is None else inside & ~bounds[0]
             if above.any():
-                best = np.maximum(best, metric.radial_norm(a[above], b[above]).max())
-        return float(best)
+                held.append((a[above], b[above]))
+                rows += len(held[-1][0])
+                if rows >= SETTLE_ROWS:
+                    best, held, rows = settle(best, held), [], 0
+        return settle(best, held)
 
     return max(sampling.map_chunks(seed, budget, chunk))
 

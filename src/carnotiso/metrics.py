@@ -331,20 +331,32 @@ class _HomogeneousMetric:
     def norm_arrays(self, l1, l2):
         return self.radial_norm(*layer_squares(l1, l2))
 
-    def radial_within(self, a, b, r):
-        """radial_norm(a, b) <= r, bit for bit, with the kernel on the unsure points only.
+    def _radial_split(self, a, b, r):
+        """(inside, unsure) of radial_norm(a, b) <= r, the kernel deferred; unsure None if empty.
 
-        _radial_bounds decides the rest from a and b alone. A 0-d input, or a
-        radius it declines, goes to radial_norm whole. On a and b =
-        layer_squares(l1, l2) it is the closed ball's mask norm_arrays(l1, l2) <= r,
-        bit for bit, and inherits the kernel's coordinate range (_sum_squares).
+        The masks of _radial_bounds: inside holds where the point is surely in,
+        unsure where only the kernel can tell. A 0-d input, or a radius the
+        bounds decline, gets the kernel's exact mask whole, and unsure None.
         """
         r = float(r)
         bounds = self._radial_bounds(a, b, r) if np.ndim(a) else None
         if bounds is None:
-            return self.radial_norm(a, b) <= r
+            return self.radial_norm(a, b) <= r, None
         inside, unsure = bounds
-        if unsure.any():  # radial_norm is elementwise: a subset keeps its bits
+        return inside, unsure if unsure.any() else None
+
+    def radial_within(self, a, b, r):
+        """radial_norm(a, b) <= r, bit for bit, with the kernel on the unsure points only.
+
+        _radial_split decides the rest from a and b alone; the Monte Carlo of
+        measures defers its unsure points to one kernel pass a chunk instead.
+        On a and b = layer_squares(l1, l2) it is the closed ball's mask
+        norm_arrays(l1, l2) <= r, bit for bit, and inherits the kernel's
+        coordinate range (_sum_squares).
+        """
+        r = float(r)
+        inside, unsure = self._radial_split(a, b, r)
+        if unsure is not None:  # radial_norm is elementwise: a subset keeps its bits
             inside[unsure] = self.radial_norm(a[unsure], b[unsure]) <= r
         return inside
 
@@ -460,7 +472,8 @@ class GaugeMetric(_HomogeneousMetric):
         t = (r * r) * (r * r)
         if not 1e-300 <= t <= 1e300:  # negated, so that NaN fails too
             return None
-        q = a * a + self.layer2_scale ** 2 * b
+        q = a * a  # in place: one addition of the kernel's two products, so the same bits
+        q += self.layer2_scale ** 2 * b
         inside, unsure = q <= t * (1.0 - WITHIN_GUARD), q <= t * (1.0 + WITHIN_GUARD)
         return inside, unsure ^ inside
 
@@ -489,7 +502,9 @@ class CCMetric(_HomogeneousMetric):
     sqrt(pi |t|): within 1e-14 relative of the exact norm. A NaN |z| or t
     gives NaN, which no ball holds. _radial_bounds decides all but a few
     points of radial_norm(a, b) <= r from the unit ball's tabulated half
-    height; the Monte Carlo paths use it. distance, the scalar norm and the
+    height. The Monte Carlo of measures decides each block by it alone and
+    runs the kernel once a chunk on the points it leaves undecided, a solve's
+    fixed cost paid once, not once a block. distance, the scalar norm and the
     volume rule run the kernel, or their own quadrature, on every point.
     """
 

@@ -500,6 +500,22 @@ class TestBumpSearch:
         assert main(["bump-search", "--group", "h200", "--budget", "10"]) == 3
         assert capsys.readouterr().err.startswith("numerical error: overflow")
 
+    @pytest.mark.parametrize("command", ["bump-search", "sigma"])
+    @pytest.mark.parametrize("metric", ["dinf", "gauge"])
+    def test_overflow_builds_no_wide_point(self, capsys, command, metric):
+        # the unit-ball volume of H^200000 overflows before an apex is built: one
+        # point of its 400001 coordinates would be 3.1 MiB, two of them 6.5 MiB
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            code = main([command, "--metric", metric, "--group", "h200000", "--budget", "1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical error: overflow")
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("argv", [["--c2", "2"], ["--c1", "0.5"],
                                       ["--group", "h1-htype", "--c2", "2.0000000001"]])
     def test_dinf_not_a_distance_exits_2(self, capsys, argv):

@@ -389,8 +389,12 @@ class TestBoxBlocks:
         ball = ci.ball_set(DINF)
         extra = ci.SampledSet(lambda a, l2: bump.membership(a, l2) & ~ball.membership(a, l2),
                               bump.bounding_box)
+        # the CC bump's triage leaves points unsure, which are settled once a chunk
+        cc_bump = ci.measures.difference(
+            ci.ball_set(CC, center=ci.point([0, 0], [-1 / math.pi]), radius=2 - math.sqrt(2)),
+            ci.ball_set(CC))
         # layer-1 dimensions 2, 4 and 6: U^(2/m) is U, a square root and a power
-        for sampled in (extra, ci.ball_set(GAUGE), ci.ball_set(ci.GaugeMetric(H2)),
+        for sampled in (extra, cc_bump, ci.ball_set(GAUGE), ci.ball_set(ci.GaugeMetric(H2)),
                         ci.ball_set(ci.CCMetric(ci.heisenberg(3)))):
             est = ci.mc_measure(sampled, budget, seed=3)
             hits = _one_shot_hits(sampled, budget, 3)
@@ -535,3 +539,111 @@ class TestSetDiameter:
         for cloud in ((l1, l2), (l1, l2[:1])):
             with pytest.raises(ValueError, match="equal row counts"):
                 ci.set_diameter(cloud, NoDistance())
+
+
+RHO = 2 - math.sqrt(2)
+
+
+def _cc_kernel_spy(monkeypatch):
+    """The sizes of every CCMetric.radial_norm call from here on."""
+    kernel, sizes = ci.CCMetric.radial_norm, []
+
+    def spy(self, a, b):
+        sizes.append(np.size(a))
+        return kernel(self, a, b)
+
+    monkeypatch.setattr(ci.CCMetric, "radial_norm", spy)
+    return sizes
+
+
+def _cc_bump(spec, budget, seed):
+    metric = ci.CCMetric(spec)
+    apex, _ = ci.isodiametric._apex_and_bound(metric)
+    return ci.bump_ratio(ci.BumpParams(apex, RHO), metric, budget, seed).ratio
+
+
+class TestSettleOnceAChunk:
+    """mc_measure and sampled_max decide a block by bounds alone and settle the rest once a chunk."""
+
+    def test_difference_triage(self):
+        # the nine (kept, removed) states, each sure in, sure out or unsure; the
+        # exact masks say in for the unsure ones of kept and out for those of removed
+        kept_state = np.repeat(["in", "out", "unsure"], 3)
+        removed_state = np.tile(["in", "out", "unsure"], 3)
+
+        def three_valued(state, exact):
+            def triage(a, l2):
+                unsure = state == "unsure"
+                return state == "in", unsure if unsure.any() else None
+            return ci.SampledSet(lambda a, l2: (state == "in") | ((state == "unsure") & exact),
+                                 BoundingBox(2, 1.0, [-1.0], [1.0]), triage)
+
+        a, l2 = np.zeros(9), np.zeros((9, 1))
+        extra = ci.measures.difference(three_valued(kept_state, True),
+                                       three_valued(removed_state, False))
+        inside, unsure = extra.decide(a, l2)
+        assert inside.tolist() == [False, True, False] + [False] * 6
+        # unsure: kept in and removed unsure, kept unsure and removed out or unsure
+        assert unsure.tolist() == [False, False, True, False, False, False, False, True, True]
+        exact = extra.membership(a, l2)
+        assert exact.tolist() == [False, True, True] + [False] * 3 + [False, True, True]
+        assert not np.any(inside & ~exact) and not np.any(exact & ~inside & ~unsure)
+        # with no unsure point the triage is the exact mask
+        sure = [0, 1, 3, 4]
+        both = ci.measures.difference(three_valued(kept_state[sure], True),
+                                      three_valued(removed_state[sure], False))
+        inside, unsure = both.decide(a[sure], l2[sure])
+        assert unsure is None and inside.tolist() == [False, True, False, False]
+        assert np.array_equal(inside, both.membership(a[sure], l2[sure]))
+
+    def test_cc_bump_one_kernel_pass_a_chunk(self, monkeypatch):
+        # 2^17 points are one chunk of 8 blocks; the bump and the base ball each
+        # settle their unsure points once (the parent ran the kernel twice a block)
+        sizes = _cc_kernel_spy(monkeypatch)
+        _cc_bump(H1, 1 << 17, 1)
+        assert 1 <= len(sizes) <= 2
+
+    def test_verify_cc_kernel_passes(self, monkeypatch):
+        # the seed's every 64th point, one settle, the continuation distance
+        sizes = _cc_kernel_spy(monkeypatch)
+        ci.verify_assumption_C(H1, 1 << 16, seed=1)
+        assert len(sizes) <= 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("spec", [H1, H2], ids=["h1", "h2"])
+    def test_cc_bump_hits_are_the_full_kernel_count(self, monkeypatch, spec, seed):
+        # the same draws with radial_norm on every point, for the bump and the ball
+        budget, seen = 1 << 17, []
+        mc_measure = ci.measures.mc_measure
+
+        def record(sampled, budget, seed):
+            seen.append((sampled, mc_measure(sampled, budget, seed)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(ci.measures, "mc_measure", record)
+        _cc_bump(spec, budget, seed)
+        (extra, est), = seen
+        metric, (apex, _) = ci.CCMetric(spec), ci.isodiametric._apex_and_bound(ci.CCMetric(spec))
+        hits = 0
+        for a, l2 in extra.draws(sampling.substream(seed, 0), budget):
+            bump = metric.radial_norm(a, _sum_squares(l2 - apex.layer2)) <= RHO
+            ball = metric.radial_norm(a, _sum_squares(l2)) <= 1.0
+            hits += int(np.count_nonzero(bump & ~ball))
+        assert 0 < hits < budget
+        assert est.value == extra.bounding_box.volume * (hits / budget)
+
+    def test_settle_cap_keeps_every_output(self, monkeypatch):
+        # with at most 7 held rows (plus a block's) the kernel settles far more often;
+        # the counts and maxima, and so every output, stay the same
+        def outputs():
+            sizes = _cc_kernel_spy(monkeypatch)
+            bump = _cc_bump(H1, 1 << 17, 1)
+            cut = ci.verify_assumption_C(H1, 1 << 16, seed=1).sampled_max_roundtrip
+            reach = [ci.apex_reach(m, 1 << 16, seed=2).sampled_sup for m in (DINF, GAUGE)]
+            return (bump.value, bump.error, cut, reach), len(sizes)
+
+        want, calls = outputs()
+        monkeypatch.setattr(ci.measures, "SETTLE_ROWS", 7)
+        got, capped_calls = outputs()
+        assert got == want
+        assert capped_calls > calls
