@@ -119,7 +119,7 @@ class CutPointReport:
 
 
 def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
-    """Yield (a, t, inside) blocks of count points of the closed CC ball B(x, 1), inside all true.
+    """Yield (a, t) blocks of count points of the closed CC ball B(x, 1).
 
     a = |z|^2: every norm reads z through it alone, so no direction is drawn.
     Row i is on the sphere when i < count // 2, inside the ball otherwise. It
@@ -130,7 +130,6 @@ def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
     x is central, like the cut point, so translating by it is t -> t + x2.
     A point costs 3 doubles, the width box_blocks checks, at every n.
     """
-    inside = np.ones(min(sampling.BLOCK, count), dtype=bool)
     lo, hi = np.array([-math.pi, 0.0, 0.0]), np.array([math.pi, 1.0, 1.0])
     sphere_left = count // 2
     for pts in sampling.box_blocks(rng, count, lo, hi):
@@ -141,7 +140,7 @@ def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
         sinc, height = _sphere_profile(pts[:, 0])
         rc = pts[:, 2] * pts[:, 1]
         zn = rc * sinc
-        yield zn * zn, (rc * rc * height)[:, None] + x.layer2, inside[:len(pts)]
+        yield zn * zn, (rc * rc * height)[:, None] + x.layer2
 
 
 def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
@@ -149,12 +148,12 @@ def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
     """Numerical evidence that geodesics stop minimizing at the cut point.
 
     With x the unit cut point, samples y on and in the closed CC ball B(x, 1)
-    (_cut_ball_blocks) and reports margin = 2 - max d(0, y), the exact sampled
-    max of measures.sampled_max. By left invariance d(0, x w) = d(x^-1, w), so
-    the max is also the sampled reach of the bump apex x^-1 over the unit
-    ball, proven to be sqrt(2) in isodiametric._apex_and_bound; apex_reach
-    reports this same number. The geodesic continuation point [0, 4/pi] sits
-    at distance exactly 2, but outside B(x, 1).
+    (_cut_ball_blocks, no within needed) and reports margin = 2 - max d(0, y),
+    the exact max of measures.sampled_max. By left invariance d(0, x w) =
+    d(x^-1, w), so the max is also the sampled reach of the bump apex x^-1
+    over the unit ball, proven to be sqrt(2) in isodiametric._apex_and_bound;
+    apex_reach reports this same number. The geodesic continuation point
+    [0, 4/pi] sits at distance exactly 2, but outside B(x, 1).
     """
     if spec.kind != "heisenberg":
         raise GroupError("assumption (C) check needs a Heisenberg spec")

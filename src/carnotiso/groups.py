@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 J_STRUCTURE_TOL = 1e-12
+HTYPE_SHAPE = "an H-type structure is k >= 1 square matrices of one size m >= 1"
 
 
 class GroupError(ValueError):
@@ -98,6 +99,8 @@ class GroupSpec:
             return heisenberg(entry("n"))
         if doc.get("kind") == "htype":
             m, k, rows = entry("m"), entry("k"), entry("J", list)
+            if min(k, m) < 1:  # numpy would read a negative m as "any size"
+                raise GroupError(f"{HTYPE_SHAPE}, got shape {(k, m, m)}")
             try:
                 J = np.array([np.asarray(row, dtype=float).reshape(m, m) for row in rows])
             except TypeError as exc:  # a row entry that is not a number
@@ -233,8 +236,8 @@ def validate_htype(J) -> ValidationReport:
     J = np.asarray(J, dtype=float)
     if J.ndim == 2:
         J = J[None, :, :]
-    if J.ndim != 3 or J.shape[1] != J.shape[2]:
-        raise GroupError(f"expected k square matrices of equal size, got shape {J.shape}")
+    if J.ndim != 3 or J.shape[1] != J.shape[2] or 0 in J.shape:
+        raise GroupError(f"{HTYPE_SHAPE}, got shape {J.shape}")
     k, m, _ = J.shape
     eye = np.eye(m)
     skew = max(float(np.abs(Ji + Ji.T).max()) for Ji in J)

@@ -133,7 +133,7 @@ def apex_reach(metric, budget: int = 10**6, seed: int = 0) -> ApexReachReport:
 
     By left invariance d(apex, y) = N(apex^-1 y): the sampled sup is the
     measures.sampled_max of N over B(apex^-1, 1). For d_inf and gauge it draws
-    from ball_set(metric, center=apex^-1), whose box is checked before any draw;
+    ball = ball_set(metric, center=apex^-1), within ball, its box checked first;
     for CC apex^-1 is the unit cut point, and it is verify_assumption_C's
     sampled_max_roundtrip. Either draw is radial, a few floats a point at any
     group width, and sampling refuses an oversized chunk before it is drawn.
@@ -143,7 +143,7 @@ def apex_reach(metric, budget: int = 10**6, seed: int = 0) -> ApexReachReport:
         sup = geodesics.verify_assumption_C(metric.spec, budget, seed).sampled_max_roundtrip
     else:
         ball = measures.ball_set(metric, center=groups.inv(metric.spec, apex))
-        sup = measures.sampled_max(metric, ball.blocks, budget, seed)
+        sup = measures.sampled_max(metric, ball.draws, budget, seed, within=ball)
     return ApexReachReport(reach=reach, sampled_sup=sup, samples=budget, seed=seed)
 
 

@@ -80,10 +80,9 @@ class SampledSet:
     membership(a, l2) takes a = |layer 1|^2 of shape (N,) and layer 2 of shape
     (N, dim2), and returns the exact boolean mask of shape (N,). Every set here
     reads layer 1 only through a, as every norm does. triage(a, l2), where
-    given, decides a block without the kernel: it returns (inside, unsure),
-    with inside where a point is surely in and unsure, or None when empty,
-    where only membership can tell. Sets without a triage, such as a plain
-    mask, are decided by membership whole.
+    given, decides a block without the kernel: it returns two bool masks
+    (inside, unsure), inside where a point is surely in and unsure where only
+    membership can tell.
     """
 
     membership: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -91,8 +90,10 @@ class SampledSet:
     triage: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
 
     def decide(self, a, l2):
-        """(inside, unsure) of a block: the triage's, or the exact mask and None."""
-        return self.triage(a, l2) if self.triage else (self.membership(a, l2), None)
+        """(inside, unsure) of a block: the triage's, or the exact mask and no point unsure."""
+        if self.triage:
+            return self.triage(a, l2)
+        return self.membership(a, l2), np.zeros(len(a), bool)
 
     def draws(self, rng: np.random.Generator, count: int):
         """Yield (a, l2) for count uniform draws of the region, a block at a time.
@@ -112,11 +113,6 @@ class SampledSet:
             a *= r1sq
             yield a, pts[:, 1:]
 
-    def blocks(self, rng: np.random.Generator, count: int):
-        """Yield (a, l2, inside) for count uniform draws, inside the exact mask of each block."""
-        for a, l2 in self.draws(rng, count):
-            yield a, l2, self.membership(a, l2)
-
 
 def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> SampledSet:
     """The closed metric ball B(center, radius) as a SampledSet; center must be central.
@@ -128,7 +124,7 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
     Membership(a, y2) is metric.radial_within(a, |y2 - c2|^2, radius): bit for bit
     norm_arrays(y1, y2 - c2) <= radius at a = |y1|^2, decided from the squared layer
     norms with no root (d_inf, gauge) or by the CC half-height table on all but the
-    points next to the sphere. Its triage is metric._radial_split on the same
+    points next to the sphere. Its triage is metric._radial_bounds on the same
     squares: those decisions, with the points next to the sphere left unsure.
     It is the one place that shifts a set's layer 2.
     The array norms take a and square layer 2 unscaled, so FloatingPointError
@@ -158,7 +154,7 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
         return metric.radial_within(a, metrics_mod._sum_squares(l2 - c.layer2), radius)
 
     def triage(a, l2):
-        return metric._radial_split(a, metrics_mod._sum_squares(l2 - c.layer2), radius)
+        return metric._radial_bounds(a, metrics_mod._sum_squares(l2 - c.layer2), radius)
 
     return SampledSet(member, box, triage)
 
@@ -168,22 +164,15 @@ def difference(kept: SampledSet, removed: SampledSet) -> SampledSet:
 
     A point is surely in when it is surely in kept and surely out of removed,
     and surely out when it is surely out of kept or surely in removed; the rest
-    is unsure, and membership settles it on both exact masks. When neither set
-    leaves a point unsure, the triage is the exact mask, in as many passes.
+    is unsure, and membership settles it on both exact masks.
     """
     def member(a, l2):
         return kept.membership(a, l2) & ~removed.membership(a, l2)
 
     def triage(a, l2):
         (k_in, k_unsure), (r_in, r_unsure) = kept.decide(a, l2), removed.decide(a, l2)
-        inside = k_in & ~r_in
-        if k_unsure is None and r_unsure is None:
-            return inside, None
-        maybe = inside.copy() if k_unsure is None else (k_in | k_unsure) & ~r_in
-        if r_unsure is not None:
-            inside &= ~r_unsure
-        maybe ^= inside  # inside lies in maybe, the points not surely out
-        return inside, maybe if maybe.any() else None
+        inside = k_in & ~(r_in | r_unsure)
+        return inside, ((k_in | k_unsure) & ~r_in) ^ inside  # the not surely out, less inside
 
     return SampledSet(member, kept.bounding_box, triage)
 
@@ -211,11 +200,11 @@ def _stacked(held):
 def mc_measure(sampled: SampledSet, budget: int, seed: int) -> EstimateWithError:
     """Hit-or-miss estimate of the Haar (Lebesgue) measure of a SampledSet.
 
-    Each block counts its sure hits (SampledSet.decide) and copies its unsure
-    rows out of the reused block buffers; membership settles the copies in one
-    pass a chunk, or as soon as SETTLE_ROWS are held. The hit count is the
-    exact mask's integer, so the estimate keeps its bits at every BLOCK and
-    thread count.
+    Each block counts its sure hits (SampledSet.decide) and, when any are
+    unsure, copies those rows out of the reused block buffers; membership
+    settles the copies in one pass a chunk, or as soon as SETTLE_ROWS are
+    held. The hit count is the exact mask's integer, so the estimate keeps
+    its bits at every BLOCK and thread count.
     """
     def settle(held):
         return int(np.count_nonzero(sampled.membership(*_stacked(held)))) if held else 0
@@ -225,7 +214,7 @@ def mc_measure(sampled: SampledSet, budget: int, seed: int) -> EstimateWithError
         for a, l2 in sampled.draws(rng, count):
             inside, unsure = sampled.decide(a, l2)
             hits += int(np.count_nonzero(inside))
-            if unsure is not None:
+            if unsure.any():
                 held.append((a[unsure], l2[unsure]))
                 rows += len(held[-1][0])
                 if rows >= SETTLE_ROWS:
@@ -245,13 +234,14 @@ def mc_measure(sampled: SampledSet, budget: int, seed: int) -> EstimateWithError
     return EstimateWithError(vol * p, se, "monte_carlo", budget, seed)
 
 
-def sampled_max(metric, blocks, budget: int, seed: int) -> float:
-    """Exact max of metric's norm over the inside points of budget draws, 0.0 if none.
+def sampled_max(metric, draws, budget: int, seed: int, within=None) -> float:
+    """Exact max of metric's norm over budget draws, or over those in within; 0.0 if none.
 
-    blocks(rng, count) yields (a, l2, inside) for one chunk's count points, a =
-    |layer 1|^2. Each chunk keeps a maximum M: it starts as the max norm of
-    the inside points among every 64th point of the chunk's first block. The
-    inside points that metric._radial_bounds(., M) cannot place at or below M
+    draws(rng, count) yields (a, l2) blocks of one chunk's count points, a =
+    |layer 1|^2; within, a SampledSet, picks each block's points by its exact
+    membership. Each chunk keeps a maximum M: it starts as the max norm of the
+    picked points among every 64th point of the chunk's first block. The
+    picked points that metric._radial_bounds(., M) cannot place at or below M
     are copied out of the block, and their exact max joins M when the kernel
     settles them: once a chunk, or as soon as SETTLE_ROWS are held. Layer 2 is
     squared once a block, and with the block's a feeds the seed, the bounds
@@ -262,13 +252,16 @@ def sampled_max(metric, blocks, budget: int, seed: int) -> float:
 
     def chunk(rng, count):
         best, held, rows = None, [], 0
-        for a, l2, inside in blocks(rng, count):
+        for a, l2 in draws(rng, count):
             b = metrics_mod._sum_squares(l2)
             if best is None:
-                best = float(np.max(metric.radial_norm(a[::64], b[::64]), where=inside[::64],
-                                    initial=0.0))
-            bounds = metric._radial_bounds(a, b, best)
-            above = inside if bounds is None else inside & ~bounds[0]
+                norms = metric.radial_norm(a[::64], b[::64])
+                if within is not None:
+                    norms = norms[within.membership(a[::64], l2[::64])]
+                best = float(np.max(norms, initial=0.0))
+            above = ~metric._radial_bounds(a, b, best)[0]
+            if within is not None:
+                above &= within.membership(a, l2)
             if above.any():
                 held.append((a[above], b[above]))
                 rows += len(held[-1][0])

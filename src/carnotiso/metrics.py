@@ -300,6 +300,11 @@ def layer_squares(l1, l2):
     return _sum_squares(np.asarray(l1, dtype=float)), _sum_squares(np.asarray(l2, dtype=float))
 
 
+def _all_unsure(a):
+    """(inside, unsure) of a radius whose thresholds _radial_bounds declines: no point decided."""
+    return np.zeros(np.shape(a), bool), np.ones(np.shape(a), bool)
+
+
 def _scale_exponent(p: GroupPoint) -> int:
     """e with max(|layer1|, |layer2|^(1/2)) in [2^(e-1), 2^e); 0 at the identity."""
     return math.frexp(max(np.max(np.abs(p.layer1)), math.sqrt(np.max(np.abs(p.layer2)))))[1]
@@ -314,12 +319,13 @@ class _HomogeneousMetric:
     """Shared plumbing: the radial contract, and distances from the norm of inv(p) . q.
 
     A metric defines radial_norm(a, b), its elementwise array kernel on
-    (a, b) = layer_squares(l1, l2), and _radial_bounds(a, b, r): the masks
-    (inside, unsure) with radial_norm(a, b) <= r exactly where inside holds
-    and unsure does not, or None where its thresholds at r are unsafe; its
-    name, _box_radii() (unit_ball_bbox) and _volume(), by volume_method. The
-    scalar interface dilates its points to O(1) by a power of two, which is
-    exact, so that N(delta_s p) = s N(p) holds for tiny and huge coordinates.
+    (a, b) = layer_squares(l1, l2), and _radial_bounds(a, b, r): two bool
+    arrays (inside, unsure) shaped like a, with radial_norm(a, b) <= r
+    exactly where inside holds and unsure does not, every point unsure at a
+    radius whose thresholds are unsafe; its name, _box_radii()
+    (unit_ball_bbox) and _volume(), by volume_method. The scalar interface
+    dilates its points to O(1) by a power of two, which is exact, so that
+    N(delta_s p) = s N(p) holds for tiny and huge coordinates.
     """
 
     spec: GroupSpec
@@ -331,32 +337,20 @@ class _HomogeneousMetric:
     def norm_arrays(self, l1, l2):
         return self.radial_norm(*layer_squares(l1, l2))
 
-    def _radial_split(self, a, b, r):
-        """(inside, unsure) of radial_norm(a, b) <= r, the kernel deferred; unsure None if empty.
-
-        The masks of _radial_bounds: inside holds where the point is surely in,
-        unsure where only the kernel can tell. A 0-d input, or a radius the
-        bounds decline, gets the kernel's exact mask whole, and unsure None.
-        """
-        r = float(r)
-        bounds = self._radial_bounds(a, b, r) if np.ndim(a) else None
-        if bounds is None:
-            return self.radial_norm(a, b) <= r, None
-        inside, unsure = bounds
-        return inside, unsure if unsure.any() else None
-
     def radial_within(self, a, b, r):
         """radial_norm(a, b) <= r, bit for bit, with the kernel on the unsure points only.
 
-        _radial_split decides the rest from a and b alone; the Monte Carlo of
-        measures defers its unsure points to one kernel pass a chunk instead.
-        On a and b = layer_squares(l1, l2) it is the closed ball's mask
-        norm_arrays(l1, l2) <= r, bit for bit, and inherits the kernel's
-        coordinate range (_sum_squares).
+        _radial_bounds decides the rest from a and b alone, and a 0-d input goes
+        to the kernel; the Monte Carlo of measures defers its unsure points to
+        one kernel pass a chunk instead. On a and b = layer_squares(l1, l2) it is
+        the closed ball's mask norm_arrays(l1, l2) <= r, bit for bit, and
+        inherits the kernel's coordinate range (_sum_squares).
         """
         r = float(r)
-        inside, unsure = self._radial_split(a, b, r)
-        if unsure is not None:  # radial_norm is elementwise: a subset keeps its bits
+        if not np.ndim(a):
+            return self.radial_norm(a, b) <= r
+        inside, unsure = self._radial_bounds(a, b, r)
+        if unsure.any():  # radial_norm is elementwise: a subset keeps its bits
             inside[unsure] = self.radial_norm(a[unsure], b[unsure]) <= r
         return inside
 
@@ -420,13 +414,13 @@ class DinfMetric(_HomogeneousMetric):
 
         Inside when a = |z|^2 <= (r/c1)^2 (1 - g) and b = |t|^2 <= (r/c2)^4 (1 - g),
         g = WITHIN_GUARD; outside when a or b exceeds its threshold times 1 + g, or
-        is NaN. The kernel rounds 3 times, the thresholds 5. None when r or a
-        threshold leaves [1e-300, 1e300].
+        is NaN. The kernel rounds 3 times, the thresholds 5. Every point is
+        unsure when r or a threshold leaves [1e-300, 1e300].
         """
         ra, rb = r / self.c1, r / self.c2
         ta, tb = ra * ra, (rb * rb) * (rb * rb)
         if not all(1e-300 <= x <= 1e300 for x in (r, ta, tb)):  # NaN too
-            return None
+            return _all_unsure(a)
         inside = (a <= ta * (1.0 - WITHIN_GUARD)) & (b <= tb * (1.0 - WITHIN_GUARD))
         unsure = (a <= ta * (1.0 + WITHIN_GUARD)) & (b <= tb * (1.0 + WITHIN_GUARD))
         return inside, unsure ^ inside
@@ -467,11 +461,11 @@ class GaugeMetric(_HomogeneousMetric):
 
         Inside when the kernel's q = N^4 = a^2 + s^2 b <= r^4 (1 - g), g =
         WITHIN_GUARD; outside when q > r^4 (1 + g) or NaN. numpy's q ** 0.25 is
-        within a few ulp. None when r^4 leaves [1e-300, 1e300].
+        within a few ulp. Every point is unsure when r^4 leaves [1e-300, 1e300].
         """
         t = (r * r) * (r * r)
         if not 1e-300 <= t <= 1e300:  # negated, so that NaN fails too
-            return None
+            return _all_unsure(a)
         q = a * a  # in place: one addition of the kernel's two products, so the same bits
         q += self.layer2_scale ** 2 * b
         inside, unsure = q <= t * (1.0 - WITHIN_GUARD), q <= t * (1.0 + WITHIN_GUARD)
@@ -557,11 +551,11 @@ class CCMetric(_HomogeneousMetric):
         PROFILE_EPS = 1e-9 is thus four times the sum it must exceed. Every
         other point is unsure: those within about one cell of the sphere's
         height, u < 1 / PROFILE_CELLS (|z| within 6e-8 r of r), and NaN; that
-        is about 50 of the 2^17 points of the CC bump box. None for r outside
-        [1e-100, 1e100], where r^2 may leave the normal range.
+        is about 50 of the 2^17 points of the CC bump box. Every point is
+        unsure for r outside [1e-100, 1e100], where r^2 may leave the normal range.
         """
         if not 1e-100 <= r <= 1e100:  # negated, so that NaN fails too
-            return None
+            return _all_unsure(a)
         low, high = _profile_bounds()
         x = np.sqrt(a) * (1.0 / r)
         y = np.sqrt(b) * (1.0 / (r * r))

@@ -19,7 +19,7 @@ def cut_ball_points(spec, x, rng, count):
     block = sampling.BLOCK
     sampling.BLOCK = count
     try:
-        (a, t, _), = geodesics._cut_ball_blocks(spec, x, rng, count)
+        (a, t), = geodesics._cut_ball_blocks(spec, x, rng, count)
     finally:
         sampling.BLOCK = block
     return a, t

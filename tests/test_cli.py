@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import math
 import os
@@ -40,6 +41,17 @@ def test_import_loads_no_thread_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True).stdout
     assert out == "False\n"
+
+
+def test_console_script_is_cli_main(capsys):
+    # the installed `carnotiso` command is pyproject's [project.scripts] entry
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    doc = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert doc["project"]["scripts"] == {"carnotiso": "carnotiso.cli:main"}
+    module, _, name = doc["project"]["scripts"]["carnotiso"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: carnotiso")
 
 
 class TestParsers:
@@ -89,6 +101,18 @@ class TestParsers:
         assert main(["ball-volume", "--group", "@" + str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("m, k, rows, shape", [(0, 1, [[]], (1, 0, 0)),
+                                                   (2, 0, [], (0, 2, 2)),
+                                                   (-1, 1, [[]], (1, -1, -1))],
+                             ids=["m-0", "k-0", "m-negative"])
+    def test_empty_htype_group_file_exits_2(self, capsys, tmp_path, m, k, rows, shape):
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps({"kind": "htype", "m": m, "k": k, "J": rows}))
+        assert main(["ball-volume", "--group", "@" + str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: an H-type structure is k >= 1 square matrices of one size "
+                       f"m >= 1, got shape {shape}\n")
 
     def test_group_file_whole_float_and_htype(self, tmp_path):
         f = tmp_path / "spec.json"

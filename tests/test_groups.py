@@ -164,6 +164,15 @@ class TestValidateHtype:
         with pytest.raises(GroupError):
             ci.validate_htype(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (1, 0, 0), (0, 0, 0)])
+    def test_empty_structure_is_a_group_error(self, shape):
+        # no matrix, or matrices of size 0: a GroupError naming the shape, not
+        # numpy's or max()'s ValueError on an empty reduction
+        for build in (ci.validate_htype, ci.h_type):
+            with pytest.raises(GroupError, match=r"k >= 1 square matrices of one size m >= 1, "
+                                                 rf"got shape \({shape[0]}, {shape[1]}, {shape[2]}\)"):
+                build(np.zeros(shape))
+
 
 class TestModelChange:
     def test_is_homomorphism(self):

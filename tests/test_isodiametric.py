@@ -128,7 +128,7 @@ class TestApexReach:
 
     @pytest.mark.parametrize("metric", [DINF, ci.GaugeMetric(H1)], ids=["dinf", "gauge"])
     def test_one_layer_one_square_a_block(self, metric, monkeypatch):
-        # SampledSet.blocks draws a = |layer 1|^2 itself: no layer-1 block is
+        # SampledSet.draws draws a = |layer 1|^2 itself: no layer-1 block is
         # squared, for the membership or for sampled_max; layer 2 is squared
         # once a block by each
         calls = []

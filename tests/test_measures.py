@@ -360,10 +360,10 @@ class TestBoxBlocks:
             ours, ref = sampling.substream(5, 0), sampling.substream(5, 0)
             got = list(ci.geodesics._cut_ball_blocks(spec, x, ours, count))
             a, t = cut_ball_points(spec, x, ref, count)
-            assert all(len(b) == sampling.BLOCK for b, _, _ in got[:-1])
-            assert np.array_equal(np.concatenate([b for b, _, _ in got]), a)
-            assert np.array_equal(np.vstack([b for _, b, _ in got]), t)
-            assert all(len(m) == len(b) and m.all() for b, _, m in got)
+            assert all(len(b) == sampling.BLOCK for b, _ in got[:-1])
+            assert np.array_equal(np.concatenate([b for b, _ in got]), a)
+            assert np.array_equal(np.vstack([b for _, b in got]), t)
+            assert all(len(b) == len(y) for b, y in got)
             assert np.array_equal(ours.random(4), ref.random(4))
             # the first half on the sphere B(x, 1), the rest inside it
             norms = ci.CCMetric(spec).radial_norm(a, _sum_squares(t - x.layer2))
@@ -426,7 +426,7 @@ class TestRadialDraw:
         region = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box)
         s = np.array([0.3, 0.6, 0.9])
         count, below, top = 1 << 18, np.zeros(3), 0.0
-        for a, _, _ in region.blocks(sampling.substream(9, 0), count):
+        for a, _ in region.draws(sampling.substream(9, 0), count):
             below += np.count_nonzero(a[:, None] <= (box.r1 * s) ** 2, axis=0)
             top = max(top, a.max())
         p = s ** m
@@ -573,8 +573,7 @@ class TestSettleOnceAChunk:
 
         def three_valued(state, exact):
             def triage(a, l2):
-                unsure = state == "unsure"
-                return state == "in", unsure if unsure.any() else None
+                return state == "in", state == "unsure"
             return ci.SampledSet(lambda a, l2: (state == "in") | ((state == "unsure") & exact),
                                  BoundingBox(2, 1.0, [-1.0], [1.0]), triage)
 
@@ -593,8 +592,51 @@ class TestSettleOnceAChunk:
         both = ci.measures.difference(three_valued(kept_state[sure], True),
                                       three_valued(removed_state[sure], False))
         inside, unsure = both.decide(a[sure], l2[sure])
-        assert unsure is None and inside.tolist() == [False, True, False, False]
+        assert not unsure.any() and inside.tolist() == [False, True, False, False]
         assert np.array_equal(inside, both.membership(a[sure], l2[sure]))
+
+    @pytest.mark.parametrize("metric", [DINF, ci.DinfMetric(H2), GAUGE, CC, ci.CCMetric(H2)],
+                             ids=["dinf-h1", "dinf-h2", "gauge-h1-htype", "cc-h1", "cc-h2"])
+    def test_bump_difference_triage_is_sound(self, metric):
+        # on real bump draws: no point both surely in and unsure, every sure point
+        # decided as the exact mask decides it, and only unsure points left open
+        apex, _ = ci.isodiametric._apex_and_bound(metric)
+        extra = ci.measures.difference(ci.ball_set(metric, center=apex, radius=RHO),
+                                       ci.ball_set(metric))
+        hits = unsure_rows = 0
+        for a, l2 in extra.draws(sampling.substream(5, 0), 1 << 16):
+            inside, unsure = extra.decide(a, l2)
+            exact = extra.membership(a, l2)
+            assert inside.dtype == unsure.dtype == bool and inside.shape == unsure.shape == a.shape
+            assert not np.any(inside & unsure)
+            assert not np.any(inside & ~exact)
+            assert not np.any(exact & ~(inside | unsure))
+            hits += int(np.count_nonzero(exact))
+            unsure_rows += int(np.count_nonzero(unsure))
+        assert 0 < hits < 1 << 16
+        if isinstance(metric, ci.CCMetric):  # CC leaves the points next to either sphere
+            assert unsure_rows > 0
+
+    def test_sampled_max_within_a_cc_ball(self):
+        # within's exact membership picks the points, some of which its bounds leave
+        # unsure; the maximum is the full kernel's over the points of the ball
+        c = ci.cut_point(H1, 1.0)
+        ball, c2 = ci.ball_set(CC, center=c), c.layer2
+        budget, seed, unsure_rows = 1 << 16, 8, 0
+
+        def chunk(rng, count):
+            nonlocal unsure_rows
+            best = 0.0
+            for a, l2 in ball.draws(rng, count):
+                unsure_rows += int(np.count_nonzero(ball.decide(a, l2)[1]))
+                picked = CC.radial_norm(a, _sum_squares(l2 - c2)) <= 1.0
+                norms = CC.radial_norm(a[picked], _sum_squares(l2[picked]))
+                best = max(best, float(np.max(norms, initial=0.0)))
+            return best
+
+        want = max(sampling.map_chunks(seed, budget, chunk))
+        assert unsure_rows > 0 and want > 1.0
+        assert ci.measures.sampled_max(CC, ball.draws, budget, seed, within=ball) == want
 
     def test_cc_bump_one_kernel_pass_a_chunk(self, monkeypatch):
         # 2^17 points are one chunk of 8 blocks; the bump and the base ball each

@@ -121,7 +121,7 @@ class TestAgreement:
 
         def chunk(rng, count):
             blocks = []
-            for a, y2, _ in geodesics._cut_ball_blocks(spec, x, rng, count):
+            for a, y2 in geodesics._cut_ball_blocks(spec, x, rng, count):
                 b = metrics._sum_squares(y2)
                 blocks.append((a, b, metric.radial_norm(a, b)))
             best = max(norms.max() for _, _, norms in blocks)
@@ -344,6 +344,28 @@ def test_kernel_coordinate_range(metric):
     expected = 1e-85 * metric.norm(ci.point([0.0, 0.0], [1.0]))
     assert metric.norm(tiny) == pytest.approx(expected, rel=1e-15)
     assert metric.dist(origin, tiny) == metric.norm(tiny)
+
+
+@pytest.mark.parametrize("metric, radii", [
+    (ci.DinfMetric(SPECS["h1"]), [1e-200, math.nan, math.inf]),
+    (ci.GaugeMetric(SPECS["h1"]), [1e-100, 1e100]),
+    (ci.CCMetric(SPECS["h1"]), [1e-200, 1e200, math.nan]),
+], ids=["dinf", "gauge", "cc"])
+def test_declined_radii_leave_every_point_unsure(metric, radii):
+    # a radius whose thresholds _radial_bounds declines still gets two bool masks shaped
+    # like a, with no point decided; radial_within then runs the kernel on every point
+    rng = np.random.default_rng(71)
+    for shape in ((5,), (4, 3)):
+        a, b = rng.uniform(0.0, 2.0, shape), rng.uniform(0.0, 2.0, shape)
+        for radius in radii:
+            inside, unsure = metric._radial_bounds(a, b, radius)
+            for mask in (inside, unsure):
+                assert isinstance(mask, np.ndarray) and mask.dtype == bool
+                assert mask.shape == a.shape
+            assert unsure.all() and not inside.any(), radius
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                want = metric.radial_norm(a, b) <= radius
+            assert np.array_equal(metric.radial_within(a, b, radius), want), radius
 
 
 class TestFastPath:
