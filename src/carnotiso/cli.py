@@ -21,6 +21,10 @@ from . import geodesics, groups, isodiametric, measures, metrics, sampling
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+# FloatingPointError: a volume or sampling box outside the normal float range;
+# OverflowError: e.g. Gamma(m/2 + 1) in a ball volume of a large group
+NUMERICAL_ERRORS = (metrics.ConvergenceError, metrics.QuadratureError, FloatingPointError,
+                    OverflowError)
 
 
 class InputError(ValueError):
@@ -107,11 +111,15 @@ def cmd_cdc_table(args) -> int:
     if args.n_max < args.n_min - 1:
         raise InputError(f"--n-max {args.n_max} is below --n-min {args.n_min} "
                          "(n-max = n-min - 1 gives an empty table)")
-    rows = []
+    rows, failure = [], None
     for n in range(args.n_min, args.n_max + 1):
-        metric = metrics.CCMetric(groups.heisenberg(n))
-        rows.append((n, metrics.unit_ball_volume(metric)[0],
-                     isodiametric.projection_upper_bound(metric)))
+        try:
+            metric = metrics.CCMetric(groups.heisenberg(n))
+            rows.append((n, metrics.unit_ball_volume(metric)[0],
+                         isodiametric.projection_upper_bound(metric)))
+        except NUMERICAL_ERRORS as exc:  # keep the rows before n, then fail naming n
+            failure = type(exc)(f"at n = {n}: {exc}")
+            break
     if args.format == "json":
         doc = {"rows": [{"n": n, "cc_ball_volume": v, "cdc_upper_bound": b}
                         for n, v, b in rows],
@@ -121,6 +129,8 @@ def cmd_cdc_table(args) -> int:
         lines = ["n,cc_ball_volume,cdc_upper_bound"]
         lines += [f"{n},{v:.12g},{b:.12g}" for n, v, b in rows]
         emit(args, "\n".join(lines) + "\n")
+    if failure:
+        raise failure
     return EXIT_OK
 
 
@@ -232,12 +242,9 @@ def main(argv=None) -> int:
     except (InputError, groups.GroupError, metrics.MetricError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    # FloatingPointError: a volume or sampling box outside the normal float range
-    except (metrics.ConvergenceError, metrics.QuadratureError, FloatingPointError) as exc:
-        sys.stderr.write(f"numerical error: {exc}\n")
-        return EXIT_NUMERICAL
-    except OverflowError as exc:  # e.g. Gamma(m/2 + 1) in a ball volume of a large group
-        sys.stderr.write(f"numerical error: overflow ({exc})\n")
+    except NUMERICAL_ERRORS as exc:
+        what = f"overflow ({exc})" if isinstance(exc, OverflowError) else exc
+        sys.stderr.write(f"numerical error: {what}\n")
         return EXIT_NUMERICAL
 
 

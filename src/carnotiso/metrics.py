@@ -5,8 +5,8 @@ coordinate arrays (shape (..., dim1) / (..., dim2)), which the Monte Carlo of
 :mod:`carnotiso.measures` uses. All three norms depend on a point only
 through a = |layer 1|^2 and b = |layer 2|^2 (layer_squares), so each metric's
 array kernel is radial_norm(a, b), and its _radial_bounds(a, b, r) decides
-most points of radial_norm(a, b) <= r without it; the one radial_within of
-_HomogeneousMetric runs the kernel on the rest. Each CC profile has one
+most points of radial_norm(a, b) <= r without it; the Monte Carlo of
+measures runs the kernel on the rest. Each CC profile has one
 kernel: mu and mu' in _mu_pair, the unit sphere's radius sin phi / phi and
 half height T in _sphere_profile, for the sphere map, the cut-ball sampler,
 the half-height table and the CC volume. Each metric class states its name,
@@ -336,23 +336,6 @@ class _HomogeneousMetric:
     # this line in its own namespace until the tracer is rewritten (ROADMAP 1)
     def norm_arrays(self, l1, l2):
         return self.radial_norm(*layer_squares(l1, l2))
-
-    def radial_within(self, a, b, r):
-        """radial_norm(a, b) <= r, bit for bit, with the kernel on the unsure points only.
-
-        _radial_bounds decides the rest from a and b alone, and a 0-d input goes
-        to the kernel; the Monte Carlo of measures defers its unsure points to
-        one kernel pass a chunk instead. On a and b = layer_squares(l1, l2) it is
-        the closed ball's mask norm_arrays(l1, l2) <= r, bit for bit, and
-        inherits the kernel's coordinate range (_sum_squares).
-        """
-        r = float(r)
-        if not np.ndim(a):
-            return self.radial_norm(a, b) <= r
-        inside, unsure = self._radial_bounds(a, b, r)
-        if unsure.any():  # radial_norm is elementwise: a subset keeps its bits
-            inside[unsure] = self.radial_norm(a[unsure], b[unsure]) <= r
-        return inside
 
     def norm(self, p: GroupPoint) -> float:
         e = _scale_exponent(p)

@@ -323,6 +323,23 @@ class TestCdcTable:
         assert main(["cdc-table", "--n-min", "171", "--n-max", "171"]) == 3
         assert capsys.readouterr().err.startswith("numerical error: overflow")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_overflow_keeps_the_rows_before(self, capsys, tmp_path, fmt, to_file):
+        # Gamma overflows at n = 171: rows 169 and 170 are written, then exit 3 naming n
+        dest = tmp_path / "table"
+        table = ["cdc-table", "--n-min", "169", "--format", fmt]
+        assert main(table + ["--n-max", "171"] + (["--output", str(dest)] if to_file else [])) == 3
+        captured = capsys.readouterr()
+        out = dest.read_text() if to_file else captured.out
+        assert captured.out == ("" if to_file else out)
+        assert captured.err == "numerical error: overflow (at n = 171: math range error)\n"
+        code, want = run_main(capsys, *table, "--n-max", "170")
+        assert code == 0 and out == want
+        ns = ([r["n"] for r in json.loads(out)["rows"]] if fmt == "json"
+              else [int(line.split(",")[0]) for line in out.splitlines()[1:]])
+        assert ns == [169, 170]
+
     def test_empty_range_ok(self, capsys):
         code, out = run_main(capsys, "cdc-table", "--n-min", "3", "--n-max", "2")
         assert code == 0

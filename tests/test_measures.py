@@ -8,7 +8,7 @@ import carnotiso as ci
 from carnotiso import sampling
 from carnotiso.groups import standard_symplectic
 from carnotiso.measures import BoundingBox
-from carnotiso.metrics import _sum_squares, cc_ball_integrand
+from carnotiso.metrics import _all_unsure, _sum_squares, cc_ball_integrand
 from conftest import cut_ball_points, quaternionic, region_cube
 
 H1 = ci.heisenberg(1)
@@ -617,26 +617,45 @@ class TestSettleOnceAChunk:
         if isinstance(metric, ci.CCMetric):  # CC leaves the points next to either sphere
             assert unsure_rows > 0
 
-    def test_sampled_max_within_a_cc_ball(self):
-        # within's exact membership picks the points, some of which its bounds leave
-        # unsure; the maximum is the full kernel's over the points of the ball
+    @staticmethod
+    def _cut_ball_max(budget, seed):
+        """(B(cut point, 1), the full kernel's max norm in it, the rows its triage left unsure)."""
         c = ci.cut_point(H1, 1.0)
-        ball, c2 = ci.ball_set(CC, center=c), c.layer2
-        budget, seed, unsure_rows = 1 << 16, 8, 0
+        ball, unsure_rows = ci.ball_set(CC, center=c), 0
 
         def chunk(rng, count):
             nonlocal unsure_rows
             best = 0.0
             for a, l2 in ball.draws(rng, count):
                 unsure_rows += int(np.count_nonzero(ball.decide(a, l2)[1]))
-                picked = CC.radial_norm(a, _sum_squares(l2 - c2)) <= 1.0
+                picked = CC.radial_norm(a, _sum_squares(l2 - c.layer2)) <= 1.0
                 norms = CC.radial_norm(a[picked], _sum_squares(l2[picked]))
                 best = max(best, float(np.max(norms, initial=0.0)))
             return best
 
-        want = max(sampling.map_chunks(seed, budget, chunk))
+        return ball, max(sampling.map_chunks(seed, budget, chunk)), unsure_rows
+
+    def test_sampled_max_within_a_cc_ball(self):
+        # within's triage picks the candidates, some of which it leaves unsure, and its
+        # exact membership settles them; the maximum is the full kernel's over the ball
+        ball, want, unsure_rows = self._cut_ball_max(1 << 16, 8)
         assert unsure_rows > 0 and want > 1.0
-        assert ci.measures.sampled_max(CC, ball.draws, budget, seed, within=ball) == want
+        assert ci.measures.sampled_max(CC, ball.draws, 1 << 16, 8, within=ball) == want
+
+    def test_sampled_max_keeps_unsure_points(self):
+        # a within whose triage leaves every point unsure: only its exact membership
+        # picks the points, so a sampled_max that kept only inside would miss the maximum
+        ball, want, _ = self._cut_ball_max(1 << 16, 8)
+        unsure_only = ci.SampledSet(ball.membership, ball.bounding_box,
+                                    lambda a, l2: _all_unsure(a))
+        assert ci.measures.sampled_max(CC, ball.draws, 1 << 16, 8, within=unsure_only) == want
+
+    def test_sampled_max_within_a_cc_ball_kernel_passes(self, monkeypatch):
+        # the seed's membership and max, then one settle's membership and max
+        ball = ci.ball_set(CC, center=ci.cut_point(H1, 1.0))
+        sizes = _cc_kernel_spy(monkeypatch)
+        ci.measures.sampled_max(CC, ball.draws, 1 << 16, 8, within=ball)
+        assert len(sizes) <= 4
 
     def test_cc_bump_one_kernel_pass_a_chunk(self, monkeypatch):
         # 2^17 points are one chunk of 8 blocks; the bump and the base ball each

@@ -1,14 +1,15 @@
-"""Ball membership without the full kernel: the kernel's decisions, bit for bit.
+"""Ball triage without the full kernel: every decided point is the kernel's decision.
 
-radial_within(a, b, r) decides the closed ball on the squared layer norms (a, b)
-= layer_squares(l1, l2). CCMetric._radial_bounds decides N <= r from the unit
-sphere's tabulated half height; the d_inf and gauge _radial_bounds compare a
-and b with r's thresholds outside a relative guard band. All three leave only
-uncertain points to radial_norm. These tests compare radial_within on
-layer_squares(l1, l2) with norm_arrays(l1, l2) <= r on cubes around the Monte
-Carlo regions of the evidence and on points within a few ulp of spheres, check that the
-d_inf and gauge kernels run on band points only, and check the CC table
-against mpmath.
+_radial_bounds(a, b, r) answers (inside, unsure) on the squared layer norms
+(a, b) = layer_squares(l1, l2). CCMetric._radial_bounds decides N <= r from
+the unit sphere's tabulated half height; the d_inf and gauge _radial_bounds
+compare a and b with r's thresholds outside a relative guard band. All three
+leave only uncertain points unsure, for the kernel to settle. These tests
+check that no point is both inside and unsure, and that inside equals
+norm_arrays(l1, l2) <= r on every point left sure, on cubes around the Monte
+Carlo regions of the evidence and on points within a few ulp of spheres;
+that the d_inf and gauge bounds leave only band points unsure; and the CC
+table against mpmath.
 """
 
 import math
@@ -29,6 +30,19 @@ BLOCK = 1 << 16
 
 def kernel_within(metric, l1, l2, r):
     return metric.norm_arrays(l1, l2) <= r
+
+
+def assert_decided(metric, a, b, r, want):
+    """_radial_bounds(a, b, r) is two disjoint masks, and inside is want wherever it is sure.
+
+    want is the kernel's mask radial_norm(a, b) <= r, here on the points whose
+    squares a, b are; returns (inside, unsure).
+    """
+    inside, unsure = metric._radial_bounds(a, b, r)
+    assert inside.shape == unsure.shape == want.shape
+    assert not np.any(inside & unsure)
+    assert np.array_equal(inside[~unsure], want[~unsure])
+    return inside, unsure
 
 
 def node_phi(u):
@@ -78,10 +92,10 @@ class TestTable:
 
 
 def _box_agreement(metric, box, shift, radius, seed, points=AGREEMENT_POINTS):
-    """Blocks of a uniform draw of the cube around box's region; radial_within and the
-    kernel must agree on every point.
+    """Blocks of a uniform draw of the cube around box's region; the bounds must
+    decide every point they decide as the kernel does.
 
-    radial_within is asked on the blocks' layer_squares.
+    _radial_bounds is asked on the blocks' layer_squares.
     """
     rng = np.random.default_rng(seed)
     d1, (lo, hi) = box.dim1, region_cube(box)
@@ -90,7 +104,7 @@ def _box_agreement(metric, box, shift, radius, seed, points=AGREEMENT_POINTS):
         pts = rng.uniform(lo, hi, (BLOCK, len(lo)))
         l1, l2 = pts[:, :d1], pts[:, d1:] - shift
         want = kernel_within(metric, l1, l2, radius)
-        assert np.array_equal(metric.radial_within(*metrics.layer_squares(l1, l2), radius), want)
+        assert_decided(metric, *metrics.layer_squares(l1, l2), radius, want)
         inside += int(np.count_nonzero(want))
     return inside
 
@@ -114,8 +128,8 @@ class TestAgreement:
         assert _box_agreement(metric, box, 0.0, 1.0, seed=22) > 0
 
     def test_cut_ball_maximum(self, name):
-        # verify_assumption_C's maximum is the full kernel's, and radial_within at
-        # each chunk maximum is the kernel's decision on every sample
+        # verify_assumption_C's maximum is the full kernel's, and _radial_bounds at
+        # each chunk maximum decides every sample it decides as the kernel does
         spec = SPECS[name]
         metric, x = ci.CCMetric(spec), geodesics.cut_point(spec, 1.0)
 
@@ -126,7 +140,7 @@ class TestAgreement:
                 blocks.append((a, b, metric.radial_norm(a, b)))
             best = max(norms.max() for _, _, norms in blocks)
             for a, b, norms in blocks:
-                assert np.array_equal(metric.radial_within(a, b, best), norms <= best)
+                assert_decided(metric, a, b, best, norms <= best)
             return float(best)
 
         want = max(sampling.map_chunks(23, AGREEMENT_POINTS, chunk))
@@ -162,7 +176,7 @@ class TestBoundary:
         z, t = sphere_shells(spec.n, radius, 4096, seed=31)
         want = kernel_within(metric, z, t, radius)
         assert 0 < np.count_nonzero(want) < want.size
-        assert np.array_equal(metric.radial_within(*metrics.layer_squares(z, t), radius), want)
+        assert_decided(metric, *metrics.layer_squares(z, t), radius, want)
 
     def test_edges(self):
         metric = ci.CCMetric(SPECS["h1"])
@@ -181,15 +195,15 @@ class TestBoundary:
         for radius in (1.0, 1e-101, 1e101, math.inf, 0.0, 1.0 - 1e-16):
             with np.errstate(invalid="ignore", over="ignore"):
                 want = kernel_within(metric, z, t, radius)
-                got = metric.radial_within(*metrics.layer_squares(z, t), radius)
-            assert np.array_equal(got, want) and not got[nan].any(), radius
+                inside, _ = assert_decided(metric, *metrics.layer_squares(z, t), radius, want)
+            assert not inside[nan].any(), radius
         # one point, and points in a (4, 3) grid
-        assert (metric.radial_within(*metrics.layer_squares(z[2], t[2]), 1.0)
-                == (metric.norm_arrays(z[2], t[2]) <= 1.0))
-        grid = metric.radial_within(
-            *metrics.layer_squares(z[:12].reshape(4, 3, 2), t[:12].reshape(4, 3, 1)), 1.0)
+        assert_decided(metric, *metrics.layer_squares(z[2:3], t[2:3]), 1.0,
+                       metric.norm_arrays(z[2:3], t[2:3]) <= 1.0)
         with np.errstate(invalid="ignore"):
-            assert np.array_equal(grid, kernel_within(metric, z[:12], t[:12], 1.0).reshape(4, 3))
+            assert_decided(
+                metric, *metrics.layer_squares(z[:12].reshape(4, 3, 2), t[:12].reshape(4, 3, 1)),
+                1.0, kernel_within(metric, z[:12], t[:12], 1.0).reshape(4, 3))
 
     @pytest.mark.parametrize("metric", [ci.DinfMetric(SPECS["h1"]), ci.GaugeMetric(SPECS["h1"])],
                              ids=["dinf", "gauge"])
@@ -197,14 +211,15 @@ class TestBoundary:
         pts = np.random.default_rng(4).uniform(-1.5, 1.5, (1000, 3))
         l1, l2 = pts[:, :2], pts[:, 2:]
         want = metric.norm_arrays(l1, l2) <= 1.0
-        assert np.array_equal(metric.radial_within(*metrics.layer_squares(l1, l2), 1.0), want)
-        # one 1-d point at a time, and the first 12 points as a (4, 3) grid
+        assert_decided(metric, *metrics.layer_squares(l1, l2), 1.0, want)
+        # one point at a time as a one-row array, and the first 12 points as a (4, 3) grid
         assert 0 < np.count_nonzero(want[:12]) < 12
-        assert all(metric.radial_within(*metrics.layer_squares(l1[i], l2[i]), 1.0) == want[i]
-                   for i in range(12))
-        grid = metric.radial_within(
-            *metrics.layer_squares(l1[:12].reshape(4, 3, 2), l2[:12].reshape(4, 3, 1)), 1.0)
-        assert np.array_equal(grid, want[:12].reshape(4, 3))
+        for i in range(12):
+            assert_decided(metric, *metrics.layer_squares(l1[i:i + 1], l2[i:i + 1]), 1.0,
+                           want[i:i + 1])
+        assert_decided(
+            metric, *metrics.layer_squares(l1[:12].reshape(4, 3, 2), l2[:12].reshape(4, 3, 1)),
+            1.0, want[:12].reshape(4, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +322,14 @@ RADII = [1.0, RHO, math.sqrt(2.0), 0.37, 1e-101, 1e101, 1e-60, 1e60, 0.0, math.i
 
 @pytest.mark.parametrize("name", list(CHEAP))
 def test_cheap_shells(name):
-    # every point of every shell is decided as the kernel decides it
+    # every point of every shell that the bounds decide is decided as the kernel decides it
     metric = CHEAP[name]
     for radius in RADII:
         l1, l2 = shells(metric, radius, seed=51)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             want = kernel_within(metric, l1, l2, radius)
-            got = metric.radial_within(*metrics.layer_squares(l1, l2), radius)
-        assert np.array_equal(got, want), radius
-        assert not got[np.isnan(l1).any(axis=1) | np.isnan(l2).any(axis=1)].any(), radius
+            inside, _ = assert_decided(metric, *metrics.layer_squares(l1, l2), radius, want)
+        assert not inside[np.isnan(l1).any(axis=1) | np.isnan(l2).any(axis=1)].any(), radius
         if 1e-60 <= radius <= 1e60:  # beyond, squares leave the kernels' range
             assert 0 < np.count_nonzero(want) < want.size - len(SPECIAL_ROWS), radius
 
@@ -325,7 +339,7 @@ def test_cheap_shells(name):
                          ids=["dinf", "dinf-c2", "gauge", "cc"])
 def test_kernel_coordinate_range(metric):
     # the kernels square unscaled coordinates: at 1e-170 the squares underflow to 0 and
-    # at 1e170 they overflow to inf; radial_within inherits that range and stays bit for bit equal
+    # at 1e170 they overflow to inf; the bounds read the same squares and decide as the kernel
     z = np.array([[1e-170, 0.0], [1e-170, 1e-170], [1e170, 0.0], [0.0, 0.0], [1e-170, 0.0],
                   [1e170, 1e170], [0.5, 0.0], [1e-170, 0.0], [0.0, 0.0]])
     t = np.array([[0.0], [1e-170], [0.0], [1e170], [1e170], [1e-170], [1e-170], [-1e-170],
@@ -333,8 +347,7 @@ def test_kernel_coordinate_range(metric):
     for radius in (1.0, 1e-170, 1e170, 1e-85, 1e85, 1e-40):
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             want = kernel_within(metric, z, t, radius)
-            got = metric.radial_within(*metrics.layer_squares(z, t), radius)
-        assert np.array_equal(got, want), radius
+            assert_decided(metric, *metrics.layer_squares(z, t), radius, want)
     # layer 2 too, CC's |t| = sqrt(|t|^2) included: the last row's t^2 underflows, so
     # every kernel reads it as the identity, while the scalar norm and distance
     # dilate it first and keep their value, 1e-85 times that of [0, 0; 1]
@@ -353,7 +366,7 @@ def test_kernel_coordinate_range(metric):
 ], ids=["dinf", "gauge", "cc"])
 def test_declined_radii_leave_every_point_unsure(metric, radii):
     # a radius whose thresholds _radial_bounds declines still gets two bool masks shaped
-    # like a, with no point decided; radial_within then runs the kernel on every point
+    # like a, with no point decided: the kernel settles every point
     rng = np.random.default_rng(71)
     for shape in ((5,), (4, 3)):
         a, b = rng.uniform(0.0, 2.0, shape), rng.uniform(0.0, 2.0, shape)
@@ -363,21 +376,19 @@ def test_declined_radii_leave_every_point_unsure(metric, radii):
                 assert isinstance(mask, np.ndarray) and mask.dtype == bool
                 assert mask.shape == a.shape
             assert unsure.all() and not inside.any(), radius
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                want = metric.radial_norm(a, b) <= radius
-            assert np.array_equal(metric.radial_within(a, b, radius), want), radius
 
 
 class TestFastPath:
-    """The d_inf and gauge kernels run on band points only, and a bump block squares no |z|."""
+    """The d_inf and gauge bounds leave band points only unsure, and a bump block squares no |z|."""
 
     @pytest.mark.parametrize("name", list(CHEAP))
     def test_kernel_only_on_band(self, name, monkeypatch):
+        # every unsure point lies in the guard band, and the bounds never run the kernel
         metric = CHEAP[name]
         kernel, seen = metric.radial_norm, []
 
         def spy(a, b):
-            seen.append((np.array(a), np.array(b)))
+            seen.append(a)
             return kernel(a, b)
 
         monkeypatch.setattr(metric, "radial_norm", spy)
@@ -386,20 +397,17 @@ class TestFastPath:
         for _, box, shift, radius in evidence_boxes(metric):
             lo, hi = region_cube(box)
             pts = rng.uniform(lo, hi, (1 << 17, len(lo)))
-            seen.clear()
-            metric.radial_within(*metrics.layer_squares(pts[:, :d1], pts[:, d1:] - shift), radius)
-            for a, b in seen:
-                assert np.all(np.abs(kernel(a, b) / radius - 1.0) <= metrics.WITHIN_GUARD)
-        # the spy sees the kernel: on radii beyond the thresholds' range, every point
-        seen.clear()
-        few = metrics.layer_squares(pts[:2, :d1], pts[:2, d1:])
-        assert metric.radial_within(*few, 1e-200).shape == (2,)
-        assert [a.size for a, _ in seen] == [2]
-        # and no kernel call for the center or a far point
-        seen.clear()
+            a, b = metrics.layer_squares(pts[:, :d1], pts[:, d1:] - shift)
+            _, unsure = metric._radial_bounds(a, b, radius)
+            assert seen == []
+            assert np.all(np.abs(kernel(a[unsure], b[unsure]) / radius - 1.0)
+                          <= metrics.WITHIN_GUARD)
+        # the center and a far point are decided: in and out
         far = np.full((2, d1), 10.0)
         far[0] = 0.0
-        metric.radial_within(*metrics.layer_squares(far, np.zeros((2, metric.spec.dim2))), 1.0)
+        inside, unsure = metric._radial_bounds(
+            *metrics.layer_squares(far, np.zeros((2, metric.spec.dim2))), 1.0)
+        assert inside.tolist() == [True, False] and not unsure.any()
         assert seen == []
 
     @pytest.mark.parametrize("name", ["dinf-h1", "dinf-h2", "gauge-h1-htype", "cc-h1"])
