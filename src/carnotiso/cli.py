@@ -47,14 +47,9 @@ def parse_group(text: str) -> groups.GroupSpec:
     return spec
 
 
-# (model, syntax, layer separator) of each group kind's points
-POINT_SYNTAX = {"heisenberg": ("Heisenberg", "[x1,...,x2n;t]", ";"),
-                "htype": ("H-type", "(x1,...|z1,...)", "|")}
-
-
 def parse_point(spec: groups.GroupSpec, text: str) -> groups.GroupPoint:
     text = text.strip()
-    model, syntax, sep = POINT_SYNTAX[spec.kind]
+    model, syntax, sep = spec.point_syntax
     if not (text.startswith(syntax[0]) and text.endswith(syntax[-1])):
         raise InputError(f"cannot parse point {text!r}: {model} points are written {syntax}")
     try:

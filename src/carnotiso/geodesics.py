@@ -19,7 +19,7 @@ import numpy as np
 
 from . import groups, measures, sampling
 from .groups import GroupError, GroupPoint, GroupSpec
-from .metrics import CCMetric, _sphere_profile, _sum_squares
+from .metrics import CCMetric, _heisenberg_model, _sphere_profile, _sum_squares
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,11 @@ def sphere_point_arrays(n: int, chi: np.ndarray, phi, r):
 
 def cc_sphere_point(spec: GroupSpec, params: GeodesicParams) -> GroupPoint:
     """Endpoint of the geodesic with the given parameters; at CC distance r."""
-    if spec.kind != "heisenberg":
+    if not _heisenberg_model(spec):
         raise GroupError("CC sphere parameterization needs a Heisenberg spec")
     if params.chi.shape != (spec.dim1,):
         raise GroupError("chi dimension does not match the spec")
-    z, t = sphere_point_arrays(spec.n, params.chi, params.phi, params.r)
+    z, t = sphere_point_arrays(spec.dim1 // 2, params.chi, params.phi, params.r)
     return GroupPoint(z, t)
 
 
@@ -73,21 +73,22 @@ def cc_geodesic_sample(spec: GroupSpec, params: GeodesicParams, s: float) -> Gro
     angle and orientation are pinned down by the constant-speed check
     d(gamma(s), gamma(s')) = |s - s'|.
     """
-    if spec.kind != "heisenberg":
+    if not _heisenberg_model(spec):
         raise GroupError("CC geodesics need a Heisenberg spec")
     if not 0.0 <= s <= params.r:
         raise GroupError(f"arc length {s} outside [0, {params.r}]")
     if s == 0.0:
         return groups.identity(spec)
     frac = s / params.r
-    chi_s = _rotate_pairs(spec.n, params.chi, params.phi * (1.0 - frac))
-    z, t = sphere_point_arrays(spec.n, chi_s, params.phi * frac, s)
+    n = spec.dim1 // 2
+    chi_s = _rotate_pairs(n, params.chi, params.phi * (1.0 - frac))
+    z, t = sphere_point_arrays(n, chi_s, params.phi * frac, s)
     return GroupPoint(z, t)
 
 
 def cut_point(spec: GroupSpec, rho: float) -> GroupPoint:
     """First point where geodesics from the identity stop minimizing: [0, rho^2/pi]."""
-    if spec.kind != "heisenberg":
+    if not _heisenberg_model(spec):
         raise GroupError("cut points implemented for Heisenberg specs")
     if rho <= 0:
         raise GroupError("rho must be positive")
@@ -155,8 +156,6 @@ def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
     apex_reach reports this same number. The geodesic continuation point
     [0, 4/pi] sits at distance exactly 2, but outside B(x, 1).
     """
-    if spec.kind != "heisenberg":
-        raise GroupError("assumption (C) check needs a Heisenberg spec")
     metric = CCMetric(spec)
     x = cut_point(spec, 1.0)
     cont = cut_point(spec, 2.0)  # [0, 4/pi]

@@ -1,20 +1,23 @@
-"""Group arithmetic for Heisenberg H^n and step-2 H-type groups.
+"""Group arithmetic for step-2 Carnot groups, by one bracket law.
 
-Two coordinate models are used throughout the package:
+A point is (X, Z), X in R^m (layer 1) and Z in R^k (layer 2), and every group
+here has the product
 
-* Heisenberg model: points are [z, t] with z in R^{2n}, t in R, and the
-  product carries a factor-2 twist in the t component.
-* H-type model: exponential coordinates (X, Z) with X in R^m, Z in R^k and
-  a factor-1/2 bracket b(X, X')_i = <J_i X, X'>.
+    (X, Z) (X', Z') = (X + X', Z + Z' + 1/2 <B_i X, X'>),  i = 1..k,
 
-The two models of H^1 differ by a constant linear change of coordinates,
-see :func:`h1_point_from_htype`.
+for skew matrices B_i (the spec's B, shape (k, m, m)). The Heisenberg group
+H^n is B = 4 Omega on R^2n, Omega = [[0, I], [-I, 0]], so that with z = [x, y]
+the layer-2 increment is 2 (y.x' - x.y'); H-type groups are B = J in
+exponential coordinates. The two models of H^1 differ by a constant linear
+change of coordinates, see :func:`h1_point_from_htype`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,56 +31,41 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """Which group we are working on.
+    """A step-2 group, given by its bracket matrices B of shape (dim2, dim1, dim1).
 
-    kind is "heisenberg" (parameter n) or "htype" (J matrices defining the
-    bracket). Q is the homogeneous dimension.
+    The product is the module's one law, Z'' = Z + Z' + 1/2 <B_i X, X'>.
+    beta is the bracket's scale, the maximum of |<B_Z X, X'>| over unit X, X'
+    and Z, with B_Z = sum_i Z_i B_i: 4 on heisenberg(n), where B = 4 Omega, and
+    1 on h_type(J), where B = J. Q is the homogeneous dimension. B is built on
+    first use, so a spec of a group too wide to hold its m x m matrices still
+    gives its dimensions and volumes.
+
+    document and point_syntax are the coordinate model, for I/O alone: the
+    JSON text of to_json, and (model, syntax, layer separator) of the CLI's
+    points. Build specs with heisenberg, h_type or from_json.
     """
 
-    kind: str
-    n: int = 0
-    J: np.ndarray | None = None  # shape (k, m, m) for htype
+    dim1: int  # m, the dimension of the first (horizontal) layer
+    dim2: int  # k, the dimension of the second (vertical) layer
+    beta: float
+    bracket: Callable[[], np.ndarray] = field(repr=False)  # makes B
+    document: str = field(repr=False)
+    point_syntax: tuple[str, str, str] = field(repr=False)
 
-    def __post_init__(self):
-        if self.kind == "heisenberg":
-            if self.n < 1:
-                raise GroupError(f"Heisenberg needs n >= 1, got {self.n}")
-        elif self.kind == "htype":
-            if self.J is None:
-                raise GroupError("htype spec needs J matrices")
-            report = validate_htype(self.J)
-            if not report.passed:
-                raise GroupError(f"invalid H-type structure: {report}")
-        else:
-            raise GroupError(f"unknown group kind {self.kind!r}")
-
-    @property
-    def dim1(self) -> int:
-        """Dimension of the first (horizontal) layer."""
-        return 2 * self.n if self.kind == "heisenberg" else self.J.shape[1]
-
-    @property
-    def dim2(self) -> int:
-        """Dimension of the second (vertical) layer."""
-        return 1 if self.kind == "heisenberg" else self.J.shape[0]
+    @functools.cached_property
+    def B(self) -> np.ndarray:
+        """The bracket matrices, read-only, made once a spec."""
+        B = self.bracket()
+        B.flags.writeable = False
+        return B
 
     @property
     def Q(self) -> int:
         """Homogeneous dimension: dim V1 + 2 dim V2."""
         return self.dim1 + 2 * self.dim2
 
-    @property
-    def topological_dim(self) -> int:
-        return self.dim1 + self.dim2
-
     def to_json(self) -> str:
-        if self.kind == "heisenberg":
-            doc = {"kind": "heisenberg", "n": self.n}
-        else:
-            k, m, _ = self.J.shape
-            doc = {"kind": "htype", "m": m, "k": k,
-                   "J": [Ji.reshape(-1).tolist() for Ji in self.J]}
-        return json.dumps(doc, sort_keys=True)
+        return self.document
 
     @staticmethod
     def from_json(text: str) -> "GroupSpec":
@@ -111,23 +99,41 @@ class GroupSpec:
         raise GroupError(f"unknown group kind in JSON: {doc.get('kind')!r}")
 
 
+def _four_omega(n: int) -> np.ndarray:
+    B = np.zeros((1, 2 * n, 2 * n))
+    i = np.arange(n)
+    B[0, i, n + i], B[0, n + i, i] = 4.0, -4.0
+    return B
+
+
 def heisenberg(n: int) -> GroupSpec:
-    return GroupSpec("heisenberg", n=n)
+    """H^n in the coordinates [z, t] = [x, y, t]: B = 4 Omega, beta = 4."""
+    if n < 1:
+        raise GroupError(f"Heisenberg needs n >= 1, got {n}")
+    return GroupSpec(2 * n, 1, 4.0, functools.partial(_four_omega, n),
+                     json.dumps({"kind": "heisenberg", "n": n}, sort_keys=True),
+                     ("Heisenberg", "[x1,...,x2n;t]", ";"))
 
 
 def h_type(J) -> GroupSpec:
-    J = np.asarray(J, dtype=float)
+    """The H-type group of J in exponential coordinates (X, Z): B = J, beta = 1."""
+    J = np.array(J, dtype=float)  # a copy: the caller may change theirs
     if J.ndim == 2:
         J = J[None, :, :]
-    return GroupSpec("htype", J=J)
+    report = validate_htype(J)
+    if not report.passed:
+        raise GroupError(f"invalid H-type structure: {report}")
+    k, m, _ = J.shape
+    doc = {"kind": "htype", "m": m, "k": k, "J": [Ji.reshape(-1).tolist() for Ji in J]}
+    return GroupSpec(m, k, 1.0, J.copy, json.dumps(doc, sort_keys=True),
+                     ("H-type", "(x1,...|z1,...)", "|"))
 
 
 @dataclass(frozen=True)
 class GroupPoint:
-    """A group element split by layer.
+    """A group element split by layer: layer1 = X (length m), layer2 = Z (length k).
 
-    Heisenberg: layer1 = z (length 2n), layer2 = [t].
-    H-type: layer1 = X (length m), layer2 = Z (length k).
+    On H^n, X = z (length 2n) and Z = [t].
     """
 
     layer1: np.ndarray
@@ -142,10 +148,6 @@ class GroupPoint:
     @property
     def t(self) -> float:
         return float(self.layer2[0])
-
-    def close_to(self, other: "GroupPoint", tol: float = 1e-12) -> bool:
-        return (np.allclose(self.layer1, other.layer1, atol=tol)
-                and np.allclose(self.layer2, other.layer2, atol=tol))
 
 
 def point(layer1, layer2) -> GroupPoint:
@@ -168,20 +170,12 @@ def _check_dims(spec: GroupSpec, p: GroupPoint):
 # ---------------------------------------------------------------------------
 
 def mul_arrays(spec: GroupSpec, a1, a2, b1, b2):
-    """Group product on coordinate arrays; returns (layer1, layer2)."""
+    """Group product on coordinate arrays, Z'' = Z + Z' + 1/2 <B_i X, X'>; returns (layer1, layer2)."""
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
-    if spec.kind == "heisenberg":
-        # t'' = t + t' + 2 sum_j (y_j x'_j - x_j y'_j) for z = [x, y], z' = [x', y']
-        n = spec.n
-        tw = 2.0 * (np.sum(a1[..., n:] * b1[..., :n], axis=-1)
-                    - np.sum(a1[..., :n] * b1[..., n:], axis=-1))
-        return a1 + b1, a2 + b2 + tw[..., None]
-    # htype: Z'' = Z + Z' + 1/2 <J_i X, X'>
-    bx = 0.5 * np.einsum("imj,...j,...m->...i", spec.J, a1, b1)
-    return a1 + b1, a2 + b2 + bx
+    return a1 + b1, a2 + b2 + 0.5 * np.einsum("imj,...j,...m->...i", spec.B, a1, b1)
 
 
 def inv_arrays(spec: GroupSpec, l1, l2):

@@ -367,17 +367,18 @@ class _HomogeneousMetric:
 class DinfMetric(_HomogeneousMetric):
     """Layered max-norm distance: max(c1 |z|, c2 |t|^(1/2)).
 
-    A distance exactly for finite c1, c2 > 0 with w c2^2 <= 2 c1^2, where w = 2
-    for the Heisenberg twist (c2 <= c1) and 1/2 for the H-type bracket
-    (c2 <= 2 c1). Proof: with a = N(p), b = N(q), the layer-2 part of p.q is at
-    most (a^2 + b^2) / c2^2 + w a b / c1^2 <= (a + b)^2 / c2^2. Sharp: |z| = 1/c1,
-    t = 1/c2^2, z' = J z, t' = t give N(p) = N(q) = 1 < N(p.q) / 2 once it fails.
+    A distance exactly for finite c1, c2 > 0 with w c2^2 <= 2 c1^2, where w =
+    beta / 2 for the bracket's scale beta: c2 <= 2 c1 / sqrt(beta), so c2 <= c1
+    on H^n (beta = 4) and c2 <= 2 c1 on H-type groups (beta = 1). Proof: with a
+    = N(p), b = N(q), the layer-2 part of p.q is at most (a^2 + b^2) / c2^2 +
+    w a b / c1^2 <= (a + b)^2 / c2^2. Sharp: |z| = 1/c1, t = 1/c2^2, z' = |z| B_t z
+    / |B_t z|, t' = t give N(p) = N(q) = 1 < N(p.q) / 2 once it fails.
     A user @spec.json J is checked only to J_STRUCTURE_TOL, and so is the bound.
     """
 
     def __init__(self, spec: GroupSpec, c1: float = 1.0, c2: float = 1.0):
         c1, c2 = float(c1), float(c2)
-        c2_max = 2.0 * c1 if spec.kind == "htype" else c1  # w c2^2 <= 2 c1^2
+        c2_max = c1 * (2.0 / math.sqrt(spec.beta))  # w c2^2 <= 2 c1^2; exact for beta 1 or 4
         # negated, so that NaN fails too
         if not (0.0 < c1 < math.inf and 0.0 < c2 <= c2_max and c2 < math.inf):
             raise MetricError(f"d_inf is a distance only for finite c1, c2 > 0 with c2 <= c1 "
@@ -421,17 +422,17 @@ class DinfMetric(_HomogeneousMetric):
 
 
 class GaugeMetric(_HomogeneousMetric):
-    """Gauge distance from the norm (|X|^4 + (s |Z|)^2)^(1/4), s = layer2_scale.
+    """Gauge distance from the norm (|X|^4 + (s |Z|)^2)^(1/4), s = layer2_scale = 4 / beta.
 
-    Native home is an H-type spec in exponential coordinates, where s = 4;
-    on a Heisenberg spec the same norm is carried over through the H^1
-    model change t = -4 Z, giving s = 1 and (|z|^4 + t^2)^(1/4).
+    Native home is an H-type spec in exponential coordinates, where beta = 1
+    and s = 4; on H^n, beta = 4 gives s = 1 and (|z|^4 + t^2)^(1/4), the same
+    norm carried over through the H^1 model change t = -4 Z.
     """
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         # a power of two, so scaling by it or by its inverse is exact
-        self.layer2_scale = 4.0 if spec.kind == "htype" else 1.0
+        self.layer2_scale = 4.0 / spec.beta
 
     name = "gauge"
     norm_arrays = _HomogeneousMetric.norm_arrays
@@ -466,6 +467,11 @@ class GaugeMetric(_HomogeneousMetric):
                 / (self.layer2_scale ** k * math.gamma(k / 2.0 + m / 4.0 + 1.0))), 0.0
 
 
+def _heisenberg_model(spec: GroupSpec) -> bool:
+    """k = 1 and beta = 4: H^n in the coordinates [z, t] that the CC sphere map is written in."""
+    return spec.dim2 == 1 and spec.beta == 4.0
+
+
 class CCMetric(_HomogeneousMetric):
     """Carnot-Caratheodory distance on H^n.
 
@@ -486,7 +492,7 @@ class CCMetric(_HomogeneousMetric):
     """
 
     def __init__(self, spec: GroupSpec):
-        if spec.kind != "heisenberg":
+        if not _heisenberg_model(spec):
             raise MetricError("CC distance is implemented for Heisenberg specs only")
         self.spec = spec
 
@@ -560,7 +566,7 @@ class CCMetric(_HomogeneousMetric):
         return 1.0, 2.0 / np.pi
 
     def _volume(self):
-        n = self.spec.n
+        n = self.spec.dim1 // 2
         coarse, fine = (w * cc_ball_integrand(phi, n)
                         for phi, w in map(gauss_legendre, (64, 128)))
         val = float(fine.sum())
@@ -597,13 +603,15 @@ def alpha(m: int) -> float:
     """Lebesgue measure of the Euclidean unit ball in R^m."""
     if m < 0:
         raise ValueError("dimension must be nonnegative")
+    if m == 1:  # the formula rounds to 2 - 2^-52
+        return 2.0
     return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
 
 
 def layer2_ball(spec: GroupSpec, s: float) -> float:
-    """Measure of {|Z| <= s^2}: a k-ball, or on H^n a segment (2.0, as alpha(1) < 2)."""
+    """Measure alpha_k s^(2k) of {|Z| <= s^2} in R^k; for k = 1 the segment's 2 s^2."""
     k = spec.dim2
-    return alpha(k) * s ** (2 * k) if spec.kind == "htype" else 2.0 * s ** 2
+    return alpha(k) * s ** (2 * k)
 
 
 def cc_ball_integrand(phi, n: int):

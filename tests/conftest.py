@@ -14,6 +14,12 @@ def quaternionic():
     return ci.h_type(np.stack([li, lj, lk]))
 
 
+def close_to(p, q, tol=1e-12):
+    """Both layers of GroupPoints p and q agree under np.allclose with atol = tol."""
+    return (np.allclose(p.layer1, q.layer1, atol=tol)
+            and np.allclose(p.layer2, q.layer2, atol=tol))
+
+
 def cut_ball_points(spec, x, rng, count):
     """(a, t) of geodesics._cut_ball_blocks' count points drawn as one block: the one-shot draw."""
     block = sampling.BLOCK

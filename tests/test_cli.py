@@ -58,7 +58,7 @@ class TestParsers:
     def test_groups(self):
         assert parse_group("h1").Q == 4
         assert parse_group("h3").dim1 == 6
-        assert parse_group("h1-htype").kind == "htype"
+        assert json.loads(parse_group("h1-htype").to_json())["kind"] == "htype"
 
     def test_group_from_file(self, tmp_path):
         f = tmp_path / "spec.json"
@@ -120,7 +120,7 @@ class TestParsers:
         assert parse_group("@" + str(f)).Q == 6
         f.write_text(parse_group("h1-htype").to_json())
         spec = parse_group("@" + str(f))
-        assert spec.kind == "htype" and spec.Q == 4
+        assert spec.to_json() == f.read_text() and spec.Q == 4
 
     def test_points(self):
         p = parse_point(ci.heisenberg(1), "[1,2;3]")
@@ -369,6 +369,13 @@ class TestVerify:
                              "--budget", "20000")
         doc = json.loads(out)
         assert doc["report"]["sampled_sup"] <= math.sqrt(2) + 1e-9
+
+    @pytest.mark.parametrize("command", [["verify", "cc"], ["bump-search", "--metric", "cc"]])
+    def test_cc_on_htype_exits_2(self, capsys, command):
+        assert main(command + ["--group", "h1-htype", "--budget", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: CC distance is implemented for Heisenberg specs only\n"
 
     def test_budget_above_ceiling_exits_2(self, capsys, monkeypatch):
         def no_draws(seed, chunk):

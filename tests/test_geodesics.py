@@ -5,10 +5,10 @@ import pytest
 
 import carnotiso as ci
 from carnotiso.geodesics import GeodesicParams, sphere_point_arrays
-from carnotiso.groups import GroupError, mul_arrays
-from carnotiso.metrics import _sum_squares
+from carnotiso.groups import GroupError, mul_arrays, standard_symplectic
+from carnotiso.metrics import MetricError, _sum_squares
 from carnotiso.sampling import substream
-from conftest import cut_ball_points
+from conftest import close_to, cut_ball_points, quaternionic
 
 H1 = ci.heisenberg(1)
 H2 = ci.heisenberg(2)
@@ -18,6 +18,23 @@ CC = ci.CCMetric(H1)
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+class TestRefusals:
+    """Every CC entry point refuses a group outside the H^n model [z, t] (k = 1, beta = 4)."""
+
+    @pytest.mark.parametrize("spec", [ci.h_type(standard_symplectic()), quaternionic()],
+                             ids=["h1-htype", "quaternionic"])
+    def test_htype_refused(self, spec):
+        params = GeodesicParams(unit(np.ones(spec.dim1)), 0.5, 1.0)
+        with pytest.raises(GroupError, match="CC sphere parameterization"):
+            ci.cc_sphere_point(spec, params)
+        with pytest.raises(GroupError, match="CC geodesics"):
+            ci.cc_geodesic_sample(spec, params, 0.5)
+        with pytest.raises(GroupError, match="cut points"):
+            ci.cut_point(spec, 1.0)
+        with pytest.raises(MetricError, match="CC distance"):
+            ci.verify_assumption_C(spec, sample_budget=1000)
 
 
 class TestSpherePoint:
@@ -86,7 +103,7 @@ class TestGeodesicCurve:
         assert np.allclose(start.layer1, 0) and start.t == 0
         end = ci.cc_geodesic_sample(H1, gp, gp.r)
         target = ci.cc_sphere_point(H1, gp)
-        assert end.close_to(target, tol=1e-12)
+        assert close_to(end, target, tol=1e-12)
 
     def test_constant_speed(self):
         rng = np.random.default_rng(2)
@@ -144,7 +161,7 @@ class TestCutPoint:
             assert CC.norm(ci.cut_point(H1, rho)) == pytest.approx(rho, abs=1e-12)
 
     def test_dilation_relation(self):
-        assert ci.dilate(H1, ci.cut_point(H1, 1.0), 2.5).close_to(ci.cut_point(H1, 2.5))
+        assert close_to(ci.dilate(H1, ci.cut_point(H1, 1.0), 2.5), ci.cut_point(H1, 2.5))
 
     def test_bad_rho(self):
         with pytest.raises(GroupError):
@@ -197,7 +214,7 @@ class TestAssumptionC:
         r[count // 2:] **= 1.0 / spec.Q
         chi = np.random.default_rng(4).standard_normal((count, spec.dim1))
         chi *= (rho / np.linalg.norm(chi, axis=1))[:, None]
-        z, ref_t = sphere_point_arrays(spec.n, chi, phi, r)
+        z, ref_t = sphere_point_arrays(spec.dim1 // 2, chi, phi, r)
         ref_a = _sum_squares(z)
         assert np.all(np.abs(a - ref_a) <= 1e-15 * ref_a)
         assert np.all(np.abs(t - ref_t) <= 1e-15 * np.abs(ref_t))

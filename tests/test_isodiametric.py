@@ -358,7 +358,7 @@ class TestProjectionBound:
     @settings(max_examples=200, deadline=None)
     def test_dinf_is_two_to_the_k(self, c1, frac, group):
         spec = BOUND_SPECS[group]
-        c2 = frac * (2.0 * c1 if spec.kind == "htype" else c1)
+        c2 = frac * (c1 * 2.0 / math.sqrt(spec.beta))
         bound = ci.projection_upper_bound(ci.DinfMetric(spec, c1, c2))
         assert bound == 2.0 ** spec.dim2
 
@@ -367,6 +367,12 @@ class TestProjectionBound:
     def test_gauge(self, group, expect):
         bound = ci.projection_upper_bound(ci.GaugeMetric(BOUND_SPECS[group]))
         assert bound == pytest.approx(expect, rel=1e-15)
+
+    def test_gauge_same_on_both_models_of_h1(self):
+        # the two models of H^1 have one gauge ball up to t = -4 Z, and its
+        # layer-2 segment has the measure exactly 2 s^2 in both
+        assert (ci.projection_upper_bound(ci.GaugeMetric(H1)).hex()
+                == ci.projection_upper_bound(ci.GaugeMetric(HT)).hex())
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_cc(self, n):

@@ -121,14 +121,14 @@ class TestDinf:
 def dinf_witness(spec, c1, c2):
     """(N(p), N(q), N(p.q)) for the sharpness pair of DinfMetric's docstring.
 
-    |z| = 1/c1, t = 1/c2^2 and z' = J z, oriented so that the twist or bracket
+    |z| = 1/c1, t = 1/c2^2 and z' of length |z| along B z, so that the bracket
     adds to t + t'. The norm is evaluated by hand, since DinfMetric refuses
     the coefficients where the pair matters.
     """
     a = 1.0 / c1
-    zq = [0.0, -a] if spec.kind == "heisenberg" else [0.0, a]
     p1, p2 = np.array([a, 0.0]), np.array([1.0 / c2**2])
-    q1, q2 = np.array(zq), np.array([1.0 / c2**2])
+    bz = spec.B[0] @ p1
+    q1, q2 = a * bz / np.linalg.norm(bz), np.array([1.0 / c2**2])
 
     def norm(l1, l2):
         return max(c1 * np.linalg.norm(l1), c2 * math.sqrt(np.linalg.norm(l2)))
@@ -710,7 +710,7 @@ def _dinf_rules(spec, c1=1.0, c2=1.0):
 
 def _gauge_rules(spec):
     m, k = spec.dim1, spec.dim2
-    scale = 4.0 if spec.kind == "htype" else 1.0
+    scale = 4.0 / spec.beta
     apex2 = np.zeros(k)
     apex2[0] = 1.0 / scale
     vol = (metrics_mod.alpha(m) * math.pi ** (k / 2.0) * math.gamma(m / 4.0 + 1.0)

@@ -173,7 +173,7 @@ class TestBoundary:
     def test_sphere_points(self, name, radius):
         spec = SPECS[name]
         metric = ci.CCMetric(spec)
-        z, t = sphere_shells(spec.n, radius, 4096, seed=31)
+        z, t = sphere_shells(spec.dim1 // 2, radius, 4096, seed=31)
         want = kernel_within(metric, z, t, radius)
         assert 0 < np.count_nonzero(want) < want.size
         assert_decided(metric, *metrics.layer_squares(z, t), radius, want)
