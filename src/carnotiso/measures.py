@@ -164,14 +164,29 @@ def difference(kept: SampledSet, removed: SampledSet) -> SampledSet:
     A point is surely in when it is surely in kept and surely out of removed,
     and surely out when it is surely out of kept or surely in removed; the rest
     is unsure, and membership settles it on both exact masks.
+
+    The triage asks removed first. Its surely-in rows are surely out, so when
+    they are at least three quarters of the block (the CC bump's box, 94-99%
+    inside the unit ball), kept decides only the other rows, copied out by
+    index; below that (d_inf and gauge, about half) the copies cost more than
+    kept's bounds on the whole block. Every bound is elementwise, so either way
+    gives the same masks.
     """
     def member(a, l2):
         return kept.membership(a, l2) & ~removed.membership(a, l2)
 
-    def triage(a, l2):
-        (k_in, k_unsure), (r_in, r_unsure) = kept.decide(a, l2), removed.decide(a, l2)
+    def masks(k_in, k_unsure, r_in, r_unsure):
         inside = k_in & ~(r_in | r_unsure)
         return inside, ((k_in | k_unsure) & ~r_in) ^ inside  # the not surely out, less inside
+
+    def triage(a, l2):
+        r_in, r_unsure = removed.decide(a, l2)
+        if 4 * np.count_nonzero(r_in) < 3 * len(a):
+            return masks(*kept.decide(a, l2), r_in, r_unsure)
+        i = np.flatnonzero(~r_in)
+        inside, unsure = np.zeros(len(a), bool), np.zeros(len(a), bool)
+        inside[i], unsure[i] = masks(*kept.decide(a[i], l2[i]), r_in[i], r_unsure[i])
+        return inside, unsure
 
     return SampledSet(member, kept.bounding_box, triage)
 

@@ -217,17 +217,25 @@ def _sphere_profile(phi):
     One sine and one cosine a point, any shape: sinc = s / phi (1 at 0) and
     T = (1 - s c / phi) / phi, as s c / phi = sinc 2 phi; below |phi| =
     _SINC_SERIES_CUT / 2, where that cancels, T = 4 phi S(4 phi^2). sinc is even, T odd.
+    The sine's and the cosine's buffers become sinc and T, each operation in
+    place in the order of those formulas, so the bits are theirs; the series
+    runs on the band's indices alone, no mask gather and scatter.
     """
     phi = np.asarray(phi, dtype=float)
     flat = phi.reshape(-1)
-    s = np.sin(flat)
+    sinc = np.sin(flat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sinc, height = s / flat, (1.0 - s * np.cos(flat) / flat) / flat
-    small = np.abs(flat) < 0.5 * _SINC_SERIES_CUT
-    if small.any():
-        p = flat[small]
-        height[small] = 4.0 * p * _sinc_series(4.0 * p * p)
-        sinc[small] = np.where(p == 0.0, 1.0, sinc[small])
+        height = np.cos(flat)
+        height *= sinc
+        height /= flat
+        np.subtract(1.0, height, out=height)
+        height /= flat
+        sinc /= flat
+    band = np.flatnonzero(np.abs(flat) < 0.5 * _SINC_SERIES_CUT)
+    if band.size:
+        p = flat[band]
+        height[band] = 4.0 * p * _sinc_series(4.0 * p * p)
+        sinc[band[p == 0.0]] = 1.0
     return sinc.reshape(phi.shape)[()], height.reshape(phi.shape)[()]
 
 
@@ -480,7 +488,8 @@ class CCMetric(_HomogeneousMetric):
     solves mu(phi) = |t| / |z|^2 and the distance is |z| phi / sin phi.
     radial_norm is one pass over all points, with |z| = sqrt(a) and |t| =
     sqrt(b): it solves every ratio up to 1e28 (the rest, center and NaN
-    included, at 0), takes one sine per point and picks |z| phi / sin phi up
+    included, at 0; no solve when there is no such ratio, as at a center
+    point), takes one sine per point and picks |z| phi / sin phi up
     to ratio 1, phi (2 |t| / (2 phi - sin 2 phi))^(1/2) above, or
     sqrt(pi |t|): within 1e-14 relative of the exact norm. A NaN |z| or t
     gives NaN, which no ball holds. _radial_bounds decides all but a few
@@ -507,6 +516,9 @@ class CCMetric(_HomogeneousMetric):
         # beyond this ratio the center formula's relative error, about
         # 1 / sqrt(pi ratio), is below 5.7e-15
         solved = ratio <= 1e28
+        center = np.where(np.isnan(zn), zn, np.sqrt(np.pi * t))
+        if not solved.any():  # no ratio to solve, as at a center point: no phi is read
+            return center[()]
         phi = solve_turning(np.where(solved, ratio, 0.0))
         # |z| phi / sin phi; but as phi nears pi, sin phi magnifies phi's
         # rounding, so there the same value phi (2 |t| / (2 phi - sin 2 phi))^(1/2)
@@ -515,7 +527,7 @@ class CCMetric(_HomogeneousMetric):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(near, zn * np.where(phi == 0.0, 1.0, phi / s),
                            phi * np.sqrt(2.0 * t / (2.0 * phi - s)))
-        return np.where(solved, out, np.where(np.isnan(zn), zn, np.sqrt(np.pi * t)))[()]
+        return np.where(solved, out, center)[()]
 
     def _radial_bounds(self, a, b, r):
         """Half-height-table masks: the kernel only next to the sphere.
@@ -546,18 +558,23 @@ class CCMetric(_HomogeneousMetric):
         if not 1e-100 <= r <= 1e100:  # negated, so that NaN fails too
             return _all_unsure(a)
         low, high = _profile_bounds()
-        x = np.sqrt(a) * (1.0 / r)
-        y = np.sqrt(b) * (1.0 / (r * r))
-        u = np.fmax(1.0 - x, 0.0)  # fmax: NaN -> 0, and cell 0
+        # three block temporaries, each written in place: x, then u and the bounds in
+        # x's buffer; y; the cells k. Fewer temporaries, fewer heap trims
+        x = np.sqrt(a)
+        x *= 1.0 / r
+        near = ~(x > 1.0 + PROFILE_EPS)  # NaN |z| too
+        y = np.sqrt(b)
+        y *= 1.0 / (r * r)
+        u = np.subtract(1.0, x, out=x)
+        np.fmax(u, 0.0, out=u)  # fmax: NaN -> 0, and cell 0
         np.sqrt(u, out=u)
         u *= PROFILE_CELLS
         k = u.astype(np.intp)
-        # the bounds reuse u's buffer: fewer block temporaries, fewer heap trims
         bound = np.take(low, k, out=u, mode="clip")  # clip never binds; out is unbuffered
         inside = y <= bound
         unsure = y > bound
         unsure &= y < np.take(high, k, out=bound, mode="clip")
-        unsure &= ~(x > 1.0 + PROFILE_EPS)  # NaN |z| too
+        unsure &= near
         return inside, unsure
 
     def _box_radii(self):

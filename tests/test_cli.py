@@ -648,13 +648,16 @@ class TestDeterminism:
         monkeypatch.setenv(sampling.THREADS_ENV, "2")
         assert run_main(capsys, *argv) == base
 
-    @pytest.mark.parametrize("threads", ["1", "4"])
-    def test_bump_search_bytes(self, threads, tmp_path):
+    @pytest.mark.parametrize("args,threads", [
+        pytest.param(args, threads, id="-".join([*args[1:2], threads]))
+        for args in ([], ["--metric", "cc"], ["--metric", "gauge", "--group", "h1-htype"])
+        for threads in ("1", "4")])
+    def test_bump_search_bytes(self, args, threads):
+        # two chunks; d_inf, the default metric, keeps the bare thread count as its id
         env = dict(os.environ, CARNOT_ISO_THREADS=threads)
-        cmd = [sys.executable, "-m", "carnotiso.cli", "bump-search",
+        cmd = [sys.executable, "-m", "carnotiso.cli", "bump-search", *args,
                "--budget", str(2 * (1 << 19)), "--seed", "17"]
         out = subprocess.run(cmd, capture_output=True, env=env, check=True).stdout
-        ref = tmp_path / "ref.json"
         # compare against a fresh single-thread run
         env1 = dict(os.environ, CARNOT_ISO_THREADS="1")
         base = subprocess.run(cmd, capture_output=True, env=env1, check=True).stdout

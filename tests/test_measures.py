@@ -570,30 +570,49 @@ class TestSettleOnceAChunk:
         # exact masks say in for the unsure ones of kept and out for those of removed
         kept_state = np.repeat(["in", "out", "unsure"], 3)
         removed_state = np.tile(["in", "out", "unsure"], 3)
+        decided_rows = []
 
         def three_valued(state, exact):
+            # a row's state is read off its a, so a triage on copied rows reads theirs
             def triage(a, l2):
-                return state == "in", state == "unsure"
-            return ci.SampledSet(lambda a, l2: (state == "in") | ((state == "unsure") & exact),
+                decided_rows.append(len(a))
+                return state[a.astype(int)] == "in", state[a.astype(int)] == "unsure"
+            return ci.SampledSet(lambda a, l2: ((state[a.astype(int)] == "in")
+                                                | ((state[a.astype(int)] == "unsure") & exact)),
                                  BoundingBox(2, 1.0, [-1.0], [1.0]), triage)
 
-        a, l2 = np.zeros(9), np.zeros((9, 1))
-        extra = ci.measures.difference(three_valued(kept_state, True),
-                                       three_valued(removed_state, False))
-        inside, unsure = extra.decide(a, l2)
-        assert inside.tolist() == [False, True, False] + [False] * 6
-        # unsure: kept in and removed unsure, kept unsure and removed out or unsure
-        assert unsure.tolist() == [False, False, True, False, False, False, False, True, True]
-        exact = extra.membership(a, l2)
-        assert exact.tolist() == [False, True, True] + [False] * 3 + [False, True, True]
-        assert not np.any(inside & ~exact) and not np.any(exact & ~inside & ~unsure)
+        # the nine states alone: removed holds 3 of 9 rows surely inside, so kept decides
+        # the whole block; padded with 18 rows that removed holds surely inside, 21 of 27,
+        # kept decides only the 6 rows removed leaves open
+        pad_kept, pad_removed = np.tile(["in", "out", "unsure"], 6), np.full(18, "in")
+        for kept_states, removed_states, kept_rows in (
+                (kept_state, removed_state, 9),
+                (np.concatenate([kept_state, pad_kept]),
+                 np.concatenate([removed_state, pad_removed]), 6)):
+            a = np.arange(len(kept_states), dtype=float)
+            l2 = np.zeros((len(a), 1))
+            extra = ci.measures.difference(three_valued(kept_states, True),
+                                           three_valued(removed_states, False))
+            decided_rows.clear()
+            inside, unsure = extra.decide(a, l2)
+            assert decided_rows == [len(a), kept_rows]  # removed first, then kept
+            assert inside.tolist() == [False, True, False] + [False] * (len(a) - 3)
+            # unsure: kept in and removed unsure, kept unsure and removed out or unsure;
+            # the padded rows, surely in removed, are surely out
+            assert unsure.tolist() == ([False, False, True, False, False, False, False, True,
+                                        True] + [False] * (len(a) - 9))
+            exact = extra.membership(a, l2)
+            assert exact.tolist() == ([False, True, True] + [False] * 3 + [False, True, True]
+                                      + [False] * (len(a) - 9))
+            assert not np.any(inside & ~exact) and not np.any(exact & ~inside & ~unsure)
         # with no unsure point the triage is the exact mask
         sure = [0, 1, 3, 4]
-        both = ci.measures.difference(three_valued(kept_state[sure], True),
-                                      three_valued(removed_state[sure], False))
-        inside, unsure = both.decide(a[sure], l2[sure])
+        a, l2 = np.arange(9, dtype=float)[sure], np.zeros((4, 1))
+        both = ci.measures.difference(three_valued(kept_state, True),
+                                      three_valued(removed_state, False))
+        inside, unsure = both.decide(a, l2)
         assert not unsure.any() and inside.tolist() == [False, True, False, False]
-        assert np.array_equal(inside, both.membership(a[sure], l2[sure]))
+        assert np.array_equal(inside, both.membership(a, l2))
 
     @pytest.mark.parametrize("metric", [DINF, ci.DinfMetric(H2), GAUGE, CC, ci.CCMetric(H2)],
                              ids=["dinf-h1", "dinf-h2", "gauge-h1-htype", "cc-h1", "cc-h2"])

@@ -235,6 +235,29 @@ class TestTurningProfile:
             fd = (mu(p + h) - mu(p - h)) / (2 * h)
             assert mu_prime(p) == pytest.approx(fd, rel=1e-4)
 
+    def test_sphere_profile_bytes(self):
+        # bit for bit the plain sinc = sin phi / phi (1 at 0) and T = (1 - sin phi cos phi /
+        # phi) / phi, and on the band |phi| < 0.25 the series 4 phi S(4 phi^2)
+        band = 0.5 * metrics_mod._SINC_SERIES_CUT
+        edges = [v for e in (0.0, -0.0, 0.125, -0.125, band, -band)
+                 for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+        phi = np.concatenate([edges, [math.pi, -math.pi, math.nan],
+                              np.random.default_rng(13).uniform(-math.pi, math.pi, 1 << 14)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s, c = np.sin(phi), np.cos(phi)
+            want_sinc = np.where(phi == 0.0, 1.0, s / phi)
+            want_height = np.where(np.abs(phi) < band,
+                                   4.0 * phi * metrics_mod._sinc_series(4.0 * phi * phi),
+                                   (1.0 - s * c / phi) / phi)
+        sinc, height = _sphere_profile(phi)
+        assert sinc.tobytes() == want_sinc.tobytes()
+        assert height.tobytes() == want_height.tobytes()
+        assert np.count_nonzero(np.abs(phi) < band) > len(edges)  # draws on the band too
+        for p, ws, wh in zip(phi[:len(edges) + 3], want_sinc, want_height):
+            got = _sphere_profile(p)
+            assert np.float64(got[0]).tobytes() == ws.tobytes(), p
+            assert np.float64(got[1]).tobytes() == wh.tobytes(), p
+
     def test_series_coefficients(self):
         # mu / phi = ((2 phi - sin 2 phi) / phi^3) / (2 sin^2 phi / phi^2), both
         # power series in u = phi^2; divide them exactly
@@ -373,6 +396,24 @@ class TestCC:
         for t in rng.uniform(-50, 50, 100):
             d = CC.dist(ci.identity(H1), ci.point([0, 0], [t]))
             assert d == pytest.approx(math.sqrt(math.pi * abs(t)), abs=1e-12)
+
+    def test_center_points_skip_the_solve(self, monkeypatch):
+        # no ratio to solve, no solve; a mixed array solves and keeps its bytes
+        z = np.array([[0.0, 0.0], [0.6, -0.3], [0.0, 0.0], [1.0, 1e-20]])
+        t = np.array([[0.7], [0.2], [0.0], [1e30]])
+        want = CC.norm_arrays(z, t)
+        solve, calls = metrics_mod.solve_turning, []
+
+        def spy(ratio):
+            calls.append(np.size(ratio))
+            return solve(ratio)
+
+        monkeypatch.setattr(metrics_mod, "solve_turning", spy)
+        assert CC.norm(cut_point(H1, 2.0)) == 2.0
+        assert CC.norm_arrays(z[[0, 2, 3]], t[[0, 2, 3]]).tobytes() == want[[0, 2, 3]].tobytes()
+        assert calls == []
+        assert CC.norm_arrays(z, t).tobytes() == want.tobytes()
+        assert calls == [4]
 
     def test_horizontal_segment(self):
         assert CC.dist(ci.identity(H1), ci.point([0.7, -0.2], [0])) == pytest.approx(

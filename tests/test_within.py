@@ -415,17 +415,28 @@ class TestFastPath:
         metric = CHEAP.get(name) or ci.CCMetric(SPECS["h1"])
         apex, _ = isodiametric._apex_and_bound(metric)
         d1, block = metric.spec.dim1, sampling.BLOCK
-        d2 = metric.spec.dim2
+        d2, budget = metric.spec.dim2, 3 * block + 100
         sum_squares, rows = metrics._sum_squares, {d1: [], d2: []}
 
         def spy(x):
-            # a whole block of one layer; the kernel's band points come in smaller sets
-            if x.ndim == 2 and x.shape[-1] in rows and x.shape[0] in (block, 100):
+            if x.ndim == 2 and x.shape[-1] in rows:
                 rows[x.shape[-1]].append(x.shape[0])
             return sum_squares(x)
 
+        # one chunk: per block the ball's triage, then the bump's; then one settle
+        ball, blocks, open_rows = measures.ball_set(metric), [], []
+        for a, l2 in measures.ball_set(metric, apex, RHO).draws(sampling.substream(3, 0), budget):
+            blocks.append(len(a))
+            open_rows.append(int(np.count_nonzero(~ball.decide(a, l2)[0])))
         monkeypatch.setattr(metrics, "_sum_squares", spy)
-        isodiametric.bump_ratio(isodiametric.BumpParams(apex, RHO), metric, 3 * block + 100, 3)
-        # a is drawn, never squared; the bump and the ball each square their shifted layer 2
+        isodiametric.bump_ratio(isodiametric.BumpParams(apex, RHO), metric, budget, 3)
+        # a is drawn, never squared; the ball squares its layer 2 on every whole block,
+        # and the bump its shifted layer 2 on the whole block for d_inf and gauge, where
+        # the ball holds about half the block surely inside, but for CC only on the
+        # rows the ball leaves open
         assert rows[d1] == []
-        assert rows[d2] == [block, block, block, block, block, block, 100, 100]
+        assert blocks == [block, block, block, 100]
+        kept = blocks if name in CHEAP else open_rows
+        assert rows[d2][:8] == [n for pair in zip(blocks, kept) for n in pair]
+        if name not in CHEAP:
+            assert all(0 < n < block / 4 for n in open_rows[:3])
