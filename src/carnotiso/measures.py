@@ -7,8 +7,11 @@ alone, so a SampledSet is drawn radially: a uniform point of its region, a
 layer-1 ball times a layer-2 box, is a = r1^2 U^(2/m) and its layer-2
 coordinates, 1 + k doubles of one substream. mc_measure and sampled_max
 decide each block by the metric's bounds alone and run the kernel once a
-chunk on the points those leave undecided. per_unit_ball is the one
-division of a measure by Haar(B1), with the volume's error folded in. Each
+chunk on the points those leave undecided. difference samples kept's
+region less removed's layer-2 slab where that cuts off one end of it, so
+no draw of a bump's extra measure lands where the unit ball surely is.
+per_unit_ball is the one division of a measure by Haar(B1), with the
+volume's error folded in. Each
 metric class holds its unit-ball volume rule, read by
 :func:`carnotiso.metrics.unit_ball_volume`: closed forms for d_inf and
 gauge, a fixed Gauss-Legendre rule for CC.
@@ -82,12 +85,14 @@ class SampledSet:
     reads layer 1 only through a, as every norm does. triage(a, l2), where
     given, decides a block without the kernel: it returns two bool masks
     (inside, unsure), inside where a point is surely in and unsure where only
-    membership can tell.
+    membership can tell. slab(R), where given, is (c2, H): the set holds
+    every point with |layer 1| <= R and |l2 - c2| <= H (none if H is 0).
     """
 
     membership: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bounding_box: BoundingBox
     triage: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
+    slab: Optional[Callable[[float], tuple]] = None
 
     def decide(self, a, l2):
         """(inside, unsure) of a block: the triage's, or the exact mask and no point unsure."""
@@ -125,6 +130,10 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
     bit for bit norm_arrays(y1, y2 - c2) <= radius at a = |y1|^2. Its triage is
     metric._radial_bounds on the same squares, which decides all but the points
     next to the sphere with no root (d_inf, gauge) or by the CC half-height table.
+    Its slab(R) is the unit ball's, metric._slab_height, dilated by radius and
+    shifted by c2: (c2, radius^2 h(R / radius)). Homogeneity puts it in the
+    ball; for the unit ball, the one every bump removes, the floats are h's
+    own, so the triage also holds it surely inside.
     It is the one place that shifts a set's layer 2.
     The array norms take a and square layer 2 unscaled, so FloatingPointError
     unless R^2 is a normal float and, on layer 2, the sum of squares at the
@@ -155,22 +164,50 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
     def triage(a, l2):
         return metric._radial_bounds(a, metrics_mod._sum_squares(l2 - c.layer2), radius)
 
-    return SampledSet(member, box, triage)
+    def slab(R):
+        return c.layer2, radius * radius * metric._slab_height(R / radius)
+
+    return SampledSet(member, box, triage, slab)
+
+
+def _clipped(box: BoundingBox, slab) -> BoundingBox:
+    """box less a slab (c2, H) of one layer-2 coordinate that covers exactly one end; else box.
+
+    The slab holds [c2 - H, c2 + H] over the box's layer-1 ball, so the box's
+    other points all lie beyond it. Covering neither end would split the box,
+    and covering both would empty it: either keeps the box.
+    """
+    if slab is None or len(box.lo2) != 1:
+        return box
+    c2, half = slab(box.r1)
+    lo, hi = c2[0] - half, c2[0] + half
+    if lo <= box.lo2[0] <= hi < box.hi2[0]:
+        return BoundingBox(box.dim1, box.r1, [hi], box.hi2)
+    if box.lo2[0] < lo <= box.hi2[0] <= hi:
+        return BoundingBox(box.dim1, box.r1, box.lo2, [lo])
+    return box
 
 
 def difference(kept: SampledSet, removed: SampledSet) -> SampledSet:
-    """kept \\ removed on kept's region, with a triage from the two sets' decisions.
+    """kept \\ removed on kept's region less removed's slab, with a triage from both decisions.
+
+    For k = 1 the region is kept's box with its layer-2 interval cut at
+    removed.slab(r1), when that slab covers exactly one end of it (_clipped);
+    every point cut away lies in removed. A bump at the apex keeps half its
+    box (d_inf and CC) or 0.588 of it (gauge on h1-htype), and a d_inf bump's
+    clipped box is bump \\ B itself. Otherwise, for k > 1 as well, the region
+    is kept's box.
 
     A point is surely in when it is surely in kept and surely out of removed,
     and surely out when it is surely out of kept or surely in removed; the rest
     is unsure, and membership settles it on both exact masks.
 
     The triage asks removed first. Its surely-in rows are surely out, so when
-    they are at least three quarters of the block (the CC bump's box, 94-99%
-    inside the unit ball), kept decides only the other rows, copied out by
-    index; below that (d_inf and gauge, about half) the copies cost more than
-    kept's bounds on the whole block. Every bound is elementwise, so either way
-    gives the same masks.
+    they are at least three quarters of the block (the clipped CC bump's box,
+    89% inside the unit ball on H^1 and 98% on H^2), kept decides only the
+    other rows, copied out by index; below that (d_inf and gauge) the copies
+    cost more than kept's bounds on the whole block. Every bound is
+    elementwise, so either way gives the same masks.
     """
     def member(a, l2):
         return kept.membership(a, l2) & ~removed.membership(a, l2)
@@ -188,7 +225,7 @@ def difference(kept: SampledSet, removed: SampledSet) -> SampledSet:
         inside[i], unsure[i] = masks(*kept.decide(a[i], l2[i]), r_in[i], r_unsure[i])
         return inside, unsure
 
-    return SampledSet(member, kept.bounding_box, triage)
+    return SampledSet(member, _clipped(kept.bounding_box, removed.slab), triage)
 
 
 # ---------------------------------------------------------------------------

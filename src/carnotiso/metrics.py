@@ -11,7 +11,10 @@ kernel: mu and mu' in _mu_pair, the unit sphere's radius sin phi / phi and
 half height T in _sphere_profile, for the sphere map, the cut-ball sampler,
 the half-height table and the CC volume. Each metric class states its name,
 box radii and unit-ball volume rule once (:func:`unit_ball_volume`): closed
-forms for d_inf and gauge, and for CC a fixed Gauss-Legendre rule.
+forms for d_inf and gauge, and for CC a fixed Gauss-Legendre rule. Its
+_slab_height(R) is the half height of a layer-2 slab over |layer 1| <= R
+that the unit ball's bounds hold surely inside, which measures.difference
+cuts from a bump's box.
 """
 
 from __future__ import annotations
@@ -331,7 +334,9 @@ class _HomogeneousMetric:
     arrays (inside, unsure) shaped like a, with radial_norm(a, b) <= r
     exactly where inside holds and unsure does not, every point unsure at a
     radius whose thresholds are unsafe; its name, _box_radii()
-    (unit_ball_bbox) and _volume(), by volume_method. The scalar interface
+    (unit_ball_bbox), _slab_height(R) and _volume(), by volume_method. The
+    slab {|x| <= R, |layer 2| <= _slab_height(R)} lies in the unit ball, and
+    its triage at r = 1 holds every point of it surely inside. The scalar interface
     dilates its points to O(1) by a power of two, which is exact, so that
     N(delta_s p) = s N(p) holds for tiny and huge coordinates.
     """
@@ -420,6 +425,21 @@ class DinfMetric(_HomogeneousMetric):
     def _box_radii(self):
         return 1.0 / self.c1, (1.0 / self.c2) ** 2  # OverflowError, not 1/0, for a tiny c2
 
+    def _slab_height(self, R):
+        """h = r2 (1 - g), g = WITHIN_GUARD, where the triage holds the corner (R^2, h^2); else 0.
+
+        The unit ball is |z| <= r1, |t| <= r2 itself, but its triage at r = 1 is
+        surely inside only for a <= ta (1 - g) and b <= tb (1 - g), ta = r1^2 and
+        tb = r2^2 to 3 ulp: b = r2^2 is not. h^2 = r2^2 (1 - g)^2 to 2 ulp lies a
+        relative g below tb (1 - g), far more than those ulps. The triage's two
+        comparisons grow with a and b, and every point of the slab has a <=
+        fl(R^2) and b = fl(t^2) <= fl(h^2), so the corner decides the whole
+        slab. It fails, and there is no slab, when R^2 > ta (1 - g) or a
+        threshold leaves the triage's range.
+        """
+        h = self._box_radii()[1] * (1.0 - WITHIN_GUARD)
+        return h if self._radial_bounds(R * R, h * h, 1.0)[0] else 0.0
+
     def _volume(self):
         m = self.spec.dim1
         # powers of the radii: a power of a tiny c underflows to a 0 divisor
@@ -465,6 +485,20 @@ class GaugeMetric(_HomogeneousMetric):
 
     def _box_radii(self):
         return 1.0, 1.0 / self.layer2_scale  # |Z| <= 1/scale on the unit ball
+
+    def _slab_height(self, R):
+        """h = r2 (1 - 2g - (R / r1)^4)^(1/2), g = WITHIN_GUARD, where the triage holds (R^2, h^2).
+
+        The unit ball over |X| <= R reaches |Z| = r2 (1 - (R/r1)^4)^(1/2), r1 = 1
+        and s r2 = 1, on its sphere. At the corner the triage's q = a^2 + s^2 b is
+        1 - 2g to a few ulp, below its inside threshold 1 - g; q grows with a
+        and b, and every point of the slab has a <= fl(R^2) and b <= fl(h^2), so
+        the corner decides the whole slab. Else (R^4 > 1 - 2g) 0, no slab.
+        """
+        r1, r2 = self._box_radii()
+        x = (R / r1) * (R / r1)  # a product, not ** 4: a huge R gives inf, not OverflowError
+        h = r2 * math.sqrt(max(1.0 - 2.0 * WITHIN_GUARD - x * x, 0.0))
+        return h if self._radial_bounds(R * R, h * h, 1.0)[0] else 0.0
 
     def _volume(self):
         m, k = self.spec.dim1, self.spec.dim2
@@ -552,7 +586,7 @@ class CCMetric(_HomogeneousMetric):
         PROFILE_EPS = 1e-9 is thus four times the sum it must exceed. Every
         other point is unsure: those within about one cell of the sphere's
         height, u < 1 / PROFILE_CELLS (|z| within 6e-8 r of r), and NaN; that
-        is about 50 of the 2^17 points of the CC bump box. Every point is
+        is about 69 of the 2^17 points of the clipped CC bump box on H^1. Every point is
         unsure for r outside [1e-100, 1e100], where r^2 may leave the normal range.
         """
         if not 1e-100 <= r <= 1e100:  # negated, so that NaN fails too
@@ -581,6 +615,21 @@ class CCMetric(_HomogeneousMetric):
         # |z| <= 1 (phi -> 0); the half height T peaks at phi = pi/2 with value
         # 2/pi, so |t| <= 2/pi (the center point of the ball only reaches 1/pi)
         return 1.0, 2.0 / np.pi
+
+    def _slab_height(self, R):
+        """The least low[k] of _profile_bounds over the cells |z| <= R reaches; 0 if cell 0.
+
+        The triage at r = 1 takes u = sqrt(1 - sqrt(a)) and k = floor(u
+        PROFILE_CELLS), each step correctly rounded or exact and falling or
+        rising with a as here, so every a <= fl(R^2) falls in a cell k >= k_R,
+        the corner's. A point with |t| <= h has y = sqrt(fl(t^2)) = |t| <= h
+        <= low[k], so the triage holds it surely inside, by the proof in
+        _radial_bounds. T rises with |z| up to its peak at |z| = 2/pi, so for
+        R below that the least bound is the center's cell, 1/pi - PROFILE_EPS.
+        Cell 0 decides nothing, so R near 1 gets no slab.
+        """
+        k = int(math.sqrt(max(1.0 - math.sqrt(R * R), 0.0)) * PROFILE_CELLS)
+        return float(np.min(_profile_bounds()[0][k:])) if k >= 1 else 0.0
 
     def _volume(self):
         n = self.spec.dim1 // 2

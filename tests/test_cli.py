@@ -536,10 +536,11 @@ class TestBoxRange:
     def test_in_range_boxes_give_the_unit_ratio(self, capsys, coefs):
         # both balls are norm balls shifted in layer 2 only, and (z, t) ->
         # (c1 z, c2^2 t) maps them onto those of unit coefficients, so the
-        # ratio does not move; the suite turns any warning into an error
+        # ratio does not move; the suite turns any warning into an error. The clipped
+        # box is bump \ ball itself, so every draw hits: 1 + rho^4 / 2 to 2e-13
         code, out = run_main(capsys, "bump-search", *coefs, "--budget", "20000", "--seed", "1")
         assert code == 0
-        assert json.loads(out)["result"]["ratio"]["value"] == 1.0588332908935867
+        assert json.loads(out)["result"]["ratio"]["value"] == 1.0588745030458904
         assert capsys.readouterr().err == ""
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import zlib
 
@@ -617,13 +618,14 @@ class TestSettleOnceAChunk:
     @pytest.mark.parametrize("metric", [DINF, ci.DinfMetric(H2), GAUGE, CC, ci.CCMetric(H2)],
                              ids=["dinf-h1", "dinf-h2", "gauge-h1-htype", "cc-h1", "cc-h2"])
     def test_bump_difference_triage_is_sound(self, metric):
-        # on real bump draws: no point both surely in and unsure, every sure point
-        # decided as the exact mask decides it, and only unsure points left open
+        # on real draws of the bump's whole box, the clipped part included: no point
+        # both surely in and unsure, every sure point decided as the exact mask
+        # decides it, and only unsure points left open
         apex, _ = ci.isodiametric._apex_and_bound(metric)
-        extra = ci.measures.difference(ci.ball_set(metric, center=apex, radius=RHO),
-                                       ci.ball_set(metric))
+        bump = ci.ball_set(metric, center=apex, radius=RHO)
+        extra = ci.measures.difference(bump, ci.ball_set(metric))
         hits = unsure_rows = 0
-        for a, l2 in extra.draws(sampling.substream(5, 0), 1 << 16):
+        for a, l2 in bump.draws(sampling.substream(5, 0), 1 << 16):
             inside, unsure = extra.decide(a, l2)
             exact = extra.membership(a, l2)
             assert inside.dtype == unsure.dtype == bool and inside.shape == unsure.shape == a.shape
@@ -727,3 +729,97 @@ class TestSettleOnceAChunk:
         got, capped_calls = outputs()
         assert got == want
         assert capped_calls > calls
+
+
+def _bump_and_ball(metric):
+    apex, _ = ci.isodiametric._apex_and_bound(metric)
+    return ci.ball_set(metric, center=apex, radius=RHO), ci.ball_set(metric)
+
+
+class TestClippedBox:
+    """difference cuts kept's layer-2 interval at removed's slab, where that covers one end."""
+
+    @pytest.mark.parametrize("metric", [DINF, ci.DinfMetric(H2), GAUGE, CC, ci.CCMetric(H2)],
+                             ids=["dinf-h1", "dinf-h2", "gauge-h1-htype", "cc-h1", "cc-h2"])
+    def test_cut_points_lie_in_the_ball(self, metric):
+        # 2^20 draws of the bump's whole box: every draw the clip cuts away is in
+        # the unit ball by its triage and out of bump \ ball by the exact masks
+        bump, ball = _bump_and_ball(metric)
+        extra = ci.measures.difference(bump, ball)
+        box, clipped = bump.bounding_box, extra.bounding_box
+        assert clipped.r1 == box.r1 and clipped.volume < 0.6 * box.volume
+        cut = 0
+        for a, l2 in bump.draws(sampling.substream(9, 0), 1 << 20):
+            out = (l2[:, 0] < clipped.lo2[0]) | (l2[:, 0] > clipped.hi2[0])
+            a, l2 = a[out], l2[out]
+            cut += len(a)
+            assert ball.decide(a, l2)[0].all()
+            assert not np.any(bump.membership(a, l2) & ~ball.membership(a, l2))
+        assert 0.4 * (1 << 20) < cut < 0.6 * (1 << 20)
+
+    @pytest.mark.parametrize("group,coefs,closed", [
+        (H1, {}, 1.0588745), (H2, {}, 1.0202025), (H1, {"c2": 0.7}, 1.0588745)],
+        ids=["h1", "h2", "c2-0.7"])
+    def test_dinf_bump_is_its_clipped_box(self, group, coefs, closed):
+        # the unit ball is |z| <= r1, |t| <= r2, so bump \ ball is the bump's box above
+        # r2: every draw hits, and the ratio is 1 + rho^Q / 2, to the slab's guard band
+        metric = ci.DinfMetric(group, **coefs)
+        extra = ci.measures.difference(*_bump_and_ball(metric))
+        budget = 1 << 18
+        est = ci.mc_measure(extra, budget, seed=4)
+        assert est.value == extra.bounding_box.volume  # every draw a hit
+        assert est.error == extra.bounding_box.volume * 3.0 / budget
+        ratio = ci.maximize_bump(metric, budget, seed=4).ratio
+        assert ratio.value == pytest.approx(1.0 + RHO ** group.Q / 2.0, rel=1e-12, abs=0.0)
+        assert round(ratio.value, 7) == closed
+
+    def _keeps(self, kept, removed, budget=1 << 15):
+        # the same box object, and the same estimate's bits as with no slab at all
+        extra = ci.measures.difference(kept, removed)
+        assert extra.bounding_box is kept.bounding_box
+        plain = ci.measures.difference(kept, dataclasses.replace(removed, slab=None))
+        assert ci.mc_measure(extra, budget, 2) == ci.mc_measure(plain, budget, 2)
+
+    def test_more_than_one_layer2_coordinate_keeps_the_box(self):
+        # k = 3: the slab is a ball of layer 2, not an interval, and is not used
+        self._keeps(*_bump_and_ball(ci.DinfMetric(quaternionic())))
+
+    def test_slab_covering_neither_end_keeps_the_box(self):
+        # a gauge ball of radius 0.9 reaches beyond the unit ball's slab at both ends
+        ball = ci.ball_set(GAUGE)
+        kept = ci.ball_set(GAUGE, radius=0.9)
+        half = ball.slab(kept.bounding_box.r1)[1]
+        assert 0 < half < kept.bounding_box.hi2[0]
+        self._keeps(kept, ball)
+        # and a set whose slab lies strictly inside the box
+        box = BoundingBox(2, 1.0, [-1.0], [1.0])
+        inner = ci.SampledSet(lambda a, l2: np.abs(l2[:, 0]) <= 0.5, box,
+                              slab=lambda R: (np.zeros(1), 0.5))
+        self._keeps(ci.SampledSet(lambda a, l2: a <= 1.0, box), inner)
+
+    def test_slab_covering_both_ends_keeps_the_box(self):
+        # a small ball at the center lies in the unit ball's slab: cutting both ends
+        # would empty the box, which BoundingBox refuses; the box stays, and no draw hits
+        for metric in (DINF, GAUGE, CC):
+            ball = ci.ball_set(metric)
+            kept = ci.ball_set(metric, radius=0.3)
+            self._keeps(kept, ball)
+            assert ci.mc_measure(ci.measures.difference(kept, ball), 1 << 12, 2).value == 0.0
+        # a slab exactly the box's interval covers both ends too
+        box = BoundingBox(2, 1.0, [-1.0], [1.0])
+        same = ci.SampledSet(lambda a, l2: np.abs(l2[:, 0]) <= 1.0, box,
+                             slab=lambda R: (np.zeros(1), 1.0))
+        self._keeps(ci.SampledSet(lambda a, l2: a <= 1.0, box), same)
+
+    @pytest.mark.parametrize("metric", [DINF, ci.DinfMetric(H1, c2=0.7), ci.GaugeMetric(H1),
+                                        GAUGE, CC], ids=["dinf", "dinf-c2", "gauge-h1",
+                                                         "gauge-h1-htype", "cc"])
+    def test_slab_corner_is_surely_inside(self, metric):
+        # the rule's own claim, at the corner and just past it: the triage at r = 1 holds
+        # (R^2, h^2) surely inside, for R of the bump and of wider layer-1 radii
+        for R in (RHO, 0.75, 0.9):
+            h = metric._slab_height(R)
+            assert 0.0 < h < metric._box_radii()[1]
+            assert metric._radial_bounds(np.array([R * R]), np.array([h * h]), 1.0)[0].all()
+        # the sphere's layer-1 rim, and any R beyond it, holds no slab
+        assert metric._slab_height(1.0) == metric._slab_height(1e100) == 0.0

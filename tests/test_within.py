@@ -423,9 +423,11 @@ class TestFastPath:
                 rows[x.shape[-1]].append(x.shape[0])
             return sum_squares(x)
 
-        # one chunk: per block the ball's triage, then the bump's; then one settle
+        # one chunk: per block the ball's triage, then the bump's; then one settle.
+        # bump_ratio draws the bump's box clipped by the ball's slab
         ball, blocks, open_rows = measures.ball_set(metric), [], []
-        for a, l2 in measures.ball_set(metric, apex, RHO).draws(sampling.substream(3, 0), budget):
+        extra = measures.difference(measures.ball_set(metric, apex, RHO), ball)
+        for a, l2 in extra.draws(sampling.substream(3, 0), budget):
             blocks.append(len(a))
             open_rows.append(int(np.count_nonzero(~ball.decide(a, l2)[0])))
         monkeypatch.setattr(metrics, "_sum_squares", spy)
