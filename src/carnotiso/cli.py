@@ -13,6 +13,7 @@ syntax: their layer 2 differ (t = -4 Z on H^1), so one text names two points.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -225,10 +226,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once a process: building it is most of a short call's fixed cost.
+
+    parse_args keeps no state between calls, so every call parses as a fresh parser would.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

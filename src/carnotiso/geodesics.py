@@ -11,9 +11,9 @@ constant rate; they stop minimizing exactly at |phi| = pi, on the center.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -119,8 +119,110 @@ class CutPointReport:
         }
 
 
+# the cut-ball cull's relative guard on M (sphere rows) and on M^2 (inner rows)
+CULL_GUARD = 1e-9
+# cells of phi in [-pi, pi] of _sphere_row_bounds; a power of two, so that phi = 0 is a cell end
+SPHERE_CELLS = 1 << 12
+# _sphere_row_bounds widens each cell's box by this: relative on a = |z|^2, absolute on |t|
+BOX_PAD = 1e-11
+# the kernel's relative error, CCMetric.radial_norm's 1e-14
+KERNEL_REL = 1e-14
+
+
+@functools.cache
+def _sphere_row_bounds():
+    """Upper bounds of a cut-ball sphere row's norm, one per cell of phi, for _culled.
+
+    A sphere row of _cut_ball_blocks is y = x w, x the unit cut point, w the
+    unit sphere point at turning phi in [-pi, pi], so its (a, t) is (sinc^2,
+    T + 1/pi) and its norm F(phi) = N(sinc^2, T + 1/pi), with no n in it: one
+    table serves every H^n. Cell k is phi in [e_k, e_k+1], e_k = -pi + k 2pi /
+    SPHERE_CELLS; _culled's index floor((phi + pi) SPHERE_CELLS / 2pi) strays
+    by under 3e-15 in phi, and so does e_k. Over the cell:
+
+    * a = sinc^2 is monotone on each side of phi = 0, itself an end (where
+      a = 1, its maximum), so a lies between the ends' values;
+    * t = T + 1/pi is monotone off phi = +-pi/2, T being unimodal on [0, pi]
+      and odd, so |t| lies below the larger end's |t|; on the cells whose ends
+      come within 1e-12 of +-pi/2, below 3/pi, as T <= 2/pi;
+    * N grows with |t| (d N^2 / d|t| is the point's turning angle), and at
+      fixed t the ball's slice {|z| : N <= r} is an interval, T being unimodal
+      in |z|; so N's max over the box [a_lo, a_hi] x [0, t_hi] is at one of
+      (a_lo, t_hi) and (a_hi, t_hi).
+
+    BOX_PAD widens the box before the corners are read, a by a relative 1e-11
+    and |t| by an absolute 1e-11. That covers the rows' and the ends' rounding
+    of a and t (a few ulp, a relative one on a), T's 1e-15, and the index's
+    3e-15 in phi, which moves t by 3e-15 and a by a relative 4e-12 at most, next
+    to phi = pi where a is smallest. The bound is the larger corner's kernel
+    value, within KERNEL_REL of N there, times 1 + KERNEL_REL. So every row of
+    cell k has N <= bound / (1 - KERNEL_REL), and a kernel value at most 1 +
+    KERNEL_REL times that. One more entry repeats the last cell, for phi = pi,
+    whose index may round to SPHERE_CELLS. Built once, in about 2 ms.
+    """
+    ends = np.arange(SPHERE_CELLS + 1) * (2.0 * math.pi / SPHERE_CELLS) - math.pi
+    sinc, height = _sphere_profile(ends)
+    a, t = sinc * sinc, np.abs(height + 1.0 / math.pi)
+    a_lo = np.minimum(a[:-1], a[1:]) * (1.0 - BOX_PAD)
+    a_hi = np.maximum(a[:-1], a[1:]) * (1.0 + BOX_PAD)
+    t_hi = np.maximum(t[:-1], t[1:])
+    for peak in (-0.5 * math.pi, 0.5 * math.pi):
+        t_hi[(ends[:-1] - 1e-12 <= peak) & (peak <= ends[1:] + 1e-12)] = 3.0 / math.pi
+    b = (t_hi + BOX_PAD) ** 2
+    metric = CCMetric(groups.heisenberg(1))
+    bound = np.maximum(metric.radial_norm(a_lo, b), metric.radial_norm(a_hi, b))
+    bound *= 1.0 + KERNEL_REL
+    bound = np.append(bound, bound[-1])
+    bound.flags.writeable = False  # the cache shares it
+    return bound
+
+
+def _sphere_cells(phi):
+    """_sphere_row_bounds' cell of each phi in [-pi, pi]: floor((phi + pi) SPHERE_CELLS / 2pi)."""
+    k = phi + math.pi
+    k *= SPHERE_CELLS / (2.0 * math.pi)
+    return k.astype(np.intp)
+
+
+def _culled(spec: GroupSpec, pts, sphere: int, best: float):
+    """(the rows of a cut-ball block that may exceed best, how many are sphere rows).
+
+    pts is a block of _cut_ball_blocks' raw (phi, u, v) rows, its first sphere
+    rows on the sphere. Let g = CULL_GUARD. A dropped row's kernel norm is at
+    most best, so the max over the rest, joined with best, is the max over all.
+
+    * Inner rows: y = x w with N(w) = rc = rho r, rho^2 = u^(2/dim1) and r^2 =
+      v^(2/Q), so rc^2 <= min(u^(2/dim1), v^(2/Q)); _apex_and_bound's
+      pi-Lipschitz proof gives N(y)^2 <= rc^2 + 1. Drop the row when u <=
+      c^(dim1/2) or v <= c^(Q/2), c = best^2 (1 - g) - 1: then N(y)^2 <= best^2
+      (1 - g), and nothing when c <= 0. In floats, |z| is the exact point's to
+      a few ulp and t to 1e-15 (T's error, and the addition of x's 1/pi); N^2
+      is pi-Lipschitz in t and N(lambda z, t)^2 <= lambda^2 N^2 + 7 (lambda -
+      1), and the kernel is within KERNEL_REL of N: its value squared is
+      within 1e-13 of N(y)^2, far below g best^2 = 2e-9.
+    * Sphere rows: drop the row when its cell's _sphere_row_bounds entry is
+      below best (1 - g). Its kernel value is at most the entry times (1 +
+      KERNEL_REL) / (1 - KERNEL_REL), below best (1 - g) (1 + 3e-14) < best.
+
+    At best = sqrt(2) (1 - 1e-4) 0.1% of the sphere rows are kept, and 2e-7 of
+    the inner rows on H^1 (6e-7 on H^2); any g up to 1e-6 keeps as few.
+    """
+    keep = np.empty(len(pts), bool)
+    if sphere:
+        np.greater_equal(np.take(_sphere_row_bounds(), _sphere_cells(pts[:sphere, 0])),
+                         best * (1.0 - CULL_GUARD), out=keep[:sphere])
+    if sphere < len(pts):
+        c = best * best * (1.0 - CULL_GUARD) - 1.0
+        if c > 0.0:
+            np.greater(pts[sphere:, 1], c ** (spec.dim1 / 2), out=keep[sphere:])
+            keep[sphere:] &= pts[sphere:, 2] > c ** (spec.Q / 2)
+        else:
+            keep[sphere:] = True
+    return pts[np.flatnonzero(keep)], int(np.count_nonzero(keep[:sphere]))
+
+
 def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
-    """Yield (a, t) blocks of count points of the closed CC ball B(x, 1).
+    """Yield (a, t) blocks of count points of the closed CC ball B(x, 1), less those M rules out.
 
     a = |z|^2: every norm reads z through it alone, so no direction is drawn.
     Row i is on the sphere when i < count // 2, inside the ball otherwise. It
@@ -130,18 +232,27 @@ def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
     gives |z| = r rho sinc(phi) and t = (r rho)^2 T(phi).
     x is central, like the cut point, so translating by it is t -> t + x2.
     A point costs 3 doubles, the width box_blocks checks, at every n.
+
+    x must be the unit cut point when a maximum is sent: the generator's send(M)
+    before a block drops its rows that _culled proves have kernel norm <= M,
+    before the fractional powers and the sphere map. Every row kept has the
+    bits it has in the full draw. With nothing sent, as in a for loop, every
+    row is yielded.
     """
     lo, hi = np.array([-math.pi, 0.0, 0.0]), np.array([math.pi, 1.0, 1.0])
-    sphere_left = count // 2
+    sphere_left, best = count // 2, None
     for pts in sampling.box_blocks(rng, count, lo, hi):
-        pts[:sphere_left, 1:] = 1.0
-        pts[sphere_left:, 1] **= 1.0 / spec.dim1
-        pts[sphere_left:, 2] **= 1.0 / spec.Q
-        sphere_left = max(sphere_left - len(pts), 0)
+        sphere = min(sphere_left, len(pts))
+        sphere_left -= sphere
+        if best is not None:
+            pts, sphere = _culled(spec, pts, sphere, best)
+        pts[:sphere, 1:] = 1.0
+        pts[sphere:, 1] **= 1.0 / spec.dim1
+        pts[sphere:, 2] **= 1.0 / spec.Q
         sinc, height = _sphere_profile(pts[:, 0])
         rc = pts[:, 2] * pts[:, 1]
         zn = rc * sinc
-        yield zn * zn, (rc * rc * height)[:, None] + x.layer2
+        best = yield zn * zn, (rc * rc * height)[:, None] + x.layer2
 
 
 def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
@@ -150,7 +261,10 @@ def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
 
     With x the unit cut point, samples y on and in the closed CC ball B(x, 1)
     (_cut_ball_blocks, no within needed) and reports margin = 2 - max d(0, y),
-    the exact max of measures.sampled_max. By left invariance d(0, x w) =
+    the exact max of measures.sampled_max. sampled_max sends each chunk's
+    running max M into the draw, which then skips the rows _culled proves
+    cannot exceed M: after a chunk's first block the sphere map sees about
+    0.5% of the rows, and the max keeps its bits. By left invariance d(0, x w) =
     d(x^-1, w), so the max is also the sampled reach of the bump apex x^-1
     over the unit ball, proven to be sqrt(2) in isodiametric._apex_and_bound;
     apex_reach reports this same number. The geodesic continuation point
@@ -159,7 +273,8 @@ def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
     metric = CCMetric(spec)
     x = cut_point(spec, 1.0)
     cont = cut_point(spec, 2.0)  # [0, 4/pi]
-    best = measures.sampled_max(metric, partial(_cut_ball_blocks, spec, x), sample_budget, seed)
+    draws = functools.partial(_cut_ball_blocks, spec, x)
+    best = measures.sampled_max(metric, draws, sample_budget, seed)
     return CutPointReport(cut_point=x, sampled_max_roundtrip=best,
                           margin=2.0 - best, continuation_point=cont,
                           continuation_distance=metric.norm(cont),

@@ -291,18 +291,30 @@ def mc_measure(sampled: SampledSet, budget: int, seed: int) -> EstimateWithError
     return EstimateWithError(vol * p, se, "monte_carlo", budget, seed)
 
 
+def _send(blocks, value):
+    """The generator blocks' next block, value sent in (None asks as next does); None at its end."""
+    try:
+        return blocks.send(value)
+    except StopIteration:
+        return None
+
+
 def sampled_max(metric, draws, budget: int, seed: int, within=None) -> float:
     """Exact max of metric's norm over budget draws, or over those in within; 0.0 if none.
 
-    draws(rng, count) yields (a, l2) blocks of one chunk's count points, a =
-    |layer 1|^2; within is a SampledSet. Each chunk keeps a maximum M, seeded
-    by settling every 64th point of its first block. A block's candidates are
-    the points within.decide leaves in or unsure that metric._radial_bounds(.,
-    M) cannot place at or below M; they are copied out of the block, and
-    settling them, once a chunk or as soon as SETTLE_ROWS are held, keeps
-    those in within's exact membership and joins their exact max to M. Layer
-    2 is squared once a block, and with the block's a feeds the bounds and
-    the kernel. So no output depends on BLOCK or the thread count.
+    draws(rng, count) is a generator of (a, l2) blocks of one chunk's count
+    points, a = |layer 1|^2; within is a SampledSet. Each chunk keeps a
+    maximum M, seeded by settling every 64th point of its first block, and
+    sends M into draws before every later block: a draw may then leave out
+    points whose norm it proves to be at most M, as the cut ball's does, and
+    the max keeps its bits; the region draws ignore it. A block's candidates
+    are the points within.decide leaves in or unsure that
+    metric._radial_bounds(., M) cannot place at or below M; they are copied
+    out of the block, and settling them, once a chunk or as soon as
+    SETTLE_ROWS are held, keeps those in within's exact membership and joins
+    their exact max to M. Layer 2 is squared once a block, and with the
+    block's a feeds the bounds and the kernel. So no output depends on BLOCK
+    or the thread count.
     """
     def settle(best, held):
         if not held:
@@ -313,8 +325,9 @@ def sampled_max(metric, draws, budget: int, seed: int, within=None) -> float:
         return max(best, float(np.max(metric.radial_norm(a, b), initial=0.0)))
 
     def chunk(rng, count):
-        best, held, rows = None, [], 0
-        for a, l2 in draws(rng, count):
+        best, held, rows, blocks = None, [], 0, draws(rng, count)
+        while (block := _send(blocks, best)) is not None:
+            a, l2 = block
             b = metrics_mod._sum_squares(l2)
             if best is None:
                 best = settle(0.0, [(a[::64], l2[::64], b[::64])])

@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import mpmath as mp
 import numpy as np
 
 import carnotiso as ci
@@ -38,3 +39,22 @@ def region_cube(box):
     """
     r1 = np.full(box.dim1, box.r1)
     return np.concatenate([-r1, box.lo2]), np.concatenate([r1, box.hi2])
+
+
+def mp_unit_cc_norm(ratio):
+    """60-digit CC norm of [z, t] with |z| = 1, t = ratio > 0: phi / sin phi at mu(phi) = ratio.
+
+    Newton from pi - sqrt(pi / ratio) or 1.3, both above the root, where mu is
+    increasing and convex, so the steps fall monotonically onto it.
+    """
+    with mp.workdps(60):
+        r = mp.mpf(ratio)
+        p = mp.pi - mp.sqrt(mp.pi / r) if r > 1 else mp.mpf(1.3)
+        for _ in range(200):
+            s = mp.sin(p)
+            m = (2 * p - mp.sin(2 * p)) / (2 * s * s)
+            step = (m - r) / (2 - 2 * m * mp.cos(p) / s)
+            p -= step
+            if abs(step) < mp.mpf(10) ** -55:
+                return p / mp.sin(p)
+        raise AssertionError(f"no 60-digit root at ratio {ratio}")

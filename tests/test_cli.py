@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import carnotiso as ci
-from carnotiso import sampling
+from carnotiso import cli, sampling
 from carnotiso.cli import build_parser, main, parse_group, parse_point
 from conftest import quaternionic
 
@@ -683,3 +683,40 @@ def test_option_sets_pinned():
     got = {name: {s for a in p._actions for s in (a.option_strings or [a.dest])}
            for name, p in sub.choices.items()}
     assert got == expected
+
+
+class TestParserOnce:
+    """main builds its parser once a process, and parses as a fresh parser would."""
+
+    def test_two_calls_print_the_same_bytes(self, capsys):
+        argv = ["verify", "cc", "--budget", "4096", "--seed", "2"]
+        first = run_main(capsys, *argv)
+        assert first[0] == 0
+        assert run_main(capsys, *argv) == first
+
+    def test_bad_flag_exits_2_with_the_fresh_parser_stderr(self, capsys):
+        argv = ["verify", "cc", "--bogus", "1"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        want = capsys.readouterr().err
+        assert "--bogus" in want
+        for _ in range(2):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == want
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            assert main(["ball-volume"]) == 0
+            assert main(["verify", "dinf", "--budget", "64"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1

@@ -8,12 +8,14 @@ After a deliberate change of output, rewrite the files with
 ``PYTHONPATH=src python tests/test_cli_golden.py``, which names the files
 whose bytes changed and lists each number that moved, old -> new, with its
 distance in ulp, and for each moved Monte Carlo ``value`` with an ``error``
-beside it, the pull (new - old) / new error; then review the diff.
+beside it, the pull (new - old) / (old error^2 + new error^2)^(1/2); then
+review the diff.
 """
 
 import contextlib
 import io
 import json
+import math
 import re
 import struct
 import sys
@@ -101,8 +103,9 @@ def moved_numbers(old, new):
 def pulls(old, new):
     """Lines 'path: old -> new, pull p' for each moved value of a {value, error} object.
 
-    p = (new - old) / error, with the new output's error. Outputs that are not
-    JSON give no line.
+    p = (new - old) / sqrt(old_error^2 + new_error^2): old and new are two
+    estimates, each with its own error, so their difference has the two errors
+    in quadrature. Outputs that are not JSON give no line.
     """
     try:
         return _value_pulls(json.loads(old), json.loads(new), "")
@@ -115,7 +118,7 @@ def _value_pulls(old, new, path):
         return []
     lines = []
     if {"value", "error"} <= old.keys() & new.keys() and old["value"] != new["value"]:
-        pull = (new["value"] - old["value"]) / new["error"]
+        pull = (new["value"] - old["value"]) / math.hypot(old["error"], new["error"])
         lines.append(f"{path}: {old['value']!r} -> {new['value']!r}, pull {pull:+.2f}")
     for key in sorted(old.keys() & new.keys()):
         lines += _value_pulls(old[key], new[key], f"{path}.{key}")

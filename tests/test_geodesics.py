@@ -1,14 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import carnotiso as ci
+from carnotiso import geodesics, sampling
 from carnotiso.geodesics import GeodesicParams, sphere_point_arrays
 from carnotiso.groups import GroupError, mul_arrays, standard_symplectic
-from carnotiso.metrics import MetricError, _sum_squares
+from carnotiso.metrics import MetricError, _sphere_profile, _sum_squares
 from carnotiso.sampling import substream
-from conftest import close_to, cut_ball_points, quaternionic
+from conftest import close_to, cut_ball_points, mp_unit_cc_norm, quaternionic
 
 H1 = ci.heisenberg(1)
 H2 = ci.heisenberg(2)
@@ -224,3 +226,136 @@ class TestAssumptionC:
         rep = ci.verify_assumption_C(H1, sample_budget=10000, seed=1)
         doc = json.loads(json.dumps(rep.to_dict()))
         assert doc["margin"] == rep.margin
+
+
+def sphere_rows(phi):
+    """(a, t) of the cut ball's sphere rows at turning phi, as _cut_ball_blocks makes them."""
+    sinc, height = _sphere_profile(phi)
+    return sinc * sinc, height + 1.0 / math.pi
+
+
+def cell_end_probes():
+    """Every end of _sphere_row_bounds' cells and its neighbours 1 ulp either side, in [-pi, pi]."""
+    cells = geodesics.SPHERE_CELLS
+    ends = np.arange(cells + 1) * (2.0 * math.pi / cells) - math.pi
+    phi = np.concatenate([ends, np.nextafter(ends, -4.0), np.nextafter(ends, 4.0)])
+    return phi[(-math.pi <= phi) & (phi <= math.pi)]
+
+
+class TestCutBallCull:
+    """Sent a maximum M, _cut_ball_blocks drops only rows whose kernel norm is at most M."""
+
+    @staticmethod
+    def _culled_draw(spec, seed, count, best):
+        """The blocks of one chunk's draw, best sent before every block after the first."""
+        blocks = geodesics._cut_ball_blocks(spec, ci.cut_point(spec, 1.0), substream(seed, 0),
+                                            count)
+        out = [next(blocks)]
+        while (block := ci.measures._send(blocks, best)) is not None:
+            out.append(block)
+        return out
+
+    @staticmethod
+    def _dropped(full, culled, best):
+        """Rows dropped, after checking the kept rows' bits and order and the dropped rows' norms.
+
+        full is the draw's blocks, each (a, t) with the kernel's norms appended.
+        """
+        assert len(culled) == len(full)
+        dropped = 0
+        for (a, t, norms), (ca, ct) in zip(full, culled):
+            kept = np.isin(a, ca)
+            assert a[kept].tobytes() == ca.tobytes() and t[kept].tobytes() == ct.tobytes()
+            assert np.all(norms[~kept] <= best), (best, norms[~kept].max())
+            dropped += int(np.count_nonzero(~kept))
+        return dropped
+
+    @staticmethod
+    def _full_draw(spec, rng, count):
+        """The draw with nothing sent, each block's (a, t) with its kernel norms."""
+        metric, x = ci.CCMetric(spec), ci.cut_point(spec, 1.0)
+        return [(a, t, metric.radial_norm(a, _sum_squares(t)))
+                for a, t in geodesics._cut_ball_blocks(spec, x, rng, count)]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("spec", [H1, H2], ids=["h1", "h2"])
+    def test_dropped_rows_are_at_most_the_maximum(self, spec, seed):
+        # against the full draw: every kept row with its bits and in its order, and
+        # every dropped row's exact kernel norm at most the M sent
+        count = 1 << 20
+        full = self._full_draw(spec, substream(seed, 0), count)
+        top = max(float(np.max(norms)) for _, _, norms in full)
+        # below 1 no inner row is dropped; the evidence's M; just below the draw's max
+        for best in (0.9, 1.3, 1.4118, 1.4141, top * (1.0 - 1e-12)):
+            dropped = self._dropped(full, self._culled_draw(spec, seed, count, best), best)
+            if best > 1.4:  # the first block, which seeds M, is whole
+                assert dropped > 0.99 * (count - len(full[0][0]))
+
+    @pytest.mark.parametrize("spec", [H1, H2], ids=["h1", "h2"])
+    def test_inner_rows_at_the_reach_bound(self, monkeypatch, spec):
+        # N(y)^2 <= rc^2 + 1 is attained on the center, phi = pi: inner rows there
+        # with u or v at the cull's threshold or a few ulp below, and the other near
+        # 1, come within rounding of M but for the guard
+        block = {}
+        monkeypatch.setattr(sampling, "box_blocks", lambda rng, count, lo, hi: (
+            b.copy() for b in (block["sphere"], block["inner"])))
+        phi = np.nextafter(math.pi, 0.0) - np.arange(4) * 4e-16
+        below, ones = 1.0 - np.arange(8) * 2.0 ** -52, 1.0 - np.arange(1, 9) * 2.0 ** -53
+        for best in (1.2, 1.4118, 1.4141):
+            c = best * best * (1.0 - geodesics.CULL_GUARD) - 1.0
+            near = [c ** (spec.dim1 / 2) * below, c ** (spec.Q / 2) * below]
+            rows = [np.stack(np.meshgrid(phi, near[0], ones), -1).reshape(-1, 3),
+                    np.stack(np.meshgrid(phi, ones, near[1]), -1).reshape(-1, 3)]
+            block["inner"] = np.concatenate(rows)
+            block["sphere"] = np.tile([[0.0, 1.0, 1.0]], (len(block["inner"]), 1))
+            count = 2 * len(block["inner"])
+            full = self._full_draw(spec, None, count)
+            culled = self._culled_draw(spec, 0, count, best)
+            assert self._dropped(full, culled, best) == len(block["inner"])
+
+    def test_table_bounds_the_sphere_rows(self):
+        # F = the kernel's norm of a sphere row, at 2^22 random phi and at each cell's
+        # end and 1 ulp either side
+        bound = geodesics._sphere_row_bounds()
+        assert bound.shape == (geodesics.SPHERE_CELLS + 1,) and bound[-1] == bound[-2]
+        phi = np.concatenate([np.random.default_rng(31).uniform(-math.pi, math.pi, 1 << 22),
+                              cell_end_probes()])
+        a, t = sphere_rows(phi)
+        assert np.all(CC.radial_norm(a, t * t) <= bound[geodesics._sphere_cells(phi)])
+
+    def test_sphere_rows_are_the_draws(self):
+        # sphere_rows is the draw's own arithmetic, bit for bit
+        count = 2 * sampling.BLOCK
+        a, t = cut_ball_points(H1, ci.cut_point(H1, 1.0), substream(4, 0), count)
+        phi = substream(4, 0).random((count, 3))[:, 0] * (2.0 * math.pi) - math.pi
+        ra, rt = sphere_rows(phi[:count // 2])
+        assert a[:count // 2].tobytes() == ra.tobytes()
+        assert t[:count // 2, 0].tobytes() == rt.tobytes()
+
+    def test_table_bounds_every_kernel_value(self):
+        # the 256 rows, of every cell's ends and 1 ulp either side, where the bound
+        # exceeds the kernel's F the least: their exact (60-digit) norm times 1 + 1e-14
+        # is below the bound, so the table holds for any kernel within its error, not
+        # for this kernel's bits alone
+        phi = cell_end_probes()
+        a, t = sphere_rows(phi)
+        b = geodesics._sphere_row_bounds()[geodesics._sphere_cells(phi)]
+        tight = np.argsort(b / CC.radial_norm(a, t * t))[:256]
+        for ai, ti, bi in zip(a[tight], t[tight], b[tight]):
+            exact = mp.sqrt(mp.mpf(float(ai))) * mp_unit_cc_norm(abs(float(ti)) / float(ai))
+            assert exact * (1 + mp.mpf(geodesics.KERNEL_REL)) <= bi
+
+    @pytest.mark.parametrize("spec", [H1, H2], ids=["h1", "h2"])
+    def test_sphere_map_sees_under_one_percent_after_the_first_block(self, monkeypatch, spec):
+        geodesics._sphere_row_bounds()  # built once a process, through the sphere map
+        sizes, profile = [], geodesics._sphere_profile
+
+        def spy(phi):
+            sizes.append(len(phi))
+            return profile(phi)
+
+        monkeypatch.setattr(geodesics, "_sphere_profile", spy)
+        ci.verify_assumption_C(spec, 1 << 16, seed=1)
+        assert sizes[0] == sampling.BLOCK and len(sizes) == (1 << 16) // sampling.BLOCK
+        assert sum(sizes[1:]) < 0.01 * (1 << 16)
+

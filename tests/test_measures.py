@@ -686,7 +686,9 @@ class TestSettleOnceAChunk:
         assert 1 <= len(sizes) <= 2
 
     def test_verify_cc_kernel_passes(self, monkeypatch):
-        # the seed's every 64th point, one settle, the continuation distance
+        # the seed's every 64th point, one settle, the continuation distance; the
+        # sphere rows' bound table is built first, with its own kernel calls, once a process
+        ci.geodesics._sphere_row_bounds()
         sizes = _cc_kernel_spy(monkeypatch)
         ci.verify_assumption_C(H1, 1 << 16, seed=1)
         assert len(sizes) <= 3

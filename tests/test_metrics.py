@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import carnotiso as ci
 import carnotiso.metrics as metrics_mod
 from carnotiso.geodesics import cut_point, sphere_point_arrays
-from conftest import quaternionic
+from conftest import mp_unit_cc_norm, quaternionic
 from carnotiso.metrics import (ConvergenceError, MetricError, _sphere_profile, mu, mu_prime,
                                solve_turning, unit_ball_volume)
 
@@ -48,25 +48,6 @@ def mp_turning_root(ratio, phi0):
             m, m1, _ = mp_profiles(p)
             p -= (m - r) / m1
         return p
-
-
-def mp_unit_cc_norm(ratio):
-    """60-digit CC norm of [z, t] with |z| = 1, t = ratio > 0: phi / sin phi at mu(phi) = ratio.
-
-    Newton from pi - sqrt(pi / ratio) or 1.3, both above the root, where mu is
-    increasing and convex, so the steps fall monotonically onto it.
-    """
-    with mp.workdps(60):
-        r = mp.mpf(ratio)
-        p = mp.pi - mp.sqrt(mp.pi / r) if r > 1 else mp.mpf(1.3)
-        for _ in range(200):
-            s = mp.sin(p)
-            m = (2 * p - mp.sin(2 * p)) / (2 * s * s)
-            step = (m - r) / (2 - 2 * m * mp.cos(p) / s)
-            p -= step
-            if abs(step) < mp.mpf(10) ** -55:
-                return p / mp.sin(p)
-        raise AssertionError(f"no 60-digit root at ratio {ratio}")
 
 
 def profile_grid():
