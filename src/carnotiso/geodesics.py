@@ -19,7 +19,7 @@ import numpy as np
 
 from . import groups, measures, sampling
 from .groups import GroupError, GroupPoint, GroupSpec
-from .metrics import CCMetric, _heisenberg_model, _sphere_profile, _sum_squares
+from .metrics import KERNEL_REL, CCMetric, _heisenberg_model, _sphere_profile, _sum_squares
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,9 @@ def cut_point(spec: GroupSpec, rho: float) -> GroupPoint:
 
 @dataclass
 class CutPointReport:
+    """verify cc: max d(0, y) on B(cut_point, 1), sampled on its sphere, where dilations put it."""
     cut_point: GroupPoint
-    sampled_max_roundtrip: float  # max d(0, y) over sampled y in B(cut_point, 1)
+    sampled_max_roundtrip: float  # max d(0, y) over sampled y on the sphere of B(cut_point, 1)
     margin: float                 # 2 - sampled_max_roundtrip
     continuation_point: GroupPoint
     continuation_distance: float  # d(0, continuation_point), exactly 2
@@ -119,21 +120,19 @@ class CutPointReport:
         }
 
 
-# the cut-ball cull's relative guard on M (sphere rows) and on M^2 (inner rows)
+# the cut-ball cull's relative guard on M
 CULL_GUARD = 1e-9
 # cells of phi in [-pi, pi] of _sphere_row_bounds; a power of two, so that phi = 0 is a cell end
 SPHERE_CELLS = 1 << 12
 # _sphere_row_bounds widens each cell's box by this: relative on a = |z|^2, absolute on |t|
 BOX_PAD = 1e-11
-# the kernel's relative error, CCMetric.radial_norm's 1e-14
-KERNEL_REL = 1e-14
 
 
 @functools.cache
 def _sphere_row_bounds():
-    """Upper bounds of a cut-ball sphere row's norm, one per cell of phi, for _culled.
+    """Upper bounds of a cut-ball row's norm, one per cell of phi, for _culled.
 
-    A sphere row of _cut_ball_blocks is y = x w, x the unit cut point, w the
+    A row of _cut_ball_blocks is y = x w, x the unit cut point, w the
     unit sphere point at turning phi in [-pi, pi], so its (a, t) is (sinc^2,
     T + 1/pi) and its norm F(phi) = N(sinc^2, T + 1/pi), with no n in it: one
     table serves every H^n. Cell k is phi in [e_k, e_k+1], e_k = -pi + k 2pi /
@@ -184,97 +183,62 @@ def _sphere_cells(phi):
     return k.astype(np.intp)
 
 
-def _culled(spec: GroupSpec, pts, sphere: int, best: float):
-    """(the rows of a cut-ball block that may exceed best, how many are sphere rows).
+def _culled(phi, best: float):
+    """The turnings phi of cut-ball rows that may exceed best, in their order.
 
-    pts is a block of _cut_ball_blocks' raw (phi, u, v) rows, its first sphere
-    rows on the sphere. Let g = CULL_GUARD. A dropped row's kernel norm is at
-    most best, so the max over the rest, joined with best, is the max over all.
-
-    * Inner rows: y = x w with N(w) = rc = rho r, rho^2 = u^(2/dim1) and r^2 =
-      v^(2/Q), so rc^2 <= min(u^(2/dim1), v^(2/Q)); _apex_and_bound's
-      pi-Lipschitz proof gives N(y)^2 <= rc^2 + 1. Drop the row when u <=
-      c^(dim1/2) or v <= c^(Q/2), c = best^2 (1 - g) - 1: then N(y)^2 <= best^2
-      (1 - g), and nothing when c <= 0. In floats, |z| is the exact point's to
-      a few ulp and t to 1e-15 (T's error, and the addition of x's 1/pi); N^2
-      is pi-Lipschitz in t and N(lambda z, t)^2 <= lambda^2 N^2 + 7 (lambda -
-      1), and the kernel is within KERNEL_REL of N: its value squared is
-      within 1e-13 of N(y)^2, far below g best^2 = 2e-9.
-    * Sphere rows: drop the row when its cell's _sphere_row_bounds entry is
-      below best (1 - g). Its kernel value is at most the entry times (1 +
-      KERNEL_REL) / (1 - KERNEL_REL), below best (1 - g) (1 + 3e-14) < best.
-
-    At best = sqrt(2) (1 - 1e-4) 0.1% of the sphere rows are kept, and 2e-7 of
-    the inner rows on H^1 (6e-7 on H^2); any g up to 1e-6 keeps as few.
+    Drop a row when its cell's _sphere_row_bounds entry is below best (1 - g),
+    g = CULL_GUARD: its kernel value is at most the entry times (1 +
+    KERNEL_REL) / (1 - KERNEL_REL), below best (1 - g) (1 + 3e-14) < best. So
+    the max over the rest, joined with best, is the max over all. At best =
+    sqrt(2) (1 - 1e-4) 0.1% of the rows are kept; any g up to 1e-6 keeps as few.
     """
-    keep = np.empty(len(pts), bool)
-    if sphere:
-        np.greater_equal(np.take(_sphere_row_bounds(), _sphere_cells(pts[:sphere, 0])),
-                         best * (1.0 - CULL_GUARD), out=keep[:sphere])
-    if sphere < len(pts):
-        c = best * best * (1.0 - CULL_GUARD) - 1.0
-        if c > 0.0:
-            np.greater(pts[sphere:, 1], c ** (spec.dim1 / 2), out=keep[sphere:])
-            keep[sphere:] &= pts[sphere:, 2] > c ** (spec.Q / 2)
-        else:
-            keep[sphere:] = True
-    return pts[np.flatnonzero(keep)], int(np.count_nonzero(keep[:sphere]))
+    keep = np.take(_sphere_row_bounds(), _sphere_cells(phi)) >= best * (1.0 - CULL_GUARD)
+    return phi[np.flatnonzero(keep)]
 
 
-def _cut_ball_blocks(spec: GroupSpec, x: GroupPoint, rng, count: int):
-    """Yield (a, t) blocks of count points of the closed CC ball B(x, 1), less those M rules out.
+def _cut_ball_blocks(rng, count: int):
+    """Yield (a, t) blocks of count points of the cut ball's sphere, less those M rules out.
 
-    a = |z|^2: every norm reads z through it alone, so no direction is drawn.
-    Row i is on the sphere when i < count // 2, inside the ball otherwise. It
-    takes (phi, u, v) from box_blocks on [-pi, pi] x [0, 1]^2, in row order, so
-    no point depends on BLOCK. Inner rows take |chi| = rho = u^(1/dim1) and
-    the radius r = v^(1/Q); sphere rows take 1 for both. The sphere map then
-    gives |z| = r rho sinc(phi) and t = (r rho)^2 T(phi).
-    x is central, like the cut point, so translating by it is t -> t + x2.
-    A point costs 3 doubles, the width box_blocks checks, at every n.
+    The points are x w, x the unit cut point and w on the unit sphere, so they
+    lie on the sphere of B(x, 1), where d(0, .) takes its max over that ball:
+    d(0, delta_s y) = s d(0, y), so d(0, .) has no local maximum. A row is its
+    turning phi alone, one double from box_blocks on [-pi, pi], in row order,
+    so no point depends on BLOCK. Every norm reads z through a = |z|^2 alone,
+    and x is central, so x w has a = sinc(phi)^2 and t = T(phi) + 1/pi: no
+    direction is drawn and no n read, and the draw is the same on every H^n.
 
-    x must be the unit cut point when a maximum is sent: the generator's send(M)
-    before a block drops its rows that _culled proves have kernel norm <= M,
-    before the fractional powers and the sphere map. Every row kept has the
-    bits it has in the full draw. With nothing sent, as in a for loop, every
-    row is yielded.
+    The generator's send(M) before a block drops the rows _culled proves have
+    kernel norm <= M, before the sphere map; a kept row has its bits of the
+    full draw. With nothing sent, as in a for loop, every row is yielded.
     """
-    lo, hi = np.array([-math.pi, 0.0, 0.0]), np.array([math.pi, 1.0, 1.0])
-    sphere_left, best = count // 2, None
-    for pts in sampling.box_blocks(rng, count, lo, hi):
-        sphere = min(sphere_left, len(pts))
-        sphere_left -= sphere
-        if best is not None:
-            pts, sphere = _culled(spec, pts, sphere, best)
-        pts[:sphere, 1:] = 1.0
-        pts[sphere:, 1] **= 1.0 / spec.dim1
-        pts[sphere:, 2] **= 1.0 / spec.Q
-        sinc, height = _sphere_profile(pts[:, 0])
-        rc = pts[:, 2] * pts[:, 1]
-        zn = rc * sinc
-        best = yield zn * zn, (rc * rc * height)[:, None] + x.layer2
+    best = None
+    for pts in sampling.box_blocks(rng, count, np.array([-math.pi]), np.array([math.pi])):
+        phi = pts[:, 0] if best is None else _culled(pts[:, 0], best)
+        sinc, height = _sphere_profile(phi)
+        height += 1.0 / math.pi
+        best = yield sinc * sinc, height[:, None]
 
 
 def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
                         seed: int = 0) -> CutPointReport:
     """Numerical evidence that geodesics stop minimizing at the cut point.
 
-    With x the unit cut point, samples y on and in the closed CC ball B(x, 1)
-    (_cut_ball_blocks, no within needed) and reports margin = 2 - max d(0, y),
-    the exact max of measures.sampled_max. sampled_max sends each chunk's
-    running max M into the draw, which then skips the rows _culled proves
-    cannot exceed M: after a chunk's first block the sphere map sees about
-    0.5% of the rows, and the max keeps its bits. By left invariance d(0, x w) =
-    d(x^-1, w), so the max is also the sampled reach of the bump apex x^-1
-    over the unit ball, proven to be sqrt(2) in isodiametric._apex_and_bound;
+    With x the unit cut point, samples y on the sphere of the closed CC ball
+    B(x, 1), where max d(0, y) over the ball lies (_cut_ball_blocks, no within
+    needed), and reports margin = 2 - max d(0, y), the exact max of
+    measures.sampled_max. That sends each chunk's running max M into the draw,
+    which then skips the rows _culled proves cannot exceed M: after a chunk's
+    first block the sphere map sees about 0.3% of the rows, and the max keeps
+    its bits. The max is the same on every H^n. By left invariance d(0, x w) =
+    d(x^-1, w), so it is also the sampled reach of the bump apex x^-1 over the
+    unit ball, proven to be sqrt(2) in isodiametric._apex_and_bound;
     apex_reach reports this same number. The geodesic continuation point
     [0, 4/pi] sits at distance exactly 2, but outside B(x, 1).
     """
     metric = CCMetric(spec)
     x = cut_point(spec, 1.0)
     cont = cut_point(spec, 2.0)  # [0, 4/pi]
-    draws = functools.partial(_cut_ball_blocks, spec, x)
-    best = measures.sampled_max(metric, draws, sample_budget, seed)
+    best = measures.sampled_max(metric, _cut_ball_blocks, sample_budget, seed)
     return CutPointReport(cut_point=x, sampled_max_roundtrip=best,
                           margin=2.0 - best, continuation_point=cont,
                           continuation_distance=metric.norm(cont),

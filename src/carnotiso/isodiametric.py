@@ -135,8 +135,9 @@ def apex_reach(metric, budget: int = 10**6, seed: int = 0) -> ApexReachReport:
     measures.sampled_max of N over B(apex^-1, 1). For d_inf and gauge it draws
     ball = ball_set(metric, center=apex^-1), within ball, its box checked first;
     for CC apex^-1 is the unit cut point, and it is verify_assumption_C's
-    sampled_max_roundtrip. Either draw is radial, a few floats a point at any
-    group width, and sampling refuses an oversized chunk before it is drawn.
+    sampled_max_roundtrip, drawn on the ball's sphere, where N's max over
+    the ball lies (N(delta_s y) = s N(y)). Each draw is a few floats a point
+    at any group width; sampling refuses an oversized chunk before drawing.
     """
     apex, reach = _apex_and_bound(metric)
     if isinstance(metric, CCMetric):

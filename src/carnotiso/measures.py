@@ -304,7 +304,7 @@ def sampled_max(metric, draws, budget: int, seed: int, within=None) -> float:
 
     draws(rng, count) is a generator of (a, l2) blocks of one chunk's count
     points, a = |layer 1|^2; within is a SampledSet. Each chunk keeps a
-    maximum M, seeded by settling every 64th point of its first block, and
+    maximum M, seeded by settling every 32nd point of its first block, and
     sends M into draws before every later block: a draw may then leave out
     points whose norm it proves to be at most M, as the cut ball's does, and
     the max keeps its bits; the region draws ignore it. A block's candidates
@@ -330,7 +330,7 @@ def sampled_max(metric, draws, budget: int, seed: int, within=None) -> float:
             a, l2 = block
             b = metrics_mod._sum_squares(l2)
             if best is None:
-                best = settle(0.0, [(a[::64], l2[::64], b[::64])])
+                best = settle(0.0, [(a[::32], l2[::32], b[::32])])
             above = ~metric._radial_bounds(a, b, best)[0]
             if within is not None:
                 above &= np.logical_or(*within.decide(a, l2))

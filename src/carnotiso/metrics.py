@@ -514,6 +514,10 @@ def _heisenberg_model(spec: GroupSpec) -> bool:
     return spec.dim2 == 1 and spec.beta == 4.0
 
 
+# CCMetric.radial_norm's relative error against the exact norm
+KERNEL_REL = 1e-14
+
+
 class CCMetric(_HomogeneousMetric):
     """Carnot-Caratheodory distance on H^n.
 
@@ -525,13 +529,14 @@ class CCMetric(_HomogeneousMetric):
     included, at 0; no solve when there is no such ratio, as at a center
     point), takes one sine per point and picks |z| phi / sin phi up
     to ratio 1, phi (2 |t| / (2 phi - sin 2 phi))^(1/2) above, or
-    sqrt(pi |t|): within 1e-14 relative of the exact norm. A NaN |z| or t
-    gives NaN, which no ball holds. _radial_bounds decides all but a few
-    points of radial_norm(a, b) <= r from the unit ball's tabulated half
-    height. The Monte Carlo of measures decides each block by it alone and
-    runs the kernel once a chunk on the points it leaves undecided, a solve's
-    fixed cost paid once, not once a block. distance, the scalar norm and the
-    volume rule run the kernel, or their own quadrature, on every point.
+    sqrt(pi |t|): within KERNEL_REL = 1e-14 relative of the exact norm.
+    A NaN |z| or t gives NaN, which no ball holds. _radial_bounds decides
+    all but a few points of radial_norm(a, b) <= r from the unit ball's
+    tabulated half height. The Monte Carlo of measures decides each block
+    by it alone and runs the kernel once a chunk on the points it leaves
+    undecided, a solve's fixed cost paid once, not once a block. distance,
+    the scalar norm and the volume rule run the kernel, or their own
+    quadrature, on every point.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -571,8 +576,8 @@ class CCMetric(_HomogeneousMetric):
         |z| = sqrt(a) and |t| = sqrt(b) take x = |z| / r, y = |t| / r^2 (to 3
         ulp), u = sqrt(1 - x) and its cell k = floor(u PROFILE_CELLS) of
         _profile_bounds. Let N* be the exact norm there; radial_norm is within
-        1e-14 of it, so where N* is below r (1 - kappa) or above r (1 + kappa),
-        kappa = 2e-14, the kernel decides as N* does. The table decides three cases:
+        KERNEL_REL of it, so where N* is below r (1 - kappa) or above r (1 +
+        kappa), kappa = 2e-14, the kernel decides as N* does. The table decides three cases:
 
         * x > 1 + PROFILE_EPS: N* >= |z| > r (1 + kappa), outside.
         * k >= 1 and y <= low[k]: inside. By homogeneity N* <= r (1 - kappa)

@@ -34,7 +34,7 @@ BLOCK = 1 << 14
 MAX_BUDGET = 1 << 36
 THREADS_ENV = "CARNOT_ISO_THREADS"
 # 256 MiB of float64 in one chunk: CHUNK_SIZE points of 64 floats drawn (a
-# radial point draws 1 + k, a CC cut-ball point 3, at any group width). Draws
+# radial point draws 1 + k, a CC cut-ball point 1, at any group width). Draws
 # are made a block at a time, but the limit bounds the whole chunk.
 MAX_CHUNK_FLOATS = 1 << 25
 

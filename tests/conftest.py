@@ -21,12 +21,12 @@ def close_to(p, q, tol=1e-12):
             and np.allclose(p.layer2, q.layer2, atol=tol))
 
 
-def cut_ball_points(spec, x, rng, count):
+def cut_ball_points(rng, count):
     """(a, t) of geodesics._cut_ball_blocks' count points drawn as one block: the one-shot draw."""
     block = sampling.BLOCK
     sampling.BLOCK = count
     try:
-        (a, t), = geodesics._cut_ball_blocks(spec, x, rng, count)
+        (a, t), = geodesics._cut_ball_blocks(rng, count)
     finally:
         sampling.BLOCK = block
     return a, t

@@ -418,12 +418,12 @@ class TestChunkLimit:
     """One chunk's draw is refused above sampling.MAX_CHUNK_FLOATS, before it is made.
 
     The width is the floats drawn a point, not the group's: 1 + k = 2 for a
-    radial set on H^2, 3 for the CC cut ball. A group one of whose points
-    alone exceeds the limit is refused where --group is read.
+    radial set on H^2, 1 for the CC cut ball's sphere. A group one of whose
+    points alone exceeds the limit is refused where --group is read.
     """
 
     # (argv, floats drawn a point on H^2)
-    DRAWS = [(["verify", "dinf"], 2), (["verify", "gauge"], 2), (["verify", "cc"], 3),
+    DRAWS = [(["verify", "dinf"], 2), (["verify", "gauge"], 2), (["verify", "cc"], 1),
              (["bump-search"], 2), (["bump-search", "--metric", "gauge"], 2),
              (["bump-search", "--metric", "cc"], 2), (["sigma"], 2)]
     IDS = ["verify-dinf", "verify-gauge", "verify-cc", "bump-dinf", "bump-gauge", "bump-cc",
@@ -490,7 +490,7 @@ class TestChunkLimit:
     @pytest.mark.parametrize("counterexample", ["dinf", "cc"])
     def test_at_limit_runs(self, capsys, monkeypatch, counterexample):
         # at the limit of the width drawn, far under H^2's 1000 x 5 coordinates
-        width = {"dinf": 2, "cc": 3}[counterexample]
+        width = {"dinf": 2, "cc": 1}[counterexample]
         monkeypatch.setattr(sampling, "MAX_CHUNK_FLOATS", 1000 * width)
         code, _ = run_main(capsys, "verify", counterexample, "--group", "h2", "--budget", "1000")
         assert code == 0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -6,9 +7,10 @@ import pytest
 
 import carnotiso as ci
 from carnotiso import geodesics, sampling
+from carnotiso.cli import main
 from carnotiso.geodesics import GeodesicParams, sphere_point_arrays
 from carnotiso.groups import GroupError, mul_arrays, standard_symplectic
-from carnotiso.metrics import MetricError, _sphere_profile, _sum_squares
+from carnotiso.metrics import KERNEL_REL, MetricError, _sphere_profile, _sum_squares
 from carnotiso.sampling import substream
 from conftest import close_to, cut_ball_points, mp_unit_cc_norm, quaternionic
 
@@ -189,47 +191,59 @@ class TestAssumptionC:
 
     @pytest.mark.parametrize("spec", [H1, H2], ids=["h1", "h2"])
     def test_cut_ball_shift_is_the_group_law_bit_for_bit(self, spec):
-        # the cut point is central, so B(x, 1) is B(0, 1) shifted in t
-        x = ci.cut_point(spec, 1.0)
-        a0, t0 = cut_ball_points(spec, ci.identity(spec), substream(3, 0), 20001)
-        a, t = cut_ball_points(spec, x, substream(3, 0), 20001)
-        # the sampler draws no direction: any layer 1 of squared norm a0 will do
-        chi = np.random.default_rng(3).standard_normal((len(a0), spec.dim1))
-        z0 = (np.sqrt(a0) / np.linalg.norm(chi, axis=1))[:, None] * chi
-        ref_z, ref_t = mul_arrays(spec, x.layer1, x.layer2, z0, t0)
-        # equal up to the sign of zeros, which no norm sees
-        assert np.array_equal(a, a0) and np.array_equal(ref_z, z0) and np.array_equal(t, ref_t)
-        metric = ci.CCMetric(spec)
-        assert np.array_equal(metric.radial_norm(a, _sum_squares(t)),
-                              metric.radial_norm(a0, _sum_squares(ref_t)))
+        # the draw is x w, w the unit sphere point at turning phi: at chi = e1 the
+        # group law's t is 1/pi + T, the draw's T + 1/pi, and |z|^2 is sinc^2
+        count, x = 20001, ci.cut_point(spec, 1.0)
+        a, t = cut_ball_points(substream(3, 0), count)
+        phi = substream(3, 0).uniform(-math.pi, math.pi, count)
+        z, w2 = sphere_point_arrays(spec.dim1 // 2, np.eye(spec.dim1)[0], phi, 1.0)
+        ref_z, ref_t = mul_arrays(spec, x.layer1, x.layer2, z, w2)
+        assert a.tobytes() == _sum_squares(ref_z).tobytes() and t.tobytes() == ref_t.tobytes()
 
     @pytest.mark.parametrize("spec", [H1, H2], ids=["h1", "h2"])
     def test_radial_sampler_is_the_sphere_map(self, spec):
-        # _cut_ball_blocks draws (phi, rho, r) and no direction; the sphere map
-        # at any unit chi scaled by rho has the same (|z|^2, t)
+        # _cut_ball_blocks draws phi and no direction; the sphere map at any unit
+        # chi, shifted by the cut point, has the same (|z|^2, t) to rounding
         count = 20001
-        a, t = cut_ball_points(spec, ci.identity(spec), substream(4, 0), count)
-        lo, hi = np.array([-math.pi, 0.0, 0.0]), np.array([math.pi, 1.0, 1.0])
-        phi, rho, r = substream(4, 0).uniform(lo, hi, (count, 3)).T
-        rho[:count // 2] = r[:count // 2] = 1.0
-        rho[count // 2:] **= 1.0 / spec.dim1
-        r[count // 2:] **= 1.0 / spec.Q
+        a, t = cut_ball_points(substream(4, 0), count)
+        phi = substream(4, 0).uniform(-math.pi, math.pi, count)
         chi = np.random.default_rng(4).standard_normal((count, spec.dim1))
-        chi *= (rho / np.linalg.norm(chi, axis=1))[:, None]
-        z, ref_t = sphere_point_arrays(spec.dim1 // 2, chi, phi, r)
+        chi /= np.linalg.norm(chi, axis=1)[:, None]
+        z, w2 = sphere_point_arrays(spec.dim1 // 2, chi, phi, 1.0)
         ref_a = _sum_squares(z)
         assert np.all(np.abs(a - ref_a) <= 1e-15 * ref_a)
-        assert np.all(np.abs(t - ref_t) <= 1e-15 * np.abs(ref_t))
+        assert np.all(np.abs(t - (w2 + 1.0 / math.pi)) <= 1e-15)
 
     def test_json_roundtrip(self):
-        import json
         rep = ci.verify_assumption_C(H1, sample_budget=10000, seed=1)
         doc = json.loads(json.dumps(rep.to_dict()))
         assert doc["margin"] == rep.margin
 
 
+class TestSameOnEveryHn:
+    """verify cc's draw reads no n, so its maximum is the same on every H^n, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    @pytest.mark.parametrize("budget", [1, 63, (1 << 16) + 1])
+    def test_maximum_and_margin(self, budget, seed):
+        reps = [ci.verify_assumption_C(ci.heisenberg(n), budget, seed) for n in (1, 2, 9)]
+        assert len({r.sampled_max_roundtrip.hex() for r in reps}) == 1
+        assert len({r.margin.hex() for r in reps}) == 1
+
+    def test_cli_reports_differ_only_in_z(self, capsys):
+        docs = []
+        for group in ("h1", "h2"):
+            assert main(["verify", "cc", "--group", group, "--budget", "20000", "--seed", "3"]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        h1, h2 = docs
+        for point in ("cut_point", "continuation_point"):
+            assert h1["report"][point]["z"] == [0.0] * 2 and h2["report"][point]["z"] == [0.0] * 4
+            h2["report"][point]["z"] = h1["report"][point]["z"]
+        assert h2 == h1
+
+
 def sphere_rows(phi):
-    """(a, t) of the cut ball's sphere rows at turning phi, as _cut_ball_blocks makes them."""
+    """(a, t) of the cut ball's rows at turning phi, as _cut_ball_blocks makes them."""
     sinc, height = _sphere_profile(phi)
     return sinc * sinc, height + 1.0 / math.pi
 
@@ -246,10 +260,9 @@ class TestCutBallCull:
     """Sent a maximum M, _cut_ball_blocks drops only rows whose kernel norm is at most M."""
 
     @staticmethod
-    def _culled_draw(spec, seed, count, best):
+    def _culled_draw(seed, count, best):
         """The blocks of one chunk's draw, best sent before every block after the first."""
-        blocks = geodesics._cut_ball_blocks(spec, ci.cut_point(spec, 1.0), substream(seed, 0),
-                                            count)
+        blocks = geodesics._cut_ball_blocks(substream(seed, 0), count)
         out = [next(blocks)]
         while (block := ci.measures._send(blocks, best)) is not None:
             out.append(block)
@@ -273,45 +286,36 @@ class TestCutBallCull:
     @staticmethod
     def _full_draw(spec, rng, count):
         """The draw with nothing sent, each block's (a, t) with its kernel norms."""
-        metric, x = ci.CCMetric(spec), ci.cut_point(spec, 1.0)
+        metric = ci.CCMetric(spec)
         return [(a, t, metric.radial_norm(a, _sum_squares(t)))
-                for a, t in geodesics._cut_ball_blocks(spec, x, rng, count)]
+                for a, t in geodesics._cut_ball_blocks(rng, count)]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("spec", [H1, H2], ids=["h1", "h2"])
     def test_dropped_rows_are_at_most_the_maximum(self, spec, seed):
         # against the full draw: every kept row with its bits and in its order, and
-        # every dropped row's exact kernel norm at most the M sent
+        # every dropped row's exact kernel norm at most the M sent; the draw reads
+        # no n, the kernel is each group's
         count = 1 << 20
         full = self._full_draw(spec, substream(seed, 0), count)
         top = max(float(np.max(norms)) for _, _, norms in full)
-        # below 1 no inner row is dropped; the evidence's M; just below the draw's max
+        # far below the evidence's M; near the seed's and the final M; just below the draw's max
         for best in (0.9, 1.3, 1.4118, 1.4141, top * (1.0 - 1e-12)):
-            dropped = self._dropped(full, self._culled_draw(spec, seed, count, best), best)
+            dropped = self._dropped(full, self._culled_draw(seed, count, best), best)
             if best > 1.4:  # the first block, which seeds M, is whole
                 assert dropped > 0.99 * (count - len(full[0][0]))
 
-    @pytest.mark.parametrize("spec", [H1, H2], ids=["h1", "h2"])
-    def test_inner_rows_at_the_reach_bound(self, monkeypatch, spec):
-        # N(y)^2 <= rc^2 + 1 is attained on the center, phi = pi: inner rows there
-        # with u or v at the cull's threshold or a few ulp below, and the other near
-        # 1, come within rounding of M but for the guard
-        block = {}
-        monkeypatch.setattr(sampling, "box_blocks", lambda rng, count, lo, hi: (
-            b.copy() for b in (block["sphere"], block["inner"])))
-        phi = np.nextafter(math.pi, 0.0) - np.arange(4) * 4e-16
-        below, ones = 1.0 - np.arange(8) * 2.0 ** -52, 1.0 - np.arange(1, 9) * 2.0 ** -53
-        for best in (1.2, 1.4118, 1.4141):
-            c = best * best * (1.0 - geodesics.CULL_GUARD) - 1.0
-            near = [c ** (spec.dim1 / 2) * below, c ** (spec.Q / 2) * below]
-            rows = [np.stack(np.meshgrid(phi, near[0], ones), -1).reshape(-1, 3),
-                    np.stack(np.meshgrid(phi, ones, near[1]), -1).reshape(-1, 3)]
-            block["inner"] = np.concatenate(rows)
-            block["sphere"] = np.tile([[0.0, 1.0, 1.0]], (len(block["inner"]), 1))
-            count = 2 * len(block["inner"])
-            full = self._full_draw(spec, None, count)
-            culled = self._culled_draw(spec, 0, count, best)
-            assert self._dropped(full, culled, best) == len(block["inner"])
+    def test_guard_covers_the_kernel_error(self):
+        # a cell's rows may have kernel values up to its bound (1 + K) / (1 - K), K =
+        # KERNEL_REL, for a kernel within K of the exact norm: at M just below that
+        # every cell's rows are kept
+        bound, k = geodesics._sphere_row_bounds(), KERNEL_REL
+        phi = cell_end_probes()
+        cells = geodesics._sphere_cells(phi)
+        for cell in np.unique(cells):
+            best = np.nextafter(bound[cell] * (1 + k) / (1 - k), 0.0)
+            rows = phi[cells == cell]
+            assert geodesics._culled(rows, best).tobytes() == rows.tobytes(), cell
 
     def test_table_bounds_the_sphere_rows(self):
         # F = the kernel's norm of a sphere row, at 2^22 random phi and at each cell's
@@ -326,11 +330,9 @@ class TestCutBallCull:
     def test_sphere_rows_are_the_draws(self):
         # sphere_rows is the draw's own arithmetic, bit for bit
         count = 2 * sampling.BLOCK
-        a, t = cut_ball_points(H1, ci.cut_point(H1, 1.0), substream(4, 0), count)
-        phi = substream(4, 0).random((count, 3))[:, 0] * (2.0 * math.pi) - math.pi
-        ra, rt = sphere_rows(phi[:count // 2])
-        assert a[:count // 2].tobytes() == ra.tobytes()
-        assert t[:count // 2, 0].tobytes() == rt.tobytes()
+        a, t = cut_ball_points(substream(4, 0), count)
+        ra, rt = sphere_rows(substream(4, 0).random(count) * (2.0 * math.pi) - math.pi)
+        assert a.tobytes() == ra.tobytes() and t[:, 0].tobytes() == rt.tobytes()
 
     def test_table_bounds_every_kernel_value(self):
         # the 256 rows, of every cell's ends and 1 ulp either side, where the bound
@@ -343,7 +345,7 @@ class TestCutBallCull:
         tight = np.argsort(b / CC.radial_norm(a, t * t))[:256]
         for ai, ti, bi in zip(a[tight], t[tight], b[tight]):
             exact = mp.sqrt(mp.mpf(float(ai))) * mp_unit_cc_norm(abs(float(ti)) / float(ai))
-            assert exact * (1 + mp.mpf(geodesics.KERNEL_REL)) <= bi
+            assert exact * (1 + mp.mpf(KERNEL_REL)) <= bi
 
     @pytest.mark.parametrize("spec", [H1, H2], ids=["h1", "h2"])
     def test_sphere_map_sees_under_one_percent_after_the_first_block(self, monkeypatch, spec):

@@ -331,10 +331,10 @@ def _one_shot_ball_sup(metric, budget, seed):
 
 
 def _one_shot_cut_ball_sup(spec, budget, seed):
-    metric, x = ci.CCMetric(spec), ci.geodesics.cut_point(spec, 1.0)
+    metric = ci.CCMetric(spec)
 
     def chunk(rng, count):
-        a, t = cut_ball_points(spec, x, rng, count)
+        a, t = cut_ball_points(rng, count)
         return float(metric.radial_norm(a, _sum_squares(t)).max())
 
     return max(sampling.map_chunks(seed, budget, chunk))
@@ -355,21 +355,18 @@ class TestBoxBlocks:
     @pytest.mark.parametrize("count", [1, 63, 64, sampling.BLOCK - 1, sampling.BLOCK,
                                        sampling.BLOCK + 65, 3 * sampling.BLOCK + 7])
     def test_cut_ball_blocks_are_one_draw_bit_for_bit(self, count):
-        # for every count but 1, some block holds both sphere and inner rows
-        for spec in (H1, H2):
-            x = ci.geodesics.cut_point(spec, 1.0)
-            ours, ref = sampling.substream(5, 0), sampling.substream(5, 0)
-            got = list(ci.geodesics._cut_ball_blocks(spec, x, ours, count))
-            a, t = cut_ball_points(spec, x, ref, count)
-            assert all(len(b) == sampling.BLOCK for b, _ in got[:-1])
-            assert np.array_equal(np.concatenate([b for b, _ in got]), a)
-            assert np.array_equal(np.vstack([b for _, b in got]), t)
-            assert all(len(b) == len(y) for b, y in got)
-            assert np.array_equal(ours.random(4), ref.random(4))
-            # the first half on the sphere B(x, 1), the rest inside it
-            norms = ci.CCMetric(spec).radial_norm(a, _sum_squares(t - x.layer2))
-            assert np.all(np.abs(norms[:count // 2] - 1.0) <= 1e-14)
-            assert np.all(norms[count // 2:] <= 1.0 + 1e-14)
+        x = ci.geodesics.cut_point(H1, 1.0)
+        ours, ref = sampling.substream(5, 0), sampling.substream(5, 0)
+        got = list(ci.geodesics._cut_ball_blocks(ours, count))
+        a, t = cut_ball_points(ref, count)
+        assert all(len(b) == sampling.BLOCK for b, _ in got[:-1])
+        assert np.array_equal(np.concatenate([b for b, _ in got]), a)
+        assert np.array_equal(np.vstack([b for _, b in got]), t)
+        assert all(len(b) == len(y) for b, y in got)
+        assert np.array_equal(ours.random(4), ref.random(4))
+        # every point on the sphere of B(x, 1)
+        norms = CC.radial_norm(a, _sum_squares(t - x.layer2))
+        assert np.all(np.abs(norms - 1.0) <= 1e-14)
 
     def test_reordered_or_redrawn_blocks_differ(self):
         box = self.BOXES["dinf-h1"]
@@ -656,6 +653,15 @@ class TestSettleOnceAChunk:
 
         return ball, max(sampling.map_chunks(seed, budget, chunk)), unsure_rows
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 8])
+    @pytest.mark.parametrize("budget", [1 << 16, 1 << 20], ids=["2^16", "2^20"])
+    def test_cut_ball_interior_never_beats_its_sphere(self, budget, seed):
+        # verify cc samples only the sphere of B(x, 1), where d(0, .) has its max over
+        # the ball, as d(0, delta_s y) = s d(0, y): the whole ball, drawn as a region
+        # with the full kernel on every member, stays at or below the sphere's max
+        _, ball_max, _ = self._cut_ball_max(budget, seed)
+        assert ball_max <= ci.verify_assumption_C(H1, budget, seed).sampled_max_roundtrip
+
     def test_sampled_max_within_a_cc_ball(self):
         # within's triage picks the candidates, some of which it leaves unsure, and its
         # exact membership settles them; the maximum is the full kernel's over the ball
@@ -686,7 +692,7 @@ class TestSettleOnceAChunk:
         assert 1 <= len(sizes) <= 2
 
     def test_verify_cc_kernel_passes(self, monkeypatch):
-        # the seed's every 64th point, one settle, the continuation distance; the
+        # the seed's every 32nd point, one settle, the continuation distance; the
         # sphere rows' bound table is built first, with its own kernel calls, once a process
         ci.geodesics._sphere_row_bounds()
         sizes = _cc_kernel_spy(monkeypatch)

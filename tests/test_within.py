@@ -131,11 +131,11 @@ class TestAgreement:
         # verify_assumption_C's maximum is the full kernel's, and _radial_bounds at
         # each chunk maximum decides every sample it decides as the kernel does
         spec = SPECS[name]
-        metric, x = ci.CCMetric(spec), geodesics.cut_point(spec, 1.0)
+        metric = ci.CCMetric(spec)
 
         def chunk(rng, count):
             blocks = []
-            for a, y2 in geodesics._cut_ball_blocks(spec, x, rng, count):
+            for a, y2 in geodesics._cut_ball_blocks(rng, count):
                 b = metrics._sum_squares(y2)
                 blocks.append((a, b, metric.radial_norm(a, b)))
             best = max(norms.max() for _, _, norms in blocks)
