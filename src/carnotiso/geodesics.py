@@ -196,8 +196,14 @@ def _culled(phi, best: float):
     return phi[np.flatnonzero(keep)]
 
 
+def _sphere_rows(phi):
+    """(a, t) = (sinc^2, T + 1/pi) of the cut ball's rows at turnings phi, t a column."""
+    sinc, height = _sphere_profile(phi)
+    return sinc * sinc, (height + 1.0 / math.pi)[:, None]
+
+
 def _cut_ball_blocks(rng, count: int):
-    """Yield (a, t) blocks of count points of the cut ball's sphere, less those M rules out.
+    """Yield (a, t) blocks: seed rows, then count points of the cut ball's sphere less M's culls.
 
     The points are x w, x the unit cut point and w on the unit sphere, so they
     lie on the sphere of B(x, 1), where d(0, .) takes its max over that ball:
@@ -207,16 +213,20 @@ def _cut_ball_blocks(rng, count: int):
     and x is central, so x w has a = sinc(phi)^2 and t = T(phi) + 1/pi: no
     direction is drawn and no n read, and the draw is the same on every H^n.
 
-    The generator's send(M) before a block drops the rows _culled proves have
-    kernel norm <= M, before the sphere map; a kept row has its bits of the
-    full draw. With nothing sent, as in a for loop, every row is yielded.
+    The seed rows are the first box block's rows whose _sphere_row_bounds
+    entry is within 0.1% of the largest there, some forty of 2^14. Then come
+    the box blocks, the first included; send(M) before each drops the rows
+    _culled proves have kernel norm <= M, before the sphere map, and a kept
+    row has its bits of the full draw. With nothing sent, as in a for loop,
+    every row is yielded, the seed's twice.
     """
-    best = None
-    for pts in sampling.box_blocks(rng, count, np.array([-math.pi]), np.array([math.pi])):
-        phi = pts[:, 0] if best is None else _culled(pts[:, 0], best)
-        sinc, height = _sphere_profile(phi)
-        height += 1.0 / math.pi
-        best = yield sinc * sinc, height[:, None]
+    best, box = None, (np.array([-math.pi]), np.array([math.pi]))
+    for i, pts in enumerate(sampling.box_blocks(rng, count, *box)):
+        phi = pts[:, 0]
+        if i == 0:
+            bound = np.take(_sphere_row_bounds(), _sphere_cells(phi))
+            best = yield _sphere_rows(phi[np.flatnonzero(bound >= 0.999 * bound.max())])
+        best = yield _sphere_rows(phi if best is None else _culled(phi, best))
 
 
 def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
@@ -226,14 +236,15 @@ def verify_assumption_C(spec: GroupSpec, sample_budget: int = 10**6,
     With x the unit cut point, samples y on the sphere of the closed CC ball
     B(x, 1), where max d(0, y) over the ball lies (_cut_ball_blocks, no within
     needed), and reports margin = 2 - max d(0, y), the exact max of
-    measures.sampled_max. That sends each chunk's running max M into the draw,
-    which then skips the rows _culled proves cannot exceed M: after a chunk's
-    first block the sphere map sees about 0.3% of the rows, and the max keeps
-    its bits. The max is the same on every H^n. By left invariance d(0, x w) =
-    d(x^-1, w), so it is also the sampled reach of the bump apex x^-1 over the
-    unit ball, proven to be sqrt(2) in isodiametric._apex_and_bound;
-    apex_reach reports this same number. The geodesic continuation point
-    [0, 4/pi] sits at distance exactly 2, but outside B(x, 1).
+    measures.sampled_max. That settles each chunk's seed rows and sends the
+    running max M into the draw, which then skips the rows _culled proves
+    cannot exceed M: the sphere map sees about 0.1% of every block, the first
+    included, and the max keeps its bits. The max is the same on every H^n.
+    By left invariance d(0, x w) = d(x^-1, w), so it is also the sampled
+    reach of the bump apex x^-1 over the unit ball, proven to be sqrt(2) in
+    isodiametric._apex_and_bound; apex_reach reports this same number. The
+    geodesic continuation point [0, 4/pi] sits at distance exactly 2, but
+    outside B(x, 1).
     """
     metric = CCMetric(spec)
     x = cut_point(spec, 1.0)

@@ -114,9 +114,9 @@ class SampledSet:
         power, r1sq = 2.0 / box.dim1, box.r1 * box.r1
         buf = np.empty(min(sampling.BLOCK, count))
         for pts in sampling.box_blocks(rng, count, lo, hi):
-            a = np.power(pts[:, 0], power, out=buf[:len(pts)])
-            a *= r1sq
-            yield a, pts[:, 1:]
+            a = buf[:len(pts)]
+            u = pts[:, 0] if power == 1.0 else np.power(pts[:, 0], power, out=a)  # U^1 is U
+            yield np.multiply(u, r1sq, out=a), pts[:, 1:]
 
 
 def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> SampledSet:
@@ -304,17 +304,17 @@ def sampled_max(metric, draws, budget: int, seed: int, within=None) -> float:
 
     draws(rng, count) is a generator of (a, l2) blocks of one chunk's count
     points, a = |layer 1|^2; within is a SampledSet. Each chunk keeps a
-    maximum M, seeded by settling every 32nd point of its first block, and
-    sends M into draws before every later block: a draw may then leave out
-    points whose norm it proves to be at most M, as the cut ball's does, and
-    the max keeps its bits; the region draws ignore it. A block's candidates
-    are the points within.decide leaves in or unsure that
-    metric._radial_bounds(., M) cannot place at or below M; they are copied
-    out of the block, and settling them, once a chunk or as soon as
-    SETTLE_ROWS are held, keeps those in within's exact membership and joins
-    their exact max to M. Layer 2 is squared once a block, and with the
-    block's a feeds the bounds and the kernel. So no output depends on BLOCK
-    or the thread count.
+    maximum M, seeded by settling at most 512 evenly spaced points of its
+    first block (the cut ball's seed rows, every 32nd point of a region's),
+    and sends M into draws before every later block: a draw may then leave
+    out points whose norm it proves to be at most M, as the cut ball's does;
+    the region draws ignore it. A block's candidates are the points
+    metric._radial_bounds(., M) cannot place at or below M, less those that
+    within.decide, asked about these rows alone, puts surely out; settling
+    these copies, once a chunk or as soon as SETTLE_ROWS are held, keeps
+    those in within's exact membership and joins their exact max to M.
+    Layer 2 is squared once a block, and with the block's a feeds the bounds
+    and the kernel. So no output depends on BLOCK or the thread count.
     """
     def settle(best, held):
         if not held:
@@ -330,13 +330,14 @@ def sampled_max(metric, draws, budget: int, seed: int, within=None) -> float:
             a, l2 = block
             b = metrics_mod._sum_squares(l2)
             if best is None:
-                best = settle(0.0, [(a[::32], l2[::32], b[::32])])
-            above = ~metric._radial_bounds(a, b, best)[0]
+                step = max(1, len(a) // 512)
+                best = settle(0.0, [(a[::step], l2[::step], b[::step])])
+            i = np.flatnonzero(~metric._radial_bounds(a, b, best)[0])
             if within is not None:
-                above &= np.logical_or(*within.decide(a, l2))
-            if above.any():
-                held.append(_rows(above, a, l2, b))
-                rows += len(held[-1][0])
+                i = i[np.logical_or(*within.decide(a[i], l2[i]))]
+            if len(i):
+                held.append((a[i], l2[i], b[i]))
+                rows += len(i)
                 if rows >= SETTLE_ROWS:
                     best, held, rows = settle(best, held), [], 0
         return settle(best, held)

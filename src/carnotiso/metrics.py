@@ -189,13 +189,11 @@ def solve_turning(ratio):
 #
 # The unit sphere is [s chi, T] with s = sin phi / phi and the half height
 # T = mu(phi) s^2 = (2 phi - sin 2 phi) / (2 phi^2) = (1 - sinc 2 phi) / phi,
-# phi in [0, pi]. In u = sqrt(1 - s), which grows with phi, dT/du =
-# 4 u cos(phi) / phi: T rises from 0 at u = 0 to 2/pi at u = sqrt(1 - 2/pi)
-# (phi = pi/2), then falls to 1/pi at u = 1. And 1 - s <= phi^2 / 6 gives
-# u <= phi / sqrt(6), so |dT/du| <= 4 / sqrt(6) < 1.7.
+# phi in [0, pi]. dT/ds = -2 cos(phi) / phi: T rises from 1/pi at s = 0 to 2/pi
+# at s = 2/pi, then falls to 0 at s = 1; in u = sqrt(1 - s) it is 1.7-Lipschitz.
 # ---------------------------------------------------------------------------
 
-PROFILE_CELLS = 1 << 12  # cells of u; a power of two, so u * PROFILE_CELLS is exact
+PROFILE_CELLS = 1 << 12  # cells of |z|^2 / r^2; a power of two, so the nodes j / C are exact
 # the margin on the scaled height in CCMetric._radial_bounds, where it is proven
 PROFILE_EPS = 1e-9
 # the relative guard band of the d_inf and gauge _radial_bounds, over 100 times their rounding
@@ -261,24 +259,25 @@ def _half_height(u):
 
 @functools.cache
 def _profile_bounds():
-    """(low, high): bounds of the half height per cell of u, widened by PROFILE_EPS.
+    """(low, lo2, hi2): half-height bounds per cell of s^2 = |z|^2 / r^2, widened by PROFILE_EPS.
 
-    Cell k is [k, k + 1] / PROFILE_CELLS. T is unimodal in u, so on a cell
-    it lies between its values at the two ends, or up to 2/pi on the cells
-    next to the peak. low is the smaller end less PROFILE_EPS, high the
-    larger plus PROFILE_EPS. Cell 0 is (-inf, inf): the exact kernel decides
-    u < 1 / PROFILE_CELLS. One more entry repeats the last cell, for u = 1
-    (|z| = 0). Built once, in about 2 ms.
+    Cell k is [k, k + 1] / C, C = PROFILE_CELLS. T is unimodal in s, so on a
+    cell it lies between its values at the ends s_j = sqrt(j / C) (at u =
+    sqrt((1 - j / C) / (1 + s_j)), 3 ulp from sqrt(1 - s_j)), or up to 2/pi
+    next to the peak: low is the smaller end less PROFILE_EPS, high the larger
+    plus it, lo2 = low^2 (-1 if low <= 0), hi2 = high^2. Cells C - 1 and C are
+    (-1, inf), unsure; entry C + 1 is (-1, -1), outside. Built once, in 2 ms.
     """
-    ends = _half_height(np.arange(1, PROFILE_CELLS + 1) / PROFILE_CELLS)
+    a = np.arange(PROFILE_CELLS) / PROFILE_CELLS
+    ends = _half_height(np.sqrt((1.0 - a) / (1.0 + np.sqrt(a))))
     low = np.minimum(ends[:-1], ends[1:]) - PROFILE_EPS
     high = np.maximum(ends[:-1], ends[1:]) + PROFILE_EPS
-    peak = int(math.sqrt(1.0 - 2.0 / math.pi) * PROFILE_CELLS)
-    high[peak - 2:peak + 1] = 2.0 / math.pi + PROFILE_EPS  # cells peak - 1 .. peak + 1
-    low = np.concatenate([[-math.inf], low, low[-1:]])
-    high = np.concatenate([[math.inf], high, high[-1:]])
-    low.flags.writeable = high.flags.writeable = False  # the cache shares them
-    return low, high
+    peak = int((2.0 / math.pi) ** 2 * PROFILE_CELLS)
+    high[peak - 1:peak + 2] = 2.0 / math.pi + PROFILE_EPS  # cells peak - 1 .. peak + 1
+    lo2 = np.concatenate([np.where(low > 0.0, low * low, -1.0), [-1.0, -1.0, -1.0]])
+    hi2 = np.concatenate([high * high, [math.inf, math.inf, -1.0]])
+    low.flags.writeable = lo2.flags.writeable = hi2.flags.writeable = False  # the cache shares them
+    return low, lo2, hi2
 
 
 # ---------------------------------------------------------------------------
@@ -572,48 +571,41 @@ class CCMetric(_HomogeneousMetric):
         """Half-height-table masks: the kernel only next to the sphere.
 
         The rule: N(z, t) <= r exactly when |z| <= r and |t| <= r^2 T(|z| / r),
-        T the unit sphere's half height (_half_height). From the kernel's own
-        |z| = sqrt(a) and |t| = sqrt(b) take x = |z| / r, y = |t| / r^2 (to 3
-        ulp), u = sqrt(1 - x) and its cell k = floor(u PROFILE_CELLS) of
-        _profile_bounds. Let N* be the exact norm there; radial_norm is within
-        KERNEL_REL of it, so where N* is below r (1 - kappa) or above r (1 +
-        kappa), kappa = 2e-14, the kernel decides as N* does. The table decides three cases:
+        T the unit sphere's half height (_half_height). q = a (C / r^2), C =
+        PROFILE_CELLS, is within 3 ulp of a C / r^2; its cell k = floor(q) of
+        _profile_bounds, with NaN and q > C + 1 at C + 1. Let N* be the exact
+        norm of the floats (a, b); radial_norm is within KERNEL_REL of it, so
+        where N* is below r (1 - kappa) or above r (1 + kappa), kappa = 2e-14,
+        the kernel decides as N* does. Inside is b <= r^4 lo2[k], unsure the
+        rest of b < r^4 hi2[k], and outside the rest:
 
-        * x > 1 + PROFILE_EPS: N* >= |z| > r (1 + kappa), outside.
-        * k >= 1 and y <= low[k]: inside. By homogeneity N* <= r (1 - kappa)
-          when s' = x* / (1 - kappa) <= 1 and y* / (1 - kappa)^2 <= T(s'), x*
-          and y* the exact ratios. s' is within 3e-14 of x, and u >= 1 /
-          PROFILE_CELLS, so sqrt(1 - s') is within 3e-14 / u + 2 ulp < 1.3e-10
-          of u; T is 1.7-Lipschitz in u, so T(s') >= low[k] + PROFILE_EPS
-          - 1e-15 (node error) - 2.2e-10 > y + 1.3e-13 >= y* / (1 - kappa)^2.
-        * k >= 1 and y >= high[k]: outside, by the same steps with 1 + kappa.
+        * k = C + 1: N* >= |z| >= r sqrt(1 + 1 / C) (1 - 2e-16) > r (1 + kappa).
+        * k <= C - 2, inside: N* <= r (1 - kappa) when s' = s / (1 - kappa) <=
+          1 and |t| / (r (1 - kappa))^2 <= T(s'), s = |z| / r. s' is within
+          2.1e-14 of cell k, where 1 - s >= 1.2e-4, phi >= 0.027 and |dT/ds| =
+          2 |cos phi| / phi <= 74: the kappa and index slips move T by 1.6e-12,
+          the nodes by 1.6e-15 (_half_height's 1e-15, u's 3 ulp), so T(s') >=
+          low[k] + PROFILE_EPS - 1.6e-12; the squaring and r^4 add a few ulp,
+          so |t| / (r (1 - kappa))^2 <= low[k] + 3e-14.
+        * k <= C - 2, b >= r^4 hi2[k]: outside, by the same steps with 1 + kappa.
 
-        PROFILE_EPS = 1e-9 is thus four times the sum it must exceed. Every
-        other point is unsure: those within about one cell of the sphere's
-        height, u < 1 / PROFILE_CELLS (|z| within 6e-8 r of r), and NaN; that
-        is about 69 of the 2^17 points of the clipped CC bump box on H^1. Every point is
-        unsure for r outside [1e-100, 1e100], where r^2 may leave the normal range.
+        PROFILE_EPS = 1e-9 is thus over four times the 1.7e-12 it must exceed.
+        Unsure are the points within about one cell of the sphere's height, and
+        cells C - 1 and C, |z| / r in [1 - 1.2e-4, 1 + 1.2e-4]; a NaN b is out,
+        as for the kernel. For r outside [1e-50, 1e50], where r^4 times an
+        entry may leave the normal range, every point is unsure.
         """
-        if not 1e-100 <= r <= 1e100:  # negated, so that NaN fails too
+        if not 1e-50 <= r <= 1e50:  # negated, so that NaN fails too
             return _all_unsure(a)
-        low, high = _profile_bounds()
-        # three block temporaries, each written in place: x, then u and the bounds in
-        # x's buffer; y; the cells k. Fewer temporaries, fewer heap trims
-        x = np.sqrt(a)
-        x *= 1.0 / r
-        near = ~(x > 1.0 + PROFILE_EPS)  # NaN |z| too
-        y = np.sqrt(b)
-        y *= 1.0 / (r * r)
-        u = np.subtract(1.0, x, out=x)
-        np.fmax(u, 0.0, out=u)  # fmax: NaN -> 0, and cell 0
-        np.sqrt(u, out=u)
-        u *= PROFILE_CELLS
-        k = u.astype(np.intp)
-        bound = np.take(low, k, out=u, mode="clip")  # clip never binds; out is unbuffered
-        inside = y <= bound
-        unsure = y > bound
-        unsure &= y < np.take(high, k, out=bound, mode="clip")
-        unsure &= near
+        _, lo2, hi2 = _profile_bounds()
+        r2 = r * r
+        q = np.multiply(a, PROFILE_CELLS / r2)  # then the bounds, in place: fewer heap trims
+        np.fmin(q, PROFILE_CELLS + 1.0, out=q)  # fmin: NaN -> C + 1 too
+        k = q.astype(np.intp)
+        # clip never binds, and leaves out= unbuffered
+        inside = b <= np.take(lo2 * (r2 * r2), k, out=q, mode="clip")
+        unsure = b < np.take(hi2 * (r2 * r2), k, out=q, mode="clip")
+        unsure ^= inside  # inside rows have b <= r^4 lo2[k] < r^4 hi2[k]
         return inside, unsure
 
     def _box_radii(self):
@@ -622,19 +614,15 @@ class CCMetric(_HomogeneousMetric):
         return 1.0, 2.0 / np.pi
 
     def _slab_height(self, R):
-        """The least low[k] of _profile_bounds over the cells |z| <= R reaches; 0 if cell 0.
+        """The least low[k] of _profile_bounds over the cells |z| <= R reaches; 0 if one is unsure.
 
-        The triage at r = 1 takes u = sqrt(1 - sqrt(a)) and k = floor(u
-        PROFILE_CELLS), each step correctly rounded or exact and falling or
-        rising with a as here, so every a <= fl(R^2) falls in a cell k >= k_R,
-        the corner's. A point with |t| <= h has y = sqrt(fl(t^2)) = |t| <= h
-        <= low[k], so the triage holds it surely inside, by the proof in
-        _radial_bounds. T rises with |z| up to its peak at |z| = 2/pi, so for
-        R below that the least bound is the center's cell, 1/pi - PROFILE_EPS.
-        Cell 0 decides nothing, so R near 1 gets no slab.
+        The triage at r = 1 puts every a <= fl(R^2) in a cell k <= k_R, the
+        corner's, and a point with |t| <= h has b <= fl(low[k]^2) = lo2[k]:
+        surely inside, by the proof in _radial_bounds. T rises up to |z| = 2/pi,
+        so below that h is the center cell's T(u = 1) - PROFILE_EPS; R near 1 gets none.
         """
-        k = int(math.sqrt(max(1.0 - math.sqrt(R * R), 0.0)) * PROFILE_CELLS)
-        return float(np.min(_profile_bounds()[0][k:])) if k >= 1 else 0.0
+        k = R * R * PROFILE_CELLS
+        return float(np.min(_profile_bounds()[0][:int(k) + 1])) if k < PROFILE_CELLS - 1 else 0.0
 
     def _volume(self):
         n = self.spec.dim1 // 2

@@ -22,11 +22,14 @@ def close_to(p, q, tol=1e-12):
 
 
 def cut_ball_points(rng, count):
-    """(a, t) of geodesics._cut_ball_blocks' count points drawn as one block: the one-shot draw."""
+    """(a, t) of geodesics._cut_ball_blocks' count points drawn as one block: the one-shot draw.
+
+    The draw yields its seed rows first, then that one block.
+    """
     block = sampling.BLOCK
     sampling.BLOCK = count
     try:
-        (a, t), = geodesics._cut_ball_blocks(rng, count)
+        _, (a, t) = geodesics._cut_ball_blocks(rng, count)
     finally:
         sampling.BLOCK = block
     return a, t

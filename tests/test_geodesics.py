@@ -261,11 +261,18 @@ class TestCutBallCull:
 
     @staticmethod
     def _culled_draw(seed, count, best):
-        """The blocks of one chunk's draw, best sent before every block after the first."""
-        blocks = geodesics._cut_ball_blocks(substream(seed, 0), count)
+        """The blocks of one chunk's draw, best sent before every block after the seed.
+
+        Also checks that the culled draw leaves the generator where the full draw does.
+        """
+        rng = substream(seed, 0)
+        blocks = geodesics._cut_ball_blocks(rng, count)
         out = [next(blocks)]
         while (block := ci.measures._send(blocks, best)) is not None:
             out.append(block)
+        full = substream(seed, 0)
+        full.random(count)
+        assert np.array_equal(rng.random(4), full.random(4))  # no draw is skipped
         return out
 
     @staticmethod
@@ -300,10 +307,13 @@ class TestCutBallCull:
         full = self._full_draw(spec, substream(seed, 0), count)
         top = max(float(np.max(norms)) for _, _, norms in full)
         # far below the evidence's M; near the seed's and the final M; just below the draw's max
+        # the seed block is rows of the first box block, in their order
+        (seed_a, _, _), (first_a, _, _) = full[:2]
+        assert first_a[np.isin(first_a, seed_a)].tobytes() == seed_a.tobytes()
         for best in (0.9, 1.3, 1.4118, 1.4141, top * (1.0 - 1e-12)):
             dropped = self._dropped(full, self._culled_draw(seed, count, best), best)
-            if best > 1.4:  # the first block, which seeds M, is whole
-                assert dropped > 0.99 * (count - len(full[0][0]))
+            if best > 1.4:  # every box block is culled, the first included; the seed is whole
+                assert dropped > 0.99 * count
 
     def test_guard_covers_the_kernel_error(self):
         # a cell's rows may have kernel values up to its bound (1 + K) / (1 - K), K =
@@ -358,6 +368,9 @@ class TestCutBallCull:
 
         monkeypatch.setattr(geodesics, "_sphere_profile", spy)
         ci.verify_assumption_C(spec, 1 << 16, seed=1)
-        assert sizes[0] == sampling.BLOCK and len(sizes) == (1 << 16) // sampling.BLOCK
-        assert sum(sizes[1:]) < 0.01 * (1 << 16)
+        # the first block is the seed's few rows; then every box block, the first
+        # included, is culled before the sphere map
+        assert 0 < sizes[0] < 0.01 * sampling.BLOCK
+        assert len(sizes) == 1 + (1 << 16) // sampling.BLOCK
+        assert all(n < 0.01 * sampling.BLOCK for n in sizes[1:])
 

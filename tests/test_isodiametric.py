@@ -129,8 +129,9 @@ class TestApexReach:
     @pytest.mark.parametrize("metric", [DINF, ci.GaugeMetric(H1)], ids=["dinf", "gauge"])
     def test_one_layer_one_square_a_block(self, metric, monkeypatch):
         # SampledSet.draws draws a = |layer 1|^2 itself: no layer-1 block is
-        # squared, for the membership or for sampled_max; layer 2 is squared
-        # once a block by each
+        # squared, for the membership or for sampled_max; sampled_max squares
+        # layer 2 once a block, and the membership only on the rows the M test
+        # leaves, copied out of the block
         calls = []
         sum_squares = metrics._sum_squares
 
@@ -141,7 +142,7 @@ class TestApexReach:
         monkeypatch.setattr(metrics, "_sum_squares", spy)
         ci.apex_reach(metric, budget=4 * ci.sampling.BLOCK, seed=0)
         assert calls.count((ci.sampling.BLOCK, metric.spec.dim1)) == 0
-        assert calls.count((ci.sampling.BLOCK, metric.spec.dim2)) == 8
+        assert calls.count((ci.sampling.BLOCK, metric.spec.dim2)) == 4
 
     def test_report_dict(self):
         rep = ci.apex_reach(DINF, budget=10000, seed=1)

@@ -357,8 +357,13 @@ class TestBoxBlocks:
     def test_cut_ball_blocks_are_one_draw_bit_for_bit(self, count):
         x = ci.geodesics.cut_point(H1, 1.0)
         ours, ref = sampling.substream(5, 0), sampling.substream(5, 0)
-        got = list(ci.geodesics._cut_ball_blocks(ours, count))
+        (seed_a, seed_t), *got = ci.geodesics._cut_ball_blocks(ours, count)
         a, t = cut_ball_points(ref, count)
+        # the seed block is rows of the first block, in their order and with their bits
+        first = np.isin(got[0][0], seed_a)
+        assert 0 < len(seed_a) == np.count_nonzero(first)
+        assert got[0][0][first].tobytes() == seed_a.tobytes()
+        assert got[0][1][first].tobytes() == seed_t.tobytes()
         assert all(len(b) == sampling.BLOCK for b, _ in got[:-1])
         assert np.array_equal(np.concatenate([b for b, _ in got]), a)
         assert np.array_equal(np.vstack([b for _, b in got]), t)
@@ -430,6 +435,17 @@ class TestRadialDraw:
         p = s ** m
         assert np.all(np.abs(below / count - p) < 3.0 * np.sqrt(p * (1.0 - p) / count))
         assert top <= box.r1 ** 2
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_blocks_are_the_one_shot_power_bit_for_bit(self, m):
+        # a is r1^2 U^(2/m) of the one-shot draw, bit for bit, at m = 2 too, where
+        # draws takes no power: U^1 is U
+        box = BoundingBox(m, 1.7, [-1.0], [1.0])
+        region = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box)
+        count = 2 * sampling.BLOCK + 7
+        got = np.concatenate([a.copy() for a, _ in region.draws(sampling.substream(9, 0), count)])
+        u = sampling.substream(9, 0).random((count, 2))[:, 0]
+        assert got.tobytes() == (np.power(u, 2.0 / m) * (box.r1 * box.r1)).tobytes()
 
     @pytest.mark.parametrize("metric", [ci.GaugeMetric(H2), ci.GaugeMetric(ci.heisenberg(3)),
                                         ci.CCMetric(H2), ci.CCMetric(ci.heisenberg(3))],
@@ -692,7 +708,7 @@ class TestSettleOnceAChunk:
         assert 1 <= len(sizes) <= 2
 
     def test_verify_cc_kernel_passes(self, monkeypatch):
-        # the seed's every 32nd point, one settle, the continuation distance; the
+        # the seed rows, one settle, the continuation distance; the
         # sphere rows' bound table is built first, with its own kernel calls, once a process
         ci.geodesics._sphere_row_bounds()
         sizes = _cc_kernel_spy(monkeypatch)

@@ -67,28 +67,64 @@ def mp_half_height(u):
         return (2 * p - mp.sin(2 * p)) / (2 * p * p)
 
 
+def profile_u(a):
+    """u = sqrt(1 - s) at s^2 = a, as _profile_bounds computes it at its nodes a = j / C."""
+    return np.sqrt((1.0 - a) / (1.0 + np.sqrt(a)))
+
+
 class TestTable:
     def test_nodes_match_mpmath(self):
-        # every 16th node, the two first and the last: the error PROFILE_EPS absorbs
-        k = np.concatenate([[1, 2], np.arange(16, metrics.PROFILE_CELLS + 1, 16)])
-        u = k / metrics.PROFILE_CELLS
+        # every 16th node, the two first and the last: the u and T errors PROFILE_EPS absorbs
+        cells = metrics.PROFILE_CELLS
+        j = np.concatenate([[0, 1], np.arange(16, cells, 16), [cells - 1]])
+        u = profile_u(j / cells)
+        with mp.workdps(40):  # u within 3 ulp of sqrt(1 - s_j)
+            for x, jj in zip(u, j):
+                exact = mp.sqrt(1 - mp.sqrt(mp.mpf(int(jj)) / cells))
+                assert abs(mp.mpf(float(x)) - exact) <= 3 * np.spacing(x)
         got = metrics._half_height(u)
         worst = max(abs(mp.mpf(float(g)) - mp_half_height(float(x))) for g, x in zip(got, u))
         assert worst <= 1e-15
 
-    def test_cells_bound_the_profile(self):
-        # T at points inside each cell lies in [low + eps, high - eps]
-        low, high = metrics._profile_bounds()
+    @staticmethod
+    def _check_cells(low, lo2, hi2, eps):
+        """T at points inside each cell and at both its ends lies in [low + eps, high - eps],
+        compared squared as the triage compares; the last cells are unsure, then outside."""
         cells = metrics.PROFILE_CELLS
-        assert low.shape == high.shape == (cells + 1,)
-        assert low[0] == -math.inf and high[0] == math.inf
-        u = np.random.default_rng(0).uniform(1.0 / cells, 1.0, 1 << 16)
-        u = np.concatenate([u, [math.sqrt(1.0 - 2.0 / math.pi), 1.0]])
-        k = (u * cells).astype(np.intp)
-        t = metrics._half_height(u)
-        assert np.all(low[k] + metrics.PROFILE_EPS <= t)
-        assert np.all(t <= high[k] - metrics.PROFILE_EPS)
-        assert np.max(high[1:]) == 2.0 / math.pi + metrics.PROFILE_EPS
+        assert low.shape == (cells - 1,) and lo2.shape == hi2.shape == (cells + 2,)
+        assert lo2[cells - 1:].tolist() == [-1.0] * 3
+        assert hi2[cells - 1:].tolist() == [math.inf, math.inf, -1.0]
+        a = np.random.default_rng(0).uniform(0.0, (cells - 1) / cells, 1 << 16)
+        a = np.concatenate([a, [(2.0 / math.pi) ** 2, 0.0]])
+        k = (a * cells).astype(np.intp)
+        # every node j / C, the end of cells j - 1 and j
+        j = np.arange(cells)
+        a = np.concatenate([a, j / cells, j[1:] / cells])
+        k = np.concatenate([k, j[:-1], [cells - 2], j[1:] - 1])
+        t = metrics._half_height(profile_u(a))
+        assert np.all(lo2[k] <= (t - eps) ** 2)
+        assert np.all((t + eps) ** 2 <= hi2[k])
+        assert np.max(hi2[:cells - 1]) == (2.0 / math.pi + eps) ** 2
+        assert np.all(low > 0.0) and lo2[:cells - 1].tobytes() == (low * low).tobytes()
+
+    def test_cells_bound_the_profile(self):
+        # eps is at least four times the 1.7e-12 of index slip, node error and
+        # rounding that _radial_bounds proves
+        assert metrics.PROFILE_EPS >= 4 * 1.7e-12
+        self._check_cells(*metrics._profile_bounds(), metrics.PROFILE_EPS)
+
+    def test_check_fails_on_a_wrong_table(self, monkeypatch):
+        # the check catches a table whose lower bounds are raised by 1e-3, or one
+        # built with no margin
+        eps = metrics.PROFILE_EPS
+        low, lo2, hi2 = metrics._profile_bounds()
+        raised = lo2.copy()
+        raised[:len(low)] += 1e-3
+        with pytest.raises(AssertionError):
+            self._check_cells(low, raised, hi2, eps)
+        monkeypatch.setattr(metrics, "PROFILE_EPS", 0.0)
+        with pytest.raises(AssertionError):
+            self._check_cells(*metrics._profile_bounds.__wrapped__(), eps)
 
 
 def _box_agreement(metric, box, shift, radius, seed, points=AGREEMENT_POINTS):
@@ -155,8 +191,7 @@ def sphere_shells(n, radius, count, seed):
     random angles; the directions are random.
     """
     rng = np.random.default_rng(seed)
-    cells = metrics.PROFILE_CELLS
-    nodes = node_phi(np.arange(1, cells + 1) / cells)
+    nodes = node_phi(profile_u(np.arange(metrics.PROFILE_CELLS) / metrics.PROFILE_CELLS))
     phi = np.concatenate([nodes, [0.0, math.pi / 2, math.pi, 1e-3, math.pi - 1e-9],
                           rng.uniform(0.0, math.pi, count)])
     phi *= rng.choice([-1.0, 1.0], phi.size)
