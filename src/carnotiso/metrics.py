@@ -11,10 +11,11 @@ kernel: mu and mu' in _mu_pair, the unit sphere's radius sin phi / phi and
 half height T in _sphere_profile, for the sphere map, the cut-ball sampler,
 the half-height table and the CC volume. Each metric class states its name,
 box radii and unit-ball volume rule once (:func:`unit_ball_volume`): closed
-forms for d_inf and gauge, and for CC a fixed Gauss-Legendre rule. Its
-_slab_height(R) is the half height of a layer-2 slab over |layer 1| <= R
-that the unit ball's bounds hold surely inside, which measures.difference
-cuts from a bump's box.
+forms for d_inf and gauge, and for CC a fixed Gauss-Legendre rule. Its two
+annulus rules bound the unit ball's layer 2 over R_in <= |layer 1| <= R_out
+from the bounds' own thresholds: below _slab_height(R_in, R_out) every point
+is surely inside, beyond _reach_height(R_in, R_out) surely outside.
+measures.difference draws a bump less the unit ball between the two.
 """
 
 from __future__ import annotations
@@ -193,11 +194,17 @@ def solve_turning(ratio):
 # at s = 2/pi, then falls to 0 at s = 1; in u = sqrt(1 - s) it is 1.7-Lipschitz.
 # ---------------------------------------------------------------------------
 
-PROFILE_CELLS = 1 << 12  # cells of |z|^2 / r^2; a power of two, so the nodes j / C are exact
+# cells of |z|^2 / r^2; a power of two, so the nodes j / C are exact. 2^13, not 2^12,
+# halves the unsure band: a bump's strata put many draws next to both spheres
+PROFILE_CELLS = 1 << 13
 # the margin on the scaled height in CCMetric._radial_bounds, where it is proven
 PROFILE_EPS = 1e-9
 # the relative guard band of the d_inf and gauge _radial_bounds, over 100 times their rounding
 WITHIN_GUARD = 1e-12
+# the annulus rules hold for every a = |z|^2 within this relative slack of the
+# annulus's squared radii: it covers the few ulp by which a draw's a, the
+# radii and their dilation round
+ANNULUS_SLACK = 1e-13
 # 1 - sin x / x cancels near 0, so below the cut it is the series
 # x^2 sum_k (-1)^k x^(2k) / (2k + 3)!, whose next term is 1e-23 relative there
 _SINC_SERIES_CUT = 0.5
@@ -280,6 +287,52 @@ def _profile_bounds():
     return low, lo2, hi2
 
 
+@functools.lru_cache(maxsize=2)
+def _scaled_profile(r4: float):
+    """(lo2 r4, hi2 r4) of _profile_bounds: the bounds of b at r^4 = r4, for the last two radii.
+
+    A bump and its unit ball ask the same two radii block after block, and the
+    two tables are as long as a block's rows. A running maximum's radius
+    changes each block, and scales the tables anew each time.
+    """
+    _, lo2, hi2 = _profile_bounds()
+    lo2, hi2 = lo2 * r4, hi2 * r4
+    lo2.flags.writeable = hi2.flags.writeable = False  # the cache shares them
+    return lo2, hi2
+
+
+@functools.cache
+def _cell_tables():
+    """(low, hi2) of _profile_bounds indexed by cell 0 .. C + 1 and padded by one entry.
+
+    low takes -1 (unsure) at cells C - 1 .. C + 1; the pad is reduceat's end
+    index C + 2 (_cells_extreme), inside no range.
+    """
+    low, _, hi2 = _profile_bounds()
+    low, hi2 = np.concatenate([low, [-1.0] * 4]), np.concatenate([hi2, [-1.0]])
+    low.flags.writeable = hi2.flags.writeable = False  # the cache shares them
+    return low, hi2
+
+
+def _cells_extreme(ufunc, values, R_in, R_out):
+    """ufunc (np.minimum or np.maximum) of a _cell_tables row over each annulus's cells.
+
+    R_in and R_out have one shape. The annulus R_in <= |z| <= R_out at r = 1
+    reaches the cells floor(C fl(R^2)) from R_in's to R_out's, C =
+    PROFILE_CELLS (NaN and beyond C + 1 at C + 1, as in _radial_bounds), and
+    one more at each end: a within ANNULUS_SLACK of the annulus, and q = a (C
+    / r^2) at another radius r, slip by far less than a cell (1e-9 of one at
+    C = 8192). One reduceat over the index pairs (k0, k1 + 1) reduces every
+    annulus at once.
+    """
+    radii = np.array([R_in, R_out], dtype=float).reshape(2, -1)
+    with np.errstate(over="ignore"):
+        k = np.fmin(radii * radii * PROFILE_CELLS, PROFILE_CELLS + 1.0).astype(np.intp)
+    k[0] = np.maximum(k[0] - 1, 0)
+    k[1] = np.minimum(k[1] + 1, PROFILE_CELLS + 1) + 1
+    return ufunc.reduceat(values, k.T.ravel())[::2].reshape(np.shape(R_in))
+
+
 # ---------------------------------------------------------------------------
 # metric classes
 # ---------------------------------------------------------------------------
@@ -333,11 +386,16 @@ class _HomogeneousMetric:
     arrays (inside, unsure) shaped like a, with radial_norm(a, b) <= r
     exactly where inside holds and unsure does not, every point unsure at a
     radius whose thresholds are unsafe; its name, _box_radii()
-    (unit_ball_bbox), _slab_height(R) and _volume(), by volume_method. The
-    slab {|x| <= R, |layer 2| <= _slab_height(R)} lies in the unit ball, and
-    its triage at r = 1 holds every point of it surely inside. The scalar interface
-    dilates its points to O(1) by a power of two, which is exact, so that
-    N(delta_s p) = s N(p) holds for tiny and huge coordinates.
+    (unit_ball_bbox), its annulus rules and _volume(), by volume_method.
+    The annulus rules take arrays R_in <= R_out and speak of every float a
+    within a relative ANNULUS_SLACK of [R_in^2, R_out^2]: the triage at r = 1
+    holds every such a with b <= fl(h^2), h = _slab_height(R_in, R_out),
+    surely inside (h = 0: no slab), and decides every such a with |t| > H =
+    _reach_height(R_in, R_out) surely outside (H = inf: no reach), with margin
+    enough that the points beyond r^2 H over the annulus r [R_in, R_out] are
+    outside the ball of radius r, by the kernel, at any r. The scalar
+    interface dilates its points to O(1) by a power of two, which is exact,
+    so that N(delta_s p) = s N(p) holds for tiny and huge coordinates.
     """
 
     spec: GroupSpec
@@ -424,20 +482,40 @@ class DinfMetric(_HomogeneousMetric):
     def _box_radii(self):
         return 1.0 / self.c1, (1.0 / self.c2) ** 2  # OverflowError, not 1/0, for a tiny c2
 
-    def _slab_height(self, R):
-        """h = r2 (1 - g), g = WITHIN_GUARD, where the triage holds the corner (R^2, h^2); else 0.
+    def _slab_height(self, R_in, R_out):
+        """h = r2 (1 - g), g = WITHIN_GUARD, where the triage holds (R_out^2 (1 + s), h^2); else 0.
 
         The unit ball is |z| <= r1, |t| <= r2 itself, but its triage at r = 1 is
         surely inside only for a <= ta (1 - g) and b <= tb (1 - g), ta = r1^2 and
         tb = r2^2 to 3 ulp: b = r2^2 is not. h^2 = r2^2 (1 - g)^2 to 2 ulp lies a
         relative g below tb (1 - g), far more than those ulps. The triage's two
         comparisons grow with a and b, and every point of the slab has a <=
-        fl(R^2) and b = fl(t^2) <= fl(h^2), so the corner decides the whole
-        slab. It fails, and there is no slab, when R^2 > ta (1 - g) or a
-        threshold leaves the triage's range.
+        R_out^2 (1 + s), s = ANNULUS_SLACK, and b = fl(t^2) <= fl(h^2), so the
+        corner decides the whole slab. It fails, and there is no slab, when
+        that corner's a > ta (1 - g) or a threshold leaves the triage's range.
+        h does not move with R_in.
         """
         h = self._box_radii()[1] * (1.0 - WITHIN_GUARD)
-        return h if self._radial_bounds(R * R, h * h, 1.0)[0] else 0.0
+        R = np.asarray(R_out, dtype=float)
+        with np.errstate(over="ignore"):
+            a = R * R * (1.0 + ANNULUS_SLACK)
+            return np.where(self._radial_bounds(a, h * h, 1.0)[0], h, 0.0)[()]
+
+    def _reach_height(self, R_in, R_out):
+        """H = r2 (1 + g), g = WITHIN_GUARD, where the triage puts (R_in^2, H^2) outside; else inf.
+
+        The triage at r is outside once b > tb (1 + g), tb = (r / c2)^4 to 3
+        ulp, whatever a is. Over the annulus of radius r, |t| > r^2 H gives
+        b >= r^4 r2^2 (1 + g)^2 less a few ulp, a relative g above tb (1 + g):
+        outside by the triage at any r in its range, and by the kernel, as
+        c2 |t|^(1/2) > r (1 + g/2) there. The check at the corner (R_in^2 (1 - s),
+        H^2), s = ANNULUS_SLACK, is the triage's range check at r = 1.
+        """
+        H = self._box_radii()[1] * (1.0 + WITHIN_GUARD)
+        R = np.asarray(R_in, dtype=float)
+        with np.errstate(over="ignore"):
+            inside, unsure = self._radial_bounds(R * R * (1.0 - ANNULUS_SLACK), H * H, 1.0)
+        return np.where(inside | unsure, np.inf, H)[()]
 
     def _volume(self):
         m = self.spec.dim1
@@ -485,19 +563,42 @@ class GaugeMetric(_HomogeneousMetric):
     def _box_radii(self):
         return 1.0, 1.0 / self.layer2_scale  # |Z| <= 1/scale on the unit ball
 
-    def _slab_height(self, R):
-        """h = r2 (1 - 2g - (R / r1)^4)^(1/2), g = WITHIN_GUARD, where the triage holds (R^2, h^2).
+    def _slab_height(self, R_in, R_out):
+        """h = r2 (1 - 2g - (R_out / r1)^4)^(1/2), g = WITHIN_GUARD, where the triage holds it.
 
-        The unit ball over |X| <= R reaches |Z| = r2 (1 - (R/r1)^4)^(1/2), r1 = 1
-        and s r2 = 1, on its sphere. At the corner the triage's q = a^2 + s^2 b is
-        1 - 2g to a few ulp, below its inside threshold 1 - g; q grows with a
-        and b, and every point of the slab has a <= fl(R^2) and b <= fl(h^2), so
-        the corner decides the whole slab. Else (R^4 > 1 - 2g) 0, no slab.
+        The unit ball at |X| = R reaches |Z| = r2 (1 - (R/r1)^4)^(1/2), r1 = 1
+        and s r2 = 1, on its sphere, falling with R. At the corner (R_out^2
+        (1 + e), h^2), e = ANNULUS_SLACK, the triage's q = a^2 + s^2 b is 1 - 2g
+        + 2e R_out^4 to a few ulp, below its inside threshold 1 - g; q grows
+        with a and b, and every point of the slab has a <= R_out^2 (1 + e) and
+        b <= fl(h^2), so the corner decides the whole slab. Else (R_out^4 > 1 -
+        2g) 0, no slab. h does not move with R_in.
         """
         r1, r2 = self._box_radii()
-        x = (R / r1) * (R / r1)  # a product, not ** 4: a huge R gives inf, not OverflowError
-        h = r2 * math.sqrt(max(1.0 - 2.0 * WITHIN_GUARD - x * x, 0.0))
-        return h if self._radial_bounds(R * R, h * h, 1.0)[0] else 0.0
+        R = np.asarray(R_out, dtype=float)
+        with np.errstate(over="ignore"):
+            x = (R / r1) * (R / r1)
+            h = r2 * np.sqrt(np.maximum(1.0 - 2.0 * WITHIN_GUARD - x * x, 0.0))
+            a = R * R * (1.0 + ANNULUS_SLACK)
+            return np.where(self._radial_bounds(a, h * h, 1.0)[0], h, 0.0)[()]
+
+    def _reach_height(self, R_in, R_out):
+        """H = r2 (1 + 2g - (R_in / r1)^4)^(1/2), 0 past the rim, where the triage agrees; else inf.
+
+        The triage must put the corner (R_in^2 (1 - e), H^2) outside, e =
+        ANNULUS_SLACK. The sphere falls with |X|, so the annulus reaches highest
+        at R_in. Over the annulus of radius r, |Z| > r^2 H gives q = a^2 + s^2 b
+        >= r^4 (1 + 2g - 2e) less a few ulp (r^4 R_in^4 (1 - 2e) alone once H is
+        0), above the outside threshold r^4 (1 + g): outside by the triage at
+        any r in its range, and by the kernel, q^(1/4) > r (1 + g/5).
+        """
+        r1, r2 = self._box_radii()
+        R = np.asarray(R_in, dtype=float)
+        with np.errstate(over="ignore"):
+            x = (R / r1) * (R / r1)
+            H = r2 * np.sqrt(np.maximum(1.0 + 2.0 * WITHIN_GUARD - x * x, 0.0))
+            inside, unsure = self._radial_bounds(R * R * (1.0 - ANNULUS_SLACK), H * H, 1.0)
+        return np.where(inside | unsure, np.inf, H)[()]
 
     def _volume(self):
         m, k = self.spec.dim1, self.spec.dim2
@@ -582,29 +683,29 @@ class CCMetric(_HomogeneousMetric):
         * k = C + 1: N* >= |z| >= r sqrt(1 + 1 / C) (1 - 2e-16) > r (1 + kappa).
         * k <= C - 2, inside: N* <= r (1 - kappa) when s' = s / (1 - kappa) <=
           1 and |t| / (r (1 - kappa))^2 <= T(s'), s = |z| / r. s' is within
-          2.1e-14 of cell k, where 1 - s >= 1.2e-4, phi >= 0.027 and |dT/ds| =
-          2 |cos phi| / phi <= 74: the kappa and index slips move T by 1.6e-12,
+          2.1e-14 of cell k, where 1 - s >= 6.1e-5, phi >= 0.019 and |dT/ds| =
+          2 |cos phi| / phi <= 105: the kappa and index slips move T by 2.2e-12,
           the nodes by 1.6e-15 (_half_height's 1e-15, u's 3 ulp), so T(s') >=
-          low[k] + PROFILE_EPS - 1.6e-12; the squaring and r^4 add a few ulp,
+          low[k] + PROFILE_EPS - 2.2e-12; the squaring and r^4 add a few ulp,
           so |t| / (r (1 - kappa))^2 <= low[k] + 3e-14.
         * k <= C - 2, b >= r^4 hi2[k]: outside, by the same steps with 1 + kappa.
 
-        PROFILE_EPS = 1e-9 is thus over four times the 1.7e-12 it must exceed.
+        PROFILE_EPS = 1e-9 is thus over four times the 2.3e-12 it must exceed.
         Unsure are the points within about one cell of the sphere's height, and
-        cells C - 1 and C, |z| / r in [1 - 1.2e-4, 1 + 1.2e-4]; a NaN b is out,
+        cells C - 1 and C, |z| / r in [1 - 6.1e-5, 1 + 6.1e-5]; a NaN b is out,
         as for the kernel. For r outside [1e-50, 1e50], where r^4 times an
         entry may leave the normal range, every point is unsure.
         """
         if not 1e-50 <= r <= 1e50:  # negated, so that NaN fails too
             return _all_unsure(a)
-        _, lo2, hi2 = _profile_bounds()
         r2 = r * r
+        lo2, hi2 = _scaled_profile(r2 * r2)
         q = np.multiply(a, PROFILE_CELLS / r2)  # then the bounds, in place: fewer heap trims
         np.fmin(q, PROFILE_CELLS + 1.0, out=q)  # fmin: NaN -> C + 1 too
         k = q.astype(np.intp)
         # clip never binds, and leaves out= unbuffered
-        inside = b <= np.take(lo2 * (r2 * r2), k, out=q, mode="clip")
-        unsure = b < np.take(hi2 * (r2 * r2), k, out=q, mode="clip")
+        inside = b <= np.take(lo2, k, out=q, mode="clip")
+        unsure = b < np.take(hi2, k, out=q, mode="clip")
         unsure ^= inside  # inside rows have b <= r^4 lo2[k] < r^4 hi2[k]
         return inside, unsure
 
@@ -613,28 +714,54 @@ class CCMetric(_HomogeneousMetric):
         # 2/pi, so |t| <= 2/pi (the center point of the ball only reaches 1/pi)
         return 1.0, 2.0 / np.pi
 
-    def _slab_height(self, R):
-        """The least low[k] of _profile_bounds over the cells |z| <= R reaches; 0 if one is unsure.
+    def _slab_height(self, R_in, R_out):
+        """The least low[k] of _profile_bounds over the annulus's cells; 0 if one is unsure.
 
-        The triage at r = 1 puts every a <= fl(R^2) in a cell k <= k_R, the
-        corner's, and a point with |t| <= h has b <= fl(low[k]^2) = lo2[k]:
-        surely inside, by the proof in _radial_bounds. T rises up to |z| = 2/pi,
-        so below that h is the center cell's T(u = 1) - PROFILE_EPS; R near 1 gets none.
+        The cells are _cells_extreme's. The triage at r = 1 puts every a of the
+        annulus in a cell k of the annulus's, and a point with |t| <= h = low[j],
+        the least, has b <= fl(low[j]^2) <= fl(low[k]^2) = lo2[k]: surely inside, by the
+        proof in _radial_bounds. T rises with |z| up to 2/pi, so an annulus off
+        the center has a higher slab than the center cell's T(u = 1) - PROFILE_EPS.
+        Cells C - 1 and C, and a low <= 0, give none.
         """
-        k = R * R * PROFILE_CELLS
-        return float(np.min(_profile_bounds()[0][:int(k) + 1])) if k < PROFILE_CELLS - 1 else 0.0
+        return np.maximum(_cells_extreme(np.minimum, _cell_tables()[0], R_in, R_out), 0.0)[()]
+
+    def _reach_height(self, R_in, R_out):
+        """H = (the largest hi2[k] over the annulus's cells)^(1/2) (1 + g); inf if one is unsure.
+
+        g = WITHIN_GUARD. By the proof in _radial_bounds, b >= r^4 hi2[k] puts
+        the exact norm above r (1 + kappa), so the kernel and the triage at r
+        decide it outside. Over the annulus of radius r the triage's cell k of
+        q = a (C / r^2) lies in the annulus's cells: the margin cell on each
+        end holds the few-ulp slips of a and q, far below one cell. |t| > r^2 H
+        then gives b >= r^4 hi2[k] (1 + g)^2 less a few ulp, above r^4 hi2[k]
+        as the triage rounds it. Cells C - 1 and C give inf; cell C + 1 alone
+        (every |z| beyond the rim) gives 0.
+        """
+        top = np.maximum(_cells_extreme(np.maximum, _cell_tables()[1], R_in, R_out), 0.0)
+        return (np.sqrt(top) * (1.0 + WITHIN_GUARD))[()]
 
     def _volume(self):
-        n = self.spec.dim1 // 2
-        coarse, fine = (w * cc_ball_integrand(phi, n)
-                        for phi, w in map(gauss_legendre, (64, 128)))
-        val = float(fine.sum())
-        # the floor is QUADPACK's round-off estimate
-        err = max(abs(val - coarse.sum()), 50.0 * np.finfo(float).eps * np.abs(fine).sum())
-        if err > 1e-12 * max(1.0, val):
-            raise QuadratureError(f"CC ball quadrature missed the tolerance (achieved {err:g})")
-        pref = 4.0 * n * alpha(2 * n)  # volume = pref * int_0^pi f
-        return pref * val, float(pref * err)
+        return _cc_volume(self.spec.dim1 // 2)
+
+
+@functools.cache
+def _cc_volume(n: int) -> tuple[float, float]:
+    """(volume, error) of the CC unit ball of H^n, summed once a process for each n.
+
+    The G64 and G128 sums of cc_ball_integrand take about 0.1 ms, and every
+    bump ratio, bump search and projection bound divides by the volume. A
+    QuadratureError is raised again on every call, as the cache keeps no error.
+    """
+    coarse, fine = (w * cc_ball_integrand(phi, n)
+                    for phi, w in map(gauss_legendre, (64, 128)))
+    val = float(fine.sum())
+    # the floor is QUADPACK's round-off estimate
+    err = max(abs(val - coarse.sum()), 50.0 * np.finfo(float).eps * np.abs(fine).sum())
+    if err > 1e-12 * max(1.0, val):
+        raise QuadratureError(f"CC ball quadrature missed the tolerance (achieved {err:g})")
+    pref = 4.0 * n * alpha(2 * n)  # volume = pref * int_0^pi f
+    return pref * val, float(pref * err)
 
 
 def make_metric(spec: GroupSpec, doc: dict) -> _HomogeneousMetric:

@@ -12,7 +12,7 @@ of memory: a chunk's points are drawn and tested BLOCK at a time, as
 consecutive draws from the chunk's one generator, so that each block's
 temporaries stay in cache. A generator's doubles are one sequential
 stream, so the blocks hold exactly the rows of one whole-chunk draw, and
-no result depends on BLOCK. Only box_blocks and uniform_box know what a
+no result depends on BLOCK. Only strata_blocks and uniform_box know what a
 draw costs: each refuses a chunk above MAX_CHUNK_FLOATS before drawing it.
 """
 
@@ -105,44 +105,72 @@ def uniform_box(rng: np.random.Generator, count: int, lo: np.ndarray, hi: np.nda
     OverflowError, as for rng.uniform, when hi - lo exceeds the float range.
     """
     check_chunk(count, len(lo))
-    return _box_filler(lo, hi)(rng, np.empty((count, len(lo))))
+    maps, = _column_maps([lo], [hi])
+    return _map_columns(rng.random(out=np.empty((count, len(lo)))), maps)
 
 
 def box_blocks(rng: np.random.Generator, count: int, lo: np.ndarray, hi: np.ndarray):
     """Yield count uniform draws in the box [lo, hi], BLOCK points at a time.
 
     The blocks stacked are bit for bit uniform_box(rng, count, lo, hi), and
-    leave rng in the same state. check_chunk runs on the whole chunk before
-    the first draw. Every block is a view of one buffer, which the next block
+    leave rng in the same state: strata_blocks with one stratum.
+    """
+    for pts, _ in strata_blocks(rng, [count], [lo], [hi]):
+        yield pts
+
+
+def strata_blocks(rng: np.random.Generator, counts, lo, hi):
+    """Yield (pts, segments) for sum(counts) uniform draws, counts[s] of them in [lo[s], hi[s]].
+
+    The strata take consecutive rows, in stratum order, BLOCK points a block;
+    each row is the generator's next len(lo[s]) doubles, mapped into its
+    stratum's box as uniform_box maps them, elementwise. So one stratum is
+    uniform_box's draw, and the blocks stacked are one whole-chunk draw, bit
+    for bit, at every BLOCK. segments lists (s, i, j): the block's rows i:j
+    are stratum s's. check_chunk runs on the whole chunk before the first
+    draw. Every block is a view of one buffer, which the next block
     overwrites: use each block before asking for the next. (A fresh draw
     freed every block lets malloc return the heap top to the system, and the
     next block fault it back in: a quarter of a cheap-norm block's time.)
     """
-    check_chunk(count, len(lo))
-    fill = _box_filler(lo, hi)
-    buf = np.empty((min(BLOCK, count), len(lo)))
-    for start in range(0, count, BLOCK):
-        yield fill(rng, buf[:min(BLOCK, count - start)])
+    total, width = int(sum(counts)), len(lo[0])
+    check_chunk(total, width)
+    maps = _column_maps(lo, hi)
+    ends = np.cumsum(counts).tolist()
+    buf = np.empty((min(BLOCK, total), width))
+    s = 0
+    for start in range(0, total, BLOCK):
+        pts = rng.random(out=buf[:min(BLOCK, total - start)])
+        segments, row, stop = [], start, start + len(pts)
+        while row < stop:
+            while ends[s] <= row:
+                s += 1
+            end = min(ends[s], stop)
+            _map_columns(pts[row - start:end - start], maps[s])
+            segments.append((s, row - start, end - start))
+            row = end
+        yield pts, segments
 
 
-def _box_filler(lo: np.ndarray, hi: np.ndarray):
-    """fill(rng, pts): overwrite the C-contiguous (count, len(lo)) pts with the next draw.
+def _column_maps(lo, hi):
+    """For each box [lo[s], hi[s]], (j, hi - lo, lo) of each column it maps.
 
-    Each column is mapped in place, but a [0, 1] column (lower bound 0.0 or -0.0)
-    is left as drawn: 0 + 1 U is U, bit for bit. The box is checked once, not
-    once a block: with two threads every Python step of a block may wait for the GIL.
+    OverflowError for a side beyond the float range. A [0, 1] column (lower
+    bound 0.0 or -0.0) is left as drawn: 0 + 1 U is U, bit for bit. The boxes
+    are checked once, not once a block: with two threads every Python step of
+    a block may wait for the GIL.
     """
     span = np.subtract(hi, lo)
     if not np.all(np.isfinite(span)):
         raise OverflowError(f"box side hi - lo = {span} exceeds the float range")
-    cols = [(j, s, b) for j, (s, b) in enumerate(zip(span, lo)) if (s, b) != (1.0, 0.0)]
+    return [[(j, s, b) for j, (s, b) in enumerate(zip(sides, lows)) if (s, b) != (1.0, 0.0)]
+            for sides, lows in zip(span.tolist(), np.asarray(lo, dtype=float).tolist())]
 
-    def fill(rng: np.random.Generator, pts: np.ndarray):
-        rng.random(out=pts)
-        for j, s, b in cols:
-            col = pts[:, j]
-            col *= s
-            col += b
-        return pts
 
-    return fill
+def _map_columns(pts: np.ndarray, maps):
+    """pts with each mapped column j overwritten, in place, by lo + (hi - lo) U."""
+    for j, s, b in maps:
+        col = pts[:, j]
+        col *= s
+        col += b
+    return pts

@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import functools
+
 import mpmath as mp
 import numpy as np
 
@@ -21,6 +23,12 @@ def close_to(p, q, tol=1e-12):
             and np.allclose(p.layer2, q.layer2, atol=tol))
 
 
+def fresh_cc_volume_cache(monkeypatch):
+    """Give metrics._cc_volume an empty cache for this test, so that a patched rule is summed."""
+    volume = functools.cache(ci.metrics._cc_volume.__wrapped__)
+    monkeypatch.setattr(ci.metrics, "_cc_volume", volume)
+
+
 def cut_ball_points(rng, count):
     """(a, t) of geodesics._cut_ball_blocks' count points drawn as one block: the one-shot draw.
 
@@ -39,7 +47,10 @@ def region_cube(box):
     """(lo, hi) of the cube [-r1, r1]^dim1 x [lo2, hi2] around a sampled region.
 
     The radial draw makes no layer-1 coordinates; tests that need them draw this cube.
+    Strata take their envelope's layer-2 box.
     """
+    if isinstance(box, ci.measures.Strata):
+        box = box.envelope
     r1 = np.full(box.dim1, box.r1)
     return np.concatenate([-r1, box.lo2]), np.concatenate([r1, box.hi2])
 

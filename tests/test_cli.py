@@ -12,7 +12,7 @@ import pytest
 import carnotiso as ci
 from carnotiso import cli, sampling
 from carnotiso.cli import build_parser, main, parse_group, parse_point
-from conftest import quaternionic
+from conftest import fresh_cc_volume_cache, quaternionic
 
 
 def run_main(capsys, *argv):
@@ -232,6 +232,7 @@ class TestBallVolume:
     def test_impossible_tolerance_exits_3(self, capsys, monkeypatch):
         # a rule too coarse for the fixed 1e-12 self-check
         rule = ci.metrics.gauss_legendre
+        fresh_cc_volume_cache(monkeypatch)
         monkeypatch.setattr(ci.metrics, "gauss_legendre", lambda n: rule(n // 16))
         assert main(["ball-volume", "--metric", "cc"]) == 3
         err = capsys.readouterr().err

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import carnotiso as ci
-from carnotiso import sampling
+from carnotiso import metrics, sampling
 from carnotiso.groups import standard_symplectic
 from carnotiso.measures import BoundingBox
-from carnotiso.metrics import _all_unsure, _sum_squares, cc_ball_integrand
-from conftest import cut_ball_points, quaternionic, region_cube
+from carnotiso.metrics import PROFILE_CELLS, _all_unsure, _sum_squares, cc_ball_integrand
+from conftest import cut_ball_points, fresh_cc_volume_cache, quaternionic, region_cube
 
 H1 = ci.heisenberg(1)
 H2 = ci.heisenberg(2)
@@ -66,9 +66,29 @@ class TestCCVolume:
         from carnotiso import metrics
         from carnotiso.metrics import QuadratureError
         rule = metrics.gauss_legendre
+        fresh_cc_volume_cache(monkeypatch)
         monkeypatch.setattr(metrics, "gauss_legendre", lambda n: rule(n // 16))
         with pytest.raises(QuadratureError):
             ci.cc_unit_ball_volume(1)
+
+    def test_volume_is_summed_once_a_process_for_each_n(self, monkeypatch):
+        # the rule's floats, from one G64 and one G128 pass of the integrand per n
+        fresh_cc_volume_cache(monkeypatch)
+        integrand, calls = metrics.cc_ball_integrand, []
+
+        def spy(phi, n):
+            calls.append(n)
+            return integrand(phi, n)
+
+        monkeypatch.setattr(metrics, "cc_ball_integrand", spy)
+        want = {n: metrics._cc_volume.__wrapped__(n) for n in (1, 2)}
+        calls.clear()
+        for _ in range(3):
+            for n in (1, 2):
+                got = ci.unit_ball_volume(ci.CCMetric(ci.heisenberg(n)))
+                assert got == want[n]
+                assert ci.cc_unit_ball_volume(n).value == want[n][0]
+        assert calls == [1, 1, 2, 2]
 
 
 class TestBoundingBox:
@@ -310,12 +330,46 @@ def _one_shot_radial(box, rng, count):
     return box.r1 * box.r1 * np.power(pts[:, 0], 2.0 / box.dim1), pts[:, 1:]
 
 
-def _one_shot_hits(sampled, budget, seed):
-    def chunk(rng, count):
-        a, l2 = _one_shot_radial(sampled.bounding_box, rng, count)
-        return int(np.count_nonzero(sampled.membership(a, l2)))
+def _one_shot_region(strata, rng, count):
+    """(a, l2, stratum) of count draws of a chunk of strata, drawn as one array.
 
-    return sum(sampling.map_chunks(seed, budget, chunk))
+    The strata take their _allocation shares of count as consecutive rows. Each row
+    is 1 + k doubles in [0, 1) of one draw: layer 2 is lo2 + (hi2 - lo2) U of its
+    stratum, and a = r1^2 (u0 + w U)^(2/dim1) of its shell [u0, u0 + w], as
+    U (w r1^2) + u0 r1^2 for dim1 = 2. A box is one stratum, the ball U in [0, 1].
+    """
+    counts = ci.measures._allocation(count, strata.volumes)
+    row = np.repeat(np.arange(len(counts)), counts)
+    k = strata.lo2.shape[1]
+    pts = sampling.uniform_box(rng, count, np.zeros(1 + k), np.ones(1 + k))
+    lo2, hi2 = strata.lo2[row], strata.hi2[row]
+    l2 = lo2 + (hi2 - lo2) * pts[:, 1:]
+    u0, w = strata.shells[row, 0], np.diff(strata.shells, axis=1)[row, 0]
+    r1sq = strata.r1 * strata.r1
+    if strata.dim1 == 2:
+        a = pts[:, 0] * (w * r1sq) + u0 * r1sq
+    else:
+        a = np.power(pts[:, 0] * w + u0, 2.0 / strata.dim1) * r1sq
+    return a, l2, row
+
+
+def _stratified_value(volumes, hits, rows):
+    """sum V_s h_s / n_s: mc_measure's estimate from its per-stratum counts."""
+    return math.fsum(v * (h / n) for v, h, n in zip(volumes.tolist(), hits, rows))
+
+
+def _one_shot_hits(sampled, budget, seed):
+    """(hits, rows) of each stratum over the budget, from one-shot draws and the exact mask."""
+    strata = ci.measures._strata(sampled.bounding_box, budget)
+
+    def chunk(rng, count):
+        a, l2, row = _one_shot_region(strata, rng, count)
+        hit = sampled.membership(a, l2)
+        return (np.bincount(row[hit], minlength=len(strata.volumes)),
+                np.bincount(row, minlength=len(strata.volumes)))
+
+    hits, rows = (sum(col) for col in zip(*sampling.map_chunks(seed, budget, chunk)))
+    return hits.tolist(), rows.tolist()
 
 
 def _one_shot_ball_sup(metric, budget, seed):
@@ -397,12 +451,17 @@ class TestBoxBlocks:
             ci.ball_set(CC, center=ci.point([0, 0], [-1 / math.pi]), radius=2 - math.sqrt(2)),
             ci.ball_set(CC))
         # layer-1 dimensions 2, 4 and 6: U^(2/m) is U, a square root and a power
+        # the CC bump is drawn in strata: each chunk gives each its share of rows
+        assert isinstance(cc_bump.bounding_box, ci.measures.Strata)
         for sampled in (extra, cc_bump, ci.ball_set(GAUGE), ci.ball_set(ci.GaugeMetric(H2)),
                         ci.ball_set(ci.CCMetric(ci.heisenberg(3)))):
             est = ci.mc_measure(sampled, budget, seed=3)
-            hits = _one_shot_hits(sampled, budget, 3)
-            assert 0 < hits < budget
-            assert est.value == sampled.bounding_box.volume * (hits / budget)
+            hits, rows = _one_shot_hits(sampled, budget, 3)
+            assert 0 < sum(hits) < budget and sum(rows) == budget
+            volumes = ci.measures._strata(sampled.bounding_box, budget).volumes
+            assert est.value == _stratified_value(volumes, hits, rows)
+            if len(rows) == 1:
+                assert est.value == sampled.bounding_box.volume * (hits[0] / budget)
         for metric in (DINF, GAUGE, ci.DinfMetric(H2), ci.GaugeMetric(H1),
                        ci.GaugeMetric(quaternionic())):
             got = ci.apex_reach(metric, budget, seed=4).sampled_sup
@@ -730,13 +789,13 @@ class TestSettleOnceAChunk:
         _cc_bump(spec, budget, seed)
         (extra, est), = seen
         metric, (apex, _) = ci.CCMetric(spec), ci.isodiametric._apex_and_bound(ci.CCMetric(spec))
-        hits = 0
-        for a, l2 in extra.draws(sampling.substream(seed, 0), budget):
-            bump = metric.radial_norm(a, _sum_squares(l2 - apex.layer2)) <= RHO
-            ball = metric.radial_norm(a, _sum_squares(l2)) <= 1.0
-            hits += int(np.count_nonzero(bump & ~ball))
-        assert 0 < hits < budget
-        assert est.value == extra.bounding_box.volume * (hits / budget)
+        strata = ci.measures._strata(extra.bounding_box, budget)
+        a, l2, row = _one_shot_region(strata, sampling.substream(seed, 0), budget)
+        bump = metric.radial_norm(a, _sum_squares(l2 - apex.layer2)) <= RHO
+        ball = metric.radial_norm(a, _sum_squares(l2)) <= 1.0
+        hits = np.bincount(row[bump & ~ball], minlength=len(strata.volumes)).tolist()
+        assert 0 < sum(hits) < budget and len(hits) == ci.measures.STRATA
+        assert est.value == _stratified_value(strata.volumes, hits, np.bincount(row).tolist())
 
     def test_settle_cap_keeps_every_output(self, monkeypatch):
         # with at most 7 held rows (plus a block's) the kernel settles far more often;
@@ -760,26 +819,43 @@ def _bump_and_ball(metric):
     return ci.ball_set(metric, center=apex, radius=RHO), ci.ball_set(metric)
 
 
-class TestClippedBox:
-    """difference cuts kept's layer-2 interval at removed's slab, where that covers one end."""
+def _in_strata(strata, u, l2):
+    """Whether each point (U, l2) lies in one of the strata: its shell and layer-2 interval."""
+    s = np.minimum(np.searchsorted(strata.shells[:, 1], u), len(strata.shells) - 1)
+    return ((strata.shells[s, 0] <= u) & (u <= strata.shells[s, 1])
+            & (strata.lo2[s, 0] <= l2[:, 0]) & (l2[:, 0] <= strata.hi2[s, 0]))
 
-    @pytest.mark.parametrize("metric", [DINF, ci.DinfMetric(H2), GAUGE, CC, ci.CCMetric(H2)],
-                             ids=["dinf-h1", "dinf-h2", "gauge-h1-htype", "cc-h1", "cc-h2"])
+
+BUMP_METRICS = [DINF, ci.DinfMetric(H2), GAUGE, CC, ci.CCMetric(H2)]
+BUMP_IDS = ["dinf-h1", "dinf-h2", "gauge-h1-htype", "cc-h1", "cc-h2"]
+# the annulus rules' metric classes, as test_slab_corner_is_surely_inside takes them
+RULE_METRICS = [DINF, ci.DinfMetric(H1, c2=0.7), ci.GaugeMetric(H1), GAUGE, CC]
+RULE_IDS = ["dinf", "dinf-c2", "gauge-h1", "gauge-h1-htype", "cc"]
+
+
+class TestClippedBox:
+    """difference draws strata between removed's slab and kept's reach, each over its annulus."""
+
+    @pytest.mark.parametrize("metric", BUMP_METRICS, ids=BUMP_IDS)
     def test_cut_points_lie_in_the_ball(self, metric):
-        # 2^20 draws of the bump's whole box: every draw the clip cuts away is in
-        # the unit ball by its triage and out of bump \ ball by the exact masks
+        # the soundness gate: 2^20 draws of the bump's whole box, as (U, layer 2); every
+        # draw outside the strata is surely in the unit ball by its triage or surely out
+        # of the bump by the bump's, and none is in bump \ ball by the exact masks
         bump, ball = _bump_and_ball(metric)
-        extra = ci.measures.difference(bump, ball)
-        box, clipped = bump.bounding_box, extra.bounding_box
-        assert clipped.r1 == box.r1 and clipped.volume < 0.6 * box.volume
+        box, region = bump.bounding_box, ci.measures.difference(bump, ball).bounding_box
+        strata = ci.measures._strata(region, 1 << 20)
+        assert strata.r1 == box.r1 and region.volume < 0.6 * box.volume
+        lo, hi = np.concatenate([[0.0], box.lo2]), np.concatenate([[1.0], box.hi2])
         cut = 0
-        for a, l2 in bump.draws(sampling.substream(9, 0), 1 << 20):
-            out = (l2[:, 0] < clipped.lo2[0]) | (l2[:, 0] > clipped.hi2[0])
-            a, l2 = a[out], l2[out]
+        for pts in sampling.box_blocks(sampling.substream(9, 0), 1 << 20, lo, hi):
+            out = ~_in_strata(strata, pts[:, 0], pts[:, 1:])
+            a = box.r1 * box.r1 * np.power(pts[out, 0], 2.0 / box.dim1)
+            l2 = pts[out, 1:]
             cut += len(a)
-            assert ball.decide(a, l2)[0].all()
+            bump_in, bump_unsure = bump.decide(a, l2)
+            assert np.all(ball.decide(a, l2)[0] | ~(bump_in | bump_unsure))
             assert not np.any(bump.membership(a, l2) & ~ball.membership(a, l2))
-        assert 0.4 * (1 << 20) < cut < 0.6 * (1 << 20)
+        assert cut / (1 << 20) == pytest.approx(1.0 - region.volume / box.volume, abs=5e-3)
 
     @pytest.mark.parametrize("group,coefs,closed", [
         (H1, {}, 1.0588745), (H2, {}, 1.0202025), (H1, {"c2": 0.7}, 1.0588745)],
@@ -809,16 +885,18 @@ class TestClippedBox:
         self._keeps(*_bump_and_ball(ci.DinfMetric(quaternionic())))
 
     def test_slab_covering_neither_end_keeps_the_box(self):
-        # a gauge ball of radius 0.9 reaches beyond the unit ball's slab at both ends
+        # a gauge ball of radius 0.9 reaches beyond the unit ball's slab over its whole
+        # disc at both ends; annulus by annulus its reach lies within the slab, as the
+        # ball lies in the unit ball: no shell holds a point, and the box stays
         ball = ci.ball_set(GAUGE)
         kept = ci.ball_set(GAUGE, radius=0.9)
-        half = ball.slab(kept.bounding_box.r1)[1]
+        half = ball.slab(0.0, kept.bounding_box.r1)[1]
         assert 0 < half < kept.bounding_box.hi2[0]
         self._keeps(kept, ball)
-        # and a set whose slab lies strictly inside the box
+        # and a set whose slab lies strictly inside the box on every annulus
         box = BoundingBox(2, 1.0, [-1.0], [1.0])
         inner = ci.SampledSet(lambda a, l2: np.abs(l2[:, 0]) <= 0.5, box,
-                              slab=lambda R: (np.zeros(1), 0.5))
+                              slab=lambda R_in, R_out: (np.zeros(1), 0.5))
         self._keeps(ci.SampledSet(lambda a, l2: a <= 1.0, box), inner)
 
     def test_slab_covering_both_ends_keeps_the_box(self):
@@ -832,18 +910,192 @@ class TestClippedBox:
         # a slab exactly the box's interval covers both ends too
         box = BoundingBox(2, 1.0, [-1.0], [1.0])
         same = ci.SampledSet(lambda a, l2: np.abs(l2[:, 0]) <= 1.0, box,
-                             slab=lambda R: (np.zeros(1), 1.0))
+                             slab=lambda R_in, R_out: (np.zeros(1), 1.0))
         self._keeps(ci.SampledSet(lambda a, l2: a <= 1.0, box), same)
 
-    @pytest.mark.parametrize("metric", [DINF, ci.DinfMetric(H1, c2=0.7), ci.GaugeMetric(H1),
-                                        GAUGE, CC], ids=["dinf", "dinf-c2", "gauge-h1",
-                                                         "gauge-h1-htype", "cc"])
+    @pytest.mark.parametrize("metric", RULE_METRICS, ids=RULE_IDS)
     def test_slab_corner_is_surely_inside(self, metric):
         # the rule's own claim, at the corner and just past it: the triage at r = 1 holds
         # (R^2, h^2) surely inside, for R of the bump and of wider layer-1 radii
         for R in (RHO, 0.75, 0.9):
-            h = metric._slab_height(R)
+            h = metric._slab_height(0.0, R)
             assert 0.0 < h < metric._box_radii()[1]
             assert metric._radial_bounds(np.array([R * R]), np.array([h * h]), 1.0)[0].all()
         # the sphere's layer-1 rim, and any R beyond it, holds no slab
-        assert metric._slab_height(1.0) == metric._slab_height(1e100) == 0.0
+        assert metric._slab_height(0.0, 1.0) == metric._slab_height(0.0, 1e100) == 0.0
+
+    @staticmethod
+    def _annuli(metric):
+        """Annuli (R_in, R_out) for the rule tests: the bump's, generic ones, and for CC
+        radii on cell ends |z|^2 = j / C on both sides of the half height's peak."""
+        annuli = [(0.0, RHO), (0.1, 0.2), (0.3, 0.35), (0.5, 0.75), (0.7, 0.9)]
+        if isinstance(metric, ci.CCMetric):
+            ends = np.sqrt(np.array([100, 1000, 1600, 1700, 2500, 3500]) / PROFILE_CELLS)
+            annuli += [(r, r * 1.01) for r in ends] + [(r * 0.99, r) for r in ends]
+        return np.array(annuli).T
+
+    @pytest.mark.parametrize("metric", RULE_METRICS, ids=RULE_IDS)
+    def test_annulus_slab_holds_its_annulus(self, metric):
+        # every a within ANNULUS_SLACK of the annulus, at and past both corners, with
+        # b = h^2 is surely inside by the triage at r = 1; the rule is elementwise
+        R_in, R_out = self._annuli(metric)
+        h = metric._slab_height(R_in, R_out)
+        assert h.shape == R_in.shape and np.all(h > 0.0)
+        assert h.tolist() == [metric._slab_height(x, y) for x, y in zip(R_in, R_out)]
+        slack = metrics.ANNULUS_SLACK
+        for a in (R_in * R_in * (1.0 - slack), R_in * R_in, 0.5 * (R_in * R_in + R_out * R_out),
+                  R_out * R_out, R_out * R_out * (1.0 + slack)):
+            assert metric._radial_bounds(a, h * h, 1.0)[0].all()
+        # a slab off the center is higher than the center's for CC, whose T rises
+        if isinstance(metric, ci.CCMetric):
+            assert metric._slab_height(0.3, 0.35) > metric._slab_height(0.0, 0.35)
+
+    @pytest.mark.parametrize("metric", RULE_METRICS, ids=RULE_IDS)
+    def test_annulus_reach_is_surely_outside(self, metric):
+        # just beyond H, and beyond r^2 H for the bump's radius r: every a within
+        # ANNULUS_SLACK of the annulus is surely outside by the triage at r, and the
+        # kernel puts its norm above r
+        R_in, R_out = self._annuli(metric)
+        H = metric._reach_height(R_in, R_out)
+        assert H.shape == R_in.shape and np.all((0.0 < H) & (H < math.inf))
+        assert H.tolist() == [metric._reach_height(x, y) for x, y in zip(R_in, R_out)]
+        slack = metrics.ANNULUS_SLACK
+        for r in (1.0, RHO):
+            top = np.nextafter(r * r * H, math.inf)
+            for a in (R_in * R_in * (1.0 - slack), R_in * R_in,
+                      0.5 * (R_in * R_in + R_out * R_out), R_out * R_out,
+                      R_out * R_out * (1.0 + slack)):
+                a, b = r * r * a, top * top
+                inside, unsure = metric._radial_bounds(a, b, r)
+                assert not np.any(inside | unsure)
+                assert np.all(metric.radial_norm(a, b) > r)
+        # the ball's own reach: above the sphere, and for the bump the same rule dilated
+        apex, _ = ci.isodiametric._apex_and_bound(metric)
+        c2, top = ci.ball_set(metric, center=apex, radius=RHO).reach(RHO * R_in, RHO * R_out)
+        assert np.array_equal(c2, apex.layer2) and np.array_equal(top, RHO * RHO * H)
+
+
+class TestStrata:
+    """The strata of bump \\ ball: a fixed share of each chunk, one estimate per stratum."""
+
+    @staticmethod
+    def _region(metric):
+        return ci.measures.difference(*_bump_and_ball(metric)).bounding_box
+
+    def test_allocation_is_largest_remainders(self):
+        alloc = ci.measures._allocation
+        assert alloc(5, np.array([2.0])) == [5]
+        assert alloc(10, np.array([1.0, 1.0, 1.0])) == [4, 3, 3]  # a tie goes to the lower index
+        assert alloc(2, np.array([1.0, 3.0, 1.0, 3.0])) == [0, 1, 0, 1]
+        assert alloc(7, np.array([1.0, 2.0, 4.0])) == [1, 2, 4]
+        volumes = self._region(CC).volumes
+        for count in (1, 31, 32, 33, 1000, sampling.CHUNK_SIZE):
+            rows = alloc(count, volumes)
+            assert sum(rows) == count and min(rows) >= 0
+            assert np.all(np.abs(np.array(rows) - count * volumes / volumes.sum()) < 1.0)
+
+    @pytest.mark.parametrize("metric", [GAUGE, CC, ci.CCMetric(H2)],
+                             ids=["gauge", "cc-h1", "cc-h2"])
+    def test_regions(self, metric):
+        # equal steps of U up to the last shell that holds a point, each with its own
+        # interval, every one within the bump's box and summing to the region's volume
+        region, box = self._region(metric), _bump_and_ball(metric)[0].bounding_box
+        assert isinstance(region, ci.measures.Strata)
+        shells = region.shells
+        assert len(shells) == ci.measures.STRATA and shells[0, 0] == 0.0
+        assert np.allclose(np.diff(shells, axis=1), shells[-1, 1] / ci.measures.STRATA)
+        assert np.all((box.lo2 <= region.lo2) & (region.lo2 < region.hi2)
+                      & (region.hi2 <= box.hi2))
+        assert region.volume == math.fsum(region.volumes)
+        for s in (0, 7, len(shells) - 1):
+            stratum = BoundingBox(region.dim1, region.r1, region.lo2[s], region.hi2[s],
+                                  shells[s])
+            assert stratum.volume == region.volumes[s]
+        envelope = region.envelope
+        assert envelope.shell == (0.0, shells[-1, 1])
+        assert envelope.lo2 == region.lo2.min() and envelope.hi2 == region.hi2.max()
+        # one box is one stratum, with the box's own volume bits
+        assert ci.measures.Strata.of(box).volumes.tolist() == [box.volume]
+
+    @pytest.mark.parametrize("block,chunk", [(sampling.BLOCK, sampling.CHUNK_SIZE),
+                                             (193, 50 * 193 + 17)])
+    def test_stratified_blocks_are_one_draw_bit_for_bit(self, monkeypatch, block, chunk):
+        monkeypatch.setattr(sampling, "BLOCK", block)
+        for metric in (GAUGE, CC, ci.CCMetric(H2)):
+            region = self._region(metric)
+            for count in (chunk, 2 * block + 7, 33):  # 33: the envelope alone, for CC
+                strata = ci.measures._strata(region, count)
+                counts = ci.measures._allocation(count, strata.volumes)
+                ours, ref = sampling.substream(5, 0), sampling.substream(5, 0)
+                got = [(a.copy(), l2.copy(), segments) for a, l2, segments
+                       in ci.measures._stratified_draws(strata, counts, ours)]
+                a, l2, row = _one_shot_region(strata, ref, count)
+                assert np.concatenate([g[0] for g in got]).tobytes() == a.tobytes()
+                assert np.vstack([g[1] for g in got]).tobytes() == l2.tobytes()
+                # the segments name each row's stratum
+                rows = np.concatenate([np.repeat([s for s, _, _ in g[2]],
+                                                 [j - i for _, i, j in g[2]]) for g in got])
+                assert np.array_equal(rows, row)
+                assert np.array_equal(ours.random(4), ref.random(4))
+                # every row's a lies in its shell: (a / r1^2)^(dim1 / 2) within a few ulp
+                u = (a / strata.r1 ** 2) ** (strata.dim1 / 2)
+                assert np.all(u >= strata.shells[row, 0] * (1 - 1e-14))
+                assert np.all(u <= strata.shells[row, 1] * (1 + 1e-14))
+
+    def test_estimates_are_the_same_on_one_and_two_threads(self, monkeypatch):
+        # several chunks, settled and summed per stratum in chunk order
+        monkeypatch.setattr(sampling, "CHUNK_SIZE", 50 * 193 + 17)
+        for metric in (GAUGE, CC):
+            extra = ci.measures.difference(*_bump_and_ball(metric))
+            got = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("CARNOT_ISO_THREADS", threads)
+                est = ci.mc_measure(extra, 5 * sampling.CHUNK_SIZE + 3, seed=7)
+                got.append((est.value.hex(), est.error.hex()))
+            assert got[0] == got[1]
+
+    @pytest.mark.parametrize("budget", [1, 2, ci.measures.STRATA - 1, ci.measures.STRATA,
+                                        ci.measures.STRATA + 1, (1 << 19) + 1])
+    def test_small_budgets_draw_every_stratum_or_the_envelope(self, monkeypatch, budget):
+        # each stratum is drawn at least once, or the draw falls back to one stratum, the
+        # envelope over [0, u_end]; either way the estimate and its error are finite
+        region = self._region(CC)
+        strata = ci.measures._strata(region, budget)
+        rows, draws = [], ci.measures._stratified_draws
+
+        def spy(strata, counts, rng):
+            rows.append(counts)
+            return draws(strata, counts, rng)
+
+        monkeypatch.setattr(ci.measures, "_stratified_draws", spy)
+        est = ci.mc_measure(ci.measures.difference(*_bump_and_ball(CC)), budget, seed=3)
+        assert 0.0 <= est.value < math.inf and 0.0 < est.error < math.inf
+        drawn = np.sum(rows, axis=0)
+        assert drawn.sum() == budget
+        if strata is region:
+            assert len(drawn) == ci.measures.STRATA and drawn.min() >= 1
+        else:
+            envelope = region.envelope
+            assert len(drawn) == 1 and strata.shells.tolist() == [[0.0, envelope.shell[1]]]
+            assert strata.lo2.tolist() == [envelope.lo2.tolist()]
+            assert strata.hi2.tolist() == [envelope.hi2.tolist()]
+        if budget < ci.measures.STRATA or budget > 1 << 19:  # too few rows; a full chunk
+            assert (strata is region) == (budget > 1 << 19)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cc_bump_matches_the_reference(self, seed):
+        # at the evidence budget the estimate lies within 3 sigma of the quadrature value
+        # 1.00447866, whose proven enclosure its 3 sigma band holds
+        ratio = ci.bump_ratio(ci.BumpParams(ci.isodiametric._apex_and_bound(CC)[0], RHO), CC,
+                              1 << 17, seed).ratio
+        assert ratio.error < 1.2e-5
+        for reference in (1.00447866, 1.0044786297, 1.0044786839):
+            assert abs(ratio.value - reference) < 3.0 * ratio.error
+
+    def test_gauge_bump_matches_the_reference(self):
+        # within 3 sigma of the quadrature value 1.0631744, at under a third of the error
+        # of the box above the unit ball's slab alone, 3.88e-5
+        apex, _ = ci.isodiametric._apex_and_bound(GAUGE)
+        ratio = ci.bump_ratio(ci.BumpParams(apex, RHO), GAUGE, 1 << 20, 1).ratio
+        assert ratio.error < 3.88e-5 / 3.0
+        assert abs(ratio.value - 1.0631744) < 3.0 * ratio.error
