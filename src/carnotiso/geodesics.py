@@ -208,20 +208,21 @@ def _cut_ball_blocks(rng, count: int):
     The points are x w, x the unit cut point and w on the unit sphere, so they
     lie on the sphere of B(x, 1), where d(0, .) takes its max over that ball:
     d(0, delta_s y) = s d(0, y), so d(0, .) has no local maximum. A row is its
-    turning phi alone, one double from box_blocks on [-pi, pi], in row order,
-    so no point depends on BLOCK. Every norm reads z through a = |z|^2 alone,
-    and x is central, so x w has a = sinc(phi)^2 and t = T(phi) + 1/pi: no
-    direction is drawn and no n read, and the draw is the same on every H^n.
+    turning phi alone, one double of strata_blocks' one stratum [-pi, pi], in
+    row order, so no point depends on BLOCK. Every norm reads z through a =
+    |z|^2 alone, and x is central, so x w has a = sinc(phi)^2 and t = T(phi) +
+    1/pi: no direction is drawn and no n read, and the draw is the same on
+    every H^n.
 
-    The seed rows are the first box block's rows whose _sphere_row_bounds
-    entry is within 0.1% of the largest there, some forty of 2^14. Then come
-    the box blocks, the first included; send(M) before each drops the rows
-    _culled proves have kernel norm <= M, before the sphere map, and a kept
-    row has its bits of the full draw. With nothing sent, as in a for loop,
+    The seed rows are the first block's rows whose _sphere_row_bounds entry
+    is within 0.1% of the largest there, some forty of 2^14. Then come the
+    blocks, the first included; send(M) before each drops the rows _culled
+    proves have kernel norm <= M, before the sphere map, and a kept row has
+    its bits of the full draw. With nothing sent, as in a for loop,
     every row is yielded, the seed's twice.
     """
-    best, box = None, (np.array([-math.pi]), np.array([math.pi]))
-    for i, pts in enumerate(sampling.box_blocks(rng, count, *box)):
+    best, blocks = None, sampling.strata_blocks(rng, [count], [[-math.pi]], [[math.pi]])
+    for i, (pts, _) in enumerate(blocks):
         phi = pts[:, 0]
         if i == 0:
             bound = np.take(_sphere_row_bounds(), _sphere_cells(phi))

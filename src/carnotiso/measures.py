@@ -3,19 +3,20 @@ to the unit ball's, and the CC ball volume as an estimate.
 
 Haar measure is coordinate Lebesgue measure in both the Heisenberg and the
 H-type exponential model. Every norm reads layer 1 through a = |layer 1|^2
-alone, so a SampledSet is drawn radially: a uniform point of its region, a
-layer-1 ball times a layer-2 box, is a = r1^2 U^(2/m) and its layer-2
-coordinates, 1 + k doubles of one substream. mc_measure and sampled_max
-decide each block by the metric's bounds alone and run the kernel once a
-chunk on the points those leave undecided. difference samples kept's
-region in strata: annuli of equal layer-1 measure, each cut in layer 2 at
-removed's slab and kept's reach over it, so no draw of a bump's extra
-measure lands where the unit ball surely is or the bump surely is not,
-and mc_measure sums the strata's estimates. per_unit_ball is the one
-division of a measure by Haar(B1), with the volume's error folded in. Each
-metric class holds its unit-ball volume rule, read by
-:func:`carnotiso.metrics.unit_ball_volume`: closed forms for d_inf and
-gauge, a fixed Gauss-Legendre rule for CC.
+alone, so a SampledSet is drawn radially. Its region is one BoundingBox
+of strata, each a shell of a layer-1 ball times a layer-2 box; a ball's is
+one stratum, the whole ball times a box. A uniform point of a stratum is a
+= r1^2 U^(2/m) over its shell and its layer-2 coordinates, 1 + k doubles of
+one substream. mc_measure and sampled_max decide each block by the
+metric's bounds alone and run the kernel once a chunk on the points those
+leave undecided. difference cuts kept's box into strata: annuli of equal
+layer-1 measure, each cut in layer 2 at removed's slab and kept's reach
+over it, so no draw of a bump's extra measure lands where the unit ball
+surely is or the bump surely is not, and mc_measure sums the strata's
+estimates. per_unit_ball is the one division of a measure by Haar(B1),
+with the volume's error folded in. Each metric class holds its unit-ball
+volume rule, read by :func:`carnotiso.metrics.unit_ball_volume`: closed
+forms for d_inf and gauge, a fixed Gauss-Legendre rule for CC.
 """
 
 from __future__ import annotations
@@ -50,73 +51,55 @@ class EstimateWithError:
 
 @dataclass
 class BoundingBox:
-    """The sampled region: a shell of the layer-1 ball |x| <= r1 of R^dim1 times [lo2, hi2].
+    """The sampled region: strata, each a shell of the layer-1 ball |x| <= r1 of R^dim1 times a
+    layer-2 box.
 
-    The shell is U = (|x| / r1)^dim1 in [shell[0], shell[1]], the whole ball
-    by default; U is uniform on [0, 1] over the ball, so the shell holds that
-    share of its measure.
+    Stratum s is the shell U = (|x| / r1)^dim1 in [shells[s, 0], shells[s, 1]]
+    times [lo2[s], hi2[s]]; U is uniform on [0, 1] over the ball, so a shell
+    holds that share of its measure. The shells are disjoint and in order. A
+    (k,) lo2 and hi2 make one stratum, on the whole ball [0, 1] by default.
+    mc_measure gives each stratum a fixed share of a chunk's draws, in
+    proportion to its volume (_allocation), and sums the strata's estimates.
+    volume is the region's measure, the strata's sum; envelope is one box
+    over every stratum's shell and layer-2 box.
     """
 
     dim1: int
     r1: float
     lo2: np.ndarray
     hi2: np.ndarray
-    shell: tuple = (0.0, 1.0)
+    shells: np.ndarray = (0.0, 1.0)
 
     def __post_init__(self):
         self.r1 = float(self.r1)
-        self.lo2 = np.atleast_1d(np.asarray(self.lo2, dtype=float))
-        self.hi2 = np.atleast_1d(np.asarray(self.hi2, dtype=float))
-        self.shell = tuple(map(float, self.shell))
-        extent = (-math.inf < self.lo2) & (self.lo2 < self.hi2) & (self.hi2 < math.inf)
-        u0, u1 = self.shell
-        # negated, so that NaN fails too
-        if not (0 < self.r1 < math.inf and np.all(extent) and 0.0 <= u0 < u1 <= 1.0):
-            raise ValueError("bounding box must have positive finite extent")
-
-    @property
-    def volume(self) -> float:
-        """alpha_m r1^m |shell| |layer-2 box|: the Lebesgue measure of the region."""
-        return float(metrics_mod.alpha(self.dim1) * self.r1 ** self.dim1
-                     * (self.shell[1] - self.shell[0]) * np.prod(self.hi2 - self.lo2))
-
-
-@dataclass
-class Strata:
-    """A region drawn in strata: boxes on disjoint shells of one layer-1 ball, in shell order.
-
-    Stratum s is the shell U in [shells[s, 0], shells[s, 1]] of the ball
-    |x| <= r1 times the layer-2 box [lo2[s], hi2[s]], as a BoundingBox with
-    that shell, and its volume is that box's, bit for bit. mc_measure gives
-    each stratum a fixed share of a chunk's draws, in proportion to its
-    volume (_allocation), and sums the strata's estimates. volume is the
-    region's measure, the strata's sum; envelope is one box over every
-    stratum's shell and layer-2 box.
-    """
-
-    dim1: int
-    r1: float
-    shells: np.ndarray
-    lo2: np.ndarray
-    hi2: np.ndarray
-
-    @classmethod
-    def of(cls, box: BoundingBox) -> "Strata":
-        """box as one stratum."""
-        return cls(box.dim1, box.r1, np.array([box.shell]), box.lo2[None], box.hi2[None])
+        self.lo2, self.hi2, self.shells = (np.array(x, dtype=float, ndmin=2)
+                                           for x in (self.lo2, self.hi2, self.shells))
+        # a few strata: Python's comparisons on lists cost less than numpy's calls.
+        # u runs 0, u0, u1, u0', u1', ..., 1, and must not fall, nor stand within a shell
+        lo2, hi2 = self.lo2.ravel().tolist(), self.hi2.ravel().tolist()
+        u = [0.0, *self.shells.ravel().tolist(), 1.0]
+        # negated, so that NaN fails too; the values are compared once the shapes match
+        if not (0 < self.r1 < math.inf and self.lo2.shape == self.hi2.shape
+                and self.shells.shape == (len(self.lo2), 2)
+                and all(-math.inf < a < b < math.inf for a, b in zip(lo2, hi2))
+                and all(a <= b for a, b in zip(u, u[1:]))
+                and all(a < b for a, b in zip(u[1::2], u[2::2]))):
+            raise ValueError("bounding box must have positive finite extent on disjoint "
+                             "shells of [0, 1], one for each layer-2 box")
 
     @property
     def volumes(self) -> np.ndarray:
-        """alpha_m r1^m |shell| |layer-2 box| of each stratum, in BoundingBox.volume's order."""
+        """alpha_m r1^m |shell| |layer-2 box| of each stratum."""
         return (metrics_mod.alpha(self.dim1) * self.r1 ** self.dim1
                 * (self.shells[:, 1] - self.shells[:, 0]) * np.prod(self.hi2 - self.lo2, axis=1))
 
     @property
     def volume(self) -> float:
+        """The Lebesgue measure of the region."""
         return math.fsum(self.volumes)
 
     @property
-    def envelope(self) -> BoundingBox:
+    def envelope(self) -> "BoundingBox":
         return BoundingBox(self.dim1, self.r1, self.lo2.min(axis=0), self.hi2.max(axis=0),
                            (self.shells[0, 0], self.shells[-1, 1]))
 
@@ -144,21 +127,19 @@ def _allocation(count: int, volumes) -> list:
     return rows.tolist()
 
 
-def _strata(region, count: int) -> Strata:
+def _strata(region: BoundingBox, count: int) -> BoundingBox:
     """The strata a draw of count points (one chunk or more) takes for region.
 
-    A Strata's own, or its envelope alone when the first chunk, min(count,
+    region's own, or its envelope alone when the first chunk, min(count,
     CHUNK_SIZE) points, would leave a stratum undrawn: every stratum's
-    estimate needs a draw. A BoundingBox is one stratum.
+    estimate needs a draw.
     """
-    if isinstance(region, BoundingBox):
-        return Strata.of(region)
     if min(_allocation(min(count, sampling.CHUNK_SIZE), region.volumes)) > 0:
         return region
-    return Strata.of(region.envelope)
+    return region.envelope
 
 
-def _stratified_draws(strata: Strata, counts, rng: np.random.Generator):
+def _stratified_draws(strata: BoundingBox, counts, rng: np.random.Generator):
     """Yield (a, l2, segments) for counts[s] uniform draws of each stratum, a block at a time.
 
     Each point takes (U, l2) from strata_blocks on [0, 1] x [lo2, hi2] of
@@ -201,7 +182,7 @@ class SampledSet:
     membership(a, l2) takes a = |layer 1|^2 of shape (N,) and layer 2 of shape
     (N, dim2), and returns the exact boolean mask of shape (N,). Every set here
     reads layer 1 only through a, as every norm does. bounding_box is the
-    region drawn, a BoundingBox or Strata. triage(a, l2), where given,
+    region drawn, in strata. triage(a, l2), where given,
     decides a block without the kernel: it returns two bool masks (inside,
     unsure), inside where a point is surely in and unsure where only
     membership can tell. slab and reach, where given, take arrays R_in <=
@@ -212,7 +193,7 @@ class SampledSet:
     """
 
     membership: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bounding_box: BoundingBox | Strata
+    bounding_box: BoundingBox
     triage: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
     slab: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
     reach: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
@@ -226,9 +207,9 @@ class SampledSet:
     def draws(self, rng: np.random.Generator, count: int):
         """Yield (a, l2) for count draws of the region, a block at a time, as mc_measure draws.
 
-        A box's are uniform draws (_stratified_draws); strata take their
-        shares of count (_allocation) in stratum order, or the envelope's
-        uniform draws where a stratum would take none (_strata).
+        The strata take their shares of count (_allocation) in stratum
+        order, uniform in each (_stratified_draws), or the envelope's uniform
+        draws where a stratum would take none (_strata).
         """
         strata = _strata(self.bounding_box, count)
         for a, l2, _ in _stratified_draws(strata, _allocation(count, strata.volumes), rng):
@@ -270,7 +251,7 @@ def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> S
     half = np.full(metric.spec.dim2, radius * radius * r2)
     box = BoundingBox(metric.spec.dim1, r1, c.layer2 - half, c.layer2 + half)
     with np.errstate(over="ignore", under="ignore"):
-        far = metrics_mod._sum_squares(np.maximum(np.abs(box.lo2), np.abs(box.hi2)))
+        far = metrics_mod._sum_squares(np.maximum(np.abs(box.lo2[0]), np.abs(box.hi2[0])))
         small = np.min(0.5 * (box.hi2 - box.lo2)) ** 2
     if not (far < math.inf and small >= np.finfo(float).tiny):
         raise FloatingPointError(
@@ -307,7 +288,7 @@ def _shell_intervals(kept: SampledSet, removed: SampledSet, edges: np.ndarray):
     box = kept.bounding_box
     radii = box.r1 * np.power(edges, 1.0 / box.dim1)
     r_in, r_out = radii[:-1], radii[1:]
-    lo, hi = np.full(len(r_in), box.lo2[0]), np.full(len(r_in), box.hi2[0])
+    lo, hi = np.full(len(r_in), box.lo2[0, 0]), np.full(len(r_in), box.hi2[0, 0])
     if kept.reach is not None:
         c2, top = kept.reach(r_in, r_out)
         lo, hi = np.maximum(lo, c2[0] - top), np.minimum(hi, c2[0] + top)
@@ -319,20 +300,19 @@ def _shell_intervals(kept: SampledSet, removed: SampledSet, edges: np.ndarray):
             np.where(low_end & high_end, -np.inf, np.where(high_end, s_lo, hi)))
 
 
-def _region(kept: SampledSet, removed: SampledSet):
-    """The region that difference draws: strata of kept's box, or a box.
+def _region(kept: SampledSet, removed: SampledSet) -> BoundingBox:
+    """The region that difference draws: strata of kept's box.
 
     For k = 1, END_SHELLS equal steps of U give each shell its interval
     (_shell_intervals), and u_end is the outer edge of the last that is not
     empty. STRATA equal steps of U over [0, u_end] are the strata; each
     stratum's interval spans those of the grid's shells it meets, so it
     holds every point they need. Empty strata are dropped, and neighbours
-    with one interval are joined. One stratum left is a box: kept's own when
-    nothing is cut. When no shell holds a point kept's box stays, where no
-    draw hits, and k > 1 draws it too.
+    with one interval are joined. When no shell holds a point kept's box
+    stays, where no draw hits, and k > 1 draws it too.
     """
     box = kept.bounding_box
-    if removed.slab is None or len(box.lo2) != 1:
+    if removed.slab is None or box.lo2.shape[1] != 1:
         return box
     lo, hi = _shell_intervals(kept, removed, np.arange(END_SHELLS + 1) / END_SHELLS)
     full = lo < hi
@@ -352,12 +332,8 @@ def _region(kept: SampledSet, removed: SampledSet):
     first = np.flatnonzero(np.concatenate([[True], (u0[1:] != u1[:-1]) | (lo[1:] != lo[:-1])
                                            | (hi[1:] != hi[:-1])]))
     last = np.append(first[1:], len(lo)) - 1
-    if len(first) > 1:
-        return Strata(box.dim1, box.r1, np.column_stack([u0[first], u1[last]]),
-                      lo[first, None], hi[first, None])
-    only = BoundingBox(box.dim1, box.r1, lo[:1], hi[:1], (u0[0], u1[-1]))
-    whole = only.shell == box.shell and (only.lo2[0], only.hi2[0]) == (box.lo2[0], box.hi2[0])
-    return box if whole else only
+    return BoundingBox(box.dim1, box.r1, lo[first, None], hi[first, None],
+                       np.column_stack([u0[first], u1[last]]))
 
 
 def _exact(sampled: SampledSet, a, l2):
@@ -387,18 +363,12 @@ def difference(kept: SampledSet, removed: SampledSet) -> SampledSet:
 
     A point is surely in when it is surely in kept and surely out of removed,
     and surely out when it is surely out of kept or surely in removed; the rest
-    is unsure, and membership settles it on both exact masks. membership runs
-    removed's kernel on the rows its triage leaves unsure, then kept's on the
-    rows out of removed that kept's triage leaves unsure (_exact): most of a
-    CC bump's unsure rows lie next to the unit ball's sphere, surely in the
-    bump, and need one kernel, not two.
-
-    The triage asks removed first. Its surely-in rows are surely out, so when
-    they are at least three quarters of the block, kept decides only the
-    other rows, copied out by index; below that the copies cost more than
-    kept's bounds on the whole block. The strata leave few rows surely in
-    removed, so a bump's blocks take the whole-block path. Every bound is
-    elementwise, so either way gives the same masks.
+    is unsure, and membership settles it on both exact masks. The triage asks
+    both on the whole block: the strata leave few rows surely in removed.
+    membership runs removed's kernel on the rows its triage leaves unsure,
+    then kept's on the rows out of removed that kept's triage leaves unsure
+    (_exact): most of a CC bump's unsure rows lie next to the unit ball's
+    sphere, surely in the bump, and need one kernel, not two.
     """
     def member(a, l2):
         hit = ~_exact(removed, a, l2)
@@ -406,18 +376,11 @@ def difference(kept: SampledSet, removed: SampledSet) -> SampledSet:
         hit[i] = _exact(kept, a[i], l2[i])
         return hit
 
-    def masks(k_in, k_unsure, r_in, r_unsure):
-        # x > y is x & ~y on bools; each pair of masks is disjoint
-        return k_in > (r_in | r_unsure), (k_unsure > r_in) | (k_in & r_unsure)
-
     def triage(a, l2):
         r_in, r_unsure = removed.decide(a, l2)
-        if 4 * np.count_nonzero(r_in) < 3 * len(a):
-            return masks(*kept.decide(a, l2), r_in, r_unsure)
-        i = np.flatnonzero(~r_in)
-        inside, unsure = np.zeros(len(a), bool), np.zeros(len(a), bool)
-        inside[i], unsure[i] = masks(*kept.decide(a[i], l2[i]), r_in[i], r_unsure[i])
-        return inside, unsure
+        k_in, k_unsure = kept.decide(a, l2)
+        # x > y is x & ~y on bools; each pair of masks is disjoint
+        return k_in > (r_in | r_unsure), (k_unsure > r_in) | (k_in & r_unsure)
 
     return SampledSet(member, _region(kept, removed), triage)
 
@@ -451,7 +414,7 @@ def _stacked(held):
 def mc_measure(sampled: SampledSet, budget: int, seed: int) -> EstimateWithError:
     """Hit-or-miss estimate of the Haar (Lebesgue) measure of a SampledSet, stratified.
 
-    The strata are _strata(region, budget): a box is one. Each chunk gives
+    The strata are _strata(region, budget), a ball's one. Each chunk gives
     stratum s a fixed n_s of its draws (_allocation) and counts its hits h_s:
     each block counts its sure hits (SampledSet.decide) per stratum and, when
     any are unsure, copies those rows and their strata out of the reused

@@ -273,7 +273,8 @@ def _profile_bounds():
     sqrt((1 - j / C) / (1 + s_j)), 3 ulp from sqrt(1 - s_j)), or up to 2/pi
     next to the peak: low is the smaller end less PROFILE_EPS, high the larger
     plus it, lo2 = low^2 (-1 if low <= 0), hi2 = high^2. Cells C - 1 and C are
-    (-1, inf), unsure; entry C + 1 is (-1, -1), outside. Built once, in 2 ms.
+    (low, lo2, hi2) = (-1, -1, inf), unsure; cell C + 1 and the pad C + 2, the
+    end index of _cells_extreme's reduceat, are (-1, -1, -1). Built once, in 2 ms.
     """
     a = np.arange(PROFILE_CELLS) / PROFILE_CELLS
     ends = _half_height(np.sqrt((1.0 - a) / (1.0 + np.sqrt(a))))
@@ -281,8 +282,9 @@ def _profile_bounds():
     high = np.maximum(ends[:-1], ends[1:]) + PROFILE_EPS
     peak = int((2.0 / math.pi) ** 2 * PROFILE_CELLS)
     high[peak - 1:peak + 2] = 2.0 / math.pi + PROFILE_EPS  # cells peak - 1 .. peak + 1
-    lo2 = np.concatenate([np.where(low > 0.0, low * low, -1.0), [-1.0, -1.0, -1.0]])
-    hi2 = np.concatenate([high * high, [math.inf, math.inf, -1.0]])
+    lo2 = np.concatenate([np.where(low > 0.0, low * low, -1.0), [-1.0] * 4])
+    hi2 = np.concatenate([high * high, [math.inf, math.inf, -1.0, -1.0]])
+    low = np.concatenate([low, [-1.0] * 4])
     low.flags.writeable = lo2.flags.writeable = hi2.flags.writeable = False  # the cache shares them
     return low, lo2, hi2
 
@@ -301,21 +303,8 @@ def _scaled_profile(r4: float):
     return lo2, hi2
 
 
-@functools.cache
-def _cell_tables():
-    """(low, hi2) of _profile_bounds indexed by cell 0 .. C + 1 and padded by one entry.
-
-    low takes -1 (unsure) at cells C - 1 .. C + 1; the pad is reduceat's end
-    index C + 2 (_cells_extreme), inside no range.
-    """
-    low, _, hi2 = _profile_bounds()
-    low, hi2 = np.concatenate([low, [-1.0] * 4]), np.concatenate([hi2, [-1.0]])
-    low.flags.writeable = hi2.flags.writeable = False  # the cache shares them
-    return low, hi2
-
-
 def _cells_extreme(ufunc, values, R_in, R_out):
-    """ufunc (np.minimum or np.maximum) of a _cell_tables row over each annulus's cells.
+    """ufunc (np.minimum or np.maximum) of a _profile_bounds table over each annulus's cells.
 
     R_in and R_out have one shape. The annulus R_in <= |z| <= R_out at r = 1
     reaches the cells floor(C fl(R^2)) from R_in's to R_out's, C =
@@ -386,14 +375,15 @@ class _HomogeneousMetric:
     arrays (inside, unsure) shaped like a, with radial_norm(a, b) <= r
     exactly where inside holds and unsure does not, every point unsure at a
     radius whose thresholds are unsafe; its name, _box_radii()
-    (unit_ball_bbox), its annulus rules and _volume(), by volume_method.
-    The annulus rules take arrays R_in <= R_out and speak of every float a
-    within a relative ANNULUS_SLACK of [R_in^2, R_out^2]: the triage at r = 1
-    holds every such a with b <= fl(h^2), h = _slab_height(R_in, R_out),
-    surely inside (h = 0: no slab), and decides every such a with |t| > H =
-    _reach_height(R_in, R_out) surely outside (H = inf: no reach), with margin
-    enough that the points beyond r^2 H over the annulus r [R_in, R_out] are
-    outside the ball of radius r, by the kernel, at any r. The scalar
+    (unit_ball_bbox), its annulus rules (CC's own, the others' from
+    _guarded_height) and _volume(), by volume_method. The annulus rules take
+    arrays R_in <= R_out and speak of every float a within a relative
+    ANNULUS_SLACK of [R_in^2, R_out^2]: the triage at r = 1 holds every such
+    a with b <= fl(h^2), h = _slab_height(R_in, R_out), surely inside (h = 0:
+    no slab), and decides every such a with |t| > H = _reach_height(R_in,
+    R_out) surely outside (H = inf: no reach), with margin enough that the
+    points beyond r^2 H over the annulus r [R_in, R_out] are outside the ball
+    of radius r, by the kernel, at any r. The scalar
     interface dilates its points to O(1) by a power of two, which is exact,
     so that N(delta_s p) = s N(p) holds for tiny and huge coordinates.
     """
@@ -422,6 +412,31 @@ class _HomogeneousMetric:
         i1, i2 = groups.inv_arrays(self.spec, *_dilate(p, -e))
         d1, d2 = groups.mul_arrays(self.spec, i1, i2, *_dilate(q, -e))
         return math.ldexp(self.norm(GroupPoint(d1, d2)), e)
+
+    def _slab_height(self, R_in, R_out):
+        """h = _guarded_height(R_out, -1) where the triage at r = 1 holds (R_out^2 (1 + s), h^2)
+        surely inside, s = ANNULUS_SLACK; else 0, no slab.
+
+        The guarded height does not rise with |layer 1|, so it is least at
+        R_out. The triage's comparisons grow with a and b, and every point of
+        the slab has a <= R_out^2 (1 + s) and b = fl(t^2) <= fl(h^2), so that
+        corner decides the whole slab.
+        """
+        R = np.asarray(R_out, dtype=float)
+        with np.errstate(over="ignore"):
+            h = self._guarded_height(R, -1.0)
+            a = R * R * (1.0 + ANNULUS_SLACK)
+            return np.where(self._radial_bounds(a, h * h, 1.0)[0], h, 0.0)[()]
+
+    def _reach_height(self, R_in, R_out):
+        """H = _guarded_height(R_in, 1) where the triage at r = 1 puts (R_in^2 (1 - s), H^2)
+        outside, s = ANNULUS_SLACK; else inf, no reach. The annulus reaches highest at R_in.
+        """
+        R = np.asarray(R_in, dtype=float)
+        with np.errstate(over="ignore"):
+            H = self._guarded_height(R, 1.0)
+            inside, unsure = self._radial_bounds(R * R * (1.0 - ANNULUS_SLACK), H * H, 1.0)
+        return np.where(inside | unsure, np.inf, H)[()]
 
     def unit_ball_bbox(self):
         """(lo1, hi1, lo2, hi2): each layer-1 coordinate in [-r1, r1], layer 2 in [-r2, r2]."""
@@ -482,40 +497,24 @@ class DinfMetric(_HomogeneousMetric):
     def _box_radii(self):
         return 1.0 / self.c1, (1.0 / self.c2) ** 2  # OverflowError, not 1/0, for a tiny c2
 
-    def _slab_height(self, R_in, R_out):
-        """h = r2 (1 - g), g = WITHIN_GUARD, where the triage holds (R_out^2 (1 + s), h^2); else 0.
+    def _guarded_height(self, R, sign):
+        """r2 (1 + sign g), g = WITHIN_GUARD, at any R: the slab's (sign -1) or reach's (+1) height.
 
-        The unit ball is |z| <= r1, |t| <= r2 itself, but its triage at r = 1 is
-        surely inside only for a <= ta (1 - g) and b <= tb (1 - g), ta = r1^2 and
-        tb = r2^2 to 3 ulp: b = r2^2 is not. h^2 = r2^2 (1 - g)^2 to 2 ulp lies a
-        relative g below tb (1 - g), far more than those ulps. The triage's two
-        comparisons grow with a and b, and every point of the slab has a <=
-        R_out^2 (1 + s), s = ANNULUS_SLACK, and b = fl(t^2) <= fl(h^2), so the
-        corner decides the whole slab. It fails, and there is no slab, when
-        that corner's a > ta (1 - g) or a threshold leaves the triage's range.
-        h does not move with R_in.
+        Slab. The unit ball is |z| <= r1, |t| <= r2 itself, but its triage at
+        r = 1 is surely inside only for a <= ta (1 - g) and b <= tb (1 - g), ta =
+        r1^2 and tb = r2^2 to 3 ulp: b = r2^2 is not. h^2 = r2^2 (1 - g)^2 to 2
+        ulp lies a relative g below tb (1 - g), far more than those ulps. The
+        corner check fails, and there is no slab, when the corner's a > ta (1 -
+        g) or a threshold leaves the triage's range.
+
+        Reach. The triage at r is outside once b > tb (1 + g), tb = (r / c2)^4
+        to 3 ulp, whatever a is. Over the annulus of radius r, |t| > r^2 H
+        gives b >= r^4 r2^2 (1 + g)^2 less a few ulp, a relative g above tb (1 +
+        g): outside by the triage at any r in its range, and by the kernel, as
+        c2 |t|^(1/2) > r (1 + g/2) there. The corner check is the triage's range
+        check at r = 1.
         """
-        h = self._box_radii()[1] * (1.0 - WITHIN_GUARD)
-        R = np.asarray(R_out, dtype=float)
-        with np.errstate(over="ignore"):
-            a = R * R * (1.0 + ANNULUS_SLACK)
-            return np.where(self._radial_bounds(a, h * h, 1.0)[0], h, 0.0)[()]
-
-    def _reach_height(self, R_in, R_out):
-        """H = r2 (1 + g), g = WITHIN_GUARD, where the triage puts (R_in^2, H^2) outside; else inf.
-
-        The triage at r is outside once b > tb (1 + g), tb = (r / c2)^4 to 3
-        ulp, whatever a is. Over the annulus of radius r, |t| > r^2 H gives
-        b >= r^4 r2^2 (1 + g)^2 less a few ulp, a relative g above tb (1 + g):
-        outside by the triage at any r in its range, and by the kernel, as
-        c2 |t|^(1/2) > r (1 + g/2) there. The check at the corner (R_in^2 (1 - s),
-        H^2), s = ANNULUS_SLACK, is the triage's range check at r = 1.
-        """
-        H = self._box_radii()[1] * (1.0 + WITHIN_GUARD)
-        R = np.asarray(R_in, dtype=float)
-        with np.errstate(over="ignore"):
-            inside, unsure = self._radial_bounds(R * R * (1.0 - ANNULUS_SLACK), H * H, 1.0)
-        return np.where(inside | unsure, np.inf, H)[()]
+        return self._box_radii()[1] * (1.0 + sign * WITHIN_GUARD)
 
     def _volume(self):
         m = self.spec.dim1
@@ -563,42 +562,25 @@ class GaugeMetric(_HomogeneousMetric):
     def _box_radii(self):
         return 1.0, 1.0 / self.layer2_scale  # |Z| <= 1/scale on the unit ball
 
-    def _slab_height(self, R_in, R_out):
-        """h = r2 (1 - 2g - (R_out / r1)^4)^(1/2), g = WITHIN_GUARD, where the triage holds it.
+    def _guarded_height(self, R, sign):
+        """r2 (1 + 2 sign g - (R / r1)^4)^(1/2), g = WITHIN_GUARD, 0 past the rim: the slab's
+        height (sign -1) and the reach's (+1).
 
         The unit ball at |X| = R reaches |Z| = r2 (1 - (R/r1)^4)^(1/2), r1 = 1
-        and s r2 = 1, on its sphere, falling with R. At the corner (R_out^2
-        (1 + e), h^2), e = ANNULUS_SLACK, the triage's q = a^2 + s^2 b is 1 - 2g
-        + 2e R_out^4 to a few ulp, below its inside threshold 1 - g; q grows
-        with a and b, and every point of the slab has a <= R_out^2 (1 + e) and
-        b <= fl(h^2), so the corner decides the whole slab. Else (R_out^4 > 1 -
-        2g) 0, no slab. h does not move with R_in.
-        """
-        r1, r2 = self._box_radii()
-        R = np.asarray(R_out, dtype=float)
-        with np.errstate(over="ignore"):
-            x = (R / r1) * (R / r1)
-            h = r2 * np.sqrt(np.maximum(1.0 - 2.0 * WITHIN_GUARD - x * x, 0.0))
-            a = R * R * (1.0 + ANNULUS_SLACK)
-            return np.where(self._radial_bounds(a, h * h, 1.0)[0], h, 0.0)[()]
+        and s r2 = 1, on its sphere, falling with R.
 
-    def _reach_height(self, R_in, R_out):
-        """H = r2 (1 + 2g - (R_in / r1)^4)^(1/2), 0 past the rim, where the triage agrees; else inf.
+        Slab. At the corner (R_out^2 (1 + e), h^2), e = ANNULUS_SLACK, the
+        triage's q = a^2 + s^2 b is 1 - 2g + 2e R_out^4 to a few ulp, below its
+        inside threshold 1 - g. Else (R_out^4 > 1 - 2g) h is 0, no slab.
 
-        The triage must put the corner (R_in^2 (1 - e), H^2) outside, e =
-        ANNULUS_SLACK. The sphere falls with |X|, so the annulus reaches highest
-        at R_in. Over the annulus of radius r, |Z| > r^2 H gives q = a^2 + s^2 b
+        Reach. Over the annulus of radius r, |Z| > r^2 H gives q = a^2 + s^2 b
         >= r^4 (1 + 2g - 2e) less a few ulp (r^4 R_in^4 (1 - 2e) alone once H is
         0), above the outside threshold r^4 (1 + g): outside by the triage at
         any r in its range, and by the kernel, q^(1/4) > r (1 + g/5).
         """
         r1, r2 = self._box_radii()
-        R = np.asarray(R_in, dtype=float)
-        with np.errstate(over="ignore"):
-            x = (R / r1) * (R / r1)
-            H = r2 * np.sqrt(np.maximum(1.0 + 2.0 * WITHIN_GUARD - x * x, 0.0))
-            inside, unsure = self._radial_bounds(R * R * (1.0 - ANNULUS_SLACK), H * H, 1.0)
-        return np.where(inside | unsure, np.inf, H)[()]
+        x = (R / r1) * (R / r1)
+        return r2 * np.sqrt(np.maximum(1.0 + 2.0 * sign * WITHIN_GUARD - x * x, 0.0))
 
     def _volume(self):
         m, k = self.spec.dim1, self.spec.dim2
@@ -724,7 +706,7 @@ class CCMetric(_HomogeneousMetric):
         the center has a higher slab than the center cell's T(u = 1) - PROFILE_EPS.
         Cells C - 1 and C, and a low <= 0, give none.
         """
-        return np.maximum(_cells_extreme(np.minimum, _cell_tables()[0], R_in, R_out), 0.0)[()]
+        return np.maximum(_cells_extreme(np.minimum, _profile_bounds()[0], R_in, R_out), 0.0)[()]
 
     def _reach_height(self, R_in, R_out):
         """H = (the largest hi2[k] over the annulus's cells)^(1/2) (1 + g); inf if one is unsure.
@@ -738,7 +720,7 @@ class CCMetric(_HomogeneousMetric):
         as the triage rounds it. Cells C - 1 and C give inf; cell C + 1 alone
         (every |z| beyond the rim) gives 0.
         """
-        top = np.maximum(_cells_extreme(np.maximum, _cell_tables()[1], R_in, R_out), 0.0)
+        top = np.maximum(_cells_extreme(np.maximum, _profile_bounds()[2], R_in, R_out), 0.0)
         return (np.sqrt(top) * (1.0 + WITHIN_GUARD))[()]
 
     def _volume(self):

@@ -12,8 +12,10 @@ of memory: a chunk's points are drawn and tested BLOCK at a time, as
 consecutive draws from the chunk's one generator, so that each block's
 temporaries stay in cache. A generator's doubles are one sequential
 stream, so the blocks hold exactly the rows of one whole-chunk draw, and
-no result depends on BLOCK. Only strata_blocks and uniform_box know what a
-draw costs: each refuses a chunk above MAX_CHUNK_FLOATS before drawing it.
+no result depends on BLOCK. strata_blocks is the one block sampler: a box
+is one stratum, as for the cut ball's turnings. uniform_box is the same
+draw in one array. Only these two know what a draw costs: each refuses a
+chunk above MAX_CHUNK_FLOATS before drawing it.
 """
 
 from __future__ import annotations
@@ -107,16 +109,6 @@ def uniform_box(rng: np.random.Generator, count: int, lo: np.ndarray, hi: np.nda
     check_chunk(count, len(lo))
     maps, = _column_maps([lo], [hi])
     return _map_columns(rng.random(out=np.empty((count, len(lo)))), maps)
-
-
-def box_blocks(rng: np.random.Generator, count: int, lo: np.ndarray, hi: np.ndarray):
-    """Yield count uniform draws in the box [lo, hi], BLOCK points at a time.
-
-    The blocks stacked are bit for bit uniform_box(rng, count, lo, hi), and
-    leave rng in the same state: strata_blocks with one stratum.
-    """
-    for pts, _ in strata_blocks(rng, [count], [lo], [hi]):
-        yield pts
 
 
 def strata_blocks(rng: np.random.Generator, counts, lo, hi):

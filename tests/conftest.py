@@ -47,12 +47,11 @@ def region_cube(box):
     """(lo, hi) of the cube [-r1, r1]^dim1 x [lo2, hi2] around a sampled region.
 
     The radial draw makes no layer-1 coordinates; tests that need them draw this cube.
-    Strata take their envelope's layer-2 box.
+    The strata take their envelope's layer-2 box.
     """
-    if isinstance(box, ci.measures.Strata):
-        box = box.envelope
+    (lo2,), (hi2,) = box.envelope.lo2, box.envelope.hi2
     r1 = np.full(box.dim1, box.r1)
-    return np.concatenate([-r1, box.lo2]), np.concatenate([r1, box.hi2])
+    return np.concatenate([-r1, lo2]), np.concatenate([r1, hi2])
 
 
 def mp_unit_cc_norm(ratio):

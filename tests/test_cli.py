@@ -1,8 +1,10 @@
 import argparse
+import ast
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +54,24 @@ def test_console_script_is_cli_main(capsys):
     assert getattr(importlib.import_module(module), name) is main
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: carnotiso")
+
+
+def test_workflow_test_nodes_exist():
+    # every tests/<file>.py::<Name> the CI workflow runs names a file that defines it at
+    # its top level, and every tests/<file>.py it names exists: pytest would stop on a
+    # missing node, and the workflow runs only where a push reaches it
+    root = Path(__file__).resolve().parents[1]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    files = set(re.findall(r"\btests/\w+\.py\b", workflow))
+    nodes = re.findall(r"\b(tests/\w+\.py)::(\w+)", workflow)
+    assert files and nodes
+    for file in files:
+        assert (root / file).is_file(), file
+    for file, name in nodes:
+        tree = ast.parse((root / file).read_text())
+        defined = {n.name for n in tree.body
+                   if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+        assert name in defined, f"{file}::{name}"
 
 
 class TestParsers:

@@ -92,6 +92,8 @@ class TestCCVolume:
 
 
 class TestBoundingBox:
+    """The one region type: strata of shells and layer-2 boxes, a (k,) box one stratum."""
+
     def test_volume(self):
         # a layer-1 disc of radius r1 times the layer-2 box
         a = BoundingBox(2, 1.0, [-1], [1])
@@ -109,6 +111,62 @@ class TestBoundingBox:
                              (1.0, [-math.inf], [1])):
             with pytest.raises(ValueError):
                 BoundingBox(2, r1, lo2, hi2)
+
+    @pytest.mark.parametrize("fields", [
+        {"lo2": [[0.0], [1.0]], "hi2": [[0.5], [1.0]]},      # a stratum with lo2 = hi2
+        {"lo2": [[0.0], [2.0]], "hi2": [[0.5], [1.0]]},      # lo2 > hi2
+        {"lo2": [[0.0], [math.nan]], "hi2": [[0.5], [1.0]]},
+        {"lo2": [[0.0], [0.0]], "hi2": [[0.5], [math.nan]]},
+        {"lo2": [[0.0], [-math.inf]], "hi2": [[0.5], [1.0]]},
+        {"shells": [[0.0, 0.5], [0.5, 1.5]]},                # a shell beyond [0, 1]
+        {"shells": [[-0.5, 0.5], [0.5, 1.0]]},
+        {"shells": [[0.0, 0.5], [0.7, 0.7]]},                # u0 = u1
+        {"shells": [[0.0, 0.5], [0.9, 0.7]]},                # u0 > u1
+        {"shells": [[0.0, 0.5], [math.nan, 1.0]]},
+        {"shells": [[0.0, 0.6], [0.5, 1.0]]},                # overlapping shells
+        {"shells": [[0.0, 0.5], [0.5, 0.7], [0.7, 1.0]]},    # three shells, two boxes
+        {"lo2": [[0.0]], "hi2": [[0.5]]},                    # one box, two shells
+        {"shells": [[0.0], [0.5]]}, {"shells": []},          # shells of no width
+        {"hi2": [[0.5], [1.0], [1.5]]},                      # three upper rows, two lower
+        {"lo2": [[0.0, 0.0], [0.0, 0.0]], "hi2": [[0.5, 0.5], [1.0, 1.0]],
+         "shells": [[0.0, 0.5]]},
+    ])
+    def test_every_stratum_is_checked(self, fields):
+        # a valid two-stratum region, one field at a time made invalid
+        valid = {"dim1": 2, "r1": 1.0, "lo2": [[0.0], [0.0]], "hi2": [[0.5], [1.0]],
+                 "shells": [[0.0, 0.5], [0.5, 1.0]]}
+        BoundingBox(**valid)
+        with pytest.raises(ValueError, match="bounding box"):
+            BoundingBox(**(valid | fields))
+
+    @pytest.mark.parametrize("dim1,r1,lo2,hi2,shell", [
+        (2, 1.0, [-0.5], [0.5], (0.0, 1.0)),
+        (2, 0.7, [-0.2], [1.3], (0.25, 0.75)),
+        (4, 1.0, [-2 / math.pi], [2 / math.pi], (0.0, 1.0)),
+        (6, 0.3, [0.1], [0.9], (1 / 3, 0.5)),
+        (4, 1.3, [-0.25, -0.5, 0.0], [0.25, 0.5, 0.1], (0.0, 1.0)),
+    ])
+    def test_one_stratum_volume_is_the_closed_product(self, dim1, r1, lo2, hi2, shell):
+        # a (k,) box is one stratum on [0, 1] by default; its volume is alpha_m r1^m
+        # |shell| |layer-2 box| bit for bit, as one product
+        box = BoundingBox(dim1, r1, lo2, hi2, shell)
+        assert box.lo2.shape == box.hi2.shape == (1, len(lo2)) and box.shells.shape == (1, 2)
+        want = float(metrics.alpha(dim1) * r1 ** dim1 * (shell[1] - shell[0])
+                     * np.prod(np.subtract(hi2, lo2)))
+        assert box.volumes.tolist() == [box.volume] and box.volume.hex() == want.hex()
+        if shell == (0.0, 1.0):
+            assert BoundingBox(dim1, r1, lo2, hi2).volume.hex() == want.hex()
+        # and a box is its own envelope
+        envelope = box.envelope
+        for field in ("shells", "lo2", "hi2"):
+            assert np.array_equal(getattr(envelope, field), getattr(box, field))
+
+    def test_evidence_boxes_are_one_stratum(self):
+        # every ball's region is the whole layer-1 ball times one layer-2 box
+        for metric in (DINF, ci.DinfMetric(H2), GAUGE, CC, ci.GaugeMetric(quaternionic())):
+            box = ci.ball_set(metric).bounding_box
+            assert box.shells.tolist() == [[0.0, 1.0]]
+            assert box.lo2.shape == (1, metric.spec.dim2)
 
 
 class TestMCMeasure:
@@ -267,7 +325,7 @@ class TestUniformBox:
                    "cc-h1": ci.ball_set(CC).bounding_box,
                    "bump-dinf-h1": ci.ball_set(DINF, center=apex,
                                                radius=2 - math.sqrt(2)).bounding_box}
-        boxes = {name: (np.concatenate([[0.0], box.lo2]), np.concatenate([[1.0], box.hi2]))
+        boxes = {name: (np.concatenate([[0.0], box.lo2[0]]), np.concatenate([[1.0], box.hi2[0]]))
                  for name, box in regions.items()}
         boxes.update({f"cube-{name}": region_cube(box) for name, box in regions.items()})
         # the CC cut ball's (phi, |chi|, r) box; a [0, 1] column whose lower bound is -0.0,
@@ -307,12 +365,18 @@ def _stacked_blocks_are_one_draw(blocks, seed, count, box):
             and np.array_equal(ours.random(4), ref.random(4)))
 
 
+def _blocks_of_box(rng, count, lo, hi):
+    """strata_blocks' blocks of one stratum, the box [lo, hi]."""
+    for pts, _ in sampling.strata_blocks(rng, [count], [lo], [hi]):
+        yield pts
+
+
 def _reordered_blocks(rng, count, lo, hi):
-    yield from reversed([pts.copy() for pts in sampling.box_blocks(rng, count, lo, hi)])
+    yield from reversed([pts.copy() for pts in _blocks_of_box(rng, count, lo, hi)])
 
 
 def _redrawn_blocks(rng, count, lo, hi):
-    for pts in sampling.box_blocks(rng, count, lo, hi):
+    for pts in _blocks_of_box(rng, count, lo, hi):
         yield sampling.uniform_box(rng, len(pts), lo, hi)
 
 
@@ -325,7 +389,7 @@ def _one_shot_radial(box, rng, count):
     U and layer 2 uniform in [0, 1] x [lo2, hi2], and a = |x|^2 = r1^2 U^(2/dim1) for x
     uniform in the layer-1 ball of radius r1.
     """
-    lo, hi = np.concatenate([[0.0], box.lo2]), np.concatenate([[1.0], box.hi2])
+    lo, hi = np.concatenate([[0.0], box.lo2[0]]), np.concatenate([[1.0], box.hi2[0]])
     pts = sampling.uniform_box(rng, count, lo, hi)
     return box.r1 * box.r1 * np.power(pts[:, 0], 2.0 / box.dim1), pts[:, 1:]
 
@@ -404,7 +468,7 @@ class TestBoxBlocks:
                                        sampling.BLOCK + 65, 3 * sampling.BLOCK + 7])
     def test_blocks_are_one_draw_bit_for_bit(self, count):
         for name, box in self.BOXES.items():
-            assert _stacked_blocks_are_one_draw(sampling.box_blocks, 5, count, box), name
+            assert _stacked_blocks_are_one_draw(_blocks_of_box, 5, count, box), name
 
     @pytest.mark.parametrize("count", [1, 63, 64, sampling.BLOCK - 1, sampling.BLOCK,
                                        sampling.BLOCK + 65, 3 * sampling.BLOCK + 7])
@@ -452,7 +516,7 @@ class TestBoxBlocks:
             ci.ball_set(CC))
         # layer-1 dimensions 2, 4 and 6: U^(2/m) is U, a square root and a power
         # the CC bump is drawn in strata: each chunk gives each its share of rows
-        assert isinstance(cc_bump.bounding_box, ci.measures.Strata)
+        assert len(cc_bump.bounding_box.shells) > 1
         for sampled in (extra, cc_bump, ci.ball_set(GAUGE), ci.ball_set(ci.GaugeMetric(H2)),
                         ci.ball_set(ci.CCMetric(ci.heisenberg(3)))):
             est = ci.mc_measure(sampled, budget, seed=3)
@@ -643,32 +707,27 @@ class TestSettleOnceAChunk:
         # exact masks say in for the unsure ones of kept and out for those of removed
         kept_state = np.repeat(["in", "out", "unsure"], 3)
         removed_state = np.tile(["in", "out", "unsure"], 3)
-        decided_rows = []
 
         def three_valued(state, exact):
             # a row's state is read off its a, so a triage on copied rows reads theirs
             def triage(a, l2):
-                decided_rows.append(len(a))
                 return state[a.astype(int)] == "in", state[a.astype(int)] == "unsure"
             return ci.SampledSet(lambda a, l2: ((state[a.astype(int)] == "in")
                                                 | ((state[a.astype(int)] == "unsure") & exact)),
                                  BoundingBox(2, 1.0, [-1.0], [1.0]), triage)
 
-        # the nine states alone: removed holds 3 of 9 rows surely inside, so kept decides
-        # the whole block; padded with 18 rows that removed holds surely inside, 21 of 27,
-        # kept decides only the 6 rows removed leaves open
+        # the nine states alone, and padded with 18 rows that removed holds surely inside,
+        # 21 of 27
         pad_kept, pad_removed = np.tile(["in", "out", "unsure"], 6), np.full(18, "in")
-        for kept_states, removed_states, kept_rows in (
-                (kept_state, removed_state, 9),
+        for kept_states, removed_states in (
+                (kept_state, removed_state),
                 (np.concatenate([kept_state, pad_kept]),
-                 np.concatenate([removed_state, pad_removed]), 6)):
+                 np.concatenate([removed_state, pad_removed]))):
             a = np.arange(len(kept_states), dtype=float)
             l2 = np.zeros((len(a), 1))
             extra = ci.measures.difference(three_valued(kept_states, True),
                                            three_valued(removed_states, False))
-            decided_rows.clear()
             inside, unsure = extra.decide(a, l2)
-            assert decided_rows == [len(a), kept_rows]  # removed first, then kept
             assert inside.tolist() == [False, True, False] + [False] * (len(a) - 3)
             # unsure: kept in and removed unsure, kept unsure and removed out or unsure;
             # the padded rows, surely in removed, are surely out
@@ -696,17 +755,23 @@ class TestSettleOnceAChunk:
         apex, _ = ci.isodiametric._apex_and_bound(metric)
         bump = ci.ball_set(metric, center=apex, radius=RHO)
         extra = ci.measures.difference(bump, ci.ball_set(metric))
-        hits = unsure_rows = 0
-        for a, l2 in bump.draws(sampling.substream(5, 0), 1 << 16):
-            inside, unsure = extra.decide(a, l2)
-            exact = extra.membership(a, l2)
-            assert inside.dtype == unsure.dtype == bool and inside.shape == unsure.shape == a.shape
-            assert not np.any(inside & unsure)
-            assert not np.any(inside & ~exact)
-            assert not np.any(exact & ~(inside | unsure))
-            hits += int(np.count_nonzero(exact))
-            unsure_rows += int(np.count_nonzero(unsure))
-        assert 0 < hits < 1 << 16
+        hits, unsure_rows = [], 0
+        # the bump's whole box, then the difference's own strata, where the draws crowd
+        # next to both spheres
+        for draws in (bump.draws, extra.draws):
+            hits.append(0)
+            for a, l2 in draws(sampling.substream(5, 0), 1 << 16):
+                inside, unsure = extra.decide(a, l2)
+                exact = extra.membership(a, l2)
+                assert inside.dtype == unsure.dtype == bool
+                assert inside.shape == unsure.shape == a.shape
+                assert not np.any(inside & unsure)
+                assert not np.any(inside & ~exact)
+                assert not np.any(exact & ~(inside | unsure))
+                hits[-1] += int(np.count_nonzero(exact))
+                unsure_rows += int(np.count_nonzero(unsure))
+        # every draw of a d_inf bump's strata hits: they are bump \ B itself
+        assert 0 < hits[0] < 1 << 16 and 0 < hits[1] <= 1 << 16
         if isinstance(metric, ci.CCMetric):  # CC leaves the points next to either sphere
             assert unsure_rows > 0
 
@@ -845,9 +910,9 @@ class TestClippedBox:
         box, region = bump.bounding_box, ci.measures.difference(bump, ball).bounding_box
         strata = ci.measures._strata(region, 1 << 20)
         assert strata.r1 == box.r1 and region.volume < 0.6 * box.volume
-        lo, hi = np.concatenate([[0.0], box.lo2]), np.concatenate([[1.0], box.hi2])
+        lo, hi = np.concatenate([[0.0], box.lo2[0]]), np.concatenate([[1.0], box.hi2[0]])
         cut = 0
-        for pts in sampling.box_blocks(sampling.substream(9, 0), 1 << 20, lo, hi):
+        for pts in _blocks_of_box(sampling.substream(9, 0), 1 << 20, lo, hi):
             out = ~_in_strata(strata, pts[:, 0], pts[:, 1:])
             a = box.r1 * box.r1 * np.power(pts[out, 0], 2.0 / box.dim1)
             l2 = pts[out, 1:]
@@ -874,9 +939,11 @@ class TestClippedBox:
         assert round(ratio.value, 7) == closed
 
     def _keeps(self, kept, removed, budget=1 << 15):
-        # the same box object, and the same estimate's bits as with no slab at all
+        # the same box, one stratum, and the same estimate's bits as with no slab at all
         extra = ci.measures.difference(kept, removed)
-        assert extra.bounding_box is kept.bounding_box
+        for field in ("shells", "lo2", "hi2"):
+            assert np.array_equal(getattr(extra.bounding_box, field),
+                                  getattr(kept.bounding_box, field))
         plain = ci.measures.difference(kept, dataclasses.replace(removed, slab=None))
         assert ci.mc_measure(extra, budget, 2) == ci.mc_measure(plain, budget, 2)
 
@@ -891,7 +958,7 @@ class TestClippedBox:
         ball = ci.ball_set(GAUGE)
         kept = ci.ball_set(GAUGE, radius=0.9)
         half = ball.slab(0.0, kept.bounding_box.r1)[1]
-        assert 0 < half < kept.bounding_box.hi2[0]
+        assert 0 < half < kept.bounding_box.hi2[0, 0]
         self._keeps(kept, ball)
         # and a set whose slab lies strictly inside the box on every annulus
         box = BoundingBox(2, 1.0, [-1.0], [1.0])
@@ -1000,7 +1067,6 @@ class TestStrata:
         # equal steps of U up to the last shell that holds a point, each with its own
         # interval, every one within the bump's box and summing to the region's volume
         region, box = self._region(metric), _bump_and_ball(metric)[0].bounding_box
-        assert isinstance(region, ci.measures.Strata)
         shells = region.shells
         assert len(shells) == ci.measures.STRATA and shells[0, 0] == 0.0
         assert np.allclose(np.diff(shells, axis=1), shells[-1, 1] / ci.measures.STRATA)
@@ -1012,10 +1078,9 @@ class TestStrata:
                                   shells[s])
             assert stratum.volume == region.volumes[s]
         envelope = region.envelope
-        assert envelope.shell == (0.0, shells[-1, 1])
-        assert envelope.lo2 == region.lo2.min() and envelope.hi2 == region.hi2.max()
-        # one box is one stratum, with the box's own volume bits
-        assert ci.measures.Strata.of(box).volumes.tolist() == [box.volume]
+        assert envelope.shells.tolist() == [[0.0, shells[-1, 1]]]
+        assert envelope.lo2.tolist() == [[region.lo2.min()]]
+        assert envelope.hi2.tolist() == [[region.hi2.max()]]
 
     @pytest.mark.parametrize("block,chunk", [(sampling.BLOCK, sampling.CHUNK_SIZE),
                                              (193, 50 * 193 + 17)])
@@ -1076,9 +1141,10 @@ class TestStrata:
             assert len(drawn) == ci.measures.STRATA and drawn.min() >= 1
         else:
             envelope = region.envelope
-            assert len(drawn) == 1 and strata.shells.tolist() == [[0.0, envelope.shell[1]]]
-            assert strata.lo2.tolist() == [envelope.lo2.tolist()]
-            assert strata.hi2.tolist() == [envelope.hi2.tolist()]
+            assert len(drawn) == 1 and strata.shells.tolist() == envelope.shells.tolist()
+            assert envelope.shells[0, 0] == 0.0
+            assert strata.lo2.tolist() == envelope.lo2.tolist()
+            assert strata.hi2.tolist() == envelope.hi2.tolist()
         if budget < ci.measures.STRATA or budget > 1 << 19:  # too few rows; a full chunk
             assert (strata is region) == (budget > 1 << 19)
 

@@ -89,11 +89,12 @@ class TestTable:
     @staticmethod
     def _check_cells(low, lo2, hi2, eps):
         """T at points inside each cell and at both its ends lies in [low + eps, high - eps],
-        compared squared as the triage compares; the last cells are unsure, then outside."""
+        compared squared as the triage compares; the last cells are unsure, then outside,
+        and one end pad follows."""
         cells = metrics.PROFILE_CELLS
-        assert low.shape == (cells - 1,) and lo2.shape == hi2.shape == (cells + 2,)
-        assert lo2[cells - 1:].tolist() == [-1.0] * 3
-        assert hi2[cells - 1:].tolist() == [math.inf, math.inf, -1.0]
+        assert low.shape == lo2.shape == hi2.shape == (cells + 3,)
+        assert low[cells - 1:].tolist() == lo2[cells - 1:].tolist() == [-1.0] * 4
+        assert hi2[cells - 1:].tolist() == [math.inf, math.inf, -1.0, -1.0]
         a = np.random.default_rng(0).uniform(0.0, (cells - 1) / cells, 1 << 16)
         a = np.concatenate([a, [(2.0 / math.pi) ** 2, 0.0]])
         k = (a * cells).astype(np.intp)
@@ -105,6 +106,7 @@ class TestTable:
         assert np.all(lo2[k] <= (t - eps) ** 2)
         assert np.all((t + eps) ** 2 <= hi2[k])
         assert np.max(hi2[:cells - 1]) == (2.0 / math.pi + eps) ** 2
+        low = low[:cells - 1]
         assert np.all(low > 0.0) and lo2[:cells - 1].tobytes() == (low * low).tobytes()
 
     def test_cells_bound_the_profile(self):
@@ -119,7 +121,7 @@ class TestTable:
         eps = metrics.PROFILE_EPS
         low, lo2, hi2 = metrics._profile_bounds()
         raised = lo2.copy()
-        raised[:len(low)] += 1e-3
+        raised[:metrics.PROFILE_CELLS - 1] += 1e-3
         with pytest.raises(AssertionError):
             self._check_cells(low, raised, hi2, eps)
         monkeypatch.setattr(metrics, "PROFILE_EPS", 0.0)
@@ -469,9 +471,9 @@ class TestFastPath:
         monkeypatch.setattr(metrics, "_sum_squares", spy)
         isodiametric.bump_ratio(isodiametric.BumpParams(apex, RHO), metric, budget, 3)
         # a is drawn, never squared; the ball squares its layer 2 on every whole block,
-        # and so does the bump its shifted layer 2: the ball holds under a quarter of
-        # a full block surely inside, none at all for d_inf, so no row is copied out
-        # first (only the outermost strata, in the short last block, lie mostly in it)
+        # and so does the bump its shifted layer 2. The ball holds under a quarter of a
+        # full block surely inside, none at all for d_inf (only the outermost strata, in
+        # the short last block, lie mostly in it)
         assert rows[d1] == []
         assert blocks == [block, block, block, 100]
         assert rows[d2][:8] == [n for pair in zip(blocks, blocks) for n in pair]
