@@ -10,6 +10,8 @@ are not isodiametric and pushes the density constant below 1.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +163,37 @@ def max_certified_rho(metric, reach: float) -> float:
     return 2.0 - reach
 
 
+# the regions of the last few bumps measured, least recently used first
+REGIONS = 4
+_regions: OrderedDict = OrderedDict()
+_regions_lock = threading.Lock()
+
+
+def _bump_region(metric, bump: SampledSet, ball: SampledSet, params: BumpParams):
+    """measures._region of bump \\ ball, built once for each of the last REGIONS bumps.
+
+    The key is every value the region reads: the metric's class and
+    describe(), the spec's dim1, dim2 and beta, the apex and rho; never an
+    object's identity, which a new metric or spec of the same values does
+    not share. The memo shares the region's arrays, so they are read-only.
+    """
+    spec = metric.spec
+    key = (type(metric), tuple(sorted(metric.describe().items())), spec.dim1, spec.dim2,
+           spec.beta, tuple(params.apex.layer1.tolist()), tuple(params.apex.layer2.tolist()),
+           params.rho)
+    with _regions_lock:
+        region = _regions.get(key)
+        if region is None:
+            region = _regions[key] = measures._region(bump, ball)
+            for box in (region, region.whole or region):
+                for values in (box.lo2, box.hi2, box.shells):
+                    values.flags.writeable = False
+            if len(_regions) > REGIONS:
+                _regions.popitem(last=False)
+        _regions.move_to_end(key)
+    return region
+
+
 def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
                reach: float = APEX_REACH) -> RatioResult:
     """Ratio of (unit ball) union (ball of radius rho at the apex).
@@ -171,11 +204,14 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     so the diameter stays 2 and only the extra measure counts: ratio = 1 + Haar(bump \\ B)
     / Haar(B). bump \\ B is measures.difference of the two ball_sets, on one a = |z|^2 a
     block: mc_measure decides it by both balls' bounds, and settles the few points
-    near either sphere once a chunk. On k = 1 it draws strata of the bump's box,
+    near either sphere once a chunk. On k = 1 its region is strata of the bump's box,
     each over its annulus between B's slab and the bump's reach: 4.0% of the box
-    for CC on H^1 and 44% for gauge, so the same budget gives a smaller error, and
-    for d_inf every draw is a hit. The volume comes first: a group too wide for it
-    fails before any point of its width is built.
+    for CC on H^1 and 44% for gauge. Each stratum's core, surely in the bump and
+    surely out of B, is counted exactly, and only the bands beside it are drawn:
+    1.7% and 4.2% of the box. So the same budget gives a smaller error, and for
+    d_inf every draw is a hit. The region is built once for the last few bumps
+    (_bump_region). The volume comes first: a group too wide for it fails before
+    any point of its width is built.
     """
     ball_vol, ball_err = unit_ball_volume(metric)
     apex, _ = _apex_and_bound(metric)
@@ -197,8 +233,9 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     if params.rho == 0.0:
         return RatioResult(EstimateWithError(1.0, 0.0, "closed_form", 0, seed), diam, desc)
 
-    extra = measures.difference(measures.ball_set(metric, center=params.apex, radius=params.rho),
-                                measures.ball_set(metric))
+    bump, ball = (measures.ball_set(metric, center=params.apex, radius=params.rho),
+                  measures.ball_set(metric))
+    extra = measures.difference(bump, ball, _bump_region(metric, bump, ball, params))
     rel = measures.per_unit_ball(measures.mc_measure(extra, budget, seed), ball_vol, ball_err)
     return RatioResult(EstimateWithError(1.0 + rel.value, rel.error, "monte_carlo", budget, seed),
                        diam, desc)

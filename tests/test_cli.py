@@ -74,6 +74,23 @@ def test_workflow_test_nodes_exist():
         assert name in defined, f"{file}::{name}"
 
 
+def test_no_test_module_defines_a_name_twice():
+    # a second `class TestX:` or `def test_x` in one scope silently replaces the first:
+    # pytest collects the later one only and reports nothing. Every top-level name of
+    # every tests/*.py, and every name in each of its classes, is defined once
+    tests = Path(__file__).resolve().parent
+    repeated = []
+    for file in sorted(tests.glob("*.py")):
+        tree = ast.parse(file.read_text())
+        for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+            names = [n.name for n in scope.body
+                     if isinstance(n, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+            where = f"{file.name}::{scope.name}::" if isinstance(scope, ast.ClassDef) \
+                else f"{file.name}::"
+            repeated += sorted({where + name for name in names if names.count(name) > 1})
+    assert repeated == []
+
+
 class TestParsers:
     def test_groups(self):
         assert parse_group("h1").Q == 4

@@ -317,6 +317,64 @@ class TestBump:
         assert res.to_dict() == direct.to_dict()
 
 
+class TestBumpRegionMemo:
+    """bump_ratio builds a bump's region once, keyed by the values it reads."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # an empty memo, and the regions _region builds
+        built, region = [], ci.measures._region
+
+        def spy(kept, removed):
+            built.append(region(kept, removed))
+            return built[-1]
+
+        monkeypatch.setattr(ci.measures, "_region", spy)
+        monkeypatch.setattr(isodiametric, "_regions", type(isodiametric._regions)())
+        return built
+
+    @staticmethod
+    def _ratio(metric, rho=2 - SQRT2, budget=1 << 15):
+        apex, _ = isodiametric._apex_and_bound(metric)
+        return ci.bump_ratio(BumpParams(apex, rho), metric, budget, seed=2).ratio
+
+    def test_equal_calls_build_one_region(self, built):
+        # a new metric on a new spec of the same values is the same key, not a new region
+        first = self._ratio(CC)
+        again = self._ratio(ci.CCMetric(ci.heisenberg(1)))
+        assert len(built) == 1 and again == first
+        # the same bits as a region built afresh
+        apex, _ = isodiametric._apex_and_bound(CC)
+        bump, ball = ci.ball_set(CC, apex, 2 - SQRT2), ci.ball_set(CC)
+        fresh = ci.measures.mc_measure(ci.measures.difference(bump, ball), 1 << 15, 2)
+        assert 1.0 + ci.measures.per_unit_ball(fresh, *metrics.unit_ball_volume(CC)).value \
+            == first.value
+        # the memo shares the region's arrays: none can be written
+        region = built[0]
+        for box in (region, region.whole):
+            for values in (box.lo2, box.hi2, box.shells):
+                assert not values.flags.writeable
+
+    def test_changed_values_build_new_regions(self, built):
+        # a changed rho, or d_inf's c2, is a new key
+        self._ratio(DINF)
+        self._ratio(DINF, rho=0.5)
+        self._ratio(ci.DinfMetric(H1, c2=0.7))
+        self._ratio(ci.DinfMetric(H1, c2=0.7))
+        assert len(built) == 3
+        assert built[0].hi2[0, 0] != built[2].hi2[0, 0]
+
+    def test_only_the_last_few_are_kept(self, built):
+        rhos = [0.1 * (i + 1) for i in range(isodiametric.REGIONS + 1)]
+        for rho in rhos:
+            self._ratio(GAUGE, rho=rho, budget=64)
+        assert len(isodiametric._regions) == isodiametric.REGIONS
+        self._ratio(GAUGE, rho=rhos[-1], budget=64)  # the most recent: kept
+        assert len(built) == len(rhos)
+        self._ratio(GAUGE, rho=rhos[0], budget=64)  # the least recent: dropped, built again
+        assert len(built) == len(rhos) + 1
+
+
 def cdc(n):
     """The projection bound of the CC distance on H^n."""
     return ci.projection_upper_bound(ci.CCMetric(ci.heisenberg(n)))

@@ -417,9 +417,10 @@ def _one_shot_region(strata, rng, count):
     return a, l2, row
 
 
-def _stratified_value(volumes, hits, rows):
-    """sum V_s h_s / n_s: mc_measure's estimate from its per-stratum counts."""
-    return math.fsum(v * (h / n) for v, h, n in zip(volumes.tolist(), hits, rows))
+def _stratified_value(strata, hits, rows):
+    """core + sum V_s h_s / n_s: mc_measure's estimate from its per-stratum counts."""
+    return math.fsum([strata.core, *(v * (h / n) for v, h, n
+                                     in zip(strata.volumes.tolist(), hits, rows))])
 
 
 def _one_shot_hits(sampled, budget, seed):
@@ -515,15 +516,16 @@ class TestBoxBlocks:
             ci.ball_set(CC, center=ci.point([0, 0], [-1 / math.pi]), radius=2 - math.sqrt(2)),
             ci.ball_set(CC))
         # layer-1 dimensions 2, 4 and 6: U^(2/m) is U, a square root and a power
-        # the CC bump is drawn in strata: each chunk gives each its share of rows
-        assert len(cc_bump.bounding_box.shells) > 1
+        # the CC bump is drawn in labeled bands beside its cores: each chunk gives each
+        # its share of rows
+        assert len(cc_bump.bounding_box.shells) > 1 and cc_bump.bounding_box.sure
         for sampled in (extra, cc_bump, ci.ball_set(GAUGE), ci.ball_set(ci.GaugeMetric(H2)),
                         ci.ball_set(ci.CCMetric(ci.heisenberg(3)))):
             est = ci.mc_measure(sampled, budget, seed=3)
             hits, rows = _one_shot_hits(sampled, budget, 3)
             assert 0 < sum(hits) < budget and sum(rows) == budget
-            volumes = ci.measures._strata(sampled.bounding_box, budget).volumes
-            assert est.value == _stratified_value(volumes, hits, rows)
+            strata = ci.measures._strata(sampled.bounding_box, budget)
+            assert est.value == _stratified_value(strata, hits, rows)
             if len(rows) == 1:
                 assert est.value == sampled.bounding_box.volume * (hits[0] / budget)
         for metric in (DINF, GAUGE, ci.DinfMetric(H2), ci.GaugeMetric(H1),
@@ -859,8 +861,9 @@ class TestSettleOnceAChunk:
         bump = metric.radial_norm(a, _sum_squares(l2 - apex.layer2)) <= RHO
         ball = metric.radial_norm(a, _sum_squares(l2)) <= 1.0
         hits = np.bincount(row[bump & ~ball], minlength=len(strata.volumes)).tolist()
-        assert 0 < sum(hits) < budget and len(hits) == ci.measures.STRATA
-        assert est.value == _stratified_value(strata.volumes, hits, np.bincount(row).tolist())
+        # the bands beside each stratum's core, two for most of the STRATA strata
+        assert 0 < sum(hits) < budget and len(hits) > ci.measures.STRATA and strata.core > 0
+        assert est.value == _stratified_value(strata, hits, np.bincount(row).tolist())
 
     def test_settle_cap_keeps_every_output(self, monkeypatch):
         # with at most 7 held rows (plus a block's) the kernel settles far more often;
@@ -904,10 +907,12 @@ class TestClippedBox:
     @pytest.mark.parametrize("metric", BUMP_METRICS, ids=BUMP_IDS)
     def test_cut_points_lie_in_the_ball(self, metric):
         # the soundness gate: 2^20 draws of the bump's whole box, as (U, layer 2); every
-        # draw outside the strata is surely in the unit ball by its triage or surely out
-        # of the bump by the bump's, and none is in bump \ ball by the exact masks
+        # draw outside the whole strata, cores and bands, is surely in the unit ball by
+        # its triage or surely out of the bump by the bump's, and none is in bump \ ball
+        # by the exact masks
         bump, ball = _bump_and_ball(metric)
         box, region = bump.bounding_box, ci.measures.difference(bump, ball).bounding_box
+        region = region.whole or region
         strata = ci.measures._strata(region, 1 << 20)
         assert strata.r1 == box.r1 and region.volume < 0.6 * box.volume
         lo, hi = np.concatenate([[0.0], box.lo2[0]]), np.concatenate([[1.0], box.hi2[0]])
@@ -1042,6 +1047,100 @@ class TestClippedBox:
         assert np.array_equal(c2, apex.layer2) and np.array_equal(top, RHO * RHO * H)
 
 
+def _gaps(region):
+    """The cores of a split region, as the strata of the gaps its bands leave in its whole.
+
+    Each whole stratum's interval, less the bands on its shell: read off the region's
+    public fields alone, not from how the split made them.
+    """
+    whole, gaps = region.whole, []
+    for shell, lo, hi in zip(whole.shells.tolist(), whole.lo2[:, 0], whole.hi2[:, 0]):
+        on = np.all(region.shells == shell, axis=1)
+        ends = np.concatenate([[lo], np.column_stack([region.lo2[on, 0],
+                                                      region.hi2[on, 0]]).ravel(), [hi]])
+        gaps += [(shell, [gap_lo], [gap_hi]) for gap_lo, gap_hi in ends.reshape(-1, 2)
+                 if gap_lo < gap_hi]
+    shells, lo2, hi2 = zip(*gaps)
+    return BoundingBox(whole.dim1, whole.r1, lo2, hi2, shells)
+
+
+def _uniform_and_corners(strata, count, seed):
+    """(a, l2, stratum) of count uniform points of the strata, and of each one's corners.
+
+    Every a is scaled by a factor within ANNULUS_SLACK of 1: the uniform points' by a
+    uniform one, the corners' by 1 - slack, 1 and 1 + slack at both radii, each at both
+    ends of the stratum's interval.
+    """
+    rng = sampling.substream(seed, 0)
+    counts = ci.measures._allocation(count, strata.volumes)
+    blocks = [(a.copy(), l2.copy(), ci.measures._stratum_of(np.arange(len(a)), segments))
+              for a, l2, segments in ci.measures._stratified_draws(strata, counts, rng)]
+    a, l2, row = (np.concatenate(col) for col in zip(*blocks))
+    slack = metrics.ANNULUS_SLACK
+    a = a * (1.0 + slack * rng.uniform(-1.0, 1.0, len(a)))
+    corners = [(strata.r1 * strata.r1 * u ** (2.0 / strata.dim1) * f, t, s)
+               for s, (shell, lo, hi) in enumerate(zip(strata.shells, strata.lo2[:, 0],
+                                                       strata.hi2[:, 0]))
+               for u in shell for f in (1.0 - slack, 1.0, 1.0 + slack) for t in (lo, hi)]
+    ca, ct, cs = (np.array(col) for col in zip(*corners))
+    return (np.concatenate([a, ca]), np.concatenate([l2, ct[:, None]]),
+            np.concatenate([row, cs]))
+
+
+CORE_METRICS = [CC, ci.CCMetric(H2), ci.CCMetric(ci.heisenberg(3)), ci.GaugeMetric(H1), GAUGE]
+CORE_IDS = ["cc-h1", "cc-h2", "cc-h3", "gauge-h1", "gauge-h1-htype"]
+
+
+class TestCores:
+    """Each stratum's core is counted exactly, so every point of it must be in bump \\ ball."""
+
+    @pytest.mark.parametrize("metric", CORE_METRICS, ids=CORE_IDS)
+    def test_every_core_point_is_in_bump_less_ball(self, metric):
+        # the core soundness gate: 2^20 points uniform in the cores, and every core's
+        # corners, each a within ANNULUS_SLACK, all in the bump and out of the unit ball
+        # by both exact kernels; and the core measure is the gaps' closed product
+        bump, ball = _bump_and_ball(metric)
+        region = ci.measures.difference(bump, ball).bounding_box
+        cores = _gaps(region)
+        assert region.core > 0.0 and cores.volume == region.core
+        a, l2, _ = _uniform_and_corners(cores, 1 << 20, 11)
+        assert len(a) > 1 << 20
+        assert np.all(bump.membership(a, l2))
+        assert not np.any(ball.membership(a, l2))
+
+    @pytest.mark.parametrize("metric", CORE_METRICS, ids=CORE_IDS)
+    def test_every_labeled_band_point_is_surely_where_its_label_says(self, metric):
+        # the bands' labels spare a triage: 2^18 points uniform in the bands, and their
+        # corners, are in the bump by its exact kernel on every IN_KEPT band and out of
+        # the unit ball by its own on every OUT_OF_REMOVED band
+        bump, ball = _bump_and_ball(metric)
+        region = ci.measures.difference(bump, ball).bounding_box
+        sure = np.array(region.sure)
+        assert np.any(sure == ci.measures.IN_KEPT) and np.any(sure == ci.measures.OUT_OF_REMOVED)
+        a, l2, row = _uniform_and_corners(region, 1 << 18, 12)
+        assert np.all(bump.membership(a, l2)[sure[row] == ci.measures.IN_KEPT])
+        assert not np.any(ball.membership(a, l2)[sure[row] == ci.measures.OUT_OF_REMOVED])
+
+    @pytest.mark.parametrize("metric", [DINF, ci.DinfMetric(H2), ci.DinfMetric(H1, c2=0.7),
+                                        ci.CCMetric(ci.heisenberg(9))],
+                             ids=["dinf-h1", "dinf-h2", "dinf-c2", "cc-h9"])
+    def test_no_core_keeps_the_whole_strata(self, metric):
+        # d_inf's one stratum reaches the bump's rim, where the slab is 0, and CC's on
+        # H^9 has no slab: no core, no labels, the region drawn as before
+        region = ci.measures.difference(*_bump_and_ball(metric)).bounding_box
+        assert region.core == 0.0 and region.whole is None and region.sure == ()
+
+    def test_labeled_triage_keeps_every_estimate(self):
+        # the labels change which triage a band's rows take, never the exact counts:
+        # the same bits as the region without labels
+        for metric in (GAUGE, CC, ci.CCMetric(H2)):
+            extra = ci.measures.difference(*_bump_and_ball(metric))
+            plain = dataclasses.replace(extra, bounding_box=dataclasses.replace(
+                extra.bounding_box, sure=()))
+            for budget, seed in ((1 << 17, 1), (40000, 5)):
+                assert ci.mc_measure(extra, budget, seed) == ci.mc_measure(plain, budget, seed)
+
+
 class TestStrata:
     """The strata of bump \\ ball: a fixed share of each chunk, one estimate per stratum."""
 
@@ -1064,23 +1163,43 @@ class TestStrata:
     @pytest.mark.parametrize("metric", [GAUGE, CC, ci.CCMetric(H2)],
                              ids=["gauge", "cc-h1", "cc-h2"])
     def test_regions(self, metric):
-        # equal steps of U up to the last shell that holds a point, each with its own
-        # interval, every one within the bump's box and summing to the region's volume
+        # the whole strata: equal steps of U up to the last shell that holds a point,
+        # each with its own interval, every one within the bump's box and summing to
+        # the whole's volume
         region, box = self._region(metric), _bump_and_ball(metric)[0].bounding_box
-        shells = region.shells
+        whole = region.whole
+        shells = whole.shells
         assert len(shells) == ci.measures.STRATA and shells[0, 0] == 0.0
         assert np.allclose(np.diff(shells, axis=1), shells[-1, 1] / ci.measures.STRATA)
-        assert np.all((box.lo2 <= region.lo2) & (region.lo2 < region.hi2)
-                      & (region.hi2 <= box.hi2))
-        assert region.volume == math.fsum(region.volumes)
+        assert np.all((box.lo2 <= whole.lo2) & (whole.lo2 < whole.hi2)
+                      & (whole.hi2 <= box.hi2))
+        assert whole.volume == math.fsum(whole.volumes)
         for s in (0, 7, len(shells) - 1):
-            stratum = BoundingBox(region.dim1, region.r1, region.lo2[s], region.hi2[s],
+            stratum = BoundingBox(whole.dim1, whole.r1, whole.lo2[s], whole.hi2[s],
                                   shells[s])
-            assert stratum.volume == region.volumes[s]
-        envelope = region.envelope
+            assert stratum.volume == whole.volumes[s]
+        assert whole.core == 0.0 and whole.whole is None and whole.sure == ()
+        # the bands: on each whole stratum's shell, one or two in order within its
+        # interval, and the gap between them or at one end its core; the cores and
+        # the bands make up the whole
+        assert len(region.sure) == len(region.lo2) > len(shells)
+        cores = 0.0
+        for s in range(len(shells)):
+            on = np.flatnonzero(np.all(region.shells == shells[s], axis=1))
+            lo, hi = region.lo2[on, 0], region.hi2[on, 0]
+            assert 1 <= len(on) <= 2 and np.all(np.diff(on) == 1)
+            assert whole.lo2[s, 0] <= lo[0] and hi[-1] <= whole.hi2[s, 0]
+            gaps = np.diff(np.concatenate([[whole.lo2[s, 0]], np.column_stack([lo, hi]).ravel(),
+                                           [whole.hi2[s, 0]]]))[::2]
+            assert np.count_nonzero(gaps) <= 1 and np.all(gaps >= 0.0)
+            cores += np.sum(gaps) / (whole.hi2[s, 0] - whole.lo2[s, 0]) * whole.volumes[s]
+        assert region.core > 0.0 and region.core == pytest.approx(cores, rel=1e-12)
+        assert region.volume == math.fsum([region.core, *region.volumes])
+        assert region.volume == pytest.approx(whole.volume, rel=1e-12)
+        envelope = whole.envelope
         assert envelope.shells.tolist() == [[0.0, shells[-1, 1]]]
-        assert envelope.lo2.tolist() == [[region.lo2.min()]]
-        assert envelope.hi2.tolist() == [[region.hi2.max()]]
+        assert envelope.lo2.tolist() == [[whole.lo2.min()]]
+        assert envelope.hi2.tolist() == [[whole.hi2.max()]]
 
     @pytest.mark.parametrize("block,chunk", [(sampling.BLOCK, sampling.CHUNK_SIZE),
                                              (193, 50 * 193 + 17)])
@@ -1120,11 +1239,14 @@ class TestStrata:
             assert got[0] == got[1]
 
     @pytest.mark.parametrize("budget", [1, 2, ci.measures.STRATA - 1, ci.measures.STRATA,
-                                        ci.measures.STRATA + 1, (1 << 19) + 1])
+                                        ci.measures.STRATA + 1, 66, 212, 213,
+                                        (1 << 19) + 1])
     def test_small_budgets_draw_every_stratum_or_the_envelope(self, monkeypatch, budget):
-        # each stratum is drawn at least once, or the draw falls back to one stratum, the
-        # envelope over [0, u_end]; either way the estimate and its error are finite
+        # each band is drawn at least once, or each whole stratum, its core drawn in it;
+        # else the draw falls back to one stratum, the whole strata's envelope over
+        # [0, u_end]. Either way the estimate and its error are finite
         region = self._region(CC)
+        whole = region.whole
         strata = ci.measures._strata(region, budget)
         rows, draws = [], ci.measures._stratified_draws
 
@@ -1138,30 +1260,58 @@ class TestStrata:
         drawn = np.sum(rows, axis=0)
         assert drawn.sum() == budget
         if strata is region:
+            assert len(drawn) == len(region.volumes) and drawn.min() >= 1
+        elif strata is whole:
             assert len(drawn) == ci.measures.STRATA and drawn.min() >= 1
         else:
-            envelope = region.envelope
+            envelope = whole.envelope
             assert len(drawn) == 1 and strata.shells.tolist() == envelope.shells.tolist()
             assert envelope.shells[0, 0] == 0.0
             assert strata.lo2.tolist() == envelope.lo2.tolist()
             assert strata.hi2.tolist() == envelope.hi2.tolist()
-        if budget < ci.measures.STRATA or budget > 1 << 19:  # too few rows; a full chunk
+        # too few rows for the bands, or for the whole strata; a full chunk
+        if budget < ci.measures.STRATA or budget > 1 << 19:
             assert (strata is region) == (budget > 1 << 19)
+        if budget in (66, 212):
+            assert strata is whole
+        if budget == 213:
+            assert strata is region
+
+    @pytest.mark.parametrize("metric", [GAUGE, CC, ci.CCMetric(H2), ci.CCMetric(ci.heisenberg(3))],
+                             ids=["gauge", "cc-h1", "cc-h2", "cc-h3"])
+    def test_fallback_budgets_draw_the_whole_strata_bit_for_bit(self, metric):
+        # the bands are drawn from the first budget whose first chunk gives each band's
+        # quota a whole row, and at every budget above it. Below it the estimate is the
+        # one of the whole strata, cores drawn in them, and of their envelope below
+        # that: bit for bit the region with no core. Gauge's 852 and 853 lie below it
+        # both, where the rows _allocation gives its smallest band go 1, 0
+        kept, removed = _bump_and_ball(metric)
+        extra = ci.measures.difference(kept, removed)
+        whole = ci.measures.difference(kept, removed, extra.bounding_box.whole)
+        bands = [ci.measures._strata(extra.bounding_box, budget) is extra.bounding_box
+                 for budget in range(1, 2500)]
+        first = bands.index(True) + 1
+        assert 100 < first < 2000 and all(bands[first - 1:]) and not any(bands[:first - 1])
+        for budget in (*range(1, first, 37), first - 1, 852, 853):
+            if budget < first:
+                assert ci.mc_measure(extra, budget, 5) == ci.mc_measure(whole, budget, 5)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_cc_bump_matches_the_reference(self, seed):
         # at the evidence budget the estimate lies within 3 sigma of the quadrature value
-        # 1.00447866, whose proven enclosure its 3 sigma band holds
+        # 1.00447866, whose proven enclosure its 3 sigma band holds; the cores counted
+        # exactly take the error from 6.5e-6 to 3.2e-6
         ratio = ci.bump_ratio(ci.BumpParams(ci.isodiametric._apex_and_bound(CC)[0], RHO), CC,
                               1 << 17, seed).ratio
-        assert ratio.error < 1.2e-5
+        assert ratio.error < 4e-6
         for reference in (1.00447866, 1.0044786297, 1.0044786839):
             assert abs(ratio.value - reference) < 3.0 * ratio.error
 
     def test_gauge_bump_matches_the_reference(self):
-        # within 3 sigma of the quadrature value 1.0631744, at under a third of the error
-        # of the box above the unit ball's slab alone, 3.88e-5
+        # within 3 sigma of the quadrature value 1.0631744, at under a ninth of the error
+        # of the box above the unit ball's slab alone, 3.88e-5: the cores, 90.5% of the
+        # strata, are counted exactly
         apex, _ = ci.isodiametric._apex_and_bound(GAUGE)
         ratio = ci.bump_ratio(ci.BumpParams(apex, RHO), GAUGE, 1 << 20, 1).ratio
-        assert ratio.error < 3.88e-5 / 3.0
+        assert ratio.error < 4e-6
         assert abs(ratio.value - 1.0631744) < 3.0 * ratio.error
