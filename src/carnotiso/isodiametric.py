@@ -10,13 +10,12 @@ are not isodiametric and pushes the density constant below 1.
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import geodesics, groups, measures
+from . import measures
 from .groups import GroupPoint
 from .measures import EstimateWithError, SampledSet
 from .metrics import CCMetric, alpha, layer2_ball, unit_ball_volume
@@ -134,19 +133,12 @@ def apex_reach(metric, budget: int = 10**6, seed: int = 0) -> ApexReachReport:
     """Proven reach of the counterexample apex, with its sampled evidence.
 
     By left invariance d(apex, y) = N(apex^-1 y): the sampled sup is the
-    measures.sampled_max of N over B(apex^-1, 1). For d_inf and gauge it draws
-    ball = ball_set(metric, center=apex^-1), within ball, its box checked first;
-    for CC apex^-1 is the unit cut point, and it is verify_assumption_C's
-    sampled_max_roundtrip, drawn on the ball's sphere, where N's max over
-    the ball lies (N(delta_s y) = s N(y)). Each draw is a few floats a point
-    at any group width; sampling refuses an oversized chunk before drawing.
+    measures.sampled_max of N over B(apex^-1, 1), apex^-1 = [0, shift e1],
+    drawn on its sphere, one profile parameter a point for every metric. For
+    CC apex^-1 is the unit cut point: this is verify_assumption_C's draw.
     """
     apex, reach = _apex_and_bound(metric)
-    if isinstance(metric, CCMetric):
-        sup = geodesics.verify_assumption_C(metric.spec, budget, seed).sampled_max_roundtrip
-    else:
-        ball = measures.ball_set(metric, center=groups.inv(metric.spec, apex))
-        sup = measures.sampled_max(metric, ball.draws, budget, seed, within=ball)
+    sup = measures.sampled_max(metric, -float(apex.layer2[0]), budget, seed)
     return ApexReachReport(reach=reach, sampled_sup=sup, samples=budget, seed=seed)
 
 
@@ -166,32 +158,22 @@ def max_certified_rho(metric, reach: float) -> float:
 # the regions of the last few bumps measured, least recently used first
 REGIONS = 4
 _regions: OrderedDict = OrderedDict()
-_regions_lock = threading.Lock()
 
 
 def _bump_region(metric, bump: SampledSet, ball: SampledSet, params: BumpParams):
-    """measures._region of bump \\ ball, built once for each of the last REGIONS bumps.
+    """measures._region of bump \\ ball, read-only, kept for the last REGIONS bumps by every
+    value it reads: measures._metric_key's, the apex and rho."""
+    key = (measures._metric_key(metric), tuple(params.apex.layer1.tolist()),
+           tuple(params.apex.layer2.tolist()), params.rho)
 
-    The key is every value the region reads: the metric's class and
-    describe(), the spec's dim1, dim2 and beta, the apex and rho; never an
-    object's identity, which a new metric or spec of the same values does
-    not share. The memo shares the region's arrays, so they are read-only.
-    """
-    spec = metric.spec
-    key = (type(metric), tuple(sorted(metric.describe().items())), spec.dim1, spec.dim2,
-           spec.beta, tuple(params.apex.layer1.tolist()), tuple(params.apex.layer2.tolist()),
-           params.rho)
-    with _regions_lock:
-        region = _regions.get(key)
-        if region is None:
-            region = _regions[key] = measures._region(bump, ball)
-            for box in (region, region.whole or region):
-                for values in (box.lo2, box.hi2, box.shells):
-                    values.flags.writeable = False
-            if len(_regions) > REGIONS:
-                _regions.popitem(last=False)
-        _regions.move_to_end(key)
-    return region
+    def build():
+        region = measures._region(bump, ball)
+        for box in (region, region.whole or region):
+            for values in (box.lo2, box.hi2, box.shells):
+                values.flags.writeable = False
+        return region
+
+    return measures._memoized(_regions, REGIONS, key, build)
 
 
 def bump_ratio(params: BumpParams, metric, budget: int, seed: int,

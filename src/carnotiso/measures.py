@@ -7,9 +7,10 @@ alone, so a SampledSet is drawn radially. Its region is one BoundingBox
 of strata, each a shell of a layer-1 ball times a layer-2 box; a ball's is
 one stratum, the whole ball times a box. A uniform point of a stratum is a
 = r1^2 U^(2/m) over its shell and its layer-2 coordinates, 1 + k doubles of
-one substream. mc_measure and sampled_max decide each block by the
-metric's bounds alone and run the kernel once a chunk on the points those
-leave undecided. difference cuts kept's box into strata: annuli of equal
+one substream. mc_measure decides each block by the metric's bounds alone
+and runs the kernel once a chunk on the points those leave undecided;
+sampled_max draws a ball's sphere, one double a point, less the rows a
+proven table culls. difference cuts kept's box into strata: annuli of equal
 layer-1 measure, each cut in layer 2 at removed's slab and kept's reach
 over it, so no draw of a bump's extra measure lands where the unit ball
 surely is or the bump surely is not. Where kept's slab and removed's reach
@@ -24,6 +25,8 @@ closed forms for d_inf and gauge, a fixed Gauss-Legendre rule for CC.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,6 +36,27 @@ from . import groups
 from . import metrics as metrics_mod
 from . import sampling
 from .groups import GroupPoint
+
+
+_memo_lock = threading.Lock()
+
+
+def _metric_key(metric) -> tuple:
+    """What a metric's tables read, by value, not identity: class, describe(), dims, beta."""
+    s = metric.spec
+    return type(metric), tuple(sorted(metric.describe().items())), s.dim1, s.dim2, s.beta
+
+
+def _memoized(memo: OrderedDict, size: int, key, build):
+    """memo[key], made by build() on a miss, of the last size keys; build makes it read-only."""
+    with _memo_lock:
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build()
+            if len(memo) > size:
+                memo.popitem(last=False)
+        memo.move_to_end(key)
+    return value
 
 
 @dataclass
@@ -204,9 +228,10 @@ def _stratified_draws(strata: BoundingBox, counts, rng: np.random.Generator):
         yield a, pts[:, 1:], segments
 
 
-# a chunk holds at most this many copied undecided rows, plus one block's, before
-# the kernel settles them: memory stays bounded at any budget
-SETTLE_ROWS = sampling.BLOCK
+# a chunk holds at most this many undecided or kept rows, plus one block's, before the
+# kernel settles them: memory stays bounded, and a settle's columns under 128 KiB, which
+# glibc would page in anew each time (d_inf's reach keeps a quarter of every block)
+SETTLE_ROWS = sampling.BLOCK // 4
 
 
 @dataclass
@@ -243,18 +268,6 @@ class SampledSet:
         if self.triage:
             return self.triage(a, l2, sure) if sure else self.triage(a, l2)
         return self.membership(a, l2), np.zeros(len(a), bool)
-
-    def draws(self, rng: np.random.Generator, count: int):
-        """Yield (a, l2) for count draws of the region, a block at a time, as mc_measure draws.
-
-        The strata take their shares of count (_allocation) in stratum
-        order, uniform in each (_stratified_draws), or the whole strata's or
-        the envelope's where a stratum would take none (_strata). A core is
-        not drawn.
-        """
-        strata = _strata(self.bounding_box, count)
-        for a, l2, _ in _stratified_draws(strata, _allocation(count, strata.volumes), rng):
-            yield a, l2
 
 
 def ball_set(metric, center: GroupPoint | None = None, radius: float = 1.0) -> SampledSet:
@@ -518,12 +531,6 @@ def cc_unit_ball_volume(n: int) -> EstimateWithError:
 # Monte Carlo measure
 # ---------------------------------------------------------------------------
 
-def _rows(mask, *cols):
-    """Copies of cols' rows where mask holds, by index: a mask on strided layer 2 is 5x slower."""
-    i = np.flatnonzero(mask)
-    return tuple(c[i] for c in cols)
-
-
 def _stacked(held):
     """A chunk's copied rows, each column concatenated: one kernel pass settles them all."""
     return [np.concatenate(col) for col in zip(*held)]
@@ -610,48 +617,146 @@ def _send(blocks, value):
         return None
 
 
-def sampled_max(metric, draws, budget: int, seed: int, within=None) -> float:
-    """Exact max of metric's norm over budget draws, or over those in within; 0.0 if none.
+# the cull's relative guard on M
+CULL_GUARD = 1e-9
+# cells of u in [0, 1) of _sphere_row_bounds; a power of two, so that u's cell is floor(u C),
+# exactly, and every multiple of pi/4 in theta is a cell end
+SPHERE_CELLS = 1 << 12
+# _sphere_row_bounds widens each cell's box by this: relative on a, times r2 + |shift| on |t|
+BOX_PAD = 1e-11
+# the tables of the last few (metric, shift) pairs, least recently used first
+SPHERE_TABLES, _tables = 4, OrderedDict()
 
-    draws(rng, count) is a generator of (a, l2) blocks of one chunk's count
-    points, a = |layer 1|^2; within is a SampledSet. Each chunk keeps a
-    maximum M, seeded by settling at most 512 evenly spaced points of its
-    first block (the cut ball's seed rows, every 32nd point of a region's),
-    and sends M into draws before every later block: a draw may then leave
-    out points whose norm it proves to be at most M, as the cut ball's does;
-    the region draws ignore it. A block's candidates are the points
-    metric._radial_bounds(., M) cannot place at or below M, less those that
-    within.decide, asked about these rows alone, puts surely out; settling
-    these copies, once a chunk or as soon as SETTLE_ROWS are held, keeps
-    those in within's exact membership and joins their exact max to M.
-    Layer 2 is squared once a block, and with the block's a feeds the bounds
-    and the kernel. So no output depends on BLOCK or the thread count.
+
+def _sphere_theta(u):
+    """theta = 2 pi u - pi of draws u in [0, 1), as strata_blocks maps them into [-pi, pi]."""
+    return u * (2.0 * math.pi) - math.pi
+
+
+def _sphere_row_bounds(metric, shift: float):
+    """Upper bounds of a sphere row's norm, one per cell of u, for _culled; kept by value.
+
+    A row of _sphere_blocks at draw u has (a, t + shift), (a, t) =
+    metric._unit_sphere(theta), theta = _sphere_theta(u), and norm F = N(a,
+    (t + shift)^2), with no dim1 or dim2 in it. Cell k is u in [k, k + 1) /
+    C, C = SPHERE_CELLS; theta rounds monotonically in u and the ends are
+    e_k = theta(k / C), so cell k's rows have theta in [e_k, e_k+1]. Over it:
+
+    * a and t are monotone between multiples of pi/4, each within 2 ulp of a
+      cell end, so a lies between the ends' values and |t + shift| below the
+      larger end's; on the cells whose ends come within 1e-12 of +-pi/2, where
+      CC's T peaks, below r2 + |shift|, as |t| <= r2 of _box_radii;
+    * N grows with |t| (d N^2 / d|t| is CC's turning angle; d_inf's and gauge's
+      N grow with a and b), and at fixed t the ball's slice {|z| : N <= r} is an
+      interval, CC's T being unimodal in |z|; so N's max over the box [a_lo,
+      a_hi] x [0, t_hi] is at one of (a_lo, t_hi) and (a_hi, t_hi).
+
+    BOX_PAD widens the box before the corners are read, a by a relative 1e-11
+    and |t| by 1e-11 (r2 + |shift|). That covers the rounding of a and t (a
+    few ulp, a relative one on a), CC's T's 1e-15, and the ends' 2 ulp off the
+    kinks, which move t by 3e-15 r2 and a by a relative 3e-15; next to a = 0,
+    at d_inf's and gauge's +-pi/2, a row's a may fall below a_lo, which only
+    lowers their N. The bound is the larger corner's kernel value, within
+    KERNEL_REL of N there (CC's error; d_inf's and gauge's are a few ulp),
+    times 1 + KERNEL_REL: every row of cell k has N <= bound / (1 -
+    KERNEL_REL), and a kernel value at most 1 + KERNEL_REL times that. Built
+    in about 2 ms; a profile whose squares leave the normal floats is refused.
     """
+    r1, r2 = metric._box_radii()
+    top = r2 + abs(shift)
+    squares = (r1 * r1, r2 * r2, top * top)  # layer 1's, then layer 2's least and largest
+    if not all(np.finfo(float).tiny <= x < math.inf for x in squares):  # NaN fails too
+        raise FloatingPointError(f"sphere profile: layer 1 and layer 2 squares {squares}; "
+                                 f"the array norms need normal floats")
+
+    def build():
+        ends = _sphere_theta(np.arange(SPHERE_CELLS + 1) / SPHERE_CELLS)
+        a, t = metric._unit_sphere(ends)
+        t = np.abs(t + shift)
+        a_lo = np.minimum(a[:-1], a[1:]) * (1.0 - BOX_PAD)
+        a_hi = np.maximum(a[:-1], a[1:]) * (1.0 + BOX_PAD)
+        t_hi = np.maximum(t[:-1], t[1:])
+        for peak in (-0.5 * math.pi, 0.5 * math.pi):
+            t_hi[(ends[:-1] - 1e-12 <= peak) & (peak <= ends[1:] + 1e-12)] = top
+        b = (t_hi + BOX_PAD * top) ** 2
+        bound = np.maximum(metric.radial_norm(a_lo, b), metric.radial_norm(a_hi, b))
+        bound *= 1.0 + metrics_mod.KERNEL_REL
+        bound.flags.writeable = False  # the memo shares it
+        return bound
+
+    return _memoized(_tables, SPHERE_TABLES, (_metric_key(metric), shift), build)
+
+
+def _culled(bound, u, best: float):
+    """The draws u that may exceed best, in order: those whose entry is at least best (1 - g).
+
+    A draw's entry is its cell's, floor(u SPHERE_CELLS), and g = CULL_GUARD. A
+    dropped row's kernel value is at most its entry times (1 + KERNEL_REL) /
+    (1 - KERNEL_REL), below best (1 - g) (1 + 3e-14) < best: the max over the
+    rest, joined with best, is the max over all. At best = sqrt(2) (1 - 1e-4)
+    CC keeps 0.1% of the rows, gauge 1.1% and d_inf its bottom face, a
+    quarter, where it attains sqrt(2).
+    """
+    keep = np.take(bound, (u * SPHERE_CELLS).astype(np.intp)) >= best * (1.0 - CULL_GUARD)
+    return u[np.flatnonzero(keep)]
+
+
+def _sphere_blocks(metric, shift: float, rng, count: int):
+    """Yield (a, t) blocks: seed rows, then count points of B([0, shift e1], 1)'s sphere less culls.
+
+    The points are c w, c = [0, shift e1] and w on the unit sphere: the
+    sphere of B(c, 1), where N has its max over the ball, as N(delta_s y) = s
+    N(y). Every norm reads (|layer 1|^2, |layer 2|^2); at fixed |layer 1| N
+    grows with |layer 2|, and |Z + shift e1| is largest for Z on the ray of
+    e1. So the slice Z = t e1 carries the sup, and one t column serves every
+    dim2, as it serves every dim1. A row is one draw u of strata_blocks' one
+    stratum [0, 1], in row order, so no point depends on BLOCK; its (a, t) is
+    metric._unit_sphere's at _sphere_theta(u), t + shift. The seed rows are
+    the first block's that _culled keeps at 0.999 times its largest entry,
+    some forty of 2^14 for CC; then come the blocks, the first included, each
+    less the rows _culled proves are at most the M sent. A kept row has its
+    bits of the full draw; with nothing sent, every row is yielded.
+    """
+    bound = _sphere_row_bounds(metric, shift)
+
+    def rows(u):
+        a, t = metric._unit_sphere(_sphere_theta(u))
+        return a, t + shift
+
+    best, blocks = None, sampling.strata_blocks(rng, [count], [[0.0]], [[1.0]])
+    for i, (pts, _) in enumerate(blocks):
+        u = pts[:, 0]
+        if i == 0:
+            top = np.take(bound, (u * SPHERE_CELLS).astype(np.intp)).max()
+            best = yield rows(_culled(bound, u, 0.999 * top))
+        best = yield rows(u if best is None else _culled(bound, u, best))
+
+
+def sampled_max(metric, shift: float, budget: int, seed: int) -> float:
+    """Exact max of metric's norm over budget points of the sphere of B([0, shift e1], 1).
+
+    The ball's max lies on that sphere (_sphere_blocks). Each chunk keeps a
+    maximum M, seeded by settling its seed rows, and sends it into the draw
+    before every later block, which leaves out the rows _culled proves are at
+    most M. The rest, (a, t^2), are held until the kernel settles them, once a
+    chunk or as soon as SETTLE_ROWS are held, and their max joins M. So no
+    output depends on BLOCK or the thread count.
+    """
+    _sphere_row_bounds(metric, shift)  # a profile beyond the float range fails before any draw
+
     def settle(best, held):
-        if not held:
-            return best
-        a, l2, b = _stacked(held)
-        if within is not None:
-            a, b = _rows(within.membership(a, l2), a, b)
+        a, b = _stacked(held)
         return max(best, float(np.max(metric.radial_norm(a, b), initial=0.0)))
 
     def chunk(rng, count):
-        best, held, rows, blocks = None, [], 0, draws(rng, count)
+        best, held, rows, blocks = None, [], 0, _sphere_blocks(metric, shift, rng, count)
         while (block := _send(blocks, best)) is not None:
-            a, l2 = block
-            b = metrics_mod._sum_squares(l2)
-            if best is None:
-                step = max(1, len(a) // 512)
-                best = settle(0.0, [(a[::step], l2[::step], b[::step])])
-            i = np.flatnonzero(~metric._radial_bounds(a, b, best)[0])
-            if within is not None:
-                i = i[np.logical_or(*within.decide(a[i], l2[i]))]
-            if len(i):
-                held.append((a[i], l2[i], b[i]))
-                rows += len(i)
-                if rows >= SETTLE_ROWS:
-                    best, held, rows = settle(best, held), [], 0
-        return settle(best, held)
+            a, t = block
+            held.append((a, t * t))
+            rows += len(a)
+            if best is None or rows >= SETTLE_ROWS:
+                best, held, rows = settle(best or 0.0, held), [], 0
+        return settle(best, held) if held else best
 
     return max(sampling.map_chunks(seed, budget, chunk))
 

@@ -8,10 +8,11 @@ array kernel is radial_norm(a, b), and its _radial_bounds(a, b, r) decides
 most points of radial_norm(a, b) <= r without it; the Monte Carlo of
 measures runs the kernel on the rest. Each CC profile has one
 kernel: mu and mu' in _mu_pair, the unit sphere's radius sin phi / phi and
-half height T in _sphere_profile, for the sphere map, the cut-ball sampler,
-the half-height table and the CC volume. Each metric class states its name,
-box radii and unit-ball volume rule once (:func:`unit_ball_volume`): closed
-forms for d_inf and gauge, and for CC a fixed Gauss-Legendre rule. Its two
+half height T in _sphere_profile, for the sphere map and profile, the
+half-height table and the CC volume. Each metric class states its name, box
+radii, unit sphere's profile and unit-ball volume rule once
+(:func:`unit_ball_volume`): closed forms for d_inf and gauge, and for CC a
+fixed Gauss-Legendre rule. Its two
 annulus rules bound the unit ball's layer 2 over R_in <= |layer 1| <= R_out
 from the bounds' own thresholds: below _slab_height(R_in, R_out) every point
 is surely inside, beyond _reach_height(R_in, R_out) surely outside.
@@ -370,22 +371,24 @@ def _dilate(p: GroupPoint, e: int):
 class _HomogeneousMetric:
     """Shared plumbing: the radial contract, and distances from the norm of inv(p) . q.
 
-    A metric defines radial_norm(a, b), its elementwise array kernel on
-    (a, b) = layer_squares(l1, l2), and _radial_bounds(a, b, r): two bool
-    arrays (inside, unsure) shaped like a, with radial_norm(a, b) <= r
-    exactly where inside holds and unsure does not, every point unsure at a
-    radius whose thresholds are unsafe; its name, _box_radii()
-    (unit_ball_bbox), its annulus rules (CC's own, the others' from
-    _guarded_height) and _volume(), by volume_method. The annulus rules take
-    arrays R_in <= R_out and speak of every float a within a relative
-    ANNULUS_SLACK of [R_in^2, R_out^2]: the triage at r = 1 holds every such
-    a with b <= fl(h^2), h = _slab_height(R_in, R_out), surely inside (h = 0:
-    no slab), and decides every such a with |t| > H = _reach_height(R_in,
-    R_out) surely outside (H = inf: no reach), with margin enough that the
-    points beyond r^2 H over the annulus r [R_in, R_out] are outside the ball
-    of radius r, by the kernel, at any r. The scalar
-    interface dilates its points to O(1) by a power of two, which is exact,
-    so that N(delta_s p) = s N(p) holds for tiny and huge coordinates.
+    A metric defines radial_norm(a, b), its elementwise array kernel on (a,
+    b) = layer_squares(l1, l2), and _radial_bounds(a, b, r): two bool arrays
+    (inside, unsure) shaped like a, with radial_norm(a, b) <= r exactly
+    where inside holds and unsure does not, every point unsure at a radius
+    whose thresholds are unsafe; its name, _box_radii() (unit_ball_bbox),
+    _unit_sphere(theta), the unit sphere's (a, t) for theta in [-pi, pi],
+    each monotone between multiples of pi/4, its annulus rules (CC's own,
+    the others' from _guarded_height) and _volume(), by volume_method. The
+    annulus rules take arrays R_in <= R_out and speak of every float a
+    within a relative ANNULUS_SLACK of [R_in^2, R_out^2]: the triage at r =
+    1 holds every such a with b <= fl(h^2), h = _slab_height(R_in, R_out),
+    surely inside (h = 0: no slab), and decides every such a with |t| > H =
+    _reach_height(R_in, R_out) surely outside (H = inf: no reach), with
+    margin enough that the points beyond r^2 H over the annulus r [R_in,
+    R_out] are outside the ball of radius r, by the kernel, at any r. The
+    scalar interface dilates its points to O(1) by a power of two, which is
+    exact, so that N(delta_s p) = s N(p) holds for tiny and huge
+    coordinates.
     """
 
     spec: GroupSpec
@@ -497,6 +500,12 @@ class DinfMetric(_HomogeneousMetric):
     def _box_radii(self):
         return 1.0 / self.c1, (1.0 / self.c2) ** 2  # OverflowError, not 1/0, for a tiny c2
 
+    def _unit_sphere(self, theta):
+        """The box |z| <= r1, |t| <= r2's boundary: (r1^2 x^2, r2 y), (x, y) = _square(theta)."""
+        r1, r2 = self._box_radii()
+        x, y = _square(theta)
+        return r1 * r1 * (x * x), r2 * y
+
     def _guarded_height(self, R, sign):
         """r2 (1 + sign g), g = WITHIN_GUARD, at any R: the slab's (sign -1) or reach's (+1) height.
 
@@ -562,6 +571,13 @@ class GaugeMetric(_HomogeneousMetric):
     def _box_radii(self):
         return 1.0, 1.0 / self.layer2_scale  # |Z| <= 1/scale on the unit ball
 
+    def _unit_sphere(self, theta):
+        """(r1^2 |x|, r2 y) / |(x, y)| of _square(theta): a^2 + s^2 t^2 = 1, as s r2 = r1 = 1."""
+        r1, r2 = self._box_radii()
+        x, y = _square(theta)
+        h = np.sqrt(x * x + y * y)
+        return r1 * r1 * (np.abs(x) / h), r2 * (y / h)
+
     def _guarded_height(self, R, sign):
         """r2 (1 + 2 sign g - (R / r1)^4)^(1/2), g = WITHIN_GUARD, 0 past the rim: the slab's
         height (sign -1) and the reach's (+1).
@@ -589,6 +605,14 @@ class GaugeMetric(_HomogeneousMetric):
         # and alpha_k (k/2) Gamma(k/2) = pi^(k/2) leaves one Gamma ratio
         return (alpha(m) * math.pi ** (k / 2.0) * math.gamma(m / 4.0 + 1.0)
                 / (self.layer2_scale ** k * math.gamma(k / 2.0 + m / 4.0 + 1.0))), 0.0
+
+
+def _square(theta):
+    """The unit square's boundary: p = 4 |theta| / pi runs up the side x = 1 (p in [0, 1]), across
+    the top y = 1 and back ([1, 3]) and down ([3, 4]); y < 0 for theta < 0. No sine or cosine,
+    whose bits follow numpy's SIMD dispatch level."""
+    p = np.abs(theta) * (4.0 / math.pi)
+    return np.clip(2.0 - p, -1.0, 1.0), np.copysign(np.minimum(1.0, 2.0 - np.abs(p - 2.0)), theta)
 
 
 def _heisenberg_model(spec: GroupSpec) -> bool:
@@ -695,6 +719,11 @@ class CCMetric(_HomogeneousMetric):
         # |z| <= 1 (phi -> 0); the half height T peaks at phi = pi/2 with value
         # 2/pi, so |t| <= 2/pi (the center point of the ball only reaches 1/pi)
         return 1.0, 2.0 / np.pi
+
+    def _unit_sphere(self, theta):
+        """(sinc^2, T) of _sphere_profile: the unit sphere's |z|^2 and height at turning theta."""
+        sinc, height = _sphere_profile(theta)
+        return sinc * sinc, height
 
     def _slab_height(self, R_in, R_out):
         """The least low[k] of _profile_bounds over the annulus's cells; 0 if one is unsure.

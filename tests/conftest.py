@@ -1,12 +1,13 @@
 """Shared test helpers."""
 
 import functools
+import math
 
 import mpmath as mp
 import numpy as np
 
 import carnotiso as ci
-from carnotiso import geodesics, sampling
+from carnotiso import measures, sampling
 
 
 def quaternionic():
@@ -29,18 +30,23 @@ def fresh_cc_volume_cache(monkeypatch):
     monkeypatch.setattr(ci.metrics, "_cc_volume", volume)
 
 
-def cut_ball_points(rng, count):
-    """(a, t) of geodesics._cut_ball_blocks' count points drawn as one block: the one-shot draw.
+def sphere_points(metric, shift, rng, count):
+    """(a, t) of measures._sphere_blocks' count points drawn as one block: the one-shot draw.
 
     The draw yields its seed rows first, then that one block.
     """
     block = sampling.BLOCK
     sampling.BLOCK = count
     try:
-        _, (a, t) = geodesics._cut_ball_blocks(rng, count)
+        _, (a, t) = measures._sphere_blocks(metric, shift, rng, count)
     finally:
         sampling.BLOCK = block
     return a, t
+
+
+def cut_ball_points(rng, count):
+    """sphere_points of the CC cut ball B([0, 1/pi], 1), the same on every H^n."""
+    return sphere_points(ci.CCMetric(ci.heisenberg(1)), 1.0 / math.pi, rng, count)
 
 
 def region_cube(box):

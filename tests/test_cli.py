@@ -456,12 +456,12 @@ class TestChunkLimit:
     """One chunk's draw is refused above sampling.MAX_CHUNK_FLOATS, before it is made.
 
     The width is the floats drawn a point, not the group's: 1 + k = 2 for a
-    radial set on H^2, 1 for the CC cut ball's sphere. A group one of whose
+    radial set on H^2, 1 for verify's sphere draw. A group one of whose
     points alone exceeds the limit is refused where --group is read.
     """
 
     # (argv, floats drawn a point on H^2)
-    DRAWS = [(["verify", "dinf"], 2), (["verify", "gauge"], 2), (["verify", "cc"], 1),
+    DRAWS = [(["verify", "dinf"], 1), (["verify", "gauge"], 1), (["verify", "cc"], 1),
              (["bump-search"], 2), (["bump-search", "--metric", "gauge"], 2),
              (["bump-search", "--metric", "cc"], 2), (["sigma"], 2)]
     IDS = ["verify-dinf", "verify-gauge", "verify-cc", "bump-dinf", "bump-gauge", "bump-cc",

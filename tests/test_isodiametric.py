@@ -128,21 +128,29 @@ class TestApexReach:
 
     @pytest.mark.parametrize("metric", [DINF, ci.GaugeMetric(H1)], ids=["dinf", "gauge"])
     def test_one_layer_one_square_a_block(self, metric, monkeypatch):
-        # SampledSet.draws draws a = |layer 1|^2 itself: no layer-1 block is
-        # squared, for the membership or for sampled_max; sampled_max squares
-        # layer 2 once a block, and the membership only on the rows the M test
-        # leaves, copied out of the block
-        calls = []
-        sum_squares = metrics._sum_squares
+        # the reach draw is one double a point, u, and its row the profile's (a, t):
+        # no layer-1 or layer-2 block is drawn or summed (_sum_squares is not called),
+        # and the profile and t's square run once a block, on the rows the cull keeps
+        # (d_inf's bottom face, a quarter of them)
+        calls, widths, sizes = [], [], []
+        sum_squares, blocks, profile = (metrics._sum_squares, ci.sampling.strata_blocks,
+                                        type(metric)._unit_sphere)
 
-        def spy(x):
-            calls.append(x.shape)
-            return sum_squares(x)
+        def spy_blocks(rng, counts, lo, hi):
+            widths.append(len(lo[0]))
+            return blocks(rng, counts, lo, hi)
 
-        monkeypatch.setattr(metrics, "_sum_squares", spy)
+        def spy_profile(self, theta):
+            sizes.append(len(theta))
+            return profile(self, theta)
+
+        ci.apex_reach(metric, budget=1, seed=0)  # the cull's table, kept by value
+        monkeypatch.setattr(metrics, "_sum_squares", lambda x: calls.append(x) or sum_squares(x))
+        monkeypatch.setattr(ci.sampling, "strata_blocks", spy_blocks)
+        monkeypatch.setattr(type(metric), "_unit_sphere", spy_profile)
         ci.apex_reach(metric, budget=4 * ci.sampling.BLOCK, seed=0)
-        assert calls.count((ci.sampling.BLOCK, metric.spec.dim1)) == 0
-        assert calls.count((ci.sampling.BLOCK, metric.spec.dim2)) == 4
+        assert calls == [] and widths == [1]
+        assert len(sizes) == 1 + 4 and all(n < 0.3 * ci.sampling.BLOCK for n in sizes)
 
     def test_report_dict(self):
         rep = ci.apex_reach(DINF, budget=10000, seed=1)

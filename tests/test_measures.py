@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import zlib
 
@@ -9,8 +10,10 @@ import carnotiso as ci
 from carnotiso import metrics, sampling
 from carnotiso.groups import standard_symplectic
 from carnotiso.measures import BoundingBox
-from carnotiso.metrics import PROFILE_CELLS, _all_unsure, _sum_squares, cc_ball_integrand
-from conftest import cut_ball_points, fresh_cc_volume_cache, quaternionic, region_cube
+from carnotiso.cli import main
+from carnotiso.metrics import PROFILE_CELLS, _sum_squares, cc_ball_integrand
+from conftest import (cut_ball_points, fresh_cc_volume_cache, quaternionic, region_cube,
+                      sphere_points)
 
 H1 = ci.heisenberg(1)
 H2 = ci.heisenberg(2)
@@ -383,17 +386,6 @@ def _redrawn_blocks(rng, count, lo, hi):
 # The chunk functions of the one-shot draw: each chunk's points in one array.
 # The blocked ones must give the same bits.
 
-def _one_shot_radial(box, rng, count):
-    """(a, l2) of count uniform points of box's region, drawn as one array.
-
-    U and layer 2 uniform in [0, 1] x [lo2, hi2], and a = |x|^2 = r1^2 U^(2/dim1) for x
-    uniform in the layer-1 ball of radius r1.
-    """
-    lo, hi = np.concatenate([[0.0], box.lo2[0]]), np.concatenate([[1.0], box.hi2[0]])
-    pts = sampling.uniform_box(rng, count, lo, hi)
-    return box.r1 * box.r1 * np.power(pts[:, 0], 2.0 / box.dim1), pts[:, 1:]
-
-
 def _one_shot_region(strata, rng, count):
     """(a, l2, stratum) of count draws of a chunk of strata, drawn as one array.
 
@@ -438,25 +430,22 @@ def _one_shot_hits(sampled, budget, seed):
 
 
 def _one_shot_ball_sup(metric, budget, seed):
+    """The full kernel's max over the reach draw's points of B(apex^-1, 1)'s sphere, one-shot."""
     apex, _ = ci.isodiametric._apex_and_bound(metric)
-    ball = ci.ball_set(metric, center=ci.groups.inv(metric.spec, apex))
 
     def chunk(rng, count):
-        a, l2 = _one_shot_radial(ball.bounding_box, rng, count)
-        inside = ball.membership(a, l2)
-        return float(np.max(metric.radial_norm(a, _sum_squares(l2)), where=inside, initial=0.0))
+        a, t = sphere_points(metric, -float(apex.layer2[0]), rng, count)
+        return float(metric.radial_norm(a, t * t).max())
 
     return max(sampling.map_chunks(seed, budget, chunk))
 
 
-def _one_shot_cut_ball_sup(spec, budget, seed):
-    metric = ci.CCMetric(spec)
-
-    def chunk(rng, count):
-        a, t = cut_ball_points(rng, count)
-        return float(metric.radial_norm(a, _sum_squares(t)).max())
-
-    return max(sampling.map_chunks(seed, budget, chunk))
+def _region_draws(box, rng, count):
+    """(a, l2) blocks of count draws of a sampled region, as mc_measure draws them."""
+    strata = ci.measures._strata(box, count)
+    counts = ci.measures._allocation(count, strata.volumes)
+    for a, l2, _ in ci.measures._stratified_draws(strata, counts, rng):
+        yield a, l2
 
 
 class TestBoxBlocks:
@@ -476,7 +465,7 @@ class TestBoxBlocks:
     def test_cut_ball_blocks_are_one_draw_bit_for_bit(self, count):
         x = ci.geodesics.cut_point(H1, 1.0)
         ours, ref = sampling.substream(5, 0), sampling.substream(5, 0)
-        (seed_a, seed_t), *got = ci.geodesics._cut_ball_blocks(ours, count)
+        (seed_a, seed_t), *got = ci.measures._sphere_blocks(CC, x.t, ours, count)
         a, t = cut_ball_points(ref, count)
         # the seed block is rows of the first block, in their order and with their bits
         first = np.isin(got[0][0], seed_a)
@@ -485,11 +474,11 @@ class TestBoxBlocks:
         assert got[0][1][first].tobytes() == seed_t.tobytes()
         assert all(len(b) == sampling.BLOCK for b, _ in got[:-1])
         assert np.array_equal(np.concatenate([b for b, _ in got]), a)
-        assert np.array_equal(np.vstack([b for _, b in got]), t)
+        assert np.array_equal(np.concatenate([b for _, b in got]), t)
         assert all(len(b) == len(y) for b, y in got)
         assert np.array_equal(ours.random(4), ref.random(4))
         # every point on the sphere of B(x, 1)
-        norms = CC.radial_norm(a, _sum_squares(t - x.layer2))
+        norms = CC.radial_norm(a, (t - x.t) ** 2)
         assert np.all(np.abs(norms - 1.0) <= 1e-14)
 
     def test_reordered_or_redrawn_blocks_differ(self):
@@ -533,13 +522,15 @@ class TestBoxBlocks:
             got = ci.apex_reach(metric, budget, seed=4).sampled_sup
             assert got == _one_shot_ball_sup(metric, budget, 4)
         got = ci.verify_assumption_C(H1, budget, seed=6).sampled_max_roundtrip
-        assert got == _one_shot_cut_ball_sup(H1, budget, 6)
+        assert got == _one_shot_ball_sup(CC, budget, 6)
 
-    def test_no_point_in_the_ball_gives_zero(self):
-        # a d_inf ball is its region, but seed 2's one draw misses the gauge ball:
-        # the max over no point is 0.0, not an error
-        assert _one_shot_ball_sup(GAUGE, 1, 2) == 0.0
-        assert ci.apex_reach(GAUGE, budget=1, seed=2).sampled_sup == 0.0
+    def test_one_draw_is_a_point_of_the_ball(self, capsys):
+        # every row lies on the ball's sphere: seed 2's one draw, which missed the gauge
+        # ball when the whole box was drawn and read 0.0, is a point of it
+        assert 0.0 < ci.apex_reach(GAUGE, budget=1, seed=2).sampled_sup <= math.sqrt(2) + 1e-12
+        assert main(["verify", "gauge", "--budget", "1", "--seed", "2"]) == 0
+        sup = json.loads(capsys.readouterr().out)["report"]["sampled_sup"]
+        assert 0.0 < sup <= math.sqrt(2) + 1e-12
 
 
 class TestRadialDraw:
@@ -551,10 +542,9 @@ class TestRadialDraw:
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_share_within_s_r1_is_s_to_the_m(self, m):
         box = BoundingBox(m, 1.7, [-1.0], [1.0])
-        region = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box)
         s = np.array([0.3, 0.6, 0.9])
         count, below, top = 1 << 18, np.zeros(3), 0.0
-        for a, _ in region.draws(sampling.substream(9, 0), count):
+        for a, _, _ in ci.measures._stratified_draws(box, [count], sampling.substream(9, 0)):
             below += np.count_nonzero(a[:, None] <= (box.r1 * s) ** 2, axis=0)
             top = max(top, a.max())
         p = s ** m
@@ -564,11 +554,12 @@ class TestRadialDraw:
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_blocks_are_the_one_shot_power_bit_for_bit(self, m):
         # a is r1^2 U^(2/m) of the one-shot draw, bit for bit, at m = 2 too, where
-        # draws takes no power: U^1 is U
+        # _stratified_draws takes no power: U^1 is U
         box = BoundingBox(m, 1.7, [-1.0], [1.0])
-        region = ci.SampledSet(lambda a, l2: np.ones(len(a), bool), box)
         count = 2 * sampling.BLOCK + 7
-        got = np.concatenate([a.copy() for a, _ in region.draws(sampling.substream(9, 0), count)])
+        got = np.concatenate([a.copy() for a, _, _
+                              in ci.measures._stratified_draws(box, [count],
+                                                               sampling.substream(9, 0))])
         u = sampling.substream(9, 0).random((count, 2))[:, 0]
         assert got.tobytes() == (np.power(u, 2.0 / m) * (box.r1 * box.r1)).tobytes()
 
@@ -702,7 +693,8 @@ def _cc_bump(spec, budget, seed):
 
 
 class TestSettleOnceAChunk:
-    """mc_measure and sampled_max decide a block by bounds alone and settle the rest once a chunk."""
+    """mc_measure decides a block by bounds alone, sampled_max by the sphere table, and each
+    settles the rest once a chunk."""
 
     def test_difference_triage(self):
         # the nine (kept, removed) states, each sure in, sure out or unsure; the
@@ -760,9 +752,9 @@ class TestSettleOnceAChunk:
         hits, unsure_rows = [], 0
         # the bump's whole box, then the difference's own strata, where the draws crowd
         # next to both spheres
-        for draws in (bump.draws, extra.draws):
+        for box in (bump.bounding_box, extra.bounding_box):
             hits.append(0)
-            for a, l2 in draws(sampling.substream(5, 0), 1 << 16):
+            for a, l2 in _region_draws(box, sampling.substream(5, 0), 1 << 16):
                 inside, unsure = extra.decide(a, l2)
                 exact = extra.membership(a, l2)
                 assert inside.dtype == unsure.dtype == bool
@@ -778,53 +770,35 @@ class TestSettleOnceAChunk:
             assert unsure_rows > 0
 
     @staticmethod
-    def _cut_ball_max(budget, seed):
-        """(B(cut point, 1), the full kernel's max norm in it, the rows its triage left unsure)."""
-        c = ci.cut_point(H1, 1.0)
-        ball, unsure_rows = ci.ball_set(CC, center=c), 0
+    def _ball_max(metric, budget, seed):
+        """The full kernel's max norm over the region draw of B(apex^-1, 1), the whole ball."""
+        apex, _ = ci.isodiametric._apex_and_bound(metric)
+        c = ci.groups.inv(metric.spec, apex)
+        ball = ci.ball_set(metric, center=c)
 
         def chunk(rng, count):
-            nonlocal unsure_rows
             best = 0.0
-            for a, l2 in ball.draws(rng, count):
-                unsure_rows += int(np.count_nonzero(ball.decide(a, l2)[1]))
-                picked = CC.radial_norm(a, _sum_squares(l2 - c.layer2)) <= 1.0
-                norms = CC.radial_norm(a[picked], _sum_squares(l2[picked]))
+            for a, l2 in _region_draws(ball.bounding_box, rng, count):
+                picked = metric.radial_norm(a, _sum_squares(l2 - c.layer2)) <= 1.0
+                norms = metric.radial_norm(a[picked], _sum_squares(l2[picked]))
                 best = max(best, float(np.max(norms, initial=0.0)))
             return best
 
-        return ball, max(sampling.map_chunks(seed, budget, chunk)), unsure_rows
+        return max(sampling.map_chunks(seed, budget, chunk))
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 8])
-    @pytest.mark.parametrize("budget", [1 << 16, 1 << 20], ids=["2^16", "2^20"])
-    def test_cut_ball_interior_never_beats_its_sphere(self, budget, seed):
-        # verify cc samples only the sphere of B(x, 1), where d(0, .) has its max over
-        # the ball, as d(0, delta_s y) = s d(0, y): the whole ball, drawn as a region
-        # with the full kernel on every member, stays at or below the sphere's max
-        _, ball_max, _ = self._cut_ball_max(budget, seed)
-        assert ball_max <= ci.verify_assumption_C(H1, budget, seed).sampled_max_roundtrip
-
-    def test_sampled_max_within_a_cc_ball(self):
-        # within's triage picks the candidates, some of which it leaves unsure, and its
-        # exact membership settles them; the maximum is the full kernel's over the ball
-        ball, want, unsure_rows = self._cut_ball_max(1 << 16, 8)
-        assert unsure_rows > 0 and want > 1.0
-        assert ci.measures.sampled_max(CC, ball.draws, 1 << 16, 8, within=ball) == want
-
-    def test_sampled_max_keeps_unsure_points(self):
-        # a within whose triage leaves every point unsure: only its exact membership
-        # picks the points, so a sampled_max that kept only inside would miss the maximum
-        ball, want, _ = self._cut_ball_max(1 << 16, 8)
-        unsure_only = ci.SampledSet(ball.membership, ball.bounding_box,
-                                    lambda a, l2: _all_unsure(a))
-        assert ci.measures.sampled_max(CC, ball.draws, 1 << 16, 8, within=unsure_only) == want
-
-    def test_sampled_max_within_a_cc_ball_kernel_passes(self, monkeypatch):
-        # the seed's membership and max, then one settle's membership and max
-        ball = ci.ball_set(CC, center=ci.cut_point(H1, 1.0))
-        sizes = _cc_kernel_spy(monkeypatch)
-        ci.measures.sampled_max(CC, ball.draws, 1 << 16, 8, within=ball)
-        assert len(sizes) <= 4
+    @pytest.mark.parametrize("name,budget,seed", [
+        pytest.param(name, budget, seed, id=f"{name}{b_id}-{seed}")
+        for name in ("", "dinf-", "gauge-")
+        for budget, b_id in ((1 << 16, "2^16"), (1 << 20, "2^20"))
+        for seed in (1, 2, 3, 8)])
+    def test_cut_ball_interior_never_beats_its_sphere(self, name, budget, seed):
+        # verify and apex_reach sample only the sphere of B(apex^-1, 1), where N has
+        # its max over the ball, as N(delta_s y) = s N(y): the whole ball, drawn as a
+        # region with the full kernel on every member, stays at or below the sphere's
+        # max. CC's ball is the cut ball, whose ids carry no metric
+        metric = {"": CC, "dinf-": DINF, "gauge-": GAUGE}[name]
+        assert 1.0 < self._ball_max(metric, budget, seed) <= ci.apex_reach(
+            metric, budget, seed).sampled_sup
 
     def test_cc_bump_one_kernel_pass_a_chunk(self, monkeypatch):
         # 2^17 points are one chunk of 8 blocks; the bump and the base ball each
@@ -835,8 +809,8 @@ class TestSettleOnceAChunk:
 
     def test_verify_cc_kernel_passes(self, monkeypatch):
         # the seed rows, one settle, the continuation distance; the
-        # sphere rows' bound table is built first, with its own kernel calls, once a process
-        ci.geodesics._sphere_row_bounds()
+        # sphere rows' bound table is built first, with its own kernel calls, kept by value
+        ci.measures._sphere_row_bounds(CC, 1.0 / math.pi)
         sizes = _cc_kernel_spy(monkeypatch)
         ci.verify_assumption_C(H1, 1 << 16, seed=1)
         assert len(sizes) <= 3

@@ -173,8 +173,8 @@ class TestAgreement:
 
         def chunk(rng, count):
             blocks = []
-            for a, y2 in geodesics._cut_ball_blocks(rng, count):
-                b = metrics._sum_squares(y2)
+            for a, t in measures._sphere_blocks(metric, 1.0 / math.pi, rng, count):
+                b = t * t
                 blocks.append((a, b, metric.radial_norm(a, b)))
             best = max(norms.max() for _, _, norms in blocks)
             for a, b, norms in blocks:
