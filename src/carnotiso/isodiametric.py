@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import measures
 from .groups import GroupPoint
 from .measures import EstimateWithError, SampledSet
-from .metrics import CCMetric, alpha, layer2_ball, unit_ball_volume
+from .metrics import CCMetric, DinfMetric, alpha, gauss_legendre, layer2_ball, unit_ball_volume
 
 APEX_REACH = math.sqrt(2.0)  # sup of d(apex, .) over the unit ball; see _apex_and_bound
 
@@ -28,11 +29,19 @@ class RatioResult:
     ratio: EstimateWithError
     diameter_used: float  # exact
     set_descriptor: dict
+    excess: Optional[EstimateWithError] = None       # the ratio less 1, where known apart
+    cross_check: Optional[EstimateWithError] = None  # a Monte Carlo ratio beside a quadrature's
+    pull: Optional[float] = None                     # (cross_check - ratio) / its error
 
     def to_dict(self):
-        return {"ratio": self.ratio.to_dict(),
-                "diameter": {"value": self.diameter_used, "kind": "exact"},
-                "set": self.set_descriptor}
+        doc = {"ratio": self.ratio.to_dict(),
+               "diameter": {"value": self.diameter_used, "kind": "exact"},
+               "set": self.set_descriptor}
+        if self.excess is not None:
+            doc["excess"] = self.excess.to_dict()
+        if self.cross_check is not None:
+            doc["cross_check"] = {**self.cross_check.to_dict(), "pull": self.pull}
+        return doc
 
 
 @dataclass
@@ -155,14 +164,131 @@ def max_certified_rho(metric, reach: float) -> float:
     return 2.0 - reach
 
 
-# the regions of the last few bumps measured, least recently used first
+# the grid of [0, R] on which _kinks finds its first brackets, the points a narrowing
+# step puts in each, and the width, relative to R, at which it stops: 4 steps of 64.
+# A kink's error term grows as its width squared, 1e-18 here
+KINK_CELLS = KINK_SECTIONS = 64
+KINK_WIDTH = 2.0 ** -30
+
+
+def _kinks(gaps, R: float):
+    """Brackets [lo, hi] of the sign changes of each row of gaps(r) on [0, R].
+
+    gaps(r) returns one row a function for an array r. KINK_CELLS equal cells
+    of [0, R] give the first brackets, cells whose ends lie on the two sides
+    of 0 (gap > 0 at one, <= 0 at the other). Each step splits every bracket
+    into KINK_SECTIONS equal parts at once and keeps the first part whose ends
+    differ in sign, so the ends keep opposite signs: a bisection with no
+    stall. The steps stop once every bracket is at most KINK_WIDTH R wide, or
+    none narrows. A pair of roots within one cell is not seen. Returns (row,
+    lo, hi) arrays, each bracket's row of gaps and ends, in no order.
+    """
+    x = R * np.arange(KINK_CELLS + 1) / KINK_CELLS
+    pos = gaps(x) > 0.0
+    row, i = np.nonzero(pos[:, 1:] != pos[:, :-1])
+    lo, hi, up = x[i], x[i + 1], pos[row, i]  # up: the sign at lo
+    steps, at = np.arange(1, KINK_SECTIONS) / KINK_SECTIONS, np.arange(len(lo))
+    while len(lo) and np.max(hi - lo) > KINK_WIDTH * R:
+        cuts = lo[:, None] + (hi - lo)[:, None] * steps
+        signs = gaps(cuts.ravel()).reshape(len(pos), len(lo), -1)[row, at] > 0.0
+        ends = np.column_stack([lo, cuts, hi])
+        # the first end whose sign differs from lo's; hi's always does
+        k = np.argmax(np.column_stack([signs, ~up]) != up[:, None], axis=1) + 1
+        if np.array_equal(ends[at, k - 1], lo) and np.array_equal(ends[at, k], hi):
+            break
+        lo, hi = ends[at, k - 1], ends[at, k]
+    return row, lo, hi
+
+
+def _slice_measure(metric, shift: float, rho: float) -> EstimateWithError:
+    """Haar(bump \\ B) for k = 1 by Gauss-Legendre over the layer-1 radius r.
+
+    B's slice at |layer 1| = r is |t| <= h(r), h = metric.half_height, and
+    the bump B(apex, rho) = apex delta_rho(B) has the slice |t - s| <= h_b(r)
+    = rho^2 h(r / rho) for r <= R = rho r1, s = |shift| the apex's layer 2
+    (both sets are symmetric under t -> -t). For rho <= 2 - sqrt 2 the bump's
+    lower end s - h_b stays above 0 >= -h, as s >= rho^2 max h (d_inf and
+    gauge s = r2 = max h; CC s = 1/pi >= 0.35 (2/pi)), so only its upper end
+    leaves B, and bump \\ B's slice has length L(r) = clip(min(2 h_b, s + h_b -
+    h), 0). So Haar(bump \\ B) = int_0^R L(r) m alpha_m r^(m-1) dr.
+
+    L is smooth between its kinks, the roots of s + h_b - h and of h + h_b -
+    s (_kinks), so the pieces between them are integrated each by G64 and
+    G128 (metrics.gauss_legendre), whose nodes never reach a piece's ends.
+    The last piece, where h_b ends in a square root at R, is taken in r = R
+    (1 - u^2): h(r1 (1 - u^2)) is smooth in u for gauge, (1 - (1 - u^2)^4)^(1/2)
+    = u (4 - 6 u^2 + 4 u^4 - u^6)^(1/2), and for CC, whose T is odd and
+    analytic in u = (1 - |z|)^(1/2). The error is max(|G128 - G64|, 50 eps
+    int |f|) a piece, as for the CC volume, with |f| taken over the parts
+    whose difference L is, (s + h + h_b) m alpha_m r^(m-1) where L > 0: each
+    part is within a few ulp (CC's T within 1e-15), and their sum is L's
+    scale of rounding. To that each kink adds what a split anywhere in its
+    bracket can move: the bracket's width times m alpha_m hi^(m-1) times
+    twice its own gap's larger |value| at the two ends, the most by which the
+    branches on its two sides differ there.
+    """
+    m, (r1, _) = metric.spec.dim1, metric._box_radii()
+    R, s, area = rho * r1, abs(shift), m * alpha(m)
+
+    def gaps(r):
+        # h and h_b in one half_height call: its cost is mostly fixed a call
+        both = metric.half_height(np.concatenate([r, np.minimum(r / rho, r1)]))
+        h, hb = both[:len(r)], rho * rho * both[len(r):]
+        return np.stack([s + hb - h, h + hb - s])
+
+    row, lo, hi = _kinks(gaps, R)
+    cuts = np.concatenate([[0.0], np.sort(0.5 * (lo + hi)), [R]])
+    a, b = cuts[:-1, None], cuts[1:, None]
+    rim = np.arange(len(a))[:, None] == len(a) - 1
+    width = np.where(rim, np.sqrt(1.0 - a / R), b - a)  # in u on the rim piece, else in r
+    # G64's nodes, then G128's, on every piece at once
+    nodes, weights = (np.concatenate(x) / math.pi for x in zip(*map(gauss_legendre, (64, 128))))
+    y = width * nodes
+    r = np.where(rim, R * (1.0 - y * y), a + y)
+    # the nodes and the brackets' ends in one call; L = max(g1 + min(g2, 0), 0), 2 h_b = g1 + g2
+    g = gaps(np.concatenate([r.ravel(), lo, hi]))
+    g1, g2 = g[:, :r.size].reshape(2, *r.shape)
+    L = np.maximum(g1 + np.minimum(g2, 0.0), 0.0)
+    w = (area * r ** (m - 1)) * width * weights * np.where(rim, 2.0 * R * y, 1.0)
+    f = L * w
+    coarse, fine = f[:, :64].sum(axis=1), f[:, 64:].sum(axis=1)
+    # the floor's |f| is that of the parts L is a difference of: s + h + h_b = 2 s + g2
+    parts = (np.where(L > 0.0, 2.0 * s + g2, 0.0) * w)[:, 64:]
+    floor = 50.0 * np.finfo(float).eps * parts.sum(axis=1)
+    terms = np.maximum(np.abs(fine - coarse), floor).tolist()
+    # each kink's own gap at its bracket's ends: the branches beside it differ by it
+    tail, at = np.abs(g[:, r.size:]), np.arange(len(lo))
+    ends = np.maximum(tail[row, at], tail[row, len(lo) + at])
+    terms += ((hi - lo) * area * hi ** (m - 1) * 2.0 * ends).tolist()
+    return EstimateWithError(math.fsum(fine.tolist()), math.fsum(terms), "quadrature")
+
+
+def _excess(metric, apex: GroupPoint, rho: float, volume) -> Optional[EstimateWithError]:
+    """Haar(bump \\ B) / Haar(B) for k = 1, None for k > 1.
+
+    d_inf: B is |z| <= r1, |t| <= r2 and the bump's part above it |z| <= rho r1,
+    r2 < t <= r2 (1 + rho^2), so the excess is alpha_m (rho r1)^m rho^2 r2 /
+    (alpha_m r1^m 2 r2) = rho^Q / 2, its error the few ulp of the power. The
+    others: _slice_measure over Haar(B), measures.per_unit_ball.
+    """
+    spec = metric.spec
+    if spec.dim2 != 1:
+        return None
+    if isinstance(metric, DinfMetric):
+        value = rho ** spec.Q / 2.0
+        return EstimateWithError(value, 4.0 * math.ulp(value), "closed_form")
+    return measures.per_unit_ball(_slice_measure(metric, float(apex.layer2[0]), rho), *volume)
+
+
+# the regions and excesses of the last few bumps measured, least recently used first
 REGIONS = 4
 _regions: OrderedDict = OrderedDict()
 
 
-def _bump_region(metric, bump: SampledSet, ball: SampledSet, params: BumpParams):
-    """measures._region of bump \\ ball, read-only, kept for the last REGIONS bumps by every
-    value it reads: measures._metric_key's, the apex and rho."""
+def _bump_region(metric, bump: SampledSet, ball: SampledSet, params: BumpParams, volume):
+    """(measures._region of bump \\ ball, read-only, and its _excess), kept for the last
+    REGIONS bumps by every value they read: measures._metric_key's, the apex and rho.
+    volume is unit_ball_volume(metric)."""
     key = (measures._metric_key(metric), tuple(params.apex.layer1.tolist()),
            tuple(params.apex.layer2.tolist()), params.rho)
 
@@ -171,7 +297,7 @@ def _bump_region(metric, bump: SampledSet, ball: SampledSet, params: BumpParams)
         for box in (region, region.whole or region):
             for values in (box.lo2, box.hi2, box.shells):
                 values.flags.writeable = False
-        return region
+        return region, _excess(metric, params.apex, params.rho, volume)
 
     return measures._memoized(_regions, REGIONS, key, build)
 
@@ -183,19 +309,28 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
     params.apex must be the apex of _apex_and_bound(metric), whose reach (the sup of
     d(apex, .) over the unit ball) is proven to be sqrt(2); a reach below that is false
     for it. Every bump point sits within rho + reach <= 2 = diam B of every ball point,
-    so the diameter stays 2 and only the extra measure counts: ratio = 1 + Haar(bump \\ B)
-    / Haar(B). bump \\ B is measures.difference of the two ball_sets, on one a = |z|^2 a
-    block: mc_measure decides it by both balls' bounds, and settles the few points
-    near either sphere once a chunk. On k = 1 its region is strata of the bump's box,
-    each over its annulus between B's slab and the bump's reach: 4.0% of the box
-    for CC on H^1 and 44% for gauge. Each stratum's core, surely in the bump and
-    surely out of B, is counted exactly, and only the bands beside it are drawn:
-    1.7% and 4.2% of the box. So the same budget gives a smaller error, and for
-    d_inf every draw is a hit. The region is built once for the last few bumps
-    (_bump_region). The volume comes first: a group too wide for it fails before
-    any point of its width is built.
+    so the diameter stays 2 and only the extra measure counts: ratio = 1 + excess,
+    excess = Haar(bump \\ B) / Haar(B).
+
+    For k = 1 the excess is _excess's: rho^Q / 2 for d_inf (method closed_form), else
+    the slice quadrature of _slice_measure (quadrature), with an error near 1e-16
+    of the ratio. It is reported as excess, and ratio is 1 + excess, its error
+    the excess's plus half an ulp of the sum. The Monte Carlo below runs beside it as
+    an independent check, cross_check, with pull (mc - excess) / mc's error. For
+    k > 1 the Monte Carlo is the ratio, with no excess or cross_check.
+
+    The Monte Carlo draws bump \\ B, measures.difference of the two ball_sets, on
+    one a = |z|^2 a block: mc_measure decides it by both balls' bounds, and settles
+    the few points near either sphere once a chunk. On k = 1 its region is strata of
+    the bump's box, each over its annulus between B's slab and the bump's reach:
+    4.0% of the box for CC on H^1 and 44% for gauge. Each stratum's core, surely in
+    the bump and surely out of B, is counted exactly, and only the bands beside it
+    are drawn: 1.7% and 4.2% of the box. For d_inf every draw is a hit. The region
+    and the excess are built once for the last few bumps (_bump_region). The volume
+    comes first: a group too wide for it fails before any point of its width is
+    built.
     """
-    ball_vol, ball_err = unit_ball_volume(metric)
+    volume = unit_ball_volume(metric)
     apex, _ = _apex_and_bound(metric)
     if not (np.array_equal(params.apex.layer1, apex.layer1)
             and np.array_equal(params.apex.layer2, apex.layer2)):
@@ -217,10 +352,17 @@ def bump_ratio(params: BumpParams, metric, budget: int, seed: int,
 
     bump, ball = (measures.ball_set(metric, center=params.apex, radius=params.rho),
                   measures.ball_set(metric))
-    extra = measures.difference(bump, ball, _bump_region(metric, bump, ball, params))
-    rel = measures.per_unit_ball(measures.mc_measure(extra, budget, seed), ball_vol, ball_err)
-    return RatioResult(EstimateWithError(1.0 + rel.value, rel.error, "monte_carlo", budget, seed),
-                       diam, desc)
+    region, excess = _bump_region(metric, bump, ball, params, volume)
+    extra = measures.difference(bump, ball, region)
+    rel = measures.per_unit_ball(measures.mc_measure(extra, budget, seed), *volume)
+    mc = EstimateWithError(1.0 + rel.value, rel.error, "monte_carlo", budget, seed)
+    if excess is None:
+        return RatioResult(mc, diam, desc)
+    value = 1.0 + excess.value
+    ratio = EstimateWithError(value, excess.error + 0.5 * math.ulp(value), excess.method)
+    # mc's error is at least its rule-of-three bound, never 0 on a real draw
+    pull = (rel.value - excess.value) / rel.error if rel.error > 0.0 else math.nan
+    return RatioResult(ratio, diam, desc, excess, mc, pull)
 
 
 def maximize_bump(metric, budget: int = 10**6, seed: int = 0) -> RatioResult:

@@ -138,11 +138,13 @@ def test_criterion_6_assumption_C():
 
 
 def test_criterion_7_balls_not_isodiametric(best_bumps):
-    stats = {name: (res.ratio.value, res.ratio.error)
-             for name, res in best_bumps.items()}
-    ok = all(v >= 1.0 + 3.0 * e for v, e in stats.values())
-    flat = ", ".join(f"{k} {v:.5f} +- {e:.5f}" for k, (v, e) in stats.items())
-    report(7, ok, flat)
+    # the Monte Carlo cross-check and the ratio itself (closed form or quadrature)
+    for field in ("cross_check", "ratio"):
+        stats = {name: (getattr(res, field).value, getattr(res, field).error)
+                 for name, res in best_bumps.items()}
+        ok = all(v >= 1.0 + 3.0 * e for v, e in stats.values())
+        flat = ", ".join(f"{k} {v:.5f} +- {e:.5f}" for k, (v, e) in stats.items())
+        report(7, ok, f"{field}: {flat}")
 
 
 def test_criterion_8_volume_cross_checks():
@@ -161,19 +163,20 @@ def test_criterion_8_volume_cross_checks():
 
 
 def test_criterion_9_besicovitch_intervals(best_bumps):
-    c_lb_dinf = max(1.0, best_bumps["dinf"].ratio.value
-                    - 3.0 * best_bumps["dinf"].ratio.error)
-    dinf_bounds = ci.SigmaBounds(C_lower=c_lb_dinf, C_upper=ci.projection_upper_bound(DINF))
-    lo_dinf, hi_dinf = dinf_bounds.sigma_interval
-    c_lb_cc = max(1.0, best_bumps["cc"].ratio.value
-                  - 3.0 * best_bumps["cc"].ratio.error)
-    cc_bounds = ci.SigmaBounds(C_lower=c_lb_cc, C_upper=ci.projection_upper_bound(CC))
-    lo_cc, _ = cc_bounds.sigma_interval
-    ok = (lo_dinf == 0.5 and hi_dinf < 1.0
-          and lo_cc >= 1.0 / ci.projection_upper_bound(CC) - 1e-15
-          and lo_cc > 0.5)
-    report(9, ok, f"dinf sigma in [{lo_dinf}, {hi_dinf:.5f}], "
-                  f"cc lower endpoint {lo_cc:.5f}")
+    # the Monte Carlo cross-check and the ratio itself (closed form or quadrature)
+    for field in ("cross_check", "ratio"):
+        dinf, cc = getattr(best_bumps["dinf"], field), getattr(best_bumps["cc"], field)
+        c_lb_dinf = max(1.0, dinf.value - 3.0 * dinf.error)
+        dinf_bounds = ci.SigmaBounds(C_lower=c_lb_dinf, C_upper=ci.projection_upper_bound(DINF))
+        lo_dinf, hi_dinf = dinf_bounds.sigma_interval
+        c_lb_cc = max(1.0, cc.value - 3.0 * cc.error)
+        cc_bounds = ci.SigmaBounds(C_lower=c_lb_cc, C_upper=ci.projection_upper_bound(CC))
+        lo_cc, _ = cc_bounds.sigma_interval
+        ok = (lo_dinf == 0.5 and hi_dinf < 1.0
+              and lo_cc >= 1.0 / ci.projection_upper_bound(CC) - 1e-15
+              and lo_cc > 0.5)
+        report(9, ok, f"{field}: dinf sigma in [{lo_dinf}, {hi_dinf:.5f}], "
+                      f"cc lower endpoint {lo_cc:.5f}")
 
 
 def test_criterion_10_thread_determinism():

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 
 import mpmath as mp
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carnotiso as ci
-from carnotiso import isodiametric, metrics
+from carnotiso import cli, isodiametric, metrics
 from carnotiso.geodesics import sphere_point_arrays
 from carnotiso.groups import GroupError, standard_symplectic
 from carnotiso.isodiametric import BumpParams, CertificateError, max_certified_rho
@@ -343,8 +346,9 @@ class TestBumpRegionMemo:
 
     @staticmethod
     def _ratio(metric, rho=2 - SQRT2, budget=1 << 15):
+        # the Monte Carlo ratio, which reads the region; every metric here has k = 1
         apex, _ = isodiametric._apex_and_bound(metric)
-        return ci.bump_ratio(BumpParams(apex, rho), metric, budget, seed=2).ratio
+        return ci.bump_ratio(BumpParams(apex, rho), metric, budget, seed=2).cross_check
 
     def test_equal_calls_build_one_region(self, built):
         # a new metric on a new spec of the same values is the same key, not a new region
@@ -381,6 +385,159 @@ class TestBumpRegionMemo:
         assert len(built) == len(rhos)
         self._ratio(GAUGE, rho=rhos[0], budget=64)  # the least recent: dropped, built again
         assert len(built) == len(rhos) + 1
+
+    def test_equal_calls_build_one_excess(self, built, monkeypatch):
+        # the slice quadrature is built with the region, under its key: once a bump
+        calls, measure = [], isodiametric._slice_measure
+
+        def spy(*args):
+            calls.append(args)
+            return measure(*args)
+
+        monkeypatch.setattr(isodiametric, "_slice_measure", spy)
+        apex, _ = isodiametric._apex_and_bound(CC)
+        first, again = (ci.bump_ratio(BumpParams(apex, 2 - SQRT2), ci.CCMetric(H1), 64, seed)
+                        for seed in (1, 2))
+        assert len(calls) == len(built) == 1
+        assert first.ratio == again.ratio and first.excess == again.excess
+
+
+RHO = 2 - SQRT2
+# the proven enclosure of the CC bump's ratio on H^1 at rho = 2 - sqrt 2
+CC_BRACKET = (1.0044786297, 1.0044786839)
+
+
+def mp_cc_height(x):
+    """The CC unit sphere's half height T at |z| = x in [0, 1), at mpmath's precision.
+
+    The secant method on 1 - sin phi / phi = 1 - x from _half_height's first guess,
+    within 4%; 1 - x below 10^-d needs d more digits.
+    """
+    w = 1 - mp.mpf(x)
+    guess = mp.sqrt(6 * w) * (1 + (mp.pi / mp.sqrt(6) - 1) * w)
+    phi = mp.findroot(lambda p: 1 - mp.sin(p) / p - w, guess)
+    return (1 - mp.sin(2 * phi) / (2 * phi)) / phi
+
+
+def mp_cc_gap(r):
+    """s + h_b - h of the CC bump on H^1 at |z| = r: its slice out of B starts at its root."""
+    s, rho = -mp.mpf(isodiametric._apex_and_bound(CC)[0].layer2[0]), mp.mpf(RHO)
+    return s + rho ** 2 * mp_cc_height(r / rho) - mp_cc_height(r)
+
+
+def bump_doc(*argv):
+    """bump-search's JSON result for argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["bump-search", *argv]) == 0
+    return json.loads(out.getvalue())["result"]
+
+
+class TestSliceQuadrature:
+    """bump_ratio's k = 1 ratio: d_inf's closed form, the others' slice quadrature."""
+
+    def test_half_heights(self):
+        # d_inf's constant r2, gauge's r2 (1 - r^4)^(1/2) and CC's T, to its rim
+        r = np.linspace(0.0, 1.0, 33)
+        assert np.array_equal(ci.DinfMetric(H1, c2=0.7).half_height(r), np.full(33, 0.7 ** -2))
+        assert np.array_equal(GAUGE.half_height(r), 0.25 * np.sqrt(1.0 - r ** 4))
+        got = CC.half_height(r)
+        assert np.array_equal(got[:-1], metrics._half_height(np.sqrt(1.0 - r[:-1])))
+        assert got[-1] == 0.0
+        # below u = (1 - x)^(1/2) = 1e-7, where the Newton step's slope cancels, the first
+        # term of T's series: u = 1.05e-8 and 8.4e-8 there, 1.19e-7 and 1e-5 above
+        with mp.workdps(60):
+            for x in (1.0 - 2.0 ** -53, 1.0 - 2.0 ** -47, 1.0 - 2.0 ** -46, 1.0 - 1e-10):
+                want = mp_cc_height(mp.mpf(x))
+                assert abs(CC.half_height(x) - want) <= 1e-15 * want
+
+    def test_cc_h1_lies_in_the_proven_bracket(self, monkeypatch):
+        # the ratio and its error bar inside the enclosure, and the one kink's bracket
+        # straddles the root of the gap computed apart, by mpmath: a kink moved by 1e-6
+        # leaves both of its ends on one side
+        kinks, find = [], isodiametric._kinks
+        monkeypatch.setattr(isodiametric, "_kinks", lambda *a: kinks.append(find(*a)) or kinks[-1])
+        monkeypatch.setattr(isodiametric, "_regions", type(isodiametric._regions)())
+        result = ci.maximize_bump(CC, budget=1 << 10, seed=1)
+        ratio = result.ratio
+        assert ratio.method == result.excess.method == "quadrature"
+        assert ratio.error <= 1e-12 and ratio.value == 1.0 + result.excess.value
+        assert CC_BRACKET[0] < ratio.value - ratio.error < ratio.value + ratio.error < CC_BRACKET[1]
+        (row, lo, hi), = kinks
+        assert row.tolist() == [0] and hi[0] - lo[0] < 1e-9
+        with mp.workdps(25):
+            assert mp_cc_gap(mp.mpf(lo[0])) > 0 > mp_cc_gap(mp.mpf(hi[0]))
+
+    def test_cc_h1_measure_matches_mpmath(self):
+        # Haar(bump \ B) within its own error bar of a 25-digit quadrature, up to the root
+        rho, s = RHO, float(isodiametric._apex_and_bound(CC)[0].layer2[0])
+        est = isodiametric._slice_measure(CC, s, rho)
+        with mp.workdps(25):
+            kink = mp.findroot(mp_cc_gap, (mp.mpf("0.33"), mp.mpf("0.34")), solver="anderson")
+            want = mp.quad(lambda r: mp_cc_gap(r) * 2 * mp.pi * r, [0, kink])
+            assert abs(est.value - want) <= est.error <= 1e-14
+
+    def test_gauge_htype_matches_mpmath(self):
+        # h = (1 - r^4)^(1/2) and h_b = rho^2 (1 - (r / rho)^4)^(1/2) in units of s;
+        # Haar(B) is int_0^1 2 h(r) r dr = pi / 4 in those units, as 2 pi cancels
+        result = ci.maximize_bump(GAUGE, budget=1 << 10, seed=1)
+        with mp.workdps(30):
+            rho = mp.mpf(RHO)
+
+            def h(r):
+                return mp.sqrt(1 - r ** 4)
+
+            def hb(r):
+                return rho ** 2 * mp.sqrt(1 - (r / rho) ** 4)
+
+            kink = mp.findroot(lambda r: h(r) + hb(r) - 1, (mp.mpf("0.5"), rho - mp.mpf("1e-9")),
+                               solver="anderson")
+            extra = (mp.quad(lambda r: (1 + hb(r) - h(r)) * r, [0, kink])
+                     + mp.quad(lambda r: 2 * hb(r) * r, [kink, rho]))
+            want = 1 + extra / (mp.pi / 4)
+            assert result.ratio.method == "quadrature" and result.ratio.error <= 1e-12
+            assert abs(result.ratio.value - want) <= 1e-12
+            assert abs(result.ratio.value - want) <= result.ratio.error
+
+    @pytest.mark.parametrize("metric", [DINF, ci.DinfMetric(ci.heisenberg(2)),
+                                        ci.DinfMetric(H1, c2=0.7)], ids=["h1", "h2", "c2-0.7"])
+    def test_dinf_is_the_closed_form(self, metric):
+        result = ci.maximize_bump(metric, budget=1 << 10, seed=1)
+        excess = RHO ** metric.spec.Q / 2.0
+        assert result.ratio.value == 1.0 + excess and result.ratio.method == "closed_form"
+        assert result.excess.value == excess and 0.0 < result.excess.error <= 4 * math.ulp(excess)
+
+    def test_dinf_h40_excess(self):
+        # 1 + rho^42 / 2 rounds to 1; the excess is printed apart
+        result = bump_doc("--group", "h40", "--budget", "4096", "--seed", "1")
+        assert result["ratio"]["value"] == 1.0
+        assert result["excess"]["value"] == pytest.approx(RHO ** 82 / 2.0, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", range(14, 21))
+    def test_cc_excess_is_printed_above_zero(self, n):
+        # the float ratio reads 1.0 from H^14 on, where 10^6 draws make no hit; the
+        # quadrature's excess falls from 4.9e-16 at H^14 to 8.0e-22 at H^20
+        result = bump_doc("--metric", "cc", "--group", f"h{n}", "--budget", "2048", "--seed", "1")
+        excess = result["excess"]
+        assert excess["method"] == "quadrature"
+        assert excess["value"] > 3.0 * excess["error"] > 0.0
+        assert 7e-22 < excess["value"] < 6e-16
+
+    def test_k_above_one_keeps_the_monte_carlo(self):
+        # the quaternionic bump's slice is a lens: no quadrature yet
+        result = ci.maximize_bump(ci.DinfMetric(quaternionic()), budget=1 << 12, seed=1)
+        assert result.ratio.method == "monte_carlo"
+        assert result.excess is None and result.cross_check is None
+        assert set(result.to_dict()) == {"ratio", "diameter", "set"}
+
+    def test_cross_check_keys(self):
+        doc = bump_doc("--metric", "cc", "--budget", "4096", "--seed", "3")
+        check = doc["cross_check"]
+        assert check["method"] == "monte_carlo" and check["samples"] == 4096
+        assert check["seed"] == 3
+        # the pull is taken before the 1 is added, to 1e-16 / error of this
+        pull = (check["value"] - 1.0 - doc["excess"]["value"]) / check["error"]
+        assert abs(check["pull"] - pull) < 1e-9 and abs(pull) < 3.0
 
 
 def cdc(n):

@@ -687,9 +687,10 @@ def _cc_kernel_spy(monkeypatch):
 
 
 def _cc_bump(spec, budget, seed):
+    """The Monte Carlo ratio of the CC bump, bump_ratio's cross-check."""
     metric = ci.CCMetric(spec)
     apex, _ = ci.isodiametric._apex_and_bound(metric)
-    return ci.bump_ratio(ci.BumpParams(apex, RHO), metric, budget, seed).ratio
+    return ci.bump_ratio(ci.BumpParams(apex, RHO), metric, budget, seed).cross_check
 
 
 class TestSettleOnceAChunk:
@@ -913,9 +914,13 @@ class TestClippedBox:
         est = ci.mc_measure(extra, budget, seed=4)
         assert est.value == extra.bounding_box.volume  # every draw a hit
         assert est.error == extra.bounding_box.volume * 3.0 / budget
-        ratio = ci.maximize_bump(metric, budget, seed=4).ratio
+        result = ci.maximize_bump(metric, budget, seed=4)
+        ratio = result.cross_check
         assert ratio.value == pytest.approx(1.0 + RHO ** group.Q / 2.0, rel=1e-12, abs=0.0)
         assert round(ratio.value, 7) == closed
+        # the ratio is that closed form itself
+        assert result.ratio.value == 1.0 + RHO ** group.Q / 2.0
+        assert result.ratio.method == "closed_form"
 
     def _keeps(self, kept, removed, budget=1 << 15):
         # the same box, one stratum, and the same estimate's bits as with no slab at all
@@ -1272,20 +1277,29 @@ class TestStrata:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_cc_bump_matches_the_reference(self, seed):
-        # at the evidence budget the estimate lies within 3 sigma of the quadrature value
-        # 1.00447866, whose proven enclosure its 3 sigma band holds; the cores counted
-        # exactly take the error from 6.5e-6 to 3.2e-6
-        ratio = ci.bump_ratio(ci.BumpParams(ci.isodiametric._apex_and_bound(CC)[0], RHO), CC,
-                              1 << 17, seed).ratio
+        # at the evidence budget the Monte Carlo cross-check lies within 3 sigma of the
+        # quadrature value 1.00447866, whose proven enclosure its 3 sigma band holds; the
+        # cores counted exactly take the error from 6.5e-6 to 3.2e-6. The ratio, the
+        # slice quadrature, lies inside that enclosure
+        result = ci.bump_ratio(ci.BumpParams(ci.isodiametric._apex_and_bound(CC)[0], RHO), CC,
+                               1 << 17, seed)
+        ratio = result.cross_check
         assert ratio.error < 4e-6
         for reference in (1.00447866, 1.0044786297, 1.0044786839):
             assert abs(ratio.value - reference) < 3.0 * ratio.error
+        assert result.ratio.error < 4e-6
+        assert 1.0044786297 < result.ratio.value < 1.0044786839
+        assert abs(result.pull) < 3.0
 
     def test_gauge_bump_matches_the_reference(self):
-        # within 3 sigma of the quadrature value 1.0631744, at under a ninth of the error
-        # of the box above the unit ball's slab alone, 3.88e-5: the cores, 90.5% of the
-        # strata, are counted exactly
+        # the cross-check within 3 sigma of the quadrature value 1.0631744, at under a
+        # ninth of the error of the box above the unit ball's slab alone, 3.88e-5: the
+        # cores, 90.5% of the strata, are counted exactly. The ratio is that quadrature
         apex, _ = ci.isodiametric._apex_and_bound(GAUGE)
-        ratio = ci.bump_ratio(ci.BumpParams(apex, RHO), GAUGE, 1 << 20, 1).ratio
+        result = ci.bump_ratio(ci.BumpParams(apex, RHO), GAUGE, 1 << 20, 1)
+        ratio = result.cross_check
         assert ratio.error < 4e-6
         assert abs(ratio.value - 1.0631744) < 3.0 * ratio.error
+        assert result.ratio.error < 4e-6
+        assert abs(result.ratio.value - 1.0631744) < 5e-8
+        assert abs(result.pull) < 3.0
